@@ -181,10 +181,11 @@ class _QueryState:
         ] = {}
         # Per-graph mining memo: (enumeration key, ordered row-id-set
         # fingerprints of the question sides, mining config) -> graph
-        # index -> exact finalists.  Mining is fully deterministic given
-        # those inputs (each graph mines with graph_rng(seed, index)),
-        # so reuse is byte-identical by construction.  LRU over keys.
-        self.mining_memo: "OrderedDict[tuple, dict[int, list]]" = (
+        # index -> exact finalists, or None when the graph's APT is
+        # empty.  Mining is fully deterministic given those inputs (each
+        # graph mines with graph_rng(seed, index)), so reuse is
+        # byte-identical by construction.  LRU over keys.
+        self.mining_memo: "OrderedDict[tuple, dict[int, list | None]]" = (
             OrderedDict()
         )
 
@@ -472,7 +473,14 @@ class CajadeSession:
         else:
             state.mining_memo.move_to_end(mining_key)
 
-        # Stream APTs out of the shared-prefix engine (trie order, so
+        # Graphs the memo already answers — with finalists, or with None
+        # for an APT that came out empty — are neither materialized nor
+        # mined: a fully memoized ask goes straight to the rerank.  (With
+        # memoization off, ``memo`` is this request's own empty dict.)
+        pending = [i for i in range(len(join_graphs)) if i not in memo]
+        mined_reused = sum(f is not None for f in memo.values())
+
+        # Stream the rest out of the shared-prefix engine (trie order, so
         # graphs extending the same prefix reuse its cached
         # intermediate) straight into mining — serial runs hold one APT
         # at a time; a worker pool holds at most 2x workers.  Results
@@ -482,53 +490,46 @@ class CajadeSession:
 
         def _nonempty_apts():
             iterator = engine.materialize_iter(
-                join_graphs, restrict_row_ids=restrict
+                [join_graphs[i] for i in pending], restrict_row_ids=restrict
             )
             while True:
                 with timer.step(MATERIALIZE_APTS):
                     item = next(iterator, None)
                 if item is None:
                     return
+                index = pending[item[0]]
                 if item[1].num_rows > 0:
-                    yield item
+                    yield index, item[1]
+                else:
+                    memo[index] = None
 
-        def _mine_one(
-            index: int, apt: AugmentedProvenanceTable
-        ) -> tuple[StepTimer | None, list]:
-            cached = memo.get(index)
-            if cached is not None:
-                return None, cached
+        def _mine_one(index: int, apt: AugmentedProvenanceTable) -> StepTimer:
             local_timer = StepTimer()
             rng = graph_rng(config.seed, index)
             mining = mine_apt(apt, resolved, config, rng, timer=local_timer)
-            finalists = _exact_stats(apt, resolved, mining.patterns, config, rng)
-            if self._max_cached_minings > 0:
-                memo[index] = finalists
-            return local_timer, finalists
+            memo[index] = _exact_stats(
+                apt, resolved, mining.patterns, config, rng
+            )
+            return local_timer
 
-        results_by_index = run_streaming(
+        timers = run_streaming(
             _nonempty_apts(), _mine_one, config.workers, pool=pool
         )
-        collected: list[tuple[Pattern, float, tuple]] = []
-        mined_graphs = len(results_by_index)
-        mined_reused = 0
-        for index in sorted(results_by_index):
-            local_timer, finalists = results_by_index[index]
-            if local_timer is None:
-                mined_reused += 1
-            else:
-                timer.merge(local_timer)
-            for mined, stats, support in finalists:
-                collected.append(
-                    (
-                        mined.pattern,
-                        stats.f_score,
-                        (join_graphs[index], mined, stats, support),
-                    )
-                )
+        for index in sorted(timers):
+            timer.merge(timers[index])
+        mined_graphs = mined_reused + len(timers)
+        collected: list[tuple[Pattern, float, tuple]] = [
+            (
+                mined.pattern,
+                stats.f_score,
+                (join_graphs[index], mined, stats, support),
+            )
+            for index in sorted(memo)
+            for mined, stats, support in memo[index] or ()
+        ]
 
         self._stats.mined_graphs_reused += mined_reused
-        self._stats.mined_graphs_computed += mined_graphs - mined_reused
+        self._stats.mined_graphs_computed += len(timers)
 
         engine_delta = engine.stats.delta(engine_before)
         timer.count(APT_CACHE_HITS, engine_delta.steps_reused)

@@ -80,7 +80,7 @@ class Pattern:
     patterns hash equal — the ``done`` set of Algorithm 1 relies on this.
     """
 
-    __slots__ = ("predicates", "_key")
+    __slots__ = ("predicates", "_key", "_first", "_description")
 
     def __init__(self, predicates: Iterable[PatternPredicate] = ()):
         ordered = tuple(
@@ -112,23 +112,36 @@ class Pattern:
         )
 
     @property
-    def attributes(self) -> set[str]:
-        return {p.attribute for p in self.predicates}
+    def first_values(self) -> Mapping[str, Any]:
+        """attribute → constant of its first predicate, in predicate order.
+
+        Built on first use and kept (the pattern is immutable): the §3.5
+        rerank and ``mine_apt``'s loop read it per candidate per call.
+        """
+        try:
+            return self._first
+        except AttributeError:
+            first: dict[str, Any] = {}
+            for p in self.predicates:
+                first.setdefault(p.attribute, p.value)
+            object.__setattr__(self, "_first", first)
+            return first
+
+    @property
+    def attributes(self) -> frozenset[str]:
+        return frozenset(self.first_values)
 
     @property
     def size(self) -> int:
         """|Φ|: the number of non-``*`` attributes."""
-        return len(self.attributes)
+        return len(self.first_values)
 
     def uses(self, attribute: str) -> bool:
-        return attribute in self.attributes
+        return attribute in self.first_values
 
     def value_of(self, attribute: str) -> Any:
         """The threshold/constant of the first predicate on ``attribute``."""
-        for predicate in self.predicates:
-            if predicate.attribute == attribute:
-                return predicate.value
-        raise KeyError(attribute)
+        return self.first_values[attribute]
 
     def num_numeric_predicates(self, numeric_attrs: set[str]) -> int:
         return sum(1 for p in self.predicates if p.attribute in numeric_attrs)
@@ -188,9 +201,12 @@ class Pattern:
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
-        if not self.predicates:
-            return "(*)"
-        return " ∧ ".join(p.describe() for p in self.predicates)
+        try:
+            return self._description
+        except AttributeError:
+            text = " ∧ ".join(p.describe() for p in self.predicates) or "(*)"
+            object.__setattr__(self, "_description", text)
+            return text
 
     def __str__(self) -> str:
         return self.describe()

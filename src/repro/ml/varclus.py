@@ -132,15 +132,18 @@ def _cramers_v_from_codes(
     if a_levels < 2 or b_levels < 2:
         return 0.0
     n = len(a_codes)
-    table = np.zeros((a_levels, b_levels))
-    np.add.at(table, (a_codes, b_codes), 1.0)
+    table = (
+        np.bincount(a_codes * b_levels + b_codes, minlength=a_levels * b_levels)
+        .reshape(a_levels, b_levels)
+        .astype(np.float64)
+    )
     row = table.sum(axis=1, keepdims=True)
     col = table.sum(axis=0, keepdims=True)
     expected = row @ col / n
     with np.errstate(divide="ignore", invalid="ignore"):
-        chi2 = np.nansum(
-            np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
-        )
+        chi2 = np.where(
+            expected > 0, (table - expected) ** 2 / expected, 0.0
+        ).sum()
     denominator = n * (min(a_levels, b_levels) - 1)
     if denominator <= 0:
         return 0.0
@@ -190,15 +193,21 @@ def _codes(values: np.ndarray, max_bins: int = 12) -> tuple[np.ndarray, int]:
 def association_matrix(
     columns: Mapping[str, np.ndarray],
     codes: dict[str, np.ndarray] | None = None,
+    same_type_only: bool = False,
 ) -> np.ndarray:
     """Pairwise association: |Pearson| for numeric pairs, Cramér's V when
     a categorical column is involved.
 
     ``codes`` may supply precomputed first-occurrence label encodings per
-    column name (object columns only; numeric columns are quantile-binned
-    here regardless), feeding :func:`cramers_v` without re-encoding —
-    and without ever gathering the coded columns' value arrays from a
-    lazily-materializing ``columns`` mapping.
+    column name (object columns only; a numeric column is quantile-binned
+    here when it meets a categorical one), feeding :func:`cramers_v`
+    without re-encoding — and without ever gathering the coded columns'
+    value arrays from a lazily-materializing ``columns`` mapping.
+
+    ``same_type_only`` leaves numeric×categorical entries at 0 instead
+    of computing them: :func:`cluster_attributes` never reads them under
+    the same flag, and they are the only reason a numeric column is ever
+    quantile-binned.
     """
     codes = codes or {}
     names = list(columns)
@@ -234,6 +243,8 @@ def association_matrix(
             a, b = names[i], names[j]
             if not is_object[a] and not is_object[b]:
                 value = pearson[i, j]
+            elif same_type_only and is_object[a] != is_object[b]:
+                continue
             else:
                 value = _cramers_v_from_codes(codes_of(a), codes_of(b))
             out[i, j] = out[j, i] = value
@@ -273,7 +284,9 @@ def cluster_attributes(
     names = list(columns)
     if not names:
         return []
-    corr = association_matrix(columns, codes=codes)
+    corr = association_matrix(
+        columns, codes=codes, same_type_only=same_type_only
+    )
     n = len(names)
     is_text = [_dtype_of(columns, name) == object for name in names]
 

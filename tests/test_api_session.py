@@ -89,18 +89,51 @@ class TestCrossQuestionReuse:
     def test_second_explain_grows_cache_hits(self, session):
         first = session.explain(GSW_WINS_SQL, QUESTION)
         second = session.explain(GSW_WINS_SQL, QUESTION)
-        # The warm request serves every materialization step from the
-        # trie: per-request APT_CACHE_HITS grows past the cold run's,
-        # and nothing is recomputed.
-        assert second.engine.steps_reused > first.engine.steps_reused
+        # Every graph — mined, or found empty — is answered by the
+        # mining memo, so the repeated ask materializes nothing: the
+        # engine is not consulted at all and only the rerank runs.
+        assert first.engine.graphs > 0
+        assert second.engine.graphs == 0
+        assert second.engine.steps_reused == 0
         assert second.engine.steps_computed == 0
-        # Every graph with at least one plan step is a full-plan hit
-        # (Ω0's empty plan never counts as one).
-        assert second.engine.full_hits == second.engine.graphs - 1
-        assert second.timer.counter(APT_CACHE_HITS) > 0
+        assert second.timer.counter(APT_CACHE_HITS) == 0
         assert second.timer.counter(APT_CACHE_MISSES) == 0
         assert second.warm_query
+        assert second.join_graphs_mined == first.join_graphs_mined
         assert second.mined_graphs_reused == second.join_graphs_mined
+        assert session.stats.mined_graphs_computed == first.join_graphs_mined
+
+    def test_partly_memoized_ask_materializes_only_the_rest(self, session):
+        first = session.explain(GSW_WINS_SQL, QUESTION)
+        (memo,) = session._queries[first.fingerprint].mining_memo.values()
+        dropped = max(memo)
+        del memo[dropped]
+        second = session.explain(GSW_WINS_SQL, QUESTION)
+        assert second.engine.graphs == 1
+        assert second.engine.steps_computed == 0  # served by the trie
+        assert second.timer.counter(APT_CACHE_HITS) > 0
+        assert second.join_graphs_mined == first.join_graphs_mined
+        assert second.mined_graphs_reused == first.join_graphs_mined - 1
+        assert ranked_payload(second) == ranked_payload(first)
+        assert dropped in memo
+
+    def test_empty_apts_are_memoized_too(self, nba_small):
+        from repro.datasets.workloads import query_by_name
+
+        db, schema_graph = nba_small
+        workload = query_by_name("Qnba5")
+        session = CajadeSession(
+            db, schema_graph, CajadeConfig(max_join_edges=2)
+        )
+        first = session.explain(workload.sql, workload.question)
+        # One join graph's APT has no rows: nothing to mine, nothing to
+        # count — and nothing to materialize again on the repeat.
+        assert first.engine.graphs == first.join_graphs_mined + 1
+        second = session.explain(workload.sql, workload.question)
+        assert second.engine.graphs == 0
+        assert second.join_graphs_mined == first.join_graphs_mined
+        assert second.mined_graphs_reused == first.join_graphs_mined
+        assert ranked_payload(second) == ranked_payload(first)
 
     def test_warm_responses_byte_identical_serial(
         self, session, mini_db, mini_schema_graph
@@ -150,10 +183,18 @@ class TestCrossQuestionReuse:
         session = CajadeSession(
             mini_db, mini_schema_graph, CONFIG, max_cached_minings=0
         )
-        session.explain(GSW_WINS_SQL, QUESTION)
+        first = session.explain(GSW_WINS_SQL, QUESTION)
         second = session.explain(GSW_WINS_SQL, QUESTION)
         assert second.mined_graphs_reused == 0
-        assert second.engine.steps_computed == 0  # trie still warm
+        # Without the memo every graph is materialized again, each step
+        # from the warm trie: hits grow past the cold run's and every
+        # graph with a plan step is a full-plan hit (Ω0's empty plan
+        # never counts as one).
+        assert second.engine.steps_computed == 0
+        assert second.engine.steps_reused > first.engine.steps_reused
+        assert second.engine.full_hits == second.engine.graphs - 1
+        assert second.timer.counter(APT_CACHE_HITS) > 0
+        assert second.timer.counter(APT_CACHE_MISSES) == 0
 
     def test_query_state_lru_eviction(self, mini_db, mini_schema_graph):
         session = CajadeSession(

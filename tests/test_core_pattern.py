@@ -160,6 +160,35 @@ class TestPattern:
     def test_empty_describe(self):
         assert Pattern().describe() == "(*)"
 
+    def test_first_values_in_predicate_order(self):
+        # "<=" sorts before ">=", so pts reports its upper bound; the
+        # mapping iterates in sorted-attribute order however it is built.
+        pattern = Pattern(
+            [
+                PatternPredicate("pts", OP_GE, 10),
+                PatternPredicate("team", OP_EQ, "GSW"),
+                PatternPredicate("pts", OP_LE, 30),
+                PatternPredicate("age", OP_EQ, 27),
+            ]
+        )
+        assert list(pattern.first_values.items()) == [
+            ("age", 27), ("pts", 30), ("team", "GSW"),
+        ]
+        assert pattern.value_of("pts") == 30
+        assert pattern.size == 3
+        assert pattern.attributes == frozenset({"age", "pts", "team"})
+        assert Pattern().first_values == {} and Pattern().size == 0
+
+    def test_derived_views_are_computed_once(self):
+        pattern = Pattern.from_dict({"b": (OP_LE, 2), "a": (OP_EQ, "x")})
+        assert pattern.first_values is pattern.first_values
+        assert pattern.describe() is pattern.describe()
+        # The caches are derived state: equality and hashing ignore them.
+        fresh = Pattern.from_dict({"a": (OP_EQ, "x"), "b": (OP_LE, 2)})
+        assert fresh == pattern and hash(fresh) == hash(pattern)
+        with pytest.raises(AttributeError):
+            pattern._first = {}
+
 
 class TestRefinementMonotonicity:
     """Adding a predicate can only shrink the match set (Prop 3.1 core)."""

@@ -170,3 +170,82 @@ class TestKernelCodeReuse:
         np.testing.assert_array_equal(
             association_matrix(cols), association_matrix(cols, codes=codes)
         )
+
+
+class TestSameTypeOnly:
+    """Feature selection clusters with ``same_type_only=True``: the
+    numeric×categorical associations are never read, so never computed."""
+
+    def make_columns(self, rng):
+        base = rng.integers(0, 6, size=250)
+        return {
+            "id": base.astype(float),
+            "id_scaled": base * 3.0 + 1.0,
+            "noise": rng.normal(size=250),
+            "name": np.array([f"n{i}" for i in base], dtype=object),
+            "alias": np.array([f"a{i}" for i in base], dtype=object),
+            "other": np.array(
+                [f"o{i}" for i in rng.integers(0, 3, size=250)], dtype=object
+            ),
+        }
+
+    def test_same_type_entries_unchanged_cross_type_zero(self, rng):
+        from repro.ml import association_matrix
+
+        cols = self.make_columns(rng)
+        full = association_matrix(cols)
+        same = association_matrix(cols, same_type_only=True)
+        is_text = np.array([cols[n].dtype == object for n in cols])
+        same_type = is_text[:, None] == is_text[None, :]
+        np.testing.assert_array_equal(same[same_type], full[same_type])
+        assert (full[~same_type] > 0).any()
+        assert not same[~same_type].any()
+
+    def test_clusters_equal_those_of_the_full_matrix(self, rng, monkeypatch):
+        import repro.ml.varclus as varclus
+
+        cols = self.make_columns(rng)
+        fast = cluster_attributes(cols, threshold=0.9, same_type_only=True)
+        full_matrix = varclus.association_matrix
+        monkeypatch.setattr(
+            varclus,
+            "association_matrix",
+            lambda columns, codes=None, same_type_only=False: full_matrix(
+                columns, codes=codes
+            ),
+        )
+        assert cluster_attributes(
+            cols, threshold=0.9, same_type_only=True
+        ) == fast
+        assert {frozenset(c.members) for c in fast} == {
+            frozenset({"id", "id_scaled"}),
+            frozenset({"noise"}),
+            frozenset({"name", "alias"}),
+            frozenset({"other"}),
+        }
+
+    def test_numeric_columns_are_not_binned(self, rng, monkeypatch):
+        import repro.ml.varclus as varclus
+
+        def no_numeric(values, max_bins=12):
+            assert values.dtype == object, "numeric column quantile-binned"
+            return original(values, max_bins)
+
+        original = varclus._codes
+        monkeypatch.setattr(varclus, "_codes", no_numeric)
+        cluster_attributes(
+            self.make_columns(rng), threshold=0.9, same_type_only=True
+        )
+
+    def test_contingency_table_matches_scatter_add(self, rng):
+        from repro.ml import cramers_v
+
+        a = rng.integers(0, 7, size=500)
+        b = (a + rng.integers(0, 2, size=500)) % 5
+        table = np.zeros((7, 5))
+        np.add.at(table, (a, b), 1.0)
+        expected = table.sum(1, keepdims=True) @ table.sum(0, keepdims=True) / 500
+        chi2 = np.nansum((table - expected) ** 2 / expected)
+        assert cramers_v(None, None, a_codes=a, b_codes=b) == float(
+            np.sqrt(min(1.0, chi2 / (500 * 4)))
+        )
