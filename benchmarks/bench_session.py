@@ -6,10 +6,9 @@ join-graph enumeration + the materialization trie + per-graph mining
 finalists all persist across questions.  This benchmark measures that
 amortization on a Qnba workload:
 
-1. *cold one-shot*: a fresh ``CajadeSession`` per call — exactly what
-   the deprecated ``CajadeExplainer`` shim does — repeated ``--runs``
-   times; the best (fastest) run is the baseline, giving the cold path
-   every benefit of OS/page-cache warmth;
+1. *cold one-shot*: a fresh ``CajadeSession`` per call, repeated
+   ``--runs`` times; the best (fastest) run is the baseline, giving the
+   cold path every benefit of OS/page-cache warmth;
 2. *warm session*: one session; the first ask pays the cold cost, the
    **second ask of the same question** is answered from the mining
    memo alone (no APT is materialized again).  Asserts the warm second

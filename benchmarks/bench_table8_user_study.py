@@ -14,8 +14,9 @@ the controversial explanation roughly halves the pairwise error.
 
 import pytest
 
+from repro.api import CajadeSession
 from repro.baselines import ProvenanceOnlyExplainer
-from repro.core import CajadeConfig, CajadeExplainer
+from repro.core import CajadeConfig
 from repro.datasets import user_study_query
 from repro.experiments import build_study_explanations, run_user_study
 
@@ -35,7 +36,7 @@ def test_table8_table9_user_study(benchmark, nba, report):
     def run():
         config = CajadeConfig(**BASE)
         prov = ProvenanceOnlyExplainer(db, config).explain(wq.sql, wq.question)
-        cajade = CajadeExplainer(db, sg, config).explain(wq.sql, wq.question)
+        cajade = CajadeSession(db, sg, config).explain(wq.sql, wq.question)
         study = build_study_explanations(
             prov.explanations, cajade.explanations
         )

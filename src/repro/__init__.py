@@ -13,9 +13,6 @@ materialization trie stay warm:
 >>> session = CajadeSession(db, schema_graph)
 >>> response = session.ask(sql).why_higher(t1, t2).top_k(3).run()
 >>> print(response.describe())
-
-The one-shot :class:`CajadeExplainer` remains as a deprecated shim over
-a one-request session (byte-identical results, no cross-question reuse).
 """
 
 from .api import (
@@ -28,7 +25,6 @@ from .api import (
 )
 from .core import (
     CajadeConfig,
-    CajadeExplainer,
     ComparisonQuestion,
     Explanation,
     ExplanationResult,
@@ -44,7 +40,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "CajadeConfig",
-    "CajadeExplainer",
     "CajadeSession",
     "ComparisonQuestion",
     "Database",

@@ -5,9 +5,7 @@ long-lived :class:`CajadeSession` — schema graph computed once, parsed
 queries/provenance cached by SQL fingerprint, one warm
 :class:`~repro.engine.MaterializationEngine` per registered query — and
 the typed :class:`ExplanationRequest` / :class:`ExplanationResponse`
-objects individual questions travel in.  The legacy one-shot
-:class:`~repro.core.explainer.CajadeExplainer` is a deprecated shim
-over a one-request session.
+objects individual questions travel in.
 """
 
 from .session import (

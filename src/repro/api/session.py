@@ -5,19 +5,17 @@ once, then asks many user questions against the same aggregate query.
 :class:`CajadeSession` matches that shape: it owns the schema graph, a
 parsed-query/provenance cache keyed by SQL fingerprint, and **one**
 :class:`~repro.engine.MaterializationEngine` per registered query whose
-prefix trie and join-result cache persist across questions.  Question
-N+1 on a registered query therefore hits the warm trie instead of
-re-parsing SQL, recomputing provenance, re-enumerating join graphs and
-rematerializing every APT from scratch — the session amortizes exactly
-the preprocessing the one-shot :class:`~repro.core.explainer
-.CajadeExplainer` used to discard after every call.  On top of the
-trie, the session memoizes per-graph mining finalists keyed by the
-question's ordered row-id-set fingerprints and the mining-relevant
-config, so *repeating* a question (or re-asking it with a different
-``workers`` — the only mining-neutral knob) skips mining too and
-reduces to reranking.
+prefix trie persists across questions.  Question N+1 on a registered
+query therefore hits the warm trie instead of re-parsing SQL,
+recomputing provenance, re-enumerating join graphs and rematerializing
+every APT from scratch.  On top of the trie, the session memoizes
+per-graph mining finalists keyed by the question's ordered row-id-set
+fingerprints and the mining-relevant config, so *repeating* a question
+(or re-asking it with a different ``workers`` or ``kernel_cache_mb`` —
+budgets never change results) skips mining too and reduces to
+reranking.
 
-Results are *byte-identical* to the one-shot path at any warmth: cached
+Results are *byte-identical* to a fresh session's at any warmth: cached
 state only changes where intermediate relations and finalists come from
 (the same canonical plans execute, the same per-graph generators drive
 mining), never what they contain.
@@ -68,7 +66,6 @@ from ..core.timing import (
     APT_CACHE_MEDIAN_ENTRY_BYTES,
     APT_CACHE_MISSES,
     JG_ENUMERATION,
-    JOIN_MEMO_HITS,
     JOIN_PERMUTATION_REUSES,
     JOIN_SEARCHSORTED_PROBES,
     JOIN_WINDOWS_BUILT,
@@ -88,25 +85,12 @@ from ..engine import (
 )
 from .types import ExplanationRequest, ExplanationResponse, query_fingerprint
 
-# Config fields that do not change mining output: ``workers``
-# preserves results exactly (per-graph generators), the engine-level
-# cache knobs only move bytes around, and the scoring-kernel /
-# late-materialization / histogram-forest / join-strategy knobs are
-# byte-identical by construction (asserted by tests).  Everything else
-# keys the session's per-graph mining memo.
+# Config fields that do not change mining output — the three budgets:
+# ``workers`` preserves results exactly (per-graph generators) and the
+# two cache sizes only move bytes around.  Everything else keys the
+# session's per-graph mining memo.
 _MINING_NEUTRAL_FIELDS = frozenset(
-    {
-        "workers",
-        "apt_cache_mb",
-        "join_memo_entries",
-        "use_kernel",
-        "kernel_cache_mb",
-        "kernel_verify",
-        "use_code_lca",
-        "late_materialization",
-        "use_hist_forest",
-        "join_strategy",
-    }
+    {"workers", "apt_cache_mb", "kernel_cache_mb"}
 )
 
 
@@ -115,8 +99,8 @@ def mining_config_key(config: CajadeConfig) -> tuple:
 
     Two configs with equal keys produce byte-identical ranked
     explanations for the same question: the excluded fields are exactly
-    the mining-neutral knobs (worker count, cache budgets, the
-    byte-identical kernel/storage/forest toggles).  This key namespaces
+    the budgets (worker count and the two cache sizes).  This key
+    namespaces
     the session's per-graph mining memo, :meth:`CajadeSession
     .explain_batch`'s duplicate-request coalescing, and the serving
     layer's cross-request response cache.
@@ -126,10 +110,6 @@ def mining_config_key(config: CajadeConfig) -> tuple:
         for name, value in sorted(vars(config).items())
         if name not in _MINING_NEUTRAL_FIELDS
     )
-
-
-# Backwards-compatible private alias (pre-serving-layer name).
-_mining_config_key = mining_config_key
 
 
 @dataclass
@@ -261,18 +241,9 @@ class CajadeSession:
         query = sql if isinstance(sql, Query) else parse_sql(sql)
         timer = timer or StepTimer()
         with timer.step(MATERIALIZE_APTS):
-            pt = ProvenanceTable.compute(
-                query,
-                self.db,
-                late_materialization=self.config.late_materialization,
-            )
+            pt = ProvenanceTable.compute(query, self.db)
         engine = MaterializationEngine(
-            pt,
-            self.db,
-            cache_mb=self.config.apt_cache_mb,
-            join_memo_entries=self.config.join_memo_entries,
-            late_materialization=self.config.late_materialization,
-            join_strategy=self.config.join_strategy,
+            pt, self.db, cache_mb=self.config.apt_cache_mb
         )
         state = _QueryState(fingerprint, query, pt, engine)
         self._queries[fingerprint] = state
@@ -429,8 +400,7 @@ class CajadeSession:
     ) -> ExplanationResponse:
         """Run the CaJaDE pipeline (paper Algorithms 1+2) for one request.
 
-        Identical computation to the classic one-shot explainer; the
-        session only changes where parsed queries, provenance tables,
+        The session only changes where parsed queries, provenance tables,
         join-graph enumerations and APT intermediates come *from* (warm
         caches instead of recomputation), never their contents.
         """
@@ -461,7 +431,7 @@ class CajadeSession:
             enum_key,
             restriction_fingerprint(resolved.row_ids1),
             restriction_fingerprint(resolved.row_ids2),
-            _mining_config_key(config),
+            mining_config_key(config),
         )
         memo = state.mining_memo.get(mining_key)
         if memo is None:
@@ -544,16 +514,11 @@ class CajadeSession:
                 APT_CACHE_MEDIAN_ENTRY_BYTES,
                 engine_delta.cache.median_entry_bytes,
             )
-        if config.join_memo_entries > 0:
-            timer.count(JOIN_MEMO_HITS, engine_delta.join_memo_hits)
-        if self.config.join_strategy != "hash":
-            timer.count(JOIN_WINDOWS_BUILT, engine_delta.windows_built)
-            timer.count(
-                JOIN_SEARCHSORTED_PROBES, engine_delta.searchsorted_probes
-            )
-            timer.count(
-                JOIN_PERMUTATION_REUSES, engine_delta.permutation_reuses
-            )
+        timer.count(JOIN_WINDOWS_BUILT, engine_delta.windows_built)
+        timer.count(
+            JOIN_SEARCHSORTED_PROBES, engine_delta.searchsorted_probes
+        )
+        timer.count(JOIN_PERMUTATION_REUSES, engine_delta.permutation_reuses)
 
         if config.use_diversity:
             chosen = select_diverse_top_k(collected, config.top_k)
@@ -718,9 +683,7 @@ def _exact_stats(
             resolved.row_ids2,
             sample_rate=1.0,
             rng=rng,
-            use_kernel=config.use_kernel,
             kernel_cache_mb=config.kernel_cache_mb,
-            verify_kernel=config.kernel_verify,
         )
     results = []
     for entry in mined:

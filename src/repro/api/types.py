@@ -5,12 +5,11 @@
 already-parsed :class:`~repro.db.query.Query`), the user question, and
 per-request budget knobs that override the session's base
 :class:`~repro.core.config.CajadeConfig` for this request only.
-:class:`ExplanationResponse` extends the classic
-:class:`~repro.core.explainer.ExplanationResult` (same ``describe`` /
-``to_json`` / ``top`` surface, so responses compare byte-identical
-against one-shot results) with the request that produced it, the query
-fingerprint, whether the session was already warm for that query, and a
-wall-clock/timing breakdown.
+:class:`ExplanationResponse` extends
+:class:`~repro.core.explainer.ExplanationResult` (the ``describe`` /
+``to_json`` / ``top`` surface) with the request that produced it, the
+query fingerprint, whether the session was already warm for that query,
+and a wall-clock/timing breakdown.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from ..db.query import Query
 
 _CONFIG_FIELDS = {f.name for f in fields(CajadeConfig)}
 
-# Knobs baked into a session's per-query engine at registration time; a
+# Baked into a session's per-query engine at registration time; a
 # per-request override would silently not apply, so it is rejected.
-_SESSION_LEVEL_FIELDS = frozenset({"apt_cache_mb", "join_memo_entries"})
+_SESSION_LEVEL_FIELDS = frozenset({"apt_cache_mb"})
 
 
 def query_fingerprint(sql: str | Query) -> str:

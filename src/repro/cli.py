@@ -95,35 +95,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel-cache-mb", type=float, default=64.0,
                         help="mask-memo budget (MB) of the columnar "
                              "scoring kernel (default 64; 0 disables "
-                             "memoization, scoring stays vectorized)")
-    parser.add_argument("--no-kernel", action="store_true",
-                        help="score patterns on the naive per-row "
-                             "reference path instead of the columnar "
-                             "kernel (identical results, slower)")
-    parser.add_argument("--no-code-lca", action="store_true",
-                        help="generate LCA candidates on the object-"
-                             "based reference path instead of the "
-                             "kernel's dictionary codes (identical "
-                             "results, slower)")
-    parser.add_argument("--no-hist-forest", action="store_true",
-                        help="train the feature-selection forest with "
-                             "the per-node CART reference learner "
-                             "instead of the histogram-based "
-                             "frontier-at-a-time learner (identical "
-                             "results, slower)")
-    parser.add_argument("--no-late-mat", action="store_true",
-                        help="run joins and APT materialization on the "
-                             "eager column-copying pipeline instead of "
-                             "index vectors with gather-on-demand "
-                             "columns (identical results, slower)")
-    parser.add_argument("--join-strategy", default="sorted-window",
-                        choices=["hash", "sorted-window"],
-                        help="how the engine executes APT join steps: "
-                             "'sorted-window' (default) probes shared "
-                             "sort permutations with searchsorted and "
-                             "caches compact windows in the prefix "
-                             "trie; 'hash' runs the reference "
-                             "hash-build core (identical results)")
+                             "memoization)")
     parser.add_argument("--sentences", action="store_true",
                         help="also print natural-language renderings")
 
@@ -139,11 +111,6 @@ def _config_from(args: argparse.Namespace) -> CajadeConfig:
             workers=args.workers,
             apt_cache_mb=args.apt_cache_mb,
             kernel_cache_mb=args.kernel_cache_mb,
-            use_kernel=not args.no_kernel,
-            use_code_lca=not args.no_code_lca,
-            use_hist_forest=not args.no_hist_forest,
-            late_materialization=not args.no_late_mat,
-            join_strategy=args.join_strategy,
         )
     except ValueError as exc:
         raise SystemExit(f"repro: invalid configuration: {exc}")

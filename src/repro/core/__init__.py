@@ -12,7 +12,7 @@ from .enumeration import (
     has_pk_connectivity,
     is_valid,
 )
-from .explainer import CajadeExplainer, Explanation, ExplanationResult
+from .explainer import Explanation, ExplanationResult
 from .join_discovery import (
     JoinCandidate,
     augment_schema_graph,
@@ -20,7 +20,7 @@ from .join_discovery import (
 )
 from .join_graph import PT_LABEL, JGEdge, JGNode, JoinGraph
 from .kernel import MaskCache, MiningKernel
-from .lca import lca_candidates, lca_candidates_codes, pick_top_candidates
+from .lca import lca_candidates_codes, pick_top_candidates
 from .mining import MinedPattern, MiningResult, mine_apt
 from .narrative import explanation_sentence, pattern_phrase, predicate_phrase
 from .pattern import OP_EQ, OP_GE, OP_LE, Pattern, PatternPredicate
@@ -34,7 +34,6 @@ __all__ = [
     "APTAttribute",
     "AugmentedProvenanceTable",
     "CajadeConfig",
-    "CajadeExplainer",
     "ComparisonQuestion",
     "dissimilarity",
     "enumerate_join_graphs",
@@ -55,7 +54,6 @@ __all__ = [
     "discover_join_candidates",
     "JoinConditionSpec",
     "JoinGraph",
-    "lca_candidates",
     "lca_candidates_codes",
     "MaskCache",
     "match_score",

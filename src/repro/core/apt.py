@@ -2,8 +2,9 @@
 
 For a join graph Ω, APT(Q, D, Ω) = σ_θΩ(PT(Q, D) × S_1 × ... × S_p) — the
 provenance table joined with every context node's relation on the edge
-conditions.  Materialization walks Ω breadth-first from the PT node doing
-hash joins; edges closing cycles among visited nodes become post-filters.
+conditions.  Materialization walks Ω breadth-first from the PT node
+joining on index vectors (:class:`~repro.db.frame.IndexFrame`); edges
+closing cycles among visited nodes become post-filters.
 
 Materialization is split into a *canonical plan* (:func:`build_plan`) and
 its execution so :mod:`repro.engine` can cache and share intermediate
@@ -30,11 +31,11 @@ import numpy as np
 
 from ..db.database import Database
 from ..db.errors import ExecutionError
-from ..db.executor import JoinCache, hash_join
 from ..db.frame import IndexFrame
 from ..db.provenance import PT_ROW_ID, ProvenanceTable
 from ..db.relation import ColumnEncoding, Relation
 from ..db.types import ColumnType
+from ..db.window_join import SortedWindowStrategy
 from .join_graph import JoinGraph
 
 PT_COLUMN_PREFIX = "prov."
@@ -58,14 +59,14 @@ class APTAttribute:
 class AugmentedProvenanceTable:
     """A materialized APT plus attribute metadata for pattern mining.
 
-    An APT is backed either by an eager :class:`Relation` (the classic
-    path) or by a late-materialized :class:`~repro.db.frame.IndexFrame`
-    of per-base-table row-index vectors.  Frame-backed APTs gather
-    column values only when a consumer asks for them: the mining kernel
-    gathers int32 dictionary codes instead of object values, numeric
-    columns gather as cheap float slices, and the full :attr:`relation`
-    is materialized lazily (byte-identical to the eager result) only if
-    something still needs the whole table.
+    Materialization produces APTs backed by a late-materialized
+    :class:`~repro.db.frame.IndexFrame` of per-base-table row-index
+    vectors.  They gather column values only when a consumer asks for
+    them: the mining kernel gathers int32 dictionary codes instead of
+    object values, numeric columns gather as cheap float slices, and the
+    full :attr:`relation` is materialized lazily only if something still
+    needs the whole table.  An APT can also wrap a plain
+    :class:`Relation` directly (any table can be mined).
     """
 
     def __init__(
@@ -87,12 +88,8 @@ class AugmentedProvenanceTable:
 
     @property
     def frame(self) -> IndexFrame | None:
-        """The backing index frame, or ``None`` for eager APTs."""
+        """The backing index frame, or ``None`` for relation-backed APTs."""
         return self._frame
-
-    @property
-    def is_late(self) -> bool:
-        return self._frame is not None and self._relation is None
 
     @property
     def relation(self) -> Relation:
@@ -148,8 +145,8 @@ class AugmentedProvenanceTable:
 
         ``(encoding, rows)`` lets the mining kernel build its code
         matrices by gathering ``encoding.codes[rows]`` instead of
-        re-encoding object values per APT.  ``None`` for eager APTs and
-        for columns without a usable table-level encoding.
+        re-encoding object values per APT.  ``None`` for relation-backed
+        APTs and for columns without a usable table-level encoding.
         """
         if self._frame is None:
             return None
@@ -183,13 +180,13 @@ class AugmentedProvenanceTable:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class JoinStep:
-    """One hash-join step: bring ``table`` in under ``alias``.
+    """One join step: bring ``table`` in under ``alias``.
 
     ``conditions`` pairs columns of the running intermediate (left) with
     columns of the incoming context relation (right).  They are sorted so
     two graphs whose steps constrain the same columns — regardless of the
     order their edges were added — produce identical, directly hashable
-    steps (condition order does not affect a hash join's output rows or
+    steps (condition order does not affect a join's output rows or
     their order).
     """
 
@@ -317,29 +314,6 @@ def build_plan(join_graph: JoinGraph, pt: ProvenanceTable) -> MaterializationPla
     return MaterializationPlan(joins=tuple(joins), filters=tuple(sorted(filters, key=lambda f: f.pairs)))
 
 
-def execute_join_step(
-    current: Relation | IndexFrame,
-    step: JoinStep,
-    db: Database,
-    join_cache: JoinCache | None = None,
-    context: Relation | None = None,
-) -> Relation | IndexFrame:
-    """Run one plan join step against the running intermediate.
-
-    ``context`` may supply a pre-prefixed context relation (the engine
-    memoizes these so the memoized hash-join path sees stable
-    fingerprints); otherwise it is derived from the database.  When
-    ``current`` is an :class:`~repro.db.frame.IndexFrame` the join runs
-    on index vectors (same join core, identical row order) and returns a
-    frame.
-    """
-    if context is None:
-        context = db.table(step.table).prefix_columns(f"{step.alias}.")
-    if isinstance(current, IndexFrame):
-        return current.join(context, list(step.conditions))
-    return hash_join(current, context, list(step.conditions), cache=join_cache)
-
-
 def _filter_pair_mask(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Equality mask of one cycle-closing column pair (NULLs drop)."""
     if left.dtype == object or right.dtype == object:
@@ -354,13 +328,11 @@ def _filter_pair_mask(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.asarray(left == right)
 
 
-def apply_filter_step(
-    current: Relation | IndexFrame, step: FilterStep
-) -> Relation | IndexFrame:
+def apply_filter_step(current: IndexFrame, step: FilterStep) -> IndexFrame:
     """Apply one cycle-closing equality filter to the intermediate.
 
-    On index frames only the two compared columns are gathered; the
-    surviving rows compose as index selections.
+    Only the two compared columns are gathered; the surviving rows
+    compose as index selections.
     """
     mask = np.ones(current.num_rows, dtype=bool)
     for left_name, right_name in step.pairs:
@@ -370,26 +342,15 @@ def apply_filter_step(
     return current.filter_mask(mask)
 
 
-def restrict_base(
-    pt: ProvenanceTable, restrict_row_ids: np.ndarray | None
-) -> Relation:
-    """The PT-side base relation, optionally restricted to question rows."""
-    base = pt.relation
-    if restrict_row_ids is not None:
-        wanted = np.isin(base.column(PT_ROW_ID), restrict_row_ids)
-        base = base.filter_mask(wanted)
-    return base
-
-
 def restrict_base_frame(
     pt: ProvenanceTable, restrict_row_ids: np.ndarray | None
 ) -> IndexFrame:
     """The PT-side base as an index frame over the *full* PT relation.
 
-    The restriction becomes a row-index vector instead of a filtered
-    copy, so every question shares the one provenance relation (and its
-    lazily-built column encodings) and the frame costs only the index
-    array.  Row order matches :func:`restrict_base` exactly.
+    ``restrict_row_ids`` (set semantics) becomes a row-index vector
+    instead of a filtered copy, so every question shares the one
+    provenance relation (and its lazily-built column encodings) and the
+    frame costs only the index array.
     """
     frame = IndexFrame.from_relation(pt.relation)
     if restrict_row_ids is None:
@@ -403,7 +364,6 @@ def materialize_apt(
     pt: ProvenanceTable,
     db: Database,
     restrict_row_ids: np.ndarray | None = None,
-    late_materialization: bool = False,
 ) -> AugmentedProvenanceTable:
     """Materialize APT(Q, D, Ω) directly (no cross-graph caching).
 
@@ -412,20 +372,15 @@ def materialize_apt(
     result is then APT(Q, D, Ω, t1) ⊎ APT(Q, D, Ω, t2), which is all the
     mining pipeline consumes.  :class:`repro.engine.MaterializationEngine`
     produces identical results while sharing intermediate joins across
-    graphs; both execute the same :func:`build_plan` output.
-
-    ``late_materialization`` runs the plan on index vectors and returns
-    a gather-on-demand APT; the default stays eager because this
-    function doubles as the byte-identity reference in tests.
+    graphs; both execute the same :func:`build_plan` output on index
+    vectors and return a gather-on-demand APT.
     """
-    current: Relation | IndexFrame
-    if late_materialization:
-        current = restrict_base_frame(pt, restrict_row_ids)
-    else:
-        current = restrict_base(pt, restrict_row_ids)
+    current = restrict_base_frame(pt, restrict_row_ids)
     plan = build_plan(join_graph, pt)
+    join = SortedWindowStrategy()
     for step in plan.joins:
-        current = execute_join_step(current, step, db)
+        context = db.table(step.table).prefix_columns(f"{step.alias}.")
+        current, _ = join.join_frame(current, context, step.conditions)
     for step in plan.filters:
         current = apply_filter_step(current, step)
     return _wrap_apt(join_graph, pt, current, db)
@@ -451,16 +406,15 @@ def _key_columns_of(db: Database, table: str) -> set[str]:
 def _wrap_apt(
     join_graph: JoinGraph,
     pt: ProvenanceTable,
-    relation: Relation | IndexFrame,
+    frame: IndexFrame,
     db: Database,
 ) -> AugmentedProvenanceTable:
     """Attach attribute metadata; exclude non-minable columns.
 
-    ``relation`` may be an eager :class:`Relation` or a late
-    :class:`~repro.db.frame.IndexFrame`; attribute metadata needs only
-    schema information, so wrapping a frame gathers nothing.
+    Attribute metadata needs only schema information, so wrapping the
+    frame gathers nothing.
 
-    Excluded from mining (but kept in the relation):
+    Excluded from mining (but kept in the APT):
     - the synthetic ``__pt_row_id`` lineage column;
     - the query's group-by attributes (they exactly capture the answer
       tuples, paper §2.4) — including renamed copies with the same bare
@@ -492,14 +446,14 @@ def _wrap_apt(
 
     attributes: list[APTAttribute] = []
     excluded: list[str] = []
-    for name in relation.column_names:
+    for name in frame.column_names:
         if name == PT_ROW_ID:
             continue
         bare = name.split(".")[-1]
         if name in group_cols or bare in group_bare or is_key_column(name):
             excluded.append(name)
             continue
-        ctype = relation.column_type(name)
+        ctype = frame.column_type(name)
         attributes.append(
             APTAttribute(
                 name=name,
@@ -507,16 +461,9 @@ def _wrap_apt(
                 from_provenance=name in pt_cols,
             )
         )
-    if isinstance(relation, IndexFrame):
-        return AugmentedProvenanceTable(
-            join_graph=join_graph,
-            frame=relation,
-            attributes=attributes,
-            excluded_attributes=excluded,
-        )
     return AugmentedProvenanceTable(
         join_graph=join_graph,
-        relation=relation,
+        frame=frame,
         attributes=attributes,
         excluded_attributes=excluded,
     )

@@ -20,7 +20,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..ml.hist_forest import HistRandomForestClassifier
-from ..ml.random_forest import RandomForestClassifier
 from ..ml.varclus import AttributeCluster, cluster_attributes, encode_columns
 from .apt import AugmentedProvenanceTable
 from .config import CajadeConfig
@@ -103,11 +102,11 @@ def filter_attributes(
     if informative.sum() < 4 or len(set(labels[informative].tolist())) < 2:
         return _passthrough(apt, names)
 
-    # The evaluator's columnar kernel (when enabled) supplies
-    # dictionary-encoded code arrays; the per-column passes below then
-    # run as bincount/unique over int32 codes instead of per-row Python
-    # loops over object values.  Results are identical either way (codes
-    # are a bijection of the non-NULL values).
+    # The evaluator's columnar kernel supplies dictionary-encoded code
+    # arrays; the per-column passes below run as bincount/unique over
+    # int32 codes (a bijection of the non-NULL values).  Columns the
+    # kernel could not encode (int-typed categoricals, unhashable cells)
+    # have no codes and take the per-row arms.
     kernel = evaluator.kernel
 
     # -- drop categorical attributes that cannot reach λrecall ----------
@@ -146,13 +145,11 @@ def filter_attributes(
     # One first-occurrence code map (the kernel's varclus-compatible
     # encoding) feeds both the Cramér's V association matrix and the
     # random-forest feature matrix — no column is re-encoded.
-    ml_codes = None
-    if kernel is not None:
-        ml_codes = {
-            n: code_arr
-            for n in names
-            if (code_arr := kernel.ml_codes(n)) is not None
-        }
+    ml_codes = {
+        n: code_arr
+        for n in names
+        if (code_arr := kernel.ml_codes(n)) is not None
+    }
 
     # -- cluster correlated attributes, keep representatives -----------
     # Name-restricted views keep the lazy column mapping lazy: varclus
@@ -167,56 +164,35 @@ def filter_attributes(
 
     # -- random-forest relevance over cluster representatives ----------
     rep_columns = _NamedView(columns, representatives)
-    rep_codes = None
-    if ml_codes is not None:
-        rep_codes = {
-            n: ml_codes[n] for n in representatives if n in ml_codes
-        }
+    rep_codes = {n: ml_codes[n] for n in representatives if n in ml_codes}
     matrix = encode_columns(rep_columns, codes=rep_codes)
     y = (labels[informative] == 1).astype(np.float64)
     X = matrix[informative]
-    # Both learners examine every feature at every split: relevance
-    # ranking wants the full importance signal, per-node feature
-    # subsampling only adds rng noise to it, and the histogram learner
-    # covers all features per depth anyway.  With that pinned, the two
-    # branches produce bit-identical forests (same bootstrap draws,
-    # trees, importances) — the knob is pure speed.
-    if config.use_hist_forest:
-        # Histogram learner on the dictionary codes: every object
-        # column of the matrix holds first-occurrence label codes
-        # (straight from the kernel's ml_codes when available, from
-        # encode_columns's per-row pass otherwise) — codes are bins.
-        hist_forest = HistRandomForestClassifier(
-            n_estimators=config.rf_num_trees,
-            max_depth=config.rf_max_depth,
-            max_samples=config.rf_max_samples,
-            random_state=config.seed,
-        )
-        hist_forest.fit(
-            X,
-            y,
-            categorical_features={
-                i
-                for i, name in enumerate(representatives)
-                if rep_columns.dtype_of(name) == object
-            },
-        )
-        if timer is not None:
-            timer.count(HIST_NODES_GROWN, hist_forest.nodes_grown)
-            timer.count(HIST_HISTOGRAMS_BUILT, hist_forest.histograms_built)
-            timer.count(HIST_SPLITS_EVALUATED, hist_forest.splits_evaluated)
-        forest: "HistRandomForestClassifier | RandomForestClassifier" = (
-            hist_forest
-        )
-    else:
-        forest = RandomForestClassifier(
-            n_estimators=config.rf_num_trees,
-            max_depth=config.rf_max_depth,
-            max_samples=config.rf_max_samples,
-            max_features=X.shape[1],
-            random_state=config.seed,
-        )
-        forest.fit(X, y)
+    # Histogram learner on the dictionary codes: every object column of
+    # the matrix holds first-occurrence label codes (straight from the
+    # kernel's ml_codes when available, from encode_columns's per-row
+    # pass otherwise) — codes are bins.  Every feature is examined at
+    # every split: relevance ranking wants the full importance signal,
+    # and per-node feature subsampling only adds rng noise to it.
+    forest = HistRandomForestClassifier(
+        n_estimators=config.rf_num_trees,
+        max_depth=config.rf_max_depth,
+        max_samples=config.rf_max_samples,
+        random_state=config.seed,
+    )
+    forest.fit(
+        X,
+        y,
+        categorical_features={
+            i
+            for i, name in enumerate(representatives)
+            if rep_columns.dtype_of(name) == object
+        },
+    )
+    if timer is not None:
+        timer.count(HIST_NODES_GROWN, forest.nodes_grown)
+        timer.count(HIST_HISTOGRAMS_BUILT, forest.histograms_built)
+        timer.count(HIST_SPLITS_EVALUATED, forest.splits_evaluated)
     assert forest.feature_importances_ is not None
     relevance = dict(zip(representatives, forest.feature_importances_))
 
@@ -251,8 +227,8 @@ def filter_attributes(
 def _is_group_determined(
     values: "np.ndarray | Callable[[], np.ndarray]",
     labels: np.ndarray,
-    kernel=None,
-    name: str | None = None,
+    kernel,
+    name: str,
 ) -> bool:
     """Whether an attribute is an alias of the question's group key.
 
@@ -267,7 +243,7 @@ def _is_group_determined(
     """
     import math
 
-    codes = kernel.match_codes(name) if kernel is not None else None
+    codes = kernel.match_codes(name)
     if codes is not None:
         side_codes = []
         for side in (1, 2):
@@ -301,8 +277,8 @@ def _best_possible_recall(
     labels: np.ndarray,
     n1: int,
     n2: int,
-    kernel=None,
-    name: str | None = None,
+    kernel,
+    name: str,
 ) -> float:
     """Upper bound on the recall of any equality pattern on a column.
 
@@ -315,7 +291,7 @@ def _best_possible_recall(
     ``values`` may be a zero-argument callable producing the column
     array; it is only invoked on the codeless fallback path.
     """
-    codes = kernel.counting_codes(name) if kernel is not None else None
+    codes = kernel.counting_codes(name)
     if codes is None and callable(values):
         values = values()
     best = 0.0

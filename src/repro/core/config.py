@@ -64,21 +64,6 @@ class CajadeConfig:
     rf_max_samples: int = 3000
     """Row cap for each bootstrap sample when APTs are large."""
 
-    use_hist_forest: bool = True
-    """Train the §3.1 relevance forest with the histogram-based
-    frontier-at-a-time learner
-    (:class:`repro.ml.hist_forest.HistRandomForestClassifier`): the
-    kernel's dictionary codes pass straight through as bins, other
-    columns are dictionary-encoded once per forest, and each tree depth
-    is a handful of ``np.bincount``/cumsum array ops scoring every
-    candidate split of every frontier node at once.  Off trains the
-    retained per-node CART reference forest
-    (:class:`repro.ml.random_forest.RandomForestClassifier`) in the
-    same all-features-per-split configuration.  The two learners
-    produce **bit-identical** forests — same bootstrap samples, trees,
-    thresholds, and feature importances — so the knob never changes
-    selected attributes or ranked output, only speed."""
-
     # -- LCA pattern candidates (§3.2, λpat-samp) -----------------------
     lca_sample_rate: float = 0.1
     """λpat-samp: fraction of the APT sampled for LCA generation."""
@@ -127,30 +112,6 @@ class CajadeConfig:
     default because some legitimate paper explanations (e.g. team=MIA for
     the LeBron question) are side-constant too."""
 
-    # -- storage engine: late materialization -----------------------------
-    late_materialization: bool = True
-    """Run joins (working table and APT materialization) on index
-    vectors: a join produces per-base-table row-index arrays instead of
-    eagerly zipping copied columns, the shared-prefix trie caches those
-    compact frames (entries shrink by roughly the table width, so more
-    prefixes fit at the same ``apt_cache_mb``), and APT columns gather
-    on demand — the mining kernel gathers load-time dictionary codes
-    instead of re-encoding objects per APT.  Off restores the eager
-    pipeline end to end; ranked output is byte-identical either way."""
-
-    join_strategy: str = "sorted-window"
-    """How the engine executes APT join steps and what the prefix trie
-    caches for them.  ``"sorted-window"`` (the default) serves FK joins
-    as ``np.searchsorted`` window lookups into lazily built, per-table
-    sort permutations over the join-key codes (built once per column
-    per process and shared by every alias), and caches compact
-    ``(lo, hi)`` windows plus the shared permutation handle instead of
-    full index vectors; steps the window path cannot mirror fall back
-    to the hash core automatically.  ``"hash"`` runs the reference
-    hash-build core for every step.  Requires ``late_materialization``
-    to take effect (the eager pipeline always hash joins); ranked
-    output is byte-identical across strategies."""
-
     # -- engine: caching and parallelism ---------------------------------
     workers: int = 1
     """Worker threads mining APTs across join graphs.  1 (the default)
@@ -158,44 +119,16 @@ class CajadeConfig:
     join graph mines with its own deterministic generator."""
 
     apt_cache_mb: float = 256.0
-    """Memory budget (MB) for the materialization engine's caches —
-    the shared-prefix APT trie plus the memoized hash-join results.
-    0 disables all engine caching (every APT is rebuilt from the
-    provenance table, the pre-engine behaviour)."""
-
-    join_memo_entries: int = 0
-    """Entry bound of the db-layer memoized hash-join LRU inside the
-    engine (it takes a quarter of ``apt_cache_mb`` when enabled).  Off
-    by default: the engine's trie subsumes it for APT materialization —
-    see :class:`repro.engine.MaterializationEngine`."""
+    """Memory budget (MB) for the materialization engine's
+    shared-prefix APT trie.  0 disables engine caching (every APT is
+    rebuilt from the provenance table)."""
 
     # -- columnar scoring kernel ------------------------------------------
-    use_kernel: bool = True
-    """Score patterns on the dictionary-encoded columnar kernel
-    (:class:`repro.core.kernel.MiningKernel`): categorical columns are
-    encoded once into int32 codes, coverage is a dense-slot scatter, and
-    predicate/pattern masks are memoized with incremental
-    ``parent & predicate`` reuse.  Off runs the retained per-row naive
-    reference path; ranked output is byte-identical either way."""
-
     kernel_cache_mb: float = 64.0
-    """Memory budget (MB) for the kernel's memoized mask LRU, shared by
-    all candidates of one APT.  0 keeps scoring vectorized but disables
-    memoization (every mask is recomputed, no incremental reuse)."""
-
-    kernel_verify: bool = False
-    """Cross-check every kernel coverage computation against the naive
-    reference and raise on any mismatch (tests / CI; slow)."""
-
-    use_code_lca: bool = True
-    """Generate §3.2 LCA candidates on the kernel's int32 dictionary
-    codes (:func:`repro.core.lca.lca_candidates_codes`): vectorized
-    pairwise agreement, int-tuple dedup, Pattern construction only for
-    deduplicated survivors.  Off runs the retained object-based
-    reference path; the candidate set — and therefore ranked output —
-    is byte-identical either way.  Requires ``use_kernel`` (falls back
-    to the reference path when the kernel is off or a column defeated
-    dictionary encoding)."""
+    """Memory budget (MB) for the memoized mask LRU of the scoring
+    kernel (:class:`repro.core.kernel.MiningKernel`), shared by all
+    candidates of one APT.  0 disables memoization (every mask is
+    recomputed, no incremental ``parent & predicate`` reuse)."""
 
     # -- determinism ------------------------------------------------------
     seed: int = 7
@@ -220,18 +153,8 @@ class CajadeConfig:
             raise ValueError("workers must be >= 1 (1 = serial)")
         if self.apt_cache_mb < 0:
             raise ValueError("apt_cache_mb must be >= 0 (0 disables)")
-        if self.join_memo_entries < 0:
-            raise ValueError("join_memo_entries must be >= 0 (0 disables)")
         if self.kernel_cache_mb < 0:
             raise ValueError("kernel_cache_mb must be >= 0 (0 disables)")
-        # Kept as a literal so config stays import-light; the registry
-        # itself lives in repro.db.join_strategy.JOIN_STRATEGIES and the
-        # two are asserted in sync by tests/test_join_strategies.py.
-        if self.join_strategy not in ("hash", "sorted-window"):
-            raise ValueError(
-                "join_strategy must be 'hash' or 'sorted-window', got "
-                f"{self.join_strategy!r}"
-            )
 
     def with_overrides(self, **kwargs) -> "CajadeConfig":
         """A copy with some fields replaced (keeps configs immutable-ish)."""

@@ -1,33 +1,21 @@
-"""Explanation result types, plus the deprecated one-shot explainer.
+"""Explanation result types: the ranked output every layer shares.
 
 The pipeline itself (parse → provenance → enumerate → materialize →
 mine → rank, paper Algorithms 1+2) lives in
-:class:`repro.api.CajadeSession`, the canonical session-oriented entry
-point that keeps parsed queries, provenance tables and the
-materialization trie warm across user questions.  This module keeps:
-
-- :class:`Explanation` / :class:`ExplanationResult` — the ranked output
-  types every layer shares;
-- :class:`CajadeExplainer` — the original one-shot API, now a thin
-  deprecated shim that answers each ``explain`` call through a fresh
-  one-request session (byte-identical results, none of the reuse).
+:class:`repro.api.CajadeSession`; this module keeps
+:class:`Explanation` and :class:`ExplanationResult`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from ..db.database import Database
-from ..db.query import Query
 from ..engine import EngineStats
-from .config import CajadeConfig
 from .enumeration import EnumerationStats
 from .join_graph import JoinGraph
 from .pattern import Pattern
 from .quality import PatternSupport, QualityStats
-from .question import ComparisonQuestion, OutlierQuestion, ResolvedQuestion
-from .schema_graph import SchemaGraph
+from .question import ResolvedQuestion
 from .timing import StepTimer
 
 
@@ -161,63 +149,8 @@ class ExplanationResult:
                 "steps_reused": self.engine.steps_reused,
                 "steps_computed": self.engine.steps_computed,
                 "full_hits": self.engine.full_hits,
-                "join_memo_hits": self.engine.join_memo_hits,
                 "evictions": (
                     self.engine.cache.evictions if self.engine.cache else 0
                 ),
             }
         return json.dumps(payload, indent=indent, default=str)
-
-
-class CajadeExplainer:
-    """Context-Aware Join-Augmented Deep Explanations (one-shot API).
-
-    .. deprecated:: 1.1
-        Use :class:`repro.api.CajadeSession`, which keeps parsed
-        queries, provenance tables and the materialization trie warm
-        across questions.  This shim answers each ``explain`` call
-        through a fresh one-request session: results are byte-identical,
-        but every call pays the full cold-start cost the session API
-        exists to amortize.
-
-    Args:
-        db: the database the query runs against.
-        schema_graph: permissible joins; defaults to the FK-derived graph.
-        config: λ parameters; defaults to the paper's Table 1 values.
-    """
-
-    def __init__(
-        self,
-        db: Database,
-        schema_graph: SchemaGraph | None = None,
-        config: CajadeConfig | None = None,
-    ):
-        warnings.warn(
-            "CajadeExplainer is deprecated; use repro.api.CajadeSession "
-            "(see the README migration note)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.db = db
-        self.schema_graph = schema_graph or SchemaGraph.from_database(db)
-        self.config = config or CajadeConfig()
-
-    # ------------------------------------------------------------------
-    def explain(
-        self,
-        query: str | Query,
-        question: ComparisonQuestion | OutlierQuestion,
-        k: int | None = None,
-        timer: StepTimer | None = None,
-    ) -> ExplanationResult:
-        """Produce the globally ranked top-k explanations for a question.
-
-        Delegates to a fresh one-request :class:`repro.api.CajadeSession`
-        (imported lazily — api sits above core in the layering).
-        """
-        from ..api.session import CajadeSession
-
-        session = CajadeSession(self.db, self.schema_graph, self.config)
-        return session.explain(
-            query, question, top_k=k, timer=timer
-        )

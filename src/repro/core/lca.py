@@ -7,28 +7,20 @@ rest — the "lowest common ancestor" of the two rows in the pattern
 lattice.  Constants that co-occur frequently therefore surface as
 candidates.  Numeric attributes stay ``*`` at this stage.
 
-Two execution strategies produce the same deduplicated pattern set:
+Generation runs on the mining kernel's int32 dictionary codes end to end
+(:func:`lca_candidates_codes`): the sample is a ``(m, n_attrs)`` code
+matrix, pairwise agreement is one broadcast integer comparison over the
+sampled pair index arrays (the NULL sentinel ``-1`` never agrees),
+surviving LCAs are deduplicated as int row keys with ``np.unique``, and
+:class:`Pattern` objects are constructed **only** for the deduplicated
+survivors (a few hundred per question, where a Pattern per agreeing pair
+would be millions).
 
-- :func:`lca_candidates_codes` — the default *code-based* LCA.  It runs
-  on the mining kernel's int32 dictionary codes end to end: the sample
-  is a ``(m, n_attrs)`` code matrix, pairwise agreement is one broadcast
-  integer comparison over the sampled pair index arrays (the NULL
-  sentinel ``-1`` never agrees), surviving LCAs are deduplicated as int
-  row keys with ``np.unique``, and :class:`Pattern` objects are
-  constructed **only** for the deduplicated survivors.  The pre-kernel
-  path built a Pattern per agreeing pair (~millions of
-  ``Pattern.__init__`` calls per question on the Fig-9 workload); the
-  code path builds a few hundred.
-- :func:`lca_candidates` — the retained *object-based* reference: a
-  Python loop over row pairs comparing raw cell objects.  It is the
-  byte-identity baseline the code path is verified against (tests and
-  the ``bench_mining_kernel`` CI smoke) and the fallback when no kernel
-  is available (``use_kernel=False`` / ``use_code_lca=False``) or a
-  column defeated dictionary encoding.
-
-Both paths consume randomness identically (same ``rng.choice`` /
-``rng.integers`` calls via the shared sampling helpers), so a run is
-byte-identical whichever path generated its candidates.
+The definition it must equal — a Python loop over row pairs comparing
+raw cell objects — is the oracle in ``tests/oracles/lca.py``.  It imports
+the sampling helpers below (``_sample_row_indices``, ``_pair_indices``,
+``_candidate_order``), so oracle and production consume the rng
+identically and can be compared list for list.
 
 The sample is governed by λpat-samp with an absolute cap (1000 rows in the
 paper's experiments); the number of examined pairs is additionally capped
@@ -77,8 +69,8 @@ def _record_peak_chunk_bytes(timer: StepTimer | None, peak_bytes: int) -> None:
 def _sample_row_indices(
     n_rows: int, config: CajadeConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """The λpat-samp row sample (shared by both LCA paths: one
-    ``rng.choice`` call with identical arguments, or none at all)."""
+    """The λpat-samp row sample (one ``rng.choice`` call, or none at
+    all — the test oracle shares this helper)."""
     sample_size = max(1, int(round(n_rows * config.lca_sample_rate)))
     sample_size = min(sample_size, config.lca_sample_cap, n_rows)
     if sample_size < n_rows:
@@ -119,8 +111,7 @@ def _pair_indices(
 
     All i < j pairs when they fit under the cap; otherwise
     ``lca_pair_cap`` pairs drawn with two ``rng.integers`` calls (self
-    pairs dropped) — exactly the draws the object-based path has always
-    made, so both paths stay on one rng trajectory.
+    pairs dropped).
     """
     total_pairs = m * (m - 1) // 2
     if total_pairs <= config.lca_pair_cap:
@@ -132,68 +123,6 @@ def _pair_indices(
     return firsts[keep], seconds[keep]
 
 
-def lca_candidates(
-    columns: dict[str, np.ndarray],
-    categorical_attrs: list[str],
-    config: CajadeConfig,
-    rng: np.random.Generator,
-    timer: StepTimer | None = None,
-) -> list[Pattern]:
-    """Object-based reference LCA generation (the byte-identity baseline).
-
-    ``columns`` are row-aligned APT columns (typically already restricted
-    to the question's provenance rows).  Returns deduplicated non-empty
-    patterns; the empty pattern (all ``*``) is excluded because it carries
-    no information.
-    """
-    attrs = [
-        a
-        for a in categorical_attrs
-        if a in columns and columns[a].dtype == object
-    ]
-    if not attrs:
-        return []
-    n_rows = len(next(iter(columns.values())))
-    if n_rows == 0:
-        return []
-
-    indices = _sample_row_indices(n_rows, config, rng)
-    arrays = [columns[a][indices] for a in attrs]
-    m = len(indices)
-
-    patterns: set[Pattern] = set()
-    built = 0
-
-    # Singleton patterns from single rows (the LCA of a row with itself);
-    # these capture individually frequent constants.
-    for i in range(m):
-        predicates = [
-            PatternPredicate(attr, OP_EQ, arr[i])
-            for attr, arr in zip(attrs, arrays)
-            if arr[i] is not None
-        ]
-        if predicates:
-            patterns.add(Pattern(predicates))
-            built += 1
-
-    # Pairwise LCAs, capped.
-    pair_i, pair_j = _pair_indices(m, config, rng)
-    for i, j in zip(pair_i.tolist(), pair_j.tolist()):
-        predicates = []
-        for attr, arr in zip(attrs, arrays):
-            vi, vj = arr[i], arr[j]
-            if vi is not None and vi == vj:
-                predicates.append(PatternPredicate(attr, OP_EQ, vi))
-        if predicates:
-            patterns.add(Pattern(predicates))
-            built += 1
-
-    if timer is not None:
-        timer.count(LCA_PAIRS_EXAMINED, len(pair_i))
-        timer.count(LCA_PATTERNS_BUILT, built)
-    return _candidate_order(patterns)
-
-
 def lca_candidates_codes(
     kernel,
     categorical_attrs: list[str],
@@ -201,15 +130,15 @@ def lca_candidates_codes(
     rng: np.random.Generator,
     timer: StepTimer | None = None,
 ) -> list[Pattern]:
-    """Code-based LCA generation on a :class:`~repro.core.kernel.MiningKernel`.
+    """LCA generation on a :class:`~repro.core.kernel.MiningKernel`.
 
-    Same deduplicated pattern set as :func:`lca_candidates` over the
-    kernel's columns, computed on int32 dictionary codes:
+    Returns the deduplicated non-empty patterns (the empty all-``*``
+    pattern carries no information), computed on int32 dictionary codes:
 
     - the row sample becomes two ``(m, n_attrs)`` code matrices — the
       *match* view (NULLs ``-1``, drives pairwise agreement) and the
-      *counting* view (only ``None`` is ``-1``, drives singleton rows,
-      matching the object path's ``is not None`` test);
+      *counting* view (only ``None`` is ``-1``, drives singleton rows:
+      a NaN cell is a legal singleton constant);
     - pairwise agreement is ``(left == right) & (left != -1)`` broadcast
       over the pair index arrays; an agreeing attribute keeps its code,
       a disagreeing one becomes the wildcard ``-1`` — NULL codes never
@@ -220,10 +149,8 @@ def lca_candidates_codes(
       decoding codes back to the original value objects through the
       kernel's inverse dictionaries.
 
-    Callers must ensure every object-dtype attribute reaching this
-    function has kernel codes (``kernel.match_codes(a) is not None``) —
-    :func:`repro.core.mining.mine_apt` falls back to the reference path
-    wholesale otherwise.
+    Attributes without kernel codes (numeric columns, and categorical
+    columns whose cells defeated dictionary encoding) are skipped.
     """
     attrs = [
         a for a in categorical_attrs if kernel.match_codes(a) is not None
@@ -263,7 +190,7 @@ def lca_candidates_codes(
     values = [kernel.code_values(a) for a in attrs]
     # A set, not a list: two distinct code rows can decode to patterns
     # that compare equal (values equal under ``==`` with different
-    # representations), exactly as the object path deduplicates them.
+    # representations).
     patterns: set[Pattern] = set()
     for row in all_keys.tolist():
         patterns.add(

@@ -22,7 +22,7 @@ from .apt import AugmentedProvenanceTable
 from .attribute_filter import FilteredAttributes, filter_attributes
 from .config import CajadeConfig
 from .diversity import select_diverse_top_k
-from .lca import lca_candidates, lca_candidates_codes, pick_top_candidates
+from .lca import lca_candidates_codes, pick_top_candidates
 from .pattern import Pattern
 from .quality import QualityEvaluator, QualityStats
 from .question import ResolvedQuestion
@@ -83,14 +83,9 @@ def mine_apt(
     # otherwise sampled and exact runs would enumerate different
     # thresholds and the paper's Fig 10f NDCG comparison would be
     # meaningless.
-    kernel_kwargs = dict(
-        use_kernel=config.use_kernel,
-        kernel_cache_mb=config.kernel_cache_mb,
-        verify_kernel=config.kernel_verify,
-    )
     full_evaluator = QualityEvaluator(
         apt, question.row_ids1, question.row_ids2, sample_rate=1.0, rng=rng,
-        **kernel_kwargs,
+        kernel_cache_mb=config.kernel_cache_mb,
     )
     if config.f1_sample_rate >= 1.0:
         evaluator = full_evaluator
@@ -103,7 +98,7 @@ def mine_apt(
                 sample_rate=config.f1_sample_rate,
                 rng=rng,
                 encoding_source=full_evaluator,
-                **kernel_kwargs,
+                kernel_cache_mb=config.kernel_cache_mb,
             )
 
     if config.use_feature_selection:
@@ -119,27 +114,13 @@ def mine_apt(
         )
 
     with timer.step(GEN_PATTERN_CANDIDATES):
-        # Code-based LCA (§3.2 on int32 dictionary codes) whenever the
-        # kernel can encode every categorical candidate attribute; the
-        # object-based reference path otherwise.  Both consume the rng
-        # identically and yield the same deduplicated pattern set, so
-        # the choice never changes ranked output.  Dtypes are probed
-        # without gathering so a late-materialized APT's object columns
-        # stay unmaterialized on the code path.
-        columns = full_evaluator.columns()
-        kernel = full_evaluator.kernel if config.use_code_lca else None
-        if kernel is not None and all(
-            kernel.match_codes(attr) is not None
-            for attr in filtered.categorical
-            if attr in columns and columns.dtype_of(attr) == object
-        ):
-            candidates = lca_candidates_codes(
-                kernel, filtered.categorical, config, rng, timer=timer
-            )
-        else:
-            candidates = lca_candidates(
-                columns, filtered.categorical, config, rng, timer=timer
-            )
+        # §3.2 on the kernel's int32 dictionary codes; attributes whose
+        # cells defeated dictionary encoding have no codes and are
+        # skipped there.
+        candidates = lca_candidates_codes(
+            full_evaluator.kernel, filtered.categorical, config, rng,
+            timer=timer,
+        )
 
     with timer.step(F_SCORE_CALC):
         recall_cache: dict[Pattern, tuple[int, int]] = {}

@@ -22,10 +22,9 @@ evaluator: categorical columns are dictionary-encoded into int32 codes,
 provenance ids map to dense slots (side 1 first, then side 2) so coverage
 is a boolean scatter plus two contiguous counts, and predicate/pattern
 masks are memoized in a byte-bounded LRU with incremental
-``parent & predicate`` reuse.  The pre-kernel per-row implementation is
-retained as :meth:`QualityEvaluator.coverage_counts_reference`; kernel
-and reference are byte-identical (asserted by tests and, optionally, on
-every call via ``verify_kernel``).
+``parent & predicate`` reuse.  The per-row definition it must equal
+(``Pattern.match_mask`` + ``np.unique`` + a pid → side dict) is the
+oracle in ``tests/oracles/coverage.py``.
 """
 
 from __future__ import annotations
@@ -149,12 +148,9 @@ class QualityEvaluator:
         row_ids2: provenance row ids of output tuple t2 (or "the rest").
         sample_rate: λF1-samp; 1.0 evaluates exactly.
         rng: generator driving the provenance-row sample.
-        use_kernel: score on the dictionary-encoded columnar kernel
-            (byte-identical results); off runs the retained naive
-            reference path — the pre-kernel per-row behaviour.
         kernel_cache_mb: byte budget of the kernel's memoized mask LRU.
-        verify_kernel: cross-check every kernel coverage computation
-            against the reference and raise on any mismatch.
+        encoding_source: an evaluator over the same APT whose kernel
+            encodings this one slices instead of re-encoding.
     """
 
     def __init__(
@@ -165,9 +161,7 @@ class QualityEvaluator:
         sample_rate: float = 1.0,
         rng: np.random.Generator | None = None,
         *,
-        use_kernel: bool = True,
         kernel_cache_mb: float = 64.0,
-        verify_kernel: bool = False,
         encoding_source: "QualityEvaluator | None" = None,
     ):
         if not 0.0 < sample_rate <= 1.0:
@@ -231,12 +225,9 @@ class QualityEvaluator:
             self._row_slot < self._m1, 1, 2
         ).astype(np.int64)
 
-        self._use_kernel = use_kernel
         self._kernel_cache_mb = kernel_cache_mb
-        self._verify_kernel = verify_kernel
         self._encoding_source = encoding_source
         self._kernel: MiningKernel | None = None
-        self._side_dict: dict[int, int] | None = None
 
     @staticmethod
     def _sample_ids(
@@ -251,8 +242,8 @@ class QualityEvaluator:
 
     # ------------------------------------------------------------------
     @property
-    def kernel(self) -> MiningKernel | None:
-        """The (lazily built) columnar kernel, or None when disabled.
+    def kernel(self) -> MiningKernel:
+        """The (lazily built) columnar kernel.
 
         With an ``encoding_source`` evaluator over the same APT (e.g.
         the exact evaluator while this one is the λF1-samp sample), the
@@ -263,23 +254,18 @@ class QualityEvaluator:
         source kernel yet (the ``use_feature_selection=False`` arm), so
         the two arms now reuse codes identically.
         """
-        if not self._use_kernel:
-            return None
         if self._kernel is None:
             source = self._encoding_source
             if (
                 source is not None
                 and source is not self
                 and source.apt is self.apt
-                and source._use_kernel
                 and len(source._keep) == len(self._keep)
             ):
                 selector = self._keep[source._keep]
                 if int(selector.sum()) == self.sampled_rows:
-                    source_kernel = source.kernel  # built on demand
-                    assert source_kernel is not None
                     self._kernel = MiningKernel.derived(
-                        source_kernel,
+                        source.kernel,  # built on demand
                         selector,
                         self._row_slot,
                         self._m1,
@@ -304,8 +290,9 @@ class QualityEvaluator:
         :class:`~repro.db.relation.ColumnEncoding` plus the composed
         (frame ∘ evaluator-subset) row indices, so the kernel gathers
         int32 codes built once at load time instead of re-encoding the
-        column's objects per APT.  Empty on eager APTs and for columns
-        without a usable encoding (those take the classic path).
+        column's objects per APT.  Empty on relation-backed APTs and for
+        columns without a usable encoding (the kernel encodes those
+        itself).
         """
         encodings: dict[str, tuple[Any, np.ndarray | None]] = {}
         if self.apt.frame is None:
@@ -322,8 +309,8 @@ class QualityEvaluator:
         return encodings
 
     def kernel_counters(self) -> dict[str, int]:
-        """The kernel's StepTimer counter labels -> values ({} if off
-        or never exercised)."""
+        """The kernel's StepTimer counter labels -> values ({} if never
+        exercised)."""
         if self._kernel is None:
             return {}
         return self._kernel.counters()
@@ -338,48 +325,7 @@ class QualityEvaluator:
         cached mask enables incremental evaluation; it never changes the
         result, only how it is computed.
         """
-        kernel = self.kernel
-        if kernel is None:
-            return self.coverage_counts_reference(pattern)
-        counts = kernel.coverage(pattern, parent)
-        if self._verify_kernel:
-            reference = self.coverage_counts_reference(pattern)
-            if counts != reference:
-                raise AssertionError(
-                    f"kernel coverage {counts} != reference {reference} "
-                    f"for pattern {pattern.describe()}"
-                )
-        return counts
-
-    def coverage_counts_reference(
-        self, pattern: Pattern
-    ) -> tuple[int, int]:
-        """The retained naive implementation (pre-kernel behaviour):
-        per-row Python matching, ``np.unique`` and a dict loop."""
-        mask = pattern.match_mask(self._columns)
-        if not mask.any():
-            return 0, 0
-        covered = np.unique(self._pt_ids[mask])
-        cov1 = cov2 = 0
-        side = self._side_mapping()
-        for pid in covered.tolist():
-            s = side.get(int(pid))
-            if s == 1:
-                cov1 += 1
-            elif s == 2:
-                cov2 += 1
-        return cov1, cov2
-
-    def _side_mapping(self) -> dict[int, int]:
-        """pid -> side dict for the reference path, built on demand."""
-        if self._side_dict is None:
-            self._side_dict = dict(
-                zip(
-                    (int(pid) for pid in self._pt_ids.tolist()),
-                    self._side_labels.tolist(),
-                )
-            )
-        return self._side_dict
+        return self.kernel.coverage(pattern, parent)
 
     def evaluate(self, pattern: Pattern, primary: int = 1) -> QualityStats:
         """Definition 7 statistics with the chosen primary tuple."""

@@ -8,8 +8,8 @@ same breakdown rows (Figures 7, 9c, 9d).
 
 Alongside seconds, the timer also accumulates named integer *counters*
 (APT cache hits/misses/evictions from the materialization engine, join
-memo hits), which the breakdown table reports so cache behaviour shows up
-next to the step costs it explains.
+window counts, kernel mask hits), which the breakdown table reports so
+cache behaviour shows up next to the step costs it explains.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ APT_CACHE_MISSES = "APT cache misses"
 APT_CACHE_EVICTIONS = "APT cache evictions"
 APT_CACHE_ENTRIES = "APT cache entries"
 APT_CACHE_MEDIAN_ENTRY_BYTES = "APT cache median entry bytes"
-JOIN_MEMO_HITS = "Join memo hits"
 
-# Canonical counter labels (sorted-window join strategy).  "Windows
+# Canonical counter labels (sorted-window join step).  "Windows
 # built" counts join steps served by the searchsorted window fast path,
 # "searchsorted probes" the probe rows ranged into (lo, hi) windows,
 # and "permutation reuses" the window joins that hit an already-built
@@ -79,9 +78,8 @@ HIST_SPLITS_EVALUATED = "Hist forest splits evaluated"
 
 # Canonical counter labels (§3.2 LCA candidate generation).  "Pairs
 # examined" counts sampled row pairs entering the agreement computation;
-# "patterns built" counts Pattern object constructions — with the
-# code-based LCA that is only the deduplicated survivors, with the
-# object-based reference it is every agreeing pair and singleton row.
+# "patterns built" counts Pattern object constructions — the
+# deduplicated survivors only, never one per agreeing pair.
 LCA_PAIRS_EXAMINED = "LCA pairs examined"
 LCA_PATTERNS_BUILT = "LCA patterns built"
 # Peak bytes any single pair-agreement chunk materialized (gauge,
@@ -119,7 +117,6 @@ ALL_COUNTERS = (
     APT_CACHE_EVICTIONS,
     APT_CACHE_ENTRIES,
     APT_CACHE_MEDIAN_ENTRY_BYTES,
-    JOIN_MEMO_HITS,
     JOIN_WINDOWS_BUILT,
     JOIN_SEARCHSORTED_PROBES,
     JOIN_PERMUTATION_REUSES,

@@ -15,7 +15,6 @@ predicates are applied on the joined result.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -42,73 +41,6 @@ from .types import ColumnType
 # ----------------------------------------------------------------------
 # Hash join
 # ----------------------------------------------------------------------
-class JoinCache:
-    """Memoizes :func:`hash_join` results by input fingerprints.
-
-    Relations are immutable, so ``(left.fingerprint, right.fingerprint,
-    conditions)`` uniquely identifies a join's output and identical join
-    work is never redone.  Entries are kept in an LRU bounded by count
-    and, when ``capacity_bytes`` is given, by the estimated bytes of the
-    retained results (single results over the budget are not stored).
-    The cached outputs themselves are shared, never copied.
-    """
-
-    def __init__(
-        self, max_entries: int = 512, capacity_bytes: int | None = None
-    ):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if capacity_bytes is not None and capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be >= 0")
-        self._max_entries = max_entries
-        self._capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[tuple, tuple[Relation, int]]" = (
-            OrderedDict()
-        )
-        self.current_bytes = 0
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(
-        left: Relation, right: Relation, conditions: list[tuple[str, str]]
-    ) -> tuple:
-        return (left.fingerprint, right.fingerprint, tuple(conditions))
-
-    def get(self, key: tuple) -> Relation | None:
-        hit = self._entries.get(key)
-        if hit is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return hit[0]
-
-    def put(self, key: tuple, relation: Relation) -> None:
-        nbytes = relation.estimated_bytes
-        if self._capacity_bytes is not None and (
-            self._capacity_bytes <= 0 or nbytes > self._capacity_bytes
-        ):
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.current_bytes -= old[1]
-        self._entries[key] = (relation, nbytes)
-        self.current_bytes += nbytes
-        while self._entries and (
-            len(self._entries) > self._max_entries
-            or (
-                self._capacity_bytes is not None
-                and self.current_bytes > self._capacity_bytes
-            )
-        ):
-            _, (_, evicted) = self._entries.popitem(last=False)
-            self.current_bytes -= evicted
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def join_row_indices(
     left_arrays: list[np.ndarray],
     right_arrays: list[np.ndarray],
@@ -119,8 +51,8 @@ def join_row_indices(
 
     ``left_arrays``/``right_arrays`` are the gathered key columns of the
     two sides; the result ``(left_idx, right_idx)`` lists matching row
-    pairs.  This is the single join core shared by the eager
-    :func:`hash_join` and the late-materialized
+    pairs.  This is the single join core shared by the relation-level
+    :func:`hash_join` and the index-vector
     :meth:`repro.db.frame.IndexFrame.join`, so both produce identical
     row orders: the hash table is built on the smaller side, keys encode
     to dense integer codes, and a stable sort keeps equal-key build rows
@@ -164,7 +96,6 @@ def hash_join(
     left: Relation,
     right: Relation,
     conditions: list[tuple[str, str]],
-    cache: JoinCache | None = None,
 ) -> Relation:
     """Equi-join two relations on ``[(left_col, right_col), ...]``.
 
@@ -175,8 +106,7 @@ def hash_join(
     Keys are encoded column-wise into dense integer codes so build and
     probe are pure vectorized numpy (sort + searchsorted) instead of a
     per-row Python tuple loop; the row-pair computation is shared with
-    the index-vector join path (:func:`join_row_indices`).  ``cache``
-    optionally memoizes the whole join by the inputs' fingerprints.
+    the index-vector join path (:func:`join_row_indices`).
     """
     if not conditions:
         raise ExecutionError("hash_join requires at least one condition")
@@ -184,21 +114,12 @@ def hash_join(
     if overlap:
         raise ExecutionError(f"join would produce duplicate columns: {overlap}")
 
-    if cache is not None:
-        key = JoinCache.key(left, right, conditions)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-
     left_arrays = [left.column(lc) for lc, _ in conditions]
     right_arrays = [right.column(rc) for _, rc in conditions]
     left_idx, right_idx = join_row_indices(
         left_arrays, right_arrays, left.num_rows, right.num_rows
     )
-    result = _zip_columns(left.take(left_idx), right.take(right_idx))
-    if cache is not None:
-        cache.put(key, result)
-    return result
+    return _zip_columns(left.take(left_idx), right.take(right_idx))
 
 
 def _encode_join_keys(
@@ -413,43 +334,32 @@ def _classify_predicates(query: Query, db: Database) -> _PlannedPredicates:
 # ----------------------------------------------------------------------
 # Working table (pre-aggregation join)
 # ----------------------------------------------------------------------
-def working_table(
-    query: Query, db: Database, late_materialization: bool = True
-) -> Relation:
+def working_table(query: Query, db: Database) -> Relation:
     """Materialize the filtered join of the query's FROM tables.
 
     Columns are qualified as ``alias.attr``.  This relation *is* the
     why-provenance table PT(Q, D) of the query.
 
-    With ``late_materialization`` (the default) the join pipeline runs
-    on :class:`~repro.db.frame.IndexFrame` index vectors — per-alias
-    selections become row-index arrays, each join gathers only its key
-    columns, and the full column gather happens once at the end.  The
-    eager path zips every column at every join step.  Both paths share
-    the same join core and produce byte-identical relations.
+    The join pipeline runs on :class:`~repro.db.frame.IndexFrame` index
+    vectors — per-alias selections become row-index arrays, each join
+    gathers only its key columns, and the full column gather happens
+    once at the end.
     """
     from .frame import IndexFrame
 
     planned = _classify_predicates(query, db)
 
-    filtered: dict[str, Relation | IndexFrame] = {}
+    filtered: dict[str, IndexFrame] = {}
     sizes: dict[str, int] = {}
     for ref in query.tables:
         rel = db.table(ref.table)
         prefixed = rel.prefix_columns(f"{ref.alias}.")
         preds = planned.per_alias.get(ref.alias, [])
-        if late_materialization:
-            frame = IndexFrame.from_relation(prefixed)
-            if preds:
-                frame = frame.filter_mask(conjunction(preds).mask(prefixed))
-            filtered[ref.alias] = frame
-        else:
-            if preds:
-                prefixed = prefixed.filter_mask(
-                    conjunction(preds).mask(prefixed)
-                )
-            filtered[ref.alias] = prefixed
-        sizes[ref.alias] = filtered[ref.alias].num_rows
+        frame = IndexFrame.from_relation(prefixed)
+        if preds:
+            frame = frame.filter_mask(conjunction(preds).mask(prefixed))
+        filtered[ref.alias] = frame
+        sizes[ref.alias] = frame.num_rows
 
     remaining = set(filtered)
     start = min(remaining, key=lambda a: sizes[a])
@@ -468,10 +378,7 @@ def working_table(
                 elif ra in joined and la == alias:
                     conditions.append((f"{ra}.{rc}", f"{alias}.{lc}"))
             if conditions:
-                if late_materialization:
-                    current = current.join(filtered[alias], conditions)
-                else:
-                    current = hash_join(current, filtered[alias], conditions)
+                current = current.join(filtered[alias], conditions)
                 pending_joins = [
                     j
                     for j in pending_joins
@@ -488,10 +395,7 @@ def working_table(
             # No join condition connects: fall back to a cross product
             # with the smallest remaining table.
             alias = min(remaining, key=lambda a: sizes[a])
-            if late_materialization:
-                current = current.cross(filtered[alias])
-            else:
-                current = cross_product(current, filtered[alias])
+            current = current.cross(filtered[alias])
             joined.add(alias)
             remaining.discard(alias)
 
@@ -505,9 +409,7 @@ def working_table(
     post.extend(planned.residual)
     if post:
         current = current.filter_mask(conjunction(post).mask(current))
-    if late_materialization:
-        current = current.to_relation()
-    return current.rename("working")
+    return current.to_relation().rename("working")
 
 
 # ----------------------------------------------------------------------
@@ -554,11 +456,6 @@ def group_indices(
         key = tuple(arr[i] for arr in arrays)
         result[key] = bucket
     return result
-
-
-# Backwards-compatible alias (group_indices grew external callers —
-# provenance.py — when grouping was vectorized).
-_group_indices = group_indices
 
 
 def _aggregate_value(
@@ -633,8 +530,8 @@ def _vectorized_select_column(
     Element-for-element identical to mapping
     :func:`_evaluate_select_item` over the groups (same scalar types,
     same NaN/None semantics); returns ``None`` when a sub-expression
-    needs the retained per-group reference path (object-dtype
-    aggregates, unknown expression kinds), and the caller falls back.
+    needs the per-group loop (object-dtype aggregates, unknown
+    expression kinds), and the caller falls back.
     """
     if isinstance(expression, AggregateCall):
         return _vectorized_aggregate(expression, relation, group_list)
@@ -683,14 +580,14 @@ def _vectorized_aggregate(
     """One aggregate for all groups: column pass + bincount reductions.
 
     The argument expression evaluates once over the whole working table
-    (the reference path re-evaluates it per group), rows concatenate in
+    (the per-group loop re-evaluates it per group), rows concatenate in
     group-major order, and groups with equal valid counts reduce as the
     rows of one ``(k, L)`` matrix.  Bit-identical to the per-group
-    reference: each matrix row holds exactly the reference's ``valid``
+    loop: each matrix row holds exactly the loop's ``valid``
     sequence, and numpy's row-wise ``sum``/``mean``/``min``/``max``
     reduce a contiguous row exactly like the 1-D call (same pairwise
     blocking).  Returns ``None`` for object-dtype arguments — the
-    reference path keeps Python min/max semantics and the
+    per-group loop keeps Python min/max semantics and the
     not-defined-on-categorical raise.
     """
     if call.func == "count" and call.argument is None:
@@ -744,28 +641,21 @@ def group_columns_in_working(query: Query, work: Relation) -> list[str]:
     return [resolve_column(work, ref.name) for ref in query.group_by]
 
 
-def aggregate(
-    query: Query, work: Relation, vectorized: bool = True
-) -> Relation:
+def aggregate(query: Query, work: Relation) -> Relation:
     """Apply grouping + aggregate evaluation to a working table.
 
-    ``vectorized=True`` (default) evaluates each SELECT item for all
-    groups at once (:func:`_vectorized_select_column`);
-    ``vectorized=False`` runs the retained per-group reference loop.
-    The two are byte-identical — tests/test_db_executor.py holds the
-    parity property — and items the vectorized path declines (object
-    aggregates) fall back per item.
+    Each SELECT item is evaluated for all groups at once
+    (:func:`_vectorized_select_column`); items that path declines
+    (object-dtype aggregates) run the per-group loop
+    (:func:`_evaluate_select_item`), which is also the definition
+    tests/test_colstore.py holds the vectorized path to.
     """
     group_cols = group_columns_in_working(query, work)
     groups = group_indices(work, group_cols)
     group_list = list(groups.values())
     out_columns: list[list[Any]] = []
     for item in query.select:
-        col = (
-            _vectorized_select_column(item.expression, work, group_list)
-            if vectorized
-            else None
-        )
+        col = _vectorized_select_column(item.expression, work, group_list)
         if col is None:
             col = [
                 _evaluate_select_item(item.expression, work, indices)

@@ -6,17 +6,16 @@ relations and, per source, an int64 array mapping each output row to a
 source row.  Joins compose index vectors, selections apply masks to
 them, and actual column values are gathered only at the edges — when a
 predicate needs a key column, when an APT hands columns to the mining
-kernel, or when :meth:`to_relation` materializes the classic eager
-result.
+kernel, or when :meth:`to_relation` materializes the full relation.
 
-Row order and schema order are identical to the eager pipeline by
-construction: frame joins run the exact same
+Row order and schema order are identical to joining the relations
+themselves, by construction: frame joins run the exact same
 :func:`repro.db.executor.join_row_indices` core that
 :func:`repro.db.executor.hash_join` uses, and gathers concatenate source
 columns in join order (the order ``_zip_columns`` produces).  The
 shared-prefix materialization trie caches these frames instead of full
 relations; a frame's :attr:`estimated_bytes` is just its index vectors —
-roughly the joined table's width times smaller than the eager entry.
+roughly the joined table's width times smaller than the joined relation.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ class IndexFrame:
     """A late-materialized view over one or more source relations.
 
     ``sources[i]`` supplies the columns named by its schema (callers
-    prefix/qualify names before building frames, exactly as the eager
-    pipeline prefixes before joining); ``rows[i]`` maps each frame row
-    to a row of ``sources[i]``, with ``None`` meaning the identity
-    mapping (the frame *is* the source, row for row).
+    prefix/qualify names before building frames, exactly as
+    ``hash_join`` callers prefix before joining); ``rows[i]`` maps each
+    frame row to a row of ``sources[i]``, with ``None`` meaning the
+    identity mapping (the frame *is* the source, row for row).
     """
 
     __slots__ = ("sources", "rows", "_nrows", "_lookup", "_schema")
@@ -115,8 +114,8 @@ class IndexFrame:
     def schema(self) -> TableSchema:
         """A schema view over the concatenated source columns.
 
-        Mirrors the table name the eager pipeline's ``_zip_columns``
-        chain would produce, so predicate resolution
+        Mirrors the table name a ``hash_join`` chain's ``_zip_columns``
+        would produce, so predicate resolution
         (:func:`repro.db.expressions.resolve_column`) and error messages
         behave identically on frames and materialized relations.
         """
@@ -223,26 +222,17 @@ class IndexFrame:
         self,
         other: "IndexFrame | Relation",
         conditions: list[tuple[str, str]],
-        strategy=None,
     ) -> "IndexFrame":
         """Equi-join with another frame/relation on index vectors.
 
         Gathers only the key columns, runs the shared
         :func:`~repro.db.executor.join_row_indices` core (identical
-        build/probe/swap behaviour to the eager ``hash_join``, so the
-        output row order matches byte for byte), and composes the row
-        index vectors of both sides.
-
-        ``strategy`` optionally routes the step through a pluggable
-        :mod:`repro.db.join_strategy` implementation (e.g. the
-        sorted-window searchsorted path); every registered strategy is
-        byte-identical to the default hash core.
+        build/probe/swap behaviour to the relation-level ``hash_join``,
+        so the output row order matches byte for byte), and composes the
+        row index vectors of both sides.
         """
         from .executor import join_row_indices
 
-        if strategy is not None:
-            result, _entry = strategy.join_frame(self, other, conditions)
-            return result
         if not conditions:
             raise ExecutionError("join requires at least one condition")
         right = (
@@ -287,16 +277,17 @@ class IndexFrame:
         return IndexFrame(self.sources + right.sources, rows)
 
     # ------------------------------------------------------------------
-    # The eager edge
+    # The materialization edge
     # ------------------------------------------------------------------
     def to_relation(self) -> Relation:
-        """Gather every column into an eager :class:`Relation`.
+        """Gather every column into a :class:`Relation`.
 
         Byte-identical (schema order, rows, dtypes, table name) to the
-        relation the eager join pipeline produces for the same steps: a
-        single-source frame reduces to ``source.take(rows)`` (preserving
-        the source schema, primary key included), a multi-source frame
-        to the ``_zip_columns`` concatenation in join order.
+        relation ``hash_join`` over the sources produces for the same
+        steps: a single-source frame reduces to ``source.take(rows)``
+        (preserving the source schema, primary key included), a
+        multi-source frame to the ``_zip_columns`` concatenation in
+        join order.
         """
         if len(self.sources) == 1:
             source, idx = self.sources[0], self.rows[0]

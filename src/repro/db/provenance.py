@@ -53,22 +53,14 @@ class ProvenanceTable:
     result: Relation
 
     @classmethod
-    def compute(
-        cls,
-        query: Query,
-        db: Database,
-        late_materialization: bool = True,
-    ) -> "ProvenanceTable":
+    def compute(cls, query: Query, db: Database) -> "ProvenanceTable":
         """Materialize the provenance table of ``query`` over ``db``.
 
-        ``late_materialization`` selects the index-vector join pipeline
-        for the working table (gathered once at this edge); the output
-        is byte-identical either way.  Group partitioning runs
-        vectorized over the working table's factorized group-key codes.
+        The working table's join pipeline runs on index vectors and is
+        gathered once at this edge; group partitioning runs vectorized
+        over its factorized group-key codes.
         """
-        work = working_table(
-            query, db, late_materialization=late_materialization
-        )
+        work = working_table(query, db)
         work = work.with_column(
             PT_ROW_ID,
             ColumnType.INT,

@@ -32,11 +32,6 @@ from .errors import IntegrityError, SchemaError
 from .schema import Column, TableSchema
 from .types import ColumnType, coerce_value, infer_column_type
 
-# Process-wide counter backing Relation.fingerprint.  Relations are
-# immutable once built, so a unique per-instance token is a sound
-# memoization key: equal fingerprints imply identical contents.
-_FINGERPRINT_COUNTER = itertools.count(1)
-
 
 def _is_null_cell(value: Any) -> bool:
     """NULL under pattern-match semantics: ``None`` or a float NaN."""
@@ -372,8 +367,7 @@ class Relation:
     """An immutable columnar table: a schema plus one array per column."""
 
     __slots__ = (
-        "schema", "_columns", "_nrows", "_fingerprint", "_encodings",
-        "_sort_indexes",
+        "schema", "_columns", "_nrows", "_encodings", "_sort_indexes",
     )
 
     def __init__(self, schema: TableSchema, columns: dict[str, np.ndarray]):
@@ -388,7 +382,6 @@ class Relation:
         self.schema = schema
         self._columns = columns
         self._nrows = lengths.pop() if lengths else 0
-        self._fingerprint: int | None = None
         # Column name -> ColumnEncoding (or None when the column defeated
         # dictionary encoding).  Lazily filled; derived relations sharing
         # a column array inherit its entry (see rename/rename_columns).
@@ -535,19 +528,6 @@ class Relation:
     @property
     def num_rows(self) -> int:
         return self._nrows
-
-    @property
-    def fingerprint(self) -> int:
-        """A process-unique identity token for this (immutable) relation.
-
-        Two relations with the same fingerprint are the same object, so
-        caches (e.g. the memoized hash-join path in
-        :mod:`repro.db.executor`) can key results on input fingerprints
-        without hashing any column data.  Assigned lazily on first use.
-        """
-        if self._fingerprint is None:
-            self._fingerprint = next(_FINGERPRINT_COUNTER)
-        return self._fingerprint
 
     @property
     def estimated_bytes(self) -> int:

@@ -1,22 +1,25 @@
-"""Pluggable equi-join strategies behind the ``join_row_indices`` core.
+"""The sorted-window join step behind the engine's APT plans.
 
-A *join strategy* decides how one plan join step — ``frame ⋈ context``
-on equality conditions — is executed and what the engine's prefix trie
-caches for it:
+One plan join step — ``frame ⋈ context`` on equality conditions — is
+executed by :class:`SortedWindowStrategy`, which picks per step, from
+what it can observe about the inputs, between two byte-identical
+executions and decides what the engine's prefix trie caches for it:
 
-* ``hash`` (the reference): the frame's :meth:`IndexFrame.join`, which
-  runs the shared :func:`repro.db.executor.join_row_indices` hash-build
-  core; the trie caches the resulting index-vector frame.
-* ``sorted-window``: when the context side is the build side (strictly
-  smaller, mirroring the core's swap rule) and the key pair is clean,
-  the join becomes two ``np.searchsorted`` calls against the context
-  column's shared :class:`~repro.db.relation.SortIndex` — no per-join
-  hash build, no object gathers (TEXT probes gather int32 codes and
-  translate them through a memoized code table).  The trie then caches
-  a compact :class:`WindowEntry` — probe rows + int32 ``(lo, hi)``
-  windows + the shared permutation handle — instead of the expanded
-  index vectors; :meth:`WindowEntry.expand` reproduces the frame with
-  the core's exact ``repeat``/``cumsum`` expansion.
+* the *window path*: when the context side is the build side (strictly
+  smaller, mirroring the hash core's swap rule) and the key pair is
+  clean, the join becomes two ``np.searchsorted`` calls against the
+  context column's shared :class:`~repro.db.relation.SortIndex` — no
+  per-join hash build, no object gathers (TEXT probes gather int32 codes
+  and translate them through a memoized code table).  The trie then
+  caches a compact :class:`WindowEntry` — probe rows + int32
+  ``(lo, hi)`` windows + the shared permutation handle — instead of the
+  expanded index vectors; :meth:`WindowEntry.expand` reproduces the
+  frame with the core's exact ``repeat``/``cumsum`` expansion.
+* the *hash core*: every other step (multi-column keys, a context at
+  least as large as the probe, unencodable or bit-losing key types)
+  runs :meth:`IndexFrame.join` →
+  :func:`repro.db.executor.join_row_indices`, and the trie caches the
+  int32-compacted index-vector frame.
 
 Byte-identity with the hash core is structural: window probes reproduce
 the core's code semantics (NULLs never match, boxed-Python equality on
@@ -25,8 +28,7 @@ equal-key build rows in ascending row order exactly like the core's
 stable argsort, and every case the window path cannot mirror falls back
 to the core itself.  The differential harness in
 ``tests/test_join_strategies.py`` asserts this over generated
-adversarial inputs; strategies registered in :data:`JOIN_STRATEGIES`
-are picked up by the same oracle automatically.
+adversarial inputs with :meth:`IndexFrame.join` as the oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .relation import _INT32_MAX, Relation, SortIndex
 
 @dataclass
 class JoinStrategyStats:
-    """Counters describing one strategy instance's lifetime.
+    """Counters describing one :class:`SortedWindowStrategy`'s lifetime.
 
     ``windows_built`` counts join steps served by the window fast path,
     ``searchsorted_probes`` the probe rows ranged into windows,
@@ -167,33 +169,9 @@ def compact_frame(frame: IndexFrame) -> IndexFrame:
     return IndexFrame(frame.sources, rows)
 
 
-class HashJoinStrategy:
-    """The reference strategy: every step runs the shared hash core."""
-
-    name = "hash"
-
-    def __init__(self) -> None:
-        self.stats = JoinStrategyStats()
-
-    def join_frame(
-        self,
-        frame: IndexFrame,
-        context: "Relation | IndexFrame",
-        conditions: "list[tuple[str, str]] | tuple[tuple[str, str], ...]",
-    ) -> tuple[IndexFrame, object]:
-        """Execute one join step; returns ``(result, cache_value)``."""
-        result = frame.join(context, list(conditions))
-        return result, result
-
-    def compact(self, frame: IndexFrame) -> IndexFrame:
-        """Hook for shrinking intermediates before caching (identity)."""
-        return frame
-
-
 class SortedWindowStrategy:
-    """FK joins as searchsorted windows over shared sort permutations."""
-
-    name = "sorted-window"
+    """FK joins as searchsorted windows over shared sort permutations,
+    with the hash core as the input-selected fallback."""
 
     def __init__(self) -> None:
         self.stats = JoinStrategyStats()
@@ -233,9 +211,6 @@ class SortedWindowStrategy:
             return result, result
         self.stats.windows_built += 1
         return entry.expand(), entry
-
-    def compact(self, frame: IndexFrame) -> IndexFrame:
-        return compact_frame(frame)
 
     # ------------------------------------------------------------------
     def _window_entry(
@@ -334,26 +309,3 @@ class SortedWindowStrategy:
             lo = np.where(invalid, 0, lo)
             hi = np.where(invalid, 0, hi)
         return lo, hi
-
-
-# Registered strategies, keyed by config name.  The differential harness
-# parametrizes over this mapping, so a new strategy added here is tested
-# against the hash oracle automatically.
-JOIN_STRATEGIES = {
-    HashJoinStrategy.name: HashJoinStrategy,
-    SortedWindowStrategy.name: SortedWindowStrategy,
-}
-
-JOIN_STRATEGY_NAMES = tuple(sorted(JOIN_STRATEGIES))
-
-
-def make_join_strategy(name: str):
-    """Instantiate a registered join strategy by config name."""
-    try:
-        factory = JOIN_STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown join strategy {name!r}; "
-            f"choose one of {sorted(JOIN_STRATEGIES)}"
-        ) from None
-    return factory()

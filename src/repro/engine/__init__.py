@@ -2,7 +2,7 @@
 
 Layering: db → core → engine → api → cli.  The engine consumes the
 canonical materialization plans of :mod:`repro.core.apt` and the
-memoized hash-join path of :mod:`repro.db.executor`;
+sorted-window join step of :mod:`repro.db.window_join`;
 :class:`repro.api.CajadeSession` drives it (one long-lived engine per
 registered query) and the CLI surfaces its knobs (``--workers``,
 ``--apt-cache-mb``) and cache statistics.

@@ -1,13 +1,13 @@
 """Shared-prefix APT materialization engine.
 
-:class:`MaterializationEngine` replaces the explainer's per-graph
+:class:`MaterializationEngine` replaces a per-graph
 ``materialize_apt`` loop.  It is bound to one provenance table and
 question restriction; for each join graph it builds the canonical
 :class:`~repro.core.apt.MaterializationPlan`, finds the longest plan
 prefix already materialized in its trie, and executes only the missing
 suffix steps.  Because BFS-enumerated join graphs overwhelmingly extend
 already-enumerated graphs by one edge (the paper's Algorithm 2), most
-graphs cost one hash join instead of rebuilding the whole
+graphs cost one join step instead of rebuilding the whole
 PT ⋈ S₁ ⋈ … ⋈ Sⱼ pipeline from scratch.
 
 The ordering invariant this relies on: the canonical edge (step) order of
@@ -16,23 +16,18 @@ assigned in extension order and the plan walks the lowest-id frontier
 node first, so a graph extending Ω' yields Ω''s steps as an exact plan
 prefix.  See :mod:`repro.core.apt` for the full statement.
 
-By default the pipeline is *late-materialized*: intermediates are
+The pipeline is *late-materialized*: intermediates are
 :class:`~repro.db.frame.IndexFrame` row-index vectors over the
-provenance relation and the prefixed context tables, each join gathers
-only its key columns through the shared ``join_row_indices`` core, and
-the trie caches those compact frames (entries shrink by roughly the
-joined width, so more prefixes fit per byte).  ``materialize*`` then
-returns gather-on-demand APTs whose mining kernel reads load-time
-dictionary codes straight off the base tables.  Pass
-``late_materialization=False`` for the classic eager pipeline — results
-are byte-identical either way.
-
-Underneath, context relations are prefixed once and memoized so repeated
-joins see stable relation fingerprints.  The db-layer memoized hash-join
-path (:class:`repro.db.executor.JoinCache`) can be layered in via
-``join_memo_entries``, but is off by default: within the engine the trie
-already dedups every join the memo could, and trie evictions cascade
-through fingerprint keys (see the constructor docstring).
+provenance relation and the prefixed context tables, and each join step
+runs through :class:`~repro.db.window_join.SortedWindowStrategy`, which
+serves FK joins as searchsorted windows over shared sort permutations
+and routes every step it cannot mirror to the shared
+``join_row_indices`` hash core.  The trie caches what the step hands
+back — a compact :class:`~repro.db.window_join.WindowEntry` on the
+window path, an int32-compacted frame otherwise — so entries shrink by
+roughly the joined width and more prefixes fit per byte.
+``materialize*`` returns gather-on-demand APTs whose mining kernel reads
+load-time dictionary codes straight off the base tables.
 
 An engine can outlive a single question: the question restriction is a
 per-call argument (``restrict_row_ids`` on the ``materialize*`` methods)
@@ -58,15 +53,12 @@ from ..core.apt import (
     _wrap_apt,
     apply_filter_step,
     build_plan,
-    execute_join_step,
-    restrict_base,
     restrict_base_frame,
 )
 from ..core.join_graph import JoinGraph
 from ..db.database import Database
-from ..db.executor import JoinCache
 from ..db.frame import IndexFrame
-from ..db.join_strategy import WindowEntry, make_join_strategy
+from ..db.window_join import SortedWindowStrategy, WindowEntry, compact_frame
 from ..db.provenance import ProvenanceTable
 from ..db.relation import Relation
 from .trie import CacheStats, PrefixCache
@@ -78,7 +70,7 @@ _MB = 1024 * 1024
 _USE_DEFAULT: Any = object()
 
 # Restricted PT-side bases kept per engine (LRU).  Bases are small
-# (question rows only) but an unbounded memo would leak across the
+# (one row-index vector each) but an unbounded memo would leak across the
 # lifetime of a serving session answering many distinct questions.
 _MAX_MEMOIZED_BASES = 16
 
@@ -88,8 +80,8 @@ def restriction_fingerprint(
 ) -> tuple | None:
     """A hashable key identifying a question restriction's row-id *set*.
 
-    :func:`repro.core.apt.restrict_base` applies restrictions with set
-    semantics (``np.isin``), so order and duplicates are canonicalized
+    :func:`repro.core.apt.restrict_base_frame` applies restrictions with
+    set semantics (``np.isin``), so order and duplicates are canonicalized
     away before hashing; equal sets always collide and unequal sets get
     distinct digests.  ``None`` (no restriction) maps to ``None``.
     """
@@ -117,18 +109,16 @@ class EngineStats:
     ``steps_reused``/``steps_computed`` count plan steps served from the
     trie versus executed; ``full_hits`` counts graphs whose entire plan
     (an isomorphic materialization) was already cached.  ``cache`` holds
-    the underlying trie's probe/eviction/byte counters and
-    ``join_memo_hits`` the db-layer memoized-join hits.
+    the underlying trie's probe/eviction/byte counters.
     ``windows_built``/``searchsorted_probes``/``permutation_reuses``
-    mirror the engine's join-strategy counters (all zero under the
-    default ``hash`` strategy).
+    mirror the sorted-window join step's counters
+    (:class:`repro.db.window_join.JoinStrategyStats`).
     """
 
     graphs: int = 0
     steps_reused: int = 0
     steps_computed: int = 0
     full_hits: int = 0
-    join_memo_hits: int = 0
     windows_built: int = 0
     searchsorted_probes: int = 0
     permutation_reuses: int = 0
@@ -168,7 +158,6 @@ class EngineStats:
             steps_reused=self.steps_reused - since.steps_reused,
             steps_computed=self.steps_computed - since.steps_computed,
             full_hits=self.full_hits - since.full_hits,
-            join_memo_hits=self.join_memo_hits - since.join_memo_hits,
             windows_built=self.windows_built - since.windows_built,
             searchsorted_probes=(
                 self.searchsorted_probes - since.searchsorted_probes
@@ -200,37 +189,9 @@ class MaterializationEngine:
             Restrictions namespace every cache key (see
             :func:`restriction_fingerprint`), so one engine can serve
             many questions without rebuilding its trie.
-        cache_mb: total memory budget in megabytes for the engine's
-            caches; with the join memo enabled the prefix trie gets
-            three quarters and the memo one quarter, otherwise the trie
-            gets everything.  0 disables all caching, making
-            ``materialize`` equivalent to ``materialize_apt``.
-        join_memo_entries: entry bound of the db-layer memoized
-            hash-join LRU.  Off by default: inside the engine the trie
-            subsumes it — a memo hit requires both input fingerprints to
-            survive, and recomputing any evicted prefix creates a fresh
-            relation whose children's memo keys can never match again —
-            measured hit rates are zero while the byte share is better
-            spent on the trie.  Enable it for workloads that re-join
-            long-lived relations outside the trie's key space.  The memo
-            applies to the eager pipeline only (index frames carry no
-            fingerprints).
-        late_materialization: run the plan pipeline on
-            :class:`~repro.db.frame.IndexFrame` index vectors (the
-            default): joins gather only key columns, the trie caches
-            compact per-base-table row-index frames instead of full
-            relations, and APT columns gather on demand at the mining
-            edge.  Off restores the eager pipeline; results are
-            byte-identical either way.
-        join_strategy: how frame join steps execute and what the trie
-            caches for them — ``"hash"`` (the reference core, cached as
-            index-vector frames) or ``"sorted-window"``
-            (:mod:`repro.db.join_strategy`: searchsorted windows over
-            shared per-column sort permutations, cached as compact
-            :class:`~repro.db.join_strategy.WindowEntry` objects that
-            expand byte-identically on hit).  Applies to the
-            late-materialized pipeline; the eager pipeline always hash
-            joins.  Results are byte-identical across strategies.
+        cache_mb: memory budget in megabytes for the prefix trie.  0
+            disables caching, making ``materialize`` equivalent to
+            ``materialize_apt``.
     """
 
     def __init__(
@@ -239,38 +200,21 @@ class MaterializationEngine:
         db: Database,
         restrict_row_ids: np.ndarray | None = None,
         cache_mb: float = 256.0,
-        join_memo_entries: int = 0,
-        late_materialization: bool = True,
-        join_strategy: str = "hash",
     ):
         if cache_mb < 0:
             raise ValueError("cache_mb must be >= 0")
         self._pt = pt
         self._db = db
-        self._late = late_materialization
-        self._strategy = make_join_strategy(join_strategy)
-        self._windowed = late_materialization and join_strategy != "hash"
+        self._join = SortedWindowStrategy()
         self._default_restriction = restrict_row_ids
-        # Restriction fingerprint -> restricted PT-side base relation.
-        # Memoized so re-asked questions reuse the same base object and
-        # the join memo sees stable fingerprints; LRU-bounded so a
-        # long-lived engine answering many distinct questions cannot
-        # accumulate filtered PT copies without limit (evicted bases
-        # are recomputed deterministically — trie keys are unaffected).
-        self._bases: "OrderedDict[tuple | None, Relation | IndexFrame]" = (
-            OrderedDict()
-        )
-        total_bytes = int(cache_mb * _MB)
-        if total_bytes <= 0 or join_memo_entries <= 0:
-            self._join_cache = None
-            trie_bytes = total_bytes
-        else:
-            memo_bytes = total_bytes // 4
-            trie_bytes = total_bytes - memo_bytes
-            self._join_cache = JoinCache(
-                join_memo_entries, capacity_bytes=memo_bytes
-            )
-        self._cache = PrefixCache(trie_bytes)
+        # Restriction fingerprint -> restricted PT-side base frame.
+        # Memoized so re-asked questions reuse the same base object;
+        # LRU-bounded so a long-lived engine answering many distinct
+        # questions cannot accumulate row-index vectors without limit
+        # (evicted bases are recomputed deterministically — trie keys
+        # are unaffected).
+        self._bases: "OrderedDict[tuple | None, IndexFrame]" = OrderedDict()
+        self._cache = PrefixCache(int(cache_mb * _MB))
         self._contexts: dict[tuple[str, str], Relation] = {}
         self._graphs = 0
         self._steps_reused = 0
@@ -280,22 +224,18 @@ class MaterializationEngine:
     # ------------------------------------------------------------------
     def _restriction(
         self, restrict_row_ids: np.ndarray | None | Any
-    ) -> tuple[tuple | None, "Relation | IndexFrame"]:
+    ) -> tuple[tuple | None, IndexFrame]:
         """Resolve a per-call restriction to (fingerprint, base).
 
-        The base is a filtered PT relation on the eager path, or an
-        index frame over the full PT relation (restriction as a row
-        vector) under late materialization.
+        The base is an index frame over the full PT relation, the
+        restriction being its row vector.
         """
         if restrict_row_ids is _USE_DEFAULT:
             restrict_row_ids = self._default_restriction
         key = restriction_fingerprint(restrict_row_ids)
         base = self._bases.get(key)
         if base is None:
-            if self._late:
-                base = restrict_base_frame(self._pt, restrict_row_ids)
-            else:
-                base = restrict_base(self._pt, restrict_row_ids)
+            base = restrict_base_frame(self._pt, restrict_row_ids)
             self._bases[key] = base
             while len(self._bases) > _MAX_MEMOIZED_BASES:
                 self._bases.popitem(last=False)
@@ -304,11 +244,7 @@ class MaterializationEngine:
         return key, base
 
     def _context(self, table: str, alias: str) -> Relation:
-        """The context relation prefixed for ``alias``, memoized.
-
-        Memoization keeps fingerprints stable across graphs so the
-        join memo can recognize repeated (prefix ⋈ context) work.
-        """
+        """The context relation prefixed for ``alias``, memoized."""
         key = (table, alias)
         relation = self._contexts.get(key)
         if relation is None:
@@ -388,17 +324,15 @@ class MaterializationEngine:
         join_graph: JoinGraph,
         plan,
         restriction_key: tuple | None,
-        base: "Relation | IndexFrame",
+        base: IndexFrame,
     ) -> AugmentedProvenanceTable:
         steps = plan.steps
         self._graphs += 1
 
-        # Trie keys are namespaced by the restriction (so APTs of
-        # different questions never alias) and by the join strategy
-        # (entry shapes differ — frames vs window entries — so a
-        # strategy never reads another strategy's intermediates).
+        # Trie keys are namespaced by the restriction, so APTs of
+        # different questions never alias.
         def prefix_key(depth: int) -> tuple:
-            return (restriction_key, self._strategy.name) + steps[:depth]
+            return (restriction_key,) + steps[:depth]
 
         current = base
         depth = len(steps)
@@ -418,27 +352,14 @@ class MaterializationEngine:
 
         for i in range(depth, len(steps)):
             step = steps[i]
-            if isinstance(step, JoinStep) and self._windowed and isinstance(
-                current, IndexFrame
-            ):
-                current, cache_value = self._strategy.join_frame(
+            if isinstance(step, JoinStep):
+                current, cache_value = self._join.join_frame(
                     current,
                     self._context(step.table, step.alias),
                     step.conditions,
                 )
-            elif isinstance(step, JoinStep):
-                current = execute_join_step(
-                    current,
-                    step,
-                    self._db,
-                    join_cache=self._join_cache,
-                    context=self._context(step.table, step.alias),
-                )
-                cache_value = current
             else:
-                current = apply_filter_step(current, step)
-                if self._windowed and isinstance(current, IndexFrame):
-                    current = self._strategy.compact(current)
+                current = compact_frame(apply_filter_step(current, step))
                 cache_value = current
             self._steps_computed += 1
             self._cache.put(prefix_key(i + 1), cache_value)
@@ -448,25 +369,14 @@ class MaterializationEngine:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> EngineStats:
-        strategy = self._strategy.stats
+        join = self._join.stats
         return EngineStats(
             graphs=self._graphs,
             steps_reused=self._steps_reused,
             steps_computed=self._steps_computed,
             full_hits=self._full_hits,
-            join_memo_hits=self._join_cache.hits if self._join_cache else 0,
-            windows_built=strategy.windows_built,
-            searchsorted_probes=strategy.searchsorted_probes,
-            permutation_reuses=strategy.permutation_reuses,
+            windows_built=join.windows_built,
+            searchsorted_probes=join.searchsorted_probes,
+            permutation_reuses=join.permutation_reuses,
             cache=self._cache.refresh_gauges(),
         )
-
-    @property
-    def late_materialization(self) -> bool:
-        """Whether this engine runs the index-vector pipeline."""
-        return self._late
-
-    @property
-    def join_strategy(self) -> str:
-        """The configured join strategy's registry name."""
-        return self._strategy.name

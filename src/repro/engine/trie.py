@@ -10,12 +10,12 @@ shares that graph's whole prefix, so the cache is logically a trie over
 plan steps — stored flat as a dict keyed by prefix tuples, with one LRU
 spine across all prefixes.
 
-Entries are whatever the engine materializes: full
-:class:`~repro.db.relation.Relation` intermediates on the eager path, or
-compact :class:`~repro.db.frame.IndexFrame` index-vector frames under
-late materialization — anything exposing ``estimated_bytes``.  Frames
-shrink entries by roughly the joined table's width, so far more prefixes
-fit in the same byte budget.
+Entries are whatever the engine materializes — compact
+:class:`~repro.db.frame.IndexFrame` index-vector frames and
+:class:`~repro.db.window_join.WindowEntry` records, or anything else
+exposing ``estimated_bytes``.  They are roughly the joined table's width
+times smaller than the joined relation, so far more prefixes fit in the
+same byte budget.
 
 Memory is bounded: each cached entry is charged its ``estimated_bytes``
 and cold prefixes are evicted least-recently-used once the budget is
@@ -38,7 +38,7 @@ class CacheableEntry(Protocol):
 
     ``estimated_bytes`` is the entry's standalone size.  Entries that
     reference arrays shared with *other* entries (e.g. the sort
-    permutation behind every :class:`~repro.db.join_strategy.WindowEntry`
+    permutation behind every :class:`~repro.db.window_join.WindowEntry`
     over one column) may additionally expose ``own_bytes`` (marginal
     size excluding shared arrays) and ``shared_components`` (a tuple of
     ``(token, nbytes)`` pairs identifying the shared arrays); the cache

@@ -23,7 +23,6 @@ from ..core.apt import materialize_apt
 from ..core.config import CajadeConfig
 from ..core.explainer import ExplanationResult
 from ..core.join_graph import JoinGraph
-from ..core.lca import lca_candidates
 from ..core.pattern import Pattern
 from ..core.quality import QualityEvaluator
 from ..core.timing import StepTimer
@@ -54,9 +53,9 @@ def explain_with_breakdown(
     if session is None:
         session = CajadeSession(db, schema_graph, config)
     else:
-        # Engine-shaping knobs (apt_cache_mb, join_memo_entries) come
-        # from the session's own config — a per-request override cannot
-        # retrofit an already-built engine, so they are not diffed.
+        # The engine's budget (apt_cache_mb) comes from the session's
+        # own config — a per-request override cannot retrofit an
+        # already-built engine, so it is not diffed.
         from ..api.types import _SESSION_LEVEL_FIELDS
 
         overrides = {

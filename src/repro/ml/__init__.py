@@ -1,12 +1,12 @@
-"""Machine-learning substrate: trees, forests, attribute clustering, metrics."""
+"""Machine-learning substrate: histogram forest, attribute clustering, metrics."""
 
-from .decision_tree import DecisionTreeClassifier, gini_impurity
 from .hist_forest import (
     BinnedMatrix,
     FlatTree,
     HistRandomForestClassifier,
     apply_bins,
     bin_matrix,
+    gini_impurity,
 )
 from .metrics import (
     dcg,
@@ -16,7 +16,6 @@ from .metrics import (
     recall_at_k,
     top_k_match,
 )
-from .random_forest import RandomForestClassifier
 from .varclus import (
     association_matrix,
     cramers_v,
@@ -37,7 +36,6 @@ __all__ = [
     "cramers_v",
     "correlation_matrix",
     "dcg",
-    "DecisionTreeClassifier",
     "encode_columns",
     "FlatTree",
     "gini_impurity",
@@ -46,7 +44,6 @@ __all__ = [
     "kendall_tau_distance_scores",
     "ndcg",
     "pick_cluster_representatives",
-    "RandomForestClassifier",
     "recall_at_k",
     "top_k_match",
 ]

@@ -1,7 +1,9 @@
 """Histogram-based frontier-at-a-time random forest on dictionary codes.
 
-Accelerated twin of :class:`repro.ml.random_forest.RandomForestClassifier`
-(the §3.1 relevance ranker) in its all-features-per-split configuration:
+The §3.1 relevance ranker.  It is an accelerated twin of the per-node
+recursive CART forest kept as a test oracle in
+``tests/oracles/cart_forest.py`` ("the reference learner" below), in its
+all-features-per-split configuration:
 
     HistRandomForestClassifier(n_estimators=t, max_depth=d,
                                max_samples=s, random_state=r).fit(X, y)
@@ -58,8 +60,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decision_tree import gini_impurity
-
 # Reference learner's strict-improvement floor for accepting a split.
 _MIN_GAIN = 1e-12
 
@@ -76,6 +76,12 @@ _CHUNK_KEYS = 1 << 22
 # cumulative histograms; the multiplier used is the max of this and the
 # bootstrap sample size, so offsets always exceed any per-node count.
 _SEG = 1 << 21
+
+
+def gini_impurity(positive_fraction: float) -> float:
+    """Gini impurity of a binary distribution."""
+    p = positive_fraction
+    return 2.0 * p * (1.0 - p)
 
 
 @dataclass
@@ -376,10 +382,10 @@ def _plan_chunks(
 class HistRandomForestClassifier:
     """Histogram-based bagged forest, bit-identical to the reference.
 
-    Parameters mirror
-    :class:`repro.ml.random_forest.RandomForestClassifier` with
-    ``max_features`` pinned to all features per split (see the module
-    docstring for why).  Work counters for
+    Parameters mirror the reference ``RandomForestClassifier``
+    (``tests/oracles/cart_forest.py``) with ``max_features`` pinned to
+    all features per split (see the module docstring for why).  Work
+    counters for
     :class:`repro.core.timing.StepTimer`:
 
     - ``nodes_grown``: tree nodes materialized (internal + leaves);

@@ -624,11 +624,19 @@ def question_from_json(
 
 
 def request_from_json(data: Mapping) -> ExplanationRequest:
-    """Build an :class:`ExplanationRequest` from a POST /explain body."""
+    """Build an :class:`ExplanationRequest` from a POST /explain body.
+
+    Raises ``ValueError`` for anything malformed — including an
+    ``overrides`` entry that names no :class:`CajadeConfig` field — which
+    the HTTP route answers with a structured 400.
+    """
     if "sql" not in data:
         raise ValueError("request body must carry 'sql'")
     if "question" not in data:
         raise ValueError("request body must carry 'question'")
+    overrides = data.get("overrides", {})
+    if not isinstance(overrides, Mapping):
+        raise ValueError("'overrides' must be a JSON object")
     return ExplanationRequest(
         sql=data["sql"],
         question=question_from_json(data["question"]),
@@ -636,7 +644,7 @@ def request_from_json(data: Mapping) -> ExplanationRequest:
         max_join_edges=data.get("max_join_edges"),
         f1_sample_rate=data.get("f1_sample_rate"),
         workers=data.get("workers"),
-        overrides=tuple(sorted(dict(data.get("overrides", {})).items())),
+        overrides=tuple(sorted(overrides.items())),
     )
 
 

@@ -116,3 +116,13 @@ def mimic_small():
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def kernel_verify(monkeypatch) -> list[int]:
+    """Cross-check every kernel coverage computation made during the test
+    against ``tests/oracles/coverage.py`` (raises on the first mismatch);
+    the value is a one-element list counting the calls checked."""
+    from tests.oracles import coverage
+
+    return coverage.cross_check(monkeypatch)

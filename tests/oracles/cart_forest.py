@@ -1,9 +1,14 @@
-"""A from-scratch CART decision-tree classifier.
+"""Oracle for the §3.1 relevance forest: the per-node recursive CART learner.
 
-The paper uses random forests [10] only to rank attribute *relevance* for
-the λ#sel-attr feature-selection step (§3.1), so this implementation
-focuses on: binary classification, Gini impurity, quantile-candidate
-splits (vectorized with numpy), and impurity-decrease feature importances.
+These are the two classes ``repro.ml`` shipped as ``decision_tree.py`` and
+``random_forest.py`` before the histogram forest
+(:class:`repro.ml.hist_forest.HistRandomForestClassifier`) became the only
+learner, kept verbatim: binary classification, Gini impurity,
+quantile-candidate splits per node (``np.nanquantile`` over the node's
+rows), impurity-decrease feature importances, bootstrap bagging.  With
+``max_features`` set to every feature the production learner must
+reproduce this one **bit for bit** — bootstrap samples, tree structure,
+thresholds, predictions, importances (``tests/test_ml_hist_forest.py``).
 
 scikit-learn is deliberately not used: the environment is offline and the
 substrate must be self-contained.
@@ -11,10 +16,13 @@ substrate must be self-contained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from repro.ml.hist_forest import gini_impurity
 
 
 @dataclass
@@ -30,12 +38,6 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-
-def gini_impurity(positive_fraction: float) -> float:
-    """Gini impurity of a binary distribution."""
-    p = positive_fraction
-    return 2.0 * p * (1.0 - p)
 
 
 class DecisionTreeClassifier:
@@ -218,3 +220,116 @@ class DecisionTreeClassifier:
         if self._root is None:
             raise RuntimeError("tree is not fitted")
         return walk(self._root)
+
+
+class RandomForestClassifier:
+    """An ensemble of CART trees over bootstrap samples.
+
+    Parameters:
+        n_estimators: number of trees.
+        max_depth: per-tree depth cap.
+        max_features: features per split; "sqrt" (default) or an int.
+        max_samples: rows per bootstrap sample (cap; None = all rows).
+        random_state: seed for reproducibility.
+    """
+
+    def __init__(
+        self,
+        n_estimators: int = 20,
+        max_depth: int = 8,
+        max_features: str | int = "sqrt",
+        max_samples: int | None = 4000,
+        random_state: int = 0,
+    ):
+        self.n_estimators = n_estimators
+        self.max_depth = max_depth
+        self.max_features = max_features
+        self.max_samples = max_samples
+        self.random_state = random_state
+        self.trees_: list[DecisionTreeClassifier] = []
+        self.feature_importances_: np.ndarray | None = None
+
+    def _features_per_split(self, n_features: int) -> int:
+        if self.max_features == "sqrt":
+            return max(1, int(math.sqrt(n_features)))
+        if isinstance(self.max_features, int):
+            return max(1, min(self.max_features, n_features))
+        raise ValueError(f"bad max_features: {self.max_features!r}")
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
+        """Fit the ensemble on float features X and 0/1 labels y."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if len(X) == 0:
+            raise ValueError("cannot fit on an empty dataset")
+        rng = np.random.default_rng(self.random_state)
+        n_rows, n_features = X.shape
+        sample_size = n_rows
+        if self.max_samples is not None:
+            sample_size = min(n_rows, self.max_samples)
+        per_split = self._features_per_split(n_features)
+
+        self.trees_ = []
+        importances = np.zeros(n_features)
+        for _ in range(self.n_estimators):
+            indices = rng.integers(0, n_rows, size=sample_size)
+            tree = DecisionTreeClassifier(
+                max_depth=self.max_depth,
+                max_features=per_split,
+                rng=rng,
+            )
+            tree.fit(X[indices], y[indices])
+            self.trees_.append(tree)
+            assert tree.feature_importances_ is not None
+            importances += tree.feature_importances_
+        total = importances.sum()
+        if total > 0:
+            self.feature_importances_ = importances / total
+        else:
+            self.feature_importances_ = np.zeros(n_features)
+        return self
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean positive-class probability across trees."""
+        if not self.trees_:
+            raise RuntimeError("forest is not fitted")
+        X = np.asarray(X, dtype=np.float64)
+        probs = np.zeros(len(X))
+        for tree in self.trees_:
+            probs += tree.predict_proba(X)
+        return probs / len(self.trees_)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return (self.predict_proba(X) >= 0.5).astype(np.int64)
+
+    def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
+        """Fraction of correct 0/1 predictions."""
+        predictions = self.predict(X)
+        return float((predictions == np.asarray(y, dtype=np.int64)).mean())
+
+
+class _AllFeaturesForest(RandomForestClassifier):
+    """This oracle behind ``HistRandomForestClassifier``'s constructor and
+    ``fit`` signature, examining every feature at every split."""
+
+    nodes_grown = histograms_built = splits_evaluated = 0
+
+    def __init__(self, n_estimators, max_depth, max_samples, random_state):
+        super().__init__(
+            n_estimators=n_estimators,
+            max_depth=max_depth,
+            max_samples=max_samples,
+            random_state=random_state,
+        )
+
+    def fit(self, X, y, categorical_features=None):
+        self.max_features = np.asarray(X).shape[1]
+        return super().fit(X, y)
+
+
+def swap_in(monkeypatch) -> None:
+    """Make ``filter_attributes`` rank relevance with this oracle."""
+    monkeypatch.setattr(
+        "repro.core.attribute_filter.HistRandomForestClassifier",
+        _AllFeaturesForest,
+    )

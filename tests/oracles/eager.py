@@ -1,0 +1,127 @@
+"""Oracles for the storage pipeline: eager joins over copied columns.
+
+Production runs every join — the working table and the APT plans — on
+``IndexFrame`` index vectors and gathers columns at the edge.  These
+oracles compute the same tables the way the definitions read:
+
+- :func:`materialize_eager` executes a join graph's canonical plan with
+  :func:`repro.db.executor.hash_join` on full relations, zipping every
+  column at every step (the pipeline ``materialize_apt`` ran before late
+  materialization became the only path);
+- :func:`provenance_by_definition` is PT(Q, D) = σ_θ(R_1 × … × R_p), the
+  filtered cross product of paper §2.1, with no join planning at all;
+- :class:`EagerEngine` stands in for the session's
+  ``MaterializationEngine`` so whole questions can be answered over
+  relation-backed APTs (no trie, no frames, per-APT re-encoding).
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from repro.core.apt import AugmentedProvenanceTable, _wrap_apt, build_plan
+from repro.core.join_graph import JoinGraph
+from repro.db.database import Database
+from repro.db.executor import cross_product, hash_join
+from repro.db.frame import IndexFrame
+from repro.db.provenance import PT_ROW_ID, ProvenanceTable
+from repro.db.query import Query
+from repro.db.relation import Relation
+from repro.engine import CacheStats, EngineStats
+
+
+def restrict_base(
+    pt: ProvenanceTable, restrict_row_ids: np.ndarray | None
+) -> Relation:
+    """The PT-side base relation, optionally restricted to question rows."""
+    base = pt.relation
+    if restrict_row_ids is not None:
+        wanted = np.isin(base.column(PT_ROW_ID), restrict_row_ids)
+        base = base.filter_mask(wanted)
+    return base
+
+
+def materialize_eager(
+    join_graph: JoinGraph,
+    pt: ProvenanceTable,
+    db: Database,
+    restrict_row_ids: np.ndarray | None = None,
+) -> Relation:
+    """APT(Q, D, Ω) as one fully materialized relation."""
+    current = restrict_base(pt, restrict_row_ids)
+    plan = build_plan(join_graph, pt)
+    for step in plan.joins:
+        context = db.table(step.table).prefix_columns(f"{step.alias}.")
+        current = hash_join(current, context, list(step.conditions))
+    for step in plan.filters:
+        keep = np.ones(current.num_rows, dtype=bool)
+        for left, right in step.pairs:
+            pairs = zip(current.column(left), current.column(right))
+            keep &= np.array(
+                [l is not None and r is not None and l == r for l, r in pairs],
+                dtype=bool,
+            )
+        current = current.filter_mask(keep)
+    return current
+
+
+def eager_apt(
+    join_graph: JoinGraph,
+    pt: ProvenanceTable,
+    db: Database,
+    restrict_row_ids: np.ndarray | None = None,
+) -> AugmentedProvenanceTable:
+    """A relation-backed APT over :func:`materialize_eager`'s result."""
+    relation = materialize_eager(join_graph, pt, db, restrict_row_ids)
+    # Attribute metadata is schema-only; borrow production's rules.
+    framed = _wrap_apt(join_graph, pt, IndexFrame.from_relation(relation), db)
+    return AugmentedProvenanceTable(
+        join_graph,
+        relation=relation,
+        attributes=framed.attributes,
+        excluded_attributes=framed.excluded_attributes,
+    )
+
+
+def provenance_by_definition(query: Query, db: Database) -> Relation:
+    """σ_WHERE over the cross product of the FROM tables (row order: the
+    product's, which is not the planned pipeline's)."""
+    product: Relation | None = None
+    for ref in query.tables:
+        prefixed = db.table(ref.table).prefix_columns(f"{ref.alias}.")
+        product = (
+            prefixed if product is None else cross_product(product, prefixed)
+        )
+    assert product is not None
+    if query.where is None:
+        return product
+    return product.filter_mask(query.where.mask(product))
+
+
+class EagerEngine:
+    """``MaterializationEngine``'s session-facing surface, eagerly."""
+
+    def __init__(self, pt: ProvenanceTable, db: Database, cache_mb: float = 0.0):
+        self._pt = pt
+        self._db = db
+
+    def materialize_iter(
+        self,
+        join_graphs: Sequence[JoinGraph],
+        restrict_row_ids: np.ndarray | None = None,
+    ) -> Iterator[tuple[int, AugmentedProvenanceTable]]:
+        for index, join_graph in enumerate(join_graphs):
+            yield index, eager_apt(
+                join_graph, self._pt, self._db, restrict_row_ids
+            )
+
+    @property
+    def stats(self) -> EngineStats:
+        return EngineStats(cache=CacheStats())
+
+
+def swap_in(monkeypatch) -> None:
+    """Make sessions materialize their APTs with :class:`EagerEngine`."""
+    monkeypatch.setattr("repro.api.session.MaterializationEngine", EagerEngine)

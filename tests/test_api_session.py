@@ -211,28 +211,33 @@ class TestCrossQuestionReuse:
 
 
 class TestHistForestKnob:
-    """`use_hist_forest` is mining-neutral: the histogram learner is a
-    bitwise twin of the reference forest, so ranked output is
-    byte-identical with the knob on or off, serial or parallel."""
+    """The histogram learner is a bitwise twin of the CART oracle
+    (``tests/oracles/cart_forest.py``), so ranked output is
+    byte-identical with the oracle swapped in ("off"), serial or
+    parallel."""
 
-    def test_knob_off_byte_identical(self, mini_db, mini_schema_graph):
+    def test_knob_off_byte_identical(
+        self, mini_db, mini_schema_graph, monkeypatch
+    ):
+        from tests.oracles import cart_forest
+
         on = cold_payload(mini_db, mini_schema_graph, QUESTION)
-        off = cold_payload(
-            mini_db, mini_schema_graph, QUESTION,
-            overrides={"use_hist_forest": False},
-        )
+        cart_forest.swap_in(monkeypatch)
+        off = cold_payload(mini_db, mini_schema_graph, QUESTION)
         assert on == off
 
     def test_knob_identical_across_workers(
-        self, mini_db, mini_schema_graph
+        self, mini_db, mini_schema_graph, monkeypatch
     ):
+        from tests.oracles import cart_forest
+
         serial = cold_payload(mini_db, mini_schema_graph, QUESTION)
         parallel_on = cold_payload(
             mini_db, mini_schema_graph, QUESTION, workers=4
         )
+        cart_forest.swap_in(monkeypatch)
         parallel_off = cold_payload(
-            mini_db, mini_schema_graph, QUESTION,
-            overrides={"use_hist_forest": False}, workers=4,
+            mini_db, mini_schema_graph, QUESTION, workers=4
         )
         assert serial == parallel_on == parallel_off
 
@@ -274,6 +279,43 @@ class TestRequestValidation:
             ExplanationRequest(
                 GSW_WINS_SQL, QUESTION, overrides={"apt_cache_mb": 0.0}
             )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("use_kernel", False),
+            ("kernel_verify", True),
+            ("use_code_lca", False),
+            ("use_hist_forest", False),
+            ("late_materialization", False),
+            ("join_strategy", "hash"),
+            ("join_memo_entries", 64),
+        ],
+    )
+    def test_removed_strategy_toggles_rejected(self, name, value):
+        """The seven byte-identical slow-path selectors are gone: naming
+        one is an error, never a silently ignored (or honoured) key."""
+        with pytest.raises(ValueError, match="unknown CajadeConfig"):
+            ExplanationRequest(
+                GSW_WINS_SQL, QUESTION, overrides={name: value}
+            )
+        with pytest.raises(TypeError):
+            CajadeConfig(**{name: value})
+
+    def test_legal_budget_override_takes_effect(self, session):
+        """``kernel_cache_mb`` is a per-request budget: 0 really disables
+        the mask memo for that request, and — being mining-neutral —
+        leaves the answer alone."""
+        from repro.core.timing import KERNEL_MASK_HITS
+
+        default = CajadeSession(session.db, session.schema_graph, CONFIG)
+        with_memo = default.explain(GSW_WINS_SQL, QUESTION)
+        without = session.explain(
+            GSW_WINS_SQL, QUESTION, overrides={"kernel_cache_mb": 0.0}
+        )
+        assert with_memo.timer.counter(KERNEL_MASK_HITS) > 0
+        assert without.timer.counter(KERNEL_MASK_HITS) == 0
+        assert ranked_payload(without) == ranked_payload(with_memo)
 
     def test_bad_question_type_rejected(self):
         with pytest.raises(TypeError):
@@ -401,34 +443,3 @@ class TestExplainBatch:
         assert responses[1] is not responses[0]
         assert session.stats.requests_deduped == 0
         assert len(responses[1].explanations) <= 2
-
-
-class TestDeprecatedShim:
-    def test_explainer_warns_and_matches_session(
-        self, mini_db, mini_schema_graph
-    ):
-        from repro import CajadeExplainer
-
-        with pytest.warns(DeprecationWarning, match="CajadeSession"):
-            explainer = CajadeExplainer(mini_db, mini_schema_graph, CONFIG)
-        old = explainer.explain(GSW_WINS_SQL, QUESTION)
-        new = CajadeSession(mini_db, mini_schema_graph, CONFIG).explain(
-            GSW_WINS_SQL, QUESTION
-        )
-        assert ranked_payload(old) == ranked_payload(new)
-
-    def test_no_internal_deprecated_callers(self):
-        """repro's own modules must not construct CajadeExplainer (the
-        pyproject filter would turn their warning into an error; this
-        asserts the source level too)."""
-        import pathlib
-
-        import repro
-
-        package_root = pathlib.Path(repro.__file__).parent
-        offenders = []
-        for path in package_root.rglob("*.py"):
-            text = path.read_text()
-            if "CajadeExplainer(" in text and path.name != "explainer.py":
-                offenders.append(str(path))
-        assert not offenders

@@ -49,7 +49,7 @@ class TestProvenanceOnly:
     ):
         """The paper's motivating claim: context beats provenance alone
         when the distinguishing signal lives in another table."""
-        from repro import CajadeExplainer
+        from repro import CajadeSession
 
         config = CajadeConfig(
             max_join_edges=2,
@@ -61,7 +61,7 @@ class TestProvenanceOnly:
         prov = ProvenanceOnlyExplainer(mini_db, config).explain(
             GSW_WINS_SQL, QUESTION
         )
-        cajade = CajadeExplainer(mini_db, mini_schema_graph, config).explain(
+        cajade = CajadeSession(mini_db, mini_schema_graph, config).explain(
             GSW_WINS_SQL, QUESTION
         )
         best_prov = max(e.f_score for e in prov.explanations)

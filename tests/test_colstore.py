@@ -14,8 +14,8 @@ values are actually gathered ever load one.
 Also holds the vectorized-encoding and vectorized-aggregate parity
 properties (this PR's load-path and executor satellites):
 ``encoding_from_distinct`` must reproduce ``encode_object_column``
-exactly, and ``aggregate(..., vectorized=True)`` must match the
-retained per-group reference path byte for byte.
+exactly, and ``aggregate``'s vectorized items must match its per-group
+loop byte for byte.
 
 CI runs this file under the deterministic raised-example profile
 (``HYPOTHESIS_PROFILE=ci``), like the join-strategy oracle.
@@ -35,9 +35,9 @@ from repro.db import ColumnType, Relation, TableSchema
 from repro.db.colstore import LazyObjectColumn, open_columnar, save_columnar
 from repro.db.database import Database
 from repro.db.frame import IndexFrame
-from repro.db.join_strategy import make_join_strategy
 from repro.db.relation import encode_object_column, encoding_from_distinct
 from tests.test_engine import assert_relations_identical
+from tests.test_join_strategies import JOIN_PATHS
 
 settings.register_profile(
     "ci", settings(max_examples=200, deadline=None, derandomize=True)
@@ -181,22 +181,25 @@ class TestRoundTripParity:
         tmp = tmp_path_factory.mktemp("colstore")
         db = _database([_table("l", left_rows), _table("r", right_rows)])
         reopened = _reopened(db, tmp)
-        conditions = [("l.k", "r.k"), ("l.s", "r.s")]
-        for strategy_name in (None, "sorted-window"):
-            strategy = (
-                make_join_strategy(strategy_name) if strategy_name else None
-            )
-            eager = (
-                IndexFrame.from_relation(db.table("l"))
-                .join(db.table("r"), conditions, strategy=strategy)
-                .to_relation()
-            )
-            lazy = (
-                IndexFrame.from_relation(reopened.table("l"))
-                .join(reopened.table("r"), conditions, strategy=strategy)
-                .to_relation()
-            )
-            assert_relations_identical(eager, lazy)
+        # Two-column keys run the hash core; a one-column key with a
+        # smaller build side takes the window path.
+        for conditions in (
+            [("l.k", "r.k"), ("l.s", "r.s")], [("l.k", "r.k")], [("l.s", "r.s")]
+        ):
+            for make_path in JOIN_PATHS.values():
+                eager, _ = make_path().join_frame(
+                    IndexFrame.from_relation(db.table("l")),
+                    db.table("r"),
+                    conditions,
+                )
+                lazy, _ = make_path().join_frame(
+                    IndexFrame.from_relation(reopened.table("l")),
+                    reopened.table("r"),
+                    conditions,
+                )
+                assert_relations_identical(
+                    eager.to_relation(), lazy.to_relation()
+                )
 
     @given(rows=ROWS)
     def test_kernel_code_matrices(self, rows, tmp_path_factory):
@@ -316,15 +319,22 @@ class TestEncodingFromDistinct:
 # ----------------------------------------------------------------------
 class TestVectorizedAggregate:
     def _run(self, sql: str, db: Database):
-        from repro.db.executor import aggregate, working_table
+        """(aggregate, aggregate with every item on the per-group loop)."""
+        from unittest import mock
+
+        from repro.db import executor
         from repro.db.parser import parse_sql
 
         query = parse_sql(sql)
-        work = working_table(query, db)
-        return (
-            aggregate(query, work),
-            aggregate(query, work, vectorized=False),
-        )
+        work = executor.working_table(query, db)
+        vectorized = executor.aggregate(query, work)
+        # Declining every item sends it down the live per-item fallback:
+        # _evaluate_select_item mapped over the groups.
+        with mock.patch.object(
+            executor, "_vectorized_select_column", return_value=None
+        ):
+            looped = executor.aggregate(query, work)
+        return vectorized, looped
 
     def _db(self, rows) -> Database:
         return _database([_table("t", rows)])

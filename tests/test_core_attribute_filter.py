@@ -97,15 +97,30 @@ class TestGroupDeterminedGuard:
 
     def test_is_group_determined_helper(self):
         import numpy as np
+        from repro.core import MiningKernel
         from repro.core.attribute_filter import _is_group_determined
 
         labels = np.array([1, 1, 1, 2, 2], dtype=np.int64)
-        alias = np.array(["era1", "era1", "era1", "era2", "era2"], dtype=object)
-        varying = np.array(["a", "b", "a", "c", "c"], dtype=object)
-        shared = np.array(["x", "x", "x", "x", "x"], dtype=object)
-        assert _is_group_determined(alias, labels)
-        assert not _is_group_determined(varying, labels)
-        assert not _is_group_determined(shared, labels)  # same constant
+        columns = {
+            "alias": np.array(
+                ["era1", "era1", "era1", "era2", "era2"], dtype=object
+            ),
+            "varying": np.array(["a", "b", "a", "c", "c"], dtype=object),
+            "shared": np.array(["x", "x", "x", "x", "x"], dtype=object),
+            # An int-typed categorical has no dictionary codes and
+            # takes the per-row arm.
+            "codeless": np.array([7, 7, 7, 9, 9], dtype=np.int64),
+        }
+        kernel = MiningKernel(columns, np.arange(5), m1=3, m2=2)
+        assert kernel.match_codes("codeless") is None
+
+        def determined(name):
+            return _is_group_determined(columns[name], labels, kernel, name)
+
+        assert determined("alias")
+        assert not determined("varying")
+        assert not determined("shared")  # same constant
+        assert determined("codeless")
 
     def test_guard_drops_alias_attribute_end_to_end(self, rng):
         import numpy as np
@@ -175,20 +190,24 @@ class TestGroupDeterminedGuard:
 
 
 class TestHistForestKnob:
-    """`use_hist_forest` swaps the learner, never the answer: the
-    histogram forest is a bitwise twin of the reference forest, so the
-    selected attributes and relevance scores match exactly."""
+    """Swapping the learner never changes the answer: the histogram
+    forest is a bitwise twin of the CART oracle
+    (``tests/oracles/cart_forest.py``), so the selected attributes and
+    relevance scores match exactly."""
 
-    def _filter(self, setup, **knobs):
+    def _filter(self, setup):
         apt, evaluator = setup
-        config = CajadeConfig(num_selected_attrs=2, seed=0, **knobs)
+        config = CajadeConfig(num_selected_attrs=2, seed=0)
         return filter_attributes(
             apt, evaluator, config, np.random.default_rng(1234)
         )
 
-    def test_on_off_identical_selection(self, setup):
-        on = self._filter(setup, use_hist_forest=True)
-        off = self._filter(setup, use_hist_forest=False)
+    def test_on_off_identical_selection(self, setup, monkeypatch):
+        from tests.oracles import cart_forest
+
+        on = self._filter(setup)
+        cart_forest.swap_in(monkeypatch)
+        off = self._filter(setup)
         assert on.numeric == off.numeric
         assert on.categorical == off.categorical
         assert on.relevance == off.relevance  # exact float equality

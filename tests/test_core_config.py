@@ -75,3 +75,73 @@ class TestSelectedAttrCount:
     def test_fraction_at_least_one(self):
         config = CajadeConfig(num_selected_attrs=0.01)
         assert config.selected_attr_count(10) == 1
+
+
+class TestConfigSurface:
+    """A new field or CLI switch is a reviewed decision, not a drive-by:
+    every independent option doubles the configurations to keep
+    byte-identical."""
+
+    TABLE_1 = {
+        "max_join_edges",  # λ#edges
+        "num_selected_attrs",  # λ#sel-attr
+        "max_numeric_predicates",  # λattrNum
+        "lca_sample_rate",  # λpat-samp
+        "f1_sample_rate",  # λF1-samp
+        "recall_threshold",  # λrecall
+        "num_fragments",  # λ#frag
+        "qcost_threshold",  # λqcost
+    }
+    PAPER_TEXT = {
+        "top_k",
+        "check_pk_connectivity",
+        "correlation_threshold",
+        "rf_num_trees",
+        "rf_max_depth",
+        "rf_max_samples",
+        "lca_sample_cap",
+        "lca_pair_cap",
+        "k_cat",
+    }
+    ABLATION_ARMS = {
+        "use_feature_selection",
+        "use_recall_pruning",
+        "use_diversity",
+        "exclude_group_determined",
+    }
+    BUDGETS = {"workers", "apt_cache_mb", "kernel_cache_mb"}
+
+    def test_exact_field_set(self):
+        from dataclasses import fields
+
+        from repro.api.session import _MINING_NEUTRAL_FIELDS
+
+        names = {f.name for f in fields(CajadeConfig)}
+        expected = (
+            self.TABLE_1
+            | self.PAPER_TEXT
+            | self.ABLATION_ARMS
+            | self.BUDGETS
+            | {"seed"}
+        )
+        assert names == expected
+        assert len(names) == 25
+        # Only the budgets may leave answers alone; anything else keys
+        # the mining memo and the serving caches.
+        assert _MINING_NEUTRAL_FIELDS == self.BUDGETS
+
+    def test_cli_lists_no_strategy_switch(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["explain", "--help"])
+        text = capsys.readouterr().out
+        assert "--kernel-cache-mb" in text
+        for switch in (
+            "--no-kernel",
+            "--no-code-lca",
+            "--no-hist-forest",
+            "--no-late-mat",
+            "--join-strategy",
+        ):
+            assert switch not in text

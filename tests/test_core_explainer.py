@@ -1,10 +1,10 @@
-"""End-to-end tests for the CajadeExplainer public API."""
+"""End-to-end tests of ranked explanations through a fresh session."""
 
 import pytest
 
 from repro import (
     CajadeConfig,
-    CajadeExplainer,
+    CajadeSession,
     ComparisonQuestion,
     OutlierQuestion,
 )
@@ -13,7 +13,7 @@ from tests.conftest import GSW_WINS_SQL
 
 
 @pytest.fixture()
-def explainer(mini_db, mini_schema_graph) -> CajadeExplainer:
+def explainer(mini_db, mini_schema_graph) -> CajadeSession:
     config = CajadeConfig(
         max_join_edges=2,
         top_k=5,
@@ -22,7 +22,7 @@ def explainer(mini_db, mini_schema_graph) -> CajadeExplainer:
         num_selected_attrs=4,
         seed=1,
     )
-    return CajadeExplainer(mini_db, mini_schema_graph, config)
+    return CajadeSession(mini_db, mini_schema_graph, config)
 
 
 QUESTION = ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"})
@@ -56,7 +56,7 @@ class TestExplain:
             assert 0 <= s.covered2 <= s.total2 == 3
 
     def test_k_override(self, explainer):
-        result = explainer.explain(GSW_WINS_SQL, QUESTION, k=2)
+        result = explainer.explain(GSW_WINS_SQL, QUESTION, top_k=2)
         assert len(result.explanations) <= 2
 
     def test_timer_populated(self, explainer):
@@ -115,7 +115,7 @@ class TestExplain:
             lca_sample_rate=1.0,
             num_selected_attrs=4,
         )
-        explainer = CajadeExplainer(mini_db, mini_schema_graph, config)
+        explainer = CajadeSession(mini_db, mini_schema_graph, config)
         result = explainer.explain(GSW_WINS_SQL, QUESTION)
         for e in result.explanations:
             assert e.support.total1 == 6
@@ -129,7 +129,7 @@ class TestExplain:
 
 class TestDefaultSchemaGraph:
     def test_from_database_default(self, mini_db):
-        explainer = CajadeExplainer(
+        explainer = CajadeSession(
             mini_db,
             config=CajadeConfig(
                 max_join_edges=1, f1_sample_rate=1.0, num_selected_attrs=3

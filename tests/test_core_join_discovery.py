@@ -109,7 +109,7 @@ class TestAugmentation:
 
     def test_discovered_edges_usable_by_cajade(self, db):
         """End-to-end: a discovered join provides explanation context."""
-        from repro import CajadeConfig, CajadeExplainer, ComparisonQuestion
+        from repro import CajadeConfig, CajadeSession, ComparisonQuestion
 
         graph = SchemaGraph.from_database(db)
         augment_schema_graph(
@@ -121,7 +121,7 @@ class TestAugmentation:
             max_join_edges=1, top_k=3, f1_sample_rate=1.0,
             lca_sample_rate=1.0, num_selected_attrs=4,
         )
-        explainer = CajadeExplainer(db, graph, config)
+        explainer = CajadeSession(db, graph, config)
         result = explainer.explain(
             "SELECT located_in, COUNT(*) AS n FROM office "
             "GROUP BY located_in",

@@ -1,10 +1,11 @@
 """Property and equivalence tests for the columnar mining kernel.
 
 The contract under test: kernel scoring is *byte-identical* to the
-retained naive reference path (`QualityEvaluator.coverage_counts_reference`
-and `Pattern.match_mask`) for every pattern, including NULL/NaN rows,
+naive per-row definition (``tests/oracles/coverage.py`` and
+`Pattern.match_mask`) for every pattern, including NULL/NaN rows,
 empty patterns, sampled evaluators, incremental parent-mask reuse, and
-LRU eviction fallback.
+LRU eviction fallback — and a whole ``mine_apt`` run is unchanged when
+the coverage or LCA oracle stands in for the production layer.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from repro.core.timing import (
 from repro.db import ColumnType, ProvenanceTable, TableSchema, parse_sql
 from repro.db.relation import Relation
 from tests.conftest import GSW_WINS_SQL
+from tests.oracles import coverage as coverage_oracle
+from tests.oracles import lca as lca_oracle
 from tests.test_core_apt import star_join_graph
 
 CATEGORIES = ("red", "blue", "green", None)
@@ -154,7 +157,7 @@ class TestKernelMatchesReference:
         for raw in raw_patterns:
             pattern = safe_pattern(raw)
             assert evaluator.coverage_counts(pattern) == (
-                evaluator.coverage_counts_reference(pattern)
+                coverage_oracle.coverage_counts(evaluator, pattern)
             )
 
     @given(rows=rows_strategy, raw_patterns=patterns_strategy,
@@ -189,7 +192,7 @@ class TestKernelMatchesReference:
         for raw in raw_patterns:
             pattern = safe_pattern(raw)
             assert evaluator.coverage_counts(pattern) == (
-                evaluator.coverage_counts_reference(pattern)
+                coverage_oracle.coverage_counts(evaluator, pattern)
             )
 
     @given(rows=rows_strategy, base=predicate_strategy,
@@ -211,7 +214,7 @@ class TestKernelMatchesReference:
 
         outright = QualityEvaluator(apt, ids1, ids2)
         assert with_hint == outright.coverage_counts(child)
-        assert with_hint == outright.coverage_counts_reference(child)
+        assert with_hint == coverage_oracle.coverage_counts(outright, child)
 
     @given(rows=rows_strategy, raw_patterns=patterns_strategy,
            sides_seed=st.integers(min_value=0, max_value=7))
@@ -239,7 +242,7 @@ class TestKernelMatchesReference:
                 fresh.coverage_counts(pattern)
             )
             assert derived.coverage_counts(pattern) == (
-                derived.coverage_counts_reference(pattern)
+                coverage_oracle.coverage_counts(derived, pattern)
             )
 
     def test_source_kernel_built_on_demand(self):
@@ -262,7 +265,7 @@ class TestKernelMatchesReference:
         assert kernel._dicts["cat"] == full._kernel._dicts["cat"]
         pattern = Pattern([PatternPredicate("cat", OP_EQ, "red")])
         assert sampled.coverage_counts(pattern) == (
-            sampled.coverage_counts_reference(pattern)
+            coverage_oracle.coverage_counts(sampled, pattern)
         )
 
     @given(rows=rows_strategy,
@@ -274,7 +277,7 @@ class TestKernelMatchesReference:
         evaluator = QualityEvaluator(apt, ids1, ids2)
         empty = Pattern()
         assert evaluator.coverage_counts(empty) == (
-            evaluator.coverage_counts_reference(empty)
+            coverage_oracle.coverage_counts(evaluator, empty)
         )
         # side_labels must agree with a per-row dict lookup.
         side = {int(pid): 1 for pid in ids1.tolist()}
@@ -297,7 +300,7 @@ class TestEvictionAndCacheModes:
         for raw in raw_patterns:
             pattern = safe_pattern(raw)
             assert tiny.coverage_counts(pattern) == (
-                tiny.coverage_counts_reference(pattern)
+                coverage_oracle.coverage_counts(tiny, pattern)
             )
 
     def test_zero_budget_disables_memoization(self):
@@ -428,7 +431,8 @@ class TestKernelDirect:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: kernel on/off is byte-identical through mine_apt
+# End-to-end: mine_apt is byte-identical with an oracle standing in for
+# the kernel's scoring ("kernel off") or for the code-based LCA
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def mined_setup(mini_db):
@@ -459,45 +463,62 @@ def _fingerprint(result):
 
 
 class TestMineAptKernelEquivalence:
-    def test_kernel_on_off_identical(self, mined_setup):
+    def test_kernel_on_off_identical(self, mined_setup, monkeypatch):
         apt, resolved = mined_setup
-        on = _mine(apt, resolved, use_kernel=True)
-        off = _mine(apt, resolved, use_kernel=False)
+        on = _mine(apt, resolved)
+        coverage_oracle.swap_in(monkeypatch)
+        off = _mine(apt, resolved)
         assert _fingerprint(on) == _fingerprint(off)
         assert on.candidates_examined == off.candidates_examined
 
-    def test_code_lca_on_off_identical(self, mined_setup):
-        """The code-based LCA is an execution strategy: candidate set,
-        examined count and ranked patterns match the object-based path."""
+    def test_code_lca_on_off_identical(self, mined_setup, monkeypatch):
+        """Candidate set, examined count and ranked patterns match the
+        object loop's."""
         apt, resolved = mined_setup
-        coded = _mine(apt, resolved, use_code_lca=True)
-        objected = _mine(apt, resolved, use_code_lca=False)
+        coded = _mine(apt, resolved)
+        lca_oracle.swap_in(monkeypatch)
+        objected = _mine(apt, resolved)
         assert _fingerprint(coded) == _fingerprint(objected)
         assert coded.candidates_examined == objected.candidates_examined
 
-    def test_code_lca_identical_with_sampling(self, mined_setup):
+    def test_code_lca_identical_with_sampling(self, mined_setup, monkeypatch):
         apt, resolved = mined_setup
-        coded = _mine(
-            apt, resolved, use_code_lca=True,
-            f1_sample_rate=0.6, lca_sample_rate=0.5,
-        )
-        objected = _mine(
-            apt, resolved, use_code_lca=False,
-            f1_sample_rate=0.6, lca_sample_rate=0.5,
-        )
+        sampling = dict(f1_sample_rate=0.6, lca_sample_rate=0.5)
+        coded = _mine(apt, resolved, **sampling)
+        lca_oracle.swap_in(monkeypatch)
+        objected = _mine(apt, resolved, **sampling)
         assert _fingerprint(coded) == _fingerprint(objected)
 
-    def test_kernel_on_off_identical_with_sampling(self, mined_setup):
+    def test_kernel_on_off_identical_with_sampling(
+        self, mined_setup, monkeypatch
+    ):
         apt, resolved = mined_setup
-        on = _mine(apt, resolved, use_kernel=True, f1_sample_rate=0.6)
-        off = _mine(apt, resolved, use_kernel=False, f1_sample_rate=0.6)
+        on = _mine(apt, resolved, f1_sample_rate=0.6)
+        coverage_oracle.swap_in(monkeypatch)
+        off = _mine(apt, resolved, f1_sample_rate=0.6)
         assert _fingerprint(on) == _fingerprint(off)
 
-    def test_kernel_verify_passes(self, mined_setup):
+    def test_kernel_verify_passes(self, mined_setup, kernel_verify):
+        """Every coverage call of a mining agrees with the oracle."""
         apt, resolved = mined_setup
-        verified = _mine(apt, resolved, kernel_verify=True)
-        plain = _mine(apt, resolved)
-        assert _fingerprint(verified) == _fingerprint(plain)
+        _mine(apt, resolved)
+        _mine(apt, resolved, f1_sample_rate=0.6)
+        assert kernel_verify[0] > 0
+
+    def test_kernel_verify_qnba5(self, nba_small, kernel_verify):
+        """The same cross-check over a whole Qnba5 λ#edges 1 question:
+        every join graph's mining and the exact re-evaluation of its
+        finalists, on frame-backed APTs with gathered codes."""
+        from repro.api import CajadeSession
+        from repro.datasets import query_by_name
+
+        db, schema_graph = nba_small
+        workload = query_by_name("Qnba5")
+        response = CajadeSession(db, schema_graph).explain(
+            workload.sql, workload.question, max_join_edges=1
+        )
+        assert response.explanations
+        assert kernel_verify[0] > 100
 
     def test_tiny_mask_cache_identical(self, mined_setup):
         apt, resolved = mined_setup
@@ -529,8 +550,6 @@ class TestConfigAndCli:
         from repro.cli import build_parser, _config_from
 
         args = build_parser().parse_args(
-            ["workload", "Qnba1", "--no-kernel", "--kernel-cache-mb", "8"]
+            ["workload", "Qnba1", "--kernel-cache-mb", "8"]
         )
-        config = _config_from(args)
-        assert config.use_kernel is False
-        assert config.kernel_cache_mb == 8.0
+        assert _config_from(args).kernel_cache_mb == 8.0

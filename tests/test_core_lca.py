@@ -1,9 +1,10 @@
 """Unit tests for LCA candidate generation (§3.2).
 
-Covers the object-based reference path, the code-based path on kernel
-dictionary codes, and their equivalence: same deduplicated pattern set
-(hypothesis property, incl. NULL/NaN columns, the sampled-pair cap path
-and singleton rows) from the same rng trajectory.
+Covers the code-based generation on kernel dictionary codes and its
+equivalence with the object-loop oracle (``tests/oracles/lca.py``): same
+deduplicated pattern set (hypothesis property, incl. NULL/NaN columns,
+the sampled-pair cap path and singleton rows) from the same rng
+trajectory.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from repro.core import (
     CajadeConfig,
     MiningKernel,
     Pattern,
-    lca_candidates,
     lca_candidates_codes,
     pick_top_candidates,
 )
@@ -25,6 +25,7 @@ from repro.core.timing import (
     LCA_PATTERNS_BUILT,
     StepTimer,
 )
+from tests.oracles.lca import lca_candidates as lca_oracle
 
 
 @pytest.fixture()
@@ -44,59 +45,6 @@ def config(**kwargs) -> CajadeConfig:
     return CajadeConfig(**defaults)
 
 
-class TestLcaCandidates:
-    def test_frequent_constants_surface(self, columns, rng):
-        patterns = lca_candidates(
-            columns, ["player", "home"], config(), rng
-        )
-        descriptions = {p.describe() for p in patterns}
-        assert "player=Curry" in descriptions
-        assert "home=GSW" in descriptions
-
-    def test_pairwise_lca_agreement_only(self, columns, rng):
-        patterns = lca_candidates(columns, ["player", "home"], config(), rng)
-        combined = Pattern.from_dict(
-            {"player": (OP_EQ, "Curry"), "home": (OP_EQ, "GSW")}
-        )
-        assert combined in patterns
-
-    def test_numeric_attrs_ignored(self, columns, rng):
-        patterns = lca_candidates(
-            columns, ["player", "home", "pts"], config(), rng
-        )
-        for pattern in patterns:
-            assert "pts" not in pattern.attributes
-
-    def test_empty_without_categorical(self, columns, rng):
-        assert lca_candidates(columns, [], config(), rng) == []
-        assert lca_candidates(columns, ["missing"], config(), rng) == []
-
-    def test_no_empty_pattern(self, columns, rng):
-        patterns = lca_candidates(columns, ["player"], config(), rng)
-        assert all(p.size >= 1 for p in patterns)
-
-    def test_null_values_skipped(self, rng):
-        cols = {"a": np.array([None, None, "x"], dtype=object)}
-        patterns = lca_candidates(cols, ["a"], config(), rng)
-        assert {p.describe() for p in patterns} == {"a=x"}
-
-    def test_sample_cap_respected(self, rng):
-        n = 5000
-        cols = {"a": np.array(["v"] * n, dtype=object)}
-        cfg = config(lca_sample_rate=1.0, lca_sample_cap=50, lca_pair_cap=100)
-        patterns = lca_candidates(cols, ["a"], cfg, rng)
-        assert {p.describe() for p in patterns} == {"a=v"}
-
-    def test_deterministic_given_rng(self, columns):
-        r1 = lca_candidates(
-            columns, ["player", "home"], config(), np.random.default_rng(3)
-        )
-        r2 = lca_candidates(
-            columns, ["player", "home"], config(), np.random.default_rng(3)
-        )
-        assert r1 == r2
-
-
 def kernel_for(columns: dict) -> MiningKernel:
     """A kernel over row-aligned columns; slot layout is irrelevant to
     candidate generation."""
@@ -104,14 +52,67 @@ def kernel_for(columns: dict) -> MiningKernel:
     return MiningKernel(columns, np.arange(n), m1=n, m2=0, cache_mb=1.0)
 
 
+def candidates(columns: dict, attrs, cfg, rng):
+    return lca_candidates_codes(kernel_for(columns), attrs, cfg, rng)
+
+
+class TestLcaCandidates:
+    def test_frequent_constants_surface(self, columns, rng):
+        patterns = candidates(columns, ["player", "home"], config(), rng)
+        descriptions = {p.describe() for p in patterns}
+        assert "player=Curry" in descriptions
+        assert "home=GSW" in descriptions
+
+    def test_pairwise_lca_agreement_only(self, columns, rng):
+        patterns = candidates(columns, ["player", "home"], config(), rng)
+        combined = Pattern.from_dict(
+            {"player": (OP_EQ, "Curry"), "home": (OP_EQ, "GSW")}
+        )
+        assert combined in patterns
+
+    def test_numeric_attrs_ignored(self, columns, rng):
+        patterns = candidates(
+            columns, ["player", "home", "pts"], config(), rng
+        )
+        for pattern in patterns:
+            assert "pts" not in pattern.attributes
+
+    def test_empty_without_categorical(self, columns, rng):
+        assert candidates(columns, [], config(), rng) == []
+        assert candidates(columns, ["missing"], config(), rng) == []
+
+    def test_no_empty_pattern(self, columns, rng):
+        patterns = candidates(columns, ["player"], config(), rng)
+        assert all(p.size >= 1 for p in patterns)
+
+    def test_null_values_skipped(self, rng):
+        cols = {"a": np.array([None, None, "x"], dtype=object)}
+        patterns = candidates(cols, ["a"], config(), rng)
+        assert {p.describe() for p in patterns} == {"a=x"}
+
+    def test_sample_cap_respected(self, rng):
+        n = 5000
+        cols = {"a": np.array(["v"] * n, dtype=object)}
+        cfg = config(lca_sample_rate=1.0, lca_sample_cap=50, lca_pair_cap=100)
+        patterns = candidates(cols, ["a"], cfg, rng)
+        assert {p.describe() for p in patterns} == {"a=v"}
+
+    def test_deterministic_given_rng(self, columns):
+        r1 = candidates(
+            columns, ["player", "home"], config(), np.random.default_rng(3)
+        )
+        r2 = candidates(
+            columns, ["player", "home"], config(), np.random.default_rng(3)
+        )
+        assert r1 == r2
+
+
 def both_paths(columns, attrs, cfg, seed=9):
-    """(reference, code-based) candidate lists from identical rng state."""
-    reference = lca_candidates(
+    """(oracle, code-based) candidate lists from identical rng state."""
+    reference = lca_oracle(
         columns, attrs, cfg, np.random.default_rng(seed)
     )
-    coded = lca_candidates_codes(
-        kernel_for(columns), attrs, cfg, np.random.default_rng(seed)
-    )
+    coded = candidates(columns, attrs, cfg, np.random.default_rng(seed))
     return reference, coded
 
 
@@ -192,7 +193,7 @@ class TestCodeLcaEquivalence:
         cols = {"a": values}
         cfg = config(lca_sample_rate=1.0, lca_sample_cap=20)
         r1, r2 = np.random.default_rng(4), np.random.default_rng(4)
-        reference = lca_candidates(cols, ["a"], cfg, r1)
+        reference = lca_oracle(cols, ["a"], cfg, r1)
         coded = lca_candidates_codes(kernel_for(cols), ["a"], cfg, r2)
         assert reference == coded
         # identical post-call generator state
@@ -214,10 +215,10 @@ class TestCodeLcaEquivalence:
             timer=timer,
         )
         assert timer.counter(LCA_PAIRS_EXAMINED) == 10 * 9 // 2
-        # code path constructs Patterns only for deduplicated survivors
+        # Patterns are constructed only for deduplicated survivors
         assert timer.counter(LCA_PATTERNS_BUILT) == len(coded)
         ref_timer = StepTimer()
-        lca_candidates(
+        lca_oracle(
             columns,
             ["player", "home"],
             config(),
@@ -226,18 +227,6 @@ class TestCodeLcaEquivalence:
         )
         assert ref_timer.counter(LCA_PAIRS_EXAMINED) == 10 * 9 // 2
         assert ref_timer.counter(LCA_PATTERNS_BUILT) >= len(coded)
-
-
-class TestCodeLcaConfig:
-    def test_cli_flag(self):
-        from repro.cli import _config_from, build_parser
-
-        args = build_parser().parse_args(
-            ["workload", "Qnba1", "--no-code-lca"]
-        )
-        assert _config_from(args).use_code_lca is False
-        args = build_parser().parse_args(["workload", "Qnba1"])
-        assert _config_from(args).use_code_lca is True
 
 
 class TestPickTopCandidates:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CajadeConfig, CajadeExplainer, ComparisonQuestion
+from repro import CajadeConfig, CajadeSession, ComparisonQuestion
 from repro.core import pattern_phrase, predicate_phrase
 from repro.core.pattern import OP_EQ, OP_GE, OP_LE, PatternPredicate
 from tests.conftest import GSW_WINS_SQL
@@ -32,7 +32,7 @@ class TestSentences:
             lca_sample_rate=1.0,
             num_selected_attrs=4,
         )
-        explainer = CajadeExplainer(mini_db, mini_schema_graph, config)
+        explainer = CajadeSession(mini_db, mini_schema_graph, config)
         return explainer.explain(
             GSW_WINS_SQL,
             ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"}),

@@ -119,14 +119,14 @@ class TestCounters:
         assert "7" in text
 
     def test_explain_populates_cache_counters(self, mini_db, mini_schema_graph):
-        from repro import CajadeConfig, CajadeExplainer, ComparisonQuestion
+        from repro import CajadeConfig, CajadeSession, ComparisonQuestion
         from tests.conftest import GSW_WINS_SQL
 
         config = CajadeConfig(
             max_join_edges=2, f1_sample_rate=1.0, num_selected_attrs=3
         )
         timer = StepTimer()
-        CajadeExplainer(mini_db, mini_schema_graph, config).explain(
+        CajadeSession(mini_db, mini_schema_graph, config).explain(
             GSW_WINS_SQL,
             ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"}),
             timer=timer,
@@ -176,8 +176,7 @@ class TestCounters:
         self, mini_db, mini_schema_graph
     ):
         """The session surfaces the trie's live entry count and median
-        entry size as end-of-request StepTimer gauges, and late
-        materialization shrinks the median entry at the same budget."""
+        entry size as end-of-request StepTimer gauges."""
         from repro import CajadeConfig, ComparisonQuestion
         from repro.api import CajadeSession
         from tests.conftest import GSW_WINS_SQL
@@ -185,22 +184,15 @@ class TestCounters:
         question = ComparisonQuestion(
             {"season": "2015-16"}, {"season": "2012-13"}
         )
-        medians = {}
-        for late in (True, False):
-            config = CajadeConfig(
-                max_join_edges=2,
-                f1_sample_rate=1.0,
-                num_selected_attrs=3,
-                late_materialization=late,
-            )
-            timer = StepTimer()
-            CajadeSession(mini_db, mini_schema_graph, config).explain(
-                GSW_WINS_SQL, question, timer=timer
-            )
-            assert timer.counter(APT_CACHE_ENTRIES) > 0
-            assert timer.counter(APT_CACHE_MEDIAN_ENTRY_BYTES) > 0
-            text = timer.format_table()
-            assert APT_CACHE_ENTRIES in text
-            assert APT_CACHE_MEDIAN_ENTRY_BYTES in text
-            medians[late] = timer.counter(APT_CACHE_MEDIAN_ENTRY_BYTES)
-        assert medians[True] < medians[False]
+        config = CajadeConfig(
+            max_join_edges=2, f1_sample_rate=1.0, num_selected_attrs=3
+        )
+        timer = StepTimer()
+        CajadeSession(mini_db, mini_schema_graph, config).explain(
+            GSW_WINS_SQL, question, timer=timer
+        )
+        assert timer.counter(APT_CACHE_ENTRIES) > 0
+        assert timer.counter(APT_CACHE_MEDIAN_ENTRY_BYTES) > 0
+        text = timer.format_table()
+        assert APT_CACHE_ENTRIES in text
+        assert APT_CACHE_MEDIAN_ENTRY_BYTES in text

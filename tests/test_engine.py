@@ -7,15 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from repro import CajadeConfig, CajadeExplainer, ComparisonQuestion
-from repro.core.apt import JoinStep, build_plan, materialize_apt
+from repro import CajadeConfig, CajadeSession, ComparisonQuestion
+from repro.core.apt import JoinStep, build_plan
 from repro.core.enumeration import enumerate_join_graphs
 from repro.db import ColumnType, Relation, TableSchema
-from repro.db.executor import JoinCache, hash_join
+from repro.db.executor import hash_join
 from repro.db.parser import parse_sql
 from repro.db.provenance import ProvenanceTable
 from repro.engine import MaterializationEngine, PrefixCache, run_streaming
 from tests.conftest import GSW_WINS_SQL
+from tests.oracles.eager import eager_apt, materialize_eager
 
 QUESTION = ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"})
 
@@ -297,81 +298,6 @@ class TestHashJoinVectorized:
         assert actual == expected
 
 
-class TestJoinCache:
-    def test_memoizes_identical_inputs(self):
-        left = _relation("l", 20)
-        right = Relation.from_rows(
-            TableSchema.build("r", {"r.c0": ColumnType.INT}),
-            [(0,), (0,)],
-        )
-        cache = JoinCache()
-        first = hash_join(left, right, [("l.c0", "r.c0")], cache=cache)
-        second = hash_join(left, right, [("l.c0", "r.c0")], cache=cache)
-        assert second is first
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_distinct_conditions_not_conflated(self):
-        schema = TableSchema.build(
-            "r", {"r.c0": ColumnType.INT, "r.c1": ColumnType.INT}
-        )
-        right = Relation.from_rows(schema, [(0, 1), (1, 0)])
-        left = _relation("l", 5)
-        cache = JoinCache()
-        a = hash_join(left, right, [("l.c0", "r.c0")], cache=cache)
-        b = hash_join(left, right, [("l.c0", "r.c1")], cache=cache)
-        assert a is not b
-
-    def test_lru_bound(self):
-        cache = JoinCache(max_entries=2)
-        left = _relation("l", 3)
-        rights = [
-            Relation.from_rows(
-                TableSchema.build(f"r{i}", {f"r{i}.c0": ColumnType.INT}),
-                [(0,)],
-            )
-            for i in range(3)
-        ]
-        for i, right in enumerate(rights):
-            hash_join(left, right, [("l.c0", f"r{i}.c0")], cache=cache)
-        assert len(cache) == 2
-
-    def test_fingerprints_unique_and_stable(self):
-        a, b = _relation("a", 1), _relation("b", 1)
-        assert a.fingerprint != b.fingerprint
-        assert a.fingerprint == a.fingerprint
-
-    def test_byte_budget_enforced(self):
-        left = _relation("l", 100)
-        cache = JoinCache(max_entries=100, capacity_bytes=1)
-        result = hash_join(
-            left,
-            Relation.from_rows(
-                TableSchema.build("r", {"r.c0": ColumnType.INT}), [(0,)]
-            ),
-            [("l.c0", "r.c0")],
-            cache=cache,
-        )
-        # Result exceeds the byte budget: computed but not retained.
-        assert result.num_rows == 100
-        assert len(cache) == 0
-        assert cache.current_bytes == 0
-
-    def test_byte_budget_evicts_lru(self):
-        small = _relation("l", 10)
-        cache = JoinCache(
-            max_entries=100, capacity_bytes=3 * small.estimated_bytes
-        )
-        for i in range(4):
-            right = Relation.from_rows(
-                TableSchema.build(f"r{i}", {f"r{i}.c0": ColumnType.INT}),
-                [(0,)],
-            )
-            hash_join(small, right, [("l.c0", f"r{i}.c0")], cache=cache)
-        assert cache.current_bytes <= 3 * small.estimated_bytes
-        assert len(cache) < 4
-
-
 # ----------------------------------------------------------------------
 # Plan canonicalization (the trie ordering invariant)
 # ----------------------------------------------------------------------
@@ -421,9 +347,7 @@ class TestMaterializationEngine:
             pt, mini_db, restrict_row_ids=restrict, cache_mb=64.0
         )
         for g in graphs:
-            direct = materialize_apt(
-                g, pt, mini_db, restrict_row_ids=restrict
-            )
+            direct = eager_apt(g, pt, mini_db, restrict_row_ids=restrict)
             cached = engine.materialize(g)
             assert_relations_identical(direct.relation, cached.relation)
             assert [a.name for a in direct.attributes] == [
@@ -437,11 +361,11 @@ class TestMaterializationEngine:
             pt, mini_db, restrict_row_ids=restrict, cache_mb=0.002
         )
         for g in graphs:
-            direct = materialize_apt(
+            direct = materialize_eager(
                 g, pt, mini_db, restrict_row_ids=restrict
             )
             assert_relations_identical(
-                direct.relation, engine.materialize(g).relation
+                direct, engine.materialize(g).relation
             )
 
     def test_zero_cache_equivalent(self, mini_db):
@@ -450,25 +374,19 @@ class TestMaterializationEngine:
             pt, mini_db, restrict_row_ids=restrict, cache_mb=0.0
         )
         for g in graphs[:5]:
-            direct = materialize_apt(
+            direct = materialize_eager(
                 g, pt, mini_db, restrict_row_ids=restrict
             )
             assert_relations_identical(
-                direct.relation, engine.materialize(g).relation
+                direct, engine.materialize(g).relation
             )
-        assert engine.stats.steps_reused == 0
-
-    def test_zero_cache_disables_join_memo_too(self, mini_db):
-        """apt_cache_mb=0 must mean genuinely no caching anywhere."""
-        pt, restrict, graphs = _pipeline(mini_db)
-        engine = MaterializationEngine(
-            pt, mini_db, restrict_row_ids=restrict, cache_mb=0.0
-        )
+        # apt_cache_mb=0 must mean genuinely no caching: a repeat
+        # materialization recomputes every step.
         sized = [g for g in graphs if g.num_edges > 0][0]
         engine.materialize(sized)
         engine.materialize(sized)
         stats = engine.stats
-        assert stats.join_memo_hits == 0
+        assert stats.steps_reused == 0
         assert stats.full_hits == 0
         assert stats.cache is not None and stats.cache.insertions == 0
 
@@ -515,11 +433,11 @@ class TestMaterializationEngine:
 
         # Direct materialization agrees on every extension too.
         for g in batch:
-            direct = materialize_apt(
+            direct = materialize_eager(
                 g, pt, mini_db, restrict_row_ids=restrict
             )
             assert_relations_identical(
-                direct.relation, engine.materialize(g).relation
+                direct, engine.materialize(g).relation
             )
 
     def test_negative_cache_rejected(self, mini_db):
@@ -583,7 +501,7 @@ class TestParallel:
             seed=1,
             **overrides,
         )
-        result = CajadeExplainer(mini_db, mini_schema_graph, config).explain(
+        result = CajadeSession(mini_db, mini_schema_graph, config).explain(
             GSW_WINS_SQL, QUESTION
         )
         payload = json.loads(result.to_json())
@@ -600,18 +518,11 @@ class TestParallel:
         off = self._explain_json(mini_db, mini_schema_graph, apt_cache_mb=0.0)
         assert on == off
 
-    def test_join_memo_preserves_results(self, mini_db, mini_schema_graph):
-        memo = self._explain_json(
-            mini_db, mini_schema_graph, join_memo_entries=64
-        )
-        plain = self._explain_json(mini_db, mini_schema_graph)
-        assert memo == plain
-
     def test_explain_reports_engine_stats(self, mini_db, mini_schema_graph):
         config = CajadeConfig(
             max_join_edges=1, f1_sample_rate=1.0, num_selected_attrs=3
         )
-        result = CajadeExplainer(mini_db, mini_schema_graph, config).explain(
+        result = CajadeSession(mini_db, mini_schema_graph, config).explain(
             GSW_WINS_SQL, QUESTION
         )
         assert result.engine is not None

@@ -111,7 +111,7 @@ class TestRunUserStudy:
 
 class TestBuildStudyExplanations:
     def test_from_real_explanations(self, mini_db, mini_schema_graph):
-        from repro import CajadeConfig, CajadeExplainer, ComparisonQuestion
+        from repro import CajadeConfig, CajadeSession, ComparisonQuestion
         from repro.baselines import ProvenanceOnlyExplainer
         from repro.experiments import build_study_explanations
         from tests.conftest import GSW_WINS_SQL
@@ -126,7 +126,7 @@ class TestBuildStudyExplanations:
         prov = ProvenanceOnlyExplainer(mini_db, config).explain(
             GSW_WINS_SQL, question
         )
-        caj = CajadeExplainer(mini_db, mini_schema_graph, config).explain(
+        caj = CajadeSession(mini_db, mini_schema_graph, config).explain(
             GSW_WINS_SQL, question
         )
         study = build_study_explanations(

@@ -6,7 +6,7 @@ assert the *shape* of the paper's qualitative findings (Tables 4/6).
 
 import pytest
 
-from repro import CajadeConfig, CajadeExplainer
+from repro import CajadeConfig, CajadeSession
 from repro.datasets import query_by_name, user_study_query
 
 CONFIG = CajadeConfig(
@@ -22,7 +22,7 @@ class TestNbaIntegration:
     def test_uq1_produces_contextual_explanations(self, nba_small):
         db, sg = nba_small
         wq = user_study_query()
-        result = CajadeExplainer(db, sg, CONFIG).explain(wq.sql, wq.question)
+        result = CajadeSession(db, sg, CONFIG).explain(wq.sql, wq.question)
         assert result.explanations
         contextual = [
             e for e in result.explanations if e.join_graph.num_edges > 0
@@ -32,7 +32,7 @@ class TestNbaIntegration:
     def test_qnba1_salary_or_stats_signal(self, nba_small):
         db, sg = nba_small
         wq = query_by_name("Qnba1")
-        result = CajadeExplainer(db, sg, CONFIG).explain(wq.sql, wq.question)
+        result = CajadeSession(db, sg, CONFIG).explain(wq.sql, wq.question)
         assert result.explanations
         used = set()
         for e in result.explanations[:5]:
@@ -43,7 +43,7 @@ class TestNbaIntegration:
     def test_explanations_are_scored_and_supported(self, nba_small):
         db, sg = nba_small
         wq = query_by_name("Qnba4")
-        result = CajadeExplainer(db, sg, CONFIG).explain(wq.sql, wq.question)
+        result = CajadeSession(db, sg, CONFIG).explain(wq.sql, wq.question)
         for e in result.explanations:
             assert 0.0 < e.f_score <= 1.0
             assert e.support.covered1 <= e.support.total1
@@ -54,7 +54,7 @@ class TestMimicIntegration:
     def test_qmimic2_emergency_signal(self, mimic_small):
         db, sg = mimic_small
         wq = query_by_name("Qmimic2")
-        result = CajadeExplainer(db, sg, CONFIG).explain(wq.sql, wq.question)
+        result = CajadeSession(db, sg, CONFIG).explain(wq.sql, wq.question)
         assert result.explanations
         top_descriptions = " ".join(
             e.pattern.describe() for e in result.explanations[:5]
@@ -65,7 +65,7 @@ class TestMimicIntegration:
     def test_qmimic3_stay_length_signal(self, mimic_small):
         db, sg = mimic_small
         wq = query_by_name("Qmimic3")
-        result = CajadeExplainer(db, sg, CONFIG).explain(wq.sql, wq.question)
+        result = CajadeSession(db, sg, CONFIG).explain(wq.sql, wq.question)
         assert result.explanations
         used = set()
         for e in result.explanations[:5]:
@@ -75,7 +75,7 @@ class TestMimicIntegration:
     def test_single_table_query_still_augments(self, mimic_small):
         db, sg = mimic_small
         wq = query_by_name("Qmimic4")
-        result = CajadeExplainer(db, sg, CONFIG).explain(wq.sql, wq.question)
+        result = CajadeSession(db, sg, CONFIG).explain(wq.sql, wq.question)
         contextual = [
             e for e in result.explanations if e.join_graph.num_edges > 0
         ]
@@ -89,7 +89,7 @@ class TestCrossCutting:
 
         for wq in all_queries():
             db, sg = nba_small if wq.dataset == "nba" else mimic_small
-            result = CajadeExplainer(db, sg, fast).explain(
+            result = CajadeSession(db, sg, fast).explain(
                 wq.sql, wq.question
             )
             assert result.explanations, f"{wq.name} produced nothing"
@@ -97,8 +97,8 @@ class TestCrossCutting:
     def test_results_deterministic_across_processes(self, nba_small):
         db, sg = nba_small
         wq = query_by_name("Qnba4")
-        r1 = CajadeExplainer(db, sg, CONFIG).explain(wq.sql, wq.question)
-        r2 = CajadeExplainer(db, sg, CONFIG).explain(wq.sql, wq.question)
+        r1 = CajadeSession(db, sg, CONFIG).explain(wq.sql, wq.question)
+        r2 = CajadeSession(db, sg, CONFIG).explain(wq.sql, wq.question)
         assert [e.pattern for e in r1.explanations] == [
             e.pattern for e in r2.explanations
         ]
@@ -108,8 +108,8 @@ class TestCrossCutting:
         wq = query_by_name("Qnba4")
         tight = CONFIG.with_overrides(qcost_threshold=5000.0)
         loose = CONFIG.with_overrides(qcost_threshold=1e9)
-        r_tight = CajadeExplainer(db, sg, tight).explain(wq.sql, wq.question)
-        r_loose = CajadeExplainer(db, sg, loose).explain(wq.sql, wq.question)
+        r_tight = CajadeSession(db, sg, tight).explain(wq.sql, wq.question)
+        r_loose = CajadeSession(db, sg, loose).explain(wq.sql, wq.question)
         assert (
             r_tight.enumeration.invalid_cost
             > r_loose.enumeration.invalid_cost

@@ -1,14 +1,15 @@
-"""Differential join-testing harness for pluggable join strategies.
+"""Differential join-testing harness for the sorted-window join step.
 
-Every strategy registered in :data:`repro.db.join_strategy.JOIN_STRATEGIES`
-is tested against the ``hash`` reference (the shared
-``join_row_indices`` core) as an oracle: over generated adversarial
+:class:`~repro.db.window_join.SortedWindowStrategy` — the one executor of
+APT plan join steps, which picks per step between searchsorted windows
+and the hash core — is tested against :meth:`IndexFrame.join` (the shared
+``join_row_indices`` hash core) as an oracle: over generated adversarial
 relation pairs — NULL keys (``None`` → NaN-promoted ints), ``-1``
 sentinel keys, float NaN, empty sides, self-joins, duplicate-heavy
 domains, single-row and all-equal inputs, chained 3-way joins — the
 challenger must produce the *same row-index vectors in the same order*,
-the same schema, and byte-identical gathered relations.  New strategies
-added to the registry are picked up by the same oracle automatically.
+the same schema, and byte-identical gathered relations.  A further join
+path would be one more entry in ``CHALLENGERS``.
 
 The module also property-tests the shared :class:`SortIndex` layer
 (stability, idempotence, inheritance through rename/project/prefix,
@@ -30,17 +31,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import CajadeConfig
 from repro.db import ColumnType, Relation, TableSchema
 from repro.db.errors import ExecutionError
 from repro.db.frame import IndexFrame
-from repro.db.join_strategy import (
-    JOIN_STRATEGY_NAMES,
-    SortedWindowStrategy,
-    WindowEntry,
-    make_join_strategy,
-)
 from repro.db.relation import build_sort_index
+from repro.db.window_join import SortedWindowStrategy, WindowEntry
 from tests.test_engine import assert_relations_identical
 
 # Deterministic raised-example profile for the CI differential step;
@@ -50,8 +45,18 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-# Every registered strategy that must match the hash oracle.
-CHALLENGERS = [name for name in JOIN_STRATEGY_NAMES if name != "hash"]
+
+class HashCore:
+    """The oracle behind the challengers' ``join_frame`` signature."""
+
+    def join_frame(self, frame, context, conditions):
+        result = frame.join(context, list(conditions))
+        return result, result
+
+
+# Every join path that must match the hash oracle, by test-id name.
+CHALLENGERS = {"sorted-window": SortedWindowStrategy}
+JOIN_PATHS = {"hash": HashCore, **CHALLENGERS}
 
 # Tiny domains force duplicate-heavy keys; None exercises NULL handling
 # (INT columns with None are NaN-promoted to float64 at load); -1 is the
@@ -117,7 +122,7 @@ def assert_join_equivalent(
     result frame so callers can chain joins.
     """
     reference = frame.join(context, list(conditions))
-    strategy = make_join_strategy(strategy_name)
+    strategy = CHALLENGERS[strategy_name]()
     result, cache_value = strategy.join_frame(frame, context, list(conditions))
 
     assert result.column_names == reference.column_names
@@ -246,7 +251,7 @@ def test_chained_three_way_differential(strategy, probe, build1, build2):
         .join(b1, [("p.k1", "b1.k")])
         .join(b2, [("p.k2", "b2.k")])
     )
-    challenger = make_join_strategy(strategy)
+    challenger = CHALLENGERS[strategy]()
     step1, _ = challenger.join_frame(
         IndexFrame.from_relation(probe_rel), b1, [("p.k1", "b1.k")]
     )
@@ -289,12 +294,12 @@ def test_edge_shapes(strategy, probe, build):
     )
 
 
-@pytest.mark.parametrize("strategy", JOIN_STRATEGY_NAMES)
+@pytest.mark.parametrize("strategy", sorted(JOIN_PATHS))
 def test_error_equivalence(strategy):
-    """Both strategies raise the core's errors, same type and message."""
+    """Both join paths raise the core's errors, same type and message."""
     probe = IndexFrame.from_relation(_probe_rel([1, 2, 3]))
     build = _build_rel([1])
-    challenger = make_join_strategy(strategy)
+    challenger = JOIN_PATHS[strategy]()
     with pytest.raises(ExecutionError, match="at least one condition"):
         challenger.join_frame(probe, build, [])
     with pytest.raises(ExecutionError, match="duplicate columns"):
@@ -522,19 +527,3 @@ def test_warm_join_indexes_builds_fk_endpoints(mini_db):
                 assert mini_db.table(table).sort_index(column) is not None
     # Idempotent: a second warm-up reuses the process-shared indexes.
     assert mini_db.warm_join_indexes() == warmed
-
-
-# ----------------------------------------------------------------------
-# Config ↔ registry sync
-# ----------------------------------------------------------------------
-def test_config_accepts_every_registered_strategy():
-    for name in JOIN_STRATEGY_NAMES:
-        assert CajadeConfig(join_strategy=name).join_strategy == name
-        make_join_strategy(name)  # must not raise
-
-
-def test_unknown_strategy_rejected_everywhere():
-    with pytest.raises(ValueError, match="join.strategy|join_strategy"):
-        CajadeConfig(join_strategy="bogus")
-    with pytest.raises(ValueError, match="unknown join strategy"):
-        make_join_strategy("bogus")

@@ -1,28 +1,21 @@
-"""Golden-pin end-to-end identity for the join-strategy knob.
+"""End-to-end identity of the sorted-window join step against the hash core.
 
-The sorted-window strategy is claimed byte-identical to the hash core
-*through the whole pipeline*, not just per join step.  These tests pin
-that claim where users see it:
+``tests/test_join_strategies.py`` holds the per-step differential
+harness.  These tests pin the same claim where users see it — whole
+answers — by swapping the hash core (``IndexFrame.join``, the oracle) in
+for every plan join step and comparing with the production pipeline:
 
-- full CaJaDE ranked output across ``join_strategy`` ×
-  ``late_materialization`` × ``workers`` (one payload set, size 1);
-- the Qnba user-study workload, hash vs sorted-window;
-- the serving layer: two services differing only in the knob produce
-  the same response bytes and the same ``X-Cajade-Fingerprint``;
-- cache-key neutrality: ``mining_config_key`` and
-  ``request_cache_key`` ignore the knob, so a hash session and a
-  sorted-window session share memo/coalescing/response-cache entries;
-- the CLI flag round-trips;
-- the window counters surface in the request timer exactly when the
-  strategy is active.
+- full CaJaDE ranked output, serial and ``workers=4``;
+- the Qnba user-study workload;
+- the serving layer: same response bytes, same ``X-Cajade-Fingerprint``;
+- the window counters surface in every request's timer;
+- cache keys still split on fields that do change answers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-
-import pytest
 
 from repro import CajadeConfig, CajadeSession, ComparisonQuestion, ExplanationRequest
 from repro.api.session import mining_config_key
@@ -31,13 +24,10 @@ from repro.core.timing import (
     JOIN_SEARCHSORTED_PROBES,
     JOIN_WINDOWS_BUILT,
 )
-from repro.serving import (
-    ExplanationService,
-    InlineBackend,
-    canonical_payload,
-    request_cache_key,
-)
+from repro.db.window_join import SortedWindowStrategy
+from repro.serving import ExplanationService, InlineBackend
 from tests.conftest import GSW_WINS_SQL
+from tests.test_join_strategies import HashCore
 
 QUESTION = ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"})
 
@@ -47,6 +37,11 @@ BASE = CajadeConfig(
     f1_sample_rate=1.0,
     seed=4,
 )
+
+
+def hash_core_only(monkeypatch) -> None:
+    """Run every plan join step on the hash core, never the window path."""
+    monkeypatch.setattr(SortedWindowStrategy, "join_frame", HashCore.join_frame)
 
 
 def _ranked_payload(response) -> str:
@@ -64,126 +59,77 @@ def _payload(db, schema_graph, **overrides) -> str:
 # Full-pipeline ranked-output identity
 # ----------------------------------------------------------------------
 class TestPipelineIdentity:
-    def test_strategy_late_mat_workers_grid(self, mini_db, mini_schema_graph):
-        payloads = [
-            _payload(mini_db, mini_schema_graph, **overrides)
-            for overrides in (
-                {"join_strategy": "hash"},
-                {"join_strategy": "sorted-window"},
-                {"join_strategy": "hash", "late_materialization": False},
-                {"join_strategy": "sorted-window",
-                 "late_materialization": False},
-                {"join_strategy": "hash", "workers": 4},
-                {"join_strategy": "sorted-window", "workers": 4},
-            )
-        ]
-        assert len(set(payloads)) == 1
+    def test_strategy_late_mat_workers_grid(
+        self, mini_db, mini_schema_graph, monkeypatch
+    ):
+        grid = ({}, {"workers": 4})
+        window = [_payload(mini_db, mini_schema_graph, **o) for o in grid]
+        hash_core_only(monkeypatch)
+        hashed = [_payload(mini_db, mini_schema_graph, **o) for o in grid]
+        assert len(set(window + hashed)) == 1
 
-    def test_qnba_identity(self, nba_small):
+    def test_qnba_identity(self, nba_small, monkeypatch):
         """The Qnba user-study workload (Fig. 8's join-graph shapes)
-        ranks identically under both strategies."""
+        ranks identically with and without the window path."""
         from repro.datasets import user_study_query
 
         db, schema_graph = nba_small
         workload = user_study_query()
-        base = CajadeConfig(
+        config = CajadeConfig(
             max_join_edges=1,
             num_selected_attrs=3,
             f1_sample_rate=0.3,
             seed=2,
         )
-        payloads = []
-        for strategy in ("hash", "sorted-window"):
-            session = CajadeSession(
-                db,
-                schema_graph,
-                base.with_overrides(join_strategy=strategy),
+
+        def payload() -> str:
+            session = CajadeSession(db, schema_graph, config)
+            return _ranked_payload(
+                session.explain(workload.sql, workload.question)
             )
-            response = session.explain(workload.sql, workload.question)
-            payloads.append(_ranked_payload(response))
-        assert payloads[0] == payloads[1]
+
+        window = payload()
+        hash_core_only(monkeypatch)
+        assert window == payload()
 
     def test_window_counters_surface_when_active(
-        self, mini_db, mini_schema_graph
+        self, mini_db, mini_schema_graph, monkeypatch
     ):
-        session = CajadeSession(
-            mini_db,
-            mini_schema_graph,
-            BASE.with_overrides(join_strategy="sorted-window"),
-        )
+        session = CajadeSession(mini_db, mini_schema_graph, BASE)
         response = session.explain(GSW_WINS_SQL, QUESTION)
         counters = response.timer.counters()
         assert counters.get(JOIN_WINDOWS_BUILT, 0) > 0
         assert counters.get(JOIN_SEARCHSORTED_PROBES, 0) > 0
         assert JOIN_PERMUTATION_REUSES in counters
 
-        hash_session = CajadeSession(
-            mini_db,
-            mini_schema_graph,
-            BASE.with_overrides(join_strategy="hash"),
-        )
+        hash_core_only(monkeypatch)
+        hash_session = CajadeSession(mini_db, mini_schema_graph, BASE)
         hash_response = hash_session.explain(GSW_WINS_SQL, QUESTION)
-        assert JOIN_WINDOWS_BUILT not in hash_response.timer.counters()
+        assert hash_response.timer.counter(JOIN_WINDOWS_BUILT) == 0
 
 
 # ----------------------------------------------------------------------
-# Serving-layer identity and cache-key neutrality
+# Serving-layer identity
 # ----------------------------------------------------------------------
 class TestServingIdentity:
-    def test_same_payload_and_fingerprint(self, mini_db, mini_schema_graph):
-        async def serve(strategy: str):
-            backend = InlineBackend(
-                mini_db,
-                mini_schema_graph,
-                BASE.with_overrides(join_strategy=strategy),
-            )
+    def test_same_payload_and_fingerprint(
+        self, mini_db, mini_schema_graph, monkeypatch
+    ):
+        async def serve():
+            backend = InlineBackend(mini_db, mini_schema_graph, BASE)
             async with ExplanationService(backend) as service:
                 return await service.submit(
                     ExplanationRequest(GSW_WINS_SQL, QUESTION)
                 )
 
-        hash_response = asyncio.run(serve("hash"))
-        window_response = asyncio.run(serve("sorted-window"))
+        window_response = asyncio.run(serve())
+        hash_core_only(monkeypatch)
+        hash_response = asyncio.run(serve())
         assert hash_response.payload == window_response.payload
         assert hash_response.fingerprint == window_response.fingerprint
-
-    def test_cache_keys_are_strategy_neutral(self):
-        hash_config = BASE.with_overrides(join_strategy="hash")
-        window_config = BASE.with_overrides(join_strategy="sorted-window")
-        assert mining_config_key(hash_config) == mining_config_key(
-            window_config
-        )
-        request = ExplanationRequest(GSW_WINS_SQL, QUESTION)
-        assert request_cache_key(request, hash_config) == request_cache_key(
-            request, window_config
-        )
 
     def test_non_neutral_field_still_splits_keys(self):
         """Sanity guard: neutrality is per-field, not a broken key."""
         assert mining_config_key(BASE) != mining_config_key(
             BASE.with_overrides(seed=BASE.seed + 1)
         )
-
-
-# ----------------------------------------------------------------------
-# CLI round trip
-# ----------------------------------------------------------------------
-class TestCli:
-    def test_join_strategy_flag_round_trip(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["workload", "Qnba1", "--join-strategy", "hash"]
-        )
-        assert args.join_strategy == "hash"
-        args = build_parser().parse_args(["workload", "Qnba1"])
-        assert args.join_strategy == "sorted-window"
-
-    def test_unknown_strategy_rejected(self, capsys):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["workload", "Qnba1", "--join-strategy", "merge"]
-            )
-        assert "invalid choice" in capsys.readouterr().err

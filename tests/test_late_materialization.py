@@ -1,15 +1,20 @@
 """Late-materialized storage engine: byte-identity and cache-shape tests.
 
-Covers the ISSUE-5 guarantees:
+The index-vector pipeline is the only one in ``src/``; the eager
+column-copying pipeline it must equal lives in ``tests/oracles/eager.py``.
+Covered:
 
 - index-vector joins ≡ eager joins (hypothesis: NULL join keys, empty
   results, self-joins, multi-column keys);
+- the working table ≡ σ(R_1 × … × R_p), engine and direct APTs ≡ the
+  eager plan execution;
 - gather-built kernel codes ≡ per-APT re-encoded codes (masks,
   coverage, ml codes);
-- full-pipeline byte-identity with ``late_materialization`` on/off,
-  serial and ``workers=4`` (including λF1-samp sampled evaluation);
-- the trie caches index-vector frames whose median entry size is
-  smaller than the eager relations at the same ``apt_cache_mb``;
+- full-pipeline byte-identity between sessions on frame-backed APTs and
+  on the oracle's relation-backed APTs, serial and ``workers=4``
+  (including λF1-samp sampled evaluation);
+- the trie caches index-vector frames smaller than the relations they
+  stand for;
 - vectorized ``Relation.distinct`` / primary-key duplicate detection /
   ``row_ids_excluding`` match their per-row reference semantics.
 """
@@ -36,7 +41,17 @@ from repro.db.frame import IndexFrame
 from repro.db.parser import parse_sql
 from repro.db.provenance import ProvenanceTable
 from repro.engine import MaterializationEngine
+
+PLAYER_POINTS_SQL = (
+    "SELECT p.player_name, g.season, SUM(pg.pts) AS pts "
+    "FROM player p, player_game pg, game g "
+    "WHERE p.player_id = pg.player_id AND pg.year = g.year "
+    "AND pg.gameno = g.gameno AND g.winner = 'GSW' "
+    "GROUP BY p.player_name, g.season"
+)
 from tests.conftest import GSW_WINS_SQL
+from tests.oracles import coverage as coverage_oracle
+from tests.oracles import eager
 from tests.test_engine import assert_relations_identical
 
 
@@ -194,43 +209,57 @@ def _pipeline(mini_db):
     return pt, graphs
 
 
+def _sorted_rows(relation: Relation) -> list[tuple]:
+    return sorted(relation.iter_rows(), key=repr)
+
+
 class TestWorkingTableLateMaterialization:
     def test_working_table_modes_identical(self, mini_db):
+        """The planned index-vector pipeline yields exactly the rows of
+        the definition, σ_WHERE(R_1 × … × R_p) (row order is the
+        plan's, so rows compare as multisets)."""
         from repro.db.executor import working_table
 
-        query = parse_sql(GSW_WINS_SQL)
-        late = working_table(query, mini_db, late_materialization=True)
-        eager = working_table(query, mini_db, late_materialization=False)
-        assert_relations_identical(late, eager)
-        assert late.schema.name == eager.schema.name == "working"
+        for sql in (GSW_WINS_SQL, PLAYER_POINTS_SQL):
+            query = parse_sql(sql)
+            late = working_table(query, mini_db)
+            defined = eager.provenance_by_definition(query, mini_db)
+            assert late.schema.name == "working"
+            assert sorted(late.column_names) == sorted(defined.column_names)
+            defined = defined.project(late.column_names)
+            assert _sorted_rows(late) == _sorted_rows(defined)
 
     def test_provenance_modes_identical(self, mini_db):
-        query = parse_sql(GSW_WINS_SQL)
-        late = ProvenanceTable.compute(
-            query, mini_db, late_materialization=True
+        """PT(Q, D) partitions the definition's rows: same group keys,
+        same provenance per output tuple, one result row per group."""
+        query = parse_sql(PLAYER_POINTS_SQL)
+        pt = ProvenanceTable.compute(query, mini_db)
+        data = pt.relation.project(pt.data_columns)
+        defined = eager.provenance_by_definition(query, mini_db).project(
+            pt.data_columns
         )
-        eager = ProvenanceTable.compute(
-            query, mini_db, late_materialization=False
+        positions = [data.column_names.index(c) for c in pt.group_columns]
+        by_key: dict[tuple, list[tuple]] = {}
+        for row in defined.iter_rows():
+            by_key.setdefault(tuple(row[p] for p in positions), []).append(row)
+        assert set(by_key) == set(pt.groups)
+        for key, indices in pt.groups.items():
+            assert _sorted_rows(data.take(indices)) == sorted(
+                by_key[key], key=repr
+            )
+        assert pt.result.num_rows == len(by_key)
+        assert np.array_equal(
+            pt.relation.column("__pt_row_id"), np.arange(data.num_rows)
         )
-        assert_relations_identical(late.relation, eager.relation)
-        assert list(late.groups) == list(eager.groups)
-        for key in late.groups:
-            assert np.array_equal(late.groups[key], eager.groups[key])
-        assert_relations_identical(late.result, eager.result)
 
 
 class TestEngineLateMaterialization:
     def test_late_engine_matches_eager_engine(self, mini_db):
         pt, graphs = _pipeline(mini_db)
-        late = MaterializationEngine(
-            pt, mini_db, late_materialization=True
-        )
-        eager = MaterializationEngine(
-            pt, mini_db, late_materialization=False
-        )
+        late = MaterializationEngine(pt, mini_db)
         for graph in graphs:
             a = late.materialize(graph)
-            b = eager.materialize(graph)
+            b = eager.eager_apt(graph, pt, mini_db)
             assert a.frame is not None
             assert b.frame is None
             assert np.array_equal(a.pt_row_ids, b.pt_row_ids)
@@ -249,35 +278,37 @@ class TestEngineLateMaterialization:
             assert_relations_identical(direct.relation, cached.relation)
 
     def test_direct_materialize_apt_late_flag(self, mini_db):
+        """``materialize_apt`` is frame-backed and ≡ the eager plan."""
         pt, graphs = _pipeline(mini_db)
         for graph in graphs:
-            eager = materialize_apt(graph, pt, mini_db)
-            late = materialize_apt(
-                graph, pt, mini_db, late_materialization=True
-            )
+            late = materialize_apt(graph, pt, mini_db)
             assert late.frame is not None
-            assert_relations_identical(eager.relation, late.relation)
+            assert_relations_identical(
+                eager.materialize_eager(graph, pt, mini_db), late.relation
+            )
 
     def test_trie_caches_frames_with_smaller_entries(self, mini_db):
+        from repro.db.window_join import WindowEntry
+
         pt, graphs = _pipeline(mini_db)
         joined = [g for g in graphs if build_plan(g, pt).joins]
         assert joined, "fixture should enumerate joined graphs"
-        late = MaterializationEngine(pt, mini_db, late_materialization=True)
-        eager = MaterializationEngine(
-            pt, mini_db, late_materialization=False
-        )
+        late = MaterializationEngine(pt, mini_db)
         for graph in joined:
             late.materialize(graph)
-            eager.materialize(graph)
+        eager_bytes = sorted(
+            eager.materialize_eager(g, pt, mini_db).estimated_bytes
+            for g in joined
+        )
         late_stats = late.stats.cache
-        eager_stats = eager.stats.cache
-        assert late_stats.entries == eager_stats.entries > 0
-        assert late_stats.median_entry_bytes < eager_stats.median_entry_bytes
-        assert late._cache is not None
+        assert late_stats.entries > 0
+        assert late_stats.median_entry_bytes < eager_bytes[0]
         cached_values = [
             entry for entry, _, _ in late._cache._entries.values()
         ]
-        assert all(isinstance(v, IndexFrame) for v in cached_values)
+        assert all(
+            isinstance(v, (IndexFrame, WindowEntry)) for v in cached_values
+        )
 
     def test_restriction_namespacing_still_holds(self, mini_db):
         pt, graphs = _pipeline(mini_db)
@@ -287,10 +318,10 @@ class TestEngineLateMaterialization:
         for graph in graphs[:4]:
             unrestricted = engine.materialize(graph, restrict_row_ids=None)
             restricted = engine.materialize(graph, restrict_row_ids=half)
-            direct = materialize_apt(
+            direct = eager.materialize_eager(
                 graph, pt, mini_db, restrict_row_ids=half
             )
-            assert_relations_identical(restricted.relation, direct.relation)
+            assert_relations_identical(restricted.relation, direct)
             assert unrestricted.num_rows >= restricted.num_rows
 
 
@@ -302,10 +333,8 @@ class TestKernelCodeGathering:
         pt, graphs = _pipeline(mini_db)
         joined = [g for g in graphs if build_plan(g, pt).joins]
         graph = joined[0]
-        late_apt = materialize_apt(
-            graph, pt, mini_db, late_materialization=True
-        )
-        eager_apt = materialize_apt(graph, pt, mini_db)
+        late_apt = materialize_apt(graph, pt, mini_db)
+        eager_apt = eager.eager_apt(graph, pt, mini_db)
         ids = pt.relation.column("__pt_row_id")
         ids1, ids2 = ids[: len(ids) // 2], ids[len(ids) // 2 :]
         rng1 = np.random.default_rng(3)
@@ -377,21 +406,17 @@ class TestKernelCodeGathering:
         assert (
             late_eval.coverage_counts(pattern)
             == eager_eval.coverage_counts(pattern)
-            == late_eval.coverage_counts_reference(pattern)
+            == coverage_oracle.coverage_counts(late_eval, pattern)
         )
 
-    def test_verify_kernel_passes_on_late_apts(self, mini_db):
+    def test_verify_kernel_passes_on_late_apts(self, mini_db, kernel_verify):
         pt, graphs = _pipeline(mini_db)
         joined = [g for g in graphs if build_plan(g, pt).joins]
-        apt = materialize_apt(
-            joined[0], pt, mini_db, late_materialization=True
-        )
+        apt = materialize_apt(joined[0], pt, mini_db)
+        assert apt.frame is not None
         ids = pt.relation.column("__pt_row_id")
         evaluator = QualityEvaluator(
-            apt,
-            ids[: len(ids) // 2],
-            ids[len(ids) // 2 :],
-            verify_kernel=True,
+            apt, ids[: len(ids) // 2], ids[len(ids) // 2 :]
         )
         name = next(
             a.name for a in apt.attributes if not a.is_numeric
@@ -403,10 +428,12 @@ class TestKernelCodeGathering:
         )
         pattern = Pattern([PatternPredicate(name, OP_EQ, value)])
         evaluator.coverage_counts(pattern)  # raises on any mismatch
+        assert kernel_verify[0] == 1
 
 
 # ----------------------------------------------------------------------
-# Full-pipeline byte-identity (knob on/off, serial and workers=4)
+# Full-pipeline byte-identity (frame-backed vs the oracle's relation-backed
+# APTs, serial and workers=4)
 # ----------------------------------------------------------------------
 def _ranked_payload(response) -> str:
     payload = json.loads(response.to_json())
@@ -417,7 +444,7 @@ def _ranked_payload(response) -> str:
 class TestFullPipelineByteIdentity:
     @pytest.mark.parametrize("f1_sample_rate", [1.0, 0.5])
     def test_knob_and_workers_identity(
-        self, mini_db, mini_schema_graph, f1_sample_rate
+        self, mini_db, mini_schema_graph, f1_sample_rate, monkeypatch
     ):
         from repro.api import CajadeSession
         from repro.core.question import ComparisonQuestion
@@ -431,55 +458,47 @@ class TestFullPipelineByteIdentity:
             f1_sample_rate=f1_sample_rate,
             seed=4,
         )
-        payloads = []
-        for overrides in (
-            {},
-            {"late_materialization": False},
-            {"workers": 4},
-            {"late_materialization": False, "workers": 4},
-        ):
-            session = CajadeSession(
-                mini_db, mini_schema_graph, base.with_overrides(**overrides)
-            )
-            response = session.explain(GSW_WINS_SQL, question)
-            payloads.append(_ranked_payload(response))
-        assert len(set(payloads)) == 1
 
-    def test_qnba_sampled_evaluator_identity(self, nba_small):
+        def payloads() -> list[str]:
+            return [
+                _ranked_payload(
+                    CajadeSession(
+                        mini_db, mini_schema_graph, base
+                    ).explain(GSW_WINS_SQL, question, workers=workers)
+                )
+                for workers in (1, 4)
+            ]
+
+        late = payloads()
+        eager.swap_in(monkeypatch)
+        assert len(set(late + payloads())) == 1
+
+    def test_qnba_sampled_evaluator_identity(self, nba_small, monkeypatch):
         """λF1-samp universe construction stays vectorized: on the Qnba
         workload the sampled-evaluator output (and therefore the ranked
-        explanations) is identical with late materialization on and off."""
+        explanations) is identical on frame-backed APTs and on the
+        oracle's relation-backed ones."""
         from repro.api import CajadeSession
         from repro.datasets import user_study_query
 
         db, schema_graph = nba_small
         workload = user_study_query()
-        base = CajadeConfig(
+        config = CajadeConfig(
             max_join_edges=1,
             num_selected_attrs=3,
             f1_sample_rate=0.3,
             seed=2,
         )
-        payloads = []
-        for late in (True, False):
-            session = CajadeSession(
-                db,
-                schema_graph,
-                base.with_overrides(late_materialization=late),
+
+        def payload() -> str:
+            session = CajadeSession(db, schema_graph, config)
+            return _ranked_payload(
+                session.explain(workload.sql, workload.question)
             )
-            response = session.explain(workload.sql, workload.question)
-            payloads.append(_ranked_payload(response))
-        assert payloads[0] == payloads[1]
 
-    def test_cli_flag_round_trip(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["workload", "Qnba1", "--no-late-mat"]
-        )
-        assert args.no_late_mat is True
-        args = build_parser().parse_args(["workload", "Qnba1"])
-        assert args.no_late_mat is False
+        late = payload()
+        eager.swap_in(monkeypatch)
+        assert late == payload()
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Unit tests for the CART decision tree."""
+"""Unit tests for the CART decision tree (the §3.1 forest oracle's tree)."""
 
 import numpy as np
 import pytest
 
-from repro.ml import DecisionTreeClassifier, gini_impurity
+from repro.ml import gini_impurity
+from tests.oracles.cart_forest import DecisionTreeClassifier
 
 
 class TestGini:

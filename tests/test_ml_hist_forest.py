@@ -1,7 +1,8 @@
 """Exact-twin tests for the histogram frontier-at-a-time forest.
 
 ``HistRandomForestClassifier`` promises **bit-identical** results to the
-reference ``RandomForestClassifier`` when the reference examines every
+reference ``RandomForestClassifier`` (the per-node CART oracle in
+``tests/oracles/cart_forest.py``) when the reference examines every
 feature at every split (``max_features = n_features``): same bootstrap
 draws, same trees, same thresholds, same predictions, same importances.
 These tests hold the twin to that promise on adversarial inputs — NULL
@@ -15,12 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import (
-    HistRandomForestClassifier,
-    RandomForestClassifier,
-    apply_bins,
-    bin_matrix,
-)
+from repro.ml import HistRandomForestClassifier, apply_bins, bin_matrix
+from tests.oracles.cart_forest import RandomForestClassifier
 
 FOREST_PARAMS = dict(n_estimators=4, max_depth=4, max_samples=64)
 

@@ -1,9 +1,9 @@
-"""Unit tests for the random forest."""
+"""Unit tests for the CART random forest (the §3.1 forest oracle)."""
 
 import numpy as np
 import pytest
 
-from repro.ml import RandomForestClassifier
+from tests.oracles.cart_forest import RandomForestClassifier
 
 
 class TestRandomForest:

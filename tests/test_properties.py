@@ -195,9 +195,9 @@ class TestJoinProperties:
             ),
             rows,
         )
-        from repro.db.executor import _group_indices
+        from repro.db.executor import group_indices
 
-        groups = _group_indices(relation, ["grp"])
+        groups = group_indices(relation, ["grp"])
         assert sum(len(v) for v in groups.values()) == len(rows)
         all_indices = sorted(
             i for v in groups.values() for i in v.tolist()

@@ -826,6 +826,28 @@ class TestRequestFromJson:
         assert request_cache_key(r1, base) != request_cache_key(r3, base)
 
 
+async def http_request(port, method, path, payload=b""):
+    """One HTTP/1.1 exchange: (status line, lower-cased headers, body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        "Connection: close\r\n\r\n"
+    )
+    writer.write(head.encode() + payload)
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    header_blob, _, response_body = raw.partition(b"\r\n\r\n")
+    status = header_blob.split(b"\r\n")[0].decode()
+    headers = {}
+    for line in header_blob.split(b"\r\n")[1:]:
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, response_body
+
+
 class TestHttp:
     def test_explain_and_stats_over_http(self, mini_db, mini_schema_graph):
         expected = serial_payload(mini_db, mini_schema_graph)
@@ -838,26 +860,6 @@ class TestHttp:
                 },
             }
         ).encode()
-
-        async def http_request(port, method, path, payload=b""):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            head = (
-                f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode() + payload)
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            header_blob, _, response_body = raw.partition(b"\r\n\r\n")
-            status = header_blob.split(b"\r\n")[0].decode()
-            headers = {}
-            for line in header_blob.split(b"\r\n")[1:]:
-                name, _, value = line.decode().partition(":")
-                headers[name.strip().lower()] = value.strip()
-            return status, headers, response_body
 
         async def main():
             backend = InlineBackend(mini_db, mini_schema_graph, CONFIG)
@@ -894,34 +896,87 @@ class TestHttp:
         assert bad_body["status"] == 400
         assert bad_body["retryable"] is False
 
+    def test_removed_toggles_and_bad_overrides_get_400(
+        self, mini_db, mini_schema_graph
+    ):
+        """A body naming a removed strategy toggle, an unknown field, a
+        session-level budget, or carrying a non-object ``overrides`` is
+        answered with a structured 400 — never a traceback, a 500, a
+        hung ticket, or a silently different execution path."""
+        body = {
+            "sql": GSW_WINS_SQL,
+            "question": {
+                "primary": {"season": "2015-16"},
+                "secondary": {"season": "2012-13"},
+            },
+        }
+        bad_overrides = [
+            {"use_kernel": False},
+            {"kernel_verify": True},
+            {"use_code_lca": False},
+            {"use_hist_forest": False},
+            {"late_materialization": False},
+            {"join_strategy": "hash"},
+            {"join_memo_entries": 64},
+            {"not_a_knob": 1},
+            {"apt_cache_mb": 0.0},
+            [["top_k", 3]],
+            "use_kernel",
+            7,
+            None,
+        ]
+
+        async def main():
+            backend = InlineBackend(mini_db, mini_schema_graph, CONFIG)
+            async with ExplanationService(backend) as service:
+                server = await serve_http(service, port=0)
+                port = server.sockets[0].getsockname()[1]
+                try:
+                    replies = [
+                        await asyncio.wait_for(
+                            http_request(
+                                port,
+                                "POST",
+                                "/explain",
+                                json.dumps(
+                                    {**body, "overrides": overrides}
+                                ).encode(),
+                            ),
+                            timeout=10,
+                        )
+                        for overrides in bad_overrides
+                    ]
+                    legal = await http_request(
+                        port,
+                        "POST",
+                        "/explain",
+                        json.dumps(
+                            {**body, "overrides": {"kernel_cache_mb": 8}}
+                        ).encode(),
+                    )
+                finally:
+                    server.close()
+                    await server.wait_closed()
+                return replies, legal, service.stats.snapshot()
+
+        replies, legal, snapshot = asyncio.run(main())
+        for overrides, (status, _headers, raw) in zip(bad_overrides, replies):
+            assert status.startswith("HTTP/1.1 400"), (overrides, status)
+            reply = json.loads(raw)
+            assert reply["kind"] == "bad-request"
+            assert reply["status"] == 400
+            assert reply["retryable"] is False
+            assert "Traceback" not in reply["error"]
+        # None of the rejected bodies was admitted; the legal one ran.
+        assert legal[0].startswith("HTTP/1.1 200")
+        assert snapshot["requests"] == 1
+
     def test_error_statuses_and_bodies_are_structured(
         self, mini_db, mini_schema_graph
     ):
         """504 on deadline, 503 on quarantine (error mode), all with
         machine-readable bodies and the fingerprint header when the
         request parsed far enough to have one."""
-
-        async def http_request(port, method, path, payload=b""):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", port
-            )
-            head = (
-                f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode() + payload)
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            header_blob, _, response_body = raw.partition(b"\r\n\r\n")
-            status = header_blob.split(b"\r\n")[0].decode()
-            headers = {}
-            for line in header_blob.split(b"\r\n")[1:]:
-                name, _, value = line.decode().partition(":")
-                headers[name.strip().lower()] = value.strip()
-            return status, headers, response_body
 
         body = {
             "sql": GSW_WINS_SQL,
