@@ -45,14 +45,15 @@ from typing import Any, Iterable
 import numpy as np
 
 from ..core.apt import AugmentedProvenanceTable
+from ..core.attribute_filter import SelectionMemo
 from ..core.config import CajadeConfig
 from ..core.diversity import select_diverse_top_k
 from ..core.enumeration import EnumerationStats, enumerate_join_graphs
 from ..core.explainer import Explanation
 from ..core.join_graph import JoinGraph
-from ..core.mining import MinedPattern, mine_apt
+from ..core.mining import MinedPattern, MiningResult, mine_apt
 from ..core.pattern import Pattern
-from ..core.quality import PatternSupport, QualityEvaluator, QualityStats
+from ..core.quality import PatternSupport, QualityStats
 from ..core.question import (
     ComparisonQuestion,
     OutlierQuestion,
@@ -473,13 +474,17 @@ class CajadeSession:
                 else:
                     memo[index] = None
 
+        # §3.1 once per distinct input: this question's graphs (and the
+        # pool's threads) share one memo, garbage when it returns.
+        selection = SelectionMemo()
+
         def _mine_one(index: int, apt: AugmentedProvenanceTable) -> StepTimer:
             local_timer = StepTimer()
             rng = graph_rng(config.seed, index)
-            mining = mine_apt(apt, resolved, config, rng, timer=local_timer)
-            memo[index] = _exact_stats(
-                apt, resolved, mining.patterns, config, rng
+            mining = mine_apt(
+                apt, resolved, config, rng, timer=local_timer, memo=selection
             )
+            memo[index] = _exact_stats(resolved, mining)
             return local_timer
 
         timers = run_streaming(
@@ -661,54 +666,24 @@ class QuestionBuilder:
 
 
 def _exact_stats(
-    apt: AugmentedProvenanceTable,
-    resolved: ResolvedQuestion,
-    mined: list[MinedPattern],
-    config: CajadeConfig,
-    rng: np.random.Generator,
+    resolved: ResolvedQuestion, mining: MiningResult
 ) -> list[tuple[MinedPattern, QualityStats, PatternSupport]]:
     """Re-evaluate a join graph's finalists exactly (no sampling).
 
     Mining may run on a λF1-samp sample; the reported supports
-    (c1, a1), (c2, a2) and scores of returned explanations are exact.
+    (c1, a1), (c2, a2) and scores of returned explanations are exact —
+    read off the exact evaluator mining built for candidate generation.
     """
-    if not mined:
-        return []
-    if config.f1_sample_rate >= 1.0:
-        evaluator = None
-    else:
-        evaluator = QualityEvaluator(
-            apt,
-            resolved.row_ids1,
-            resolved.row_ids2,
-            sample_rate=1.0,
-            rng=rng,
-            kernel_cache_mb=config.kernel_cache_mb,
-        )
+    evaluator = mining.full_evaluator
     results = []
-    for entry in mined:
-        if evaluator is None:
-            stats = entry.stats
-            support = PatternSupport(
-                covered1=entry.stats.tp
-                if entry.primary == 1
-                else entry.stats.fp,
-                total1=len(resolved.row_ids1),
-                covered2=entry.stats.fp
-                if entry.primary == 1
-                else entry.stats.tp,
-                total2=len(resolved.row_ids2),
-            )
-        else:
-            cov1, cov2 = evaluator.coverage_counts(entry.pattern)
-            stats = evaluator.stats_from_counts(
-                cov1, cov2, primary=entry.primary
-            )
-            support = PatternSupport(
-                covered1=cov1,
-                total1=len(resolved.row_ids1),
-                covered2=cov2,
-                total2=len(resolved.row_ids2),
-            )
+    for entry in mining.patterns:
+        cov1, cov2 = evaluator.coverage_counts(entry.pattern)
+        stats = evaluator.stats_from_counts(cov1, cov2, primary=entry.primary)
+        support = PatternSupport(
+            covered1=cov1,
+            total1=len(resolved.row_ids1),
+            covered2=cov2,
+            total2=len(resolved.row_ids2),
+        )
         results.append((entry, stats, support))
     return results

@@ -9,12 +9,19 @@
    representative per cluster, removing redundant near-duplicates such as
    an id column and its name column.
 3. Split survivors into numeric and categorical sets for the mining phases.
+
+Most join graphs of one question hand steps 1 and 2 content-identical
+inputs under different names (the same context table hangs off every PT
+alias); a :class:`SelectionMemo` shared by the graphs of a question
+computes each distinct input once.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -25,6 +32,10 @@ from .apt import AugmentedProvenanceTable
 from .config import CajadeConfig
 from .quality import QualityEvaluator
 from .timing import (
+    ASSOCIATION_MEMO_HITS,
+    ASSOCIATION_PAIRS_COMPUTED,
+    FOREST_FITS_RUN,
+    FOREST_MEMO_HITS,
     HIST_HISTOGRAMS_BUILT,
     HIST_NODES_GROWN,
     HIST_SPLITS_EVALUATED,
@@ -64,6 +75,56 @@ class _NamedView(Mapping):
 
 
 @dataclass
+class SelectionMemo:
+    """§3.1 values of one question, addressed by the content of their inputs.
+
+    ``relevance``: digest of everything the forest fit reads → its
+    (read-only) importances; ``association``: ordered pair of code-array
+    digests → their Cramér's V.  Values are pure functions of what the
+    key digests, so a hit is the bytes a miss computes and worker
+    threads share one memo without a lock (a racing double miss stores
+    the same value twice).  Its lifetime is its bound: one per question.
+    """
+
+    relevance: dict[bytes, np.ndarray] = field(default_factory=dict)
+    association: dict[tuple, float] = field(default_factory=dict)
+
+
+class _CountedPairs:
+    """One graph's view of the pair memo with its own hit/store counts
+    (counting on the shared memo would race across workers)."""
+
+    def __init__(self, pairs: dict[tuple, float]):
+        self._pairs = pairs
+        self.hits = 0
+        self.computed = 0
+
+    def get(self, key: tuple) -> float | None:
+        value = self._pairs.get(key)
+        self.hits += value is not None
+        return value
+
+    def __setitem__(self, key: tuple, value: float) -> None:
+        self._pairs[key] = value
+        self.computed += 1
+
+
+def _digest(*parts: object) -> bytes:
+    """A 128-bit content address: arrays by dtype, shape and bytes (equal
+    bytes under another shape are another input), the rest by ``repr``.
+    ``blake2b``, never ``hash()`` — keys must not follow PYTHONHASHSEED.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            digest.update(repr((part.dtype.str, part.shape)).encode())
+            digest.update(np.ascontiguousarray(part))
+        else:
+            digest.update(repr(part).encode())
+    return digest.digest()
+
+
+@dataclass
 class FilteredAttributes:
     """Result of the §3.1 preprocessing step."""
 
@@ -83,6 +144,7 @@ def filter_attributes(
     config: CajadeConfig,
     rng: np.random.Generator,
     timer: StepTimer | None = None,
+    memo: SelectionMemo | None = None,
 ) -> FilteredAttributes:
     """Run clustering + random-forest relevance selection on an APT.
 
@@ -90,8 +152,12 @@ def filter_attributes(
     pass through untouched (the paper's "Naive" arm of Figure 7).
 
     ``timer`` (optional) accumulates the histogram forest's work
-    counters (nodes grown / histograms built / splits evaluated).
+    counters (nodes grown / histograms built / splits evaluated) and
+    how much ``memo`` — the question's :class:`SelectionMemo`; without
+    one the call gets its own — answered.
     """
+    timer = timer or StepTimer()
+    memo = memo or SelectionMemo()
     columns = evaluator.columns()
     names = sorted(columns)
     if not config.use_feature_selection or not names:
@@ -154,47 +220,43 @@ def filter_attributes(
     # -- cluster correlated attributes, keep representatives -----------
     # Name-restricted views keep the lazy column mapping lazy: varclus
     # probes dtypes through them and only gathers columns without codes.
+    # A column without codes has no content address: a fresh token keys
+    # it, so its pairs are computed here and never shared.
+    pairs = _CountedPairs(memo.association)
     clusters = cluster_attributes(
         _NamedView(columns, names),
         threshold=config.correlation_threshold,
         same_type_only=True,
         codes=ml_codes,
+        pair_memo=pairs,
+        digests={
+            n: _digest(ml_codes[n]) if n in ml_codes else object()
+            for n in names
+        },
     )
+    timer.count(ASSOCIATION_PAIRS_COMPUTED, pairs.computed)
+    timer.count(ASSOCIATION_MEMO_HITS, pairs.hits)
     representatives = sorted(c.representative for c in clusters)
 
     # -- random-forest relevance over cluster representatives ----------
     rep_columns = _NamedView(columns, representatives)
     rep_codes = {n: ml_codes[n] for n in representatives if n in ml_codes}
     matrix = encode_columns(rep_columns, codes=rep_codes)
-    y = (labels[informative] == 1).astype(np.float64)
-    X = matrix[informative]
-    # Histogram learner on the dictionary codes: every object column of
-    # the matrix holds first-occurrence label codes (straight from the
-    # kernel's ml_codes when available, from encode_columns's per-row
-    # pass otherwise) — codes are bins.  Every feature is examined at
-    # every split: relevance ranking wants the full importance signal,
-    # and per-node feature subsampling only adds rng noise to it.
-    forest = HistRandomForestClassifier(
-        n_estimators=config.rf_num_trees,
-        max_depth=config.rf_max_depth,
-        max_samples=config.rf_max_samples,
-        random_state=config.seed,
-    )
-    forest.fit(
-        X,
-        y,
-        categorical_features={
+    importances = _forest_importances(
+        matrix[informative],
+        (labels[informative] == 1).astype(np.float64),
+        tuple(
             i
             for i, name in enumerate(representatives)
             if rep_columns.dtype_of(name) == object
-        },
+        ),
+        config,
+        timer,
+        memo,
     )
-    if timer is not None:
-        timer.count(HIST_NODES_GROWN, forest.nodes_grown)
-        timer.count(HIST_HISTOGRAMS_BUILT, forest.histograms_built)
-        timer.count(HIST_SPLITS_EVALUATED, forest.splits_evaluated)
-    assert forest.feature_importances_ is not None
-    relevance = dict(zip(representatives, forest.feature_importances_))
+    # Positional: graphs whose columns are equal by content but named
+    # differently share one fit.
+    relevance = dict(zip(representatives, importances))
 
     keep_count = config.selected_attr_count(len(representatives))
     ranked = sorted(representatives, key=lambda n: (-relevance[n], n))
@@ -224,6 +286,50 @@ def filter_attributes(
     )
 
 
+def _forest_importances(
+    X: np.ndarray,
+    y: np.ndarray,
+    categorical_features: tuple[int, ...],
+    config: CajadeConfig,
+    timer: StepTimer,
+    memo: SelectionMemo,
+) -> np.ndarray:
+    """Impurity-based relevance of the columns of ``X`` for labels ``y``.
+
+    Histogram learner on the dictionary codes: every object column of
+    the matrix holds first-occurrence label codes (straight from the
+    kernel's ml_codes when available, from encode_columns's per-row
+    pass otherwise) — codes are bins.  Every feature is examined at
+    every split: relevance ranking wants the full importance signal,
+    and per-node feature subsampling only adds rng noise to it.
+
+    The memo key digests everything the fit reads; an argument added
+    to ``forest_args`` is keyed by construction.
+    """
+    forest_args = {
+        "n_estimators": config.rf_num_trees,
+        "max_depth": config.rf_max_depth,
+        "max_samples": config.rf_max_samples,
+        "random_state": config.seed,
+    }
+    key = _digest(forest_args, categorical_features, X, y)
+    importances = memo.relevance.get(key)
+    if importances is not None:
+        timer.count(FOREST_MEMO_HITS)
+        return importances
+    forest = HistRandomForestClassifier(**forest_args)
+    forest.fit(X, y, categorical_features=set(categorical_features))
+    timer.count(FOREST_FITS_RUN)
+    timer.count(HIST_NODES_GROWN, forest.nodes_grown)
+    timer.count(HIST_HISTOGRAMS_BUILT, forest.histograms_built)
+    timer.count(HIST_SPLITS_EVALUATED, forest.splits_evaluated)
+    importances = forest.feature_importances_
+    assert importances is not None
+    importances.setflags(write=False)
+    memo.relevance[key] = importances
+    return importances
+
+
 def _is_group_determined(
     values: "np.ndarray | Callable[[], np.ndarray]",
     labels: np.ndarray,
@@ -241,8 +347,6 @@ def _is_group_determined(
     ``values`` may be a zero-argument callable producing the column
     array; it is only invoked on the codeless fallback path.
     """
-    import math
-
     codes = kernel.match_codes(name)
     if codes is not None:
         side_codes = []

@@ -19,7 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apt import AugmentedProvenanceTable
-from .attribute_filter import FilteredAttributes, filter_attributes
+from .attribute_filter import (
+    FilteredAttributes,
+    SelectionMemo,
+    filter_attributes,
+)
 from .config import CajadeConfig
 from .diversity import select_diverse_top_k
 from .lca import lca_candidates_codes, pick_top_candidates
@@ -65,6 +69,9 @@ class MiningResult:
     evaluator: QualityEvaluator
     filtered: FilteredAttributes
     candidates_examined: int
+    # The exact (λF1-samp = 1) evaluator over the same APT, kernel warm;
+    # ``evaluator`` itself when mining did not sample.
+    full_evaluator: QualityEvaluator
 
 
 def mine_apt(
@@ -73,8 +80,10 @@ def mine_apt(
     config: CajadeConfig,
     rng: np.random.Generator,
     timer: StepTimer | None = None,
+    memo: SelectionMemo | None = None,
 ) -> MiningResult:
-    """Run Algorithm 1 on one materialized APT."""
+    """Run Algorithm 1 on one materialized APT; ``memo`` is the
+    question's §3.1 :class:`SelectionMemo`, shared by all its graphs."""
     timer = timer or StepTimer()
 
     # Candidate generation (feature selection, LCA, numeric fragment
@@ -104,7 +113,7 @@ def mine_apt(
     if config.use_feature_selection:
         with timer.step(FEATURE_SELECTION):
             filtered = filter_attributes(
-                apt, full_evaluator, config, rng, timer=timer
+                apt, full_evaluator, config, rng, timer=timer, memo=memo
             )
     else:
         # The paper's "w/o feature selection" arm reports N/A for this
@@ -210,4 +219,5 @@ def mine_apt(
         evaluator=evaluator,
         filtered=filtered,
         candidates_examined=examined,
+        full_evaluator=full_evaluator,
     )

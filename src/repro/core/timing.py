@@ -76,6 +76,18 @@ HIST_NODES_GROWN = "Hist forest nodes grown"
 HIST_HISTOGRAMS_BUILT = "Hist forest histograms built"
 HIST_SPLITS_EVALUATED = "Hist forest splits evaluated"
 
+# Canonical counter labels (§3.1 shared across a question's join
+# graphs).  "Fits run" / "pairs computed" count the distinct inputs
+# worked on, "memo hits" the forest inputs and Cramér's V pairs read
+# back from the question's selection memo: hits / (run + hits) is the
+# share that repeats.  A hit grows no nodes (the counters above count
+# work done).  With ``workers > 1`` two graphs can miss on one input at
+# once, so these four may differ by schedule; the answer cannot.
+FOREST_FITS_RUN = "Forest fits run"
+FOREST_MEMO_HITS = "Forest memo hits"
+ASSOCIATION_PAIRS_COMPUTED = "Association pairs computed"
+ASSOCIATION_MEMO_HITS = "Association memo hits"
+
 # Canonical counter labels (§3.2 LCA candidate generation).  "Pairs
 # examined" counts sampled row pairs entering the agreement computation;
 # "patterns built" counts Pattern object constructions — the
@@ -128,6 +140,10 @@ ALL_COUNTERS = (
     HIST_NODES_GROWN,
     HIST_HISTOGRAMS_BUILT,
     HIST_SPLITS_EVALUATED,
+    FOREST_FITS_RUN,
+    FOREST_MEMO_HITS,
+    ASSOCIATION_PAIRS_COMPUTED,
+    ASSOCIATION_MEMO_HITS,
     LCA_PAIRS_EXAMINED,
     LCA_PATTERNS_BUILT,
     LCA_PEAK_CHUNK_BYTES,

@@ -16,7 +16,7 @@ the redundancy the paper targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Hashable, Mapping, MutableMapping
 
 import numpy as np
 
@@ -89,9 +89,7 @@ def correlation_matrix(matrix: np.ndarray) -> np.ndarray:
         c = np.atleast_2d(c)
         c = np.nan_to_num(np.abs(c))
         idx = np.nonzero(varying)[0]
-        for a, ia in enumerate(idx):
-            for b, ib in enumerate(idx):
-                corr[ia, ib] = c[a, b]
+        corr[np.ix_(idx, idx)] = c
     np.fill_diagonal(corr, 1.0)
     return corr
 
@@ -194,6 +192,8 @@ def association_matrix(
     columns: Mapping[str, np.ndarray],
     codes: dict[str, np.ndarray] | None = None,
     same_type_only: bool = False,
+    pair_memo: MutableMapping[tuple, float] | None = None,
+    digests: Mapping[str, Hashable] | None = None,
 ) -> np.ndarray:
     """Pairwise association: |Pearson| for numeric pairs, Cramér's V when
     a categorical column is involved.
@@ -208,21 +208,26 @@ def association_matrix(
     of computing them: :func:`cluster_attributes` never reads them under
     the same flag, and they are the only reason a numeric column is ever
     quantile-binned.
+
+    ``pair_memo`` shares Cramér's V across calls whose columns repeat:
+    a pair is looked up under the *ordered* pair of its columns'
+    ``digests`` (the transposed table sums in another float order)
+    before it is computed, and stored after; ``digests`` must map names
+    to keys equal only for columns with equal codes.  |Pearson| is never
+    looked up: one joint ``np.corrcoef`` over this call's numeric block.
     """
     codes = codes or {}
     names = list(columns)
+    if pair_memo is None:
+        # Nothing to share with: names identify columns within one call.
+        pair_memo, digests = {}, dict(zip(names, names))
     n = len(names)
     is_object = {m: _dtype_of(columns, m) == object for m in names}
-    numeric_names = [m for m in names if not is_object[m]]
+    numeric = [i for i, m in enumerate(names) if not is_object[m]]
     pearson = np.zeros((n, n))
-    if numeric_names:
-        sub = encode_columns({m: columns[m] for m in numeric_names})
-        corr = correlation_matrix(sub)
-        idx = {m: i for i, m in enumerate(numeric_names)}
-        for i, a in enumerate(names):
-            for j, b in enumerate(names):
-                if a in idx and b in idx:
-                    pearson[i, j] = corr[idx[a], idx[b]]
+    if numeric:
+        sub = encode_columns({names[i]: columns[names[i]] for i in numeric})
+        pearson[np.ix_(numeric, numeric)] = correlation_matrix(sub)
     out = np.eye(n)
     # Resolve each column's (codes, levels) once: numeric columns keep
     # their quantile binning but are no longer re-binned per pair, and
@@ -246,7 +251,12 @@ def association_matrix(
             elif same_type_only and is_object[a] != is_object[b]:
                 continue
             else:
-                value = _cramers_v_from_codes(codes_of(a), codes_of(b))
+                key = (digests[a], digests[b])
+                value = pair_memo.get(key)
+                if value is None:
+                    value = pair_memo[key] = _cramers_v_from_codes(
+                        codes_of(a), codes_of(b)
+                    )
             out[i, j] = out[j, i] = value
     return out
 
@@ -264,6 +274,8 @@ def cluster_attributes(
     threshold: float = 0.9,
     same_type_only: bool = False,
     codes: dict[str, np.ndarray] | None = None,
+    pair_memo: MutableMapping[tuple, float] | None = None,
+    digests: Mapping[str, Hashable] | None = None,
 ) -> list[AttributeCluster]:
     """Cluster attributes whose association exceeds ``threshold``.
 
@@ -278,14 +290,19 @@ def cluster_attributes(
     categorical representative would silently remove it from the numeric
     refinement phase.
 
-    ``codes`` passes precomputed label encodings straight through to
-    :func:`association_matrix` (identical clusters, no re-encoding).
+    ``codes``, ``pair_memo`` and ``digests`` pass straight through to
+    :func:`association_matrix` (identical clusters, no re-encoding, no
+    Cramér's V computed twice for one pair of digests).
     """
     names = list(columns)
     if not names:
         return []
     corr = association_matrix(
-        columns, codes=codes, same_type_only=same_type_only
+        columns,
+        codes=codes,
+        same_type_only=same_type_only,
+        pair_memo=pair_memo,
+        digests=digests,
     )
     n = len(names)
     is_text = [_dtype_of(columns, name) == object for name in names]

@@ -6,6 +6,8 @@ One module per layer that has a single execution path in ``src/``:
 - ``coverage``    — Definition 7 per-row coverage (vs ``MiningKernel``);
 - ``lca``         — §3.2 object loop over row pairs (vs the code-based LCA);
 - ``cart_forest`` — per-node recursive CART forest (vs the histogram forest);
+- ``selection``   — §3.1 with a fresh memo per join graph (vs the memo the
+  graphs of a question share);
 - ``eager``       — column-copying joins and σ(R_1 × … × R_p) (vs the
   index-vector pipeline).
 

@@ -210,8 +210,8 @@ class TestSameTypeOnly:
         monkeypatch.setattr(
             varclus,
             "association_matrix",
-            lambda columns, codes=None, same_type_only=False: full_matrix(
-                columns, codes=codes
+            lambda columns, same_type_only=False, **rest: full_matrix(
+                columns, **rest
             ),
         )
         assert cluster_attributes(
