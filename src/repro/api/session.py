@@ -11,9 +11,8 @@ recomputing provenance, re-enumerating join graphs and rematerializing
 every APT from scratch.  On top of the trie, the session memoizes
 per-graph mining finalists keyed by the question's ordered row-id-set
 fingerprints and the mining-relevant config, so *repeating* a question
-(or re-asking it with a different ``workers`` or ``kernel_cache_mb`` —
-budgets never change results) skips mining too and reduces to
-reranking.
+(or re-asking it with a different ``workers`` — budgets never change
+results) skips mining too and reduces to reranking.
 
 Results are *byte-identical* to a fresh session's at any warmth: cached
 state only changes where intermediate relations and finalists come from
@@ -86,13 +85,11 @@ from ..engine import (
 )
 from .types import ExplanationRequest, ExplanationResponse, query_fingerprint
 
-# Config fields that do not change mining output — the three budgets:
+# Config fields that do not change mining output — the two budgets:
 # ``workers`` preserves results exactly (per-graph generators) and the
-# two cache sizes only move bytes around.  Everything else keys the
+# APT cache size only moves bytes around.  Everything else keys the
 # session's per-graph mining memo.
-_MINING_NEUTRAL_FIELDS = frozenset(
-    {"workers", "apt_cache_mb", "kernel_cache_mb"}
-)
+_MINING_NEUTRAL_FIELDS = frozenset({"workers", "apt_cache_mb"})
 
 
 def mining_config_key(config: CajadeConfig) -> tuple:
@@ -100,9 +97,8 @@ def mining_config_key(config: CajadeConfig) -> tuple:
 
     Two configs with equal keys produce byte-identical ranked
     explanations for the same question: the excluded fields are exactly
-    the budgets (worker count and the two cache sizes).  This key
-    namespaces
-    the session's per-graph mining memo, :meth:`CajadeSession
+    the budgets (worker count and the APT cache size).  This key
+    namespaces the session's per-graph mining memo, :meth:`CajadeSession
     .explain_batch`'s duplicate-request coalescing, and the serving
     layer's cross-request response cache.
     """
@@ -675,9 +671,13 @@ def _exact_stats(
     read off the exact evaluator mining built for candidate generation.
     """
     evaluator = mining.full_evaluator
+    covered1, covered2 = evaluator.coverage_batch(
+        [entry.pattern for entry in mining.patterns]
+    )
     results = []
-    for entry in mining.patterns:
-        cov1, cov2 = evaluator.coverage_counts(entry.pattern)
+    for entry, cov1, cov2 in zip(
+        mining.patterns, covered1.tolist(), covered2.tolist()
+    ):
         stats = evaluator.stats_from_counts(cov1, cov2, primary=entry.primary)
         support = PatternSupport(
             covered1=cov1,

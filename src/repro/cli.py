@@ -92,10 +92,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--apt-cache-mb", type=float, default=256.0,
                         help="APT prefix-cache memory budget in MB "
                              "(default 256; 0 disables caching)")
-    parser.add_argument("--kernel-cache-mb", type=float, default=64.0,
-                        help="mask-memo budget (MB) of the columnar "
-                             "scoring kernel (default 64; 0 disables "
-                             "memoization)")
     parser.add_argument("--sentences", action="store_true",
                         help="also print natural-language renderings")
 
@@ -110,7 +106,6 @@ def _config_from(args: argparse.Namespace) -> CajadeConfig:
             seed=args.seed,
             workers=args.workers,
             apt_cache_mb=args.apt_cache_mb,
-            kernel_cache_mb=args.kernel_cache_mb,
         )
     except ValueError as exc:
         raise SystemExit(f"repro: invalid configuration: {exc}")

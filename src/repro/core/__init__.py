@@ -19,7 +19,7 @@ from .join_discovery import (
     discover_join_candidates,
 )
 from .join_graph import PT_LABEL, JGEdge, JGNode, JoinGraph
-from .kernel import MaskCache, MiningKernel
+from .kernel import MiningKernel
 from .lca import lca_candidates_codes, pick_top_candidates
 from .mining import MinedPattern, MiningResult, mine_apt
 from .narrative import explanation_sentence, pattern_phrase, predicate_phrase
@@ -55,7 +55,6 @@ __all__ = [
     "JoinConditionSpec",
     "JoinGraph",
     "lca_candidates_codes",
-    "MaskCache",
     "match_score",
     "MiningKernel",
     "materialize_apt",

@@ -92,7 +92,8 @@ class CajadeConfig:
     # -- numeric refinement (§3.4, λ#frag, λattrNum) --------------------
     num_fragments: int = 3
     """λ#frag: numeric domains are split into this many fragments; only
-    fragment boundaries are used as thresholds."""
+    fragment boundaries are used as thresholds.  1 means no numeric
+    refinement: one fragment is the whole domain and has no boundary."""
 
     max_numeric_predicates: int = 3
     """λattrNum: maximum numeric predicates in one pattern."""
@@ -123,13 +124,6 @@ class CajadeConfig:
     shared-prefix APT trie.  0 disables engine caching (every APT is
     rebuilt from the provenance table)."""
 
-    # -- columnar scoring kernel ------------------------------------------
-    kernel_cache_mb: float = 64.0
-    """Memory budget (MB) for the memoized mask LRU of the scoring
-    kernel (:class:`repro.core.kernel.MiningKernel`), shared by all
-    candidates of one APT.  0 disables memoization (every mask is
-    recomputed, no incremental ``parent & predicate`` reuse)."""
-
     # -- determinism ------------------------------------------------------
     seed: int = 7
     """Seed for every sampling step (LCA sample, F1 sample, forest)."""
@@ -153,8 +147,6 @@ class CajadeConfig:
             raise ValueError("workers must be >= 1 (1 = serial)")
         if self.apt_cache_mb < 0:
             raise ValueError("apt_cache_mb must be >= 0 (0 disables)")
-        if self.kernel_cache_mb < 0:
-            raise ValueError("kernel_cache_mb must be >= 0 (0 disables)")
 
     def with_overrides(self, **kwargs) -> "CajadeConfig":
         """A copy with some fields replaced (keeps configs immutable-ish)."""

@@ -15,41 +15,44 @@ removes both costs for one APT:
   first-occurrence code) so feature selection can reuse it for the
   random-forest feature matrix.
 - **Dense coverage slots** — ``__pt_row_id`` values are mapped once to
-  dense slot indices with side-1 slots in ``[0, m1)`` and side-2 slots in
-  ``[m1, m1+m2)``.  Coverage of a match mask is then a boolean scatter
-  into a reusable slot buffer plus two contiguous non-zero counts — no
-  ``np.unique``, no dict lookups.
-- **Memoized masks with incremental reuse** — single-predicate masks and
-  multi-predicate pattern masks live in one byte-bounded LRU shared
-  across all candidates of the APT.  A refinement Φ' = Φ ∧ p is evaluated
-  as ``mask(Φ) & mask(p)`` when Φ's mask is still resident (the
-  delta-evaluation structure of the refinement lattice; cf. Berkholz et
-  al.'s FO+MOD delta views), falling back to a full AND over memoized
-  single-predicate masks on eviction.  Boolean AND is associative, so the
-  incremental and full paths produce byte-identical masks.
+  dense slot indices with side-1 slots in ``[0, m1)`` and side-2 slots
+  from ``m1`` up, and the kernel's masks keep their columns *sorted by
+  slot*.  Coverage of a whole batch of match masks is then one
+  ``logical_or.reduceat`` over the slot starts (which deduplicates
+  fan-out) plus two contiguous counts — no scatter, no ``np.unique``, no
+  dict lookups.
+- **Batches of conjunctions** — a pattern is a row of indices into a
+  matrix of predicate masks, and a batch of patterns is scored as
+  ``masks[ids[:, 0]] & masks[ids[:, 1]] & …`` in chunks under a byte
+  budget.  ``mask(Φ ∧ p) = mask(Φ) & mask(p)`` is what lets a whole
+  level of Algorithm 1's refinement lattice be one 2-D AND (the
+  delta-evaluation structure of the lattice; cf. Berkholz et al.'s
+  FO+MOD delta views); boolean AND is associative, so any grouping of
+  the conjuncts produces byte-identical masks.  Scoring one pattern is
+  the batch of one.
 
-The kernel never consumes randomness and never reorders rows, so kernel
-on/off is byte-identical by construction; :mod:`tests.test_core_kernel`
-asserts this against the retained naive reference implementation in
-:class:`repro.core.quality.QualityEvaluator`.
+The kernel never consumes randomness, and scoring keeps nothing between
+calls — its arrays are per call — so threads share nothing mutable.  The
+per-row definition it must equal is the oracle in
+``tests/oracles/coverage.py``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..db.relation import encode_object_column
 from .pattern import OP_EQ, OP_LE, Pattern, PatternPredicate
-from .timing import (
-    KERNEL_FULL_EVALS,
-    KERNEL_INCREMENTAL_EVALS,
-    KERNEL_MASK_EVICTIONS,
-    KERNEL_MASK_HITS,
-    KERNEL_MASK_MISSES,
-)
+
+# A batch of conjunctions is scored in chunks so the live temporaries
+# stay under this many bytes however wide a level of the search is (the
+# no-feature-selection arm) and however long the APT: each (pattern, APT
+# row) cell costs 3 bytes — the gathered operand, the running
+# conjunction and the per-slot reduction.
+_SCORE_CHUNK_BYTES = 16 * 2**20
+_BYTES_PER_SCORE_CELL = 3
 
 
 def _is_null_value(value: Any) -> bool:
@@ -77,47 +80,6 @@ def _first_occurrence_renumber(codes: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
-class MaskCache:
-    """A byte-bounded LRU of boolean mask arrays.
-
-    Entries whose own size exceeds the budget are simply not stored (the
-    caller recomputes on demand), so a tiny budget degrades to
-    recompute-always instead of thrashing.
-    """
-
-    def __init__(self, budget_bytes: int):
-        self._budget = max(0, int(budget_bytes))
-        self._entries: "OrderedDict[Any, np.ndarray]" = OrderedDict()
-        self._bytes = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def bytes_in_use(self) -> int:
-        return self._bytes
-
-    def get(self, key: Any) -> np.ndarray | None:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: Any, mask: np.ndarray) -> None:
-        if self._budget <= 0 or mask.nbytes > self._budget:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= old.nbytes
-        self._entries[key] = mask
-        self._bytes += mask.nbytes
-        while self._bytes > self._budget:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-            self.evictions += 1
-
-
 class MiningKernel:
     """Vectorized pattern evaluation over one (possibly sampled) APT.
 
@@ -125,11 +87,7 @@ class MiningKernel:
         columns: row-aligned minable columns of the evaluator's universe.
         row_slot: per-row dense slot index of the row's provenance id
             (side-1 slots first, then side-2 — see module docstring).
-        m1: number of side-1 slots.
-        m2: number of side-2 slots.
-        cache_mb: byte budget of the shared mask LRU; 0 keeps the kernel
-            vectorized but disables memoization (and therefore
-            incremental reuse).
+        m1: number of side-1 slots (every slot from ``m1`` up is side 2).
         encodings: optional per-attribute ``(ColumnEncoding, rows)``
             pairs supplying *table-level* dictionary codes gathered
             through the APT's index vectors (``rows`` maps kernel rows
@@ -149,19 +107,9 @@ class MiningKernel:
         columns: Mapping[str, np.ndarray],
         row_slot: np.ndarray,
         m1: int,
-        m2: int,
-        cache_mb: float = 64.0,
         encodings: Mapping[str, tuple[Any, np.ndarray | None]] | None = None,
     ):
-        if cache_mb < 0:
-            raise ValueError("cache_mb must be >= 0 (0 disables memoization)")
-        self._row_slot = np.asarray(row_slot, dtype=np.int64)
-        self._m1 = int(m1)
-        self._m2 = int(m2)
-        self._num_rows = len(self._row_slot)
-        self._covered = np.zeros(self._m1 + self._m2, dtype=bool)
-        self._ones = np.ones(self._num_rows, dtype=bool)
-        self._cache = MaskCache(int(cache_mb * 1024 * 1024))
+        self._index_slots(row_slot, m1)
 
         # Encoded storage: match codes (-1 = NULL, never matches), the
         # value -> code dictionary, ml codes (varclus first-occurrence
@@ -184,11 +132,6 @@ class MiningKernel:
         self._ml_renumbered: dict[str, np.ndarray] = {}
         self._derived = False
 
-        self.mask_hits = 0
-        self.mask_misses = 0
-        self.incremental_evals = 0
-        self.full_evals = 0
-
         encodings = encodings or {}
         for name in columns.keys():
             source = encodings.get(name)
@@ -205,6 +148,22 @@ class MiningKernel:
                 )
                 continue
             self._encode_categorical(name, arr)
+
+    def _index_slots(self, row_slot: np.ndarray, m1: int) -> None:
+        """Sort the rows by coverage slot, once: ``slot_order`` permutes
+        APT rows into mask columns, ``_slot_starts`` marks where each
+        *present* slot's run of columns begins (a slot none of whose
+        rows survived the join has no run and is never covered), and the
+        first ``_side1_runs`` runs belong to side 1."""
+        row_slot = np.asarray(row_slot, dtype=np.int64)
+        self._num_rows = len(row_slot)
+        self.slot_order = np.argsort(row_slot, kind="stable")
+        slots = row_slot[self.slot_order]
+        # Slots are >= 0, so the first row always starts a run.
+        self._slot_starts = np.flatnonzero(np.diff(slots, prepend=-1))
+        self._side1_runs = int(
+            np.searchsorted(slots[self._slot_starts], int(m1))
+        )
 
     def _gather_categorical(
         self, name: str, encoding: Any, rows: np.ndarray | None
@@ -240,8 +199,6 @@ class MiningKernel:
         selector: np.ndarray,
         row_slot: np.ndarray,
         m1: int,
-        m2: int,
-        cache_mb: float = 64.0,
     ) -> "MiningKernel":
         """A kernel over a row-subset of ``source``'s universe.
 
@@ -252,13 +209,7 @@ class MiningKernel:
         provenance universe).
         """
         self = cls.__new__(cls)
-        self._row_slot = np.asarray(row_slot, dtype=np.int64)
-        self._m1 = int(m1)
-        self._m2 = int(m2)
-        self._num_rows = len(self._row_slot)
-        self._covered = np.zeros(self._m1 + self._m2, dtype=bool)
-        self._ones = np.ones(self._num_rows, dtype=bool)
-        self._cache = MaskCache(int(cache_mb * 1024 * 1024))
+        self._index_slots(row_slot, m1)
         self._codes = {k: v[selector] for k, v in source._codes.items()}
         self._dicts = dict(source._dicts)
         self._ml_codes = {
@@ -278,10 +229,6 @@ class MiningKernel:
         self._gathered = set(source._gathered)
         self._ml_renumbered = {}
         self._derived = True
-        self.mask_hits = 0
-        self.mask_misses = 0
-        self.incremental_evals = 0
-        self.full_evals = 0
         return self
 
     def _encode_categorical(self, name: str, arr: np.ndarray) -> None:
@@ -407,24 +354,11 @@ class MiningKernel:
     # Masks
     # ------------------------------------------------------------------
     def predicate_mask(self, attr: str, op: str, value: Any) -> np.ndarray:
-        """The (memoized) boolean match mask of one predicate.
+        """The boolean match mask of one predicate, in APT row order.
 
         Byte-identical to ``PatternPredicate(attr, op, value)
-        .matches_array(columns[attr])``; treat the result as immutable.
+        .matches_array(columns[attr])``.
         """
-        key = (attr, op, value)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.mask_hits += 1
-            return cached
-        self.mask_misses += 1
-        mask = self._compute_predicate_mask(attr, op, value)
-        self._cache.put(key, mask)
-        return mask
-
-    def _compute_predicate_mask(
-        self, attr: str, op: str, value: Any
-    ) -> np.ndarray:
         codes = self._codes.get(attr)
         if codes is not None:
             if op != OP_EQ:
@@ -461,121 +395,97 @@ class MiningKernel:
             mask = mask & valid
         return mask
 
-    def _resident_mask(self, pattern: Pattern) -> np.ndarray | None:
-        """A pattern's mask if obtainable without a full evaluation."""
-        predicates = pattern.predicates
-        if not predicates:
-            return self._ones
-        if len(predicates) == 1:
-            p = predicates[0]
-            return self.predicate_mask(p.attribute, p.op, p.value)
-        cached = self._cache.get(pattern)
-        if cached is not None:
-            self.mask_hits += 1
-        else:
-            self.mask_misses += 1
-        return cached
-
-    def pattern_mask(
-        self, pattern: Pattern, parent: Pattern | None = None
+    def predicate_masks(
+        self, predicates: Sequence[PatternPredicate], lead: int = 0
     ) -> np.ndarray:
-        """The conjunction mask of ``pattern``; treat as immutable.
+        """A ``(lead + len(predicates), num_rows)`` boolean matrix: row
+        ``lead + i`` is predicate ``i``'s mask with its columns in slot
+        order; the ``lead`` rows before them are left for the caller."""
+        masks = np.empty((lead + len(predicates), self._num_rows), dtype=bool)
+        order = self.slot_order
+        for row, p in enumerate(predicates, start=lead):
+            masks[row] = self.predicate_mask(p.attribute, p.op, p.value)[order]
+        return masks
 
-        When ``parent`` is a one-predicate-smaller ancestor whose mask is
-        still resident, the result is computed incrementally as
-        ``parent_mask & predicate_mask`` (identical output, one AND).
+    def encode(
+        self, patterns: Sequence[Pattern]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Patterns as rows of indices into a matrix of predicate masks.
+
+        Returns ``(masks, ids)``: ``masks[0]`` is all-True (the empty
+        conjunction, which also pads short rows) and the rows after it
+        are the batch's distinct predicates; ``ids[i]`` lists pattern
+        ``i``'s predicates.  A NaN constant never equals itself, so it
+        gets a row per occurrence — each of them all-False, as it must.
         """
-        predicates = pattern.predicates
-        if len(predicates) <= 1:
-            return self._resident_mask(pattern)
-        cached = self._cache.get(pattern)
-        if cached is not None:
-            self.mask_hits += 1
-            return cached
-        self.mask_misses += 1
+        index: dict[PatternPredicate, int] = {}
+        rows = [
+            [index.setdefault(p, len(index) + 1) for p in pattern.predicates]
+            for pattern in patterns
+        ]
+        masks = self.predicate_masks(list(index), lead=1)
+        masks[0] = True
+        width = max(map(len, rows), default=0)
+        ids = np.zeros((len(rows), max(1, width)), dtype=np.int64)
+        for i, row in enumerate(rows):
+            ids[i, : len(row)] = row
+        return masks, ids
 
-        mask: np.ndarray | None = None
-        if parent is not None:
-            delta = pattern.delta_from(parent)
-            if delta is not None:
-                parent_mask = self._resident_mask(parent)
-                if parent_mask is not None:
-                    part = self.predicate_mask(
-                        delta.attribute, delta.op, delta.value
-                    )
-                    mask = parent_mask & part
-                    self.incremental_evals += 1
-        if mask is None:
-            self.full_evals += 1
-            aliased = True  # mask still aliases a cached predicate mask
-            for predicate in predicates:
-                part = self.predicate_mask(
-                    predicate.attribute, predicate.op, predicate.value
-                )
-                if mask is None:
-                    mask = part
-                else:
-                    # `mask & part` (not `&=`): cached arrays are shared.
-                    mask = mask & part
-                    aliased = False
-                if not mask.any():
-                    # All-False stays all-False under further ANDs, so
-                    # the early exit still yields the exact full mask.
-                    break
-            if aliased:
-                # Early exit on the first predicate: copy before caching
-                # under the pattern key, or the LRU would account the
-                # same array's bytes twice (once per key).
-                mask = mask.copy()
-        assert mask is not None
-        self._cache.put(pattern, mask)
-        return mask
+    @staticmethod
+    def conjunctions(masks: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """``masks[ids[:, 0]] & masks[ids[:, 1]] & …``, one row per id row."""
+        out = masks[ids[:, 0]]
+        for k in range(1, ids.shape[1]):
+            out &= masks[ids[:, k]]
+        return out
 
     # ------------------------------------------------------------------
     # Coverage
     # ------------------------------------------------------------------
-    def coverage(
-        self, pattern: Pattern, parent: Pattern | None = None
-    ) -> tuple[int, int]:
-        """Distinct covered provenance rows per side, Definition 7.
+    def score(
+        self, masks: np.ndarray, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct covered provenance rows per side (Definition 7) of
+        every conjunction ``ids`` spells over ``masks``, as two int64
+        arrays.
 
         A provenance row is covered iff at least one of its APT rows
-        matches — the scatter into dense slots deduplicates fan-out.
+        matches: mask columns are sorted by slot, so an OR over each
+        slot's run deduplicates fan-out and the side-1 runs come first.
         """
-        mask = self.pattern_mask(pattern, parent)
-        if not mask.any():
-            return 0, 0
-        covered = self._covered
-        covered[:] = False
-        covered[self._row_slot[mask]] = True
-        cov1 = int(np.count_nonzero(covered[: self._m1]))
-        cov2 = int(np.count_nonzero(covered[self._m1 :]))
+        cov1 = np.zeros(len(ids), dtype=np.int64)
+        cov2 = np.zeros(len(ids), dtype=np.int64)
+        if self._num_rows == 0:
+            return cov1, cov2
+        step = max(
+            1, _SCORE_CHUNK_BYTES // (_BYTES_PER_SCORE_CELL * self._num_rows)
+        )
+        side1 = self._side1_runs
+        for start in range(0, len(ids), step):
+            chunk = slice(start, start + step)
+            covered = np.logical_or.reduceat(
+                self.conjunctions(masks, ids[chunk]), self._slot_starts, axis=1
+            )
+            cov1[chunk] = np.count_nonzero(covered[:, :side1], axis=1)
+            cov2[chunk] = np.count_nonzero(covered[:, side1:], axis=1)
         return cov1, cov2
+
+    def coverage(
+        self, patterns: Sequence[Pattern]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`score` of a batch of patterns."""
+        return self.score(*self.encode(patterns))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def cache(self) -> MaskCache:
-        return self._cache
-
-    @property
     def num_rows(self) -> int:
         return self._num_rows
-
-    def counters(self) -> dict[str, int]:
-        """Canonical StepTimer counter labels -> values."""
-        return {
-            KERNEL_MASK_HITS: self.mask_hits,
-            KERNEL_MASK_MISSES: self.mask_misses,
-            KERNEL_INCREMENTAL_EVALS: self.incremental_evals,
-            KERNEL_FULL_EVALS: self.full_evals,
-            KERNEL_MASK_EVICTIONS: self._cache.evictions,
-        }
 
     def __repr__(self) -> str:
         return (
             f"MiningKernel({self._num_rows} rows, "
             f"{len(self._codes)} encoded + {len(self._numeric)} numeric "
-            f"columns, {self._cache.bytes_in_use} cache bytes)"
+            f"columns)"
         )

@@ -81,27 +81,15 @@ def _sample_row_indices(
 def _candidate_order(patterns: set[Pattern]) -> list[Pattern]:
     """Deterministic, path-independent ordering of a candidate set.
 
-    ``(size, describe)`` is the historical (and user-visible) order; the
-    type-name/str tiebreak totalizes it over distinct patterns whose
-    describes collide (possible only in columns mixing equal-rendering
-    values of different types, which the db layer's TEXT columns never
-    produce), so iteration/insertion order of the set never leaks into
-    the result.  Identity-distinct NaN constants remain mutually
-    unordered — such patterns are behaviourally indistinguishable
-    (identical rendering, match nothing), so their relative order
-    cannot affect output.
+    ``(size, describe)`` is the historical (and user-visible) order;
+    :meth:`Pattern.order_key` totalizes it over distinct patterns whose
+    describes collide, so iteration/insertion order of the set never
+    leaks into the result.  Identity-distinct NaN constants remain
+    mutually unordered — such patterns are behaviourally
+    indistinguishable (identical rendering, match nothing), so their
+    relative order cannot affect output.
     """
-    return sorted(
-        patterns,
-        key=lambda p: (
-            p.size,
-            p.describe(),
-            tuple(
-                (q.attribute, q.op, type(q.value).__name__, str(q.value))
-                for q in p.predicates
-            ),
-        ),
-    )
+    return sorted(patterns, key=lambda p: (p.size, p.describe(), p))
 
 
 def _pair_indices(
@@ -209,24 +197,19 @@ def lca_candidates_codes(
 
 def pick_top_candidates(
     patterns: list[Pattern],
-    recall_of,
+    recalls: np.ndarray,
     k_cat: int,
     recall_threshold: float,
-) -> list[Pattern]:
-    """Filter by recall threshold, then keep the k_cat highest-recall
-    candidates (Algorithm 1's pickTopK over P_cat).
+) -> np.ndarray:
+    """Indices into ``patterns`` of the k_cat highest-recall candidates
+    at or above the threshold, best first (Algorithm 1's pickTopK over
+    P_cat).
 
-    ``recall_of`` maps a pattern to its (possibly sampled) recall w.r.t.
+    ``recalls[i]`` is pattern ``i``'s (possibly sampled) recall w.r.t.
     the question's primary tuple(s); callers pass the max over t1/t2 so a
-    pattern strong for either side survives.  When scoring runs on the
-    kernel, each candidate's recall reuses the memoized single-predicate
-    masks in the evaluator's :class:`~repro.core.kernel.MaskCache`
-    instead of re-matching the APT per candidate.
+    pattern strong for either side survives.
     """
-    scored = []
-    for pattern in patterns:
-        recall = recall_of(pattern)
-        if recall >= recall_threshold:
-            scored.append((recall, pattern))
-    scored.sort(key=lambda pair: (-pair[0], pair[1].describe()))
-    return [pattern for _, pattern in scored[:k_cat]]
+    kept = np.flatnonzero(recalls >= recall_threshold).tolist()
+    recall = recalls.tolist()
+    kept.sort(key=lambda i: (-recall[i], patterns[i].describe(), patterns[i]))
+    return np.array(kept[:k_cat], dtype=np.int64)

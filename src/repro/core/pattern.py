@@ -116,7 +116,7 @@ class Pattern:
         """attribute → constant of its first predicate, in predicate order.
 
         Built on first use and kept (the pattern is immutable): the §3.5
-        rerank and ``mine_apt``'s loop read it per candidate per call.
+        rerank reads it per candidate per call.
         """
         try:
             return self._first
@@ -156,28 +156,6 @@ class Pattern:
     def is_refinement_of(self, other: "Pattern") -> bool:
         """Whether every predicate of ``other`` appears in ``self``."""
         return set(other._key).issubset(set(self._key))
-
-    def delta_from(self, parent: "Pattern") -> PatternPredicate | None:
-        """The one predicate ``self`` adds over ``parent``, if exactly one.
-
-        The mining BFS produces children via :meth:`refined`, so each
-        frontier pattern is its parent plus one predicate; the kernel
-        exploits that to evaluate ``mask(self) = mask(parent) & mask(p)``
-        incrementally.  Returns ``None`` when ``self`` is not a one-step
-        refinement of ``parent`` (callers then fall back to a full
-        evaluation).
-        """
-        if len(self._key) != len(parent._key) + 1:
-            return None
-        parent_keys = set(parent._key)
-        extra = [
-            p
-            for p in self.predicates
-            if (p.attribute, p.op, p.value) not in parent_keys
-        ]
-        if len(extra) != 1:
-            return None
-        return extra[0]
 
     # ------------------------------------------------------------------
     def match_mask(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -219,3 +197,22 @@ class Pattern:
 
     def __hash__(self) -> int:
         return hash(self._key)
+
+    def order_key(self) -> tuple:
+        """Totalizes orders that sort by :meth:`describe`.
+
+        Descriptions collide — ``:.6g`` renders two fragment boundaries
+        that agree to six significant digits alike, and a column may mix
+        equal-rendering values of different types — so every sort of
+        distinct patterns ends on this key; the type name keeps values
+        of different types from being compared.
+        """
+        return tuple(
+            (p.attribute, p.op, type(p.value).__name__, str(p.value))
+            for p in self.predicates
+        )
+
+    def __lt__(self, other: "Pattern") -> bool:
+        """By :meth:`order_key`: a pattern as the last element of a sort
+        key is read only when everything before it ties."""
+        return self.order_key() < other.order_key()

@@ -19,19 +19,18 @@ matching fraction of the APT.
 
 Scoring runs on a :class:`repro.core.kernel.MiningKernel` built once per
 evaluator: categorical columns are dictionary-encoded into int32 codes,
-provenance ids map to dense slots (side 1 first, then side 2) so coverage
-is a boolean scatter plus two contiguous counts, and predicate/pattern
-masks are memoized in a byte-bounded LRU with incremental
-``parent & predicate`` reuse.  The per-row definition it must equal
-(``Pattern.match_mask`` + ``np.unique`` + a pid → side dict) is the
-oracle in ``tests/oracles/coverage.py``.
+provenance ids map to dense slots (side 1 first, then side 2) and
+patterns are scored a batch at a time — conjunctions of predicate masks,
+one OR per slot, two contiguous counts.  The per-row definition it must
+equal (``Pattern.match_mask`` + ``np.unique`` + a pid → side dict) is
+the oracle in ``tests/oracles/coverage.py``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -148,7 +147,6 @@ class QualityEvaluator:
         row_ids2: provenance row ids of output tuple t2 (or "the rest").
         sample_rate: λF1-samp; 1.0 evaluates exactly.
         rng: generator driving the provenance-row sample.
-        kernel_cache_mb: byte budget of the kernel's memoized mask LRU.
         encoding_source: an evaluator over the same APT whose kernel
             encodings this one slices instead of re-encoding.
     """
@@ -161,7 +159,6 @@ class QualityEvaluator:
         sample_rate: float = 1.0,
         rng: np.random.Generator | None = None,
         *,
-        kernel_cache_mb: float = 64.0,
         encoding_source: "QualityEvaluator | None" = None,
     ):
         if not 0.0 < sample_rate <= 1.0:
@@ -212,7 +209,6 @@ class QualityEvaluator:
         ids2_unique = np.unique(ids2)
         ids1_only = np.setdiff1d(ids1, ids2_unique)
         self._m1 = len(ids1_only)
-        self._m2 = len(ids2_unique)
         slot_ids = np.concatenate([ids1_only, ids2_unique])
         order = np.argsort(slot_ids, kind="stable")
         sorted_slot_ids = slot_ids[order]
@@ -225,7 +221,6 @@ class QualityEvaluator:
             self._row_slot < self._m1, 1, 2
         ).astype(np.int64)
 
-        self._kernel_cache_mb = kernel_cache_mb
         self._encoding_source = encoding_source
         self._kernel: MiningKernel | None = None
 
@@ -269,16 +264,12 @@ class QualityEvaluator:
                         selector,
                         self._row_slot,
                         self._m1,
-                        self._m2,
-                        cache_mb=self._kernel_cache_mb,
                     )
                     return self._kernel
             self._kernel = MiningKernel(
                 self._columns,
                 self._row_slot,
                 self._m1,
-                self._m2,
-                cache_mb=self._kernel_cache_mb,
                 encodings=self._gathered_encodings(),
             )
         return self._kernel
@@ -308,24 +299,18 @@ class QualityEvaluator:
                 encodings[name] = source
         return encodings
 
-    def kernel_counters(self) -> dict[str, int]:
-        """The kernel's StepTimer counter labels -> values ({} if never
-        exercised)."""
-        if self._kernel is None:
-            return {}
-        return self._kernel.counters()
-
     # ------------------------------------------------------------------
-    def coverage_counts(
-        self, pattern: Pattern, parent: Pattern | None = None
-    ) -> tuple[int, int]:
-        """Distinct covered provenance rows of (t1, t2) in the sample.
+    def coverage_batch(
+        self, patterns: Sequence[Pattern]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct covered provenance rows of (t1, t2) in the sample,
+        for a batch of patterns at once: two int64 arrays."""
+        return self.kernel.coverage(patterns)
 
-        ``parent`` is an optional one-predicate-smaller ancestor whose
-        cached mask enables incremental evaluation; it never changes the
-        result, only how it is computed.
-        """
-        return self.kernel.coverage(pattern, parent)
+    def coverage_counts(self, pattern: Pattern) -> tuple[int, int]:
+        """:meth:`coverage_batch` of one pattern, as two ints."""
+        cov1, cov2 = self.coverage_batch([pattern])
+        return int(cov1[0]), int(cov2[0])
 
     def evaluate(self, pattern: Pattern, primary: int = 1) -> QualityStats:
         """Definition 7 statistics with the chosen primary tuple."""

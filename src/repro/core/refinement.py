@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import CajadeConfig
-from .pattern import OP_GE, OP_LE, Pattern
+from .pattern import OP_GE, OP_LE, PatternPredicate
 
 
 def numeric_fragments(
@@ -24,17 +24,15 @@ def numeric_fragments(
     For λ#frag = k the boundaries are the k quantiles at
     ``linspace(0, 1, k)`` — e.g. min/median/max for k = 3, matching the
     paper's example.  NaNs (NULLs) are ignored; constant or empty columns
-    yield no boundaries.
+    yield no boundaries, and neither does k = 1 (one fragment is the
+    whole domain).
     """
     numeric = values.astype(np.float64, copy=False)
     finite = numeric[~np.isnan(numeric)]
     if len(finite) == 0:
         return []
-    if num_fragments == 1:
-        candidates = [float(np.median(finite))]
-    else:
-        qs = np.linspace(0.0, 1.0, num_fragments)
-        candidates = [float(v) for v in np.quantile(finite, qs)]
+    qs = np.linspace(0.0, 1.0, num_fragments)
+    candidates = [float(v) for v in np.quantile(finite, qs)]
     unique: list[float] = []
     for value in candidates:
         if not unique or value != unique[-1]:
@@ -45,12 +43,15 @@ def numeric_fragments(
 
 
 class RefinementGenerator:
-    """Enumerates one-step numeric refinements of a pattern.
+    """The one-step numeric refinements of one APT, as a flat table.
 
-    Fragment boundaries — and the resulting ``(op, value)`` extension
-    list of every attribute — are computed once per APT and reused across
-    all patterns, so the BFS inner loop only filters by attribute usage
-    and instantiates patterns.
+    Fragment boundaries are computed once per APT.  ``extensions`` lists
+    every predicate a pattern may be refined by — attribute by attribute,
+    ``<=`` before ``>=``, boundaries ascending — and an extension's index
+    in that list is its id: Algorithm 1's search works on those ids and
+    builds patterns only for what it reports.  A pattern takes at most
+    one extension per attribute (``extension_attr`` numbers them), so a
+    set of ids names one refinement.
     """
 
     def __init__(
@@ -61,9 +62,8 @@ class RefinementGenerator:
     ):
         self.config = config
         self.numeric_attrs = [a for a in numeric_attrs if a in columns]
-        self._numeric_set = frozenset(self.numeric_attrs)
         self._fragments: dict[str, list[float]] = {}
-        self._extensions: list[tuple[str, tuple[tuple[str, float], ...]]] = []
+        self.extensions: list[PatternPredicate] = []
         for attr in self.numeric_attrs:
             boundaries = numeric_fragments(
                 columns[attr], config.num_fragments
@@ -75,32 +75,19 @@ class RefinementGenerator:
             # the minimum and the highest with >= only the maximum; use
             # every boundary with both operators except the two vacuous
             # extremes (<= max and >= min match everything).
-            extensions = tuple(
-                (op, boundary)
+            self.extensions.extend(
+                PatternPredicate(attr, op, boundary)
                 for op in (OP_LE, OP_GE)
                 for boundary in boundaries
                 if not (op == OP_LE and boundary == boundaries[-1])
                 and not (op == OP_GE and boundary == boundaries[0])
             )
-            if extensions:
-                self._extensions.append((attr, extensions))
+
+        attrs = list(dict.fromkeys(p.attribute for p in self.extensions))
+        self.extension_attrs = attrs
+        self.extension_attr = np.array(
+            [attrs.index(p.attribute) for p in self.extensions], dtype=np.int64
+        )
 
     def fragments_of(self, attr: str) -> list[float]:
         return list(self._fragments.get(attr, []))
-
-    def refinements(self, pattern: Pattern) -> list[Pattern]:
-        """All one-predicate numeric extensions permitted by λattrNum."""
-        if (
-            pattern.num_numeric_predicates(self._numeric_set)
-            >= self.config.max_numeric_predicates
-        ):
-            return []
-        out: list[Pattern] = []
-        for attr, extensions in self._extensions:
-            if pattern.uses(attr):
-                continue
-            out.extend(
-                pattern.refined(attr, op, boundary)
-                for op, boundary in extensions
-            )
-        return out

@@ -8,7 +8,7 @@ same breakdown rows (Figures 7, 9c, 9d).
 
 Alongside seconds, the timer also accumulates named integer *counters*
 (APT cache hits/misses/evictions from the materialization engine, join
-window counts, kernel mask hits), which the breakdown table reports so
+window counts, patterns examined), which the breakdown table reports so
 cache behaviour shows up next to the step costs it explains.
 """
 
@@ -59,12 +59,15 @@ JOIN_WINDOWS_BUILT = "Join windows built"
 JOIN_SEARCHSORTED_PROBES = "Join searchsorted probes"
 JOIN_PERMUTATION_REUSES = "Join permutation reuses"
 
-# Canonical counter labels (mining-kernel mask cache behaviour).
-KERNEL_MASK_HITS = "Kernel mask hits"
-KERNEL_MASK_MISSES = "Kernel mask misses"
-KERNEL_MASK_EVICTIONS = "Kernel mask evictions"
-KERNEL_INCREMENTAL_EVALS = "Kernel incremental evals"
-KERNEL_FULL_EVALS = "Kernel full evals"
+# Canonical counter labels (Algorithm 1's level-at-a-time search).
+# "Patterns examined" counts the lattice nodes scored (seeds included),
+# "mining levels" the batches they were scored in, and "pool patterns
+# built" the nodes at or above the pool's cut — the only ones that are
+# ever Pattern objects — all summed across the APTs of a request, and
+# all exact: they repeat from run to run.
+PATTERNS_EXAMINED = "Patterns examined"
+MINING_LEVELS = "Mining levels"
+POOL_PATTERNS_BUILT = "Pool patterns built"
 
 # Canonical counter labels (§3.1 histogram-forest feature selection).
 # "Nodes grown" counts tree nodes created (leaves included),
@@ -132,11 +135,9 @@ ALL_COUNTERS = (
     JOIN_WINDOWS_BUILT,
     JOIN_SEARCHSORTED_PROBES,
     JOIN_PERMUTATION_REUSES,
-    KERNEL_MASK_HITS,
-    KERNEL_MASK_MISSES,
-    KERNEL_MASK_EVICTIONS,
-    KERNEL_INCREMENTAL_EVALS,
-    KERNEL_FULL_EVALS,
+    PATTERNS_EXAMINED,
+    MINING_LEVELS,
+    POOL_PATTERNS_BUILT,
     HIST_NODES_GROWN,
     HIST_HISTOGRAMS_BUILT,
     HIST_SPLITS_EVALUATED,

@@ -113,6 +113,16 @@ def mimic_small():
     return load_mimic(scale=0.08, seed=5)
 
 
+@pytest.fixture(scope="session")
+def gate_databases():
+    """NBA and MIMIC as ``benchmarks/e2e`` generates them (scale 0.25),
+    keyed by dataset name — for whole-question oracle comparisons at the
+    gate's scale."""
+    from repro.datasets import load_mimic, load_nba
+
+    return {"nba": load_nba(scale=0.25), "mimic": load_mimic(scale=0.25)}
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
@@ -120,9 +130,10 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture()
 def kernel_verify(monkeypatch) -> list[int]:
-    """Cross-check every kernel coverage computation made during the test
-    against ``tests/oracles/coverage.py`` (raises on the first mismatch);
-    the value is a one-element list counting the calls checked."""
+    """Cross-check the kernel's coverage counts made during the test —
+    every pattern-level call and every mined pool — against
+    ``tests/oracles/coverage.py`` (raises on the first mismatch); the
+    value is a one-element list counting the counts checked."""
     from tests.oracles import coverage
 
     return coverage.cross_check(monkeypatch)

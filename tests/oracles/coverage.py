@@ -6,7 +6,7 @@ descending from it matches.  This is the scoring path
 ``MiningKernel``: ``Pattern.match_mask`` over the raw columns (per-row
 Python equality on object cells), ``np.unique`` over the matching rows'
 provenance ids, and a dict lookup per covered id.  No codes, no slots, no
-mask cache.
+batches.
 """
 
 from __future__ import annotations
@@ -49,39 +49,71 @@ def coverage_counts(
     return cov1, cov2
 
 
-def swap_in(monkeypatch) -> None:
-    """Make every evaluator score with this oracle instead of its kernel."""
+def swap_in(monkeypatch) -> list[int]:
+    """Make every evaluator score patterns with this oracle instead of its
+    kernel.  ``mine_apt``'s search scores integer rows on the kernel and
+    never asks for a pattern's coverage, so a whole mining runs "kernel
+    off" only with ``tests/oracles/mining.swap_in`` on top.
+
+    Returns a one-element list counting the patterns the oracle scored.
+    """
     sides = functools.cache(side_of)  # one dict per live evaluator
-    monkeypatch.setattr(
-        QualityEvaluator,
-        "coverage_counts",
-        lambda self, pattern, parent=None: coverage_counts(
-            self, pattern, sides(self)
-        ),
-    )
+    scored = [0]
+
+    def batch(self, patterns):
+        scored[0] += len(patterns)
+        counts = [coverage_counts(self, p, sides(self)) for p in patterns]
+        return (
+            np.array([c[0] for c in counts], dtype=np.int64),
+            np.array([c[1] for c in counts], dtype=np.int64),
+        )
+
+    monkeypatch.setattr(QualityEvaluator, "coverage_batch", batch)
+    return scored
 
 
 def cross_check(monkeypatch) -> list[int]:
-    """Compare every kernel coverage computation with this oracle.
+    """Compare the kernel's coverage counts with this oracle.
 
-    Wraps ``QualityEvaluator.coverage_counts`` — the one place the pipeline
-    calls ``MiningKernel.coverage`` — and raises ``AssertionError`` on the
-    first disagreement.  Returns a one-element list holding the number of
-    calls checked so far.
+    Wraps ``QualityEvaluator.coverage_batch`` — every pattern-level count,
+    single patterns and a join graph's finalists included — and
+    ``repro.core.mining.frontier_search``, whose pool holds every count of
+    the level-at-a-time search that can reach an answer; raises
+    ``AssertionError`` on the first disagreement.  Returns a one-element
+    list holding the number of counts checked so far.
     """
+    import repro.core.mining as mining
+
     sides = functools.cache(side_of)  # one dict per live evaluator
-    production = QualityEvaluator.coverage_counts
+    production = QualityEvaluator.coverage_batch
+    search = mining.frontier_search
     checked = [0]
 
-    def verified(self, pattern, parent=None):
-        counts = production(self, pattern, parent)
-        expected = coverage_counts(self, pattern, sides(self))
+    def check(evaluator, pattern, counts):
+        expected = coverage_counts(evaluator, pattern, sides(evaluator))
         assert counts == expected, (
             f"kernel coverage {counts} != oracle {expected} "
             f"for pattern {pattern.describe()}"
         )
         checked[0] += 1
-        return counts
 
-    monkeypatch.setattr(QualityEvaluator, "coverage_counts", verified)
+    def verified_batch(self, patterns):
+        cov1, cov2 = production(self, patterns)
+        for pattern, counts in zip(patterns, zip(cov1.tolist(), cov2.tolist())):
+            check(self, pattern, counts)
+        return cov1, cov2
+
+    def verified_search(evaluator, *args):
+        pool, examined = search(evaluator, *args)
+        for entry in pool:
+            tp, fp = entry.stats.tp, entry.stats.fp
+            check(
+                evaluator,
+                entry.pattern,
+                (tp, fp) if entry.primary == 1 else (fp, tp),
+            )
+        return pool, examined
+
+    monkeypatch.setattr(QualityEvaluator, "coverage_batch", verified_batch)
+    monkeypatch.setattr(mining, "frontier_search", verified_search)
     return checked

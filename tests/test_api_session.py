@@ -290,32 +290,19 @@ class TestRequestValidation:
             ("late_materialization", False),
             ("join_strategy", "hash"),
             ("join_memo_entries", 64),
+            ("kernel_cache_mb", 8.0),
         ],
     )
     def test_removed_strategy_toggles_rejected(self, name, value):
-        """The seven byte-identical slow-path selectors are gone: naming
-        one is an error, never a silently ignored (or honoured) key."""
+        """The seven byte-identical slow-path selectors and the mask
+        memo's budget are gone: naming one is an error, never a silently
+        ignored (or honoured) key."""
         with pytest.raises(ValueError, match="unknown CajadeConfig"):
             ExplanationRequest(
                 GSW_WINS_SQL, QUESTION, overrides={name: value}
             )
         with pytest.raises(TypeError):
             CajadeConfig(**{name: value})
-
-    def test_legal_budget_override_takes_effect(self, session):
-        """``kernel_cache_mb`` is a per-request budget: 0 really disables
-        the mask memo for that request, and — being mining-neutral —
-        leaves the answer alone."""
-        from repro.core.timing import KERNEL_MASK_HITS
-
-        default = CajadeSession(session.db, session.schema_graph, CONFIG)
-        with_memo = default.explain(GSW_WINS_SQL, QUESTION)
-        without = session.explain(
-            GSW_WINS_SQL, QUESTION, overrides={"kernel_cache_mb": 0.0}
-        )
-        assert with_memo.timer.counter(KERNEL_MASK_HITS) > 0
-        assert without.timer.counter(KERNEL_MASK_HITS) == 0
-        assert ranked_payload(without) == ranked_payload(with_memo)
 
     def test_bad_question_type_rejected(self):
         with pytest.raises(TypeError):

@@ -221,7 +221,6 @@ class TestRoundTripParity:
                 else {"t.s": None},
                 row_slot=np.zeros(n, dtype=np.int64),
                 m1=1,
-                m2=0,
                 encodings=encodings,
             )
 

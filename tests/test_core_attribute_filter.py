@@ -111,7 +111,7 @@ class TestGroupDeterminedGuard:
             # takes the per-row arm.
             "codeless": np.array([7, 7, 7, 9, 9], dtype=np.int64),
         }
-        kernel = MiningKernel(columns, np.arange(5), m1=3, m2=2)
+        kernel = MiningKernel(columns, np.arange(5), m1=3)
         assert kernel.match_codes("codeless") is None
 
         def determined(name):

@@ -109,7 +109,7 @@ class TestConfigSurface:
         "use_diversity",
         "exclude_group_determined",
     }
-    BUDGETS = {"workers", "apt_cache_mb", "kernel_cache_mb"}
+    BUDGETS = {"workers", "apt_cache_mb"}
 
     def test_exact_field_set(self):
         from dataclasses import fields
@@ -125,7 +125,7 @@ class TestConfigSurface:
             | {"seed"}
         )
         assert names == expected
-        assert len(names) == 25
+        assert len(names) == 24
         # Only the budgets may leave answers alone; anything else keys
         # the mining memo and the serving caches.
         assert _MINING_NEUTRAL_FIELDS == self.BUDGETS
@@ -136,8 +136,9 @@ class TestConfigSurface:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain", "--help"])
         text = capsys.readouterr().out
-        assert "--kernel-cache-mb" in text
+        assert "--apt-cache-mb" in text
         for switch in (
+            "--kernel-cache-mb",
             "--no-kernel",
             "--no-code-lca",
             "--no-hist-forest",

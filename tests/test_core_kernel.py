@@ -3,9 +3,9 @@
 The contract under test: kernel scoring is *byte-identical* to the
 naive per-row definition (``tests/oracles/coverage.py`` and
 `Pattern.match_mask`) for every pattern, including NULL/NaN rows,
-empty patterns, sampled evaluators, incremental parent-mask reuse, and
-LRU eviction fallback — and a whole ``mine_apt`` run is unchanged when
-the coverage or LCA oracle stands in for the production layer.
+empty patterns, sampled evaluators and ``parent & predicate``
+conjunctions — and a whole ``mine_apt`` run is unchanged when the
+coverage, search or LCA oracle stands in for the production layer.
 """
 
 from __future__ import annotations
@@ -26,19 +26,14 @@ from repro.core import (
     mine_apt,
 )
 from repro.core.apt import APTAttribute, AugmentedProvenanceTable
-from repro.core.kernel import MaskCache
 from repro.core.pattern import OP_EQ, OP_GE, OP_LE
-from repro.core.timing import (
-    KERNEL_FULL_EVALS,
-    KERNEL_INCREMENTAL_EVALS,
-    KERNEL_MASK_HITS,
-    StepTimer,
-)
+from repro.core.timing import MINING_LEVELS, PATTERNS_EXAMINED, StepTimer
 from repro.db import ColumnType, ProvenanceTable, TableSchema, parse_sql
 from repro.db.relation import Relation
 from tests.conftest import GSW_WINS_SQL
 from tests.oracles import coverage as coverage_oracle
 from tests.oracles import lca as lca_oracle
+from tests.oracles import mining as mining_oracle
 from tests.test_core_apt import star_join_graph
 
 CATEGORIES = ("red", "blue", "green", None)
@@ -169,11 +164,12 @@ class TestKernelMatchesReference:
         evaluator = QualityEvaluator(apt, ids1, ids2)
         kernel = evaluator.kernel
         columns = evaluator.columns()
-        for raw in raw_patterns:
-            pattern = safe_pattern(raw)
+        patterns = [safe_pattern(raw) for raw in raw_patterns]
+        masks = kernel.conjunctions(*kernel.encode(patterns))
+        for pattern, mask in zip(patterns, masks):
+            # Mask columns are the APT's rows sorted by coverage slot.
             np.testing.assert_array_equal(
-                kernel.pattern_mask(pattern),
-                pattern.match_mask(columns),
+                mask, pattern.match_mask(columns)[kernel.slot_order]
             )
 
     @given(rows=rows_strategy, raw_patterns=patterns_strategy,
@@ -202,19 +198,23 @@ class TestKernelMatchesReference:
     def test_incremental_equals_full(
         self, rows, base, extra, sides_seed
     ):
-        """parent & predicate must equal evaluating the child outright."""
+        """parent & predicate — how the search scores a refinement —
+        must equal evaluating the child outright."""
         apt = build_apt(rows)
         ids1, ids2 = split_ids(rows, sides_seed)
         parent = safe_pattern([base])
         child = safe_pattern([base, extra])
+        added = [p for p in child.predicates if p not in parent.predicates]
 
-        incremental = QualityEvaluator(apt, ids1, ids2)
-        incremental.coverage_counts(parent)  # warm the parent's mask
-        with_hint = incremental.coverage_counts(child, parent=parent)
+        evaluator = QualityEvaluator(apt, ids1, ids2)
+        kernel = evaluator.kernel
+        stacked = kernel.predicate_masks(added, lead=1)
+        stacked[0] = kernel.conjunctions(*kernel.encode([parent]))[0]
+        cov1, cov2 = kernel.score(stacked, np.arange(len(stacked))[None, :])
+        with_parent = (int(cov1[0]), int(cov2[0]))
 
-        outright = QualityEvaluator(apt, ids1, ids2)
-        assert with_hint == outright.coverage_counts(child)
-        assert with_hint == coverage_oracle.coverage_counts(outright, child)
+        assert with_parent == evaluator.coverage_counts(child)
+        assert with_parent == coverage_oracle.coverage_counts(evaluator, child)
 
     @given(rows=rows_strategy, raw_patterns=patterns_strategy,
            sides_seed=st.integers(min_value=0, max_value=7))
@@ -286,66 +286,12 @@ class TestKernelMatchesReference:
         assert evaluator.side_labels().tolist() == expected
 
 
-class TestEvictionAndCacheModes:
-    @given(rows=rows_strategy, raw_patterns=patterns_strategy,
-           sides_seed=st.integers(min_value=0, max_value=7))
-    @settings(max_examples=40, deadline=None)
-    def test_tiny_cache_still_exact(self, rows, raw_patterns, sides_seed):
-        """Evictions force full-evaluation fallbacks, never wrong counts."""
-        apt = build_apt(rows)
-        ids1, ids2 = split_ids(rows, sides_seed)
-        tiny = QualityEvaluator(
-            apt, ids1, ids2, kernel_cache_mb=2e-5  # ~20 bytes
-        )
-        for raw in raw_patterns:
-            pattern = safe_pattern(raw)
-            assert tiny.coverage_counts(pattern) == (
-                coverage_oracle.coverage_counts(tiny, pattern)
-            )
-
-    def test_zero_budget_disables_memoization(self):
-        rows = [(i, "red" if i % 2 else "blue", i, i % 3) for i in range(8)]
-        apt = build_apt(rows)
-        ids1, ids2 = split_ids(rows, 0)
-        evaluator = QualityEvaluator(apt, ids1, ids2, kernel_cache_mb=0.0)
-        pattern = safe_pattern([PatternPredicate("cat", OP_EQ, "red")])
-        first = evaluator.coverage_counts(pattern)
-        second = evaluator.coverage_counts(pattern)
-        assert first == second
-        kernel = evaluator.kernel
-        assert kernel.mask_hits == 0
-        assert kernel.mask_misses >= 2
-        assert len(kernel.cache) == 0
-
-    def test_mask_cache_lru_eviction_order(self):
-        cache = MaskCache(budget_bytes=20)
-        a = np.ones(8, dtype=bool)
-        b = np.zeros(8, dtype=bool)
-        c = np.ones(8, dtype=bool)
-        cache.put("a", a)
-        cache.put("b", b)
-        assert cache.get("a") is a  # refresh a's recency
-        cache.put("c", c)  # evicts b (LRU), not a
-        assert cache.get("b") is None
-        assert cache.get("a") is a
-        assert cache.get("c") is c
-        assert cache.evictions == 1
-
-    def test_oversized_entry_not_stored(self):
-        cache = MaskCache(budget_bytes=4)
-        cache.put("big", np.ones(64, dtype=bool))
-        assert cache.get("big") is None
-        assert cache.evictions == 0
-
-
 class TestKernelDirect:
     def test_null_codes_never_match(self):
         columns = {
             "cat": np.array(["x", None, "y", np.nan, "x"], dtype=object)
         }
-        kernel = MiningKernel(
-            columns, np.arange(5), m1=3, m2=2, cache_mb=1.0
-        )
+        kernel = MiningKernel(columns, np.arange(5), m1=3)
         np.testing.assert_array_equal(
             kernel.predicate_mask("cat", OP_EQ, "x"),
             np.array([True, False, False, False, True]),
@@ -358,12 +304,12 @@ class TestKernelDirect:
 
     def test_categorical_rejects_inequality(self):
         columns = {"cat": np.array(["x", "y"], dtype=object)}
-        kernel = MiningKernel(columns, np.arange(2), m1=1, m2=1)
+        kernel = MiningKernel(columns, np.arange(2), m1=1)
         with pytest.raises(ValueError, match="not allowed on categorical"):
             kernel.predicate_mask("cat", OP_LE, "x")
 
     def test_missing_attribute_raises(self):
-        kernel = MiningKernel({}, np.empty(0, dtype=np.int64), m1=0, m2=0)
+        kernel = MiningKernel({}, np.empty(0, dtype=np.int64), m1=0)
         with pytest.raises(KeyError):
             kernel.predicate_mask("nope", OP_EQ, 1)
 
@@ -372,7 +318,7 @@ class TestKernelDirect:
 
         arr = np.array(["b", None, "a", "b", "c", None], dtype=object)
         kernel = MiningKernel(
-            {"cat": arr}, np.arange(6), m1=3, m2=3
+            {"cat": arr}, np.arange(6), m1=3
         )
         expected = encode_columns({"cat": arr})[:, 0]
         np.testing.assert_array_equal(
@@ -386,10 +332,10 @@ class TestKernelDirect:
         """Sliced codes are not first-occurrence-numbered, so derived
         kernels must not offer them as varclus-compatible encodings."""
         arr = np.array(["b", "a", "b", "c"], dtype=object)
-        source = MiningKernel({"cat": arr}, np.arange(4), m1=2, m2=2)
+        source = MiningKernel({"cat": arr}, np.arange(4), m1=2)
         derived = MiningKernel.derived(
             source, np.array([False, True, True, True]),
-            np.arange(3), m1=1, m2=2,
+            np.arange(3), m1=1,
         )
         assert source.ml_codes("cat") is not None
         assert derived.ml_codes("cat") is None
@@ -404,7 +350,7 @@ class TestKernelDirect:
         arr = np.array(["b", None, "a", np.nan, "b"], dtype=object)
         num = np.arange(5, dtype=np.float64)
         kernel = MiningKernel(
-            {"cat": arr, "num": num}, np.arange(5), m1=3, m2=2
+            {"cat": arr, "num": num}, np.arange(5), m1=3
         )
         match = kernel.code_matrix(["cat"], kind="match")
         assert match.dtype == np.int32
@@ -421,18 +367,11 @@ class TestKernelDirect:
         assert values[3] is arr[3]  # the NaN object itself
         assert kernel.code_values("num") is None
 
-    def test_counters_exposed(self):
-        columns = {"cat": np.array(["x", "y"], dtype=object)}
-        kernel = MiningKernel(columns, np.arange(2), m1=1, m2=1)
-        kernel.predicate_mask("cat", OP_EQ, "x")
-        kernel.predicate_mask("cat", OP_EQ, "x")
-        counters = kernel.counters()
-        assert counters[KERNEL_MASK_HITS] == 1
-
 
 # ----------------------------------------------------------------------
-# End-to-end: mine_apt is byte-identical with an oracle standing in for
-# the kernel's scoring ("kernel off") or for the code-based LCA
+# End-to-end: mine_apt is byte-identical with oracles standing in for
+# the kernel's scoring ("kernel off": the pattern-at-a-time search over
+# per-row coverage) or for the code-based LCA
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def mined_setup(mini_db):
@@ -462,12 +401,22 @@ def _fingerprint(result):
     ]
 
 
+def _kernel_off(monkeypatch, apt, resolved, **overrides):
+    """Mine with no kernel anywhere: one ``Pattern`` at a time, each
+    scored by per-row matching — and check both oracles really ran."""
+    searches = mining_oracle.swap_in(monkeypatch)
+    scored = coverage_oracle.swap_in(monkeypatch)
+    result = _mine(apt, resolved, **overrides)
+    assert searches[0] == 1
+    assert scored[0] >= result.candidates_examined
+    return result
+
+
 class TestMineAptKernelEquivalence:
     def test_kernel_on_off_identical(self, mined_setup, monkeypatch):
         apt, resolved = mined_setup
         on = _mine(apt, resolved)
-        coverage_oracle.swap_in(monkeypatch)
-        off = _mine(apt, resolved)
+        off = _kernel_off(monkeypatch, apt, resolved)
         assert _fingerprint(on) == _fingerprint(off)
         assert on.candidates_examined == off.candidates_examined
 
@@ -494,12 +443,11 @@ class TestMineAptKernelEquivalence:
     ):
         apt, resolved = mined_setup
         on = _mine(apt, resolved, f1_sample_rate=0.6)
-        coverage_oracle.swap_in(monkeypatch)
-        off = _mine(apt, resolved, f1_sample_rate=0.6)
+        off = _kernel_off(monkeypatch, apt, resolved, f1_sample_rate=0.6)
         assert _fingerprint(on) == _fingerprint(off)
 
     def test_kernel_verify_passes(self, mined_setup, kernel_verify):
-        """Every coverage call of a mining agrees with the oracle."""
+        """Every count a mining reports agrees with the oracle."""
         apt, resolved = mined_setup
         _mine(apt, resolved)
         _mine(apt, resolved, f1_sample_rate=0.6)
@@ -507,7 +455,7 @@ class TestMineAptKernelEquivalence:
 
     def test_kernel_verify_qnba5(self, nba_small, kernel_verify):
         """The same cross-check over a whole Qnba5 λ#edges 1 question:
-        every join graph's mining and the exact re-evaluation of its
+        every join graph's pool and the exact re-evaluation of its
         finalists, on frame-backed APTs with gathered codes."""
         from repro.api import CajadeSession
         from repro.datasets import query_by_name
@@ -520,12 +468,6 @@ class TestMineAptKernelEquivalence:
         assert response.explanations
         assert kernel_verify[0] > 100
 
-    def test_tiny_mask_cache_identical(self, mined_setup):
-        apt, resolved = mined_setup
-        tiny = _mine(apt, resolved, kernel_cache_mb=2e-5)
-        full = _mine(apt, resolved)
-        assert _fingerprint(tiny) == _fingerprint(full)
-
     def test_kernel_counters_in_timer(self, mined_setup):
         apt, resolved = mined_setup
         timer = StepTimer()
@@ -533,23 +475,21 @@ class TestMineAptKernelEquivalence:
             top_k=3, f1_sample_rate=1.0, lca_sample_rate=1.0,
             num_selected_attrs=4,
         )
-        mine_apt(apt, resolved, config, np.random.default_rng(0), timer=timer)
+        result = mine_apt(
+            apt, resolved, config, np.random.default_rng(0), timer=timer
+        )
         counters = timer.counters()
-        assert (
-            counters.get(KERNEL_INCREMENTAL_EVALS, 0)
-            + counters.get(KERNEL_FULL_EVALS, 0)
-        ) > 0
+        assert counters[PATTERNS_EXAMINED] == result.candidates_examined
+        assert 1 <= counters[MINING_LEVELS] <= result.candidates_examined
 
 
 class TestConfigAndCli:
-    def test_negative_kernel_cache_rejected(self):
-        with pytest.raises(ValueError, match="kernel_cache_mb"):
-            CajadeConfig(kernel_cache_mb=-1.0)
+    def test_cli_kernel_flags(self, capsys):
+        """The kernel has no budget left to set: its one flag is gone."""
+        from repro.cli import build_parser
 
-    def test_cli_kernel_flags(self):
-        from repro.cli import build_parser, _config_from
-
-        args = build_parser().parse_args(
-            ["workload", "Qnba1", "--kernel-cache-mb", "8"]
-        )
-        assert _config_from(args).kernel_cache_mb == 8.0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["workload", "Qnba1", "--kernel-cache-mb", "8"]
+            )
+        assert "--kernel-cache-mb" in capsys.readouterr().err

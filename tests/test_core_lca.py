@@ -49,7 +49,7 @@ def kernel_for(columns: dict) -> MiningKernel:
     """A kernel over row-aligned columns; slot layout is irrelevant to
     candidate generation."""
     n = len(next(iter(columns.values()))) if columns else 0
-    return MiningKernel(columns, np.arange(n), m1=n, m2=0, cache_mb=1.0)
+    return MiningKernel(columns, np.arange(n), m1=n)
 
 
 def candidates(columns: dict, attrs, cfg, rng):
@@ -234,24 +234,22 @@ class TestPickTopCandidates:
         p_high = Pattern.from_dict({"a": (OP_EQ, "hi")})
         p_mid = Pattern.from_dict({"a": (OP_EQ, "mid")})
         p_low = Pattern.from_dict({"a": (OP_EQ, "lo")})
-        recalls = {p_high: 0.9, p_mid: 0.5, p_low: 0.05}
         picked = pick_top_candidates(
-            [p_low, p_mid, p_high], lambda p: recalls[p], k_cat=2,
+            [p_low, p_mid, p_high], np.array([0.05, 0.5, 0.9]), k_cat=2,
             recall_threshold=0.1,
         )
-        assert picked == [p_high, p_mid]
+        assert picked.tolist() == [2, 1]
 
     def test_k_cat_truncates(self):
         patterns = [
             Pattern.from_dict({"a": (OP_EQ, f"v{i}")}) for i in range(10)
         ]
         picked = pick_top_candidates(
-            patterns, lambda p: 1.0, k_cat=3, recall_threshold=0.0
+            patterns, np.ones(10), k_cat=3, recall_threshold=0.0
         )
-        assert len(picked) == 3
+        assert picked.tolist() == [0, 1, 2]  # ties: by description
 
     def test_all_below_threshold(self):
         patterns = [Pattern.from_dict({"a": (OP_EQ, "v")})]
-        assert (
-            pick_top_candidates(patterns, lambda p: 0.01, 5, 0.5) == []
-        )
+        picked = pick_top_candidates(patterns, np.array([0.01]), 5, 0.5)
+        assert picked.tolist() == []

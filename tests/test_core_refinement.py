@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import CajadeConfig, Pattern, RefinementGenerator, numeric_fragments
 from repro.core.pattern import OP_EQ, OP_GE, OP_LE
+from tests.oracles.mining import refinements
 
 
 class TestNumericFragments:
@@ -24,9 +25,15 @@ class TestNumericFragments:
         assert numeric_fragments(np.array([]), 3) == []
 
     def test_single_fragment_median(self):
+        """λ#frag = 1: one fragment is the whole domain, which has no
+        boundary — and so no numeric refinement at all."""
         assert numeric_fragments(np.array([1.0, 2.0, 9.0]), 1) == []
-        # single fragment on non-constant yields the lone median which is
-        # then collapsed — no usable boundaries.
+        assert numeric_fragments(np.array([4.0]), 1) == []
+        generator = RefinementGenerator(
+            {"pts": np.linspace(0, 40, 21)}, ["pts"],
+            CajadeConfig(num_fragments=1),
+        )
+        assert generator.extensions == []
 
     def test_boundaries_sorted_unique(self):
         values = np.array([1.0] * 50 + [2.0, 3.0])
@@ -48,7 +55,7 @@ class TestRefinementGenerator:
     def test_extends_by_one_numeric_predicate(self):
         gen, _ = self.make(num_fragments=3)
         base = Pattern.from_dict({"team": (OP_EQ, "a")})
-        refs = gen.refinements(base)
+        refs = refinements(gen, base)
         assert refs
         for r in refs:
             assert r.size == 2
@@ -56,7 +63,7 @@ class TestRefinementGenerator:
 
     def test_vacuous_extremes_skipped(self):
         gen, _ = self.make(num_fragments=3)
-        refs = gen.refinements(Pattern())
+        refs = refinements(gen, Pattern())
         for r in refs:
             for pred in r.predicates:
                 if pred.op == OP_LE:
@@ -67,7 +74,7 @@ class TestRefinementGenerator:
     def test_used_attribute_not_reused(self):
         gen, _ = self.make(num_fragments=3)
         base = Pattern.from_dict({"pts": (OP_GE, 20.0)})
-        refs = gen.refinements(base)
+        refs = refinements(gen, base)
         for r in refs:
             new = set(r.attributes) - set(base.attributes)
             assert new == {"minutes"}
@@ -75,7 +82,20 @@ class TestRefinementGenerator:
     def test_attr_num_cap(self):
         gen, _ = self.make(num_fragments=3, max_numeric_predicates=1)
         base = Pattern.from_dict({"pts": (OP_GE, 20.0)})
-        assert gen.refinements(base) == []
+        assert refinements(gen, base) == []
+
+    def test_flat_extension_table(self):
+        """Extension ids: attribute by attribute, <= before >=, boundaries
+        ascending, the two vacuous extremes left out."""
+        gen, _ = self.make(num_fragments=3)
+        assert [(p.attribute, p.op, p.value) for p in gen.extensions] == [
+            ("pts", OP_LE, 0.0), ("pts", OP_LE, 20.0),
+            ("pts", OP_GE, 20.0), ("pts", OP_GE, 40.0),
+            ("minutes", OP_LE, 10.0), ("minutes", OP_LE, 24.0),
+            ("minutes", OP_GE, 24.0), ("minutes", OP_GE, 38.0),
+        ]
+        assert gen.extension_attrs == ["pts", "minutes"]
+        assert gen.extension_attr.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_fragments_of_accessor(self):
         gen, _ = self.make(num_fragments=3)
@@ -85,6 +105,6 @@ class TestRefinementGenerator:
     def test_more_fragments_more_refinements(self):
         gen3, _ = self.make(num_fragments=3)
         gen5, _ = self.make(num_fragments=5)
-        assert len(gen5.refinements(Pattern())) > len(
-            gen3.refinements(Pattern())
+        assert len(refinements(gen5, Pattern())) > len(
+            refinements(gen3, Pattern())
         )

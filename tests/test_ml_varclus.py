@@ -134,7 +134,7 @@ class TestKernelCodeReuse:
         from repro.core.kernel import MiningKernel
 
         n = len(next(iter(cols.values())))
-        kernel = MiningKernel(cols, np.arange(n), m1=n, m2=0)
+        kernel = MiningKernel(cols, np.arange(n), m1=n)
         return {
             name: codes
             for name in cols

@@ -44,7 +44,6 @@ from repro.core.timing import (
     HIST_NODES_GROWN,
     StepTimer,
 )
-from repro.datasets import load_mimic, load_nba
 from repro.datasets.workloads import query_by_name
 from repro.db import ColumnType, TableSchema
 from repro.db.relation import Relation
@@ -72,12 +71,6 @@ def repeat_counts(timer: StepTimer) -> list[int]:
 # ----------------------------------------------------------------------
 # Whole questions at the gate's scale: shared ≡ oracle ≡ workers=2
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def gate_databases():
-    """NBA and MIMIC as ``benchmarks/e2e`` generates them (scale 0.25)."""
-    return {"nba": load_nba(scale=0.25), "mimic": load_mimic(scale=0.25)}
-
-
 def ask(databases, name: str, edges: int, workers: int = 1):
     workload = query_by_name(name)
     db, schema_graph = databases[workload.dataset]

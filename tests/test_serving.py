@@ -918,6 +918,7 @@ class TestHttp:
             {"late_materialization": False},
             {"join_strategy": "hash"},
             {"join_memo_entries": 64},
+            {"kernel_cache_mb": 8},
             {"not_a_knob": 1},
             {"apt_cache_mb": 0.0},
             [["top_k", 3]],
@@ -951,7 +952,7 @@ class TestHttp:
                         "POST",
                         "/explain",
                         json.dumps(
-                            {**body, "overrides": {"kernel_cache_mb": 8}}
+                            {**body, "overrides": {"k_cat": 8}}
                         ).encode(),
                     )
                 finally:
