@@ -19,8 +19,8 @@ the point of the comparison:
 
 Both modes are verified byte-identical (schema, rows, ``__pt_row_id``)
 for every join graph at the deepest sweep point, and a full explanation
-run is compared across cache-off / cache-on / ``workers > 1`` for
-byte-identical JSON output and F-scores.  The full run asserts the
+run is compared across cache-off / cache-on for byte-identical JSON
+output and F-scores.  The full run asserts the
 cache delivers at least a 2x materialization speedup over the grid;
 ``--quick`` keeps the correctness checks but skips the speedup
 assertion (CI smoke mode).
@@ -175,9 +175,6 @@ def run(args: argparse.Namespace) -> int:
     runs = {
         "cache-off": explain_config.with_overrides(apt_cache_mb=0.0),
         "cache-on": explain_config,
-        f"workers={args.workers}": explain_config.with_overrides(
-            workers=args.workers
-        ),
     }
     outputs: dict[str, str] = {}
     for label, run_config in runs.items():
@@ -201,7 +198,7 @@ def run(args: argparse.Namespace) -> int:
         if payload != baseline:
             print(f"FAIL: {label} explanations differ from cache-off")
             return 1
-    print("explanations and F-scores byte-identical across all modes")
+    print("explanations and F-scores byte-identical across both modes")
 
     if not args.quick and speedup < 2.0:
         print(f"FAIL: cache speedup {speedup:.2f}x < 2x")
@@ -229,7 +226,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(default 80; quick 60)")
     parser.add_argument("--cap4", type=int, default=40,
                         help="BFS-prefix cap on size-4 graphs")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--cache-mb", type=float, default=2048.0,
                         help="engine cache budget for the sweep")
     args = parser.parse_args(argv)

@@ -12,8 +12,7 @@ NBA database:
   must load **zero** dictionary pickles at open time;
 - *byte identity*: the user-study explanation (UQ1) is computed on the
   CSV-loaded in-memory database and on the memmap-backed opened
-  database, serial and with ``--workers`` mining workers — all four
-  ranked payloads must match byte for byte;
+  database — the two ranked payloads must match byte for byte;
 - *synthetic ~10x arm*: ``scale_up_database`` by ``--tenx-factor``,
   save/reopen the scaled store, and check the user-study SQL aggregate
   matches between the in-memory and memmap-backed copies.
@@ -142,39 +141,22 @@ def run(args: argparse.Namespace) -> int:
             seed=2,
             max_join_edges=args.edges,
         )
-        arms = {
-            "in-memory serial": (db_csv, config),
-            f"in-memory workers={args.workers}": (
-                db_csv,
-                config.with_overrides(workers=args.workers),
-            ),
-            "memmap serial": (db_mm, config),
-            f"memmap workers={args.workers}": (
-                db_mm,
-                config.with_overrides(workers=args.workers),
-            ),
-        }
+        arms = {"in-memory": db_csv, "memmap": db_mm}
         payloads = {}
-        for label, (db, cfg) in arms.items():
+        for label, db in arms.items():
             payloads[label] = meter.measure(
-                f"explain {label}", lambda db=db, cfg=cfg: explain_payload(db, cfg)
+                f"explain {label}", lambda db=db: explain_payload(db, config)
             )
             print(
                 f"explain {label}: "
                 f"{meter.seconds(f'explain {label}'):.2f}s"
             )
-        reference = payloads["in-memory serial"]
-        for label, payload in payloads.items():
-            if payload != reference:
-                failures.append(
-                    f"explain {label}: ranked output differs from "
-                    "in-memory serial"
-                )
-        byte_identical = not any("ranked output" in f for f in failures)
+        byte_identical = payloads["memmap"] == payloads["in-memory"]
         if byte_identical:
-            print(
-                "ranked explanations byte-identical: memmap on/off x "
-                f"serial/workers={args.workers}"
+            print("ranked explanations byte-identical: memmap on/off")
+        else:
+            failures.append(
+                "explain memmap: ranked output differs from in-memory"
             )
         dicts_after = db_mm.column_store.dicts_loaded
         dict_total = len(db_mm.column_store.stores)
@@ -234,7 +216,6 @@ def run(args: argparse.Namespace) -> int:
         "workload": "UQ1 (user study) + user-study SQL aggregate",
         "scale": args.scale,
         "edges": args.edges,
-        "workers": args.workers,
         "repeats": args.repeats,
         "smoke": args.smoke,
         "cold_ingest_seconds": [round(s, 4) for s in cold_seconds],
@@ -289,7 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=None,
                         help="cold-ingest/reopen repeats (default 3; "
                              "smoke 2)")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--tenx-factor", type=int, default=None,
                         help="synthetic scale-up factor (default 10; "
                              "smoke 2; 1 disables the arm)")

@@ -18,8 +18,9 @@ amortization on a Qnba workload:
 3. *cross-question*: a different question (outlier on t1) against the
    same query — reuses parse/provenance/enumeration and engine context
    state, reports the observed timing and per-request engine counters;
-4. *batch*: the same requests through ``session.explain_batch`` with
-   ``--workers``, verifying byte-identical output once more.
+4. *batch*: the same requests through ``session.explain_batch`` (one
+   of them a duplicate, answered once), verifying byte-identical output
+   once more.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_session.py [--quick]
@@ -119,9 +120,7 @@ def run(args: argparse.Namespace) -> int:
     requests = [
         ExplanationRequest(workload.sql, workload.question),
         ExplanationRequest(workload.sql, outlier),
-        ExplanationRequest(
-            workload.sql, workload.question, workers=args.workers
-        ),
+        ExplanationRequest(workload.sql, workload.question),
     ]
     start = time.perf_counter()
     responses = session.explain_batch(requests)
@@ -131,7 +130,7 @@ def run(args: argparse.Namespace) -> int:
         if ranked_payload(response) != cold_payload:
             print("FAIL: batched explanations differ from cold one-shot")
             return 1
-    print("batched explanations byte-identical across warmth and workers")
+    print("batched explanations byte-identical across warmth")
     print(session.stats.describe())
 
     if not args.quick and speedup < 2.0:
@@ -155,7 +154,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="Qnba workload name (default Qnba1)")
     parser.add_argument("--runs", type=int, default=None,
                         help="cold one-shot repetitions (default 3; quick 1)")
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
     if args.scale is None:
         args.scale = 0.04 if args.quick else 0.1

@@ -11,8 +11,7 @@ recomputing provenance, re-enumerating join graphs and rematerializing
 every APT from scratch.  On top of the trie, the session memoizes
 per-graph mining finalists keyed by the question's ordered row-id-set
 fingerprints and the mining-relevant config, so *repeating* a question
-(or re-asking it with a different ``workers`` — budgets never change
-results) skips mining too and reduces to reranking.
+skips mining too and reduces to reranking.
 
 Results are *byte-identical* to a fresh session's at any warmth: cached
 state only changes where intermediate relations and finalists come from
@@ -29,7 +28,7 @@ Three entry points::
     # fluent builder
     response = session.ask(sql).why_higher(t1, t2).top_k(5).run()
 
-    # batched: shares one worker pool, orders requests for trie locality
+    # batched: orders requests for trie locality, answers duplicates once
     responses = session.explain_batch([request1, request2, ...])
 """
 
@@ -37,13 +36,11 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 import numpy as np
 
-from ..core.apt import AugmentedProvenanceTable
 from ..core.attribute_filter import SelectionMemo
 from ..core.config import CajadeConfig
 from ..core.diversity import select_diverse_top_k
@@ -81,23 +78,26 @@ from ..engine import (
     MaterializationEngine,
     graph_rng,
     restriction_fingerprint,
-    run_streaming,
 )
-from .types import ExplanationRequest, ExplanationResponse, query_fingerprint
+from .types import (
+    ExplanationRequest,
+    ExplanationResponse,
+    locality_ranking,
+    query_fingerprint,
+)
 
-# Config fields that do not change mining output — the two budgets:
-# ``workers`` preserves results exactly (per-graph generators) and the
+# Config fields that do not change mining output — the one budget: the
 # APT cache size only moves bytes around.  Everything else keys the
 # session's per-graph mining memo.
-_MINING_NEUTRAL_FIELDS = frozenset({"workers", "apt_cache_mb"})
+_MINING_NEUTRAL_FIELDS = frozenset({"apt_cache_mb"})
 
 
 def mining_config_key(config: CajadeConfig) -> tuple:
     """The output-relevant projection of a config, as a hashable key.
 
     Two configs with equal keys produce byte-identical ranked
-    explanations for the same question: the excluded fields are exactly
-    the budgets (worker count and the APT cache size).  This key
+    explanations for the same question: the excluded field is exactly
+    the budget (the APT cache size).  This key
     namespaces the session's per-graph mining memo, :meth:`CajadeSession
     .explain_batch`'s duplicate-request coalescing, and the serving
     layer's cross-request response cache.
@@ -291,7 +291,6 @@ class CajadeSession:
         top_k: int | None = None,
         max_join_edges: int | None = None,
         f1_sample_rate: float | None = None,
-        workers: int | None = None,
         overrides: dict[str, Any] | None = None,
     ) -> ExplanationResponse:
         """Answer one request (or ``sql, question`` plus knobs)."""
@@ -307,7 +306,6 @@ class CajadeSession:
                 top_k=top_k,
                 max_join_edges=max_join_edges,
                 f1_sample_rate=f1_sample_rate,
-                workers=workers,
                 overrides=tuple(sorted((overrides or {}).items())),
             )
         elif question is not None:
@@ -325,15 +323,12 @@ class CajadeSession:
         """Answer many requests, returned in input order.
 
         Requests are *executed* grouped by query fingerprint and then by
-        question (first-seen order), so repeats land on a trie their
-        predecessor just warmed; one worker pool (sized to the largest
-        per-request ``workers``) is shared across the whole batch
-        instead of being rebuilt per request.
+        question (:func:`~repro.api.types.locality_ranking`), so repeats
+        land on a trie their predecessor just warmed.
 
         Duplicate requests — same query fingerprint, question and
-        output-relevant config (:func:`mining_config_key`, so knobs like
-        ``workers`` that never change results don't split the group) —
-        are computed once and the response object fanned out to every
+        output-relevant config (:func:`mining_config_key`) — are
+        computed once and the response object fanned out to every
         duplicate slot, matching the serving layer's in-flight
         coalescing semantics.  Fan-out is byte-identical by construction
         (the shared computation is exactly what each duplicate would
@@ -343,47 +338,25 @@ class CajadeSession:
         requests = list(requests)
         self._stats.batches += 1
 
-        fp_rank: dict[str, int] = {}
-        question_rank: dict[tuple[str, str], int] = {}
         first_of: dict[tuple, int] = {}
         duplicate_of: dict[int, int] = {}
-        keyed: list[tuple[int, int, int]] = []
-        max_workers = 1
+        distinct: list[int] = []
+        locality_keys: list[tuple[str, str]] = []
         for index, request in enumerate(requests):
-            fingerprint = request.fingerprint
-            config = request.config_for(self.config)
-            rkey = (
-                fingerprint,
-                repr(request.question),
-                mining_config_key(config),
-            )
+            qkey = (request.fingerprint, repr(request.question))
+            rkey = (*qkey, mining_config_key(request.config_for(self.config)))
             first = first_of.setdefault(rkey, index)
             if first != index:
                 duplicate_of[index] = first
                 self._stats.requests_deduped += 1
                 continue
-            fp_rank.setdefault(fingerprint, len(fp_rank))
-            qkey = (fingerprint, repr(request.question))
-            question_rank.setdefault(qkey, len(question_rank))
-            keyed.append(
-                (fp_rank[fingerprint], question_rank[qkey], index)
-            )
-            max_workers = max(max_workers, config.workers)
+            distinct.append(index)
+            locality_keys.append(qkey)
 
         responses: list[ExplanationResponse | None] = [None] * len(requests)
-        pool = (
-            ThreadPoolExecutor(max_workers=max_workers)
-            if max_workers > 1
-            else None
-        )
-        try:
-            for _fp, _q, index in sorted(keyed):
-                responses[index] = self._execute(
-                    requests[index], timer=timer, pool=pool
-                )
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        for position in locality_ranking(locality_keys):
+            index = distinct[position]
+            responses[index] = self._execute(requests[index], timer=timer)
         for index, first in duplicate_of.items():
             responses[index] = responses[first]
         return responses  # type: ignore[return-value]
@@ -393,7 +366,6 @@ class CajadeSession:
         self,
         request: ExplanationRequest,
         timer: StepTimer | None = None,
-        pool: ThreadPoolExecutor | None = None,
     ) -> ExplanationResponse:
         """Run the CaJaDE pipeline (paper Algorithms 1+2) for one request.
 
@@ -449,46 +421,38 @@ class CajadeSession:
 
         # Stream the rest out of the shared-prefix engine (trie order, so
         # graphs extending the same prefix reuse its cached
-        # intermediate) straight into mining — serial runs hold one APT
-        # at a time; a worker pool holds at most 2x workers.  Results
-        # are keyed by enumeration index and merged in index order, so
-        # the outcome is byte-identical for any schedule.
+        # intermediate) straight into mining, one APT alive at a time.
+        # Results are keyed by enumeration index and each graph draws
+        # from its own generator, so trie order never shows in the
+        # outcome.
         engine_before = engine.stats.copy()
-
-        def _nonempty_apts():
-            iterator = engine.materialize_iter(
-                [join_graphs[i] for i in pending], restrict_row_ids=restrict
-            )
-            while True:
-                with timer.step(MATERIALIZE_APTS):
-                    item = next(iterator, None)
-                if item is None:
-                    return
-                index = pending[item[0]]
-                if item[1].num_rows > 0:
-                    yield index, item[1]
-                else:
-                    memo[index] = None
-
-        # §3.1 once per distinct input: this question's graphs (and the
-        # pool's threads) share one memo, garbage when it returns.
+        apts = engine.materialize_iter(
+            [join_graphs[i] for i in pending], restrict_row_ids=restrict
+        )
+        # §3.1 once per distinct input: this question's graphs share one
+        # memo, garbage when it returns.
         selection = SelectionMemo()
-
-        def _mine_one(index: int, apt: AugmentedProvenanceTable) -> StepTimer:
-            local_timer = StepTimer()
-            rng = graph_rng(config.seed, index)
+        mined_now = 0
+        while True:
+            with timer.step(MATERIALIZE_APTS):
+                item = next(apts, None)
+            if item is None:
+                break
+            index, apt = pending[item[0]], item[1]
+            if apt.num_rows == 0:
+                memo[index] = None
+                continue
             mining = mine_apt(
-                apt, resolved, config, rng, timer=local_timer, memo=selection
+                apt,
+                resolved,
+                config,
+                graph_rng(config.seed, index),
+                timer=timer,
+                memo=selection,
             )
             memo[index] = _exact_stats(resolved, mining)
-            return local_timer
-
-        timers = run_streaming(
-            _nonempty_apts(), _mine_one, config.workers, pool=pool
-        )
-        for index in sorted(timers):
-            timer.merge(timers[index])
-        mined_graphs = mined_reused + len(timers)
+            mined_now += 1
+        mined_graphs = mined_reused + mined_now
         collected: list[tuple[Pattern, float, tuple]] = [
             (
                 mined.pattern,
@@ -500,7 +464,7 @@ class CajadeSession:
         ]
 
         self._stats.mined_graphs_reused += mined_reused
-        self._stats.mined_graphs_computed += len(timers)
+        self._stats.mined_graphs_computed += mined_now
 
         engine_delta = engine.stats.delta(engine_before)
         timer.count(APT_CACHE_HITS, engine_delta.steps_reused)
@@ -578,7 +542,7 @@ class QuestionBuilder:
 
     Every method returns the builder, so a question reads as one chain::
 
-        session.ask(sql).why_higher(t1, t2).top_k(5).workers(2).run()
+        session.ask(sql).why_higher(t1, t2).top_k(5).edges(2).run()
     """
 
     def __init__(self, session: CajadeSession, sql: str | Query):
@@ -618,7 +582,7 @@ class QuestionBuilder:
 
     why_outlier = outlier
 
-    # -- budget knobs ------------------------------------------------------
+    # -- per-request knobs -------------------------------------------------
     def top_k(self, k: int) -> "QuestionBuilder":
         self._knobs["top_k"] = k
         return self
@@ -629,10 +593,6 @@ class QuestionBuilder:
 
     def f1_sample(self, rate: float) -> "QuestionBuilder":
         self._knobs["f1_sample_rate"] = rate
-        return self
-
-    def workers(self, workers: int) -> "QuestionBuilder":
-        self._knobs["workers"] = workers
         return self
 
     def override(self, **fields: Any) -> "QuestionBuilder":

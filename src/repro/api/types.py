@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..core.config import CajadeConfig
 from ..core.explainer import ExplanationResult
@@ -49,12 +49,35 @@ def query_fingerprint(sql: str | Query) -> str:
     ).hexdigest()
 
 
+def locality_ranking(keys: Iterable[tuple[str, str]]) -> list[int]:
+    """Positions of ``keys`` in the order that maximizes trie locality.
+
+    ``keys`` holds one ``(query fingerprint, repr(question))`` per item.
+    Items are ranked by first-seen fingerprint, then first-seen question,
+    then arrival, so a per-query engine and its mining memo see every
+    repeat right after the ask that warmed them.  The one ordering
+    contract of :meth:`CajadeSession.explain_batch` and the serving
+    scheduler's batches.
+    """
+    fp_rank: dict[str, int] = {}
+    question_rank: dict[tuple[str, str], int] = {}
+    ranked = [
+        (
+            fp_rank.setdefault(key[0], len(fp_rank)),
+            question_rank.setdefault(key, len(question_rank)),
+            position,
+        )
+        for position, key in enumerate(keys)
+    ]
+    return [position for _fp, _question, position in sorted(ranked)]
+
+
 @dataclass(frozen=True)
 class ExplanationRequest:
     """One user question against one registered aggregate query.
 
-    Budget knobs (``top_k``, ``max_join_edges``, ``f1_sample_rate``,
-    ``workers``) are the common per-request overrides; any other
+    Knobs (``top_k``, ``max_join_edges``, ``f1_sample_rate``) are the
+    common per-request overrides; any other
     :class:`CajadeConfig` field can be overridden through ``overrides``
     (a mapping at construction time, stored as a sorted tuple so
     requests stay frozen and comparable by value — note the question's
@@ -67,7 +90,6 @@ class ExplanationRequest:
     top_k: int | None = None
     max_join_edges: int | None = None
     f1_sample_rate: float | None = None
-    workers: int | None = None
     overrides: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
@@ -108,15 +130,13 @@ class ExplanationRequest:
             changes["max_join_edges"] = self.max_join_edges
         if self.f1_sample_rate is not None:
             changes["f1_sample_rate"] = self.f1_sample_rate
-        if self.workers is not None:
-            changes["workers"] = self.workers
         if not changes:
             return base
         return base.with_overrides(**changes)
 
     def describe(self) -> str:
         knobs = dict(self.overrides)
-        for name in ("top_k", "max_join_edges", "f1_sample_rate", "workers"):
+        for name in ("top_k", "max_join_edges", "f1_sample_rate"):
             value = getattr(self, name)
             if value is not None:
                 knobs[name] = value

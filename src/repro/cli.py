@@ -86,9 +86,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sel-attrs", type=float, default=4,
                         help="λ#sel-attr (default 4)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="mining worker threads (default 1 = serial; "
-                             "results are identical at any value)")
     parser.add_argument("--apt-cache-mb", type=float, default=256.0,
                         help="APT prefix-cache memory budget in MB "
                              "(default 256; 0 disables caching)")
@@ -104,7 +101,6 @@ def _config_from(args: argparse.Namespace) -> CajadeConfig:
             f1_sample_rate=args.f1_sample,
             num_selected_attrs=args.sel_attrs,
             seed=args.seed,
-            workers=args.workers,
             apt_cache_mb=args.apt_cache_mb,
         )
     except ValueError as exc:

@@ -81,9 +81,8 @@ class SelectionMemo:
     ``relevance``: digest of everything the forest fit reads → its
     (read-only) importances; ``association``: ordered pair of code-array
     digests → their Cramér's V.  Values are pure functions of what the
-    key digests, so a hit is the bytes a miss computes and worker
-    threads share one memo without a lock (a racing double miss stores
-    the same value twice).  Its lifetime is its bound: one per question.
+    key digests, so a hit is the bytes a miss computes.  Its lifetime
+    is its bound: one per question.
     """
 
     relevance: dict[bytes, np.ndarray] = field(default_factory=dict)
@@ -91,8 +90,7 @@ class SelectionMemo:
 
 
 class _CountedPairs:
-    """One graph's view of the pair memo with its own hit/store counts
-    (counting on the shared memo would race across workers)."""
+    """One graph's view of the pair memo with its own hit/store counts."""
 
     def __init__(self, pairs: dict[tuple, float]):
         self._pairs = pairs

@@ -113,12 +113,7 @@ class CajadeConfig:
     default because some legitimate paper explanations (e.g. team=MIA for
     the LeBron question) are side-constant too."""
 
-    # -- engine: caching and parallelism ---------------------------------
-    workers: int = 1
-    """Worker threads mining APTs across join graphs.  1 (the default)
-    runs serially; any value preserves results exactly because every
-    join graph mines with its own deterministic generator."""
-
+    # -- engine: caching ------------------------------------------------
     apt_cache_mb: float = 256.0
     """Memory budget (MB) for the materialization engine's
     shared-prefix APT trie.  0 disables engine caching (every APT is
@@ -143,8 +138,6 @@ class CajadeConfig:
             raise ValueError("num_fragments must be >= 1")
         if self.num_selected_attrs <= 0:
             raise ValueError("num_selected_attrs must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1 (1 = serial)")
         if self.apt_cache_mb < 0:
             raise ValueError("apt_cache_mb must be >= 0 (0 disables)")
 

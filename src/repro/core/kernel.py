@@ -32,9 +32,8 @@ removes both costs for one APT:
   the batch of one.
 
 The kernel never consumes randomness, and scoring keeps nothing between
-calls — its arrays are per call — so threads share nothing mutable.  The
-per-row definition it must equal is the oracle in
-``tests/oracles/coverage.py``.
+calls — its arrays are per call.  The per-row definition it must equal
+is the oracle in ``tests/oracles/coverage.py``.
 """
 
 from __future__ import annotations

@@ -84,8 +84,7 @@ HIST_SPLITS_EVALUATED = "Hist forest splits evaluated"
 # worked on, "memo hits" the forest inputs and Cramér's V pairs read
 # back from the question's selection memo: hits / (run + hits) is the
 # share that repeats.  A hit grows no nodes (the counters above count
-# work done).  With ``workers > 1`` two graphs can miss on one input at
-# once, so these four may differ by schedule; the answer cannot.
+# work done).
 FOREST_FITS_RUN = "Forest fits run"
 FOREST_MEMO_HITS = "Forest memo hits"
 ASSOCIATION_PAIRS_COMPUTED = "Association pairs computed"
@@ -97,9 +96,10 @@ ASSOCIATION_MEMO_HITS = "Association memo hits"
 # deduplicated survivors only, never one per agreeing pair.
 LCA_PAIRS_EXAMINED = "LCA pairs examined"
 LCA_PATTERNS_BUILT = "LCA patterns built"
-# Peak bytes any single pair-agreement chunk materialized (gauge,
-# recorded as a running max across chunk loops) — the observable for
-# the byte-budgeted chunk sizing in :mod:`repro.core.lca`.
+# Peak bytes any single pair-agreement chunk materialized (gauge, a
+# running max over every chunk loop recorded on the timer — all the
+# join graphs of a question) — the observable for the byte-budgeted
+# chunk sizing in :mod:`repro.core.lca`.
 LCA_PEAK_CHUNK_BYTES = "LCA peak chunk bytes"
 
 # Canonical counter labels (serving layer).  Requests are counted once
@@ -166,7 +166,7 @@ class StepTimer:
     """Accumulates wall-clock seconds (and counters) per named step.
 
     Two kinds of integer metrics coexist: *counters* accumulate across
-    :meth:`count` calls and merges (cache hits, evictions), while
+    :meth:`count` calls (cache hits, evictions), while
     *gauges* (:meth:`set_gauge`) are point-in-time snapshots where the
     latest recording wins — e.g. the trie's live entry count, which
     must not sum across the requests of a batch sharing one timer.
@@ -242,14 +242,6 @@ class StepTimer:
             if name not in ordered:
                 ordered[name] = value
         return ordered
-
-    def merge(self, other: "StepTimer") -> None:
-        for name, value in other._seconds.items():
-            self.add(name, value)
-        for name, value in other._counters.items():
-            self.count(name, value)
-        # Gauges are snapshots: the merged-in (later) recording wins.
-        self._gauges.update(other._gauges)
 
     def format_table(self) -> str:
         """A printable two-column breakdown ending with a total row.

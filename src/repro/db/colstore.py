@@ -82,10 +82,11 @@ def copy_chunked(
 class _DictStore:
     """One table's pickled value dictionaries, unpickled at most once.
 
-    Thread-safe: mining workers are threads and may race the first
-    gather of different columns of the same table.  ``loaded`` is the
-    observable the O(dict) open test keys on — opening a database must
-    not flip it; only a value gather may.
+    Thread-safe: the serving front-end answers shards from executor
+    threads, which under ``InlineBackend`` share one database and may
+    race the first gather of different columns of the same table.
+    ``loaded`` is the observable the O(dict) open test keys on —
+    opening a database must not flip it; only a value gather may.
     """
 
     __slots__ = ("path", "_lock", "_raw", "_decode_arrays")
@@ -129,7 +130,7 @@ class _LazyCodeDict(dict):
     ``ColumnEncoding.code_of`` consumers only ever read (``get``,
     ``items``, ``len``, containment), so overriding the read entry
     points is enough; the fill is idempotent, making concurrent first
-    reads from worker threads safe.
+    reads from the front-end's executor threads safe.
     """
 
     __slots__ = ("_loader",)

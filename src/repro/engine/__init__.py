@@ -1,15 +1,19 @@
-"""The explanation engine: shared-prefix APT materialization + parallel mining.
+"""The explanation engine: shared-prefix APT materialization.
 
 Layering: db → core → engine → api → cli.  The engine consumes the
 canonical materialization plans of :mod:`repro.core.apt` and the
 sorted-window join step of :mod:`repro.db.window_join`;
 :class:`repro.api.CajadeSession` drives it (one long-lived engine per
-registered query) and the CLI surfaces its knobs (``--workers``,
-``--apt-cache-mb``) and cache statistics.
+registered query) and the CLI surfaces its budget (``--apt-cache-mb``)
+and cache statistics.
 """
 
-from .engine import EngineStats, MaterializationEngine, restriction_fingerprint
-from .parallel import graph_rng, run_streaming
+from .engine import (
+    EngineStats,
+    MaterializationEngine,
+    graph_rng,
+    restriction_fingerprint,
+)
 from .trie import CacheStats, PrefixCache
 
 __all__ = [
@@ -19,5 +23,4 @@ __all__ = [
     "PrefixCache",
     "graph_rng",
     "restriction_fingerprint",
-    "run_streaming",
 ]

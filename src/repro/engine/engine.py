@@ -92,6 +92,18 @@ def restriction_fingerprint(
     return (int(ids.size), digest)
 
 
+def graph_rng(seed: int, index: int) -> np.random.Generator:
+    """An independent, deterministic generator for one join graph.
+
+    Seeding with the ``(seed, index)`` entropy pair makes a graph's
+    draws a function of its enumeration index alone, never of which
+    other graphs were mined before it — the property that lets a
+    memoized, a fresh and a reopened-in-another-process mining of the
+    same question agree byte for byte.
+    """
+    return np.random.default_rng([seed, index])
+
+
 def _plan_order_key(plan) -> tuple:
     """A sortable key grouping plans by shared step prefixes (trie order)."""
     return tuple(

@@ -89,8 +89,7 @@ def request_cache_key(
     Same key ⇒ byte-identical canonical payload: the fingerprint pins
     the parsed query, the question repr pins the tuples compared, and
     the mining-config key pins every config field that can influence
-    output (performance-only knobs are excluded, which is exactly what
-    lets a 1-worker and an 8-worker request share one cache entry).
+    output (the cache budget is excluded: it only moves bytes around).
     """
     return (
         request.fingerprint,
@@ -623,13 +622,26 @@ def question_from_json(
     )
 
 
+_BODY_KEYS = frozenset({
+    "sql", "question", "top_k", "max_join_edges", "f1_sample_rate",
+    "overrides", "timeout_seconds",
+})
+
+
 def request_from_json(data: Mapping) -> ExplanationRequest:
     """Build an :class:`ExplanationRequest` from a POST /explain body.
 
-    Raises ``ValueError`` for anything malformed — including an
-    ``overrides`` entry that names no :class:`CajadeConfig` field — which
-    the HTTP route answers with a structured 400.
+    Raises ``ValueError`` for anything malformed — including a top-level
+    key the schema does not have (a typo such as ``topk`` must not be
+    answered with defaults) or an ``overrides`` entry that names no
+    :class:`CajadeConfig` field — which the HTTP route answers with a
+    structured 400.
     """
+    if not isinstance(data, Mapping):
+        raise ValueError("request body must be a JSON object")
+    unknown = sorted(set(data) - _BODY_KEYS)
+    if unknown:
+        raise ValueError(f"unknown request body key(s) {unknown}")
     if "sql" not in data:
         raise ValueError("request body must carry 'sql'")
     if "question" not in data:
@@ -643,7 +655,6 @@ def request_from_json(data: Mapping) -> ExplanationRequest:
         top_k=data.get("top_k"),
         max_join_edges=data.get("max_join_edges"),
         f1_sample_rate=data.get("f1_sample_rate"),
-        workers=data.get("workers"),
         overrides=tuple(sorted(overrides.items())),
     )
 

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..api.types import ExplanationRequest
+from ..api.types import ExplanationRequest, locality_ranking
 
 
 def shard_for(fingerprint: str, num_shards: int) -> int:
@@ -79,21 +79,15 @@ class Ticket:
 def locality_order(tickets: list[Ticket]) -> list[Ticket]:
     """Sort a batch for trie locality: fingerprint, then question.
 
-    Mirrors ``explain_batch``'s grouping (first-seen fingerprint rank,
-    then first-seen question rank, then admission order) so the worker's
-    per-query engine and mining memo see maximal consecutive reuse.
+    The ranking is :func:`repro.api.types.locality_ranking` — the one
+    ``explain_batch`` uses — so the worker's per-query engine and mining
+    memo see maximal consecutive reuse.
     """
-    fp_rank: dict[str, int] = {}
-    question_rank: dict[tuple[str, str], int] = {}
-    keyed: list[tuple[int, int, int, Ticket]] = []
-    for ticket in tickets:
-        fp = ticket.fingerprint
-        fp_rank.setdefault(fp, len(fp_rank))
-        qkey = (fp, repr(ticket.request.question))
-        question_rank.setdefault(qkey, len(question_rank))
-        keyed.append((fp_rank[fp], question_rank[qkey], ticket.seq, ticket))
-    keyed.sort(key=lambda item: item[:3])
-    return [item[3] for item in keyed]
+    order = locality_ranking(
+        (ticket.fingerprint, repr(ticket.request.question))
+        for ticket in tickets
+    )
+    return [tickets[position] for position in order]
 
 
 @dataclass

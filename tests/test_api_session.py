@@ -146,9 +146,14 @@ class TestCrossQuestionReuse:
     def test_warm_responses_byte_identical_parallel(
         self, session, mini_db, mini_schema_graph
     ):
+        """A repeat whose request spells out an equal config is a memo
+        hit: the memo is keyed by the effective config, not the request."""
         cold = cold_payload(mini_db, mini_schema_graph, QUESTION)
         session.explain(GSW_WINS_SQL, QUESTION)
-        warm = session.explain(GSW_WINS_SQL, QUESTION, workers=3)
+        warm = session.explain(
+            GSW_WINS_SQL, QUESTION, overrides={"seed": CONFIG.seed}
+        )
+        assert warm.mined_graphs_reused == warm.join_graphs_mined > 0
         assert ranked_payload(warm) == cold
 
     def test_different_question_same_query_reuses_state(self, session):
@@ -213,8 +218,7 @@ class TestCrossQuestionReuse:
 class TestHistForestKnob:
     """The histogram learner is a bitwise twin of the CART oracle
     (``tests/oracles/cart_forest.py``), so ranked output is
-    byte-identical with the oracle swapped in ("off"), serial or
-    parallel."""
+    byte-identical with the oracle swapped in ("off")."""
 
     def test_knob_off_byte_identical(
         self, mini_db, mini_schema_graph, monkeypatch
@@ -225,21 +229,6 @@ class TestHistForestKnob:
         cart_forest.swap_in(monkeypatch)
         off = cold_payload(mini_db, mini_schema_graph, QUESTION)
         assert on == off
-
-    def test_knob_identical_across_workers(
-        self, mini_db, mini_schema_graph, monkeypatch
-    ):
-        from tests.oracles import cart_forest
-
-        serial = cold_payload(mini_db, mini_schema_graph, QUESTION)
-        parallel_on = cold_payload(
-            mini_db, mini_schema_graph, QUESTION, workers=4
-        )
-        cart_forest.swap_in(monkeypatch)
-        parallel_off = cold_payload(
-            mini_db, mini_schema_graph, QUESTION, workers=4
-        )
-        assert serial == parallel_on == parallel_off
 
 
 class TestFingerprints:
@@ -291,12 +280,13 @@ class TestRequestValidation:
             ("join_strategy", "hash"),
             ("join_memo_entries", 64),
             ("kernel_cache_mb", 8.0),
+            ("workers", 2),
         ],
     )
     def test_removed_strategy_toggles_rejected(self, name, value):
-        """The seven byte-identical slow-path selectors and the mask
-        memo's budget are gone: naming one is an error, never a silently
-        ignored (or honoured) key."""
+        """The seven byte-identical slow-path selectors, the mask memo's
+        budget and the mining thread count are gone: naming one is an
+        error, never a silently ignored (or honoured) key."""
         with pytest.raises(ValueError, match="unknown CajadeConfig"):
             ExplanationRequest(
                 GSW_WINS_SQL, QUESTION, overrides={name: value}
@@ -313,12 +303,10 @@ class TestRequestValidation:
             GSW_WINS_SQL,
             QUESTION,
             top_k=3,
-            workers=2,
             overrides={"seed": 99},
         )
         config = request.config_for(CONFIG)
         assert config.top_k == 3
-        assert config.workers == 2
         assert config.seed == 99
         assert config.max_join_edges == CONFIG.max_join_edges
         assert CONFIG.top_k == 5  # base untouched
@@ -348,14 +336,12 @@ class TestQuestionBuilder:
             .outlier({"season": "2015-16"})
             .edges(1)
             .f1_sample(1.0)
-            .workers(2)
             .override(seed=5)
             .run()
         )
         assert response.explanations
         request = response.request
         assert request.max_join_edges == 1
-        assert request.workers == 2
         assert dict(request.overrides) == {"seed": 5}
 
     def test_build_without_question_raises(self, session):
@@ -388,7 +374,7 @@ class TestExplainBatch:
         responses = session.explain_batch(
             [
                 ExplanationRequest(GSW_WINS_SQL, QUESTION),
-                ExplanationRequest(GSW_WINS_SQL, QUESTION, workers=2),
+                ExplanationRequest(GSW_WINS_SQL, QUESTION),
             ]
         )
         assert ranked_payload(responses[0]) == cold
@@ -410,8 +396,10 @@ class TestExplainBatch:
             ExplanationRequest(GSW_WINS_SQL, QUESTION),
             ExplanationRequest(GSW_WINS_SQL, OUTLIER),
             ExplanationRequest(GSW_WINS_SQL, QUESTION),
-            # workers never changes output, so it joins the group.
-            ExplanationRequest(GSW_WINS_SQL, QUESTION, workers=2),
+            # An override equal to the base config joins the group.
+            ExplanationRequest(
+                GSW_WINS_SQL, QUESTION, overrides={"seed": CONFIG.seed}
+            ),
         ]
         responses = session.explain_batch(requests)
         assert responses[2] is responses[0]

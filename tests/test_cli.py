@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _parse_tuple_spec, build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestTupleSpec:
@@ -124,17 +131,16 @@ class TestEndToEnd:
 
 class TestEngineFlags:
     def test_invalid_workers_clean_error(self, tmp_path, capsys):
-        from repro.cli import main
-
+        """The removed flag is an argparse error, not an ignored one."""
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "explain", str(tmp_path), "--sql", "SELECT 1 AS x",
-                    "--t1", "x=1", "--workers", "0",
+                    "--t1", "x=1", "--workers", "2",
                 ]
             )
-        assert "invalid configuration" in str(excinfo.value)
-        assert "workers" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_invalid_cache_budget_clean_error(self, tmp_path):
         from repro.cli import main
@@ -147,3 +153,23 @@ class TestEngineFlags:
                 ]
             )
         assert "apt_cache_mb" in str(excinfo.value)
+
+
+def test_import_repro_cli_loads_only_what_a_question_needs():
+    """Start-up pin: the CLI imports no thread-pool machinery (there is
+    none in the library) and none of the packages only `serve`,
+    `generate`, `workload` and the experiment scripts need."""
+    code = (
+        "import sys, repro.cli\n"
+        "lazy = ('repro.serving', 'repro.datasets', 'repro.experiments',"
+        " 'repro.baselines')\n"
+        "print(sorted(m for m in sys.modules if m == 'concurrent.futures'"
+        " or m.startswith(lazy)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

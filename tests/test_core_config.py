@@ -35,8 +35,7 @@ class TestValidation:
             {"recall_threshold": 1.1},
             {"num_fragments": 0},
             {"num_selected_attrs": 0},
-            {"workers": 0},
-            {"workers": -2},
+            {"f1_sample_rate": 1.5},
             {"apt_cache_mb": -1.0},
             {"apt_cache_mb": -0.001},
         ],
@@ -48,15 +47,13 @@ class TestValidation:
 
 class TestEngineKnobs:
     def test_defaults_to_serial(self):
+        """One thread per question is the only mode, not a default."""
         config = CajadeConfig()
-        assert config.workers == 1
+        assert not hasattr(config, "workers")
         assert config.apt_cache_mb == 256.0
 
     def test_zero_cache_allowed(self):
         assert CajadeConfig(apt_cache_mb=0.0).apt_cache_mb == 0.0
-
-    def test_workers_override(self):
-        assert CajadeConfig().with_overrides(workers=4).workers == 4
 
 
 class TestSelectedAttrCount:
@@ -109,7 +106,7 @@ class TestConfigSurface:
         "use_diversity",
         "exclude_group_determined",
     }
-    BUDGETS = {"workers", "apt_cache_mb"}
+    BUDGETS = {"apt_cache_mb"}
 
     def test_exact_field_set(self):
         from dataclasses import fields
@@ -125,7 +122,7 @@ class TestConfigSurface:
             | {"seed"}
         )
         assert names == expected
-        assert len(names) == 24
+        assert len(names) == 23
         # Only the budgets may leave answers alone; anything else keys
         # the mining memo and the serving caches.
         assert _MINING_NEUTRAL_FIELDS == self.BUDGETS
@@ -138,6 +135,7 @@ class TestConfigSurface:
         text = capsys.readouterr().out
         assert "--apt-cache-mb" in text
         for switch in (
+            "--workers",
             "--kernel-cache-mb",
             "--no-kernel",
             "--no-code-lca",

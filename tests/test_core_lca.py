@@ -23,6 +23,7 @@ from repro.core.pattern import OP_EQ
 from repro.core.timing import (
     LCA_PAIRS_EXAMINED,
     LCA_PATTERNS_BUILT,
+    LCA_PEAK_CHUNK_BYTES,
     StepTimer,
 )
 from tests.oracles.lca import lca_candidates as lca_oracle
@@ -253,3 +254,37 @@ class TestPickTopCandidates:
         patterns = [Pattern.from_dict({"a": (OP_EQ, "v")})]
         picked = pick_top_candidates(patterns, np.array([0.01]), 5, 0.5)
         assert picked.tolist() == []
+
+
+def test_peak_chunk_bytes_is_the_max_over_a_questions_graphs(
+    gate_databases, monkeypatch
+):
+    """Qmimic5 λ#edges 2 (25 graphs): the answer's gauge is the largest
+    chunk any of its graphs built, not the last graph's."""
+    import repro.api.session as session_module
+    from repro.api import CajadeSession
+    from repro.datasets import query_by_name
+
+    workload = query_by_name("Qmimic5")
+    db, schema_graph = gate_databases[workload.dataset]
+
+    def ask():
+        session = CajadeSession(
+            db, schema_graph, CajadeConfig(max_join_edges=2)
+        )
+        return session.explain(workload.sql, workload.question)
+
+    question = ask().timer.counter(LCA_PEAK_CHUNK_BYTES)
+
+    alone = []
+    real = session_module.mine_apt
+
+    def mined_alone(*args, timer, **kwargs):
+        alone.append(StepTimer())
+        return real(*args, timer=alone[-1], **kwargs)
+
+    monkeypatch.setattr(session_module, "mine_apt", mined_alone)
+    ask()
+    peaks = [timer.counter(LCA_PEAK_CHUNK_BYTES) for timer in alone]
+    assert len(peaks) == 25 and peaks[-1] < max(peaks)
+    assert question == max(peaks) == 6864

@@ -49,15 +49,6 @@ class TestStepTimer:
         keys = list(timer.breakdown())
         assert keys == [ALL_STEPS[0], ALL_STEPS[3], "extra"]
 
-    def test_merge(self):
-        a, b = StepTimer(), StepTimer()
-        a.add("x", 1.0)
-        b.add("x", 2.0)
-        b.add("y", 3.0)
-        a.merge(b)
-        assert a.seconds("x") == 3.0
-        assert a.seconds("y") == 3.0
-
     def test_format_table_has_total(self):
         timer = StepTimer()
         timer.add("a", 1.0)
@@ -101,15 +92,6 @@ class TestCounters:
         assert keys == [APT_CACHE_HITS, APT_CACHE_EVICTIONS, "custom"]
         assert set(ALL_COUNTERS) >= {APT_CACHE_HITS, APT_CACHE_EVICTIONS}
 
-    def test_merge_includes_counters(self):
-        a, b = StepTimer(), StepTimer()
-        a.count(APT_CACHE_HITS, 1)
-        b.count(APT_CACHE_HITS, 4)
-        b.count(APT_CACHE_MISSES, 2)
-        a.merge(b)
-        assert a.counter(APT_CACHE_HITS) == 5
-        assert a.counter(APT_CACHE_MISSES) == 2
-
     def test_format_table_shows_counters(self):
         timer = StepTimer()
         timer.add("a", 1.0)
@@ -139,10 +121,6 @@ class TestCounters:
         timer.set_gauge(APT_CACHE_ENTRIES, 10)
         timer.set_gauge(APT_CACHE_ENTRIES, 7)
         assert timer.counter(APT_CACHE_ENTRIES) == 7
-        other = StepTimer()
-        other.set_gauge(APT_CACHE_ENTRIES, 3)
-        timer.merge(other)
-        assert timer.counter(APT_CACHE_ENTRIES) == 3
         assert APT_CACHE_ENTRIES in timer.counters()
 
     def test_batch_shared_timer_reports_latest_gauge(

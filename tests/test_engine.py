@@ -14,7 +14,7 @@ from repro.db import ColumnType, Relation, TableSchema
 from repro.db.executor import hash_join
 from repro.db.parser import parse_sql
 from repro.db.provenance import ProvenanceTable
-from repro.engine import MaterializationEngine, PrefixCache, run_streaming
+from repro.engine import MaterializationEngine, PrefixCache
 from tests.conftest import GSW_WINS_SQL
 from tests.oracles.eager import eager_apt, materialize_eager
 
@@ -457,41 +457,9 @@ class TestMaterializationEngine:
 
 
 # ----------------------------------------------------------------------
-# Parallel mining
+# The engine's budget through whole questions
 # ----------------------------------------------------------------------
-class TestParallel:
-    def test_run_streaming_serial_and_parallel_agree(self):
-        items = [(i, i + 1) for i in range(25)]
-        fn = lambda k, v: k * v  # noqa: E731
-        serial = run_streaming(iter(items), fn, 1)
-        pooled = run_streaming(iter(items), fn, 4, max_inflight=3)
-        assert serial == pooled == {k: k * v for k, v in items}
-
-    def test_run_streaming_propagates_exceptions(self):
-        def boom(key, value):
-            raise RuntimeError("x")
-
-        with pytest.raises(RuntimeError):
-            run_streaming([(0, 0), (1, 1), (2, 2)], boom, 3)
-
-    def test_run_streaming_bounds_inflight_pull(self):
-        """The stream must not be drained ahead of the workers."""
-        pulled = []
-
-        def stream():
-            for i in range(10):
-                pulled.append(i)
-                yield i, i
-
-        # Serial: each item is processed before the next is pulled.
-        seen_at_pull = []
-        def fn(k, v):
-            seen_at_pull.append(len(pulled))
-            return v
-
-        run_streaming(stream(), fn, 1)
-        assert seen_at_pull == [i + 1 for i in range(10)]
-
+class TestParallel:  # the name predates the removal of ``workers``
     def _explain_json(self, mini_db, mini_schema_graph, **overrides):
         config = CajadeConfig(
             max_join_edges=2,
@@ -508,10 +476,39 @@ class TestParallel:
         payload.pop("apt_cache", None)
         return json.dumps(payload, sort_keys=True)
 
-    def test_workers_preserve_results(self, mini_db, mini_schema_graph):
-        serial = self._explain_json(mini_db, mini_schema_graph, workers=1)
-        parallel = self._explain_json(mini_db, mini_schema_graph, workers=3)
-        assert serial == parallel
+    def test_question_starts_no_thread(self, mini_db, mini_schema_graph):
+        """One thread of control per question (λ#edges 2, several graphs)."""
+        import threading
+
+        before = threading.active_count()
+        self._explain_json(mini_db, mini_schema_graph)
+        assert threading.active_count() == before
+
+    def test_each_apt_is_mined_before_the_next_is_pulled(
+        self, mini_db, mini_schema_graph, monkeypatch
+    ):
+        """One APT alive at a time: the stream is never drained ahead."""
+        import repro.api.session as session_module
+
+        events = []
+        real_iter = MaterializationEngine.materialize_iter
+        real_mine = session_module.mine_apt
+
+        def pulling(self, *args, **kwargs):
+            for index, apt in real_iter(self, *args, **kwargs):
+                events.append("pull" if apt.num_rows else "pull-empty")
+                yield index, apt
+
+        def mining(*args, **kwargs):
+            events.append("mine")
+            return real_mine(*args, **kwargs)
+
+        monkeypatch.setattr(MaterializationEngine, "materialize_iter", pulling)
+        monkeypatch.setattr(session_module, "mine_apt", mining)
+        self._explain_json(mini_db, mini_schema_graph)
+        nonempty = [e for e in events if e != "pull-empty"]
+        assert len(nonempty) > 2
+        assert nonempty == ["pull", "mine"] * (len(nonempty) // 2)
 
     def test_cache_preserves_results(self, mini_db, mini_schema_graph):
         on = self._explain_json(mini_db, mini_schema_graph, apt_cache_mb=64.0)

@@ -11,8 +11,8 @@ Covered:
 - gather-built kernel codes ≡ per-APT re-encoded codes (masks,
   coverage, ml codes);
 - full-pipeline byte-identity between sessions on frame-backed APTs and
-  on the oracle's relation-backed APTs, serial and ``workers=4``
-  (including λF1-samp sampled evaluation);
+  on the oracle's relation-backed APTs (including λF1-samp sampled
+  evaluation);
 - the trie caches index-vector frames smaller than the relations they
   stand for;
 - vectorized ``Relation.distinct`` / primary-key duplicate detection /
@@ -434,7 +434,7 @@ class TestKernelCodeGathering:
 
 # ----------------------------------------------------------------------
 # Full-pipeline byte-identity (frame-backed vs the oracle's relation-backed
-# APTs, serial and workers=4)
+# APTs)
 # ----------------------------------------------------------------------
 def _ranked_payload(response) -> str:
     payload = json.loads(response.to_json())
@@ -460,19 +460,13 @@ class TestFullPipelineByteIdentity:
             seed=4,
         )
 
-        def payloads() -> list[str]:
-            return [
-                _ranked_payload(
-                    CajadeSession(
-                        mini_db, mini_schema_graph, base
-                    ).explain(GSW_WINS_SQL, question, workers=workers)
-                )
-                for workers in (1, 4)
-            ]
+        def payload() -> str:
+            session = CajadeSession(mini_db, mini_schema_graph, base)
+            return _ranked_payload(session.explain(GSW_WINS_SQL, question))
 
-        late = payloads()
+        late = payload()
         eager.swap_in(monkeypatch)
-        assert len(set(late + payloads())) == 1
+        assert late == payload()
 
     def test_qnba_sampled_evaluator_identity(self, nba_small, monkeypatch):
         """λF1-samp universe construction stays vectorized: on the Qnba

@@ -5,7 +5,7 @@ rows, a level per batch; the oracle (``tests/oracles/mining.py``) is the
 pattern-at-a-time loop it replaced.  These tests require the two to agree
 on every join graph's pool — patterns, primaries, counts and order — and
 on the number of patterns examined: through whole questions at the gate's
-scale (serially and with a worker pool), over generated small APTs that
+scale, over generated small APTs that
 hit the awkward cases (F ties at the pool's cut, NULL cells, a provenance
 row the join dropped, an empty side, every pruning arm), and with the
 scoring chunk shrunk until a level no longer fits in one.
@@ -68,12 +68,12 @@ def fingerprint(pool: list[MinedPattern]) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
-# Whole questions at the gate's scale: frontier ≡ oracle ≡ workers=2
+# Whole questions at the gate's scale: frontier ≡ oracle
 # ----------------------------------------------------------------------
-def ask(databases, name: str, edges: int, workers: int = 1):
+def ask(databases, name: str, edges: int):
     workload = query_by_name(name)
     db, schema_graph = databases[workload.dataset]
-    config = CajadeConfig(max_join_edges=edges, workers=workers)
+    config = CajadeConfig(max_join_edges=edges)
     session = CajadeSession(db, schema_graph, config)
     return session.explain(workload.sql, workload.question)
 
@@ -130,12 +130,6 @@ def test_frontier_equals_pattern_at_a_time_per_graph(
     assert ran[0] == graphs
     assert one_by_one == searches
     assert canonical_payload(reference) == canonical_payload(frontier)
-
-    with monkeypatch.context() as patch:
-        threaded = record_searches(patch)
-        pooled = ask(gate_databases, name, edges, workers=2)
-    assert sorted(threaded, key=repr) == sorted(searches, key=repr)
-    assert canonical_payload(pooled) == canonical_payload(frontier)
 
 
 def test_no_per_pattern_work_inside_the_search(gate_databases, monkeypatch):

@@ -5,7 +5,7 @@ All join graphs of a question share one
 (``tests/oracles/selection.py``) gives every graph a fresh one, which is
 what ran before the memo existed.  These tests require the two to agree
 on every graph's ``FilteredAttributes`` and on the answer's bytes —
-serially, with a worker pool and across ``PYTHONHASHSEED``s — check that
+also across ``PYTHONHASHSEED``s — check that
 a memo warmed by a *different* APT never changes a selection, that every
 input of the two memoized functions is part of its key, and pin how much
 of the gate's questions repeats.
@@ -69,12 +69,12 @@ def repeat_counts(timer: StepTimer) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Whole questions at the gate's scale: shared ≡ oracle ≡ workers=2
+# Whole questions at the gate's scale: shared ≡ oracle
 # ----------------------------------------------------------------------
-def ask(databases, name: str, edges: int, workers: int = 1):
+def ask(databases, name: str, edges: int):
     workload = query_by_name(name)
     db, schema_graph = databases[workload.dataset]
-    config = CajadeConfig(max_join_edges=edges, workers=workers)
+    config = CajadeConfig(max_join_edges=edges)
     session = CajadeSession(db, schema_graph, config)
     return session.explain(workload.sql, workload.question)
 
@@ -134,41 +134,6 @@ def test_shared_memo_equals_fresh_memo_per_graph(
     assert unshared.timer.counter(HIST_NODES_GROWN) == sum(
         nodes for _key, nodes in oracle_fits
     )
-
-    pooled = ask(gate_databases, name, edges, workers=2)
-    assert canonical_payload(pooled) == canonical_payload(shared)
-
-
-def test_threads_racing_on_one_memo_store_what_a_serial_run_stores(
-    mimic_small, monkeypatch
-):
-    """More workers than cores, a shortened switch interval: whatever
-    the schedule, every key holds the value a serial run computes."""
-    memos: list[SelectionMemo] = []
-
-    def capturing() -> SelectionMemo:
-        memos.append(SelectionMemo())
-        return memos[-1]
-
-    monkeypatch.setattr(session_module, "SelectionMemo", capturing)
-    databases = {"mimic": mimic_small}
-    serial = ask(databases, "Qmimic5", 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        pooled = ask(databases, "Qmimic5", 2, workers=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert canonical_payload(pooled) == canonical_payload(serial)
-    alone, raced = memos
-    assert len(alone.relevance) > 1 and len(alone.association) > 1
-    assert raced.association == alone.association
-    assert raced.relevance.keys() == alone.relevance.keys()
-    for key, importances in alone.relevance.items():
-        assert not importances.flags.writeable
-        np.testing.assert_array_equal(raced.relevance[key], importances)
-    # Counters are per schedule; what was asked for is not.
-    assert sum(repeat_counts(pooled.timer)) == sum(repeat_counts(serial.timer))
 
 
 # ----------------------------------------------------------------------

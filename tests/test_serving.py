@@ -590,17 +590,20 @@ class TestExplanationService:
     def test_performance_knobs_share_cache_entry(
         self, mini_db, mini_schema_graph
     ):
-        """workers= differs but the mining-config key is equal, so the
-        second request is a cache hit with identical bytes."""
+        """The requests differ (one spells out the base seed) but their
+        mining-config key is equal, so the second is a cache hit with
+        identical bytes."""
 
         async def main():
             backend = InlineBackend(mini_db, mini_schema_graph, CONFIG)
             async with ExplanationService(backend) as service:
                 first = await service.submit(
-                    ExplanationRequest(GSW_WINS_SQL, QUESTION, workers=1)
+                    ExplanationRequest(GSW_WINS_SQL, QUESTION)
                 )
                 second = await service.submit(
-                    ExplanationRequest(GSW_WINS_SQL, QUESTION, workers=2)
+                    ExplanationRequest(
+                        GSW_WINS_SQL, QUESTION, overrides={"seed": CONFIG.seed}
+                    )
                 )
                 return first, second
 
@@ -819,7 +822,9 @@ class TestRequestFromJson:
 
     def test_cache_key_tracks_output_relevant_config(self):
         base = CONFIG
-        r1 = ExplanationRequest(GSW_WINS_SQL, QUESTION, workers=4)
+        r1 = ExplanationRequest(
+            GSW_WINS_SQL, QUESTION, overrides={"seed": base.seed}
+        )
         r2 = ExplanationRequest(GSW_WINS_SQL, QUESTION)
         r3 = ExplanationRequest(GSW_WINS_SQL, QUESTION, top_k=3)
         assert request_cache_key(r1, base) == request_cache_key(r2, base)
@@ -900,9 +905,11 @@ class TestHttp:
         self, mini_db, mini_schema_graph
     ):
         """A body naming a removed strategy toggle, an unknown field, a
-        session-level budget, or carrying a non-object ``overrides`` is
-        answered with a structured 400 — never a traceback, a 500, a
-        hung ticket, or a silently different execution path."""
+        session-level budget, carrying a non-object ``overrides`` or a
+        top-level key the schema lacks (the removed ``workers``, a typo),
+        or not an object at all, is answered with a structured 400 —
+        never a traceback, a 500, a hung ticket, or a silently different
+        (or default) execution."""
         body = {
             "sql": GSW_WINS_SQL,
             "question": {
@@ -919,12 +926,18 @@ class TestHttp:
             {"join_strategy": "hash"},
             {"join_memo_entries": 64},
             {"kernel_cache_mb": 8},
+            {"workers": 2},
             {"not_a_knob": 1},
             {"apt_cache_mb": 0.0},
             [["top_k", 3]],
             "use_kernel",
             7,
             None,
+        ]
+        bad_bodies = [{**body, "overrides": o} for o in bad_overrides] + [
+            {**body, "workers": 2},
+            {**body, "topk": 3},
+            ["sql", "question"],
         ]
 
         async def main():
@@ -939,13 +952,11 @@ class TestHttp:
                                 port,
                                 "POST",
                                 "/explain",
-                                json.dumps(
-                                    {**body, "overrides": overrides}
-                                ).encode(),
+                                json.dumps(bad).encode(),
                             ),
                             timeout=10,
                         )
-                        for overrides in bad_overrides
+                        for bad in bad_bodies
                     ]
                     legal = await http_request(
                         port,
@@ -961,13 +972,16 @@ class TestHttp:
                 return replies, legal, service.stats.snapshot()
 
         replies, legal, snapshot = asyncio.run(main())
-        for overrides, (status, _headers, raw) in zip(bad_overrides, replies):
-            assert status.startswith("HTTP/1.1 400"), (overrides, status)
+        for bad, (status, _headers, raw) in zip(bad_bodies, replies):
+            assert status.startswith("HTTP/1.1 400"), (bad, status)
             reply = json.loads(raw)
             assert reply["kind"] == "bad-request"
             assert reply["status"] == 400
             assert reply["retryable"] is False
             assert "Traceback" not in reply["error"]
+        # An unknown top-level key is named in the reply.
+        assert "'workers'" in json.loads(replies[-3][2])["error"]
+        assert "'topk'" in json.loads(replies[-2][2])["error"]
         # None of the rejected bodies was admitted; the legal one ran.
         assert legal[0].startswith("HTTP/1.1 200")
         assert snapshot["requests"] == 1
