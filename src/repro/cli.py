@@ -252,7 +252,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             async with ExplanationService(
                 backend,
                 response_cache_mb=args.response_cache_mb,
-                max_batch=args.max_batch,
                 request_timeout=args.request_timeout or None,
                 max_retries=args.max_retries,
                 max_queue_depth=args.max_queue_depth or None,
@@ -354,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--response-cache-mb", type=float, default=64.0,
                      help="cross-request response cache budget in MB "
                           "(default 64; 0 disables replay)")
-    srv.add_argument("--max-batch", type=int, default=16,
-                     help="max requests per locality-ordered batch "
-                          "(default 16)")
     srv.add_argument("--max-restarts", type=int, default=3,
                      help="consecutive worker failures a shard may "
                           "accumulate before quarantine (default 3)")

@@ -9,7 +9,7 @@ over the session API:
   retries, load shedding, ``submit()`` and the HTTP endpoint
   (``POST /explain``, ``GET /stats``) with structured JSON errors;
 - :mod:`~repro.serving.scheduler` — deterministic fingerprint → shard
-  routing, bounded per-shard queues, locality-ordered batching;
+  routing, bounded per-shard FIFO queues;
 - :mod:`~repro.serving.pool` — the supervised sharded worker pool
   (auto-restart, checksummed replies, quarantine, degraded fallback)
   and an inline single-process backend with the same contract;
@@ -54,7 +54,6 @@ from .scheduler import (
     QueueFullError,
     Scheduler,
     Ticket,
-    locality_order,
     shard_for,
 )
 from .shm import (
@@ -103,7 +102,6 @@ __all__ = [
     "attach_database",
     "canonical_payload",
     "export_database",
-    "locality_order",
     "request_cache_key",
     "request_from_json",
     "serve_http",

@@ -6,11 +6,10 @@ is not a test.  A :class:`FaultPlan` is a small, picklable, seeded
 script of :class:`FaultRule`\\s that the backends consult at well-defined
 points:
 
-- the parent consults :meth:`FaultPlan.admit` once per batch it is
-  about to dispatch, advancing a per-shard *request counter* (one tick
-  per request in the batch, retries included — so ``every=3`` fires on
-  the 3rd, 6th, ... request the shard is asked to execute, whatever
-  batches they arrive in);
+- the parent consults :meth:`FaultPlan.admit` once per request it is
+  about to dispatch, advancing a per-shard *request counter* by one
+  tick (retries included — so ``every=3`` fires on the 3rd, 6th, ...
+  request the shard is asked to execute);
 - a spawning worker consults :meth:`FaultPlan.startup_crash` with its
   *incarnation* number (1 for the first spawn, 2 for the first
   restart, ...) before sending its ready handshake.
@@ -19,8 +18,8 @@ Fault kinds:
 
 ``KILL``
     SIGKILL the shard's worker immediately before dispatching the
-    batch (the inline backend drops the shard's session instead) —
-    exercises death detection, batch requeue, respawn, and retry.
+    request (the inline backend drops the shard's session instead) —
+    exercises death detection, requeue, respawn, and retry.
 ``DELAY``
     Sleep ``delay_seconds`` before dispatch — exercises deadline
     budgets and queue back-pressure.
@@ -119,25 +118,20 @@ class FaultPlan:
         """Kill each shard's worker on every ``n``-th executed request."""
         return cls((FaultRule(kind=KILL, every=n, times=times),), seed=seed)
 
-    # -- parent-side: per-batch consultation ----------------------------
-    def admit(self, shard: int, num_requests: int) -> list[FaultRule]:
-        """Advance ``shard``'s request counter by ``num_requests``;
-        return the rules that fire somewhere in that window (each rule
-        at most once per batch — a worker can only die once)."""
+    # -- parent-side: per-request consultation --------------------------
+    def admit(self, shard: int) -> list[FaultRule]:
+        """Advance ``shard``'s request counter by one tick; return the
+        rules that fire on it."""
         with self._lock:
-            start = self._request_counts.get(shard, 0)
-            end = start + num_requests
-            self._request_counts[shard] = end
+            tick = self._request_counts.get(shard, 0) + 1
+            self._request_counts[shard] = tick
             actions: list[FaultRule] = []
             for index, rule in enumerate(self.rules):
                 if rule.kind == STARTUP_CRASH:
                     continue
                 if rule.shard is not None and rule.shard != shard:
                     continue
-                hit = any(
-                    rule._matches(tick) for tick in range(start + 1, end + 1)
-                )
-                if not hit:
+                if not rule._matches(tick):
                     continue
                 if rule.times is not None and self._fired.get(index, 0) >= rule.times:
                     continue

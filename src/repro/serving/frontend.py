@@ -21,15 +21,16 @@ The request lifecycle (one ``submit()`` call):
 4. **Scheduling** — the admitted request becomes a
    :class:`~repro.serving.scheduler.Ticket` (carrying its deadline and
    attempt count) on its fingerprint's shard queue; a per-shard drain
-   task cuts locality-ordered batches and hands them to the backend
-   via the event loop's executor, keeping at most one outstanding
-   batch per shard.
+   task pops tickets in arrival order and hands each to the backend
+   via the event loop's executor, keeping at most one executing
+   request per shard and resolving every ticket as soon as *its* reply
+   is in.
 5. **Settlement** — the backend returns one *outcome* per request:
    ``("ok", payload)`` resolves the ticket and populates the response
    cache; ``("error", kind, message)`` resolves it with the matching
    :class:`ServiceError` (deterministic errors are **never** retried).
-   A retryable batch failure (worker death, corrupt reply) re-enqueues
-   each ticket with exponential backoff + seeded jitter, up to
+   A retryable failure (worker death, corrupt reply) re-enqueues the
+   ticket with exponential backoff + seeded jitter, up to
    ``max_retries`` and within the ticket's deadline budget.  A
    quarantined shard degrades to the backend's inline fallback (still
    byte-identical, just slower) or fast-fails 503, per
@@ -159,7 +160,7 @@ class ServiceOverloadedError(ServiceError):
 
 
 class WorkerDiedError(ServiceError):
-    """A worker process died mid-batch — transient, retryable (503)."""
+    """A worker process died mid-request — transient, retryable (503)."""
 
     status = 503
     kind = "worker-died"
@@ -212,14 +213,15 @@ class Backend(Protocol):
     def execute(
         self,
         shard: int,
-        work: list[tuple[ExplanationRequest, float | None]],
-    ) -> list[Outcome]:
-        """Run a locality-ordered batch of ``(request, deadline_epoch)``
-        pairs, returning one outcome per request (blocking; called off
-        the event loop).  Raises :class:`WorkerDiedError` /
-        :class:`CorruptReplyError` for retryable batch failures,
-        :class:`ShardQuarantinedError` once the shard is gone, and
-        :class:`DeadlineExceededError` when the whole batch timed out."""
+        request: ExplanationRequest,
+        deadline: float | None,
+    ) -> Outcome:
+        """Run one request (``deadline`` is an absolute epoch or None)
+        and return its outcome (blocking; called off the event loop).
+        Raises :class:`WorkerDiedError` / :class:`CorruptReplyError`
+        for retryable failures, :class:`ShardQuarantinedError` once the
+        shard is gone, and :class:`DeadlineExceededError` when the
+        request timed out."""
         ...
 
 
@@ -235,7 +237,6 @@ class ExplanationService:
         self,
         backend: Backend,
         response_cache_mb: float = 64.0,
-        max_batch: int = 16,
         request_timeout: float | None = None,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
@@ -255,14 +256,12 @@ class ExplanationService:
         self._backend = backend
         self._scheduler = Scheduler(
             num_shards=backend.num_shards,
-            max_batch=max_batch,
             max_queue_depth=max_queue_depth,
         )
         self._cache = PrefixCache(int(response_cache_mb * 1024 * 1024))
         self._inflight: dict[tuple, asyncio.Future] = {}
         self._drains: dict[int, asyncio.Task] = {}
         self._retry_tasks: set[asyncio.Task] = set()
-        self._seq = 0
         self._closed = False
         self._request_timeout = request_timeout
         self._max_retries = max_retries
@@ -357,10 +356,7 @@ class ExplanationService:
 
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        self._seq += 1
-        ticket = Ticket(
-            request=request, key=key, seq=self._seq, deadline=deadline
-        )
+        ticket = Ticket(request=request, key=key, deadline=deadline)
         try:
             self._scheduler.enqueue(ticket)
         except QueueFullError as exc:
@@ -399,8 +395,8 @@ class ExplanationService:
             ) from None
 
     def _retry_after_hint(self) -> float:
-        """How long a shed client should wait: roughly one batch."""
-        return max(0.1, self.stats.last_batch_seconds)
+        """How long a shed client should wait: roughly one request."""
+        return max(0.1, self.stats.last_dispatch_seconds)
 
     def _resolved(
         self,
@@ -431,68 +427,56 @@ class ExplanationService:
         )
 
     async def _drain(self, shard: int) -> None:
-        """Cut and execute batches until the shard's queue is empty.
+        """Execute the shard's tickets one at a time, in arrival order,
+        until its queue is empty.
 
-        One drain task per shard ⇒ at most one outstanding batch per
-        shard; requests queued while a batch runs ride the next cut.
+        One drain task per shard ⇒ at most one executing request per
+        shard; each ticket resolves as soon as its own reply is in.
         """
         loop = asyncio.get_running_loop()
-        while True:
-            batch = self._scheduler.take_batch(shard)
-            if not batch:
-                return
-            now = time.time()
-            live: list[Ticket] = []
-            for ticket in batch:
-                if ticket.deadline is not None and ticket.deadline <= now:
-                    # Shed expired work before it wastes a worker.
-                    self.stats.deadline_exceeded()
-                    self._resolve_error(
-                        ticket,
-                        DeadlineExceededError(
-                            "deadline expired while queued"
-                        ),
-                    )
-                else:
-                    live.append(ticket)
-            if not live:
+        while (ticket := self._scheduler.take(shard)) is not None:
+            if (
+                ticket.deadline is not None
+                and ticket.deadline <= time.time()
+            ):
+                # Shed expired work before it wastes a worker.
+                self.stats.deadline_exceeded()
+                self._resolve_error(
+                    ticket,
+                    DeadlineExceededError("deadline expired while queued"),
+                )
                 continue
-            self.stats.batch_dispatched()
-            work = [(t.request, t.deadline) for t in live]
+            self.stats.dispatched()
             t0 = time.perf_counter()
             try:
-                outcomes = await loop.run_in_executor(
-                    None, self._backend.execute, shard, work
+                outcome = await loop.run_in_executor(
+                    None,
+                    self._backend.execute,
+                    shard,
+                    ticket.request,
+                    ticket.deadline,
                 )
-                if len(outcomes) != len(live):
-                    raise ServiceError(
-                        f"backend returned {len(outcomes)} outcomes "
-                        f"for a batch of {len(live)}"
-                    )
             except ShardQuarantinedError as exc:
-                await self._degrade(shard, live, exc)
-                continue
-            except DeadlineExceededError as exc:
-                for ticket in live:
-                    self.stats.deadline_exceeded()
-                    self._resolve_error(ticket, exc)
-                continue
+                await self._degrade(shard, ticket, exc)
             except ServiceError as exc:
+                if isinstance(exc, DeadlineExceededError):
+                    self.stats.deadline_exceeded()
                 if exc.retryable:
-                    self._retry_or_fail(live, exc)
+                    self._retry_or_fail(ticket, exc)
                 else:
-                    for ticket in live:
-                        self._resolve_error(ticket, exc)
-                continue
+                    self._resolve_error(ticket, exc)
             except Exception as exc:  # unknown backend failure
-                error = ServiceError(
-                    f"shard {shard} failed: {type(exc).__name__}: {exc}"
+                self._resolve_error(
+                    ticket,
+                    ServiceError(
+                        f"shard {shard} failed: "
+                        f"{type(exc).__name__}: {exc}"
+                    ),
                 )
-                for ticket in live:
-                    self._resolve_error(ticket, error)
-                continue
-            self.stats.last_batch_seconds = time.perf_counter() - t0
-            for ticket, outcome in zip(live, outcomes):
+            else:
+                self.stats.last_dispatch_seconds = (
+                    time.perf_counter() - t0
+                )
                 self._settle(ticket, outcome, "executed")
 
     def _settle(
@@ -524,29 +508,27 @@ class ExplanationService:
             # future does not warn at garbage collection.
             future.exception()
 
-    def _retry_or_fail(
-        self, tickets: list[Ticket], exc: ServiceError
-    ) -> None:
-        """Re-enqueue retryable tickets with backoff; fail the rest."""
-        loop = asyncio.get_running_loop()
-        for ticket in tickets:
-            delay = (
-                self._retry_backoff
-                * (2 ** ticket.attempts)
-                * (1.0 + self._retry_rng.random())
-            )
-            budget_ok = (
-                ticket.deadline is None
-                or ticket.deadline > time.time() + delay
-            )
-            if ticket.attempts >= self._max_retries or not budget_ok:
-                self._resolve_error(ticket, exc)
-                continue
-            ticket.attempts += 1
-            self.stats.retried()
-            task = loop.create_task(self._requeue_later(ticket, delay))
-            self._retry_tasks.add(task)
-            task.add_done_callback(self._retry_tasks.discard)
+    def _retry_or_fail(self, ticket: Ticket, exc: ServiceError) -> None:
+        """Re-enqueue a retryable ticket with backoff, or fail it."""
+        delay = (
+            self._retry_backoff
+            * (2 ** ticket.attempts)
+            * (1.0 + self._retry_rng.random())
+        )
+        budget_ok = (
+            ticket.deadline is None
+            or ticket.deadline > time.time() + delay
+        )
+        if ticket.attempts >= self._max_retries or not budget_ok:
+            self._resolve_error(ticket, exc)
+            return
+        ticket.attempts += 1
+        self.stats.retried()
+        task = asyncio.get_running_loop().create_task(
+            self._requeue_later(ticket, delay)
+        )
+        self._retry_tasks.add(task)
+        task.add_done_callback(self._retry_tasks.discard)
 
     async def _requeue_later(self, ticket: Ticket, delay: float) -> None:
         await asyncio.sleep(delay)
@@ -565,31 +547,28 @@ class ExplanationService:
         self._kick(shard)
 
     async def _degrade(
-        self, shard: int, tickets: list[Ticket], exc: ServiceError
+        self, shard: int, ticket: Ticket, exc: ServiceError
     ) -> None:
         """A quarantined shard: inline fallback or structured 503."""
         fallback = getattr(self._backend, "execute_fallback", None)
         if self._degraded_mode != "inline" or fallback is None:
-            for ticket in tickets:
-                self._resolve_error(ticket, exc)
+            self._resolve_error(ticket, exc)
             return
-        self.stats.degraded(len(tickets))
-        work = [(t.request, t.deadline) for t in tickets]
-        loop = asyncio.get_running_loop()
+        self.stats.degraded()
         try:
-            outcomes = await loop.run_in_executor(
-                None, fallback, shard, work
+            outcome = await asyncio.get_running_loop().run_in_executor(
+                None, fallback, shard, ticket.request, ticket.deadline
             )
         except Exception as fallback_exc:
-            error = ServiceError(
-                f"degraded execution for shard {shard} failed: "
-                f"{type(fallback_exc).__name__}: {fallback_exc}"
+            self._resolve_error(
+                ticket,
+                ServiceError(
+                    f"degraded execution for shard {shard} failed: "
+                    f"{type(fallback_exc).__name__}: {fallback_exc}"
+                ),
             )
-            for ticket in tickets:
-                self._resolve_error(ticket, error)
             return
-        for ticket, outcome in zip(tickets, outcomes):
-            self._settle(ticket, outcome, "degraded")
+        self._settle(ticket, outcome, "degraded")
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +716,15 @@ def _error_response(
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Parse one HTTP/1.1 request; None on clean EOF."""
+    """Parse one HTTP/1.1 request; None when the peer is gone (EOF or
+    reset).  Anything malformed is a :class:`BadRequestError`, never an
+    unhandled exception."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
+    except asyncio.LimitOverrunError:
+        raise BadRequestError("request head is too large") from None
     lines = head.decode("latin-1").split("\r\n")
     try:
         method, path, _version = lines[0].split(" ", 2)
@@ -753,12 +736,27 @@ async def _read_request(
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length") or "0"
+    # isdigit() admits no sign, so a negative length is rejected here.
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise BadRequestError(
+            f"Content-Length {raw_length!r} is not a non-negative integer"
+        )
+    length = int(raw_length)
     if length > _MAX_BODY:
         raise BadRequestError(
             f"request body of {length} bytes is too large"
         )
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        # A half-closed client can still read the reply.
+        raise BadRequestError(
+            f"request body ended after {len(exc.partial)} of "
+            f"{length} bytes"
+        ) from None
+    except ConnectionResetError:
+        return None
     return method, path, headers, body
 
 

@@ -1,22 +1,29 @@
 """Service-level metrics: counters, gauges, and per-stage latency.
 
 Reuses the :class:`~repro.core.timing.StepTimer` counter/gauge split —
-admission, coalescing, cache hits, and batch counts accumulate; queue
-depth is a high-water gauge.  Latency is tracked as raw per-request
-seconds so the ``/stats`` endpoint and the bench can report p50/p99
-without binning error.
+admission, coalescing, cache hits, and dispatch counts accumulate;
+queue depth is a high-water gauge.  Latency is tracked as raw
+per-request seconds over a fixed window of the most recent requests, so
+the ``/stats`` endpoint reports p50/p99 without binning error and
+without growing with uptime.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection
 
 from ..core import timing
 from ..engine.trie import PrefixCache
 
 
-def percentile(samples: list[float], q: float) -> float:
+# Finished requests the latency percentiles look back over: bounds
+# ``/stats`` memory and the per-poll sort for any uptime.
+LATENCY_WINDOW = 4096
+
+
+def percentile(samples: Collection[float], q: float) -> float:
     """The ``q``-th percentile (0..100) by linear interpolation.
 
     Matches ``numpy.percentile``'s default method but avoids pulling
@@ -39,11 +46,14 @@ class ServiceStats:
     """Everything the ``/stats`` endpoint reports."""
 
     timer: timing.StepTimer = field(default_factory=timing.StepTimer)
-    latencies: list[float] = field(default_factory=list)
+    latencies: deque[float] = field(
+        default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
+    )
+    completed: int = 0
     cache: PrefixCache | None = None
     workers: int = 0
     health_provider: Callable[[], dict] | None = None
-    last_batch_seconds: float = 0.0
+    last_dispatch_seconds: float = 0.0
     _max_depth: int = 0
 
     # ------------------------------------------------------------------
@@ -61,7 +71,9 @@ class ServiceStats:
     def cache_miss(self) -> None:
         self.timer.count(timing.SERVICE_CACHE_MISSES)
 
-    def batch_dispatched(self) -> None:
+    def dispatched(self) -> None:
+        """One ticket handed to the backend (``/stats`` key ``batches``,
+        kept for the benches that read it)."""
         self.timer.count(timing.SERVICE_BATCHES)
 
     def retried(self) -> None:
@@ -73,8 +85,8 @@ class ServiceStats:
     def deadline_exceeded(self) -> None:
         self.timer.count(timing.SERVICE_DEADLINE_EXCEEDED)
 
-    def degraded(self, n: int = 1) -> None:
-        self.timer.count(timing.SERVICE_DEGRADED, n)
+    def degraded(self) -> None:
+        self.timer.count(timing.SERVICE_DEGRADED)
 
     def failed(self) -> None:
         self.timer.count(timing.SERVICE_FAILURES)
@@ -90,6 +102,7 @@ class ServiceStats:
         to the stage that resolved it (``cache`` / ``coalesced`` /
         ``executed`` / ``degraded``)."""
         self.latencies.append(seconds)
+        self.completed += 1
         self.timer.add(f"Service {stage}", seconds)
 
     # ------------------------------------------------------------------
@@ -103,7 +116,7 @@ class ServiceStats:
         misses = counters.get(timing.SERVICE_CACHE_MISSES, 0)
         lookups = hits + misses
         failures = counters.get(timing.SERVICE_FAILURES, 0)
-        completed = len(self.latencies)
+        completed = self.completed
         finished = completed + failures
         out = {
             "requests": requests,

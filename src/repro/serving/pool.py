@@ -4,8 +4,8 @@ fallback.
 :class:`ProcessPoolBackend` runs one persistent worker process per
 shard.  Each worker attaches the shared-memory database export
 (:mod:`repro.serving.shm`), builds its own
-:class:`~repro.api.CajadeSession`, and then answers locality-ordered
-batches for exactly the query fingerprints
+:class:`~repro.api.CajadeSession`, and then answers one request at a
+time for exactly the query fingerprints
 :func:`~repro.serving.scheduler.shard_for` routes to it — so each
 worker's parsed queries, provenance tables, warm tries, and mining
 memos cover precisely its own shard of the query space, and no state is
@@ -15,10 +15,10 @@ Workers use the ``spawn`` start method: a spawned child inherits
 nothing, which keeps the shared-memory path honest (the only bulk data
 transfer is the segment attach) and avoids fork-with-threads hazards
 under the asyncio front-end.  Each shard has its own request and
-response queue; the front-end guarantees at most one outstanding batch
-per shard, so the blocking :meth:`~ProcessPoolBackend.execute` call can
-simply await its own batch id on its shard's response queue, polling
-worker liveness.
+response queue; the front-end guarantees at most one outstanding
+request per shard, so the blocking :meth:`~ProcessPoolBackend.execute`
+call can simply await its own request id on its shard's response queue,
+polling worker liveness.
 
 **Supervision.**  A dead worker is not a dead shard: ``execute``
 detects death (liveness poll), records the failure with the
@@ -38,9 +38,9 @@ but byte-identical) or fast-fails with a structured 503.
 blake2b digest over each payload; the parent verifies every digest and
 raises a retryable :class:`CorruptReplyError` on mismatch, so a
 mangled reply can never reach a client (or the response cache).
-Deterministic per-request failures (bad SQL, unknown tuple) are
-isolated: the batch falls back to per-request execution so one poison
-request cannot fail its batch-mates.
+A deterministic failure (bad SQL, unknown tuple) is an ``error``
+outcome of that one request: it touches neither the shard's health nor
+any other request.
 
 The parent owns the shm export and unlinks it on :meth:`stop`; worker
 death never leaks segments, and a *startup* failure (worker N dies
@@ -66,14 +66,14 @@ import random
 import signal
 import threading
 import time
-from typing import Any
+from typing import Any, NoReturn
 
 from ..api.session import CajadeSession
 from ..api.types import ExplanationRequest
 from ..core.config import CajadeConfig
 from ..core.schema_graph import SchemaGraph
 from ..db.database import Database
-from .faults import CORRUPT, DELAY, KILL, FaultPlan, FaultRule
+from .faults import CORRUPT, DELAY, KILL, FaultPlan
 from .frontend import (
     CorruptReplyError,
     DeadlineExceededError,
@@ -88,6 +88,7 @@ from .supervisor import ShardSupervisor
 _READY_TIMEOUT = 120.0  # spawn + numpy import can be slow on small boxes
 _POLL_SECONDS = 0.25
 _MAX_RESPAWN_BACKOFF = 2.0
+_START_METHOD = "spawn"  # the only honest value: see the module docstring
 
 # Wire-level outcome tags (worker -> parent).
 _OK = "ok"
@@ -112,53 +113,40 @@ def _corrupt_payload(payload: str) -> str:
     return payload[:-1] + chr((ord(last) + 1) % 128)
 
 
-def _execute_work(
+def _run(
     session: CajadeSession,
-    work: list[tuple[ExplanationRequest, float | None]],
-) -> list[tuple]:
-    """Run a batch against a session, one checksummed outcome per
-    request.
+    request: ExplanationRequest,
+    deadline: float | None,
+) -> tuple:
+    """Answer one request on a session: a checksummed wire outcome.
 
-    Requests whose deadline already passed are answered with a
-    ``timeout`` outcome without touching the engine.  The live rest run
-    through ``explain_batch`` (the byte-identity fast path); if that
-    raises, each request is retried individually so a single poison
-    request yields one ``deterministic`` error instead of failing its
-    batch-mates.
+    A deadline that already passed is a ``timeout`` outcome without
+    touching the engine; an exception is that request's own
+    ``deterministic`` error (retrying would fail identically).
     """
-    now = time.time()
-    outcomes: list[tuple | None] = [None] * len(work)
-    live_index: list[int] = []
-    live_requests: list[ExplanationRequest] = []
-    for i, (request, deadline) in enumerate(work):
-        if deadline is not None and deadline <= now:
-            outcomes[i] = (
-                _ERROR,
-                TIMEOUT,
-                "deadline expired before execution",
-            )
-        else:
-            live_index.append(i)
-            live_requests.append(request)
-    if live_requests:
-        try:
-            responses = session.explain_batch(live_requests)
-            for i, response in zip(live_index, responses):
-                payload = canonical_payload(response)
-                outcomes[i] = (_OK, payload, _digest(payload))
-        except Exception:
-            # Isolate the poison request: retry one at a time.
-            for i, request in zip(live_index, live_requests):
-                try:
-                    payload = canonical_payload(session.explain(request))
-                    outcomes[i] = (_OK, payload, _digest(payload))
-                except Exception as exc:
-                    outcomes[i] = (
-                        _ERROR,
-                        DETERMINISTIC,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-    return outcomes  # type: ignore[return-value]
+    if deadline is not None and deadline <= time.time():
+        return (_ERROR, TIMEOUT, "deadline expired before execution")
+    try:
+        payload = canonical_payload(session.explain(request))
+    except Exception as exc:
+        return (_ERROR, DETERMINISTIC, f"{type(exc).__name__}: {exc}")
+    return (_OK, payload, _digest(payload))
+
+
+def _verified(shard: int, reply: tuple, corrupt: bool) -> Outcome:
+    """Checksum-verify a reply's payload and strip the digest from the
+    wire form.  ``corrupt`` applies the injected wire mangling *before*
+    verification — proving a corrupt reply cannot get through."""
+    if reply[0] != _OK:
+        return tuple(reply)
+    _tag, payload, digest = reply
+    if corrupt:
+        payload = _corrupt_payload(payload)
+    if _digest(payload) != digest:
+        raise CorruptReplyError(
+            f"shard {shard} reply failed checksum verification"
+        )
+    return (_OK, payload)
 
 
 def _worker_main(
@@ -171,7 +159,7 @@ def _worker_main(
     request_queue: "mp.Queue[Any]",
     response_queue: "mp.Queue[Any]",
 ) -> None:
-    """Worker loop: attach shm, build a session, answer batches."""
+    """Worker loop: attach shm, build a session, answer requests."""
     if fault_plan is not None and fault_plan.startup_crash(
         shard, incarnation
     ):
@@ -186,9 +174,10 @@ def _worker_main(
             message = request_queue.get()
             if message is None:
                 break
-            batch_id, work = message
-            outcomes = _execute_work(session, list(work))
-            response_queue.put(("batch", batch_id, outcomes))
+            request_id, request, deadline = message
+            response_queue.put(
+                ("reply", request_id, _run(session, request, deadline))
+            )
     except KeyboardInterrupt:
         # A terminal Ctrl-C signals the whole foreground process
         # group; the parent coordinates shutdown, so exit quietly
@@ -196,6 +185,107 @@ def _worker_main(
         pass
     finally:
         attached.close()
+
+
+class _SupervisedBackend:
+    """The per-request backend contract, written once.
+
+    ``execute`` is one state machine for both backends: quarantine
+    check, fault admission, the backend's own ``_reply``, digest
+    verification, then success or failure accounting with the shard's
+    supervisor.  A subclass supplies only ``_reply(shard, request,
+    deadline, kill)`` — deliver one request to the shard's session and
+    return its checksummed wire outcome, raising
+    :class:`WorkerDiedError` when the session was lost (``kill`` asks
+    it to lose the session first: the injected death).
+    """
+
+    def __init__(
+        self,
+        db: Database,
+        schema_graph: SchemaGraph | None,
+        config: CajadeConfig | None,
+        num_shards: int,
+        max_restarts: int,
+        fault_plan: FaultPlan | None,
+    ):
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
+        self.num_shards = num_shards
+        self.base_config = config or CajadeConfig()
+        self._db = db
+        self._schema_graph = (
+            schema_graph or SchemaGraph.from_database(db)
+        )
+        self._fault_plan = fault_plan
+        self._supervisor = ShardSupervisor(
+            num_shards, max_restarts=max_restarts
+        )
+        self._fallback_sessions: dict[int, CajadeSession] = {}
+        self._lock = threading.Lock()
+
+    def _new_session(self) -> CajadeSession:
+        return CajadeSession(
+            self._db, self._schema_graph, self.base_config
+        )
+
+    def health(self) -> dict:
+        """Per-shard supervision state plus fault-injection totals."""
+        snapshot = self._supervisor.snapshot()
+        if self._fault_plan is not None:
+            snapshot["faults_injected"] = self._fault_plan.fired_total
+        return snapshot
+
+    def execute(
+        self,
+        shard: int,
+        request: ExplanationRequest,
+        deadline: float | None,
+    ) -> Outcome:
+        self._supervisor.check(shard)
+        faults: set[str] = set()
+        if self._fault_plan is not None:
+            for action in self._fault_plan.admit(shard):
+                if action.kind == DELAY:
+                    time.sleep(action.delay_seconds)
+                faults.add(action.kind)
+        try:
+            reply = self._reply(shard, request, deadline, KILL in faults)
+            outcome = _verified(shard, reply, CORRUPT in faults)
+        except (WorkerDiedError, CorruptReplyError) as exc:
+            self._fail(shard, exc)
+        self._supervisor.record_success(shard)
+        return outcome
+
+    def _fail(self, shard: int, exc: ServiceError) -> NoReturn:
+        """Record one shard failure, then surface it: retryable while
+        the restart budget lasts, quarantine once it is spent."""
+        if not self._supervisor.record_failure(shard, exc):
+            self._supervisor.check(shard)  # raises ShardQuarantinedError
+        raise exc
+
+    def execute_fallback(
+        self,
+        shard: int,
+        request: ExplanationRequest,
+        deadline: float | None,
+    ) -> Outcome:
+        """Degraded-mode execution for a quarantined shard: a lazily
+        built in-parent session over the original database.  Slower
+        (no warm worker state) but byte-identical — the session memo
+        contract does not care which process runs the mining."""
+        with self._lock:
+            session = self._fallback_sessions.get(shard)
+            if session is None:
+                session = self._new_session()
+                self._fallback_sessions[shard] = session
+        return _verified(shard, _run(session, request, deadline), False)
+
+    def stop(self) -> None:
+        with self._lock:
+            for session in self._fallback_sessions.values():
+                session.close()
+            self._fallback_sessions.clear()
 
 
 class _Worker:
@@ -210,7 +300,7 @@ class _Worker:
         self.dead = False
 
 
-class ProcessPoolBackend:
+class ProcessPoolBackend(_SupervisedBackend):
     """One persistent spawned process per fingerprint shard, supervised."""
 
     def __init__(
@@ -219,33 +309,21 @@ class ProcessPoolBackend:
         schema_graph: SchemaGraph | None = None,
         config: CajadeConfig | None = None,
         num_shards: int = 2,
-        start_method: str = "spawn",
         max_restarts: int = 3,
         restart_backoff: float = 0.1,
         fault_plan: FaultPlan | None = None,
         seed: int = 0,
     ):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.num_shards = num_shards
-        self.base_config = config or CajadeConfig()
-        self._db = db
-        self._schema_graph = (
-            schema_graph or SchemaGraph.from_database(db)
+        super().__init__(
+            db, schema_graph, config, num_shards, max_restarts, fault_plan
         )
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(_START_METHOD)
         self._export = export_database(db)
-        self._fault_plan = fault_plan
-        self._supervisor = ShardSupervisor(
-            num_shards, max_restarts=max_restarts
-        )
         self._restart_backoff = restart_backoff
         self._restart_rng = random.Random(seed)
         self._incarnations = [0] * num_shards
-        self._batch_seq = [0] * num_shards
+        self._request_seq = [0] * num_shards
         self._workers: list[_Worker | None] = [None] * num_shards
-        self._fallback_sessions: dict[int, CajadeSession] = {}
-        self._fallback_lock = threading.Lock()
         self._started = False
         self._stopped = False
 
@@ -297,7 +375,7 @@ class ProcessPoolBackend:
                 self._spawn(shard)
             for worker in self._workers:
                 assert worker is not None
-                self._await_message(worker, "ready", _READY_TIMEOUT)
+                self._await_ready(worker)
         except Exception:
             self._teardown_workers()
             self._export.close()
@@ -327,10 +405,7 @@ class ProcessPoolBackend:
         self._stopped = True
         self._teardown_workers()
         self._export.close()
-        with self._fallback_lock:
-            for session in self._fallback_sessions.values():
-                session.close()
-            self._fallback_sessions.clear()
+        super().stop()
 
     def __enter__(self) -> "ProcessPoolBackend":
         self.start()
@@ -347,8 +422,10 @@ class ProcessPoolBackend:
 
         Consecutive respawns back off exponentially (seeded jitter) so
         a crash-looping shard does not busy-spin through its quarantine
-        budget.  A respawn that fails its ready handshake counts as
-        another failure; crossing the budget quarantines the shard.
+        budget.  A respawn that fails its ready handshake raises
+        :class:`WorkerDiedError` like any other death, so ``execute``
+        counts it as another failure; crossing the budget quarantines
+        the shard.
         """
         worker = self._workers[shard]
         if (
@@ -371,116 +448,32 @@ class ProcessPoolBackend:
         time.sleep(min(delay, _MAX_RESPAWN_BACKOFF))
         worker = self._spawn(shard)
         try:
-            self._await_message(worker, "ready", _READY_TIMEOUT)
-        except WorkerDiedError as exc:
+            self._await_ready(worker)
+        except WorkerDiedError:
             worker.dead = True
-            if self._supervisor.record_failure(shard, exc):
-                raise
-            self._supervisor.check(shard)  # raises ShardQuarantinedError
-            raise  # pragma: no cover - check always raises here
+            raise
         self._supervisor.record_restart(shard)
         return worker
-
-    def health(self) -> dict:
-        """Per-shard supervision state plus fault-injection totals."""
-        snapshot = self._supervisor.snapshot()
-        if self._fault_plan is not None:
-            snapshot["faults_injected"] = self._fault_plan.fired_total
-        return snapshot
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(
+    def _reply(
         self,
         shard: int,
-        work: list[tuple[ExplanationRequest, float | None]],
-    ) -> list[Outcome]:
-        self._supervisor.check(shard)
+        request: ExplanationRequest,
+        deadline: float | None,
+        kill: bool,
+    ) -> tuple:
         worker = self._ensure_worker(shard)
-        corrupt = False
-        for action in self._fault_actions(shard, len(work)):
-            if action.kind == DELAY:
-                time.sleep(action.delay_seconds)
-            elif action.kind == CORRUPT:
-                corrupt = True
-            elif action.kind == KILL and worker.process.is_alive():
-                os.kill(worker.process.pid, signal.SIGKILL)
-        self._batch_seq[shard] += 1
-        batch_id = self._batch_seq[shard]
-        deadlines = [d for _r, d in work]
-        batch_deadline = (
-            max(deadlines) if all(d is not None for d in deadlines) else None
-        )
-        worker.request_queue.put((batch_id, tuple(work)))
-        try:
-            outcomes = self._await_batch(worker, batch_id, batch_deadline)
-            checked = self._verify(shard, outcomes, corrupt)
-        except (WorkerDiedError, CorruptReplyError) as exc:
-            if isinstance(exc, WorkerDiedError):
-                worker.dead = True
-            if self._supervisor.record_failure(shard, exc):
-                raise
-            self._supervisor.check(shard)  # raises ShardQuarantinedError
-            raise  # pragma: no cover - check always raises here
-        self._supervisor.record_success(shard)
-        return checked
+        if kill and worker.process.is_alive():
+            os.kill(worker.process.pid, signal.SIGKILL)
+        self._request_seq[shard] += 1
+        request_id = self._request_seq[shard]
+        worker.request_queue.put((request_id, request, deadline))
+        return self._await_reply(worker, request_id, deadline)
 
-    def _fault_actions(
-        self, shard: int, num_requests: int
-    ) -> list[FaultRule]:
-        if self._fault_plan is None:
-            return []
-        return self._fault_plan.admit(shard, num_requests)
-
-    def _verify(
-        self, shard: int, outcomes: list[tuple], corrupt: bool
-    ) -> list[Outcome]:
-        """Checksum-verify every payload; strip digests from the wire
-        form.  ``corrupt`` applies the injected wire mangling *before*
-        verification — proving a corrupt reply cannot get through."""
-        checked: list[Outcome] = []
-        for outcome in outcomes:
-            if outcome[0] != _OK:
-                checked.append(tuple(outcome))
-                continue
-            _tag, payload, digest = outcome
-            if corrupt:
-                payload = _corrupt_payload(payload)
-                corrupt = False  # mangle one reply per injected fault
-            if _digest(payload) != digest:
-                raise CorruptReplyError(
-                    f"shard {shard} reply failed checksum verification"
-                )
-            checked.append((_OK, payload))
-        return checked
-
-    def execute_fallback(
-        self,
-        shard: int,
-        work: list[tuple[ExplanationRequest, float | None]],
-    ) -> list[Outcome]:
-        """Degraded-mode execution for a quarantined shard: a lazily
-        built in-parent session over the original database.  Slower
-        (no warm worker state) but byte-identical — the session memo
-        contract does not care which process runs the mining."""
-        with self._fallback_lock:
-            session = self._fallback_sessions.get(shard)
-            if session is None:
-                session = CajadeSession(
-                    self._db, self._schema_graph, self.base_config
-                )
-                self._fallback_sessions[shard] = session
-        outcomes = _execute_work(session, work)
-        return [
-            (_OK, outcome[1]) if outcome[0] == _OK else tuple(outcome)
-            for outcome in outcomes
-        ]
-
-    def _await_message(
-        self, worker: _Worker, expected: str, timeout: float
-    ) -> Any:
-        deadline = timeout
+    def _await_ready(self, worker: _Worker) -> None:
         waited = 0.0
         while True:
             try:
@@ -494,34 +487,34 @@ class ProcessPoolBackend:
                         f"worker {worker.shard} died during startup "
                         f"(exit code {worker.process.exitcode})"
                     )
-                if waited >= deadline:
+                if waited >= _READY_TIMEOUT:
                     raise WorkerDiedError(
                         f"worker {worker.shard} did not become ready "
-                        f"within {timeout}s"
+                        f"within {_READY_TIMEOUT}s"
                     )
                 continue
-            if message[0] == expected:
-                return message
+            if message[0] == "ready":
+                return
             # Anything else at this stage is a protocol error.
             raise ServiceError(
                 f"worker {worker.shard} sent unexpected "
                 f"{message[0]!r} during startup"
             )
 
-    def _await_batch(
+    def _await_reply(
         self,
         worker: _Worker,
-        batch_id: int,
+        request_id: int,
         deadline: float | None,
-    ) -> list[tuple]:
+    ) -> tuple:
         while True:
             if deadline is not None and time.time() > deadline:
-                # Every request in the batch is past its budget.  The
-                # worker keeps computing; its late reply is dropped as
-                # stale by the batch-id check of the next dispatch.
+                # The request is past its budget.  The worker keeps
+                # computing; its late reply is dropped as stale by the
+                # request-id check of the next dispatch.
                 raise DeadlineExceededError(
-                    f"shard {worker.shard} batch {batch_id} exceeded "
-                    "its deadline"
+                    f"shard {worker.shard} request {request_id} "
+                    "exceeded its deadline"
                 )
             try:
                 message = worker.response_queue.get(
@@ -529,25 +522,26 @@ class ProcessPoolBackend:
                 )
             except queue.Empty:
                 if not worker.process.is_alive():
+                    worker.dead = True
                     raise WorkerDiedError(
-                        f"worker {worker.shard} died mid-batch "
+                        f"worker {worker.shard} died mid-request "
                         f"(exit code {worker.process.exitcode})"
                     )
                 continue
-            _kind, got_id, outcomes = message
-            if got_id == batch_id:
-                return outcomes
-            # A stale response from a batch the caller gave up on;
-            # drop it and keep waiting for ours.
+            _kind, got_id, reply = message
+            if got_id == request_id:
+                return reply
+            # A stale reply to a request the caller gave up on; drop
+            # it and keep waiting for ours.
 
 
-class InlineBackend:
+class InlineBackend(_SupervisedBackend):
     """The same contract, executed by in-process sessions.
 
     One :class:`CajadeSession` per shard mirrors the pool's state
     layout (each shard's tries and memos warm independently) without
     any processes — deterministic and fast for tests, and a correct
-    single-process fallback for ``--serve --workers 0``.
+    single-process fallback for ``serve --shards 0``.
 
     Fault injection maps the process-pool failure matrix onto inline
     analogues: ``KILL`` drops the shard's session (its warm state — the
@@ -567,119 +561,48 @@ class InlineBackend:
         max_restarts: int = 3,
         fault_plan: FaultPlan | None = None,
     ):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.num_shards = num_shards
-        self.base_config = config or CajadeConfig()
-        self._db = db
-        self._graph = schema_graph or SchemaGraph.from_database(db)
-        self._sessions = [
-            CajadeSession(db, self._graph, self.base_config)
-            for _ in range(num_shards)
-        ]
-        self._supervisor = ShardSupervisor(
-            num_shards, max_restarts=max_restarts
+        super().__init__(
+            db, schema_graph, config, num_shards, max_restarts, fault_plan
         )
-        self._fault_plan = fault_plan
-        self._fallback_sessions: dict[int, CajadeSession] = {}
-        self._lock = threading.Lock()
+        self._sessions: list[CajadeSession | None] = [
+            self._new_session() for _ in range(num_shards)
+        ]
         self.requests_executed = 0
-        self.batches_executed = 0
 
     def start(self) -> None:  # symmetric with the pool
         pass
 
     def stop(self) -> None:
         for session in self._sessions:
-            session.close()
-        for session in self._fallback_sessions.values():
-            session.close()
-        self._fallback_sessions.clear()
+            if session is not None:
+                session.close()
+        super().stop()
 
-    def session(self, shard: int) -> CajadeSession:
-        """The shard's session (test hook)."""
+    def session(self, shard: int) -> CajadeSession | None:
+        """The shard's session (test hook); None while lost to a kill."""
         return self._sessions[shard]
 
-    def health(self) -> dict:
-        snapshot = self._supervisor.snapshot()
-        if self._fault_plan is not None:
-            snapshot["faults_injected"] = self._fault_plan.fired_total
-        return snapshot
-
-    def execute(
+    def _reply(
         self,
         shard: int,
-        work: list[tuple[ExplanationRequest, float | None]],
-    ) -> list[Outcome]:
-        self._supervisor.check(shard)
+        request: ExplanationRequest,
+        deadline: float | None,
+        kill: bool,
+    ) -> tuple:
         with self._lock:
-            self.requests_executed += len(work)
-            self.batches_executed += 1
-        corrupt = False
-        killed = False
-        if self._fault_plan is not None:
-            for action in self._fault_plan.admit(shard, len(work)):
-                if action.kind == DELAY:
-                    time.sleep(action.delay_seconds)
-                elif action.kind == CORRUPT:
-                    corrupt = True
-                elif action.kind == KILL:
-                    killed = True
-        if killed:
+            self.requests_executed += 1
+        session = self._sessions[shard]
+        if session is None:
+            # The inline analogue of a respawn: the session lost to a
+            # kill is rebuilt cold by the next request for its shard.
+            session = self._sessions[shard] = self._new_session()
+            self._supervisor.record_restart(shard)
+        if kill:
             # The inline analogue of worker death: the shard's warm
-            # session is lost and rebuilt cold, exactly like a respawn.
-            self._sessions[shard].close()
-            self._sessions[shard] = CajadeSession(
-                self._db, self._graph, self.base_config
-            )
-            exc = WorkerDiedError(
+            # session is lost.
+            session.close()
+            self._sessions[shard] = None
+            raise WorkerDiedError(
                 f"shard {shard} session killed by fault injection"
             )
-            if self._supervisor.record_failure(shard, exc):
-                self._supervisor.record_restart(shard)
-                raise exc
-            self._supervisor.check(shard)
-            raise exc  # pragma: no cover - check always raises here
-        outcomes = _execute_work(self._sessions[shard], work)
-        checked: list[Outcome] = []
-        try:
-            for outcome in outcomes:
-                if outcome[0] != _OK:
-                    checked.append(tuple(outcome))
-                    continue
-                _tag, payload, digest = outcome
-                if corrupt:
-                    payload = _corrupt_payload(payload)
-                    corrupt = False
-                if _digest(payload) != digest:
-                    raise CorruptReplyError(
-                        f"shard {shard} reply failed checksum "
-                        "verification"
-                    )
-                checked.append((_OK, payload))
-        except CorruptReplyError as exc:
-            if self._supervisor.record_failure(shard, exc):
-                raise
-            self._supervisor.check(shard)
-            raise  # pragma: no cover - check always raises here
-        self._supervisor.record_success(shard)
-        return checked
-
-    def execute_fallback(
-        self,
-        shard: int,
-        work: list[tuple[ExplanationRequest, float | None]],
-    ) -> list[Outcome]:
-        """Degraded-mode execution on a quarantine-exempt session."""
-        with self._lock:
-            session = self._fallback_sessions.get(shard)
-            if session is None:
-                session = CajadeSession(
-                    self._db, self._graph, self.base_config
-                )
-                self._fallback_sessions[shard] = session
-        outcomes = _execute_work(session, work)
-        return [
-            (_OK, outcome[1]) if outcome[0] == _OK else tuple(outcome)
-            for outcome in outcomes
-        ]
+        return _run(session, request, deadline)

@@ -1,4 +1,4 @@
-"""Request batching and deterministic fingerprint sharding.
+"""Per-shard request queues and deterministic fingerprint sharding.
 
 The scheduler sits between the asyncio front-end and the worker pool.
 It owns two decisions:
@@ -12,16 +12,12 @@ It owns two decisions:
   parsed query, provenance table, warm materialization trie, and mining
   memo for exactly its own fingerprints.
 
-- **Which order?**  Within one dispatch, queued requests for a shard
-  are grouped by fingerprint then question (:func:`locality_order`, the
-  same ordering contract as ``CajadeSession.explain_batch``), so a
-  worker finishes all trie reuse for one query before moving to the
-  next, instead of thrashing between engines.
-
-Batches are cut by :meth:`Scheduler.take_batch`, which drains up to
-``max_batch`` queued tickets for one shard.  The front-end enforces at
-most one outstanding batch per shard, so a long batch on shard 0 never
-blocks dispatch to shard 1.
+- **Which order?**  Arrival order: :meth:`Scheduler.take` pops one
+  ticket FIFO per shard.  The worker's session keeps every query's
+  state resident, so no reordering buys locality, and each request is
+  answered when *it* is done.  The front-end runs one ticket per shard
+  at a time, so a long mining on shard 0 never blocks dispatch to
+  shard 1.
 
 Queues are *bounded* (``max_queue_depth``): :meth:`Scheduler.enqueue`
 raises :class:`QueueFullError` when a shard's backlog is at capacity,
@@ -33,9 +29,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
 
-from ..api.types import ExplanationRequest, locality_ranking
+from ..api.types import ExplanationRequest
 
 
 def shard_for(fingerprint: str, num_shards: int) -> int:
@@ -60,50 +55,30 @@ class Ticket:
     before enqueueing.  ``deadline`` is an absolute ``time.time()``
     epoch the whole lifecycle (queueing, execution, retries) must fit
     inside (``None`` = no budget); ``attempts`` counts completed
-    retries for the front-end's bounded-retry policy.  ``context`` is
-    an opaque front-end cookie the scheduler never inspects.
+    retries for the front-end's bounded-retry policy.
     """
 
     request: ExplanationRequest
     key: tuple
-    seq: int
     deadline: float | None = None
     attempts: int = 0
-    context: Any = None
 
     @property
     def fingerprint(self) -> str:
         return self.request.fingerprint
 
 
-def locality_order(tickets: list[Ticket]) -> list[Ticket]:
-    """Sort a batch for trie locality: fingerprint, then question.
-
-    The ranking is :func:`repro.api.types.locality_ranking` — the one
-    ``explain_batch`` uses — so the worker's per-query engine and mining
-    memo see maximal consecutive reuse.
-    """
-    order = locality_ranking(
-        (ticket.fingerprint, repr(ticket.request.question))
-        for ticket in tickets
-    )
-    return [tickets[position] for position in order]
-
-
 @dataclass
 class Scheduler:
-    """Per-shard FIFO queues with locality-ordered batch draining."""
+    """Bounded per-shard FIFO queues."""
 
     num_shards: int
-    max_batch: int = 16
     max_queue_depth: int | None = None
     _queues: list[deque[Ticket]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ValueError("num_shards must be >= 1")
-        if self.max_batch <= 0:
-            raise ValueError("max_batch must be >= 1")
         if self.max_queue_depth is not None and self.max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be >= 1 (or None)")
         self._queues = [deque() for _ in range(self.num_shards)]
@@ -131,14 +106,10 @@ class Scheduler:
         queue.append(ticket)
         return shard
 
-    def take_batch(self, shard: int) -> list[Ticket]:
-        """Drain up to ``max_batch`` tickets for one shard, ordered for
-        trie locality.  Empty list when the shard has no backlog."""
+    def take(self, shard: int) -> Ticket | None:
+        """Pop the shard's oldest ticket; None when it has no backlog."""
         queue = self._queues[shard]
-        batch: list[Ticket] = []
-        while queue and len(batch) < self.max_batch:
-            batch.append(queue.popleft())
-        return locality_order(batch)
+        return queue.popleft() if queue else None
 
     def pending(self, shard: int) -> int:
         return len(self._queues[shard])

@@ -7,7 +7,7 @@ Each shard moves through a three-state machine:
    ┌─────────┐ ───────────────────────────────────────► ┌────────────┐
    │ HEALTHY │                                          │ RESTARTING │
    └─────────┘ ◄─────────────────────────────────────── └────────────┘
-        ▲          successful batch (resets the streak)       │
+        ▲         successful request (resets the streak)      │
         │                                                     │
         │          consecutive failures > max_restarts        ▼
         │                                              ┌─────────────┐
@@ -17,7 +17,7 @@ Each shard moves through a three-state machine:
 
 The supervisor only *decides*; the backend owning the processes does
 the respawning.  ``max_restarts`` bounds **consecutive** failures — a
-successful batch resets the streak, so a worker that is killed every
+successful request resets the streak, so a worker that is killed every
 few hundred requests restarts forever, while a crash-looping shard
 (e.g. one whose startup deterministically fails) is quarantined after
 ``max_restarts + 1`` straight failures.  Quarantine is terminal for the
@@ -107,7 +107,7 @@ class ShardSupervisor:
             self._shards[shard].restarts += 1
 
     def record_success(self, shard: int) -> None:
-        """A batch completed: the failure streak resets."""
+        """A request completed: the failure streak resets."""
         with self._lock:
             health = self._shards[shard]
             if health.state != QUARANTINED:

@@ -30,12 +30,12 @@ from repro.serving import (
     Ticket,
     WorkerDiedError,
     canonical_payload,
-    locality_order,
     request_cache_key,
     request_from_json,
     serve_http,
     shard_for,
 )
+from repro.serving.metrics import LATENCY_WINDOW
 from repro.serving.shm import (
     attach_database,
     attached_segment_count,
@@ -66,7 +66,7 @@ def serial_payload(mini_db, mini_schema_graph, req=None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sharding and batching
+# Sharding and queueing
 # ---------------------------------------------------------------------------
 
 
@@ -84,44 +84,26 @@ class TestScheduler:
     def test_same_fingerprint_same_queue(self):
         scheduler = Scheduler(num_shards=3)
         tickets = [
-            Ticket(request=request(), key=("k", i), seq=i) for i in range(5)
+            Ticket(request=request(), key=("k", i)) for i in range(5)
         ]
         shards = {scheduler.enqueue(t) for t in tickets}
         assert len(shards) == 1
 
-    def test_take_batch_respects_max_batch(self):
-        scheduler = Scheduler(num_shards=1, max_batch=2)
-        for i in range(5):
-            scheduler.enqueue(
-                Ticket(request=request(), key=("k", i), seq=i)
-            )
-        assert len(scheduler.take_batch(0)) == 2
-        assert scheduler.pending(0) == 3
+    def test_take_is_fifo_one_ticket_at_a_time(self):
+        scheduler = Scheduler(num_shards=1)
+        for i in range(3):
+            scheduler.enqueue(Ticket(request=request(), key=("k", i)))
+        assert [scheduler.take(0).key[1] for _ in range(3)] == [0, 1, 2]
+        assert scheduler.take(0) is None
 
     def test_enqueue_bounded_by_max_queue_depth(self):
         scheduler = Scheduler(num_shards=1, max_queue_depth=2)
         for i in range(2):
-            scheduler.enqueue(Ticket(request=request(), key=("k", i), seq=i))
+            scheduler.enqueue(Ticket(request=request(), key=("k", i)))
         with pytest.raises(QueueFullError):
-            scheduler.enqueue(Ticket(request=request(), key=("k", 9), seq=9))
+            scheduler.enqueue(Ticket(request=request(), key=("k", 9)))
         # The rejected ticket was not enqueued.
         assert scheduler.pending(0) == 2
-
-    def test_locality_order_groups_by_fingerprint_then_question(self):
-        sql2 = GSW_WINS_SQL + " ORDER BY win"
-        reqs = [
-            ExplanationRequest(GSW_WINS_SQL, QUESTION),
-            ExplanationRequest(sql2, QUESTION),
-            ExplanationRequest(GSW_WINS_SQL, QUESTION2),
-            ExplanationRequest(GSW_WINS_SQL, QUESTION),
-        ]
-        tickets = [
-            Ticket(request=r, key=("k", i), seq=i)
-            for i, r in enumerate(reqs)
-        ]
-        ordered = locality_order(tickets)
-        # First-seen fingerprint first, its questions grouped, then sql2.
-        assert [t.seq for t in ordered] == [0, 3, 2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -132,28 +114,30 @@ class TestScheduler:
 class TestFaultPlan:
     def test_kill_every_fires_on_multiples_per_shard(self):
         plan = FaultPlan.kill_every(3)
-        # Shard 0: requests 1..2 (no fire), 3..4 (fires on 3).
-        assert plan.admit(0, 2) == []
-        assert [r.kind for r in plan.admit(0, 2)] == [KILL]
+        # Shard 0: requests 1..2 (no fire), then 3 fires.
+        assert plan.admit(0) == [] and plan.admit(0) == []
+        assert [r.kind for r in plan.admit(0)] == [KILL]
         # Shard 1 has its own counter.
-        assert plan.admit(1, 2) == []
-        assert [r.kind for r in plan.admit(1, 1)] == [KILL]
+        assert plan.admit(1) == [] and plan.admit(1) == []
+        assert [r.kind for r in plan.admit(1)] == [KILL]
         assert plan.fired_total == 2
 
-    def test_rule_fires_at_most_once_per_batch(self):
-        plan = FaultPlan.kill_every(1)
-        # A 5-request batch matches ticks 1..5 but a worker dies once.
-        assert len(plan.admit(0, 5)) == 1
+    def test_admit_advances_one_tick_per_call(self):
+        plan = FaultPlan(
+            (FaultRule(kind=KILL, at=2), FaultRule(kind=CORRUPT, at=4))
+        )
+        fired = [[r.kind for r in plan.admit(0)] for _ in range(5)]
+        assert fired == [[], [KILL], [], [CORRUPT], []]
 
     def test_times_caps_total_firings(self):
         plan = FaultPlan((FaultRule(kind=KILL, every=1, times=2),))
-        fired = sum(len(plan.admit(0, 1)) for _ in range(5))
+        fired = sum(len(plan.admit(0)) for _ in range(5))
         assert fired == 2
 
     def test_shard_scoped_rule_ignores_other_shards(self):
         plan = FaultPlan((FaultRule(kind=KILL, shard=1, at=1),))
-        assert plan.admit(0, 3) == []
-        assert [r.kind for r in plan.admit(1, 1)] == [KILL]
+        assert plan.admit(0) == []
+        assert [r.kind for r in plan.admit(1)] == [KILL]
 
     def test_startup_crash_is_pure_and_picklable(self):
         import pickle
@@ -177,7 +161,8 @@ class TestFaultPlan:
 
     def test_describe_records_identity(self):
         plan = FaultPlan.kill_every(3, times=2, seed=7)
-        plan.admit(0, 3)
+        for _ in range(3):
+            plan.admit(0)
         view = plan.describe()
         assert view["seed"] == 7
         assert view["fired"] == 1
@@ -347,14 +332,16 @@ class TestChaosInline:
         # A poison request must not poison its shard's health.
         assert stats["health"]["failures"] == 0
 
-    def test_poison_request_does_not_fail_batchmates(
+    def test_poison_request_fails_alone_between_good_ones(
         self, mini_db, mini_schema_graph
     ):
         good = request()
+        good2 = ExplanationRequest(GSW_WINS_SQL, QUESTION2)
         bad = ExplanationRequest(
             "SELECT x FROM nope GROUP BY x", QUESTION
         )
-        expected = serial_payload(mini_db, mini_schema_graph)
+        # One shard, so the poison request queues between the good ones.
+        assert len({r.fingerprint for r in (good, good2)}) == 1
 
         async def main():
             backend = InlineBackend(mini_db, mini_schema_graph, CONFIG)
@@ -362,13 +349,60 @@ class TestChaosInline:
                 results = await asyncio.gather(
                     service.submit(good),
                     service.submit(bad),
+                    service.submit(good2),
                     return_exceptions=True,
                 )
-                return results
+                return backend, results, service.stats.snapshot()
 
-        ok, err = asyncio.run(main())
-        assert ok.payload == expected
+        backend, (ok, err, ok2), stats = asyncio.run(main())
+        assert ok.payload == serial_payload(mini_db, mini_schema_graph)
+        assert ok2.payload == serial_payload(
+            mini_db, mini_schema_graph, good2
+        )
         assert isinstance(err, ServiceError) and not err.retryable
+        # Each request ran exactly once: nothing is re-run to isolate
+        # the poison one, and it costs the shard no health.
+        assert backend.requests_executed == 3
+        assert stats["failures"] == 1
+        assert stats["health"]["failures"] == 0
+
+    def test_each_request_resolves_when_it_is_done(
+        self, mini_db, mini_schema_graph
+    ):
+        """Two tickets on one shard: the first waiter is answered while
+        the second is still executing, and dispatch is in arrival
+        order (the DELAY on tick 2 holds whichever request went
+        second)."""
+        plan = FaultPlan(
+            (
+                FaultRule(kind=DELAY, at=1, delay_seconds=0.05),
+                FaultRule(kind=DELAY, at=2, delay_seconds=0.5),
+            )
+        )
+        second_request = ExplanationRequest(GSW_WINS_SQL, QUESTION2)
+
+        async def main():
+            backend = InlineBackend(
+                mini_db, mini_schema_graph, CONFIG, fault_plan=plan
+            )
+            async with ExplanationService(backend) as service:
+                first = asyncio.ensure_future(service.submit(request()))
+                second = asyncio.ensure_future(
+                    service.submit(second_request)
+                )
+                done, pending = await asyncio.wait(
+                    {first, second}, return_when=asyncio.FIRST_COMPLETED
+                )
+                assert done == {first} and pending == {second}
+                return first.result(), await second, service.stats.snapshot()
+
+        one, two, stats = asyncio.run(main())
+        assert one.payload == serial_payload(mini_db, mini_schema_graph)
+        assert two.payload == serial_payload(
+            mini_db, mini_schema_graph, second_request
+        )
+        assert stats["batches"] == 2
+        assert one.latency_seconds < two.latency_seconds
 
     def test_deadline_exceeded_is_a_504(self, mini_db, mini_schema_graph):
         plan = FaultPlan(
@@ -667,9 +701,13 @@ class TestExplanationService:
             async with ExplanationService(backend) as service:
                 await service.submit(request())
                 await service.submit(request())
-                return service.stats.snapshot()
+                early = service.stats.snapshot()
+                # More requests than the latency window holds.
+                for _ in range(LATENCY_WINDOW):
+                    await service.submit(request())
+                return early, service.stats
 
-        stats = asyncio.run(main())
+        stats, live = asyncio.run(main())
         assert stats["requests"] == 2
         assert stats["cache_hits"] == 1
         assert stats["cache_hit_rate"] == pytest.approx(0.5)
@@ -677,6 +715,12 @@ class TestExplanationService:
         assert stats["batches"] == 1
         assert stats["latency_p99_ms"] >= stats["latency_p50_ms"] >= 0
         assert stats["response_cache"]["entries"] == 1
+        # /stats memory is bounded; the totals are not windowed.
+        late = live.snapshot()
+        assert len(live.latencies) == LATENCY_WINDOW
+        assert late["completed"] == late["requests"] == LATENCY_WINDOW + 2
+        assert late["availability"] == 1.0
+        assert late["latency_p99_ms"] >= late["latency_p50_ms"] > 0
 
     def test_submit_after_close_rejected(self, mini_db, mini_schema_graph):
         async def main():
@@ -781,6 +825,59 @@ class TestProcessPool:
         # The torn-down pool refuses to restart rather than limp.
         with pytest.raises(ServiceError):
             backend.start()
+
+
+@pytest.mark.parametrize(
+    "backend_class",
+    [InlineBackend, pytest.param(ProcessPoolBackend, marks=pytest.mark.slow)],
+)
+def test_backends_share_one_contract(
+    backend_class, mini_db, mini_schema_graph
+):
+    """The same seeded fault plan (kill on the shard's 2nd execution,
+    corrupt its 4th) drives both backends through the same outcomes,
+    the same retries and the same health snapshot."""
+    expected = serial_payload(mini_db, mini_schema_graph)
+    plan = FaultPlan(
+        (FaultRule(kind=KILL, at=2), FaultRule(kind=CORRUPT, at=4)), seed=3
+    )
+
+    async def main():
+        backend = backend_class(
+            mini_db, mini_schema_graph, CONFIG, num_shards=1, fault_plan=plan
+        )
+        # No response cache: each of the four asks executes.
+        async with ExplanationService(
+            backend, response_cache_mb=0.0, retry_backoff=0.01
+        ) as service:
+            responses, retries = [], []
+            for _ in range(4):
+                responses.append(await service.submit(request()))
+                retries.append(service.stats.snapshot()["retries"])
+            return responses, retries, backend.health()
+
+    responses, retries, health = asyncio.run(main())
+    assert [r.payload for r in responses] == [expected] * 4
+    assert [r.source for r in responses] == ["executed"] * 4
+    # Executions 1 ok, 2 killed, 3 ok (retry), 4 corrupt, 5 ok (retry), 6 ok.
+    assert retries == [0, 1, 2, 2]
+    assert health == {
+        "shards": [
+            {
+                "shard": 0,
+                "state": "healthy",
+                "restarts": 1,
+                "failures": 2,
+                "consecutive_failures": 0,
+                "last_error": "shard 0 reply failed checksum verification",
+            }
+        ],
+        "restarts": 1,
+        "failures": 2,
+        "quarantined": [],
+        "faults_injected": 2,
+    }
+    assert attached_segment_count() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +997,58 @@ class TestHttp:
         assert bad_body["kind"] == "bad-request"
         assert bad_body["status"] == 400
         assert bad_body["retryable"] is False
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /explain HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /explain HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            # A body shorter than promised, then a half-close.
+            b"POST /explain HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}",
+            # A header block past the 64 KiB stream limit.
+            b"GET /stats HTTP/1.1\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n",
+        ],
+        ids=["length-not-a-number", "length-negative", "body-short", "head-huge"],
+    )
+    def test_malformed_head_fails_closed(
+        self, raw, mini_db, mini_schema_graph
+    ):
+        """A structured 400 (or a clean EOF) and a released connection
+        — never an unhandled exception in the connection callback."""
+
+        async def main():
+            logged = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: logged.append(context)
+            )
+            backend = InlineBackend(mini_db, mini_schema_graph, CONFIG)
+            async with ExplanationService(backend) as service:
+                server = await serve_http(service, port=0)
+                port = server.sockets[0].getsockname()[1]
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port
+                    )
+                    writer.write(raw)
+                    writer.write_eof()
+                    reply = await asyncio.wait_for(reader.read(), timeout=10)
+                    writer.close()
+                    await writer.wait_closed()
+                    # Let the server-side handler task finish and report.
+                    await asyncio.sleep(0.05)
+                    healthy = await http_request(port, "GET", "/stats")
+                finally:
+                    server.close()
+                    await server.wait_closed()
+                return reply, healthy, logged
+
+        reply, healthy, logged = asyncio.run(main())
+        assert logged == []
+        if reply:
+            assert reply.startswith(b"HTTP/1.1 400")
+            body = json.loads(reply.partition(b"\r\n\r\n")[2])
+            assert body["kind"] == "bad-request"
+        assert healthy[0].startswith("HTTP/1.1 200")
 
     def test_removed_toggles_and_bad_overrides_get_400(
         self, mini_db, mini_schema_graph
@@ -1068,10 +1217,10 @@ class TestHttp:
                 mini_db, mini_schema_graph, CONFIG, fault_plan=plan
             )
             async with ExplanationService(
-                backend, max_batch=1, max_queue_depth=1
+                backend, max_queue_depth=1
             ) as service:
                 first = asyncio.ensure_future(service.submit(request()))
-                await asyncio.sleep(0.2)  # batch 1 is now executing
+                await asyncio.sleep(0.2)  # the first is now executing
                 second = asyncio.ensure_future(
                     service.submit(
                         ExplanationRequest(GSW_WINS_SQL, QUESTION2)
@@ -1091,36 +1240,83 @@ class TestHttp:
                     }
                 ).encode()
                 try:
-                    reader, writer = await asyncio.open_connection(
-                        "127.0.0.1", port
+                    return await http_request(
+                        port, "POST", "/explain", body
                     )
-                    head = (
-                        "POST /explain HTTP/1.1\r\nHost: t\r\n"
-                        f"Content-Length: {len(body)}\r\n"
-                        "Connection: close\r\n\r\n"
-                    )
-                    writer.write(head.encode() + body)
-                    await writer.drain()
-                    raw = await reader.read()
-                    writer.close()
-                    await writer.wait_closed()
                 finally:
                     server.close()
                     await server.wait_closed()
                     await asyncio.gather(first, second)
-                return raw
 
-        raw = asyncio.run(main())
-        header_blob, _, response_body = raw.partition(b"\r\n\r\n")
-        status = header_blob.split(b"\r\n")[0].decode()
-        headers = {
-            line.decode().partition(":")[0].strip().lower():
-            line.decode().partition(":")[2].strip()
-            for line in header_blob.split(b"\r\n")[1:]
-        }
+        status, headers, response_body = asyncio.run(main())
         assert status.startswith("HTTP/1.1 429")
         shed_body = json.loads(response_body)
         assert shed_body["kind"] == "overloaded"
         assert shed_body["retryable"] is True
         assert shed_body["retry_after_seconds"] > 0
         assert int(headers["retry-after"]) >= 1
+
+
+# ---------------------------------------------------------------------------
+# The serve surface
+# ---------------------------------------------------------------------------
+
+
+class TestServeSurface:
+    """A re-added serving knob is a visible edit here, the way
+    tests/test_core_config.py pins the config fields."""
+
+    def test_exact_serve_flags(self):
+        import argparse
+
+        from repro.cli import _add_config_flags, build_parser
+
+        def option_strings(parser):
+            return {
+                option
+                for action in parser._actions
+                for option in action.option_strings
+            }
+
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        shared = argparse.ArgumentParser()
+        _add_config_flags(shared)
+        own = option_strings(subparsers.choices["serve"]) - option_strings(
+            shared
+        )
+        assert own == {
+            "--db-cache-dir",
+            "--host",
+            "--port",
+            "--shards",
+            "--response-cache-mb",
+            "--max-restarts",
+            "--request-timeout",
+            "--max-retries",
+            "--max-queue-depth",
+            "--max-in-flight",
+            "--degraded-mode",
+        }
+
+    def test_exact_service_parameters(self):
+        import inspect
+
+        parameters = list(
+            inspect.signature(ExplanationService.__init__).parameters
+        )
+        assert parameters == [
+            "self",
+            "backend",
+            "response_cache_mb",
+            "request_timeout",
+            "max_retries",
+            "retry_backoff",
+            "retry_seed",
+            "max_queue_depth",
+            "max_in_flight",
+            "degraded_mode",
+        ]
