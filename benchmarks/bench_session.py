@@ -18,9 +18,8 @@ amortization on a Qnba workload:
 3. *cross-question*: a different question (outlier on t1) against the
    same query — reuses parse/provenance/enumeration and engine context
    state, reports the observed timing and per-request engine counters;
-4. *batch*: the same requests through ``session.explain_batch`` (one
-   of them a duplicate, answered once), verifying byte-identical output
-   once more.
+4. *stream*: the same requests once more, one ``session.explain`` after
+   another (one of them a repeat), verifying byte-identical output.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_session.py [--quick]
@@ -116,21 +115,21 @@ def run(args: argparse.Namespace) -> int:
         print("FAIL: cross-question did not reuse the query state")
         return 1
 
-    # -- batched requests ----------------------------------------------
+    # -- a stream of warm requests ---------------------------------------
     requests = [
         ExplanationRequest(workload.sql, workload.question),
         ExplanationRequest(workload.sql, outlier),
         ExplanationRequest(workload.sql, workload.question),
     ]
     start = time.perf_counter()
-    responses = session.explain_batch(requests)
-    t_batch = time.perf_counter() - start
-    print(f"batch of {len(requests)} warm requests: {t_batch:6.2f}s")
+    responses = [session.explain(request) for request in requests]
+    t_stream = time.perf_counter() - start
+    print(f"{len(requests)} warm requests in a row: {t_stream:6.2f}s")
     for response in (responses[0], responses[2]):
         if ranked_payload(response) != cold_payload:
-            print("FAIL: batched explanations differ from cold one-shot")
+            print("FAIL: warm explanations differ from cold one-shot")
             return 1
-    print("batched explanations byte-identical across warmth")
+    print("warm explanations byte-identical across warmth")
     print(session.stats.describe())
 
     if not args.quick and speedup < 2.0:

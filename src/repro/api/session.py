@@ -18,7 +18,7 @@ state only changes where intermediate relations and finalists come from
 (the same canonical plans execute, the same per-graph generators drive
 mining), never what they contain.
 
-Three entry points::
+Two entry points::
 
     session = CajadeSession(db, schema_graph, config)
 
@@ -27,9 +27,6 @@ Three entry points::
 
     # fluent builder
     response = session.ask(sql).why_higher(t1, t2).top_k(5).run()
-
-    # batched: orders requests for trie locality, answers duplicates once
-    responses = session.explain_batch([request1, request2, ...])
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -82,7 +79,6 @@ from ..engine import (
 from .types import (
     ExplanationRequest,
     ExplanationResponse,
-    locality_ranking,
     query_fingerprint,
 )
 
@@ -97,10 +93,9 @@ def mining_config_key(config: CajadeConfig) -> tuple:
 
     Two configs with equal keys produce byte-identical ranked
     explanations for the same question: the excluded field is exactly
-    the budget (the APT cache size).  This key
-    namespaces the session's per-graph mining memo, :meth:`CajadeSession
-    .explain_batch`'s duplicate-request coalescing, and the serving
-    layer's cross-request response cache.
+    the budget (the APT cache size).  This key namespaces the session's
+    per-graph mining memo and the serving layer's cross-request
+    response cache.
     """
     return tuple(
         (name, value)
@@ -114,8 +109,6 @@ class SessionStats:
     """Cross-request bookkeeping of one session's lifetime."""
 
     requests: int = 0
-    batches: int = 0
-    requests_deduped: int = 0
     queries_registered: int = 0
     query_state_hits: int = 0
     enumeration_hits: int = 0
@@ -125,9 +118,7 @@ class SessionStats:
 
     def describe(self) -> str:
         return (
-            f"session: {self.requests} requests "
-            f"({self.batches} batches, "
-            f"{self.requests_deduped} deduped), "
+            f"session: {self.requests} requests, "
             f"{self.queries_registered} queries registered, "
             f"{self.query_state_hits} query-state hits, "
             f"{self.enumeration_hits} enumeration hits, "
@@ -315,52 +306,6 @@ class CajadeSession:
             )
         return self._execute(request, timer=timer)
 
-    def explain_batch(
-        self,
-        requests: Iterable[ExplanationRequest],
-        timer: StepTimer | None = None,
-    ) -> list[ExplanationResponse]:
-        """Answer many requests, returned in input order.
-
-        Requests are *executed* grouped by query fingerprint and then by
-        question (:func:`~repro.api.types.locality_ranking`), so repeats
-        land on a trie their predecessor just warmed.
-
-        Duplicate requests — same query fingerprint, question and
-        output-relevant config (:func:`mining_config_key`) — are
-        computed once and the response object fanned out to every
-        duplicate slot, matching the serving layer's in-flight
-        coalescing semantics.  Fan-out is byte-identical by construction
-        (the shared computation is exactly what each duplicate would
-        have produced); the shared response's ``request``/timing fields
-        describe the first occurrence.
-        """
-        requests = list(requests)
-        self._stats.batches += 1
-
-        first_of: dict[tuple, int] = {}
-        duplicate_of: dict[int, int] = {}
-        distinct: list[int] = []
-        locality_keys: list[tuple[str, str]] = []
-        for index, request in enumerate(requests):
-            qkey = (request.fingerprint, repr(request.question))
-            rkey = (*qkey, mining_config_key(request.config_for(self.config)))
-            first = first_of.setdefault(rkey, index)
-            if first != index:
-                duplicate_of[index] = first
-                self._stats.requests_deduped += 1
-                continue
-            distinct.append(index)
-            locality_keys.append(qkey)
-
-        responses: list[ExplanationResponse | None] = [None] * len(requests)
-        for position in locality_ranking(locality_keys):
-            index = distinct[position]
-            responses[index] = self._execute(requests[index], timer=timer)
-        for index, first in duplicate_of.items():
-            responses[index] = responses[first]
-        return responses  # type: ignore[return-value]
-
     # -- the pipeline ----------------------------------------------------
     def _execute(
         self,
@@ -472,8 +417,8 @@ class CajadeSession:
         if engine_delta.cache is not None:
             timer.count(APT_CACHE_EVICTIONS, engine_delta.cache.evictions)
             # End-of-request gauges over the trie's live population —
-            # snapshots, not increments, so a timer shared across a
-            # batch reports the latest state instead of a sum.
+            # snapshots, not increments, so a timer shared across
+            # requests reports the latest state instead of a sum.
             timer.set_gauge(APT_CACHE_ENTRIES, engine_delta.cache.entries)
             timer.set_gauge(
                 APT_CACHE_MEDIAN_ENTRY_BYTES,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ..core.config import CajadeConfig
 from ..core.explainer import ExplanationResult
@@ -24,6 +24,7 @@ from ..core.question import ComparisonQuestion, OutlierQuestion
 from ..db.query import Query
 
 _CONFIG_FIELDS = {f.name for f in fields(CajadeConfig)}
+_DEFAULT_CONFIG = CajadeConfig()
 
 # Baked into a session's per-query engine at registration time; a
 # per-request override would silently not apply, so it is rejected.
@@ -47,29 +48,6 @@ def query_fingerprint(sql: str | Query) -> str:
     return hashlib.blake2b(
         normalized.encode("utf-8"), digest_size=16
     ).hexdigest()
-
-
-def locality_ranking(keys: Iterable[tuple[str, str]]) -> list[int]:
-    """Positions of ``keys`` in the order that maximizes trie locality.
-
-    ``keys`` holds one ``(query fingerprint, repr(question))`` per item.
-    Items are ranked by first-seen fingerprint, then first-seen question,
-    then arrival, so a per-query engine and its mining memo see every
-    repeat right after the ask that warmed them.  The one ordering
-    contract of :meth:`CajadeSession.explain_batch` and the serving
-    scheduler's batches.
-    """
-    fp_rank: dict[str, int] = {}
-    question_rank: dict[tuple[str, str], int] = {}
-    ranked = [
-        (
-            fp_rank.setdefault(key[0], len(fp_rank)),
-            question_rank.setdefault(key, len(question_rank)),
-            position,
-        )
-        for position, key in enumerate(keys)
-    ]
-    return [position for _fp, _question, position in sorted(ranked)]
 
 
 @dataclass(frozen=True)
@@ -115,6 +93,15 @@ class ExplanationRequest:
                 "question must be a ComparisonQuestion or OutlierQuestion, "
                 f"got {type(self.question).__name__}"
             )
+        if not isinstance(self.sql, (str, Query)):
+            raise TypeError(
+                f"sql must be a str or a Query, got {type(self.sql).__name__}"
+            )
+        # Knob and override values fail here, where the request is
+        # built, not in whichever layer first reads the config: every
+        # CajadeConfig check is per field, so the defaults stand in for
+        # any base.
+        self.config_for(_DEFAULT_CONFIG)
 
     @property
     def fingerprint(self) -> str:

@@ -59,14 +59,13 @@ class APTAttribute:
 class AugmentedProvenanceTable:
     """A materialized APT plus attribute metadata for pattern mining.
 
-    Materialization produces APTs backed by a late-materialized
-    :class:`~repro.db.frame.IndexFrame` of per-base-table row-index
-    vectors.  They gather column values only when a consumer asks for
-    them: the mining kernel gathers int32 dictionary codes instead of
-    object values, numeric columns gather as cheap float slices, and the
-    full :attr:`relation` is materialized lazily only if something still
-    needs the whole table.  An APT can also wrap a plain
-    :class:`Relation` directly (any table can be mined).
+    An APT is a late-materialized :class:`~repro.db.frame.IndexFrame` of
+    per-base-table row-index vectors.  It gathers column values only
+    when a consumer asks for them: the mining kernel gathers int32
+    dictionary codes instead of object values, numeric columns gather as
+    cheap float slices, and the full :attr:`relation` is materialized
+    lazily only if something still needs the whole table.  Any table can
+    be mined: ``relation=`` wraps it in the identity frame.
     """
 
     def __init__(
@@ -77,43 +76,32 @@ class AugmentedProvenanceTable:
         excluded_attributes: list[str] | None = None,
         frame: IndexFrame | None = None,
     ):
-        if relation is None and frame is None:
-            raise ValueError("an APT needs a relation or an index frame")
+        if frame is None:
+            if relation is None:
+                raise ValueError("an APT needs a relation or an index frame")
+            frame = IndexFrame.from_relation(relation)
         self.join_graph = join_graph
-        self._relation = relation
-        self._frame = frame
+        self.frame = frame
         self.attributes = list(attributes or [])
         self.excluded_attributes = list(excluded_attributes or [])
+        self._relation: Relation | None = None
         self._pt_ids: np.ndarray | None = None
-
-    @property
-    def frame(self) -> IndexFrame | None:
-        """The backing index frame, or ``None`` for relation-backed APTs."""
-        return self._frame
 
     @property
     def relation(self) -> Relation:
         """The fully-gathered APT relation (materialized on demand)."""
         if self._relation is None:
-            assert self._frame is not None
-            self._relation = self._frame.to_relation()
+            self._relation = self.frame.to_relation()
         return self._relation
 
     @property
     def num_rows(self) -> int:
-        if self._relation is not None:
-            return self._relation.num_rows
-        assert self._frame is not None
-        return self._frame.num_rows
+        return self.frame.num_rows
 
     @property
     def pt_row_ids(self) -> np.ndarray:
         if self._pt_ids is None:
-            if self._relation is not None:
-                self._pt_ids = self._relation.column(PT_ROW_ID)
-            else:
-                assert self._frame is not None
-                self._pt_ids = self._frame.column(PT_ROW_ID)
+            self._pt_ids = self.frame.column(PT_ROW_ID)
         return self._pt_ids
 
     def column_values(
@@ -121,36 +109,27 @@ class AugmentedProvenanceTable:
     ) -> np.ndarray:
         """Gather one column (optionally only ``subset`` row indices).
 
-        Frame-backed APTs compose ``subset`` with the frame's index
-        vectors before touching the source array, so a sampled evaluator
-        never gathers rows it will not score.
+        ``subset`` composes with the frame's index vectors before the
+        source array is touched, so a sampled evaluator never gathers
+        rows it will not score.
         """
-        if self._relation is not None:
-            arr = self._relation.column(name)
-            return arr if subset is None else arr[subset]
-        assert self._frame is not None
-        return self._frame.gather_column(name, subset)
+        return self.frame.gather_column(name, subset)
 
     def column_dtype(self, name: str) -> np.dtype:
         """The storage dtype of a column, without gathering any values."""
-        if self._relation is not None:
-            return self._relation.column_dtype(name)
-        assert self._frame is not None
-        return self._frame.column_dtype(name)
+        return self.frame.column_dtype(name)
 
     def column_encoding(
         self, name: str, subset: np.ndarray | None = None
     ) -> tuple[ColumnEncoding, np.ndarray | None] | None:
-        """Base-table dictionary codes behind a frame column, if any.
+        """Base-table dictionary codes behind an object column.
 
         ``(encoding, rows)`` lets the mining kernel build its code
         matrices by gathering ``encoding.codes[rows]`` instead of
-        re-encoding object values per APT.  ``None`` for relation-backed
-        APTs and for columns without a usable table-level encoding.
+        re-encoding object values per APT.  ``None`` for a numeric
+        column.
         """
-        if self._frame is None:
-            return None
-        return self._frame.column_encoding(name, subset)
+        return self.frame.column_encoding(name, subset)
 
     def minable_columns(self) -> dict[str, np.ndarray]:
         """Attribute name → column array for every minable attribute."""

@@ -19,10 +19,9 @@ computes each distinct input once.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -48,8 +47,8 @@ class _NamedView(Mapping):
 
     Forwards item access and the non-gathering ``dtype_of`` probe of
     :class:`repro.core.quality.LazyColumns`, so varclus/encode_columns
-    only gather the columns they actually read (numeric values, plus
-    categorical columns lacking kernel ml codes).
+    only gather the columns they actually read: the numeric ones
+    (categorical columns arrive as kernel ml codes).
     """
 
     def __init__(self, columns, names: list[str]):
@@ -168,9 +167,8 @@ def filter_attributes(
 
     # The evaluator's columnar kernel supplies dictionary-encoded code
     # arrays; the per-column passes below run as bincount/unique over
-    # int32 codes (a bijection of the non-NULL values).  Columns the
-    # kernel could not encode (int-typed categoricals, unhashable cells)
-    # have no codes and take the per-row arms.
+    # int32 codes (a bijection of the non-NULL values) and never gather
+    # a categorical column's values.
     kernel = evaluator.kernel
 
     # -- drop categorical attributes that cannot reach λrecall ----------
@@ -179,16 +177,12 @@ def filter_attributes(
     # already below the recall threshold the attribute is a dead end
     # (near-unique columns such as timestamps).  Dropping them here also
     # protects the random forest from its high-cardinality bias.
-    # Columns are passed as deferred accessors so the kernel-code paths
-    # below never gather object values on late-materialized APTs.
     n1, n2 = evaluator.universe_sizes
     names = [
         n
         for n in names
         if apt.attribute(n).is_numeric
-        or _best_possible_recall(
-            lambda n=n: columns[n], labels, n1, n2, kernel, n
-        )
+        or _best_possible_recall(kernel.match_codes(n), labels, n1, n2)
         >= config.recall_threshold
     ]
     if not names:
@@ -200,15 +194,15 @@ def filter_attributes(
             n
             for n in names
             if not _is_group_determined(
-                lambda n=n: columns[n], labels, kernel, n
+                *_values_and_presence(kernel, columns, n), labels
             )
         ]
         if not names:
             return _passthrough(apt, [])
 
-    # One first-occurrence code map (the kernel's varclus-compatible
-    # encoding) feeds both the Cramér's V association matrix and the
-    # random-forest feature matrix — no column is re-encoded.
+    # One first-occurrence code map (the kernel's ml encoding) feeds
+    # both the Cramér's V association matrix and the random-forest
+    # feature matrix — no column is re-encoded.
     ml_codes = {
         n: code_arr
         for n in names
@@ -217,36 +211,28 @@ def filter_attributes(
 
     # -- cluster correlated attributes, keep representatives -----------
     # Name-restricted views keep the lazy column mapping lazy: varclus
-    # probes dtypes through them and only gathers columns without codes.
-    # A column without codes has no content address: a fresh token keys
-    # it, so its pairs are computed here and never shared.
+    # probes dtypes through them and only gathers the numeric columns.
     pairs = _CountedPairs(memo.association)
     clusters = cluster_attributes(
         _NamedView(columns, names),
         threshold=config.correlation_threshold,
-        same_type_only=True,
         codes=ml_codes,
         pair_memo=pairs,
-        digests={
-            n: _digest(ml_codes[n]) if n in ml_codes else object()
-            for n in names
-        },
+        digests={n: _digest(codes) for n, codes in ml_codes.items()},
     )
     timer.count(ASSOCIATION_PAIRS_COMPUTED, pairs.computed)
     timer.count(ASSOCIATION_MEMO_HITS, pairs.hits)
     representatives = sorted(c.representative for c in clusters)
 
     # -- random-forest relevance over cluster representatives ----------
-    rep_columns = _NamedView(columns, representatives)
-    rep_codes = {n: ml_codes[n] for n in representatives if n in ml_codes}
-    matrix = encode_columns(rep_columns, codes=rep_codes)
+    matrix = encode_columns(
+        _NamedView(columns, representatives), codes=ml_codes
+    )
     importances = _forest_importances(
         matrix[informative],
         (labels[informative] == 1).astype(np.float64),
         tuple(
-            i
-            for i, name in enumerate(representatives)
-            if rep_columns.dtype_of(name) == object
+            i for i, name in enumerate(representatives) if name in ml_codes
         ),
         config,
         timer,
@@ -295,9 +281,8 @@ def _forest_importances(
     """Impurity-based relevance of the columns of ``X`` for labels ``y``.
 
     Histogram learner on the dictionary codes: every object column of
-    the matrix holds first-occurrence label codes (straight from the
-    kernel's ml_codes when available, from encode_columns's per-row
-    pass otherwise) — codes are bins.  Every feature is examined at
+    the matrix holds first-occurrence label codes (the kernel's
+    ml_codes) — codes are bins.  Every feature is examined at
     every split: relevance ranking wants the full importance signal,
     and per-node feature subsampling only adds rng noise to it.
 
@@ -328,94 +313,55 @@ def _forest_importances(
     return importances
 
 
+def _values_and_presence(
+    kernel, columns: Mapping, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """An attribute as ``(values, present)``: a categorical one as its
+    match codes (which biject to the non-NULL values; ``-1`` is NULL), a
+    numeric one as the column itself (NaN is NULL)."""
+    codes = kernel.match_codes(name)
+    if codes is not None:
+        return codes, codes >= 0
+    values = columns[name]
+    return values, ~np.isnan(values)
+
+
 def _is_group_determined(
-    values: "np.ndarray | Callable[[], np.ndarray]",
-    labels: np.ndarray,
-    kernel,
-    name: str,
+    values: np.ndarray, present: np.ndarray, labels: np.ndarray
 ) -> bool:
     """Whether an attribute is an alias of the question's group key.
 
     True when each side's rows carry exactly one non-NULL value and the
     two values differ — any equality pattern on such an attribute merely
-    restates which output tuple a row belongs to.  With kernel codes the
-    per-side value sets reduce to ``np.unique`` over non-NULL int codes
-    (codes biject to values, so set cardinality and equality carry over).
-
-    ``values`` may be a zero-argument callable producing the column
-    array; it is only invoked on the codeless fallback path.
+    restates which output tuple a row belongs to.
     """
-    codes = kernel.match_codes(name)
-    if codes is not None:
-        side_codes = []
-        for side in (1, 2):
-            selected = codes[labels == side]
-            unique = np.unique(selected[selected >= 0])
-            if len(unique) != 1:
-                return False
-            side_codes.append(int(unique[0]))
-        return side_codes[0] != side_codes[1]
-
-    if callable(values):
-        values = values()
-    side_values: list[set] = []
+    side_values = []
     for side in (1, 2):
-        mask = labels == side
-        seen = set()
-        for value in values[mask]:
-            if value is None:
-                continue
-            if isinstance(value, (float, np.floating)) and math.isnan(value):
-                continue
-            seen.add(value)
-        if len(seen) != 1:
+        unique = np.unique(values[present & (labels == side)])
+        if len(unique) != 1:
             return False
-        side_values.append(seen)
-    return side_values[0] != side_values[1]
+        side_values.append(unique[0])
+    return bool(side_values[0] != side_values[1])
 
 
 def _best_possible_recall(
-    values: "np.ndarray | Callable[[], np.ndarray]",
-    labels: np.ndarray,
-    n1: int,
-    n2: int,
-    kernel,
-    name: str,
+    codes: np.ndarray, labels: np.ndarray, n1: int, n2: int
 ) -> float:
-    """Upper bound on the recall of any equality pattern on a column.
+    """Upper bound on the recall of any equality pattern on a
+    categorical column, from its match codes (``-1`` = NULL).
 
-    Counts the most frequent non-NULL value per question side and divides
-    by that side's provenance size; the max over sides bounds what LCA
-    candidates on this attribute can achieve.  With kernel codes the
-    per-side mode is one ``np.bincount`` over non-None int codes (NaN
-    cells keep a code, exactly like the dict-counting path below).
-
-    ``values`` may be a zero-argument callable producing the column
-    array; it is only invoked on the codeless fallback path.
+    Counts the most frequent non-NULL value per question side (one
+    ``np.bincount``) and divides by that side's provenance size; the max
+    over sides bounds what LCA candidates on this attribute can achieve.
     """
-    codes = kernel.counting_codes(name)
-    if codes is None and callable(values):
-        values = values()
     best = 0.0
     for side, size in ((1, n1), (2, n2)):
         if size == 0:
             continue
-        if codes is not None:
-            selected = codes[labels == side]
-            selected = selected[selected >= 0]
-            if len(selected):
-                best = max(
-                    best, int(np.bincount(selected).max()) / size
-                )
-            continue
-        counts: dict[object, int] = {}
-        mask = labels == side
-        for value in values[mask]:
-            if value is None:
-                continue
-            counts[value] = counts.get(value, 0) + 1
-        if counts:
-            best = max(best, max(counts.values()) / size)
+        selected = codes[labels == side]
+        selected = selected[selected >= 0]
+        if len(selected):
+            best = max(best, int(np.bincount(selected).max()) / size)
     return best
 
 

@@ -17,7 +17,12 @@ k_cat categorical patterns for refinement (Algorithm 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+
+
+# Field annotation (a string under ``from __future__ import annotations``)
+# -> the value types it admits; bool is checked apart, being an int.
+_ACCEPTED_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass
@@ -124,6 +129,18 @@ class CajadeConfig:
     """Seed for every sampling step (LCA sample, F1 sample, forest)."""
 
     def __post_init__(self) -> None:
+        # Values arrive from JSON bodies and CLI flags: each must be of
+        # its annotated type (an int where a float is declared is fine;
+        # a bool is not an int, an integral float is not an int).
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, bool) != (spec.type == "bool") or not (
+                isinstance(value, _ACCEPTED_TYPES[spec.type])
+            ):
+                raise TypeError(
+                    f"{spec.name} must be {spec.type}, got "
+                    f"{type(value).__name__} {value!r}"
+                )
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if self.max_join_edges < 0:

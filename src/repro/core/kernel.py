@@ -1,19 +1,16 @@
 """Dictionary-encoded columnar scoring kernel for pattern mining.
 
-MineAPT's profile weight sits in scoring: every candidate pattern used to
-re-scan the APT through ``PatternPredicate.matches_array`` (a per-row
-Python list comprehension for object-dtype columns) and coverage counting
-finished with a Python dict loop over covered provenance ids.  The kernel
-removes both costs for one APT:
+MineAPT's profile weight sits in scoring.  The kernel holds one APT as
+arrays and scores patterns on them:
 
 - **Dictionary encoding** — each categorical (object-dtype) column is
-  encoded once into an ``int32`` code array; every later equality test is
-  one vectorized integer comparison.  NULL cells (``None`` or a float
-  NaN) get the sentinel code ``-1`` which never equals a looked-up value
-  code, preserving the "NULLs never match" semantics exactly.  The same
-  pass also produces a *varclus-compatible* encoding (NULLs keep their
-  first-occurrence code) so feature selection can reuse it for the
-  random-forest feature matrix.
+  an ``int32`` code array (gathered from its table's encoding, or
+  encoded here once); every equality test is one vectorized integer
+  comparison.  A TEXT cell is ``str`` or ``None`` (anything else is a
+  ``SchemaError`` from the encoder); NULL cells get the sentinel code
+  ``-1``, which never equals a looked-up value code — "NULLs never
+  match" (Def. 5).  The *ml* view of the same codes (NULL keeps a code,
+  first-occurrence numbering) feeds feature selection.
 - **Dense coverage slots** — ``__pt_row_id`` values are mapped once to
   dense slot indices with side-1 slots in ``[0, m1)`` and side-2 slots
   from ``m1`` up, and the kernel's masks keep their columns *sorted by
@@ -54,18 +51,13 @@ _SCORE_CHUNK_BYTES = 16 * 2**20
 _BYTES_PER_SCORE_CELL = 3
 
 
-def _is_null_value(value: Any) -> bool:
-    """NULL under pattern-match semantics: ``None`` or a float NaN."""
-    return value is None or (isinstance(value, float) and value != value)
-
-
 def _first_occurrence_renumber(codes: np.ndarray) -> np.ndarray:
     """Relabel int codes to first-occurrence numbering, vectorized.
 
     Produces exactly the codes the per-row dict loop assigns when it
     walks the rows in order: the first distinct code seen becomes 0, the
     next 1, and so on.  Used to turn gathered *base-table* codes into
-    the varclus-compatible ml encoding without touching object values.
+    the first-occurrence ml encoding without touching object values.
     """
     if len(codes) == 0:
         return codes.astype(np.int32, copy=False)
@@ -97,8 +89,8 @@ class MiningKernel:
             shared with the base table.  Masks, coverage and LCA
             candidates are byte-identical to per-APT re-encoding (codes
             are a bijection of the same value grouping with the same
-            ``-1`` NULL sentinel); the varclus ml encoding is recovered
-            exactly by a vectorized first-occurrence renumbering.
+            ``-1`` NULL sentinel); the ml encoding is recovered exactly
+            by a vectorized first-occurrence renumbering.
     """
 
     def __init__(
@@ -111,18 +103,14 @@ class MiningKernel:
         self._index_slots(row_slot, m1)
 
         # Encoded storage: match codes (-1 = NULL, never matches), the
-        # value -> code dictionary, ml codes (varclus first-occurrence
-        # compatible — base-table-numbered for gathered attributes, see
-        # ``_gathered``), float64 numeric views with validity masks, and
-        # a fallback of raw columns whose values defeated dict encoding.
+        # value -> code dictionary, ml codes (first-occurrence — base-
+        # table-numbered for gathered attributes, see ``_gathered``) and
+        # float64 numeric views with validity masks.
         self._codes: dict[str, np.ndarray] = {}
         self._dicts: dict[str, dict[Any, int]] = {}
         self._ml_codes: dict[str, np.ndarray] = {}
-        self._none_code: dict[str, int] = {}
-        self._counting_codes: dict[str, np.ndarray] = {}
         self._numeric: dict[str, np.ndarray] = {}
         self._numeric_valid: dict[str, np.ndarray | None] = {}
-        self._fallback: dict[str, np.ndarray] = {}
         self._code_values_cache: dict[str, list] = {}
         # Attributes whose codes were gathered from a table-level
         # encoding: their _ml_codes carry base numbering and are
@@ -183,9 +171,6 @@ class MiningKernel:
         self._codes[name] = match_codes
         self._ml_codes[name] = base_codes
         self._dicts[name] = encoding.code_of
-        none_code = encoding.none_code
-        if none_code is not None:
-            self._none_code[name] = none_code
         self._gathered.add(name)
 
     # ------------------------------------------------------------------
@@ -214,15 +199,10 @@ class MiningKernel:
         self._ml_codes = {
             k: v[selector] for k, v in source._ml_codes.items()
         }
-        self._none_code = dict(source._none_code)
-        self._counting_codes = {}
         self._numeric = {k: v[selector] for k, v in source._numeric.items()}
         self._numeric_valid = {
             k: (None if v is None else v[selector])
             for k, v in source._numeric_valid.items()
-        }
-        self._fallback = {
-            k: v[selector] for k, v in source._fallback.items()
         }
         self._code_values_cache = {}
         self._gathered = set(source._gathered)
@@ -231,39 +211,31 @@ class MiningKernel:
         return self
 
     def _encode_categorical(self, name: str, arr: np.ndarray) -> None:
-        encoding = encode_object_column(arr)
-        if encoding is None:
-            # Unhashable values (not produced by the db layer, but the
-            # kernel must not be less general than ``matches_array``):
-            # keep the raw column and evaluate such predicates naively.
-            self._fallback[name] = arr
-            return
+        encoding = encode_object_column(arr, name)
         self._dicts[name] = encoding.code_of
         self._codes[name] = encoding.match_codes
         self._ml_codes[name] = encoding.codes
-        none_code = encoding.none_code
-        if none_code is not None:
-            self._none_code[name] = none_code
 
     def match_codes(self, attr: str) -> np.ndarray | None:
         """``int32`` codes of a categorical column; ``-1`` marks NULLs.
-        ``None`` when the attribute is numeric or not dict-encodable."""
+        ``None`` when the attribute is numeric."""
         return self._codes.get(attr)
 
     def ml_codes(self, attr: str) -> np.ndarray | None:
-        """First-occurrence label encoding including NULLs — exactly what
-        :func:`repro.ml.varclus.encode_columns` produces for the column,
-        so feature selection can skip re-encoding.
+        """First-occurrence label encoding of a categorical column, NULL
+        included (it keeps a code, so it still correlates) — the codes
+        :mod:`repro.ml.varclus` and the forest's feature matrix read.
 
         Attributes gathered from a table-level encoding carry base-table
         numbering internally; they are renumbered here (vectorized,
-        memoized) to the first-occurrence ordering the per-row dict loop
-        would assign — code *numbering* matters for the random-forest
-        feature matrix, unlike for matching or counting.
+        memoized) to the first-occurrence ordering over this kernel's
+        rows — code *numbering* matters for the random-forest feature
+        matrix, unlike for matching or counting.
 
-        Returns ``None`` on :meth:`derived` kernels: their sliced codes
-        are no longer first-occurrence-numbered over the subset, so
-        callers must fall back to encoding from the raw column."""
+        Returns ``None`` for a numeric attribute, and on :meth:`derived`
+        kernels: their sliced codes are not first-occurrence-numbered
+        over the subset (feature selection runs on the exact
+        evaluator's kernel, never a derived one)."""
         if self._derived:
             return None
         codes = self._ml_codes.get(attr)
@@ -279,12 +251,10 @@ class MiningKernel:
         """The inverse dictionary of a categorical column: a list whose
         index ``code`` holds the value that encoded to ``code``.
 
-        Decoded values are the exact objects stored at first occurrence
-        (NULL cells included — each distinct NaN object keeps its own
-        code, matching Python identity-then-equality dict semantics), so
-        patterns reconstructed from codes compare equal to patterns
-        built from the raw column.  ``None`` when the attribute is
-        numeric or not dict-encodable.
+        Distinct codes decode to distinct values (``str``, or ``None``
+        for the NULL cell's code), so patterns reconstructed from codes
+        compare equal to patterns built from the raw column.  ``None``
+        when the attribute is numeric.
         """
         code_of = self._dicts.get(attr)
         if code_of is None:
@@ -299,55 +269,22 @@ class MiningKernel:
         return inverse
 
     def code_matrix(
-        self,
-        attrs: list[str],
-        kind: str = "match",
-        indices: np.ndarray | None = None,
-    ) -> np.ndarray | None:
-        """A ``(num_rows, len(attrs))`` int32 code-matrix view.
+        self, attrs: list[str], indices: np.ndarray | None = None
+    ) -> np.ndarray:
+        """A ``(num_rows, len(attrs))`` int32 matrix of the categorical
+        ``attrs``' :meth:`match_codes` (NULLs are ``-1`` and never agree).
 
-        ``kind="match"`` stacks :meth:`match_codes` (NULLs are ``-1``
-        and never agree — the pairwise-LCA encoding); ``kind="counting"``
-        stacks :meth:`counting_codes` (only ``None`` is ``-1``; NaN
-        cells keep their identity-distinct codes — the singleton-LCA
-        encoding, mirroring the object path's ``is not None`` test).
         ``indices`` selects a row subset *before* stacking, so a small
         λpat-samp sample over a large APT never materializes the full
-        matrix.  Returns ``None`` if any attribute lacks dictionary
-        codes, so callers can fall back to the object-based path
-        wholesale.
+        matrix.
         """
-        getter = self.match_codes if kind == "match" else self.counting_codes
-        columns = []
-        for attr in attrs:
-            codes = getter(attr)
-            if codes is None:
-                return None
-            columns.append(codes if indices is None else codes[indices])
+        columns = [self._codes[attr] for attr in attrs]
+        if indices is not None:
+            columns = [codes[indices] for codes in columns]
         if not columns:
             rows = self._num_rows if indices is None else len(indices)
             return np.empty((rows, 0), dtype=np.int32)
         return np.stack(columns, axis=1)
-
-    def counting_codes(self, attr: str) -> np.ndarray | None:
-        """Codes for value-frequency counting: ``None`` cells are ``-1``
-        but NaN cells keep their codes — mirroring the historical
-        semantics of the feature-selection recall bound, which skipped
-        only ``None``."""
-        codes = self._counting_codes.get(attr)
-        if codes is not None:
-            return codes
-        ml = self._ml_codes.get(attr)
-        if ml is None:
-            return None
-        none_code = self._none_code.get(attr)
-        if none_code is None:
-            codes = ml
-        else:
-            codes = ml.copy()
-            codes[ml == none_code] = -1
-        self._counting_codes[attr] = codes
-        return codes
 
     # ------------------------------------------------------------------
     # Masks
@@ -365,17 +302,12 @@ class MiningKernel:
                     f"operator {op} not allowed on categorical "
                     f"attribute {attr}"
                 )
-            if _is_null_value(value):
-                # NULL compares equal to nothing (and NaN != NaN).
-                return np.zeros(self._num_rows, dtype=bool)
-            code = self._dicts[attr].get(value)
+            # NULL compares equal to nothing; neither does a constant the
+            # column never holds (a non-str constant among them).
+            code = None if value is None else self._dicts[attr].get(value)
             if code is None:
                 return np.zeros(self._num_rows, dtype=bool)
             return codes == np.int32(code)
-        if attr in self._fallback:
-            return PatternPredicate(attr, op, value).matches_array(
-                self._fallback[attr]
-            )
         if attr not in self._numeric:
             raise KeyError(
                 f"pattern attribute {attr!r} missing from the kernel's "

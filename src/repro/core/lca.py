@@ -12,9 +12,10 @@ Generation runs on the mining kernel's int32 dictionary codes end to end
 matrix, pairwise agreement is one broadcast integer comparison over the
 sampled pair index arrays (the NULL sentinel ``-1`` never agrees),
 surviving LCAs are deduplicated as int row keys with ``np.unique``, and
-:class:`Pattern` objects are constructed **only** for the deduplicated
-survivors (a few hundred per question, where a Pattern per agreeing pair
-would be millions).
+one :class:`Pattern` is constructed per surviving key (a few hundred per
+question, where a Pattern per agreeing pair would be millions) —
+distinct codes decode to distinct values, so distinct keys are distinct
+patterns.
 
 The definition it must equal — a Python loop over row pairs comparing
 raw cell objects — is the oracle in ``tests/oracles/lca.py``.  It imports
@@ -28,6 +29,8 @@ to keep the quadratic step bounded.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -78,16 +81,13 @@ def _sample_row_indices(
     return np.arange(n_rows)
 
 
-def _candidate_order(patterns: set[Pattern]) -> list[Pattern]:
+def _candidate_order(patterns: Iterable[Pattern]) -> list[Pattern]:
     """Deterministic, path-independent ordering of a candidate set.
 
     ``(size, describe)`` is the historical (and user-visible) order;
     :meth:`Pattern.order_key` totalizes it over distinct patterns whose
-    describes collide, so iteration/insertion order of the set never
-    leaks into the result.  Identity-distinct NaN constants remain
-    mutually unordered — such patterns are behaviourally
-    indistinguishable (identical rendering, match nothing), so their
-    relative order cannot affect output.
+    describes collide, so the order the patterns arrive in never leaks
+    into the result.
     """
     return sorted(patterns, key=lambda p: (p.size, p.describe(), p))
 
@@ -123,22 +123,20 @@ def lca_candidates_codes(
     Returns the deduplicated non-empty patterns (the empty all-``*``
     pattern carries no information), computed on int32 dictionary codes:
 
-    - the row sample becomes two ``(m, n_attrs)`` code matrices — the
-      *match* view (NULLs ``-1``, drives pairwise agreement) and the
-      *counting* view (only ``None`` is ``-1``, drives singleton rows:
-      a NaN cell is a legal singleton constant);
+    - the row sample becomes one ``(m, n_attrs)`` matrix of match codes
+      (NULLs ``-1``); its distinct rows are the singleton candidates
+      (the LCA of a row with itself);
     - pairwise agreement is ``(left == right) & (left != -1)`` broadcast
       over the pair index arrays; an agreeing attribute keeps its code,
       a disagreeing one becomes the wildcard ``-1`` — NULL codes never
       agree, so ``-1`` is unambiguous as the wildcard marker;
     - survivors (pair keys + singleton rows) deduplicate as int row keys
       in one ``np.unique(axis=0)``;
-    - :class:`Pattern` objects are constructed only for the survivors,
-      decoding codes back to the original value objects through the
-      kernel's inverse dictionaries.
+    - one :class:`Pattern` is constructed per survivor, decoding codes
+      back to the original value objects through the kernel's inverse
+      dictionaries.
 
-    Attributes without kernel codes (numeric columns, and categorical
-    columns whose cells defeated dictionary encoding) are skipped.
+    Numeric attributes (they have no codes) are skipped.
     """
     attrs = [
         a for a in categorical_attrs if kernel.match_codes(a) is not None
@@ -151,10 +149,9 @@ def lca_candidates_codes(
 
     indices = _sample_row_indices(n_rows, config, rng)
     m = len(indices)
-    match = kernel.code_matrix(attrs, kind="match", indices=indices)
-    counting = kernel.code_matrix(attrs, kind="counting", indices=indices)
+    match = kernel.code_matrix(attrs, indices=indices)
 
-    key_chunks = [np.unique(counting, axis=0)]
+    key_chunks = [np.unique(match, axis=0)]
 
     pair_i, pair_j = _pair_indices(m, config, rng)
     n_attrs = len(attrs)
@@ -176,18 +173,14 @@ def lca_candidates_codes(
     all_keys = all_keys[nonempty]
 
     values = [kernel.code_values(a) for a in attrs]
-    # A set, not a list: two distinct code rows can decode to patterns
-    # that compare equal (values equal under ``==`` with different
-    # representations).
-    patterns: set[Pattern] = set()
-    for row in all_keys.tolist():
-        patterns.add(
-            Pattern(
-                PatternPredicate(attr, OP_EQ, inverse[code])
-                for attr, inverse, code in zip(attrs, values, row)
-                if code != -1
-            )
+    patterns = [
+        Pattern(
+            PatternPredicate(attr, OP_EQ, inverse[code])
+            for attr, inverse, code in zip(attrs, values, row)
+            if code != -1
         )
+        for row in all_keys.tolist()
+    ]
 
     if timer is not None:
         timer.count(LCA_PAIRS_EXAMINED, len(pair_i))

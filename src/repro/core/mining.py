@@ -304,9 +304,7 @@ def mine_apt(
         )
 
     with timer.step(GEN_PATTERN_CANDIDATES):
-        # §3.2 on the kernel's int32 dictionary codes; attributes whose
-        # cells defeated dictionary encoding have no codes and are
-        # skipped there.
+        # §3.2 on the kernel's int32 dictionary codes.
         candidates = lca_candidates_codes(
             full_evaluator.kernel, filtered.categorical, config, rng,
             timer=timer,

@@ -243,11 +243,8 @@ class QualityEvaluator:
         With an ``encoding_source`` evaluator over the same APT (e.g.
         the exact evaluator while this one is the λF1-samp sample), the
         encoding dictionaries are shared and its code arrays sliced
-        instead of re-running the per-row encoding pass.  The source's
-        kernel is built on demand if needed — previously the sampled
-        evaluator silently re-encoded whenever nothing had touched the
-        source kernel yet (the ``use_feature_selection=False`` arm), so
-        the two arms now reuse codes identically.
+        instead of gathered again.  The source's kernel is built on
+        demand if needed.
         """
         if self._kernel is None:
             source = self._encoding_source
@@ -275,29 +272,21 @@ class QualityEvaluator:
         return self._kernel
 
     def _gathered_encodings(self) -> dict[str, tuple[Any, np.ndarray | None]]:
-        """Table-level codes for categorical attrs of a frame-backed APT.
+        """Table-level codes for the APT's categorical attributes.
 
         Maps each object-dtype minable attribute to its base-table
         :class:`~repro.db.relation.ColumnEncoding` plus the composed
         (frame ∘ evaluator-subset) row indices, so the kernel gathers
         int32 codes built once at load time instead of re-encoding the
-        column's objects per APT.  Empty on relation-backed APTs and for
-        columns without a usable encoding (the kernel encodes those
-        itself).
+        column's objects per APT.
         """
-        encodings: dict[str, tuple[Any, np.ndarray | None]] = {}
-        if self.apt.frame is None:
-            return encodings
-        for attribute in self.apt.attributes:
-            name = attribute.name
-            if attribute.is_numeric:
-                continue
-            if self._columns.dtype_of(name) != object:
-                continue
-            source = self.apt.column_encoding(name, self._subset)
-            if source is not None:
-                encodings[name] = source
-        return encodings
+        return {
+            attribute.name: self.apt.column_encoding(
+                attribute.name, self._subset
+            )
+            for attribute in self.apt.attributes
+            if self._columns.dtype_of(attribute.name) == object
+        }
 
     # ------------------------------------------------------------------
     def coverage_batch(

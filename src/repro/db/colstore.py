@@ -4,14 +4,15 @@ Layout of a saved database directory:
 
 - ``manifest.json`` — format version, catalog (table schemas, primary
   and foreign keys), and per-column storage records: kind (``numeric`` /
-  ``encoded`` / ``objects``), dtype, byte offset/length into the table's
-  data file, and NULL-sentinel codes.
+  ``encoded``), dtype, byte offset/length into the table's data file,
+  and the code of the NULL cell (``none_code``, absent without one).
 - ``<table>.bin`` — every numeric column's raw array and every encoded
   object column's int32 first-occurrence code array, concatenated with
   8-byte alignment.
 - ``<table>.dicts.pkl`` — one pickle per table holding the decode table
-  (code → value list) of each encoded column and the raw value list of
-  each column that defeated dictionary encoding.
+  (code → value list) of each encoded column.  Every value is ``str``
+  or ``None``; anything else in the file is a :class:`SchemaError` when
+  the table's dictionaries first load (never at open).
 
 :func:`open_columnar` costs O(manifest + dicts touched): every data file
 is mapped read-only with ``np.memmap`` (no pages are read), numeric
@@ -38,11 +39,11 @@ import numpy as np
 
 from .database import Database
 from .errors import SchemaError
-from .relation import ColumnEncoding, Relation
+from .relation import ColumnEncoding, Relation, check_text_values
 from .schema import Column, TableSchema
 from .types import ColumnType
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: one ``none_code`` per column, a list of NULL codes before
 MANIFEST_NAME = "manifest.json"
 
 _ALIGN = 8
@@ -53,7 +54,6 @@ DEFAULT_COPY_CHUNK_BYTES = 16 * 2**20
 
 KIND_NUMERIC = "numeric"
 KIND_ENCODED = "encoded"
-KIND_OBJECTS = "objects"
 
 
 def copy_chunked(
@@ -89,10 +89,11 @@ class _DictStore:
     opening a database must not flip it; only a value gather may.
     """
 
-    __slots__ = ("path", "_lock", "_raw", "_decode_arrays")
+    __slots__ = ("path", "table", "_lock", "_raw", "_decode_arrays")
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, table: str):
         self.path = path
+        self.table = table
         self._lock = threading.Lock()
         self._raw: dict[str, list[Any]] | None = None
         self._decode_arrays: dict[str, np.ndarray] = {}
@@ -106,7 +107,10 @@ class _DictStore:
             with self._lock:
                 if self._raw is None:
                     with open(self.path, "rb") as handle:
-                        self._raw = pickle.load(handle)
+                        raw = pickle.load(handle)
+                    for column, values in raw.items():
+                        check_text_values(values, f"{self.table}.{column}")
+                    self._raw = raw
         return self._raw
 
     def values(self, column: str) -> list[Any]:
@@ -235,39 +239,6 @@ class LazyObjectColumn:
         return self._store.decode_array(self._name)[codes]
 
 
-class LazyValuesColumn:
-    """Disk-backed unencodable object column: raw pickled values."""
-
-    __slots__ = ("_store", "_name", "_rows", "_cached", "__weakref__")
-
-    dtype = np.dtype(object)
-
-    def __init__(self, store: _DictStore, name: str, rows: int):
-        self._store = store
-        self._name = name
-        self._rows = rows
-        self._cached: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return self._rows
-
-    @property
-    def nbytes(self) -> int:
-        return self._rows * 8
-
-    def materialize(self) -> np.ndarray:
-        if self._cached is None:
-            values = self._store.values(self._name)
-            arr = np.empty(self._rows, dtype=object)
-            for i, value in enumerate(values):
-                arr[i] = value
-            self._cached = arr
-        return self._cached
-
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        return self.materialize()[rows]
-
-
 @dataclass
 class ColumnStoreInfo:
     """Handle on an opened store, exposed as ``Database.column_store``.
@@ -308,9 +279,9 @@ def save_columnar(db: Database, directory: str | Path) -> None:
     """Write ``db`` to ``directory`` in the column-store format.
 
     Numeric arrays and code arrays go to ``<table>.bin`` verbatim;
-    object values go to the per-table dict pickle (decode tables for
-    encoded columns, raw value lists otherwise).  Saving an already
-    disk-backed database round-trips (lazy columns load what they must).
+    each TEXT column's decode table goes to the per-table dict pickle.
+    Saving an already disk-backed database round-trips (lazy columns
+    load what they must).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -352,25 +323,21 @@ def save_columnar(db: Database, directory: str | Path) -> None:
                     )
                 else:
                     encoding = relation.encoding(col.name)
-                    if encoding is None:
-                        dicts[col.name] = list(relation.column(col.name))
-                        meta.update(kind=KIND_OBJECTS)
-                    else:
-                        codes = np.ascontiguousarray(
-                            encoding.codes, dtype=np.int32
-                        )
-                        offset, start = _write_aligned(handle, codes, offset)
-                        decode: list[Any] = [None] * encoding.num_codes
-                        for value, code in encoding.code_of.items():
-                            decode[code] = value
-                        dicts[col.name] = decode
-                        meta.update(
-                            kind=KIND_ENCODED,
-                            dtype=codes.dtype.str,
-                            offset=start,
-                            nbytes=int(codes.nbytes),
-                            null_codes=[int(c) for c in encoding.null_codes],
-                        )
+                    codes = np.ascontiguousarray(
+                        encoding.codes, dtype=np.int32
+                    )
+                    offset, start = _write_aligned(handle, codes, offset)
+                    decode: list[Any] = [None] * encoding.num_codes
+                    for value, code in encoding.code_of.items():
+                        decode[code] = value
+                    dicts[col.name] = decode
+                    meta.update(
+                        kind=KIND_ENCODED,
+                        dtype=codes.dtype.str,
+                        offset=start,
+                        nbytes=int(codes.nbytes),
+                        none_code=encoding.none_code,
+                    )
                 columns_meta.append(meta)
         table_meta: dict[str, Any] = {
             "rows": relation.num_rows,
@@ -429,7 +396,9 @@ def open_columnar(directory: str | Path) -> Database:
         buf: np.ndarray | None = None
         if data_path.exists() and data_path.stat().st_size:
             buf = np.memmap(data_path, dtype=np.uint8, mode="r")
-        store = _DictStore(directory / table_meta.get("dicts_file", ""))
+        store = _DictStore(
+            directory / table_meta.get("dicts_file", ""), table_name
+        )
         if table_meta.get("dicts_file"):
             info.stores[table_name] = store
         columns: dict[str, Any] = {}
@@ -448,15 +417,8 @@ def open_columnar(directory: str | Path) -> Database:
                 encodings[cname] = ColumnEncoding(
                     codes=codes,
                     code_of=_LazyCodeDict(loader),
-                    null_codes=tuple(
-                        int(c) for c in meta.get("null_codes", [])
-                    ),
+                    none_code=meta.get("none_code"),
                 )
-            elif kind == KIND_OBJECTS:
-                columns[cname] = LazyValuesColumn(
-                    store, cname, int(meta["rows"])
-                )
-                encodings[cname] = None
             else:
                 raise SchemaError(f"unknown column kind {kind!r}")
         schema = TableSchema(

@@ -69,7 +69,8 @@ def _distinct_coerced(
     The same ``np.unique`` triple also yields the column's dictionary
     encoding for free (:func:`encoding_from_distinct` dedups coerced
     values at O(distinct) cost), so loading a CSV never pays the
-    per-row first-occurrence encoding loop.
+    per-row first-occurrence encoding loop.  Numeric types get no
+    encoding.
     """
     uniq, first_idx, inverse = np.unique(
         stripped, return_index=True, return_inverse=True
@@ -79,6 +80,8 @@ def _distinct_coerced(
     for j in np.argsort(first_idx, kind="stable"):
         table[j] = coerce_value(parse_literal(str(uniq[j])), ctype)
     gathered = table[inverse] if len(stripped) else table[:0]
+    if ctype is not ColumnType.TEXT:
+        return gathered, None
     return gathered, encoding_from_distinct(table, first_idx, inverse)
 
 
@@ -141,10 +144,7 @@ def _coerce_column(
         return storage, _all_null_encoding(storage)
 
     coerced, encoding = _distinct_coerced(stripped, ctype)
-    storage = _column_array(list(coerced), ctype)
-    if storage.dtype != object:
-        encoding = None
-    return storage, encoding
+    return _column_array(list(coerced), ctype), encoding
 
 
 def _all_null_encoding(storage: np.ndarray) -> ColumnEncoding | None:
@@ -153,12 +153,12 @@ def _all_null_encoding(storage: np.ndarray) -> ColumnEncoding | None:
         return None
     if not len(storage):
         return ColumnEncoding(
-            codes=np.empty(0, dtype=np.int32), code_of={}, null_codes=()
+            codes=np.empty(0, dtype=np.int32), code_of={}, none_code=None
         )
     return ColumnEncoding(
         codes=np.zeros(len(storage), dtype=np.int32),
         code_of={None: 0},
-        null_codes=(0,),
+        none_code=0,
     )
 
 

@@ -30,12 +30,11 @@ class Database:
         self,
         schema: TableSchema,
         rows: Iterable[Sequence[Any]] = (),
-        validate: bool = True,
     ) -> Relation:
         """Create a table from a schema and row tuples."""
         if schema.name in self._tables:
             raise SchemaError(f"table {schema.name!r} already exists")
-        relation = Relation.from_rows(schema, rows, validate=validate)
+        relation = Relation.from_rows(schema, rows)
         relation.encode_categoricals()
         self._tables[schema.name] = relation
         return relation
@@ -45,7 +44,9 @@ class Database:
 
         TEXT columns are dictionary-encoded on registration (load time),
         so derived aliases and the late-materialized mining kernel gather
-        the table-level codes instead of re-encoding per APT.
+        the table-level codes instead of re-encoding per APT — and a
+        TEXT cell that is not ``str | None`` is a :class:`SchemaError`
+        here, before anything reads the table.
         """
         if relation.schema.name in self._tables and not replace:
             raise SchemaError(f"table {relation.schema.name!r} already exists")

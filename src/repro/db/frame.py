@@ -189,8 +189,8 @@ class IndexFrame:
 
         Returns ``(encoding, row_indices)`` where ``row_indices`` maps
         the requested (sub)rows into the encoding's code arrays —
-        ``None`` meaning identity.  Returns ``None`` for numeric or
-        unencodable columns; callers then fall back to value gathering.
+        ``None`` meaning identity.  Returns ``None`` for a numeric
+        column (it has no encoding).
         """
         index = self._source_index(name)
         encoding = self.sources[index].encoding(name)

@@ -21,7 +21,6 @@ vectorized ``distinct`` / primary-key paths dedup on them.
 from __future__ import annotations
 
 import itertools
-import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
@@ -33,13 +32,20 @@ from .schema import Column, TableSchema
 from .types import ColumnType, coerce_value, infer_column_type
 
 
-def _is_null_cell(value: Any) -> bool:
-    """NULL under pattern-match semantics: ``None`` or a float NaN."""
-    if value is None:
-        return True
-    if isinstance(value, (float, np.floating)):
-        return math.isnan(value)
-    return False
+def check_text_values(values: Iterable[Any], where: str) -> None:
+    """Raise :class:`SchemaError` unless every value is ``str`` or ``None``.
+
+    The one statement of the TEXT invariant (see "Values and NULLs" in
+    ``docs/ARCHITECTURE.md``), run over a column's *distinct* values
+    wherever a dictionary enters the process: encoding a column here,
+    loading a saved store's dictionary in :mod:`repro.db.colstore`.
+    """
+    for value in values:
+        if value is not None and not isinstance(value, str):
+            raise SchemaError(
+                f"TEXT column {where} holds {value!r} "
+                f"({type(value).__name__}); a TEXT cell is str or None"
+            )
 
 
 @dataclass
@@ -47,34 +53,29 @@ class ColumnEncoding:
     """Table-level dictionary encoding of one object column.
 
     ``codes`` assigns each row the first-occurrence code of its value
-    under dict semantics (identity-then-equality, so every distinct NaN
-    object keeps its own code while equal strings share one).  NULL-ish
-    cells (``None`` or float NaN) keep their codes here;
-    :attr:`match_codes` collapses them to the kernel's ``-1`` sentinel,
-    which never compares equal to a looked-up value code.
+    (``str`` or ``None`` — nothing else gets past
+    :func:`check_text_values`).  A NULL cell keeps its code here
+    (:attr:`none_code`); :attr:`match_codes` replaces it with the
+    kernel's ``-1`` sentinel, which never compares equal to a looked-up
+    value code.
     """
 
     codes: np.ndarray
     code_of: dict[Any, int]
-    null_codes: tuple[int, ...]
+    none_code: int | None
     _match: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def match_codes(self) -> np.ndarray:
-        """Codes with every NULL-ish cell replaced by ``-1``."""
+        """Codes with every NULL cell replaced by ``-1``."""
         if self._match is None:
-            if not self.null_codes:
+            if self.none_code is None:
                 self._match = self.codes
             else:
                 match = self.codes.copy()
-                match[np.isin(self.codes, np.array(self.null_codes))] = -1
+                match[match == self.none_code] = -1
                 self._match = match
         return self._match
-
-    @property
-    def none_code(self) -> int | None:
-        """The code assigned to the literal ``None`` value, if present."""
-        return self.code_of.get(None)
 
     @property
     def num_codes(self) -> int:
@@ -85,7 +86,7 @@ class ColumnEncoding:
 
         Equivalent to ``match_codes[rows]`` but, when the full match
         array has not been built yet, gathers the raw codes first and
-        masks NULL-ish codes on the (much smaller) gathered slice — so
+        masks the NULL code on the (much smaller) gathered slice — so
         disk-backed code arrays never force a whole-column temporary
         just to serve a subset gather.
         """
@@ -94,13 +95,19 @@ class ColumnEncoding:
         if self._match is not None:
             return self._match[rows]
         gathered = np.asarray(self.codes[rows])  # fancy indexing: a copy
-        if self.null_codes:
-            gathered[np.isin(gathered, np.array(self.null_codes))] = -1
+        if self.none_code is not None:
+            gathered[gathered == self.none_code] = -1
         return gathered
 
 
-def encode_object_column(arr: np.ndarray) -> ColumnEncoding | None:
-    """Dictionary-encode one object column; ``None`` on unhashable values."""
+def encode_object_column(
+    arr: np.ndarray, where: str = "<column>"
+) -> ColumnEncoding:
+    """Dictionary-encode one object column (first-occurrence codes).
+
+    Raises :class:`SchemaError`, naming ``where``, on a cell that is not
+    ``str | None`` — checked on the dictionary, O(distinct).
+    """
     code_of: dict[Any, int] = {}
     codes = np.empty(len(arr), dtype=np.int32)
     try:
@@ -110,19 +117,21 @@ def encode_object_column(arr: np.ndarray) -> ColumnEncoding | None:
                 code = len(code_of)
                 code_of[value] = code
             codes[i] = code
-    except TypeError:
-        return None
-    null_codes = tuple(
-        code for value, code in code_of.items() if _is_null_cell(value)
+    except TypeError:  # unhashable, so not a str either
+        check_text_values([value], where)
+        raise
+    check_text_values(code_of, where)
+    return ColumnEncoding(
+        codes=codes, code_of=code_of, none_code=code_of.get(None)
     )
-    return ColumnEncoding(codes=codes, code_of=code_of, null_codes=null_codes)
 
 
 def encoding_from_distinct(
     table: np.ndarray,
     first_idx: np.ndarray,
     inverse: np.ndarray,
-) -> ColumnEncoding | None:
+    where: str = "<column>",
+) -> ColumnEncoding:
     """Build a :class:`ColumnEncoding` from a precomputed distinct table.
 
     ``table[j]`` holds the (coerced) value of the ``j``-th *raw* distinct
@@ -134,26 +143,22 @@ def encoding_from_distinct(
     values deduplicated under dict semantics, so the ``k``-th *new*
     coerced value seen while scanning rows top-to-bottom gets code ``k``
     — provably the numbering the per-row loop assigns, at O(distinct)
-    Python cost instead of O(rows).
+    Python cost instead of O(rows).  Raises :class:`SchemaError` like
+    :func:`encode_object_column`.
     """
+    check_text_values(table, where)  # what passes is hashable
     raw_to_code = np.empty(len(table), dtype=np.int32)
     code_of: dict[Any, int] = {}
-    try:
-        for j in np.argsort(first_idx, kind="stable"):
-            value = table[j]
-            code = code_of.get(value)
-            if code is None:
-                code = len(code_of)
-                code_of[value] = code
-            raw_to_code[j] = code
-    except TypeError:
-        return None
+    for j in np.argsort(first_idx, kind="stable"):
+        value = table[j]
+        code = code_of.get(value)
+        if code is None:
+            code = len(code_of)
+            code_of[value] = code
+        raw_to_code[j] = code
     codes = raw_to_code[inverse.reshape(-1)] if len(inverse) else raw_to_code[:0]
-    null_codes = tuple(
-        code for value, code in code_of.items() if _is_null_cell(value)
-    )
     return ColumnEncoding(
-        codes=codes, code_of=code_of, null_codes=null_codes
+        codes=codes, code_of=code_of, none_code=code_of.get(None)
     )
 
 
@@ -186,7 +191,7 @@ class SortIndex:
     produces).  ``keys`` is the key domain gathered in that order:
 
     * object (TEXT) columns sort their :class:`ColumnEncoding`
-      ``match_codes`` — NULL-ish rows (code ``-1``) land in one run at
+      ``match_codes`` — NULL rows (code ``-1``) land in one run at
       the front, which probes must mask (a translated probe code of
       ``-1`` means *no match*, never "the NULL run");
     * numeric columns sort raw values — float NaN rows sort to the tail
@@ -230,10 +235,9 @@ class SortIndex:
         """Map a probe column's codes into this build column's codes.
 
         Entry ``t[c]`` is the build-side match code of probe code ``c``,
-        or ``-1`` when the probed value is NULL-ish or absent from the
+        or ``-1`` when the probed value is NULL or absent from the
         build side (either way: no match).  Built once per probe
-        encoding under the same boxed-Python equality the hash core's
-        object path uses (``1`` and ``1.0`` translate to one code).
+        encoding.
         """
         assert self.encoding is not None
         key = id(probe)
@@ -243,10 +247,8 @@ class SortIndex:
         build_code_of = self.encoding.code_of
         table = np.full(probe.num_codes, -1, dtype=np.int32)
         for value, code in probe.code_of.items():
-            if _is_null_cell(value):
-                continue
             build = build_code_of.get(value)
-            if build is not None:
+            if value is not None and build is not None:
                 table[code] = build
         self._translations[key] = (probe, table)
         return table
@@ -258,15 +260,13 @@ def build_sort_index(
     """Build a :class:`SortIndex` for one column array, or ``None``.
 
     ``None`` marks columns the window-join fast path cannot serve:
-    object columns that defeated dictionary encoding, exotic dtypes,
-    and arrays too large for int32 permutations — callers fall back to
-    the hash core.
+    exotic dtypes and arrays too large for int32 permutations — callers
+    fall back to the hash core.  ``encoding`` is the column's
+    dictionary encoding for an object column, ``None`` otherwise.
     """
     if len(arr) > _INT32_MAX:
         return None
     if arr.dtype == object:
-        if encoding is None:
-            return None
         match = encoding.match_codes
         perm = np.argsort(match, kind="stable")
         return SortIndex(
@@ -382,9 +382,9 @@ class Relation:
         self.schema = schema
         self._columns = columns
         self._nrows = lengths.pop() if lengths else 0
-        # Column name -> ColumnEncoding (or None when the column defeated
-        # dictionary encoding).  Lazily filled; derived relations sharing
-        # a column array inherit its entry (see rename/rename_columns).
+        # Column name -> ColumnEncoding (None for a numeric column).
+        # Lazily filled; derived relations sharing a column array
+        # inherit its entry (see rename/rename_columns).
         self._encodings: dict[str, ColumnEncoding | None] = {}
         # Column name -> SortIndex (or None when the column cannot carry
         # one).  Same lifecycle as _encodings; the process-wide registry
@@ -400,7 +400,6 @@ class Relation:
         cls,
         schema: TableSchema,
         rows: Iterable[Sequence[Any]],
-        validate: bool = True,
     ) -> "Relation":
         """Build a relation from row tuples, coercing values to the schema."""
         materialized = [tuple(row) for row in rows]
@@ -412,12 +411,10 @@ class Relation:
                 )
         columns: dict[str, np.ndarray] = {}
         for index, col in enumerate(schema.columns):
-            raw = [row[index] for row in materialized]
-            if validate:
-                raw = [coerce_value(v, col.ctype) for v in raw]
+            raw = [coerce_value(row[index], col.ctype) for row in materialized]
             columns[col.name] = _column_array(raw, col.ctype)
         relation = cls(schema, columns)
-        if validate and schema.primary_key:
+        if schema.primary_key:
             relation._check_primary_key()
         return relation
 
@@ -449,26 +446,12 @@ class Relation:
     def _check_primary_key(self) -> None:
         """Reject duplicate primary keys, vectorized over encoded codes.
 
-        Equality semantics match the historical per-row tuple-set check:
-        object cells compare by identity-then-equality (the dictionary
-        encoding's dict semantics), float NaN keys never compare equal
-        (each NaN row gets a distinct code).  Unencodable (unhashable)
-        key columns fall back to the original per-row loop.
+        Row equality is :meth:`_row_codes`': TEXT cells compare by
+        value (two NULLs are equal), float NaN keys never compare equal
+        (each NaN row gets a distinct code).
         """
         key_cols = list(self.schema.primary_key)
         codes = self._row_codes(key_cols)
-        if codes is None:
-            arrays = [self.column(c) for c in key_cols]
-            seen: set[tuple[Any, ...]] = set()
-            for i in range(self._nrows):
-                key = tuple(arr[i] for arr in arrays)
-                if key in seen:
-                    raise IntegrityError(
-                        f"duplicate primary key {key} in table "
-                        f"{self.schema.name!r}"
-                    )
-                seen.add(key)
-            return
         _, first_idx, inverse = np.unique(
             codes, axis=0, return_index=True, return_inverse=True
         )
@@ -481,24 +464,20 @@ class Relation:
                 f"duplicate primary key {key} in table {self.schema.name!r}"
             )
 
-    def _row_codes(self, names: list[str]) -> np.ndarray | None:
+    def _row_codes(self, names: list[str]) -> np.ndarray:
         """An ``(nrows, len(names))`` int64 code matrix whose row equality
-        matches per-row tuple equality, or ``None`` when an object column
-        defeats dictionary encoding.
+        matches per-row tuple equality.
 
-        Object columns use their table-level :class:`ColumnEncoding`
-        (identity-then-equality); float columns give every NaN cell a
-        distinct code (fresh NaN scalars never compare equal in the tuple
-        path either); integer columns factorize exactly.
+        Object columns use their table-level :class:`ColumnEncoding`;
+        float columns give every NaN cell a distinct code (fresh NaN
+        scalars never compare equal in a tuple either); integer columns
+        factorize exactly.
         """
         columns: list[np.ndarray] = []
         for name in names:
             arr = self._columns[name]
             if arr.dtype == object:
-                encoding = self.encoding(name)
-                if encoding is None:
-                    return None
-                columns.append(encoding.codes.astype(np.int64))
+                columns.append(self.encoding(name).codes.astype(np.int64))
             elif arr.dtype.kind == "f":
                 codes = np.empty(self._nrows, dtype=np.int64)
                 nan_mask = np.isnan(arr)
@@ -589,19 +568,22 @@ class Relation:
     def encoding(self, name: str) -> ColumnEncoding | None:
         """The dictionary encoding of an object column, built on demand.
 
-        Returns ``None`` for numeric columns and for object columns whose
-        values defeat encoding (unhashable).  The result is cached on
-        this relation and inherited by derived relations that share the
-        column array (rename, projection, prefixing), so a base table is
-        encoded at most once per process regardless of how many aliases,
-        APTs or questions consume it.
+        A :class:`ColumnEncoding` for every object column — a cell that
+        is not ``str | None`` raises :class:`SchemaError` naming table
+        and column — and ``None`` for a numeric one.  The result is
+        cached on this relation and inherited by derived relations that
+        share the column array (rename, projection, prefixing), so a
+        base table is encoded at most once per process regardless of
+        how many aliases, APTs or questions consume it.
         """
         if name in self._encodings:
             return self._encodings[name]
         if self.column_dtype(name) != object:
             self._encodings[name] = None
             return None
-        encoding = encode_object_column(self.column(name))
+        encoding = encode_object_column(
+            self.column(name), f"{self.schema.name}.{name}"
+        )
         self._encodings[name] = encoding
         return encoding
 
@@ -624,9 +606,9 @@ class Relation:
         share the array (rename, projection, prefixing — exactly like
         :meth:`encoding`), and deduplicated across independently derived
         aliases through a process-wide array-identity registry.  Returns
-        ``None`` for columns the window-join path cannot index
-        (unencodable object columns, exotic dtypes); ``take``/``concat``
-        results copy their arrays and therefore rebuild.
+        ``None`` for columns the window-join path cannot index (exotic
+        dtypes); ``take``/``concat`` results copy their arrays and
+        therefore rebuild.
         """
         if name in self._sort_indexes:
             return self._sort_indexes[name]
@@ -792,20 +774,10 @@ class Relation:
         """Duplicate-free copy preserving first occurrence order.
 
         Deduplicates on the table-level dictionary codes (one
-        ``np.unique`` over an int64 code matrix) instead of per-row
-        Python tuples; equality semantics are unchanged — see
-        :meth:`_row_codes`.  Columns that defeat encoding fall back to
-        the original per-row loop.
+        ``np.unique`` over an int64 code matrix); row equality is
+        :meth:`_row_codes`'.
         """
         codes = self._row_codes(self.schema.column_names)
-        if codes is None:
-            seen: set[tuple[Any, ...]] = set()
-            keep: list[int] = []
-            for i, row in enumerate(self.iter_rows()):
-                if row not in seen:
-                    seen.add(row)
-                    keep.append(i)
-            return self.take(np.array(keep, dtype=np.int64))
         if codes.shape[1] == 0:
             return self
         _, first_idx = np.unique(codes, axis=0, return_index=True)

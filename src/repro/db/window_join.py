@@ -16,14 +16,14 @@ executions and decides what the engine's prefix trie caches for it:
   expanded index vectors; :meth:`WindowEntry.expand` reproduces the
   frame with the core's exact ``repeat``/``cumsum`` expansion.
 * the *hash core*: every other step (multi-column keys, a context at
-  least as large as the probe, unencodable or bit-losing key types)
+  least as large as the probe, mixed or bit-losing key types)
   runs :meth:`IndexFrame.join` →
   :func:`repro.db.executor.join_row_indices`, and the trie caches the
   int32-compacted index-vector frame.
 
 Byte-identity with the hash core is structural: window probes reproduce
-the core's code semantics (NULLs never match, boxed-Python equality on
-TEXT, float-cast guards on mixed numerics), the stable permutation keeps
+the core's code semantics (NULLs never match, value equality on TEXT,
+float-cast guards on mixed numerics), the stable permutation keeps
 equal-key build rows in ascending row order exactly like the core's
 stable argsort, and every case the window path cannot mirror falls back
 to the core itself.  The differential harness in
@@ -269,10 +269,10 @@ class SortedWindowStrategy:
         if index.encoding is not None:
             # TEXT build side: gather the probe's int32 codes (cheaper
             # than gathering objects) and translate them into build
-            # codes under the core's boxed-Python equality.  A
-            # translated -1 (NULL-ish or absent value) must never land
-            # in the match-code array's leading -1 run, so it is masked
-            # to an empty window.
+            # codes.  A translated -1 (NULL or absent value) must never
+            # land in the match-code array's leading -1 run, so it is
+            # masked to an empty window.  A numeric probe has no codes:
+            # the core's cross-dtype path answers it.
             pair = frame.column_encoding(left_col)
             if pair is None:
                 return None

@@ -4,13 +4,17 @@ CaJaDE clusters mutually correlated attributes and keeps one representative
 per cluster to avoid redundant patterns (paper §3.1: birth date vs age).
 The paper uses SAS VARCLUS [44] but notes "any technique that can cluster
 correlated attributes would be applicable"; this module provides an
-agglomerative single-linkage clustering over |Pearson correlation| with a
-configurable threshold, plus representative selection by mean intra-cluster
-correlation.
+agglomerative single-linkage clustering with a configurable threshold,
+plus representative selection by mean intra-cluster association.
 
-Categorical columns are label-encoded before correlation; this captures
-identity-level redundancy (e.g. an id column and its name column) which is
-the redundancy the paper targets.
+Association is measured within a kind only — |Pearson correlation|
+between numeric columns, Cramér's V between categorical ones — and
+attributes of different kinds never merge: folding a numeric attribute
+into a categorical representative would silently remove it from the
+numeric refinement phase.  Categorical (object-dtype) columns arrive as
+first-occurrence label codes (``codes``, e.g.
+:meth:`repro.core.kernel.MiningKernel.ml_codes`); their values are never
+read.
 """
 
 from __future__ import annotations
@@ -36,32 +40,20 @@ def _dtype_of(columns: Mapping[str, np.ndarray], name: str) -> np.dtype:
 
 def encode_columns(
     columns: Mapping[str, np.ndarray],
-    codes: dict[str, np.ndarray] | None = None,
+    codes: Mapping[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Encode a name→array mapping as a float matrix (one column each).
 
-    TEXT columns are label-encoded by first occurrence; NULL/NaN become
-    a dedicated code so they still correlate.  ``codes`` may supply
-    precomputed first-occurrence label encodings for object columns
-    (e.g. from :class:`repro.core.kernel.MiningKernel.ml_codes`, which
-    produces exactly this encoding) to skip the per-row Python loop —
-    columns covered there are never gathered from ``columns`` at all.
+    A categorical column becomes its label codes from ``codes`` (NULL
+    holds a code of its own there, so it still correlates) and is never
+    gathered from ``columns``; a numeric column has its NaNs filled with
+    the column mean.
     """
+    codes = codes or {}
     encoded = []
     for name in columns.keys():
         if _dtype_of(columns, name) == object:
-            precomputed = codes.get(name) if codes else None
-            if precomputed is not None:
-                encoded.append(precomputed.astype(np.float64))
-                continue
-            arr = columns[name]
-            label_codes: dict[object, int] = {}
-            out = np.empty(len(arr))
-            for i, value in enumerate(arr):
-                if value not in label_codes:
-                    label_codes[value] = len(label_codes)
-                out[i] = label_codes[value]
-            encoded.append(out)
+            encoded.append(codes[name].astype(np.float64))
         else:
             out = columns[name].astype(np.float64)
             nan_mask = np.isnan(out)
@@ -94,12 +86,7 @@ def correlation_matrix(matrix: np.ndarray) -> np.ndarray:
     return corr
 
 
-def cramers_v(
-    a: np.ndarray | None,
-    b: np.ndarray | None,
-    a_codes: np.ndarray | None = None,
-    b_codes: np.ndarray | None = None,
-) -> float:
+def cramers_v(a_codes: np.ndarray, b_codes: np.ndarray) -> float:
     """Cramér's V association between two label-encoded columns.
 
     Label-encoded Pearson correlation cannot detect redundancy between,
@@ -107,24 +94,22 @@ def cramers_v(
     permutation); Cramér's V — a chi-squared-based measure on the
     contingency table — does.  Returns a value in [0, 1].
 
-    ``a_codes``/``b_codes`` may supply a precomputed first-occurrence
-    label encoding of the column (e.g. from
-    :meth:`repro.core.kernel.MiningKernel.ml_codes`, which produces
-    exactly what :func:`_codes` computes for object columns), skipping
-    the per-row re-encoding pass; the corresponding value array may
-    then be ``None`` (it is never read).  Cramér's V only reads the
-    contingency table, so any bijective relabeling yields the same
-    value.
+    The codes are contiguous ``0..K-1`` labels (first-occurrence
+    numbering has that shape); Cramér's V only reads the contingency
+    table, so any bijective relabeling yields the same value.
     """
-    return _cramers_v_from_codes(
-        _resolve_codes(a, a_codes), _resolve_codes(b, b_codes)
-    )
+    return _cramers_v(_with_levels(a_codes), _with_levels(b_codes))
 
 
-def _cramers_v_from_codes(
+def _with_levels(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(int64 codes, level count)`` of contiguous ``0..K-1`` labels."""
+    codes = codes.astype(np.int64, copy=False)
+    return codes, int(codes.max()) + 1 if len(codes) else 0
+
+
+def _cramers_v(
     a: tuple[np.ndarray, int], b: tuple[np.ndarray, int]
 ) -> float:
-    """Cramér's V from resolved ``(codes, levels)`` pairs."""
     a_codes, a_levels = a
     b_codes, b_levels = b
     if a_levels < 2 or b_levels < 2:
@@ -148,66 +133,17 @@ def _cramers_v_from_codes(
     return float(np.sqrt(min(1.0, chi2 / denominator)))
 
 
-def _resolve_codes(
-    values: np.ndarray | None, precomputed: np.ndarray | None
-) -> tuple[np.ndarray, int]:
-    """``(codes, levels)`` from a precomputed encoding or from scratch.
-
-    Precomputed first-occurrence codes are contiguous ``0..K-1``, so the
-    level count is ``max + 1``.
-    """
-    if precomputed is None:
-        assert values is not None, "need values when no codes are given"
-        return _codes(values)
-    codes = precomputed.astype(np.int64, copy=False)
-    levels = int(codes.max()) + 1 if len(codes) else 0
-    return codes, levels
-
-
-def _codes(values: np.ndarray, max_bins: int = 12) -> tuple[np.ndarray, int]:
-    """Integer codes for a column; numeric columns are quantile-binned."""
-    if values.dtype == object:
-        mapping: dict[object, int] = {}
-        codes = np.empty(len(values), dtype=np.int64)
-        for i, v in enumerate(values):
-            if v not in mapping:
-                mapping[v] = len(mapping)
-            codes[i] = mapping[v]
-        return codes, len(mapping)
-    numeric = values.astype(np.float64)
-    nan_mask = np.isnan(numeric)
-    fill = np.nanmin(numeric) if (~nan_mask).any() else 0.0
-    numeric = np.where(nan_mask, fill, numeric)
-    unique = np.unique(numeric)
-    if len(unique) <= max_bins:
-        lookup = {v: i for i, v in enumerate(unique.tolist())}
-        codes = np.array([lookup[v] for v in numeric.tolist()], dtype=np.int64)
-        return codes, len(unique)
-    edges = np.quantile(numeric, np.linspace(0, 1, max_bins + 1)[1:-1])
-    codes = np.searchsorted(edges, numeric).astype(np.int64)
-    return codes, max_bins
-
-
 def association_matrix(
     columns: Mapping[str, np.ndarray],
-    codes: dict[str, np.ndarray] | None = None,
-    same_type_only: bool = False,
+    codes: Mapping[str, np.ndarray] | None = None,
     pair_memo: MutableMapping[tuple, float] | None = None,
     digests: Mapping[str, Hashable] | None = None,
 ) -> np.ndarray:
-    """Pairwise association: |Pearson| for numeric pairs, Cramér's V when
-    a categorical column is involved.
+    """Pairwise association within a kind: |Pearson| for numeric pairs,
+    Cramér's V for categorical pairs, 0 across kinds (see the module
+    docstring).
 
-    ``codes`` may supply precomputed first-occurrence label encodings per
-    column name (object columns only; a numeric column is quantile-binned
-    here when it meets a categorical one), feeding :func:`cramers_v`
-    without re-encoding — and without ever gathering the coded columns'
-    value arrays from a lazily-materializing ``columns`` mapping.
-
-    ``same_type_only`` leaves numeric×categorical entries at 0 instead
-    of computing them: :func:`cluster_attributes` never reads them under
-    the same flag, and they are the only reason a numeric column is ever
-    quantile-binned.
+    ``codes`` maps every categorical column to its label codes.
 
     ``pair_memo`` shares Cramér's V across calls whose columns repeat:
     a pair is looked up under the *ordered* pair of its columns'
@@ -222,40 +158,35 @@ def association_matrix(
         # Nothing to share with: names identify columns within one call.
         pair_memo, digests = {}, dict(zip(names, names))
     n = len(names)
-    is_object = {m: _dtype_of(columns, m) == object for m in names}
-    numeric = [i for i, m in enumerate(names) if not is_object[m]]
+    is_object = [_dtype_of(columns, m) == object for m in names]
+    numeric = [i for i in range(n) if not is_object[i]]
     pearson = np.zeros((n, n))
     if numeric:
         sub = encode_columns({names[i]: columns[names[i]] for i in numeric})
         pearson[np.ix_(numeric, numeric)] = correlation_matrix(sub)
     out = np.eye(n)
-    # Resolve each column's (codes, levels) once: numeric columns keep
-    # their quantile binning but are no longer re-binned per pair, and
-    # precomputed label encodings resolve their level count once.
-    resolved: dict[str, tuple[np.ndarray, int]] = {}
+    # Each column's level count is resolved once, when a pair first
+    # misses the memo.
+    leveled: dict[str, tuple[np.ndarray, int]] = {}
 
-    def codes_of(name: str) -> tuple[np.ndarray, int]:
-        pair = resolved.get(name)
-        if pair is None:
-            pair = _resolve_codes(
-                None if name in codes else columns[name], codes.get(name)
-            )
-            resolved[name] = pair
-        return pair
+    def with_levels(name: str) -> tuple[np.ndarray, int]:
+        if name not in leveled:
+            leveled[name] = _with_levels(codes[name])
+        return leveled[name]
 
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = names[i], names[j]
-            if not is_object[a] and not is_object[b]:
-                value = pearson[i, j]
-            elif same_type_only and is_object[a] != is_object[b]:
+            if is_object[i] != is_object[j]:
                 continue
+            if not is_object[i]:
+                value = pearson[i, j]
             else:
+                a, b = names[i], names[j]
                 key = (digests[a], digests[b])
                 value = pair_memo.get(key)
                 if value is None:
-                    value = pair_memo[key] = _cramers_v_from_codes(
-                        codes_of(a), codes_of(b)
+                    value = pair_memo[key] = _cramers_v(
+                        with_levels(a), with_levels(b)
                     )
             out[i, j] = out[j, i] = value
     return out
@@ -272,40 +203,28 @@ class AttributeCluster:
 def cluster_attributes(
     columns: Mapping[str, np.ndarray],
     threshold: float = 0.9,
-    same_type_only: bool = False,
-    codes: dict[str, np.ndarray] | None = None,
+    codes: Mapping[str, np.ndarray] | None = None,
     pair_memo: MutableMapping[tuple, float] | None = None,
     digests: Mapping[str, Hashable] | None = None,
 ) -> list[AttributeCluster]:
     """Cluster attributes whose association exceeds ``threshold``.
 
     Single-linkage agglomeration: attributes are connected components of
-    the graph with edges association >= threshold.  The representative of
-    each cluster is the member with the greatest mean association to the
+    the graph with edges association >= threshold (there is none between
+    a numeric and a categorical attribute).  The representative of each
+    cluster is the member with the greatest mean association to the
     rest (ties broken by name for determinism).
 
-    ``same_type_only`` restricts merging to pairs of the same kind
-    (numeric with numeric, categorical with categorical).  CaJaDE's
-    feature selection uses this: merging a numeric attribute into a
-    categorical representative would silently remove it from the numeric
-    refinement phase.
-
     ``codes``, ``pair_memo`` and ``digests`` pass straight through to
-    :func:`association_matrix` (identical clusters, no re-encoding, no
-    Cramér's V computed twice for one pair of digests).
+    :func:`association_matrix`.
     """
     names = list(columns)
     if not names:
         return []
     corr = association_matrix(
-        columns,
-        codes=codes,
-        same_type_only=same_type_only,
-        pair_memo=pair_memo,
-        digests=digests,
+        columns, codes=codes, pair_memo=pair_memo, digests=digests
     )
     n = len(names)
-    is_text = [_dtype_of(columns, name) == object for name in names]
 
     parent = list(range(n))
 
@@ -322,8 +241,6 @@ def cluster_attributes(
 
     for i in range(n):
         for j in range(i + 1, n):
-            if same_type_only and is_text[i] != is_text[j]:
-                continue
             if corr[i, j] >= threshold:
                 union(i, j)
 

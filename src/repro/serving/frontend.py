@@ -550,7 +550,7 @@ class ExplanationService:
         self, shard: int, ticket: Ticket, exc: ServiceError
     ) -> None:
         """A quarantined shard: inline fallback or structured 503."""
-        fallback = getattr(self._backend, "execute_fallback", None)
+        fallback = getattr(self._backend, "execute_degraded", None)
         if self._degraded_mode != "inline" or fallback is None:
             self._resolve_error(ticket, exc)
             return
@@ -585,16 +585,23 @@ def question_from_json(
     ``{"target": {...}}`` → outlier.  An explicit ``"type"`` field
     (``"comparison"`` / ``"outlier"``) is honored when present.
     """
+    if not isinstance(data, Mapping):
+        raise ValueError("'question' must be a JSON object")
+
+    def tuple_spec(key: str) -> dict:
+        if not isinstance(data[key], Mapping):
+            raise ValueError(f"question {key!r} must be a JSON object")
+        return dict(data[key])
+
     kind = data.get("type")
     if kind == "comparison" or (
         kind is None and "primary" in data and "secondary" in data
     ):
         return ComparisonQuestion(
-            primary=dict(data["primary"]),
-            secondary=dict(data["secondary"]),
+            primary=tuple_spec("primary"), secondary=tuple_spec("secondary")
         )
     if kind == "outlier" or (kind is None and "target" in data):
-        return OutlierQuestion(target=dict(data["target"]))
+        return OutlierQuestion(target=tuple_spec("target"))
     raise ValueError(
         "question must carry primary+secondary (comparison) or "
         "target (outlier)"
@@ -610,11 +617,13 @@ _BODY_KEYS = frozenset({
 def request_from_json(data: Mapping) -> ExplanationRequest:
     """Build an :class:`ExplanationRequest` from a POST /explain body.
 
-    Raises ``ValueError`` for anything malformed — including a top-level
-    key the schema does not have (a typo such as ``topk`` must not be
-    answered with defaults) or an ``overrides`` entry that names no
-    :class:`CajadeConfig` field — which the HTTP route answers with a
-    structured 400.
+    Raises ``ValueError`` or ``TypeError`` for anything malformed —
+    a top-level key the schema does not have (a typo such as ``topk``
+    must not be answered with defaults), an ``overrides`` entry that
+    names no :class:`CajadeConfig` field, a knob or override value of
+    the wrong JSON type (``"5"`` is not 5, ``"no"`` is not ``false``),
+    an ``sql`` that is not a string — which the HTTP route answers with
+    a structured 400.
     """
     if not isinstance(data, Mapping):
         raise ValueError("request body must be a JSON object")
@@ -643,10 +652,11 @@ def timeout_from_json(data: Mapping) -> float | None:
     timeout = data.get("timeout_seconds")
     if timeout is None:
         return None
-    timeout = float(timeout)
-    if timeout <= 0:
-        raise ValueError("timeout_seconds must be positive")
-    return timeout
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+        raise TypeError("timeout_seconds must be a number")
+    if not 0 < timeout < math.inf:  # NaN included
+        raise ValueError("timeout_seconds must be positive and finite")
+    return float(timeout)
 
 
 # ---------------------------------------------------------------------------

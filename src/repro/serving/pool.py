@@ -30,7 +30,7 @@ between consecutive respawns) and re-runs the ready handshake.  A
 shard that crash-loops past its ``max_restarts`` consecutive-failure
 budget is quarantined — subsequent executes raise
 :class:`ShardQuarantinedError`, and the front-end either degrades to
-:meth:`execute_fallback` (a lazily-built in-parent session — slower
+:meth:`execute_degraded` (a lazily-built in-parent session — slower
 but byte-identical) or fast-fails with a structured 503.
 
 **Integrity.**  Workers return one outcome per request —
@@ -221,7 +221,7 @@ class _SupervisedBackend:
         self._supervisor = ShardSupervisor(
             num_shards, max_restarts=max_restarts
         )
-        self._fallback_sessions: dict[int, CajadeSession] = {}
+        self._degraded_sessions: dict[int, CajadeSession] = {}
         self._lock = threading.Lock()
 
     def _new_session(self) -> CajadeSession:
@@ -264,7 +264,7 @@ class _SupervisedBackend:
             self._supervisor.check(shard)  # raises ShardQuarantinedError
         raise exc
 
-    def execute_fallback(
+    def execute_degraded(
         self,
         shard: int,
         request: ExplanationRequest,
@@ -275,17 +275,17 @@ class _SupervisedBackend:
         (no warm worker state) but byte-identical — the session memo
         contract does not care which process runs the mining."""
         with self._lock:
-            session = self._fallback_sessions.get(shard)
+            session = self._degraded_sessions.get(shard)
             if session is None:
                 session = self._new_session()
-                self._fallback_sessions[shard] = session
+                self._degraded_sessions[shard] = session
         return _verified(shard, _run(session, request, deadline), False)
 
     def stop(self) -> None:
         with self._lock:
-            for session in self._fallback_sessions.values():
+            for session in self._degraded_sessions.values():
                 session.close()
-            self._fallback_sessions.clear()
+            self._degraded_sessions.clear()
 
 
 class _Worker:

@@ -16,9 +16,7 @@ big arrays into POSIX shared memory once (`multiprocessing
   object column by one pointer gather (``decode[codes]``) and installs a
   :class:`ColumnEncoding` whose ``codes`` **are** the shared segment, so
   the late-materialized kernel path (which consumes codes, not values)
-  gathers without copying;
-- object columns that defeated dictionary encoding (unhashable values)
-  fall back to pickling their values outright.
+  gathers without copying.
 
 Ownership is asymmetric, mirroring the pool's lifecycle: the exporting
 process owns every segment and unlinks them all on
@@ -122,7 +120,6 @@ def attached_segment_count() -> int:
 
 NUMERIC = "numeric"
 ENCODED = "encoded"
-OBJECTS = "objects"
 
 
 @dataclass
@@ -130,13 +127,12 @@ class ColumnSpec:
     """Where one column's data lives and how to rebuild it."""
 
     name: str
-    kind: str  # NUMERIC | ENCODED | OBJECTS
+    kind: str  # NUMERIC | ENCODED
     shm_name: str = ""
     dtype: str = ""
     length: int = 0
-    # ENCODED: code -> value decode table; OBJECTS: the raw values.
+    # ENCODED: the code -> value decode table.
     values: list[Any] = field(default_factory=list)
-    null_codes: tuple[int, ...] = ()
 
 
 @dataclass
@@ -202,8 +198,7 @@ class RelationExport:
             for column in relation.schema.columns:
                 # Dtype dispatch before any value materialization: a
                 # disk-backed relation exports numeric arrays and code
-                # arrays straight from its memmaps; only columns that
-                # defeated dictionary encoding materialize values here.
+                # arrays straight from its memmaps.
                 if relation.column_dtype(column.name) != object:
                     arr = relation.column(column.name)
                     shm = _new_segment(arr)
@@ -219,17 +214,6 @@ class RelationExport:
                     )
                     continue
                 encoding = relation.encoding(column.name)
-                if encoding is None:
-                    arr = relation.column(column.name)
-                    specs.append(
-                        ColumnSpec(
-                            name=column.name,
-                            kind=OBJECTS,
-                            length=len(arr),
-                            values=list(arr),
-                        )
-                    )
-                    continue
                 shm = _new_segment(encoding.codes)
                 self._segments.append(shm)
                 specs.append(
@@ -240,7 +224,6 @@ class RelationExport:
                         dtype=encoding.codes.dtype.str,
                         length=len(encoding.codes),
                         values=_decode_table(encoding),
-                        null_codes=tuple(encoding.null_codes),
                     )
                 )
         except Exception:
@@ -377,16 +360,12 @@ class AttachedRelation:
                     else:
                         values = np.empty(0, dtype=object)
                     columns[spec.name] = values
+                    code_of = {v: i for i, v in enumerate(spec.values)}
                     encodings[spec.name] = ColumnEncoding(
                         codes=codes,
-                        code_of={v: i for i, v in enumerate(spec.values)},
-                        null_codes=tuple(spec.null_codes),
+                        code_of=code_of,
+                        none_code=code_of.get(None),
                     )
-                elif spec.kind == OBJECTS:
-                    arr = np.empty(spec.length, dtype=object)
-                    if spec.length:
-                        arr[:] = spec.values
-                    columns[spec.name] = arr
                 else:  # pragma: no cover - handle corruption
                     raise ValueError(f"unknown column kind {spec.kind!r}")
         except Exception:

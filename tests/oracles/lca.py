@@ -94,7 +94,7 @@ def columns_of(kernel, attrs: list[str]) -> dict[str, np.ndarray]:
         values = kernel.code_values(attr)
         if values is None:
             continue
-        codes = kernel.code_matrix([attr], kind="counting")[:, 0]
+        codes = kernel.code_matrix([attr])[:, 0]
         column = np.empty(len(codes), dtype=object)
         column[:] = [None if code < 0 else values[code] for code in codes]
         columns[attr] = column

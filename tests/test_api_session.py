@@ -298,6 +298,20 @@ class TestRequestValidation:
         with pytest.raises(TypeError):
             ExplanationRequest(GSW_WINS_SQL, {"season": "2015-16"})
 
+    def test_bad_sql_and_knob_types_rejected_eagerly(self):
+        """Where the request is built — not in ``fingerprint`` or in
+        whichever layer first reads the config."""
+        with pytest.raises(TypeError, match="sql"):
+            ExplanationRequest(5, QUESTION)
+        with pytest.raises(TypeError, match="top_k"):
+            ExplanationRequest(GSW_WINS_SQL, QUESTION, top_k="5")
+        with pytest.raises(TypeError, match="use_diversity"):
+            ExplanationRequest(
+                GSW_WINS_SQL, QUESTION, overrides={"use_diversity": "no"}
+            )
+        with pytest.raises(ValueError, match="f1_sample_rate"):
+            ExplanationRequest(GSW_WINS_SQL, QUESTION, f1_sample_rate=2)
+
     def test_config_for_merges_knobs(self):
         request = ExplanationRequest(
             GSW_WINS_SQL,
@@ -356,65 +370,3 @@ class TestQuestionBuilder:
         )
         assert isinstance(request.question, ComparisonQuestion)
         assert request.question.primary == QUESTION.secondary
-
-
-class TestExplainBatch:
-    def test_responses_in_input_order(self, session):
-        requests = [
-            ExplanationRequest(GSW_WINS_SQL, OUTLIER),
-            ExplanationRequest(GSW_WINS_SQL, QUESTION),
-            ExplanationRequest(GSW_WINS_SQL, QUESTION, top_k=2),
-        ]
-        responses = session.explain_batch(requests)
-        assert [r.request for r in responses] == requests
-        assert session.stats.batches == 1
-
-    def test_batch_matches_one_shot(self, session, mini_db, mini_schema_graph):
-        cold = cold_payload(mini_db, mini_schema_graph, QUESTION)
-        responses = session.explain_batch(
-            [
-                ExplanationRequest(GSW_WINS_SQL, QUESTION),
-                ExplanationRequest(GSW_WINS_SQL, QUESTION),
-            ]
-        )
-        assert ranked_payload(responses[0]) == cold
-        assert ranked_payload(responses[1]) == cold
-
-    def test_batch_repeats_hit_warm_state(self, session):
-        first = session.explain_batch(
-            [ExplanationRequest(GSW_WINS_SQL, QUESTION)]
-        )
-        second = session.explain_batch(
-            [ExplanationRequest(GSW_WINS_SQL, QUESTION)]
-        )
-        assert second[0].mined_graphs_reused > 0
-        assert second[0].engine.steps_computed == 0
-        assert ranked_payload(second[0]) == ranked_payload(first[0])
-
-    def test_duplicates_computed_once_and_fanned_out(self, session):
-        requests = [
-            ExplanationRequest(GSW_WINS_SQL, QUESTION),
-            ExplanationRequest(GSW_WINS_SQL, OUTLIER),
-            ExplanationRequest(GSW_WINS_SQL, QUESTION),
-            # An override equal to the base config joins the group.
-            ExplanationRequest(
-                GSW_WINS_SQL, QUESTION, overrides={"seed": CONFIG.seed}
-            ),
-        ]
-        responses = session.explain_batch(requests)
-        assert responses[2] is responses[0]
-        assert responses[3] is responses[0]
-        assert responses[1] is not responses[0]
-        assert session.stats.requests_deduped == 2
-        assert session.stats.requests == 2  # only two executions
-
-    def test_output_relevant_knobs_are_not_deduped(self, session):
-        responses = session.explain_batch(
-            [
-                ExplanationRequest(GSW_WINS_SQL, QUESTION),
-                ExplanationRequest(GSW_WINS_SQL, QUESTION, top_k=2),
-            ]
-        )
-        assert responses[1] is not responses[0]
-        assert session.stats.requests_deduped == 0
-        assert len(responses[1].explanations) <= 2

@@ -98,29 +98,36 @@ class TestGroupDeterminedGuard:
     def test_is_group_determined_helper(self):
         import numpy as np
         from repro.core import MiningKernel
-        from repro.core.attribute_filter import _is_group_determined
+        from repro.core.attribute_filter import (
+            _is_group_determined,
+            _values_and_presence,
+        )
 
         labels = np.array([1, 1, 1, 2, 2], dtype=np.int64)
         columns = {
             "alias": np.array(
-                ["era1", "era1", "era1", "era2", "era2"], dtype=object
+                ["era1", None, "era1", "era2", "era2"], dtype=object
             ),
             "varying": np.array(["a", "b", "a", "c", "c"], dtype=object),
             "shared": np.array(["x", "x", "x", "x", "x"], dtype=object),
-            # An int-typed categorical has no dictionary codes and
-            # takes the per-row arm.
-            "codeless": np.array([7, 7, 7, 9, 9], dtype=np.int64),
+            # A numeric attribute has no dictionary codes: its values
+            # stand for themselves and NaN is its NULL.
+            "numeric": np.array([7, np.nan, 7, 9, 9], dtype=np.float64),
+            "numeric_varying": np.array([7, 8, 7, 9, 9], dtype=np.int64),
         }
         kernel = MiningKernel(columns, np.arange(5), m1=3)
-        assert kernel.match_codes("codeless") is None
+        assert kernel.match_codes("numeric") is None
 
         def determined(name):
-            return _is_group_determined(columns[name], labels, kernel, name)
+            return _is_group_determined(
+                *_values_and_presence(kernel, columns, name), labels
+            )
 
         assert determined("alias")
         assert not determined("varying")
         assert not determined("shared")  # same constant
-        assert determined("codeless")
+        assert determined("numeric")
+        assert not determined("numeric_varying")
 
     def test_guard_drops_alias_attribute_end_to_end(self, rng):
         import numpy as np

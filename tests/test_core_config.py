@@ -44,6 +44,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             CajadeConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"top_k": "5"},
+            {"top_k": 5.0},  # an integral float is not an int
+            {"top_k": True},  # nor is a bool
+            {"seed": "abc"},
+            {"seed": None},
+            {"f1_sample_rate": "0.5"},
+            {"f1_sample_rate": True},
+            {"use_diversity": "no"},  # truthy: would run with it *on*
+            {"use_diversity": 0},
+        ],
+    )
+    def test_rejects_values_of_the_wrong_type(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(TypeError, match=name):
+            CajadeConfig(**kwargs)
+        with pytest.raises(TypeError, match=name):
+            CajadeConfig().with_overrides(**kwargs)
+
+    def test_an_int_is_a_fine_float(self):
+        assert CajadeConfig(f1_sample_rate=1, qcost_threshold=10).f1_sample_rate == 1
+
 
 class TestEngineKnobs:
     def test_defaults_to_serial(self):

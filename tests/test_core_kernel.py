@@ -289,17 +289,19 @@ class TestKernelMatchesReference:
 class TestKernelDirect:
     def test_null_codes_never_match(self):
         columns = {
-            "cat": np.array(["x", None, "y", np.nan, "x"], dtype=object)
+            "cat": np.array(["x", None, "y", None, "x"], dtype=object)
         }
         kernel = MiningKernel(columns, np.arange(5), m1=3)
         np.testing.assert_array_equal(
             kernel.predicate_mask("cat", OP_EQ, "x"),
             np.array([True, False, False, False, True]),
         )
-        # NaN query values match nothing (NaN != NaN) even though the
-        # cell's NaN object is dict-encoded.
-        assert not kernel.predicate_mask("cat", OP_EQ, np.nan).any()
+        # A NULL constant matches nothing — not even the NULL cells,
+        # whose code the dictionary does hold — and neither does a
+        # constant no cell can equal.
         assert not kernel.predicate_mask("cat", OP_EQ, None).any()
+        assert not kernel.predicate_mask("cat", OP_EQ, np.nan).any()
+        assert not kernel.predicate_mask("cat", OP_EQ, 7).any()
         assert not kernel.predicate_mask("cat", OP_EQ, "absent").any()
 
     def test_categorical_rejects_inequality(self):
@@ -314,19 +316,21 @@ class TestKernelDirect:
             kernel.predicate_mask("nope", OP_EQ, 1)
 
     def test_ml_codes_match_varclus_encoding(self):
+        """ml codes are first-occurrence labels in which NULL keeps a
+        code; ``encode_columns`` hands them to the forest as they are."""
         from repro.ml.varclus import encode_columns
 
         arr = np.array(["b", None, "a", "b", "c", None], dtype=object)
         kernel = MiningKernel(
             {"cat": arr}, np.arange(6), m1=3
         )
-        expected = encode_columns({"cat": arr})[:, 0]
-        np.testing.assert_array_equal(
-            kernel.ml_codes("cat").astype(np.float64), expected
+        assert kernel.ml_codes("cat").tolist() == [0, 1, 2, 0, 3, 1]
+        matrix = encode_columns(
+            {"cat": arr}, codes={"cat": kernel.ml_codes("cat")}
         )
-        # counting codes: None -> -1, everything else keeps its code.
-        counting = kernel.counting_codes("cat")
-        assert counting.tolist() == [0, -1, 2, 0, 3, -1]
+        assert matrix[:, 0].tolist() == [0.0, 1.0, 2.0, 0.0, 3.0, 1.0]
+        # match codes: None -> -1, everything else keeps its code.
+        assert kernel.match_codes("cat").tolist() == [0, -1, 2, 0, 3, -1]
 
     def test_derived_kernel_hides_ml_codes(self):
         """Sliced codes are not first-occurrence-numbered, so derived
@@ -344,27 +348,27 @@ class TestKernelDirect:
             derived.predicate_mask("cat", OP_EQ, "b"),
             np.array([False, True, False]),
         )
-        assert derived.counting_codes("cat") is not None
+        assert derived.match_codes("cat").tolist() == [1, 0, 2]
 
     def test_code_matrix_views(self):
-        arr = np.array(["b", None, "a", np.nan, "b"], dtype=object)
+        arr = np.array(["b", None, "a", None, "b"], dtype=object)
         num = np.arange(5, dtype=np.float64)
         kernel = MiningKernel(
             {"cat": arr, "num": num}, np.arange(5), m1=3
         )
-        match = kernel.code_matrix(["cat"], kind="match")
+        match = kernel.code_matrix(["cat"])
         assert match.dtype == np.int32
-        # None and NaN are both -1 in the match view ...
+        # NULL cells are -1; the rest keep first-occurrence codes.
         assert match[:, 0].tolist() == [0, -1, 2, -1, 0]
-        # ... but only None is -1 in the counting (singleton) view.
-        counting = kernel.code_matrix(["cat"], kind="counting")
-        assert counting[:, 0].tolist() == [0, -1, 2, 3, 0]
-        # numeric columns have no dictionary codes -> whole view is None
-        assert kernel.code_matrix(["cat", "num"]) is None
-        # decode round-trips to the original first-occurrence objects
-        values = kernel.code_values("cat")
-        assert values[0] == "b" and values[2] == "a"
-        assert values[3] is arr[3]  # the NaN object itself
+        rows = np.array([4, 1])
+        assert kernel.code_matrix(["cat"], indices=rows).tolist() == [[0], [-1]]
+        assert kernel.code_matrix([], indices=rows).shape == (2, 0)
+        # numeric columns have no dictionary codes
+        with pytest.raises(KeyError):
+            kernel.code_matrix(["cat", "num"])
+        # decode round-trips to the first-occurrence objects; the NULL
+        # cell's code decodes to None
+        assert kernel.code_values("cat") == ["b", None, "a"]
         assert kernel.code_values("num") is None
 
 

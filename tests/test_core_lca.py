@@ -2,9 +2,8 @@
 
 Covers the code-based generation on kernel dictionary codes and its
 equivalence with the object-loop oracle (``tests/oracles/lca.py``): same
-deduplicated pattern set (hypothesis property, incl. NULL/NaN columns,
-the sampled-pair cap path and singleton rows) from the same rng
-trajectory.
+candidate list (hypothesis property, incl. NULL cells, the sampled-pair
+cap path and singleton rows) from the same rng trajectory.
 """
 
 import numpy as np
@@ -26,6 +25,7 @@ from repro.core.timing import (
     LCA_PEAK_CHUNK_BYTES,
     StepTimer,
 )
+from repro.db.errors import SchemaError
 from tests.oracles.lca import lca_candidates as lca_oracle
 
 
@@ -117,11 +117,9 @@ def both_paths(columns, attrs, cfg, seed=9):
     return reference, coded
 
 
-# Two identity-distinct NaN objects: under pattern-match semantics each
-# is its own dictionary entry (NaN != NaN), exactly like the object path.
-NAN_A = float("nan")
-NAN_B = float("nan")
-CELLS = ("x", "y", "z", None, NAN_A, NAN_B)
+# A TEXT cell is str or None; "" and "None" are ordinary strings that
+# must not be mistaken for the NULL cell.
+CELLS = ("x", "y", "z", None, "", "None")
 
 columns_strategy = st.integers(min_value=1, max_value=3).flatmap(
     lambda n_attrs: st.lists(
@@ -152,8 +150,7 @@ class TestCodeLcaEquivalence:
     def test_property_full_pairs(self, rows):
         cols = columns_from(rows)
         reference, coded = both_paths(cols, sorted(cols), config())
-        assert len(reference) == len(coded)
-        assert set(reference) == set(coded)
+        assert reference == coded
 
     @given(rows=columns_strategy, seed=st.integers(0, 7))
     @settings(max_examples=60, deadline=None)
@@ -163,8 +160,7 @@ class TestCodeLcaEquivalence:
         cfg = config(lca_sample_rate=0.7, lca_pair_cap=5)
         cols = columns_from(rows)
         reference, coded = both_paths(cols, sorted(cols), cfg, seed=seed)
-        assert len(reference) == len(coded)
-        assert set(reference) == set(coded)
+        assert reference == coded
 
     def test_singleton_row(self):
         cols = {
@@ -176,14 +172,17 @@ class TestCodeLcaEquivalence:
         assert {p.describe() for p in coded} == {"a=only"}
 
     def test_nan_cells_match_object_semantics(self):
-        """NaN is a legal singleton constant (``is not None``) but never
-        agrees pairwise (NaN != NaN) — both paths replicate that."""
-        cols = {"a": np.array([NAN_A, NAN_A, "v", "v"], dtype=object)}
+        """A NaN cell is not a TEXT value: it never becomes a candidate
+        constant (it used to be a legal singleton, ``a=nan``) — the
+        kernel's encoder rejects the column.  The NULL cell is None,
+        which is no constant and never agrees, in both paths."""
+        cols = {"a": np.array([float("nan"), None, "v", "v"], dtype=object)}
+        with pytest.raises(SchemaError, match="a"):
+            kernel_for(cols)
+        cols["a"][0] = None
         reference, coded = both_paths(cols, ["a"], config())
-        assert len(reference) == len(coded) == 2
-        assert set(reference) == set(coded)
-        describes = sorted(p.describe() for p in coded)
-        assert describes == ["a=nan", "a=v"]
+        assert reference == coded
+        assert [p.describe() for p in coded] == ["a=v"]
 
     def test_sample_cap_rng_trajectory(self):
         """Row sampling consumes the rng identically in both paths."""

@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import ColumnType, Relation, TableSchema
-from repro.db.errors import ExecutionError
+from repro.db.errors import ExecutionError, SchemaError
 from repro.db.frame import IndexFrame
 from repro.db.relation import build_sort_index
 from repro.db.window_join import SortedWindowStrategy, WindowEntry
@@ -473,37 +473,37 @@ class TestSortIndex:
         assert doubled_index is not index
 
     def test_translation_boxed_equality_and_misses(self):
-        """Translation follows the core's boxed-Python dict equality:
-        1 and 1.0 share a code; None and absent values map to -1."""
-        build = Relation.from_rows(
-            TableSchema.build("b", {"b.k": ColumnType.TEXT}),
-            [(1,), ("two",), (3.5,)],
-            validate=False,
-        )
-        probe = Relation.from_rows(
-            TableSchema.build("p", {"p.k": ColumnType.TEXT}),
-            [(1.0,), ("two",), (None,), ("absent",)],
-            validate=False,
+        """Translation is by value: equal strings share a build code
+        whatever their probe code; None — on either side — and absent
+        values map to -1."""
+        build = _build_rel(["one", "two", None, "3.5"], ColumnType.TEXT)
+        probe = _probe_rel(
+            ["3.5", "two", None, "absent", "one"], ColumnType.TEXT
         )
         index = build.sort_index("b.k")
         assert index is not None
         probe_encoding = probe.encoding("p.k")
         table = index.translation(probe_encoding)
         build_codes = table[probe_encoding.codes]
-        assert build_codes[0] == index.encoding.code_of[1]  # 1.0 == 1
+        assert build_codes[0] == index.encoding.code_of["3.5"]
         assert build_codes[1] == index.encoding.code_of["two"]
-        assert build_codes[2] == -1  # NULL never matches
+        assert build_codes[2] == -1  # NULL never matches, not even NULL
         assert build_codes[3] == -1  # absent from the build side
+        assert build_codes[4] == index.encoding.code_of["one"]
         # Memoized per probe encoding.
         assert index.translation(probe_encoding) is table
 
     def test_unencodable_column_has_no_index(self):
-        rel = Relation.from_rows(
-            TableSchema.build("t", {"t.k": ColumnType.TEXT}),
-            [([1, 2],), ("ok",)],  # a list defeats dictionary encoding
-            validate=False,
+        """A TEXT column holding a list has neither codes nor an index:
+        asking for one is a SchemaError naming the column (it used to be
+        ``None`` and a silent fall-back to the hash core)."""
+        cells = np.empty(2, dtype=object)
+        cells[0], cells[1] = [1, 2], "ok"
+        rel = Relation(
+            TableSchema.build("t", {"t.k": ColumnType.TEXT}), {"t.k": cells}
         )
-        assert rel.sort_index("t.k") is None
+        with pytest.raises(SchemaError, match=r"t\.t\.k"):
+            rel.sort_index("t.k")
 
     def test_build_sort_index_rejects_exotic_dtypes(self):
         assert build_sort_index(np.zeros(3, dtype=np.complex128), None) is None

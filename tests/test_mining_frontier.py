@@ -166,12 +166,11 @@ def test_no_per_pattern_work_inside_the_search(gate_databases, monkeypatch):
 # ----------------------------------------------------------------------
 NUMERIC = ("n0", "n1", "n2", "n3")
 CATEGORICAL = ("c0", "c1")
-NAN = float("nan")
 
 
 def build_apt(rows: list[tuple]) -> AugmentedProvenanceTable:
     """An APT over (pt_row_id, c0, c1, n0..n3) rows: two TEXT columns
-    (cells may be ``None`` or a NaN object) and four FLOAT columns (cells
+    (cells are ``str`` or ``None``) and four FLOAT columns (cells
     may be ``None`` = NaN)."""
     types = {"__pt_row_id": ColumnType.INT}
     types.update({name: ColumnType.TEXT for name in CATEGORICAL})
@@ -205,7 +204,7 @@ cell = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
 rows_strategy = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=9),  # pt_row_id, with fan-out
-        st.sampled_from(("red", "blue", None, NAN)),
+        st.sampled_from(("red", "blue", None, "")),
         st.sampled_from(("x", "y", "z", None)),
         cell, cell, cell,
         st.integers(min_value=0, max_value=2),

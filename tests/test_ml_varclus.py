@@ -3,12 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.db.relation import encode_object_column
 from repro.ml import (
     cluster_attributes,
     correlation_matrix,
     encode_columns,
     pick_cluster_representatives,
 )
+
+
+def text_codes(columns: dict) -> dict:
+    """First-occurrence label codes of the object columns, as the
+    mining kernel would hand them over."""
+    return {
+        name: encode_object_column(values).codes
+        for name, values in columns.items()
+        if values.dtype == object
+    }
 
 
 class TestEncodeColumns:
@@ -19,9 +30,13 @@ class TestEncodeColumns:
         assert np.allclose(m[:, 0], [1, 2, 3])
 
     def test_text_label_encoding(self):
-        cols = {"a": np.array(["x", "y", "x"], dtype=object)}
-        m = encode_columns(cols)
+        """A TEXT column is its label codes; its values are not read."""
+        cols = {"a": np.array(["x", "y", "x"], dtype=object), "n": np.ones(3)}
+        m = encode_columns(cols, codes=text_codes(cols))
         assert m[:, 0].tolist() == [0.0, 1.0, 0.0]
+        assert m[:, 1].tolist() == [1.0, 1.0, 1.0]
+        with pytest.raises(KeyError):
+            encode_columns(cols)
 
     def test_nan_filled_with_mean(self):
         cols = {"a": np.array([1.0, np.nan, 3.0])}
@@ -101,17 +116,23 @@ class TestClustering:
         assert [c.representative for c in clusters] == ["a", "z"]
 
     def test_categorical_identity_redundancy(self, rng):
-        # An id column and its name column are perfectly correlated.
+        # A code column and the name column it determines are perfectly
+        # associated (Cramér's V; their label codes are a permutation).
         ids = rng.integers(0, 5, size=400)
-        names = np.array([f"name{i}" for i in ids], dtype=object)
-        cols = {"player_id": ids.astype(float), "player_name": names}
-        clusters = cluster_attributes(cols, threshold=0.9)
+        cols = {
+            "player_code": np.array([f"#{i}" for i in ids], dtype=object),
+            "player_name": np.array([f"name{i}" for i in ids], dtype=object),
+        }
+        clusters = cluster_attributes(
+            cols, threshold=0.9, codes=text_codes(cols)
+        )
         assert len(clusters) == 1
 
 
 class TestKernelCodeReuse:
-    """Kernel-supplied first-occurrence codes must yield the same
-    Cramér's V values and the same clusters as from-scratch encoding."""
+    """Codes gathered from a table-level encoding through row indices
+    (how every APT's kernel gets them) must yield the same Cramér's V
+    values and the same clusters as encoding the gathered column itself."""
 
     def make_columns(self, rng, with_nulls=True):
         cats = ["red", "green", "blue"]
@@ -130,34 +151,44 @@ class TestKernelCodeReuse:
         )
         return {"a": a, "b": b, "c": c, "n": rng.normal(size=300)}
 
-    def kernel_codes(self, cols):
+    def gathered(self, cols, rng):
+        """``(gathered columns, their gathered codes)``: ``cols`` is a
+        base table, read through a row sample with repeats as a join's
+        index vector would."""
         from repro.core.kernel import MiningKernel
 
-        n = len(next(iter(cols.values())))
-        kernel = MiningKernel(cols, np.arange(n), m1=n)
-        return {
-            name: codes
-            for name in cols
-            if (codes := kernel.ml_codes(name)) is not None
-        }
+        rows = rng.integers(0, 300, size=200)
+        kernel = MiningKernel(
+            {name: None for name in cols if cols[name].dtype == object},
+            np.arange(len(rows)),
+            m1=len(rows),
+            encodings={
+                name: (encode_object_column(values), rows)
+                for name, values in cols.items()
+                if values.dtype == object
+            },
+        )
+        sampled = {name: values[rows] for name, values in cols.items()}
+        codes = {name: kernel.ml_codes(name) for name in text_codes(sampled)}
+        return sampled, codes
 
     def test_cramers_v_identical(self, rng):
         from repro.ml import cramers_v
 
-        cols = self.make_columns(rng)
-        codes = self.kernel_codes(cols)
+        cols, gathered = self.gathered(self.make_columns(rng), rng)
+        direct = text_codes(cols)
         for x, y in (("a", "b"), ("a", "c"), ("b", "c")):
-            assert cramers_v(cols[x], cols[y]) == cramers_v(
-                cols[x], cols[y], a_codes=codes[x], b_codes=codes[y]
+            assert cramers_v(direct[x], direct[y]) == cramers_v(
+                gathered[x], gathered[y]
             )
+        assert cramers_v(direct["a"], direct["b"]) == pytest.approx(1.0)
 
     def test_clusters_identical(self, rng):
-        cols = self.make_columns(rng)
-        codes = self.kernel_codes(cols)
-        without = cluster_attributes(cols, threshold=0.9, same_type_only=True)
-        with_codes = cluster_attributes(
-            cols, threshold=0.9, same_type_only=True, codes=codes
+        cols, gathered = self.gathered(self.make_columns(rng), rng)
+        without = cluster_attributes(
+            cols, threshold=0.9, codes=text_codes(cols)
         )
+        with_codes = cluster_attributes(cols, threshold=0.9, codes=gathered)
         assert without == with_codes
         grouped = {frozenset(c.members) for c in with_codes}
         assert frozenset({"a", "b"}) in grouped
@@ -165,16 +196,19 @@ class TestKernelCodeReuse:
     def test_association_matrix_identical(self, rng):
         from repro.ml import association_matrix
 
-        cols = self.make_columns(rng, with_nulls=False)
-        codes = self.kernel_codes(cols)
+        cols, gathered = self.gathered(
+            self.make_columns(rng, with_nulls=False), rng
+        )
         np.testing.assert_array_equal(
-            association_matrix(cols), association_matrix(cols, codes=codes)
+            association_matrix(cols, codes=text_codes(cols)),
+            association_matrix(cols, codes=gathered),
         )
 
 
 class TestSameTypeOnly:
-    """Feature selection clusters with ``same_type_only=True``: the
-    numeric×categorical associations are never read, so never computed."""
+    """Association is measured within a kind: a numeric and a
+    categorical attribute never merge, and no numeric column is ever
+    binned to find out."""
 
     def make_columns(self, rng):
         base = rng.integers(0, 6, size=250)
@@ -190,34 +224,40 @@ class TestSameTypeOnly:
         }
 
     def test_same_type_entries_unchanged_cross_type_zero(self, rng):
-        from repro.ml import association_matrix
+        from repro.ml import association_matrix, cramers_v
 
         cols = self.make_columns(rng)
-        full = association_matrix(cols)
-        same = association_matrix(cols, same_type_only=True)
-        is_text = np.array([cols[n].dtype == object for n in cols])
+        codes = text_codes(cols)
+        names = list(cols)
+        matrix = association_matrix(cols, codes=codes)
+        is_text = np.array([cols[n].dtype == object for n in names])
         same_type = is_text[:, None] == is_text[None, :]
-        np.testing.assert_array_equal(same[same_type], full[same_type])
-        assert (full[~same_type] > 0).any()
-        assert not same[~same_type].any()
-
-    def test_clusters_equal_those_of_the_full_matrix(self, rng, monkeypatch):
-        import repro.ml.varclus as varclus
-
-        cols = self.make_columns(rng)
-        fast = cluster_attributes(cols, threshold=0.9, same_type_only=True)
-        full_matrix = varclus.association_matrix
-        monkeypatch.setattr(
-            varclus,
-            "association_matrix",
-            lambda columns, same_type_only=False, **rest: full_matrix(
-                columns, **rest
+        assert not matrix[~same_type].any()
+        numeric = [n for n in names if n not in codes]
+        np.testing.assert_array_equal(matrix, matrix.T)
+        np.testing.assert_array_equal(
+            np.triu(matrix[np.ix_(~is_text, ~is_text)]),
+            np.triu(
+                correlation_matrix(
+                    np.column_stack([cols[n] for n in numeric])
+                )
             ),
         )
-        assert cluster_attributes(
-            cols, threshold=0.9, same_type_only=True
-        ) == fast
-        assert {frozenset(c.members) for c in fast} == {
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                if i < j and a in codes and b in codes:
+                    assert matrix[i, j] == matrix[j, i] == cramers_v(
+                        codes[a], codes[b]
+                    )
+
+    def test_clusters_equal_those_of_the_full_matrix(self, rng):
+        """``id`` determines ``name`` as surely as ``alias`` does, but
+        only same-kind attributes cluster."""
+        cols = self.make_columns(rng)
+        clusters = cluster_attributes(
+            cols, threshold=0.9, codes=text_codes(cols)
+        )
+        assert {frozenset(c.members) for c in clusters} == {
             frozenset({"id", "id_scaled"}),
             frozenset({"noise"}),
             frozenset({"name", "alias"}),
@@ -225,16 +265,24 @@ class TestSameTypeOnly:
         }
 
     def test_numeric_columns_are_not_binned(self, rng, monkeypatch):
+        """Cramér's V is computed for the three categorical pairs and
+        nothing else gets label codes."""
         import repro.ml.varclus as varclus
 
-        def no_numeric(values, max_bins=12):
-            assert values.dtype == object, "numeric column quantile-binned"
-            return original(values, max_bins)
+        cols = self.make_columns(rng)
+        codes = text_codes(cols)
+        leveled = []
+        original = varclus._with_levels
 
-        original = varclus._codes
-        monkeypatch.setattr(varclus, "_codes", no_numeric)
-        cluster_attributes(
-            self.make_columns(rng), threshold=0.9, same_type_only=True
+        def recording(column_codes):
+            leveled.append(column_codes)
+            return original(column_codes)
+
+        monkeypatch.setattr(varclus, "_with_levels", recording)
+        cluster_attributes(cols, threshold=0.9, codes=codes)
+        assert len(leveled) == 3
+        assert all(
+            any(seen is codes[name] for name in codes) for seen in leveled
         )
 
     def test_contingency_table_matches_scatter_add(self, rng):
@@ -246,6 +294,4 @@ class TestSameTypeOnly:
         np.add.at(table, (a, b), 1.0)
         expected = table.sum(1, keepdims=True) @ table.sum(0, keepdims=True) / 500
         chi2 = np.nansum((table - expected) ** 2 / expected)
-        assert cramers_v(None, None, a_codes=a, b_codes=b) == float(
-            np.sqrt(min(1.0, chi2 / (500 * 4)))
-        )
+        assert cramers_v(a, b) == float(np.sqrt(min(1.0, chi2 / (500 * 4))))

@@ -47,6 +47,7 @@ from repro.core.timing import (
 from repro.datasets.workloads import query_by_name
 from repro.db import ColumnType, TableSchema
 from repro.db.relation import Relation
+from repro.db.relation import encode_object_column
 from repro.ml import association_matrix
 from repro.serving import canonical_payload
 from tests.oracles import selection as oracle
@@ -354,20 +355,31 @@ class TestPairKey:
         rng = np.random.default_rng(5)
         a = np.array(rng.choice(list("pqr"), 40), dtype=object)
         b = np.array(rng.choice(list("pq"), 40), dtype=object)
+        a_codes = encode_object_column(a).codes
+        b_codes = encode_object_column(b).codes
         memo: dict[tuple, float] = {}
         value = association_matrix(
-            {"x": a, "y": b}, pair_memo=memo, digests={"x": "A", "y": "B"}
+            {"x": a, "y": b},
+            codes={"x": a_codes, "y": b_codes},
+            pair_memo=memo,
+            digests={"x": "A", "y": "B"},
         )[0, 1]
         assert memo == {("A", "B"): value}
         # Swapped: the transposed table is another computation.
         association_matrix(
-            {"x": b, "y": a}, pair_memo=memo, digests={"x": "B", "y": "A"}
+            {"x": b, "y": a},
+            codes={"x": b_codes, "y": a_codes},
+            pair_memo=memo,
+            digests={"x": "B", "y": "A"},
         )
         assert set(memo) == {("A", "B"), ("B", "A")}
         # Renamed, same order: read back, not recomputed.
         memo[("A", "B")] = 0.125
         hit = association_matrix(
-            {"p": a, "q": b}, pair_memo=memo, digests={"p": "A", "q": "B"}
+            {"p": a, "q": b},
+            codes={"p": a_codes, "q": b_codes},
+            pair_memo=memo,
+            digests={"p": "A", "q": "B"},
         )
         assert hit[0, 1] == hit[1, 0] == 0.125
         assert len(memo) == 2

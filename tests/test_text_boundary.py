@@ -1,0 +1,169 @@
+"""A TEXT cell is ``str`` or ``None`` — checked once, where a table enters.
+
+Every way a dictionary gets into the process — encoding a relation's
+object column (on demand, or eagerly when the catalog registers the
+table) and loading a saved column store's value dictionary — fails
+closed on an ``int``, a float NaN or a ``list``, with a
+:class:`SchemaError` naming table and column.  Nothing past the
+boundary keeps a path for such cells (``docs/ARCHITECTURE.md``, "Values
+and NULLs").
+
+CI runs this file under the fixed deterministic hypothesis profile
+(``HYPOTHESIS_PROFILE=ci``), beside the join differential harness.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import MiningKernel
+from repro.db import ColumnType, Database, Relation, TableSchema
+from repro.db.errors import SchemaError
+from repro.db.relation import encode_object_column
+
+settings.register_profile(
+    "ci", settings(max_examples=200, deadline=None, derandomize=True)
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+BAD_CELLS = {"int": 5, "nan": float("nan"), "list": ["x"]}
+TEXT = st.one_of(st.none(), st.text(max_size=3))
+
+
+def object_column(cells: list) -> np.ndarray:
+    column = np.empty(len(cells), dtype=object)
+    for i, cell in enumerate(cells):
+        column[i] = cell  # element-wise: a list cell stays one cell
+    return column
+
+
+def relation_with(cells: list) -> Relation:
+    """Table ``t`` with a TEXT column ``s`` holding ``cells`` as given
+    (``from_rows`` would coerce them; arrays are taken as they are)."""
+    schema = TableSchema.build(
+        "t", {"k": ColumnType.INT, "s": ColumnType.TEXT}
+    )
+    columns = {
+        "k": np.arange(len(cells), dtype=np.int64),
+        "s": object_column(cells),
+    }
+    return Relation(schema, columns)
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS.values(), ids=BAD_CELLS.keys())
+class TestNonTextCellIsRejected:
+    def test_relation_encoding(self, cell):
+        relation = relation_with(["a", None, cell])
+        with pytest.raises(SchemaError, match=r"t\.s"):
+            relation.encoding("s")
+        # Every consumer of the codes stops at the same place.
+        for consume in (
+            relation.encode_categoricals,
+            relation.distinct,
+            lambda: relation.sort_index("s"),
+        ):
+            with pytest.raises(SchemaError, match=r"t\.s"):
+                consume()
+
+    def test_add_relation(self, cell):
+        db = Database("d")
+        with pytest.raises(SchemaError, match=r"t\.s"):
+            db.add_relation(relation_with([cell, "a"]))
+        assert not db.has_table("t")
+
+    def test_primary_key_check(self, cell):
+        schema = TableSchema.build(
+            "t", {"s": ColumnType.TEXT}, primary_key=("s",)
+        )
+        relation = Relation(schema, {"s": object_column(["a", cell])})
+        with pytest.raises(SchemaError, match=r"t\.s"):
+            relation._check_primary_key()
+
+    def test_tampered_dicts_pkl(self, cell, tmp_path):
+        db = Database("d")
+        db.add_relation(relation_with(["a", None, "b"]))
+        db.save(tmp_path)
+        path = tmp_path / "t.dicts.pkl"
+        dicts = pickle.loads(path.read_bytes())
+        assert dicts == {"s": ["a", None, "b"]}
+        dicts["s"][2] = cell
+        path.write_bytes(pickle.dumps(dicts))
+
+        reopened = Database.open(tmp_path)  # nothing is read at open
+        assert reopened.column_store.dicts_loaded == 0
+        table = reopened.table("t")
+        assert table.encoding("s").codes.tolist() == [0, 1, 2]
+        with pytest.raises(SchemaError, match=r"t\.s"):
+            table.column("s")
+        with pytest.raises(SchemaError, match=r"t\.s"):
+            table.encoding("s").code_of.get("a")
+        assert reopened.column_store.dicts_loaded == 0
+
+    def test_mining_kernel(self, cell):
+        with pytest.raises(SchemaError, match="cat"):
+            MiningKernel(
+                {"cat": object_column(["x", cell])}, np.arange(2), m1=1
+            )
+
+
+def test_ingest_coerces_before_the_check():
+    """``create_table`` / ``from_rows`` are ingest: they map NaN to NULL
+    and ``str()`` the rest, so what they hand the encoder is text."""
+    db = Database("d")
+    db.create_table(
+        TableSchema.build("t", {"s": ColumnType.TEXT}),
+        [(5,), (float("nan"),), ("a",), (None,)],
+    )
+    assert db.table("t").column("s").tolist() == ["5", None, "a", None]
+    assert db.table("t").encoding("s").none_code == 1
+
+
+def test_old_format_store_is_refused(tmp_path):
+    db = Database("d")
+    db.add_relation(relation_with(["a"]))
+    db.save(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["format"] == 2
+    assert "null_codes" not in json.dumps(manifest)
+    manifest["format"] = 1
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError, match="unsupported column-store format"):
+        Database.open(tmp_path)
+
+
+class TestTextColumnsAlwaysEncode:
+    @given(cells=st.lists(TEXT, max_size=30))
+    def test_codes_round_trip_and_null_is_minus_one(self, cells):
+        encoding = encode_object_column(object_column(cells))
+        decode = [None] * encoding.num_codes
+        for value, code in encoding.code_of.items():
+            decode[code] = value
+        assert [decode[code] for code in encoding.codes] == cells
+        assert encoding.none_code == (
+            decode.index(None) if None in cells else None
+        )
+        assert encoding.match_codes.tolist() == [
+            -1 if cell is None else code
+            for cell, code in zip(cells, encoding.codes.tolist())
+        ]
+        rows = np.arange(len(cells))[::2]
+        assert np.array_equal(
+            encoding.gather_match(rows), encoding.match_codes[rows]
+        )
+
+    @given(
+        cells=st.lists(TEXT, max_size=12),
+        bad=st.sampled_from(list(BAD_CELLS.values())),
+        position=st.integers(min_value=0, max_value=12),
+    )
+    def test_one_bad_cell_anywhere_is_found(self, cells, bad, position):
+        cells.insert(min(position, len(cells)), bad)
+        with pytest.raises(SchemaError, match=r"t\.s"):
+            relation_with(cells).encoding("s")
