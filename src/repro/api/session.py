@@ -60,9 +60,6 @@ from ..core.timing import (
     APT_CACHE_MEDIAN_ENTRY_BYTES,
     APT_CACHE_MISSES,
     JG_ENUMERATION,
-    JOIN_PERMUTATION_REUSES,
-    JOIN_SEARCHSORTED_PROBES,
-    JOIN_WINDOWS_BUILT,
     MATERIALIZE_APTS,
     StepTimer,
 )
@@ -424,11 +421,6 @@ class CajadeSession:
                 APT_CACHE_MEDIAN_ENTRY_BYTES,
                 engine_delta.cache.median_entry_bytes,
             )
-        timer.count(JOIN_WINDOWS_BUILT, engine_delta.windows_built)
-        timer.count(
-            JOIN_SEARCHSORTED_PROBES, engine_delta.searchsorted_probes
-        )
-        timer.count(JOIN_PERMUTATION_REUSES, engine_delta.permutation_reuses)
 
         if config.use_diversity:
             chosen = select_diverse_top_k(collected, config.top_k)

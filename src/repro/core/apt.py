@@ -35,7 +35,6 @@ from ..db.frame import IndexFrame
 from ..db.provenance import PT_ROW_ID, ProvenanceTable
 from ..db.relation import ColumnEncoding, Relation
 from ..db.types import ColumnType
-from ..db.window_join import SortedWindowStrategy
 from .join_graph import JoinGraph
 
 PT_COLUMN_PREFIX = "prov."
@@ -356,10 +355,9 @@ def materialize_apt(
     """
     current = restrict_base_frame(pt, restrict_row_ids)
     plan = build_plan(join_graph, pt)
-    join = SortedWindowStrategy()
     for step in plan.joins:
         context = db.table(step.table).prefix_columns(f"{step.alias}.")
-        current, _ = join.join_frame(current, context, step.conditions)
+        current = current.join(context, list(step.conditions))
     for step in plan.filters:
         current = apply_filter_step(current, step)
     return _wrap_apt(join_graph, pt, current, db)

@@ -7,8 +7,8 @@ seconds under exactly those labels so the benchmark harness can print the
 same breakdown rows (Figures 7, 9c, 9d).
 
 Alongside seconds, the timer also accumulates named integer *counters*
-(APT cache hits/misses/evictions from the materialization engine, join
-window counts, patterns examined), which the breakdown table reports so
+(APT cache hits/misses/evictions from the materialization engine,
+patterns examined), which the breakdown table reports so
 cache behaviour shows up next to the step costs it explains.
 """
 
@@ -48,16 +48,6 @@ APT_CACHE_MISSES = "APT cache misses"
 APT_CACHE_EVICTIONS = "APT cache evictions"
 APT_CACHE_ENTRIES = "APT cache entries"
 APT_CACHE_MEDIAN_ENTRY_BYTES = "APT cache median entry bytes"
-
-# Canonical counter labels (sorted-window join step).  "Windows
-# built" counts join steps served by the searchsorted window fast path,
-# "searchsorted probes" the probe rows ranged into (lo, hi) windows,
-# and "permutation reuses" the window joins that hit an already-built
-# sort permutation (permutations are built once per table column per
-# process and shared across aliases and engines).
-JOIN_WINDOWS_BUILT = "Join windows built"
-JOIN_SEARCHSORTED_PROBES = "Join searchsorted probes"
-JOIN_PERMUTATION_REUSES = "Join permutation reuses"
 
 # Canonical counter labels (Algorithm 1's level-at-a-time search).
 # "Patterns examined" counts the lattice nodes scored (seeds included),
@@ -132,9 +122,6 @@ ALL_COUNTERS = (
     APT_CACHE_EVICTIONS,
     APT_CACHE_ENTRIES,
     APT_CACHE_MEDIAN_ENTRY_BYTES,
-    JOIN_WINDOWS_BUILT,
-    JOIN_SEARCHSORTED_PROBES,
-    JOIN_PERMUTATION_REUSES,
     PATTERNS_EXAMINED,
     MINING_LEVELS,
     POOL_PATTERNS_BUILT,

@@ -21,9 +21,9 @@ object columns become lazy proxies (see :mod:`repro.db.relation`'s
 lazy-column protocol) whose decode tables unpickle only on the first
 gather that actually needs values.  ``ColumnEncoding`` entries are
 pre-installed with memmap-backed codes and a lazily-filled ``code_of``
-dict, so joins, sort indexes and the mining kernel's code matrices run
-against disk-backed codes without ever materializing value arrays;
-gathers copy at the edge exactly like the in-memory path.
+dict, so the mining kernel's code matrices run against disk-backed
+codes without ever materializing value arrays; gathers (a TEXT join
+key included) copy at the edge exactly like the in-memory path.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ class LazyObjectColumn:
     subset size.
     """
 
-    __slots__ = ("_codes", "_store", "_name", "_cached", "__weakref__")
+    __slots__ = ("_codes", "_store", "_name", "_cached")
 
     dtype = np.dtype(object)
 
@@ -357,19 +357,33 @@ def save_columnar(db: Database, directory: str | Path) -> None:
 # Open
 # ----------------------------------------------------------------------
 def _column_view(
-    buf: np.ndarray | None, meta: dict[str, Any]
+    buf: np.ndarray | None, meta: dict[str, Any], data_file: str
 ) -> np.ndarray:
-    """A zero-copy read-only dtype view into a table's mapped data file."""
+    """A zero-copy read-only dtype view into a table's mapped data file.
+
+    Fails closed: the manifest's ``offset + nbytes`` must lie inside the
+    file and the view must hold exactly the manifest's ``rows`` values,
+    or this raises :class:`SchemaError` naming the file and the column —
+    a truncated or mis-pointed file never opens as a shorter column.
+    """
     dtype = np.dtype(meta["dtype"])
-    nbytes = int(meta["nbytes"])
+    start, nbytes, rows = (
+        int(meta["offset"]), int(meta["nbytes"]), int(meta["rows"])
+    )
+    size = 0 if buf is None else len(buf)
+    where = f"{data_file} column {meta['name']!r}"
+    if start < 0 or nbytes < 0 or start + nbytes > size:
+        raise SchemaError(
+            f"{where}: bytes [{start}, {start + nbytes}) lie outside the "
+            f"{size}-byte data file (truncated or mis-pointed store)"
+        )
+    if nbytes != rows * dtype.itemsize:
+        raise SchemaError(
+            f"{where}: {nbytes} bytes do not hold the manifest's {rows} "
+            f"{dtype} values"
+        )
     if nbytes == 0:
         return np.empty(0, dtype=dtype)
-    if buf is None:
-        raise SchemaError(
-            f"manifest references {nbytes} data bytes but the table's "
-            "data file is empty"
-        )
-    start = int(meta["offset"])
     return buf[start:start + nbytes].view(dtype)
 
 
@@ -409,9 +423,9 @@ def open_columnar(directory: str | Path) -> Database:
             schema_columns.append(Column(cname, ColumnType(meta["type"])))
             kind = meta["kind"]
             if kind == KIND_NUMERIC:
-                columns[cname] = _column_view(buf, meta)
+                columns[cname] = _column_view(buf, meta, data_path.name)
             elif kind == KIND_ENCODED:
-                codes = _column_view(buf, meta)
+                codes = _column_view(buf, meta, data_path.name)
                 columns[cname] = LazyObjectColumn(codes, store, cname)
                 loader = _decode_loader(store, cname)
                 encodings[cname] = ColumnEncoding(

@@ -127,29 +127,14 @@ class Database:
     # Statistics
     # ------------------------------------------------------------------
     def warm_join_indexes(self) -> int:
-        """Eagerly build sort indexes for declared foreign-key columns.
+        """Do nothing and return 0.
 
-        The sorted-window join strategy builds each per-column sort
-        permutation lazily on first probe; serving deployments can call
-        this after load so the first request never pays the argsort.
-        Joins key on the FK endpoints (both directions of the schema
-        graph), so those columns are warmed.  Returns the number of
-        indexable FK endpoint columns; idempotent — repeated calls
-        reuse the process-shared indexes.
+        Joins build no per-column index (every plan join step runs the
+        hash core, ``IndexFrame.join``), so there is nothing to warm.
+        Kept only because ``benchmarks/e2e/workloads.py`` still calls it;
+        ROADMAP direction 1 deletes the call and this method together.
         """
-        warmed = 0
-        for fk in self._foreign_keys:
-            for table, columns in (
-                (fk.table, fk.columns),
-                (fk.ref_table, fk.ref_columns),
-            ):
-                relation = self._tables.get(table)
-                if relation is None:
-                    continue
-                for column in columns:
-                    if relation.sort_index(column) is not None:
-                        warmed += 1
-        return warmed
+        return 0
 
     def statistics(self, name: str) -> "TableStatistics":
         """Cached per-table statistics for the cost model."""

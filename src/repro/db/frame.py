@@ -29,6 +29,8 @@ from .relation import ColumnEncoding, Relation
 from .schema import TableSchema
 from .types import ColumnType
 
+_INT32_MAX = 2**31 - 1
+
 
 class IndexFrame:
     """A late-materialized view over one or more source relations.
@@ -142,9 +144,24 @@ class IndexFrame:
 
         Source relations are shared (base tables, the provenance table,
         memoized prefixed contexts), so a frame's true incremental cost
-        in the prefix trie is its per-source int64 row arrays.
+        in the prefix trie is its per-source row arrays.
         """
         return sum(idx.nbytes for idx in self.rows if idx is not None)
+
+    def compact(self) -> "IndexFrame":
+        """The same frame with its row vectors cast to int32 where every
+        source fits, halving what the engine's prefix trie holds per
+        cached step.  Values are unchanged, so gathers and joins over
+        the result produce identical bytes."""
+        if all(idx is None or idx.dtype == np.int32 for idx in self.rows):
+            return self
+        if any(source.num_rows > _INT32_MAX for source in self.sources):
+            return self
+        rows = tuple(
+            None if idx is None else idx.astype(np.int32, copy=False)
+            for idx in self.rows
+        )
+        return IndexFrame(self.sources, rows)
 
     def __repr__(self) -> str:
         return (

@@ -58,6 +58,12 @@ _UNSUPPORTED = {
     "case": "CASE expressions",
 }
 
+# Deepest nesting the recursive descent accepts: parentheses, NOT and
+# each arithmetic operator of a chain each count one level.  Deeper
+# input is a ParseError, never a RecursionError in the parser or in
+# whatever walks the expression tree afterwards.
+MAX_NESTING_DEPTH = 100
+
 
 def tokenize(sql: str) -> list[str]:
     """Split SQL text into tokens, preserving quoted strings."""
@@ -80,6 +86,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------
     def peek(self) -> str | None:
@@ -108,6 +115,16 @@ class _Parser:
             self.pos += 1
             return True
         return False
+
+    def descend(self) -> None:
+        """Enter one more level of nesting (see :data:`MAX_NESTING_DEPTH`);
+        the caller restores ``depth`` when it returns."""
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise ParseError(
+                f"SQL nests deeper than {MAX_NESTING_DEPTH} levels "
+                "(parentheses, NOT, arithmetic operators)"
+            )
 
     def _check_unsupported(self, token: str) -> None:
         feature = _UNSUPPORTED.get(token.lower())
@@ -250,14 +267,19 @@ class _Parser:
         return And(tuple(parts))
 
     def parse_not(self) -> Predicate:
+        entry = self.depth
         if self.accept("not"):
-            return Not(self.parse_not())
-        if self.peek() == "(" and self._paren_is_predicate():
+            self.descend()
+            inner = Not(self.parse_not())
+        elif self.peek() == "(" and self._paren_is_predicate():
             self.advance()
+            self.descend()
             inner = self.parse_predicate()
             self.expect(")")
-            return inner
-        return self.parse_comparison()
+        else:
+            inner = self.parse_comparison()
+        self.depth = entry
+        return inner
 
     def _paren_is_predicate(self) -> bool:
         """Lookahead: does this parenthesized group contain a comparison?"""
@@ -288,26 +310,34 @@ class _Parser:
 
     # -- scalar expressions ---------------------------------------------
     def parse_expression(self) -> Expression:
+        entry = self.depth
         left = self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.advance()
+            self.descend()
             right = self.parse_term()
             left = Arithmetic(op=op, left=left, right=right)
+        self.depth = entry
         return left
 
     def parse_term(self) -> Expression:
+        entry = self.depth
         left = self.parse_factor()
         while self.peek() in ("*", "/"):
             op = self.advance()
+            self.descend()
             right = self.parse_factor()
             left = Arithmetic(op=op, left=left, right=right)
+        self.depth = entry
         return left
 
     def parse_factor(self) -> Expression:
         tok = self.advance()
         if tok == "(":
+            self.descend()
             inner = self.parse_expression()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.startswith("'"):
             return Literal(tok[1:-1].replace("''", "'"))
@@ -322,8 +352,10 @@ class _Parser:
                 self.advance()
                 self.expect(")")
                 return AggregateCall(func=lowered, argument=None)
+            self.descend()
             argument = self.parse_expression()
             self.expect(")")
+            self.depth -= 1
             return AggregateCall(func=lowered, argument=argument)
         self._check_unsupported(tok)
         if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9.]*", tok):

@@ -20,8 +20,6 @@ vectorized ``distinct`` / primary-key paths dedup on them.
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -162,161 +160,6 @@ def encoding_from_distinct(
     )
 
 
-# ----------------------------------------------------------------------
-# Sort indexes (window-join support)
-# ----------------------------------------------------------------------
-# Process-wide counter backing SortIndex.token.  Tokens identify the
-# permutation arrays for shared-byte accounting in the engine's prefix
-# trie: two cache entries carrying the same token reference the same
-# arrays and must be charged for them exactly once.
-_SORT_TOKEN_COUNTER = itertools.count(1)
-
-# Column array id -> SortIndex.  Sort indexes are a property of the
-# *array* (all aliases/projections of a base table share its arrays), so
-# the registry guarantees one permutation per table column per process
-# even when derived relations are created at different times and never
-# exchanged inheritance.  Entries are removed when the array is
-# garbage-collected, so a recycled id can never alias a stale index.
-_SORT_INDEX_REGISTRY: dict[int, "SortIndex"] = {}
-
-_INT32_MAX = 2**31 - 1
-
-
-class SortIndex:
-    """A stable sort permutation over one column's join-key domain.
-
-    ``perm`` lists the column's row indices ordered ascending by join
-    key (stable, so rows with equal keys keep ascending row order —
-    exactly the within-group order the hash core's stable argsort
-    produces).  ``keys`` is the key domain gathered in that order:
-
-    * object (TEXT) columns sort their :class:`ColumnEncoding`
-      ``match_codes`` — NULL rows (code ``-1``) land in one run at
-      the front, which probes must mask (a translated probe code of
-      ``-1`` means *no match*, never "the NULL run");
-    * numeric columns sort raw values — float NaN rows sort to the tail
-      and ``n_valid`` bounds the searchable prefix.
-
-    Instances are immutable and shared process-wide per column array
-    (see :func:`shared_sort_index`); ``token`` identifies the arrays for
-    charge-once byte accounting in caches.
-    """
-
-    __slots__ = ("token", "perm", "keys", "n_valid", "encoding",
-                 "_translations")
-
-    def __init__(
-        self,
-        perm: np.ndarray,
-        keys: np.ndarray,
-        n_valid: int,
-        encoding: ColumnEncoding | None,
-    ):
-        self.token = next(_SORT_TOKEN_COUNTER)
-        self.perm = perm
-        self.keys = keys
-        self.n_valid = n_valid
-        self.encoding = encoding
-        # id(probe encoding) -> (probe encoding, translation array).
-        # The strong reference keeps the keyed id stable; ColumnEncoding
-        # is an eq-dataclass (unhashable), so identity keying is the
-        # only sound option — and the right one, since encodings are
-        # built once per table and shared by every derived relation.
-        self._translations: dict[
-            int, tuple[ColumnEncoding, np.ndarray]
-        ] = {}
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the shared arrays (perm + sorted keys)."""
-        return self.perm.nbytes + self.keys.nbytes
-
-    def translation(self, probe: ColumnEncoding) -> np.ndarray:
-        """Map a probe column's codes into this build column's codes.
-
-        Entry ``t[c]`` is the build-side match code of probe code ``c``,
-        or ``-1`` when the probed value is NULL or absent from the
-        build side (either way: no match).  Built once per probe
-        encoding.
-        """
-        assert self.encoding is not None
-        key = id(probe)
-        hit = self._translations.get(key)
-        if hit is not None:
-            return hit[1]
-        build_code_of = self.encoding.code_of
-        table = np.full(probe.num_codes, -1, dtype=np.int32)
-        for value, code in probe.code_of.items():
-            build = build_code_of.get(value)
-            if value is not None and build is not None:
-                table[code] = build
-        self._translations[key] = (probe, table)
-        return table
-
-
-def build_sort_index(
-    arr: np.ndarray, encoding: ColumnEncoding | None
-) -> SortIndex | None:
-    """Build a :class:`SortIndex` for one column array, or ``None``.
-
-    ``None`` marks columns the window-join fast path cannot serve:
-    exotic dtypes and arrays too large for int32 permutations — callers
-    fall back to the hash core.  ``encoding`` is the column's
-    dictionary encoding for an object column, ``None`` otherwise.
-    """
-    if len(arr) > _INT32_MAX:
-        return None
-    if arr.dtype == object:
-        match = encoding.match_codes
-        perm = np.argsort(match, kind="stable")
-        return SortIndex(
-            perm=perm.astype(np.int32),
-            keys=match[perm],
-            n_valid=len(arr),
-            encoding=encoding,
-        )
-    if arr.ndim == 1 and arr.dtype.kind in "if":
-        perm = np.argsort(arr, kind="stable")  # NaNs sort to the tail
-        keys = arr[perm]
-        n_valid = len(arr)
-        if arr.dtype.kind == "f":
-            n_valid -= int(np.isnan(arr).sum())
-        return SortIndex(
-            perm=perm.astype(np.int32),
-            keys=keys,
-            n_valid=n_valid,
-            encoding=None,
-        )
-    return None
-
-
-def shared_sort_index(
-    arr: np.ndarray, encoding: ColumnEncoding | None
-) -> SortIndex | None:
-    """The process-shared sort index of a column array (built once).
-
-    Keyed by array identity: every relation sharing the array (aliases,
-    projections, renames — and independently derived ones) reuses the
-    same permutation.  A fresh array (``take``/``concat`` copies, or an
-    array whose id was recycled after garbage collection) always gets a
-    fresh index.
-    """
-    key = id(arr)
-    index = _SORT_INDEX_REGISTRY.get(key)
-    if index is not None:
-        return index
-    index = build_sort_index(arr, encoding)
-    if index is not None:
-        try:
-            weakref.finalize(arr, _SORT_INDEX_REGISTRY.pop, key, None)
-        except TypeError:
-            # Un-weakref-able array: still usable, just not registered
-            # (registering without cleanup could alias a recycled id).
-            return index
-        _SORT_INDEX_REGISTRY[key] = index
-    return index
-
-
 def _column_array(values: Sequence[Any], ctype: ColumnType) -> np.ndarray:
     """Build the storage array for one column, handling NULL promotion."""
     has_null = any(v is None for v in values)
@@ -345,8 +188,8 @@ def _column_array(values: Sequence[Any], ctype: ColumnType) -> np.ndarray:
 # out-of-core column store (repro.db.colstore) installs such proxies for
 # object columns so opening a saved database never unpickles a value
 # dictionary it does not touch.  The proxy object itself stays in
-# ``_columns`` forever — array-identity registries (sort indexes) and
-# inherited encodings key on the slot value, which must not change.
+# ``_columns`` forever — inherited encodings are shared by every
+# relation holding the same slot, which must not change.
 
 
 def _column_values(arr: Any) -> np.ndarray:
@@ -366,9 +209,7 @@ def _gather_values(arr: Any, rows: np.ndarray) -> np.ndarray:
 class Relation:
     """An immutable columnar table: a schema plus one array per column."""
 
-    __slots__ = (
-        "schema", "_columns", "_nrows", "_encodings", "_sort_indexes",
-    )
+    __slots__ = ("schema", "_columns", "_nrows", "_encodings")
 
     def __init__(self, schema: TableSchema, columns: dict[str, np.ndarray]):
         if set(columns) != set(schema.column_names):
@@ -386,11 +227,6 @@ class Relation:
         # Lazily filled; derived relations sharing a column array
         # inherit its entry (see rename/rename_columns).
         self._encodings: dict[str, ColumnEncoding | None] = {}
-        # Column name -> SortIndex (or None when the column cannot carry
-        # one).  Same lifecycle as _encodings; the process-wide registry
-        # in shared_sort_index backstops relations derived without
-        # inheritance.
-        self._sort_indexes: dict[str, SortIndex | None] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -598,59 +434,14 @@ class Relation:
             if self._columns[col.name].dtype == object:
                 self.encoding(col.name)
 
-    def sort_index(self, name: str) -> SortIndex | None:
-        """The shared sort permutation over a column's join-key domain.
-
-        Built lazily, once per column array per process: the result is
-        cached on this relation, inherited by derived relations that
-        share the array (rename, projection, prefixing — exactly like
-        :meth:`encoding`), and deduplicated across independently derived
-        aliases through a process-wide array-identity registry.  Returns
-        ``None`` for columns the window-join path cannot index (exotic
-        dtypes); ``take``/``concat`` results copy their arrays and
-        therefore rebuild.
-        """
-        if name in self._sort_indexes:
-            return self._sort_indexes[name]
-        if name not in self._columns:
-            raise SchemaError(f"no column {name!r} in {self.schema.name!r}")
-        # The raw slot (a proxy for disk-backed object columns) is the
-        # registry key and, for object columns, never touched beyond its
-        # length — building a sort index must not materialize values.
-        arr = self._columns[name]
-        index = shared_sort_index(arr, self.encoding(name))
-        self._sort_indexes[name] = index
-        return index
-
     def _inherit_encodings(
         self, source: "Relation", mapping: dict[str, str] | None = None
     ) -> "Relation":
-        """Adopt ``source``'s cached encodings and sort indexes for
-        shared column arrays."""
-        if mapping is None:
-            self._encodings.update(
-                {
-                    name: enc
-                    for name, enc in source._encodings.items()
-                    if name in self._columns
-                }
-            )
-            self._sort_indexes.update(
-                {
-                    name: index
-                    for name, index in source._sort_indexes.items()
-                    if name in self._columns
-                }
-            )
-        else:
-            for name, enc in source._encodings.items():
-                new_name = mapping.get(name, name)
-                if new_name in self._columns:
-                    self._encodings[new_name] = enc
-            for name, index in source._sort_indexes.items():
-                new_name = mapping.get(name, name)
-                if new_name in self._columns:
-                    self._sort_indexes[new_name] = index
+        """Adopt ``source``'s cached encodings for shared column arrays."""
+        for name, enc in source._encodings.items():
+            new_name = name if mapping is None else mapping.get(name, name)
+            if new_name in self._columns:
+                self._encodings[new_name] = enc
         return self
 
     def row(self, index: int) -> tuple[Any, ...]:

@@ -1,8 +1,8 @@
 """The explanation engine: shared-prefix APT materialization.
 
 Layering: db → core → engine → api → cli.  The engine consumes the
-canonical materialization plans of :mod:`repro.core.apt` and the
-sorted-window join step of :mod:`repro.db.window_join`;
+canonical materialization plans of :mod:`repro.core.apt` and joins
+them on :class:`~repro.db.frame.IndexFrame` index vectors;
 :class:`repro.api.CajadeSession` drives it (one long-lived engine per
 registered query) and the CLI surfaces its budget (``--apt-cache-mb``)
 and cache statistics.

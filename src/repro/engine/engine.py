@@ -19,13 +19,11 @@ prefix.  See :mod:`repro.core.apt` for the full statement.
 The pipeline is *late-materialized*: intermediates are
 :class:`~repro.db.frame.IndexFrame` row-index vectors over the
 provenance relation and the prefixed context tables, and each join step
-runs through :class:`~repro.db.window_join.SortedWindowStrategy`, which
-serves FK joins as searchsorted windows over shared sort permutations
-and routes every step it cannot mirror to the shared
-``join_row_indices`` hash core.  The trie caches what the step hands
-back — a compact :class:`~repro.db.window_join.WindowEntry` on the
-window path, an int32-compacted frame otherwise — so entries shrink by
-roughly the joined width and more prefixes fit per byte.
+is :meth:`~repro.db.frame.IndexFrame.join` (the ``join_row_indices``
+hash core).  The trie caches each step's frame int32-compacted
+(:meth:`~repro.db.frame.IndexFrame.compact`), so entries are roughly
+the joined width times smaller than the joined relation and more
+prefixes fit per byte.
 ``materialize*`` returns gather-on-demand APTs whose mining kernel reads
 load-time dictionary codes straight off the base tables.
 
@@ -58,7 +56,6 @@ from ..core.apt import (
 from ..core.join_graph import JoinGraph
 from ..db.database import Database
 from ..db.frame import IndexFrame
-from ..db.window_join import SortedWindowStrategy, WindowEntry, compact_frame
 from ..db.provenance import ProvenanceTable
 from ..db.relation import Relation
 from .trie import CacheStats, PrefixCache
@@ -122,18 +119,12 @@ class EngineStats:
     trie versus executed; ``full_hits`` counts graphs whose entire plan
     (an isomorphic materialization) was already cached.  ``cache`` holds
     the underlying trie's probe/eviction/byte counters.
-    ``windows_built``/``searchsorted_probes``/``permutation_reuses``
-    mirror the sorted-window join step's counters
-    (:class:`repro.db.window_join.JoinStrategyStats`).
     """
 
     graphs: int = 0
     steps_reused: int = 0
     steps_computed: int = 0
     full_hits: int = 0
-    windows_built: int = 0
-    searchsorted_probes: int = 0
-    permutation_reuses: int = 0
     cache: CacheStats | None = None
 
     def copy(self) -> "EngineStats":
@@ -170,13 +161,6 @@ class EngineStats:
             steps_reused=self.steps_reused - since.steps_reused,
             steps_computed=self.steps_computed - since.steps_computed,
             full_hits=self.full_hits - since.full_hits,
-            windows_built=self.windows_built - since.windows_built,
-            searchsorted_probes=(
-                self.searchsorted_probes - since.searchsorted_probes
-            ),
-            permutation_reuses=(
-                self.permutation_reuses - since.permutation_reuses
-            ),
             cache=cache,
         )
 
@@ -217,7 +201,6 @@ class MaterializationEngine:
             raise ValueError("cache_mb must be >= 0")
         self._pt = pt
         self._db = db
-        self._join = SortedWindowStrategy()
         self._default_restriction = restrict_row_ids
         # Restriction fingerprint -> restricted PT-side base frame.
         # Memoized so re-asked questions reuse the same base object;
@@ -351,11 +334,7 @@ class MaterializationEngine:
         while depth > 0:
             cached = self._cache.get(prefix_key(depth))
             if cached is not None:
-                current = (
-                    cached.expand()
-                    if isinstance(cached, WindowEntry)
-                    else cached
-                )
+                current = cached
                 break
             depth -= 1
         self._steps_reused += depth
@@ -365,30 +344,25 @@ class MaterializationEngine:
         for i in range(depth, len(steps)):
             step = steps[i]
             if isinstance(step, JoinStep):
-                current, cache_value = self._join.join_frame(
-                    current,
+                current = current.join(
                     self._context(step.table, step.alias),
-                    step.conditions,
+                    list(step.conditions),
                 )
             else:
-                current = compact_frame(apply_filter_step(current, step))
-                cache_value = current
+                current = apply_filter_step(current, step)
+            current = current.compact()
             self._steps_computed += 1
-            self._cache.put(prefix_key(i + 1), cache_value)
+            self._cache.put(prefix_key(i + 1), current)
 
         return _wrap_apt(join_graph, self._pt, current, self._db)
 
     # ------------------------------------------------------------------
     @property
     def stats(self) -> EngineStats:
-        join = self._join.stats
         return EngineStats(
             graphs=self._graphs,
             steps_reused=self._steps_reused,
             steps_computed=self._steps_computed,
             full_hits=self._full_hits,
-            windows_built=join.windows_built,
-            searchsorted_probes=join.searchsorted_probes,
-            permutation_reuses=join.permutation_reuses,
             cache=self._cache.refresh_gauges(),
         )

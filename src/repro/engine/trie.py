@@ -10,12 +10,11 @@ shares that graph's whole prefix, so the cache is logically a trie over
 plan steps — stored flat as a dict keyed by prefix tuples, with one LRU
 spine across all prefixes.
 
-Entries are whatever the engine materializes — compact
-:class:`~repro.db.frame.IndexFrame` index-vector frames and
-:class:`~repro.db.window_join.WindowEntry` records, or anything else
-exposing ``estimated_bytes``.  They are roughly the joined table's width
-times smaller than the joined relation, so far more prefixes fit in the
-same byte budget.
+Entries are whatever the engine materializes — int32-compacted
+:class:`~repro.db.frame.IndexFrame` index-vector frames, or anything
+else exposing ``estimated_bytes``.  They are roughly the joined table's
+width times smaller than the joined relation, so far more prefixes fit
+in the same byte budget.
 
 Memory is bounded: each cached entry is charged its ``estimated_bytes``
 and cold prefixes are evicted least-recently-used once the budget is
@@ -36,14 +35,7 @@ from typing import Any, Protocol
 class CacheableEntry(Protocol):
     """Anything the trie can hold: sized, immutable join intermediates.
 
-    ``estimated_bytes`` is the entry's standalone size.  Entries that
-    reference arrays shared with *other* entries (e.g. the sort
-    permutation behind every :class:`~repro.db.window_join.WindowEntry`
-    over one column) may additionally expose ``own_bytes`` (marginal
-    size excluding shared arrays) and ``shared_components`` (a tuple of
-    ``(token, nbytes)`` pairs identifying the shared arrays); the cache
-    then charges each distinct token once, however many live entries
-    reference it — never once per entry.
+    ``estimated_bytes`` is what the cache charges the entry.
     """
 
     @property
@@ -103,16 +95,8 @@ class PrefixCache:
         if capacity_bytes < 0:
             raise ValueError("capacity_bytes must be >= 0")
         self.capacity_bytes = capacity_bytes
-        self._entries: (
-            "OrderedDict[tuple, tuple[Any, int, tuple[tuple[Any, int], ...]]]"
-        ) = OrderedDict()
-        # Shared-component token -> [live reference count, nbytes].
-        # Components (e.g. a window strategy's sort permutation shared
-        # by every entry probing one column) are charged to
-        # current_bytes once on first reference and released when the
-        # last referencing entry leaves — never double-counted, so
-        # window entries cannot inflate evictions.
-        self._shared: dict[Any, list[int]] = {}
+        # Key -> (entry, bytes charged for it).
+        self._entries: "OrderedDict[tuple, tuple[Any, int]]" = OrderedDict()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -120,21 +104,6 @@ class PrefixCache:
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
-
-    @staticmethod
-    def _sizing(value: CacheableEntry) -> tuple[int, tuple]:
-        """``(own_bytes, shared_components)`` of an entry.
-
-        Entries without the shared-component protocol are their
-        ``estimated_bytes`` with nothing shared — identical accounting
-        to the historical cache.
-        """
-        shares = tuple(getattr(value, "shared_components", ()))
-        if shares:
-            own = int(value.own_bytes)
-        else:
-            own = int(value.estimated_bytes)
-        return own, shares
 
     def get(self, key: tuple) -> Any | None:
         """The entry cached under ``key``, refreshing its recency."""
@@ -148,53 +117,30 @@ class PrefixCache:
 
     def put(self, key: tuple, value: CacheableEntry) -> None:
         """Insert ``value`` under ``key``, evicting cold prefixes."""
-        own, shares = self._sizing(value)
-        charge = own + sum(
-            nbytes for token, nbytes in shares if token not in self._shared
-        )
+        charge = int(value.estimated_bytes)
         if self.capacity_bytes <= 0 or charge > self.capacity_bytes:
             self.stats.rejected += 1
             return
         old = self._entries.pop(key, None)
         if old is not None:
-            self._release(old)
-        self._entries[key] = (value, own, shares)
-        self.stats.current_bytes += own
-        for token, nbytes in shares:
-            ref = self._shared.get(token)
-            if ref is None:
-                self._shared[token] = [1, nbytes]
-                self.stats.current_bytes += nbytes
-            else:
-                ref[0] += 1
+            self.stats.current_bytes -= old[1]
+        self._entries[key] = (value, charge)
+        self.stats.current_bytes += charge
         self.stats.insertions += 1
         while self.stats.current_bytes > self.capacity_bytes and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._release(evicted)
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self.stats.current_bytes -= evicted
             self.stats.evictions += 1
         self.stats.peak_bytes = max(
             self.stats.peak_bytes, self.stats.current_bytes
         )
 
-    def _release(self, entry: tuple) -> None:
-        """Return an entry's bytes (and shared refs) to the budget."""
-        _, own, shares = entry
-        self.stats.current_bytes -= own
-        for token, nbytes in shares:
-            ref = self._shared[token]
-            ref[0] -= 1
-            if ref[0] == 0:
-                del self._shared[token]
-                self.stats.current_bytes -= nbytes
-
     def median_entry_bytes(self) -> int:
-        """Median *marginal* entry size over the live entries (0 if
-        empty): each entry's own bytes, shared components excluded —
-        the true per-prefix cost of the cache's population."""
+        """Median charged entry size over the live entries (0 if empty)."""
         if not self._entries:
             return 0
         return int(
-            statistics.median(own for _, own, _ in self._entries.values())
+            statistics.median(charge for _, charge in self._entries.values())
         )
 
     def refresh_gauges(self) -> CacheStats:
@@ -205,7 +151,6 @@ class PrefixCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._shared.clear()
         self.stats.current_bytes = 0
         self.stats.entries = 0
         self.stats.median_entry_bytes = 0

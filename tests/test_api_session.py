@@ -255,6 +255,17 @@ class TestFingerprints:
         assert session.engine_stats(GSW_WINS_SQL) is not None
         assert session.engine_stats("SELECT 1 AS x FROM game g") is None
 
+    def test_non_neutral_field_still_splits_keys(self):
+        """The mining key ignores the budget and nothing else."""
+        from repro.api.session import mining_config_key
+
+        assert mining_config_key(CONFIG) == mining_config_key(
+            CONFIG.with_overrides(apt_cache_mb=CONFIG.apt_cache_mb + 1)
+        )
+        assert mining_config_key(CONFIG) != mining_config_key(
+            CONFIG.with_overrides(seed=CONFIG.seed + 1)
+        )
+
 
 class TestRequestValidation:
     def test_unknown_override_rejected(self):

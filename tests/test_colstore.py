@@ -3,13 +3,15 @@
 Differential suite for :mod:`repro.db.colstore`: a database saved with
 ``Database.save`` and reopened with ``Database.open`` must be
 indistinguishable from the in-memory original through every consumer —
-column materialization, subset gathers, sort indexes, frame joins under
-both registered join strategies, the mining kernel's code matrices, and
-the shared-memory export round-trip — over adversarial inputs (NULL
-text, ``-1`` sentinel ints, float NaN, zero-row tables, all-NULL
-columns).  The lazy-dictionary contract is asserted directly:
-``open`` reads zero value-dict pickles, and only tables whose object
-values are actually gathered ever load one.
+column materialization, subset gathers, frame joins (``IndexFrame.join``,
+the one join core), the mining kernel's code matrices, and the
+shared-memory export round-trip — over adversarial inputs (NULL text,
+``-1`` sentinel ints, float NaN, zero-row tables, all-NULL columns).
+The lazy-dictionary contract is asserted directly: ``open`` reads zero
+value-dict pickles, and only tables whose object values are actually
+gathered ever load one.  A truncated or mis-pointed data file fails
+closed: ``open`` raises a ``SchemaError`` naming ``<table>.bin`` and the
+column instead of opening a shorter column.
 
 Also holds the vectorized-encoding and vectorized-aggregate parity
 properties (this PR's load-path and executor satellites):
@@ -18,11 +20,12 @@ exactly, and ``aggregate``'s vectorized items must match its per-group
 loop byte for byte.
 
 CI runs this file under the deterministic raised-example profile
-(``HYPOTHESIS_PROFILE=ci``), like the join-strategy oracle.
+(``HYPOTHESIS_PROFILE=ci``), like the join differential harness.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -35,9 +38,9 @@ from repro.db import ColumnType, Relation, TableSchema
 from repro.db.colstore import LazyObjectColumn, open_columnar, save_columnar
 from repro.db.database import Database
 from repro.db.frame import IndexFrame
+from repro.db.errors import SchemaError
 from repro.db.relation import encode_object_column, encoding_from_distinct
 from tests.test_engine import assert_relations_identical
-from tests.test_join_strategies import JOIN_PATHS
 
 settings.register_profile(
     "ci", settings(max_examples=200, deadline=None, derandomize=True)
@@ -98,10 +101,12 @@ class TestLazyDictionaries:
             ]
         )
         reopened = _reopened(db, tmp_path)
-        # Numeric columns and sort indexes never need the dictionaries.
+        # Numeric columns and numeric-key joins never need the
+        # dictionaries.
         reopened.table("t").column("t.k")
-        reopened.table("t").sort_index("t.k")
-        reopened.table("u").sort_index("u.s")
+        IndexFrame.from_relation(reopened.table("t")).join(
+            reopened.table("u"), [("t.k", "u.k")]
+        ).column("u.x")
         assert reopened.column_store.dicts_loaded == 0
         # An object-value gather loads exactly its own table's pickle.
         reopened.table("t").column("t.s")
@@ -157,49 +162,37 @@ class TestRoundTripParity:
                 assert list(left) == list(right)
 
     @given(rows=ROWS)
-    def test_sort_indexes(self, rows, tmp_path_factory):
+    def test_self_joins(self, rows, tmp_path_factory):
+        """Each column joined to a prefixed alias of its own table (a
+        self-join on a shared array) — memmap-backed ≡ in-memory."""
         tmp = tmp_path_factory.mktemp("colstore")
         db = _database([_table("t", rows)])
         relation = _reopened(db, tmp).table("t")
         original = db.table("t")
         for name in original.column_names:
-            left = original.sort_index(name)
-            right = relation.sort_index(name)
-            if left is None:
-                assert right is None
-                continue
-            assert right is not None
-            assert np.array_equal(left.perm, right.perm)
-        # Sort indexes on codes never load a value dictionary.
-        assert relation._columns  # opened relation still lazy where object
-        assert db is not None
+            eager, lazy = (
+                IndexFrame.from_relation(side).join(
+                    side.prefix_columns("r_"), [(name, f"r_{name}")]
+                )
+                for side in (original, relation)
+            )
+            assert_relations_identical(eager.to_relation(), lazy.to_relation())
 
     @given(left_rows=ROWS, right_rows=ROWS)
-    def test_joins_both_strategies(
-        self, left_rows, right_rows, tmp_path_factory
-    ):
+    def test_joins(self, left_rows, right_rows, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("colstore")
         db = _database([_table("l", left_rows), _table("r", right_rows)])
         reopened = _reopened(db, tmp)
-        # Two-column keys run the hash core; a one-column key with a
-        # smaller build side takes the window path.
         for conditions in (
             [("l.k", "r.k"), ("l.s", "r.s")], [("l.k", "r.k")], [("l.s", "r.s")]
         ):
-            for make_path in JOIN_PATHS.values():
-                eager, _ = make_path().join_frame(
-                    IndexFrame.from_relation(db.table("l")),
-                    db.table("r"),
-                    conditions,
+            eager, lazy = (
+                IndexFrame.from_relation(source.table("l")).join(
+                    source.table("r"), conditions
                 )
-                lazy, _ = make_path().join_frame(
-                    IndexFrame.from_relation(reopened.table("l")),
-                    reopened.table("r"),
-                    conditions,
-                )
-                assert_relations_identical(
-                    eager.to_relation(), lazy.to_relation()
-                )
+                for source in (db, reopened)
+            )
+            assert_relations_identical(eager.to_relation(), lazy.to_relation())
 
     @given(rows=ROWS)
     def test_kernel_code_matrices(self, rows, tmp_path_factory):
@@ -266,6 +259,64 @@ class TestRoundTripParity:
         fks = reopened.foreign_keys
         assert len(fks) == 1
         assert (fks[0].table, fks[0].ref_table) == ("l", "r")
+
+
+# ----------------------------------------------------------------------
+# A damaged data file fails closed
+# ----------------------------------------------------------------------
+TEN_ROWS = [(i, i / 2, "abcdefghij"[i]) for i in range(10)]
+
+
+def _saved(tmp_path, relation: Relation):
+    directory = tmp_path / "store"
+    save_columnar(_database([relation]), directory)
+    return directory
+
+
+def _truncate(path, nbytes: int) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - nbytes])
+
+
+class TestDamagedDataFile:
+    @pytest.mark.parametrize("cut", ["1", "8", "half"])
+    def test_truncated_file(self, tmp_path, cut):
+        directory = _saved(tmp_path, _table("t", TEN_ROWS))
+        size = (directory / "t.bin").stat().st_size
+        _truncate(directory / "t.bin", size // 2 if cut == "half" else int(cut))
+        with pytest.raises(SchemaError, match=r"t\.bin column 't\.[kxs]'"):
+            open_columnar(directory)
+
+    def test_offset_past_eof(self, tmp_path):
+        directory = _saved(tmp_path, _table("t", TEN_ROWS))
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        column = manifest["tables"]["t"]["columns"][0]
+        column["offset"] = (directory / "t.bin").stat().st_size + 8
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=r"t\.bin column 't\.k'"):
+            open_columnar(directory)
+
+    @pytest.mark.parametrize(
+        "ctype,cells",
+        [
+            (ColumnType.INT, list(range(10))),
+            (ColumnType.FLOAT, [i / 4 for i in range(10)]),
+            (ColumnType.TEXT, list("abcdefghij")),
+        ],
+        ids=["int", "float", "text"],
+    )
+    def test_one_column_table_truncated(self, tmp_path, ctype, cells):
+        """One column, so no ragged-column check can catch a short view:
+        the 10-row table must not open with fewer rows."""
+        relation = Relation.from_rows(
+            TableSchema.build("t", {"t.v": ctype}), [(c,) for c in cells]
+        )
+        directory = _saved(tmp_path, relation)
+        assert open_columnar(directory).table("t").num_rows == 10
+        _truncate(directory / "t.bin", 8)
+        with pytest.raises(SchemaError, match=r"t\.bin column 't\.v'"):
+            open_columnar(directory)
 
 
 # ----------------------------------------------------------------------

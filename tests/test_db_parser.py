@@ -3,7 +3,8 @@
 import pytest
 
 from repro.db import ParseError, parse_sql
-from repro.db.expressions import And, Arithmetic, Comparison, Literal
+from repro.db.expressions import And, Arithmetic, Comparison, Literal, Not
+from repro.db.parser import MAX_NESTING_DEPTH
 from repro.db.query import AggregateCall, contains_aggregate
 
 
@@ -119,3 +120,46 @@ class TestUnsupportedFeatures:
     def test_sum_requires_argument(self):
         with pytest.raises(ParseError):
             AggregateCall(func="sum")
+
+
+class TestLimits:
+    """Hostile SQL ends in a typed ParseError, never a RecursionError."""
+
+    DEEP = 3000
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT(*) FROM t WHERE " + "(" * DEEP + "a = 1" + ")" * DEEP,
+            "SELECT COUNT(*) FROM t WHERE a = " + "(" * DEEP + "1" + ")" * DEEP,
+            "SELECT COUNT(*) FROM t WHERE " + "NOT " * DEEP + "a = 1",
+            "SELECT " + " + ".join(["COUNT(*)"] * DEEP) + " AS x FROM t",
+        ],
+        ids=["predicate-parens", "expression-parens", "nots", "arithmetic"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, sql):
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_sql(sql)
+
+    def test_nesting_up_to_the_bound_parses(self):
+        depth = MAX_NESTING_DEPTH
+        q = parse_sql(
+            "SELECT COUNT(*) FROM t WHERE "
+            + "NOT " * (depth - 1) + "(a = 1)"
+        )
+        assert isinstance(q.where, Not)
+        q = parse_sql(
+            "SELECT COUNT(*) FROM t WHERE a = " + "(" * depth + "1" + ")" * depth
+        )
+        assert q.where.right == Literal(1)
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_sql("SELECT COUNT(*) FROM t WHERE " + "NOT " * depth + "(a = 1)")
+
+    def test_huge_in_list(self):
+        items = ", ".join(str(i) for i in range(100_000))
+        with pytest.raises(ParseError, match="IN predicates"):
+            parse_sql(f"SELECT COUNT(*) FROM t WHERE a IN ({items})")
+
+    def test_unterminated_string(self):
+        with pytest.raises(ParseError, match="cannot tokenize"):
+            parse_sql("SELECT COUNT(*) FROM t WHERE name = 'O''Neal")

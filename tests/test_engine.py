@@ -92,6 +92,10 @@ class TestPrefixCache:
         # Replacing a key must not double-count.
         cache.put(("a",), rel)
         assert cache.stats.current_bytes == 2 * rel.estimated_bytes
+        assert cache.median_entry_bytes() == rel.estimated_bytes
+        cache.clear()
+        assert cache.stats.current_bytes == 0
+        assert cache.median_entry_bytes() == 0
 
     def test_oversized_rejected(self):
         rel = _relation("t", 1000)
@@ -118,99 +122,6 @@ class TestPrefixCache:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             PrefixCache(capacity_bytes=-1)
-
-
-class _SharedStub:
-    """A minimal entry speaking the shared-component cache protocol
-    (the shape of a sorted-window :class:`WindowEntry`)."""
-
-    def __init__(self, own: int, token: int, shared_nbytes: int):
-        self.own_bytes = own
-        self.shared_components = ((token, shared_nbytes),)
-        self.estimated_bytes = own + shared_nbytes
-
-
-class TestPrefixCacheSharedAccounting:
-    """Shared components (sort permutations) are charged exactly once,
-    however many live entries reference them — the regression the
-    window-join strategy depends on for honest eviction pressure."""
-
-    def test_shared_bytes_charged_once(self):
-        cache = PrefixCache(capacity_bytes=1 << 20)
-        cache.put(("a",), _SharedStub(own=100, token=7, shared_nbytes=5000))
-        assert cache.stats.current_bytes == 5100
-        cache.put(("b",), _SharedStub(own=200, token=7, shared_nbytes=5000))
-        # NOT 5100 + 5200: the permutation is already resident.
-        assert cache.stats.current_bytes == 5300
-        cache.put(("c",), _SharedStub(own=50, token=8, shared_nbytes=3000))
-        assert cache.stats.current_bytes == 5300 + 3050
-
-    def test_shared_bytes_released_with_last_reference(self):
-        cache = PrefixCache(capacity_bytes=1 << 20)
-        cache.put(("a",), _SharedStub(own=100, token=7, shared_nbytes=5000))
-        cache.put(("b",), _SharedStub(own=200, token=7, shared_nbytes=5000))
-        # Replacing "a" with an unshared entry drops one reference; the
-        # permutation stays charged because "b" still holds it.
-        cache.put(("a",), _relation("t", 10))
-        rel_bytes = _relation("t", 10).estimated_bytes
-        assert cache.stats.current_bytes == rel_bytes + 200 + 5000
-        # Replacing "b" drops the last reference: bytes fully released.
-        cache.put(("b",), _relation("u", 10))
-        assert cache.stats.current_bytes == 2 * rel_bytes
-        assert cache._shared == {}
-
-    def test_eviction_releases_shared_at_zero_refs(self):
-        # Budget fits both entries + one shared permutation, but not a
-        # third entry: the LRU eviction must free only the marginal own
-        # bytes while a co-referencing entry is still live.
-        cache = PrefixCache(capacity_bytes=5000 + 100 + 200 + 50)
-        cache.put(("a",), _SharedStub(own=100, token=7, shared_nbytes=5000))
-        cache.put(("b",), _SharedStub(own=200, token=7, shared_nbytes=5000))
-        cache.put(("c",), _SharedStub(own=150, token=7, shared_nbytes=5000))
-        assert ("a",) not in cache  # coldest entry evicted
-        assert ("b",) in cache and ("c",) in cache
-        assert cache.stats.current_bytes == 5000 + 200 + 150
-        assert cache.stats.evictions == 1
-
-    def test_warm_permutation_admits_entries_cold_budget_rejects(self):
-        """An entry whose standalone size exceeds the budget is still
-        admitted when its shared permutation is already resident — only
-        the marginal bytes are charged."""
-        cache = PrefixCache(capacity_bytes=6000)
-        cache.put(("a",), _SharedStub(own=100, token=7, shared_nbytes=5000))
-        big_standalone = _SharedStub(own=500, token=7, shared_nbytes=5000)
-        assert big_standalone.estimated_bytes > cache.capacity_bytes - 5100
-        cache.put(("b",), big_standalone)
-        assert ("b",) in cache
-        assert cache.stats.rejected == 0
-        # A *cold* permutation of the same shape is over budget.
-        cache.put(("c",), _SharedStub(own=2000, token=9, shared_nbytes=5000))
-        assert ("c",) not in cache
-        assert cache.stats.rejected == 1
-
-    def test_median_is_over_marginal_bytes(self):
-        cache = PrefixCache(capacity_bytes=1 << 20)
-        cache.put(("a",), _SharedStub(own=10, token=7, shared_nbytes=5000))
-        cache.put(("b",), _SharedStub(own=30, token=7, shared_nbytes=5000))
-        cache.put(("c",), _SharedStub(own=50, token=7, shared_nbytes=5000))
-        assert cache.median_entry_bytes() == 30  # not 5030
-
-    def test_clear_resets_shared_registry(self):
-        cache = PrefixCache(capacity_bytes=1 << 20)
-        cache.put(("a",), _SharedStub(own=100, token=7, shared_nbytes=5000))
-        cache.clear()
-        assert cache.stats.current_bytes == 0
-        assert cache._shared == {}
-        cache.put(("b",), _SharedStub(own=100, token=7, shared_nbytes=5000))
-        assert cache.stats.current_bytes == 5100
-
-    def test_plain_entries_unchanged(self):
-        """Entries without the protocol keep historical accounting."""
-        cache = PrefixCache(capacity_bytes=1 << 20)
-        rel = _relation("t", 50)
-        cache.put(("a",), rel)
-        assert cache.stats.current_bytes == rel.estimated_bytes
-        assert cache.median_entry_bytes() == rel.estimated_bytes
 
 
 # ----------------------------------------------------------------------

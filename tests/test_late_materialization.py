@@ -289,8 +289,6 @@ class TestEngineLateMaterialization:
             )
 
     def test_trie_caches_frames_with_smaller_entries(self, mini_db):
-        from repro.db.window_join import WindowEntry
-
         pt, graphs = _pipeline(mini_db)
         joined = [g for g in graphs if build_plan(g, pt).joins]
         assert joined, "fixture should enumerate joined graphs"
@@ -304,11 +302,13 @@ class TestEngineLateMaterialization:
         late_stats = late.stats.cache
         assert late_stats.entries > 0
         assert late_stats.median_entry_bytes < eager_bytes[0]
-        cached_values = [
-            entry for entry, _, _ in late._cache._entries.values()
-        ]
+        cached_values = [entry for entry, _ in late._cache._entries.values()]
+        assert all(isinstance(v, IndexFrame) for v in cached_values)
+        # Every cached step is int32-compacted (IndexFrame.compact).
         assert all(
-            isinstance(v, (IndexFrame, WindowEntry)) for v in cached_values
+            idx is None or idx.dtype == np.int32
+            for v in cached_values
+            for idx in v.rows
         )
 
     def test_restriction_namespacing_still_holds(self, mini_db):

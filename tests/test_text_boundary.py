@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core import MiningKernel
 from repro.db import ColumnType, Database, Relation, TableSchema
 from repro.db.errors import SchemaError
+from repro.db.frame import IndexFrame
 from repro.db.relation import encode_object_column
 
 settings.register_profile(
@@ -63,11 +64,15 @@ class TestNonTextCellIsRejected:
         relation = relation_with(["a", None, cell])
         with pytest.raises(SchemaError, match=r"t\.s"):
             relation.encoding("s")
-        # Every consumer of the codes stops at the same place.
+        # Every consumer of the codes stops at the same place — the
+        # frame-level view included, which is what APT consumers read.
+        # (A join reads key values, not codes: it is no boundary, and a
+        # relation that fails here never reaches the catalog a plan
+        # joins over; see test_add_relation.)
         for consume in (
             relation.encode_categoricals,
             relation.distinct,
-            lambda: relation.sort_index("s"),
+            lambda: IndexFrame.from_relation(relation).column_encoding("s"),
         ):
             with pytest.raises(SchemaError, match=r"t\.s"):
                 consume()
