@@ -9,7 +9,7 @@ NBA database:
 - *reopen*: ``Database.open`` memory-mapping the code/numeric arrays
   with **lazy value dictionaries** — must be at least
   ``--min-reopen-speedup`` (default 10x) faster than cold ingest, and
-  must load **zero** dictionary pickles at open time;
+  must load **zero** dictionary files at open time;
 - *byte identity*: the user-study explanation (UQ1) is computed on the
   CSV-loaded in-memory database and on the memmap-backed opened
   database — the two ranked payloads must match byte for byte;
@@ -123,7 +123,7 @@ def run(args: argparse.Namespace) -> int:
         speedup = cold / reopen if reopen > 0 else float("inf")
         print(
             f"cold ingest {cold:.3f}s -> reopen {reopen:.4f}s "
-            f"= {speedup:.1f}x, {dicts_at_open} dict pickles loaded at open"
+            f"= {speedup:.1f}x, {dicts_at_open} dictionary files loaded at open"
         )
         if dicts_at_open != 0:
             failures.append(
@@ -161,7 +161,7 @@ def run(args: argparse.Namespace) -> int:
         dicts_after = db_mm.column_store.dicts_loaded
         dict_total = len(db_mm.column_store.stores)
         print(
-            f"dict pickles loaded after explain: {dicts_after}/{dict_total}"
+            f"dictionary files loaded after explain: {dicts_after}/{dict_total}"
         )
 
         tenx = {}

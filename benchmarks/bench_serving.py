@@ -4,7 +4,7 @@ Before the serving layer, putting CaJaDE behind an endpoint meant the
 stateless one-shot path: every request builds a fresh session, parses
 its query, recomputes provenance, enumerates join graphs, and mines
 from scratch.  The serving tier replaces that with persistent sharded
-workers over one shared-memory database export, an in-flight coalescer,
+workers over one column store the parent writes, an in-flight coalescer,
 and a fingerprint-keyed response cache — so a skewed request stream
 (real workloads repeat their hot questions) pays each distinct
 computation once.
@@ -36,7 +36,8 @@ request at a time, so every request truly executes) replays through the
 pool.  The pass asserts each worker died at least twice, every admitted
 request completed byte-identical to the serial baseline (100%
 availability — nothing silently dropped), restarts are visible in the
-stats snapshot, and no shared-memory segment leaked.  When a prior
+stats snapshot, the pool's store directory is gone after stop, and no
+new ``/dev/shm`` entry appeared.  When a prior
 no-fault run's JSON from the same mode (smoke vs full) is present, the
 chaos invocation also compares its own healthy-path throughput against
 it.  The comparison is a hard failure only under ``--smoke`` — the CI
@@ -56,6 +57,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import random
 import sys
 import time
@@ -193,7 +195,7 @@ def run_service(db, schema_graph, config, stream, workers, cache_mb, depth):
     t0 = time.perf_counter()
     backend.start()  # excluded from the measured window
     startup = time.perf_counter() - t0
-    shared_bytes = backend.shared_bytes  # stop() releases the export
+    shared_bytes = backend.shared_bytes  # the store's mapped data files
 
     async def drive():
         async with ExplanationService(
@@ -237,11 +239,11 @@ def run_chaos(db, schema_graph, config, stream, workers, kill_every, seed):
     the seeded kill schedule is exactly reproducible.
     """
     plan = FaultPlan.kill_every(kill_every, seed=seed)
+    shm_before = dev_shm_entries()
     backend = ProcessPoolBackend(
         db, schema_graph, config, num_shards=workers, fault_plan=plan
     )
     backend.start()
-    segment_names = backend._export.handle.segment_names
 
     async def drive():
         async with ExplanationService(
@@ -257,17 +259,18 @@ def run_chaos(db, schema_graph, config, stream, workers, kill_every, seed):
 
     responses, elapsed, stats = asyncio.run(drive())
 
-    from multiprocessing import shared_memory
-
-    leaked = []
-    for name in segment_names:
-        try:
-            shared_memory.SharedMemory(name=name).close()
-            leaked.append(name)
-        except FileNotFoundError:
-            pass
+    leaked = sorted(dev_shm_entries() - shm_before)
+    if backend.store_directory.exists():
+        leaked.append(str(backend.store_directory))
     payloads = [r.payload for r in responses]
     return payloads, elapsed, stats, plan, leaked
+
+
+def dev_shm_entries() -> set[str]:
+    """``/dev/shm`` entries, less the queues' ``sem.*`` semaphores."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if not n.startswith("sem.")}
 
 
 def summarize(name, elapsed, latencies):
@@ -470,7 +473,7 @@ def run_chaos_pass(
             f"unexpected quarantine: {stats['health']['quarantined']}"
         )
     if leaked:
-        failures.append(f"leaked shm segments: {leaked}")
+        failures.append(f"leaked store or /dev/shm entries: {leaked}")
 
     healthy_qps = healthy_payload["service"]["qps"]
     overhead_ok = True

@@ -242,8 +242,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Explicit signal handling rather than relying on asyncio.Runner's
         # KeyboardInterrupt cancellation: SIGTERM (the default `kill`) must
         # also shut down cleanly, or the daemon worker processes are
-        # orphaned and the shared-memory export leaks until the resource
-        # tracker notices.
+        # orphaned and the pool's temporary column store is left behind.
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -268,8 +267,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 )
                 if isinstance(backend, ProcessPoolBackend):
                     print(
-                        f"{backend.num_shards} workers over "
-                        f"{backend.shared_bytes / 1e6:.2f}MB shared memory"
+                        f"{backend.num_shards} workers mapping a "
+                        f"{backend.shared_bytes / 1e6:.2f}MB column store"
                     )
                 else:
                     print("inline backend (no worker processes)")

@@ -9,16 +9,25 @@ Layout of a saved database directory:
 - ``<table>.bin`` — every numeric column's raw array and every encoded
   object column's int32 first-occurrence code array, concatenated with
   8-byte alignment.
-- ``<table>.dicts.pkl`` — one pickle per table holding the decode table
-  (code → value list) of each encoded column.  Every value is ``str``
-  or ``None``; anything else in the file is a :class:`SchemaError` when
-  the table's dictionaries first load (never at open).
+- ``<table>.dicts.npz`` — the decode table (code → value) of each
+  encoded column as two plain arrays: ``<column>.utf8`` (uint8, every
+  value's UTF-8 bytes back to back) and ``<column>.offsets`` (int64,
+  one more than there are codes; value ``i`` is bytes
+  ``offsets[i]:offsets[i + 1]``).  The NULL slot — the manifest's
+  ``none_code`` — is empty.  Nothing in the file executes: ``np.load``
+  refuses object arrays.
+
+A table's dictionaries are read and checked once, on the first gather
+that needs values, never at open.  Offsets that do not rise from 0 to
+the byte length, bytes that are not UTF-8, a non-empty NULL slot, a
+value listed twice, or a code past the end of its dictionary is a
+:class:`SchemaError` naming ``<table>.<column>``.
 
 :func:`open_columnar` costs O(manifest + dicts touched): every data file
 is mapped read-only with ``np.memmap`` (no pages are read), numeric
 columns and code arrays become zero-copy dtype views into the map, and
 object columns become lazy proxies (see :mod:`repro.db.relation`'s
-lazy-column protocol) whose decode tables unpickle only on the first
+lazy-column protocol) whose decode tables load only on the first
 gather that actually needs values.  ``ColumnEncoding`` entries are
 pre-installed with memmap-backed codes and a lazily-filled ``code_of``
 dict, so the mining kernel's code matrices run against disk-backed
@@ -29,169 +38,197 @@ key included) copy at the edge exactly like the in-memory path.
 from __future__ import annotations
 
 import json
-import pickle
 import threading
+import zipfile
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from .database import Database
 from .errors import SchemaError
-from .relation import ColumnEncoding, Relation, check_text_values
+from .relation import ColumnEncoding, Relation
 from .schema import Column, TableSchema
 from .types import ColumnType
 
-FORMAT_VERSION = 2  # 2: one ``none_code`` per column, a list of NULL codes before
+FORMAT_VERSION = 3  # 3: dictionaries as UTF-8 + offsets (2: executable)
 MANIFEST_NAME = "manifest.json"
 
 _ALIGN = 8
-# Default bound on per-chunk bytes for whole-column copies (save path,
-# shared-memory export): large enough to amortize loop overhead, small
-# enough that copying a disk-backed column never doubles peak RSS.
-DEFAULT_COPY_CHUNK_BYTES = 16 * 2**20
 
 KIND_NUMERIC = "numeric"
 KIND_ENCODED = "encoded"
 
+_Dictionary = tuple[np.ndarray, dict[Any, int]]  # (decode table, code_of)
 
-def copy_chunked(
-    dst: np.ndarray,
-    src: np.ndarray,
-    chunk_bytes: int = DEFAULT_COPY_CHUNK_BYTES,
-) -> None:
-    """Copy ``src`` into ``dst`` in bounded slices.
 
-    Peak temporary footprint is one chunk, so filling a file buffer or a
-    shared-memory segment from a memmap-backed column streams through
-    the page cache instead of materializing the whole array.
-    """
-    n = len(src)
-    if len(dst) != n:
-        raise ValueError(f"length mismatch: {len(dst)} vs {n}")
-    itemsize = src.dtype.itemsize if src.dtype != object else 8
-    step = max(1, int(chunk_bytes) // max(1, itemsize))
-    for start in range(0, n, step):
-        dst[start:start + step] = src[start:start + step]
+# ----------------------------------------------------------------------
+# Value dictionaries: UTF-8 bytes + offsets, checked on first load
+# ----------------------------------------------------------------------
+def _dictionary_arrays(decode: list[Any]) -> tuple[np.ndarray, np.ndarray]:
+    """``(utf8, offsets)`` for one decode table; ``None`` is empty."""
+    encoded = [b"" if value is None else value.encode() for value in decode]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(raw) for raw in encoded], out=offsets[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+def _decode_dictionary(
+    utf8: np.ndarray,
+    offsets: np.ndarray,
+    codes: np.ndarray,
+    none_code: int | None,
+    where: str,
+) -> _Dictionary:
+    """Decode one column's dictionary; any disagreement with itself or
+    with the column's codes is a :class:`SchemaError` naming ``where``."""
+    if (utf8.dtype, utf8.ndim, offsets.dtype, offsets.ndim) != (
+        np.uint8, 1, np.int64, 1
+    ):
+        raise SchemaError(f"{where}: dictionary arrays have the wrong type")
+    bounds = offsets.tolist()
+    if (
+        not bounds
+        or bounds[0] != 0
+        or bounds[-1] != len(utf8)
+        or np.any(np.diff(offsets) < 0)
+    ):
+        raise SchemaError(
+            f"{where}: dictionary offsets must rise from 0 to the "
+            f"{len(utf8)}-byte value buffer"
+        )
+    raw = utf8.tobytes()
+    try:
+        values: list[Any] = [
+            raw[start:end].decode() for start, end in zip(bounds, bounds[1:])
+        ]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{where}: dictionary value is not UTF-8 ({exc.reason})"
+        ) from None
+    if none_code is not None:
+        if not 0 <= none_code < len(values) or values[none_code]:
+            raise SchemaError(
+                f"{where}: NULL slot {none_code} is not an empty entry"
+            )
+        values[none_code] = None
+    code_of: dict[Any, int] = {}
+    for code, value in enumerate(values):
+        if code_of.setdefault(value, code) != code:
+            raise SchemaError(f"{where}: dictionary lists {value!r} twice")
+    if len(codes) and not 0 <= codes.min() <= codes.max() < len(values):
+        raise SchemaError(
+            f"{where}: codes fall outside the {len(values)}-entry dictionary"
+        )
+    decode = np.empty(len(values), dtype=object)
+    decode[:] = values
+    return decode, code_of
 
 
 # ----------------------------------------------------------------------
 # Lazy open-path pieces
 # ----------------------------------------------------------------------
 class _DictStore:
-    """One table's pickled value dictionaries, unpickled at most once.
+    """One table's value dictionaries, read and checked at most once.
 
     Thread-safe: the serving front-end answers shards from executor
     threads, which under ``InlineBackend`` share one database and may
     race the first gather of different columns of the same table.
     ``loaded`` is the observable the O(dict) open test keys on —
     opening a database must not flip it; only a value gather may.
+    ``columns`` holds each encoded column's ``(codes, none_code)``,
+    registered at open, which the first load checks the file against.
     """
 
-    __slots__ = ("path", "table", "_lock", "_raw", "_decode_arrays")
+    __slots__ = ("path", "table", "columns", "_lock", "_dicts")
 
     def __init__(self, path: Path, table: str):
         self.path = path
         self.table = table
+        self.columns: dict[str, tuple[np.ndarray, int | None]] = {}
         self._lock = threading.Lock()
-        self._raw: dict[str, list[Any]] | None = None
-        self._decode_arrays: dict[str, np.ndarray] = {}
+        self._dicts: dict[str, _Dictionary] | None = None
 
     @property
     def loaded(self) -> bool:
-        return self._raw is not None
+        return self._dicts is not None
 
-    def _load(self) -> dict[str, list[Any]]:
-        if self._raw is None:
+    def _load(self) -> dict[str, _Dictionary]:
+        if self._dicts is None:
             with self._lock:
-                if self._raw is None:
-                    with open(self.path, "rb") as handle:
-                        raw = pickle.load(handle)
-                    for column, values in raw.items():
-                        check_text_values(values, f"{self.table}.{column}")
-                    self._raw = raw
-        return self._raw
+                if self._dicts is None:
+                    self._dicts = self._read()
+        return self._dicts
 
-    def values(self, column: str) -> list[Any]:
-        return self._load()[column]
+    def _read(self) -> dict[str, _Dictionary]:
+        name = self.path.name
+        try:
+            with np.load(self.path) as npz:  # refuses object arrays
+                arrays = {key: npz[key] for key in npz.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise SchemaError(f"{name}: unreadable dictionary file ({exc})")
+        dicts = {}
+        for column, (codes, none_code) in self.columns.items():
+            where = f"{self.table}.{column}"
+            utf8 = arrays.get(f"{column}.utf8")
+            offsets = arrays.get(f"{column}.offsets")
+            if utf8 is None or offsets is None:
+                raise SchemaError(f"{where}: no dictionary in {name}")
+            dicts[column] = _decode_dictionary(
+                utf8, offsets, codes, none_code, where
+            )
+        return dicts
 
     def decode_array(self, column: str) -> np.ndarray:
-        """The code → value decode table as an object array (cached)."""
-        arr = self._decode_arrays.get(column)
-        if arr is None:
-            values = self.values(column)
-            arr = np.empty(len(values), dtype=object)
-            for i, value in enumerate(values):
-                arr[i] = value
-            self._decode_arrays[column] = arr
-        return arr
+        """The code → value decode table as an object array."""
+        return self._load()[column][0]
+
+    def code_of(self, column: str) -> dict[Any, int]:
+        return self._load()[column][1]
 
 
-class _LazyCodeDict(dict):
-    """A ``value -> code`` dict filled from the decode table on first read.
+class _LazyCodeDict(Mapping):
+    """``ColumnEncoding.code_of`` of a stored column: a read-only
+    ``value -> code`` mapping whose dictionary loads on first read.
 
-    ``ColumnEncoding.code_of`` consumers only ever read (``get``,
-    ``items``, ``len``, containment), so overriding the read entry
-    points is enough; the fill is idempotent, making concurrent first
-    reads from the front-end's executor threads safe.
+    Consumers only read (``get``, ``items``, ``len``, containment); the
+    fill is idempotent, so concurrent first reads from the front-end's
+    executor threads are safe.
     """
 
-    __slots__ = ("_loader",)
+    __slots__ = ("_store", "_column", "_dict")
 
-    def __init__(self, loader: Callable[[], list[Any]]):
-        super().__init__()
-        self._loader = loader
+    def __init__(self, store: _DictStore, column: str):
+        self._store = store
+        self._column = column
+        self._dict: dict[Any, int] | None = None
 
-    def _ensure(self) -> None:
-        if self._loader is not None:
-            values = self._loader()
-            for code, value in enumerate(values):
-                dict.__setitem__(self, value, code)
-            self._loader = None
+    def _codes(self) -> dict[Any, int]:
+        if self._dict is None:
+            self._dict = self._store.code_of(self._column)
+        return self._dict
 
     def __getitem__(self, key):
-        self._ensure()
-        return dict.__getitem__(self, key)
-
-    def get(self, key, default=None):
-        self._ensure()
-        return dict.get(self, key, default)
-
-    def __contains__(self, key):
-        self._ensure()
-        return dict.__contains__(self, key)
-
-    def __len__(self):
-        self._ensure()
-        return dict.__len__(self)
+        return self._codes()[key]
 
     def __iter__(self):
-        self._ensure()
-        return dict.__iter__(self)
+        return iter(self._codes())
 
-    def keys(self):
-        self._ensure()
-        return dict.keys(self)
+    def __len__(self):
+        return len(self._codes())
 
-    def values(self):
-        self._ensure()
-        return dict.values(self)
+    def get(self, key, default=None):
+        return self._codes().get(key, default)
 
     def items(self):
-        self._ensure()
-        return dict.items(self)
-
-    def __eq__(self, other):
-        self._ensure()
-        return dict.__eq__(self, other)
-
-    __hash__ = None  # type: ignore[assignment]  # dicts are unhashable
+        return self._codes().items()
 
     def __repr__(self):
-        if self._loader is not None:
+        if self._dict is None:
             return "_LazyCodeDict(<unloaded>)"
-        return dict.__repr__(self)
+        return repr(self._dict)
 
 
 class LazyObjectColumn:
@@ -243,8 +280,8 @@ class LazyObjectColumn:
 class ColumnStoreInfo:
     """Handle on an opened store, exposed as ``Database.column_store``.
 
-    ``dicts_loaded`` counts tables whose value-dictionary pickle has
-    been read so far — zero right after :func:`open_columnar`, growing
+    ``dicts_loaded`` counts tables whose dictionary file has been read
+    so far — zero right after :func:`open_columnar`, growing
     only as gathers touch tables.
     """
 
@@ -279,8 +316,8 @@ def save_columnar(db: Database, directory: str | Path) -> None:
     """Write ``db`` to ``directory`` in the column-store format.
 
     Numeric arrays and code arrays go to ``<table>.bin`` verbatim;
-    each TEXT column's decode table goes to the per-table dict pickle.
-    Saving an already disk-backed database round-trips (lazy columns
+    each TEXT column's decode table goes to the per-table dictionary
+    file.  Saving an already disk-backed database round-trips (lazy columns
     load what they must).
     """
     directory = Path(directory)
@@ -302,7 +339,7 @@ def save_columnar(db: Database, directory: str | Path) -> None:
     for table_name in db.table_names:
         relation = db.table(table_name)
         columns_meta: list[dict[str, Any]] = []
-        dicts: dict[str, list[Any]] = {}
+        dicts: dict[str, np.ndarray] = {}
         offset = 0
         with open(directory / f"{table_name}.bin", "wb") as handle:
             for col in relation.schema.columns:
@@ -330,7 +367,9 @@ def save_columnar(db: Database, directory: str | Path) -> None:
                     decode: list[Any] = [None] * encoding.num_codes
                     for value, code in encoding.code_of.items():
                         decode[code] = value
-                    dicts[col.name] = decode
+                    utf8, offsets = _dictionary_arrays(decode)
+                    dicts[f"{col.name}.utf8"] = utf8
+                    dicts[f"{col.name}.offsets"] = offsets
                     meta.update(
                         kind=KIND_ENCODED,
                         dtype=codes.dtype.str,
@@ -345,9 +384,8 @@ def save_columnar(db: Database, directory: str | Path) -> None:
             "columns": columns_meta,
         }
         if dicts:
-            with open(directory / f"{table_name}.dicts.pkl", "wb") as handle:
-                pickle.dump(dicts, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            table_meta["dicts_file"] = f"{table_name}.dicts.pkl"
+            table_meta["dicts_file"] = f"{table_name}.dicts.npz"
+            np.savez(directory / table_meta["dicts_file"], **dicts)
         manifest["tables"][table_name] = table_meta
     # Manifest last: a torn save is unopenable rather than wrong.
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
@@ -391,7 +429,7 @@ def open_columnar(directory: str | Path) -> Database:
     """Open a database saved by :func:`save_columnar`.
 
     Cost is O(manifest + dicts touched): data files are memory-mapped,
-    not read, and value dictionaries unpickle on first gather.  Primary
+    not read, and value dictionaries load on first gather.  Primary
     keys were validated at ingest and are not re-checked here.
     """
     directory = Path(directory)
@@ -426,12 +464,13 @@ def open_columnar(directory: str | Path) -> Database:
                 columns[cname] = _column_view(buf, meta, data_path.name)
             elif kind == KIND_ENCODED:
                 codes = _column_view(buf, meta, data_path.name)
+                none_code = meta.get("none_code")
+                store.columns[cname] = (codes, none_code)
                 columns[cname] = LazyObjectColumn(codes, store, cname)
-                loader = _decode_loader(store, cname)
                 encodings[cname] = ColumnEncoding(
                     codes=codes,
-                    code_of=_LazyCodeDict(loader),
-                    none_code=meta.get("none_code"),
+                    code_of=_LazyCodeDict(store, cname),
+                    none_code=none_code,
                 )
             else:
                 raise SchemaError(f"unknown column kind {kind!r}")
@@ -450,6 +489,3 @@ def open_columnar(directory: str | Path) -> Database:
     db.column_store = info
     return db
 
-
-def _decode_loader(store: _DictStore, column: str) -> Callable[[], list[Any]]:
-    return lambda: store.values(column)

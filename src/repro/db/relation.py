@@ -35,8 +35,9 @@ def check_text_values(values: Iterable[Any], where: str) -> None:
 
     The one statement of the TEXT invariant (see "Values and NULLs" in
     ``docs/ARCHITECTURE.md``), run over a column's *distinct* values
-    wherever a dictionary enters the process: encoding a column here,
-    loading a saved store's dictionary in :mod:`repro.db.colstore`.
+    wherever a dictionary enters the process by encoding a column.  (A
+    saved store's dictionary in :mod:`repro.db.colstore` holds UTF-8
+    bytes, so it decodes to ``str`` and ``None`` only.)
     """
     for value in values:
         if value is not None and not isinstance(value, str):
@@ -186,7 +187,7 @@ def _column_array(values: Sequence[Any], ctype: ColumnType) -> np.ndarray:
 # ``nbytes``, ``materialize() -> np.ndarray`` (cached, identity-stable)
 # and ``gather(rows) -> np.ndarray`` (bounded by ``len(rows)``).  The
 # out-of-core column store (repro.db.colstore) installs such proxies for
-# object columns so opening a saved database never unpickles a value
+# object columns so opening a saved database never reads a value
 # dictionary it does not touch.  The proxy object itself stays in
 # ``_columns`` forever — inherited encodings are shared by every
 # relation holding the same slot, which must not change.

@@ -18,8 +18,6 @@ over the session API:
 - :mod:`~repro.serving.faults` — deterministic fault injection
   (kill / delay / corrupt / startup-crash) for chaos tests and the
   chaos benchmark;
-- :mod:`~repro.serving.shm` — zero-copy shared-memory publication of
-  encoded relations to the workers;
 - :mod:`~repro.serving.metrics` — service counters, health, and
   latency percentiles behind ``/stats``.
 """
@@ -56,12 +54,6 @@ from .scheduler import (
     Ticket,
     shard_for,
 )
-from .shm import (
-    AttachedDatabase,
-    DatabaseExport,
-    attach_database,
-    export_database,
-)
 from .supervisor import (
     HEALTHY,
     QUARANTINED,
@@ -78,10 +70,8 @@ __all__ = [
     "QUARANTINED",
     "RESTARTING",
     "STARTUP_CRASH",
-    "AttachedDatabase",
     "BadRequestError",
     "CorruptReplyError",
-    "DatabaseExport",
     "DeadlineExceededError",
     "ExplanationService",
     "FaultPlan",
@@ -99,9 +89,7 @@ __all__ = [
     "ShardSupervisor",
     "Ticket",
     "WorkerDiedError",
-    "attach_database",
     "canonical_payload",
-    "export_database",
     "request_cache_key",
     "request_from_json",
     "serve_http",

@@ -2,7 +2,7 @@
 
 Every failure path the supervisor, retry, and admission machinery
 handle must be reproducibly testable in CI — "kill a worker and hope"
-is not a test.  A :class:`FaultPlan` is a small, picklable, seeded
+is not a test.  A :class:`FaultPlan` is a small, spawn-safe, seeded
 script of :class:`FaultRule`\\s that the backends consult at well-defined
 points:
 
@@ -96,8 +96,8 @@ class FaultPlan:
     """A seeded, deterministic script of faults to inject.
 
     The plan itself is stateful only in its per-shard counters (and the
-    thread lock guarding them); rule matching is pure, so a pickled
-    copy shipped to a spawned worker answers :meth:`startup_crash`
+    thread lock guarding them); rule matching is pure, so the copy
+    shipped to a spawned worker answers :meth:`startup_crash`
     identically to the parent's copy.  ``seed`` is carried for
     provenance (benchmarks record it next to their results) and for
     helpers that derive rule placements from it.
@@ -142,7 +142,7 @@ class FaultPlan:
     # -- worker-side: pure incarnation check ----------------------------
     def startup_crash(self, shard: int, incarnation: int) -> bool:
         """Should the ``incarnation``-th spawn of ``shard`` crash before
-        its ready handshake?  Pure — safe to answer from a pickled copy
+        its ready handshake?  Pure — safe to answer from the spawned copy
         in the child process."""
         for rule in self.rules:
             if rule.kind != STARTUP_CRASH:
@@ -180,7 +180,7 @@ class FaultPlan:
             "fired": self.fired_total,
         }
 
-    # Pickle support: the lock is per-process state.
+    # Copy support for spawn: the lock is per-process state.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_lock", None)

@@ -2,36 +2,36 @@
 fallback.
 
 :class:`ProcessPoolBackend` runs one persistent worker process per
-shard.  Each worker attaches the shared-memory database export
-(:mod:`repro.serving.shm`), builds its own
-:class:`~repro.api.CajadeSession`, and then answers one request at a
-time for exactly the query fingerprints
+shard.  The parent saves the database once into a private temporary
+column store; each worker opens it (memory-mapped, so the page cache
+shares the bytes), builds its own :class:`~repro.api.CajadeSession`,
+and then answers one request at a time for exactly the fingerprints
 :func:`~repro.serving.scheduler.shard_for` routes to it — so each
 worker's parsed queries, provenance tables, warm tries, and mining
 memos cover precisely its own shard of the query space, and no state is
 duplicated across workers.
 
 Workers use the ``spawn`` start method: a spawned child inherits
-nothing, which keeps the shared-memory path honest (the only bulk data
-transfer is the segment attach) and avoids fork-with-threads hazards
-under the asyncio front-end.  Each shard has its own request and
-response queue; the front-end guarantees at most one outstanding
-request per shard, so the blocking :meth:`~ProcessPoolBackend.execute`
-call can simply await its own request id on its shard's response queue,
-polling worker liveness.
+nothing (the only bulk data it reads is the store) and avoids
+fork-with-threads hazards under the asyncio front-end.  Each shard has
+its own request and response queue; the front-end guarantees at most
+one outstanding request per shard, so the blocking
+:meth:`~ProcessPoolBackend.execute` call can simply await its own
+request id on its shard's response queue, polling worker liveness.
 
 **Supervision.**  A dead worker is not a dead shard: ``execute``
 detects death (liveness poll), records the failure with the
 :class:`~repro.serving.supervisor.ShardSupervisor`, and surfaces a
 retryable :class:`~repro.serving.frontend.WorkerDiedError`; the
-*next* execute on that shard respawns a replacement against the
-still-live shared-memory export (exponential backoff + seeded jitter
-between consecutive respawns) and re-runs the ready handshake.  A
-shard that crash-loops past its ``max_restarts`` consecutive-failure
-budget is quarantined — subsequent executes raise
-:class:`ShardQuarantinedError`, and the front-end either degrades to
-:meth:`execute_degraded` (a lazily-built in-parent session — slower
-but byte-identical) or fast-fails with a structured 503.
+*next* execute on that shard respawns a replacement that reopens the
+store (exponential backoff + seeded jitter between consecutive
+respawns) and re-runs the ready handshake; a replacement that cannot
+open the store dies before it.  A shard that crash-loops past its
+``max_restarts`` consecutive-failure budget is quarantined —
+subsequent executes raise :class:`ShardQuarantinedError`, and the
+front-end either degrades to :meth:`execute_degraded` (a lazily-built
+in-parent session over the parent's own database — slower but
+byte-identical) or fast-fails with a structured 503.
 
 **Integrity.**  Workers return one outcome per request —
 ``("ok", payload, digest)`` or ``("error", kind, message)`` — with a
@@ -42,18 +42,15 @@ A deterministic failure (bad SQL, unknown tuple) is an ``error``
 outcome of that one request: it touches neither the shard's health nor
 any other request.
 
-The parent owns the shm export and unlinks it on :meth:`stop`; worker
-death never leaks segments, and a *startup* failure (worker N dies
-before its ready handshake) tears down the already-spawned workers and
-unlinks the export before re-raising — a crashed ``start()`` leaks
-neither processes nor segments.
+The parent removes the store on :meth:`stop`, on a failed ``start()``
+(after tearing down the spawned workers) and when the constructor fails
+after creating it.  A parent killed by SIGKILL leaves it behind.
 
 :class:`InlineBackend` implements the same contract with in-process
 sessions (one per shard) and no processes at all — the test/CI
-substrate, and the fallback when the platform lacks POSIX shared
-memory.  Fault injection (:mod:`repro.serving.faults`) maps worker
-death onto "drop the shard's session", so the whole failure matrix is
-testable without spawning.
+substrate, and ``serve --shards 0``.  Fault injection
+(:mod:`repro.serving.faults`) maps worker death onto "drop the shard's
+session", so the whole failure matrix is testable without spawning.
 """
 
 from __future__ import annotations
@@ -63,9 +60,12 @@ import multiprocessing as mp
 import os
 import queue
 import random
+import shutil
 import signal
+import tempfile
 import threading
 import time
+from pathlib import Path
 from typing import Any, NoReturn
 
 from ..api.session import CajadeSession
@@ -82,7 +82,6 @@ from .frontend import (
     WorkerDiedError,
     canonical_payload,
 )
-from .shm import DatabaseHandle, attach_database, export_database
 from .supervisor import ShardSupervisor
 
 _READY_TIMEOUT = 120.0  # spawn + numpy import can be slow on small boxes
@@ -152,23 +151,23 @@ def _verified(shard: int, reply: tuple, corrupt: bool) -> Outcome:
 def _worker_main(
     shard: int,
     incarnation: int,
-    handle: DatabaseHandle,
+    store_directory: str,
     schema_graph: SchemaGraph,
     config: CajadeConfig,
     fault_plan: FaultPlan | None,
     request_queue: "mp.Queue[Any]",
     response_queue: "mp.Queue[Any]",
 ) -> None:
-    """Worker loop: attach shm, build a session, answer requests."""
+    """Worker loop: open the store, build a session, answer requests."""
     if fault_plan is not None and fault_plan.startup_crash(
         shard, incarnation
     ):
         os._exit(3)
-    attached = attach_database(handle)
     try:
-        session = CajadeSession(
-            attached.database, schema_graph, config
-        )
+        # A store that fails to open raises here: the worker dies
+        # before its handshake, which the parent counts as a failure.
+        db = Database.open(store_directory)
+        session = CajadeSession(db, schema_graph, config)
         response_queue.put(("ready", shard, incarnation))
         while True:
             message = request_queue.get()
@@ -183,8 +182,6 @@ def _worker_main(
         # group; the parent coordinates shutdown, so exit quietly
         # instead of spraying a traceback per worker.
         pass
-    finally:
-        attached.close()
 
 
 class _SupervisedBackend:
@@ -318,7 +315,6 @@ class ProcessPoolBackend(_SupervisedBackend):
             db, schema_graph, config, num_shards, max_restarts, fault_plan
         )
         self._ctx = mp.get_context(_START_METHOD)
-        self._export = export_database(db)
         self._restart_backoff = restart_backoff
         self._restart_rng = random.Random(seed)
         self._incarnations = [0] * num_shards
@@ -326,11 +322,29 @@ class ProcessPoolBackend(_SupervisedBackend):
         self._workers: list[_Worker | None] = [None] * num_shards
         self._started = False
         self._stopped = False
+        self._store = Path(tempfile.mkdtemp(prefix="cajade-store-"))
+        try:
+            db.save(self._store)
+            self._shared_bytes = sum(
+                path.stat().st_size for path in self._store.glob("*.bin")
+            )
+        except BaseException:
+            self._remove_store()
+            raise
+
+    @property
+    def store_directory(self) -> Path:
+        """The column store every worker opens (removed by :meth:`stop`)."""
+        return self._store
 
     @property
     def shared_bytes(self) -> int:
-        """Bytes published once in shared memory (not per worker)."""
-        return self._export.shared_bytes
+        """Bytes of the store's data files, which every worker maps (the
+        page cache holds them once, not per worker)."""
+        return self._shared_bytes
+
+    def _remove_store(self) -> None:
+        shutil.rmtree(self._store, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -344,7 +358,7 @@ class ProcessPoolBackend(_SupervisedBackend):
             args=(
                 shard,
                 worker.incarnation,
-                self._export.handle,
+                str(self._store),
                 self._schema_graph,
                 self.base_config,
                 self._fault_plan,
@@ -363,8 +377,7 @@ class ProcessPoolBackend(_SupervisedBackend):
 
         A partial failure (worker N dies before its handshake) must not
         leak: every already-spawned process is terminated and joined,
-        and the shared-memory export is unlinked, before the error
-        propagates.
+        and the store directory is removed, before the error propagates.
         """
         if self._started:
             return
@@ -378,7 +391,7 @@ class ProcessPoolBackend(_SupervisedBackend):
                 self._await_ready(worker)
         except Exception:
             self._teardown_workers()
-            self._export.close()
+            self._remove_store()
             self._stopped = True
             raise
         self._started = True
@@ -399,12 +412,12 @@ class ProcessPoolBackend(_SupervisedBackend):
                 process.join(timeout=5.0)
 
     def stop(self) -> None:
-        """Shut workers down and unlink the shared-memory export."""
+        """Shut workers down and remove the store directory."""
         if self._stopped:
             return
         self._stopped = True
         self._teardown_workers()
-        self._export.close()
+        self._remove_store()
         super().stop()
 
     def __enter__(self) -> "ProcessPoolBackend":
@@ -435,7 +448,7 @@ class ProcessPoolBackend(_SupervisedBackend):
             and worker.process.is_alive()
         ):
             return worker
-        if not self._started or self._stopped or self._export.closed:
+        if not self._started or self._stopped:
             raise ServiceError(f"pool is not running (shard {shard})")
         if worker is not None and worker.process is not None:
             worker.process.join(timeout=1.0)  # reap the corpse

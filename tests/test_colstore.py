@@ -4,11 +4,11 @@ Differential suite for :mod:`repro.db.colstore`: a database saved with
 ``Database.save`` and reopened with ``Database.open`` must be
 indistinguishable from the in-memory original through every consumer —
 column materialization, subset gathers, frame joins (``IndexFrame.join``,
-the one join core), the mining kernel's code matrices, and the
-shared-memory export round-trip — over adversarial inputs (NULL text,
+the one join core), the mining kernel's code matrices, and a second
+save of the reopened store — over adversarial inputs (NULL text,
 ``-1`` sentinel ints, float NaN, zero-row tables, all-NULL columns).
 The lazy-dictionary contract is asserted directly: ``open`` reads zero
-value-dict pickles, and only tables whose object values are actually
+dictionary files, and only tables whose object values are actually
 gathered ever load one.  A truncated or mis-pointed data file fails
 closed: ``open`` raises a ``SchemaError`` naming ``<table>.bin`` and the
 column instead of opening a shorter column.
@@ -108,7 +108,7 @@ class TestLazyDictionaries:
             reopened.table("u"), [("t.k", "u.k")]
         ).column("u.x")
         assert reopened.column_store.dicts_loaded == 0
-        # An object-value gather loads exactly its own table's pickle.
+        # An object-value gather loads exactly its own table's dictionaries.
         reopened.table("t").column("t.s")
         assert reopened.column_store.loaded_tables() == ["t"]
 
@@ -217,24 +217,25 @@ class TestRoundTripParity:
         )
         assert np.array_equal(left.ml_codes("t.s"), right.ml_codes("t.s"))
 
-    @given(rows=ROWS)
-    def test_shm_export_round_trip(self, rows, tmp_path_factory):
-        from repro.serving.shm import AttachedDatabase, DatabaseExport
-
+    @given(left_rows=ROWS, right_rows=ROWS)
+    def test_resave_round_trip(self, left_rows, right_rows, tmp_path_factory):
+        """``save(open(save(db)))`` reopens identical to ``db`` — what a
+        worker pool does with a database ``serve --db-cache-dir`` opened."""
         tmp = tmp_path_factory.mktemp("colstore")
-        db = _database([_table("t", rows)])
-        reopened = _reopened(db, tmp)
-        export = DatabaseExport(reopened)
-        try:
-            attached = AttachedDatabase(export.handle)
-            try:
-                assert_relations_identical(
-                    db.table("t"), attached.database.table("t")
-                )
-            finally:
-                attached.close()
-        finally:
-            export.close()
+        db = _database([_table("l", left_rows), _table("r", right_rows)])
+        db.add_foreign_key("l", ["l.k"], "r", ["r.k"])
+        resaved = _reopened(_reopened(db, tmp / "first"), tmp / "second")
+        assert resaved.table_names == db.table_names
+        assert resaved.foreign_keys == db.foreign_keys
+        for name in db.table_names:
+            assert_relations_identical(db.table(name), resaved.table(name))
+            for column in db.table(name).column_names:
+                left = db.table(name).encoding(column)
+                right = resaved.table(name).encoding(column)
+                if left is not None:
+                    assert right.codes.tolist() == left.codes.tolist()
+                    assert dict(right.code_of) == dict(left.code_of)
+                    assert right.none_code == left.none_code
 
     def test_zero_row_table(self, tmp_path):
         db = _database([_table("t", [])])

@@ -5,10 +5,11 @@ import json
 import os
 import signal
 
-import numpy as np
 import pytest
 
 from repro import CajadeConfig, CajadeSession, ComparisonQuestion, ExplanationRequest
+from repro.db import Database
+from repro.db.errors import SchemaError
 from repro.serving import (
     CORRUPT,
     DELAY,
@@ -36,11 +37,6 @@ from repro.serving import (
     shard_for,
 )
 from repro.serving.metrics import LATENCY_WINDOW
-from repro.serving.shm import (
-    attach_database,
-    attached_segment_count,
-    export_database,
-)
 from tests.conftest import GSW_WINS_SQL
 
 QUESTION = ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"})
@@ -468,88 +464,6 @@ class TestChaosInline:
 
 
 # ---------------------------------------------------------------------------
-# Shared memory
-# ---------------------------------------------------------------------------
-
-
-class TestSharedMemory:
-    def test_round_trip_values_and_encodings(self, mini_db):
-        export = export_database(mini_db)
-        attached = attach_database(export.handle)
-        try:
-            for name in mini_db.table_names:
-                a = mini_db.table(name)
-                b = attached.database.table(name)
-                assert a.num_rows == b.num_rows
-                for col in a.schema.column_names:
-                    ca, cb = a.column(col), b.column(col)
-                    assert ca.dtype == cb.dtype
-                    if ca.dtype == object:
-                        assert list(ca) == list(cb)
-                    else:
-                        assert np.array_equal(ca, cb, equal_nan=True)
-            # Encoded TEXT columns alias the shared code arrays.
-            game = attached.database.table("game")
-            encoding = game.encoding("winner")
-            assert encoding is not None
-            assert not encoding.codes.flags.writeable
-            src = mini_db.table("game").encoding("winner")
-            assert np.array_equal(encoding.codes, src.codes)
-            assert encoding.code_of == src.code_of
-        finally:
-            attached.close()
-            export.close()
-        assert attached_segment_count() == 0
-
-    def test_foreign_keys_survive(self, mini_db):
-        export = export_database(mini_db)
-        attached = attach_database(export.handle)
-        try:
-            assert attached.database.foreign_keys == mini_db.foreign_keys
-        finally:
-            attached.close()
-            export.close()
-
-    def test_export_close_unlinks_segments(self, mini_db):
-        from multiprocessing import shared_memory
-
-        export = export_database(mini_db)
-        names = export.handle.segment_names
-        assert names
-        export.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_attach_refcounting(self, mini_db):
-        export = export_database(mini_db)
-        first = attach_database(export.handle)
-        second = attach_database(export.handle)
-        base = attached_segment_count()
-        first.close()
-        # Second attachment still holds every segment mapped.
-        assert attached_segment_count() == base
-        second.close()
-        assert attached_segment_count() == 0
-        export.close()
-
-    def test_attached_session_byte_identical(
-        self, mini_db, mini_schema_graph
-    ):
-        expected = serial_payload(mini_db, mini_schema_graph)
-        export = export_database(mini_db)
-        attached = attach_database(export.handle)
-        try:
-            session = CajadeSession(
-                attached.database, mini_schema_graph, CONFIG
-            )
-            assert canonical_payload(session.explain(request())) == expected
-        finally:
-            attached.close()
-            export.close()
-
-
-# ---------------------------------------------------------------------------
 # Front-end: cache, coalescing, fan-out
 # ---------------------------------------------------------------------------
 
@@ -735,8 +649,16 @@ class TestExplanationService:
 
 
 # ---------------------------------------------------------------------------
-# Worker pool (spawned processes over shared memory)
+# Worker pool (spawned processes over a column store the parent writes)
 # ---------------------------------------------------------------------------
+
+
+def dev_shm_entries() -> set[str]:
+    """``/dev/shm`` entries, less the queues' ``sem.*`` semaphores (which
+    live until their owners are collected)."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if not n.startswith("sem.")}
 
 
 @pytest.mark.slow
@@ -745,8 +667,10 @@ class TestProcessPool:
         self, mini_db, mini_schema_graph
     ):
         """One pool exercise: correct bytes, supervised restart after a
-        SIGKILL, restart visible in stats, and no process or shm leaks."""
+        SIGKILL, restart visible in stats, and no process or store
+        leaks."""
         expected = serial_payload(mini_db, mini_schema_graph)
+        shm_before = dev_shm_entries()
 
         async def main(backend):
             async with ExplanationService(
@@ -767,9 +691,9 @@ class TestProcessPool:
                 victim.join(timeout=10.0)
                 service._cache.clear()
 
-                # The supervisor respawns the shard's worker against
-                # the still-live shm export; the answer is the same
-                # bytes as before the crash.
+                # The supervisor respawns the shard's worker, which
+                # reopens the same store; the answer is the same bytes
+                # as before the crash.
                 third = await service.submit(request())
                 assert third.payload == expected
                 assert third.source == "executed"
@@ -779,30 +703,26 @@ class TestProcessPool:
                 assert stats["availability"] == 1.0
                 replacement = backend._workers[shard].process
                 assert replacement.pid != victim.pid
+                assert backend.store_directory.is_dir()
 
         backend = ProcessPoolBackend(
             mini_db, mini_schema_graph, CONFIG, num_shards=2
         )
-        segment_names = backend._export.handle.segment_names
         asyncio.run(main(backend))
 
-        # stop() ran in close(): no worker survives it, and the parent
-        # still owned every segment (the killed worker shares the
-        # parent's resource tracker, so its death must not have
-        # unlinked anything prematurely) — after stop they are gone.
-        from multiprocessing import shared_memory
-
+        # stop() ran in close(): no worker survives it, the store
+        # directory is gone, and nothing was left in /dev/shm.
         for worker in backend._workers:
             assert worker is None or not worker.process.is_alive()
-        for name in segment_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert not backend.store_directory.exists()
+        assert dev_shm_entries() <= shm_before
 
     def test_start_partial_failure_leaks_nothing(
         self, mini_db, mini_schema_graph
     ):
         """A worker crashing before its ready handshake fails start():
-        the spawned siblings are reaped and the export is unlinked."""
+        the spawned siblings are reaped and the store is removed."""
+        shm_before = dev_shm_entries()
         plan = FaultPlan(
             (FaultRule(kind=STARTUP_CRASH, shard=1, at=1),)
         )
@@ -810,21 +730,62 @@ class TestProcessPool:
             mini_db, mini_schema_graph, CONFIG, num_shards=2,
             fault_plan=plan,
         )
-        segment_names = backend._export.handle.segment_names
-        assert segment_names
+        assert backend.store_directory.is_dir()
         with pytest.raises(WorkerDiedError):
             backend.start()
 
-        from multiprocessing import shared_memory
-
         for worker in backend._workers:
             assert worker is None or not worker.process.is_alive()
-        for name in segment_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert not backend.store_directory.exists()
+        assert dev_shm_entries() <= shm_before
         # The torn-down pool refuses to restart rather than limp.
         with pytest.raises(ServiceError):
             backend.start()
+
+    def test_unopenable_store_quarantines_then_degrades(
+        self, mini_db, mini_schema_graph
+    ):
+        """A respawn whose ``Database.open`` fails dies before its
+        handshake; the supervisor counts that as a worker death,
+        quarantines the shard, and the degraded answer is the serial
+        bytes."""
+        expected = serial_payload(mini_db, mini_schema_graph)
+
+        async def main(backend):
+            async with ExplanationService(
+                backend, max_retries=5, retry_backoff=0.01,
+                degraded_mode="inline",
+            ) as service:
+                first = await service.submit(request())
+                victim = backend._workers[0].process
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10.0)
+                service._cache.clear()
+                data_file = max(
+                    backend.store_directory.glob("*.bin"),
+                    key=lambda path: path.stat().st_size,
+                )
+                data_file.write_bytes(data_file.read_bytes()[:-8])
+                with pytest.raises(SchemaError, match=data_file.name):
+                    Database.open(backend.store_directory)
+                degraded = await service.submit(request())
+                return first, degraded, service.stats.snapshot()
+
+        backend = ProcessPoolBackend(
+            mini_db, mini_schema_graph, CONFIG, num_shards=1,
+            max_restarts=1,
+        )
+        first, degraded, stats = asyncio.run(main(backend))
+        assert first.source == "executed"
+        assert first.payload == expected
+        assert degraded.source == "degraded"
+        assert degraded.payload == expected
+        assert stats["health"]["quarantined"] == [0]
+        assert stats["health"]["restarts"] == 0
+        assert "died during startup" in (
+            stats["health"]["shards"][0]["last_error"]
+        )
+        assert not backend.store_directory.exists()
 
 
 @pytest.mark.parametrize(
@@ -842,10 +803,11 @@ def test_backends_share_one_contract(
         (FaultRule(kind=KILL, at=2), FaultRule(kind=CORRUPT, at=4)), seed=3
     )
 
+    backend = backend_class(
+        mini_db, mini_schema_graph, CONFIG, num_shards=1, fault_plan=plan
+    )
+
     async def main():
-        backend = backend_class(
-            mini_db, mini_schema_graph, CONFIG, num_shards=1, fault_plan=plan
-        )
         # No response cache: each of the four asks executes.
         async with ExplanationService(
             backend, response_cache_mb=0.0, retry_backoff=0.01
@@ -877,7 +839,8 @@ def test_backends_share_one_contract(
         "quarantined": [],
         "faults_injected": 2,
     }
-    assert attached_segment_count() == 0
+    if backend_class is ProcessPoolBackend:
+        assert not backend.store_directory.exists()
 
 
 # ---------------------------------------------------------------------------

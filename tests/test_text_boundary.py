@@ -1,12 +1,14 @@
 """A TEXT cell is ``str`` or ``None`` — checked once, where a table enters.
 
-Every way a dictionary gets into the process — encoding a relation's
-object column (on demand, or eagerly when the catalog registers the
-table) and loading a saved column store's value dictionary — fails
-closed on an ``int``, a float NaN or a ``list``, with a
-:class:`SchemaError` naming table and column.  Nothing past the
-boundary keeps a path for such cells (``docs/ARCHITECTURE.md``, "Values
-and NULLs").
+Encoding a relation's object column (on demand, or eagerly when the
+catalog registers the table) fails closed on an ``int``, a float NaN or
+a ``list``, with a :class:`SchemaError` naming table and column.
+Nothing past the boundary keeps a path for such cells
+(``docs/ARCHITECTURE.md``, "Values and NULLs").  A saved column store's
+dictionary is UTF-8 bytes plus offsets, so it can only decode to text;
+every way a tampered one disagrees with itself or its codes is a
+:class:`SchemaError` at the first gather, and an object array in it is
+refused rather than loaded.
 
 CI runs this file under the fixed deterministic hypothesis profile
 (``HYPOTHESIS_PROFILE=ci``), beside the join differential harness.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -91,26 +92,6 @@ class TestNonTextCellIsRejected:
         with pytest.raises(SchemaError, match=r"t\.s"):
             relation._check_primary_key()
 
-    def test_tampered_dicts_pkl(self, cell, tmp_path):
-        db = Database("d")
-        db.add_relation(relation_with(["a", None, "b"]))
-        db.save(tmp_path)
-        path = tmp_path / "t.dicts.pkl"
-        dicts = pickle.loads(path.read_bytes())
-        assert dicts == {"s": ["a", None, "b"]}
-        dicts["s"][2] = cell
-        path.write_bytes(pickle.dumps(dicts))
-
-        reopened = Database.open(tmp_path)  # nothing is read at open
-        assert reopened.column_store.dicts_loaded == 0
-        table = reopened.table("t")
-        assert table.encoding("s").codes.tolist() == [0, 1, 2]
-        with pytest.raises(SchemaError, match=r"t\.s"):
-            table.column("s")
-        with pytest.raises(SchemaError, match=r"t\.s"):
-            table.encoding("s").code_of.get("a")
-        assert reopened.column_store.dicts_loaded == 0
-
     def test_mining_kernel(self, cell):
         with pytest.raises(SchemaError, match="cat"):
             MiningKernel(
@@ -135,12 +116,76 @@ def test_old_format_store_is_refused(tmp_path):
     db.add_relation(relation_with(["a"]))
     db.save(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["format"] == 2
+    assert manifest["format"] == 3
     assert "null_codes" not in json.dumps(manifest)
-    manifest["format"] = 1
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(SchemaError, match="unsupported column-store format"):
-        Database.open(tmp_path)
+    for old in (1, 2):  # 2 stored its dictionaries in an executable file
+        manifest["format"] = old
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="unsupported column-store"):
+            Database.open(tmp_path)
+
+
+# A saved ``t.s`` = ["a", None, "b"] is codes [0, 1, 2] over the UTF-8
+# buffer b"ab" with offsets [0, 1, 1, 2] (slot 1, the NULL, is empty).
+# Each case rewrites the dictionary file; the store still opens, and the
+# first gather fails naming the column.
+TAMPERED_DICTIONARIES = {
+    "offsets_not_from_zero": (b"ab", [1, 1, 1, 2]),
+    "offsets_decrease": (b"ab", [0, 2, 1, 2]),
+    "offsets_end_short": (b"abc", [0, 1, 1, 2]),
+    "offsets_end_past": (b"ab", [0, 1, 1, 3]),
+    "invalid_utf8": (b"\xffb", [0, 1, 1, 2]),
+    "split_utf8_char": ("é".encode() + b"b", [0, 1, 1, 3]),
+    "null_slot_not_empty": (b"axb", [0, 1, 2, 3]),
+    "duplicate_value": (b"aa", [0, 1, 1, 2]),
+    "code_past_end": (b"a", [0, 1, 1]),
+    "wrong_dtype": (b"ab", np.array([0, 1, 1, 2], dtype=np.int32)),
+}
+
+
+@pytest.mark.parametrize(
+    "utf8,offsets",
+    TAMPERED_DICTIONARIES.values(),
+    ids=TAMPERED_DICTIONARIES.keys(),
+)
+def test_tampered_dictionary(tmp_path, utf8, offsets):
+    db = Database("d")
+    db.add_relation(relation_with(["a", None, "b"]))
+    db.save(tmp_path)
+    path = tmp_path / "t.dicts.npz"
+    with np.load(path) as saved:
+        assert saved["s.utf8"].tobytes() == b"ab"
+        assert saved["s.offsets"].tolist() == [0, 1, 1, 2]
+    np.savez(
+        path,
+        **{
+            "s.utf8": np.frombuffer(utf8, dtype=np.uint8),
+            "s.offsets": np.asarray(offsets),  # a list is int64
+        },
+    )
+
+    reopened = Database.open(tmp_path)  # nothing is read at open
+    assert reopened.column_store.dicts_loaded == 0
+    table = reopened.table("t")
+    assert table.encoding("s").codes.tolist() == [0, 1, 2]
+    with pytest.raises(SchemaError, match=r"t\.s"):
+        table.column("s")
+    with pytest.raises(SchemaError, match=r"t\.s"):
+        table.encoding("s").code_of.get("a")
+    assert reopened.column_store.dicts_loaded == 0
+
+
+def test_dictionary_file_executes_nothing(tmp_path):
+    """An object array in the dictionary file is refused, not loaded."""
+    db = Database("d")
+    db.add_relation(relation_with(["a", None, "b"]))
+    db.save(tmp_path)
+    values = np.array(["a", None, "b"], dtype=object)
+    np.savez(
+        tmp_path / "t.dicts.npz", **{"s.utf8": values, "s.offsets": values}
+    )
+    with pytest.raises(SchemaError, match=r"t\.dicts\.npz"):
+        Database.open(tmp_path).table("t").column("s")
 
 
 class TestTextColumnsAlwaysEncode:
