@@ -6,7 +6,8 @@
    attributes that merely alias the group key (the paper's Qmimic5
    ethnicity observation).
 3. Natural-language and JSON rendering of explanations.
-4. EXPLAIN-style plans with the cost estimates that drive λqcost.
+4. The materialization plan of a join graph and the cost estimate
+   λqcost compares against its threshold.
 
 Run:  python examples/extensions_tour.py
 """
@@ -16,8 +17,10 @@ from repro.core.join_discovery import (
     augment_schema_graph,
     discover_join_candidates,
 )
+from repro.core.apt import build_plan
+from repro.core.enumeration import estimate_apt_cost
 from repro.datasets import load_mimic, query_by_name
-from repro.db import explain_plan
+from repro.db import ProvenanceTable, parse_sql
 
 
 def main() -> None:
@@ -71,9 +74,24 @@ def main() -> None:
 
     print(json.dumps(result.explanations[0].to_dict(), indent=2, default=str)[:600])
 
-    # -- 4. EXPLAIN ---------------------------------------------------------
-    print("\nquery plan with cost estimates (λqcost uses the same model):")
-    print(explain_plan(workload.sql, db).render())
+    # -- 4. the plan λqcost prices -----------------------------------------
+    graph = result.explanations[0].join_graph
+    pt = ProvenanceTable.compute(parse_sql(workload.sql), db)
+    print("\ntop explanation's join graph:")
+    print(graph.describe())
+    plan = build_plan(graph, pt)
+    print("its materialization plan (the steps the engine runs):")
+    for step in plan.joins:
+        on = " AND ".join(f"{left} = {right}" for left, right in step.conditions)
+        print(f"  join {step.table} AS {step.alias} ON {on}")
+    for step in plan.filters:
+        print("  filter " + " AND ".join(f"{a} = {b}" for a, b in step.pairs))
+    cost = estimate_apt_cost(graph, pt, db)
+    print(
+        f"estimated cost {cost:.0f} tuples vs λqcost "
+        f"{config.qcost_threshold:.0f}: "
+        + ("kept" if cost <= config.qcost_threshold else "skipped")
+    )
 
 
 if __name__ == "__main__":

@@ -205,6 +205,8 @@ def build_plan(join_graph: JoinGraph, pt: ProvenanceTable) -> MaterializationPla
     enumeration-extension order, so a graph extending Ω' by a fresh node
     yields Ω''s join steps plus one (the trie-sharing invariant — see the
     module docstring).  Cycle-closing edges become sorted filter steps.
+    This is the only walk of a join graph: λqcost prices these steps
+    (:func:`repro.core.enumeration.estimate_apt_cost`).
     """
     aliases = join_graph.materialization_aliases()
     pt_columns = pt.relation.column_names

@@ -12,21 +12,23 @@ orders) are eliminated with a canonical signature.
   of its primary-key attributes constrained by some incident edge
   (prevents the redundancy-blowup join graphs of §4);
 - *cost*: the estimated materialization cost of the APT query must stay
-  below λqcost, estimated from catalog statistics with the textbook
-  equi-join cardinality formula.
+  below λqcost.  The estimate prices the steps of the plan the engine
+  runs (:func:`~repro.core.apt.build_plan`) with the textbook equi-join
+  cardinality formula over distinct counts computed on first ask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..db.database import Database
-from ..db.provenance import PT_ROW_ID, ProvenanceTable
+from ..db.provenance import ProvenanceTable
 from ..db.query import Query
 from ..db.statistics import TableStatistics, estimate_join_cardinality
+from .apt import build_plan
 from .config import CajadeConfig
-from .join_graph import PT_LABEL, JGEdge, JoinGraph
+from .join_graph import JoinGraph
 from .schema_graph import SchemaGraph
 
 
@@ -128,73 +130,37 @@ def estimate_apt_cost(
     db: Database,
     pt_stats: TableStatistics | None = None,
 ) -> float:
-    """Estimated total tuples flowing through the APT join pipeline."""
-    if pt_stats is None:
-        pt_stats = TableStatistics.collect(pt.relation)
-    aliases = graph.materialization_aliases()
+    """Estimated total tuples flowing through the APT join pipeline.
 
+    Prices the plan the engine executes (:func:`~repro.core.apt.build_plan`)
+    step by step.  A join key on an earlier step's alias uses that
+    table's distinct count; any other left key is a PT column, whose
+    distinct count is capped by the running row estimate.
+    """
+    if pt_stats is None:
+        pt_stats = TableStatistics(pt.relation)
+    plan = build_plan(graph, pt)
     rows = float(pt.relation.num_rows)
     cost = rows
-    visited = {graph.pt_node.nid}
-    # attr distinct estimates per node id (PT uses its own stats).
-    remaining = list(graph.edges)
-
-    def distinct_on(node_id: int, attr: str, current_rows: float) -> int:
-        if node_id == graph.pt_node.nid:
-            hits = [
-                c
-                for c in pt.relation.column_names
-                if c != PT_ROW_ID and c.split(".")[-1] == attr
-            ]
-            if hits:
-                return min(
-                    pt_stats.distinct(hits[0]), max(1, int(current_rows))
-                )
-            return max(1, int(current_rows))
-        label = graph.node(node_id).label
-        return db.statistics(label).distinct(attr)
-
-    while True:
-        frontier: dict[int, list[JGEdge]] = {}
-        for edge in remaining:
-            for new, old in ((edge.v, edge.u), (edge.u, edge.v)):
-                if old in visited and new not in visited:
-                    frontier.setdefault(new, []).append(edge)
-                    break
-        if not frontier:
-            break
-        node_id = min(frontier)
-        edges = frontier[node_id]
-        label = graph.node(node_id).label
-        table_rows = float(db.table(label).num_rows)
+    owners: dict[str, str] = {}  # alias -> table of the steps so far
+    for step in plan.joins:
+        incoming = db.statistics(step.table)
         key_distincts: list[tuple[int, int]] = []
-        for edge in edges:
-            pairs = edge.condition.pairs
-            if edge.v == node_id:
-                anchor = edge.u
-                for a_attr, b_attr in pairs:
-                    key_distincts.append(
-                        (
-                            distinct_on(anchor, a_attr, rows),
-                            db.statistics(label).distinct(b_attr),
-                        )
-                    )
+        for left, right in step.conditions:
+            alias, _, attr = left.partition(".")
+            if alias in owners:
+                left_d = db.statistics(owners[alias]).distinct(attr)
             else:
-                anchor = edge.v
-                for a_attr, b_attr in pairs:
-                    key_distincts.append(
-                        (
-                            distinct_on(anchor, b_attr, rows),
-                            db.statistics(label).distinct(a_attr),
-                        )
-                    )
+                left_d = min(pt_stats.distinct(left), max(1, int(rows)))
+            key_distincts.append(
+                (left_d, incoming.distinct(right.partition(".")[2]))
+            )
+        table_rows = float(incoming.num_rows)
         rows = estimate_join_cardinality(rows, table_rows, key_distincts)
         cost += rows + table_rows
-        visited.add(node_id)
-        remaining = [e for e in remaining if e not in edges]
+        owners[step.alias] = step.table
     # Cycle-closing edges only filter; charge one pass over the rows.
-    cost += rows * len(remaining)
-    return cost
+    return cost + rows * len(plan.filters)
 
 
 def is_valid(
@@ -231,7 +197,7 @@ def enumerate_join_graphs(
     """
     stats = stats if stats is not None else EnumerationStats()
     query_aliases = {t.alias: t.table for t in query.tables}
-    pt_stats = TableStatistics.collect(pt.relation)
+    pt_stats = TableStatistics(pt.relation)
 
     initial = JoinGraph.initial(query_aliases)
     stats.generated += 1

@@ -31,18 +31,12 @@ from .expressions import (
     conjunction,
 )
 from .parser import parse_sql
-from .plan import PlanStep, QueryPlan, explain_plan
 from .provenance import PT_ROW_ID, ProvenanceTable
 from .query import AggregateCall, Query, SelectItem, TableRef
 from .frame import IndexFrame
 from .relation import ColumnEncoding, Relation
 from .schema import Column, ForeignKey, TableSchema
-from .statistics import (
-    ColumnStatistics,
-    TableStatistics,
-    estimate_join_cardinality,
-    estimate_pipeline_cost,
-)
+from .statistics import TableStatistics, estimate_join_cardinality
 from .types import ColumnType, infer_column_type, is_null
 
 __all__ = [
@@ -52,7 +46,6 @@ __all__ = [
     "CatalogError",
     "Column",
     "ColumnRef",
-    "ColumnStatistics",
     "ColumnType",
     "Comparison",
     "conjunction",
@@ -70,9 +63,6 @@ __all__ = [
     "Not",
     "Or",
     "parse_sql",
-    "PlanStep",
-    "QueryPlan",
-    "explain_plan",
     "ParseError",
     "Predicate",
     "ProvenanceTable",
@@ -90,5 +80,4 @@ __all__ = [
     "TypeMismatchError",
     "working_table",
     "estimate_join_cardinality",
-    "estimate_pipeline_cost",
 ]

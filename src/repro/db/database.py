@@ -141,11 +141,8 @@ class Database:
         from .statistics import TableStatistics
 
         if name not in self._stats_cache:
-            self._stats_cache[name] = TableStatistics.collect(self.table(name))
+            self._stats_cache[name] = TableStatistics(self.table(name))
         return self._stats_cache[name]
-
-    def invalidate_statistics(self) -> None:
-        self._stats_cache.clear()
 
     # ------------------------------------------------------------------
     # Persistence (out-of-core column store)

@@ -423,8 +423,7 @@ def group_indices(
     Grouping runs on the relation's dictionary/factorized codes (one
     ``np.unique`` over an int64 code matrix) rather than a per-row
     Python tuple loop; groups keep first-occurrence order and the
-    historical tuple-equality semantics (``Relation._row_codes``),
-    falling back to the loop when a column defeats encoding.
+    historical tuple-equality semantics (``Relation._row_codes``).
     """
     if not group_columns:
         return {(): np.arange(relation.num_rows)}
@@ -432,12 +431,6 @@ def group_indices(
         return {}
     arrays = [relation.column(c) for c in group_columns]
     codes = relation._row_codes(group_columns)
-    if codes is None:
-        groups: dict[tuple[Any, ...], list[int]] = {}
-        for i in range(relation.num_rows):
-            key = tuple(arr[i] for arr in arrays)
-            groups.setdefault(key, []).append(i)
-        return {k: np.array(v, dtype=np.int64) for k, v in groups.items()}
     _, first_idx, inverse = np.unique(
         codes, axis=0, return_index=True, return_inverse=True
     )
@@ -641,8 +634,11 @@ def group_columns_in_working(query: Query, work: Relation) -> list[str]:
     return [resolve_column(work, ref.name) for ref in query.group_by]
 
 
-def aggregate(query: Query, work: Relation) -> Relation:
-    """Apply grouping + aggregate evaluation to a working table.
+def aggregate(
+    query: Query, work: Relation, groups: dict[tuple[Any, ...], np.ndarray]
+) -> Relation:
+    """Apply aggregate evaluation to a working table partitioned into
+    ``groups`` (:func:`group_indices` over the query's GROUP BY columns).
 
     Each SELECT item is evaluated for all groups at once
     (:func:`_vectorized_select_column`); items that path declines
@@ -650,8 +646,6 @@ def aggregate(query: Query, work: Relation) -> Relation:
     (:func:`_evaluate_select_item`), which is also the definition
     tests/test_colstore.py holds the vectorized path to.
     """
-    group_cols = group_columns_in_working(query, work)
-    groups = group_indices(work, group_cols)
     group_list = list(groups.values())
     out_columns: list[list[Any]] = []
     for item in query.select:
@@ -672,7 +666,7 @@ def aggregate(query: Query, work: Relation) -> Relation:
         columns.append(Column(item.alias, _result_type(sample)))
     schema = TableSchema(name="result", columns=columns)
     result = Relation.from_rows(schema, rows)
-    if group_cols:
+    if query.group_by:
         return result.sort_by([c.name for c in columns if _sortable(result, c)])
     return result
 
@@ -693,7 +687,8 @@ def execute(query: Query, db: Database) -> Relation:
     if query.group_by or any(
         contains_aggregate(i.expression) for i in query.select
     ):
-        return aggregate(query, work)
+        groups = group_indices(work, group_columns_in_working(query, work))
+        return aggregate(query, work, groups)
     # Pure SPJ query: project the SELECT expressions row-wise.
     columns: dict[str, np.ndarray] = {}
     schema_cols: list[Column] = []

@@ -57,8 +57,9 @@ class ProvenanceTable:
         """Materialize the provenance table of ``query`` over ``db``.
 
         The working table's join pipeline runs on index vectors and is
-        gathered once at this edge; group partitioning runs vectorized
-        over its factorized group-key codes.
+        gathered once at this edge; the rows are partitioned once,
+        vectorized over their factorized group-key codes, and the same
+        partition feeds the query's aggregation.
         """
         work = working_table(query, db)
         work = work.with_column(
@@ -67,13 +68,12 @@ class ProvenanceTable:
             np.arange(work.num_rows, dtype=np.int64),
         )
         group_cols = group_columns_in_working(query, work)
-        if group_cols:
-            groups = group_indices(work, group_cols)
-        else:
-            groups = {(): np.arange(work.num_rows, dtype=np.int64)}
-        result = aggregate(query, work.project(
-            [c for c in work.column_names if c != PT_ROW_ID]
-        ))
+        groups = group_indices(work, group_cols)
+        result = aggregate(
+            query,
+            work.project([c for c in work.column_names if c != PT_ROW_ID]),
+            groups,
+        )
         return cls(
             query=query,
             relation=work,

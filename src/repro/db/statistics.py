@@ -13,70 +13,40 @@ which is what a disk-based optimizer's I/O cost is proportional to.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Any
-
 import numpy as np
 
 from .relation import Relation
 
 
-@dataclass(frozen=True)
-class ColumnStatistics:
-    """Summary statistics for a single column."""
-
-    name: str
-    num_distinct: int
-    null_fraction: float
-    min_value: float | None
-    max_value: float | None
-
-    @classmethod
-    def collect(cls, relation: Relation, name: str) -> "ColumnStatistics":
-        arr = relation.column(name)
-        n = len(arr)
-        if n == 0:
-            return cls(name, 0, 0.0, None, None)
-        if arr.dtype == object:
-            values = [v for v in arr if v is not None]
-            distinct = len(set(values))
-            nulls = n - len(values)
-            return cls(name, distinct, nulls / n, None, None)
-        numeric = arr.astype(np.float64)
-        valid = numeric[~np.isnan(numeric)]
-        distinct = int(len(np.unique(valid)))
-        nulls = n - len(valid)
-        min_v = float(valid.min()) if len(valid) else None
-        max_v = float(valid.max()) if len(valid) else None
-        return cls(name, distinct, nulls / n, min_v, max_v)
-
-
-@dataclass(frozen=True)
 class TableStatistics:
-    """Row count plus per-column statistics for one relation."""
+    """Row count plus per-column distinct counts, each computed on first ask.
 
-    table: str
-    num_rows: int
-    columns: dict[str, ColumnStatistics]
+    A TEXT column counts its distinct table-level dictionary codes other
+    than the NULL code, so pricing a join over a reopened column store
+    reads the memmapped code array and never a dictionary file.  A
+    numeric column counts its non-NaN unique values.
+    """
 
-    @classmethod
-    def collect(cls, relation: Relation) -> "TableStatistics":
-        columns = {
-            name: ColumnStatistics.collect(relation, name)
-            for name in relation.column_names
-        }
-        return cls(
-            table=relation.schema.name,
-            num_rows=relation.num_rows,
-            columns=columns,
-        )
+    def __init__(self, relation: Relation):
+        self._relation = relation
+        self.num_rows = relation.num_rows
+        self._distinct: dict[str, int] = {}
 
     def distinct(self, column: str) -> int:
-        stats = self.columns.get(column)
-        if stats is None:
-            return max(1, self.num_rows)
-        return max(1, stats.num_distinct)
+        """V(R, column), at least 1; an unknown column is a
+        :class:`~repro.db.errors.SchemaError`."""
+        if column not in self._distinct:
+            self._distinct[column] = max(1, self._count_distinct(column))
+        return self._distinct[column]
+
+    def _count_distinct(self, column: str) -> int:
+        encoding = self._relation.encoding(column)
+        if encoding is not None:
+            codes = np.unique(encoding.codes)
+            null = encoding.none_code
+            return len(codes) - int(null is not None and null in codes)
+        values = self._relation.column(column).astype(np.float64)
+        return len(np.unique(values[~np.isnan(values)]))
 
 
 def estimate_join_cardinality(
@@ -93,26 +63,3 @@ def estimate_join_cardinality(
     for left_d, right_d in key_distincts:
         cardinality /= max(1, left_d, right_d)
     return max(0.0, cardinality)
-
-
-def estimate_pipeline_cost(intermediate_sizes: list[float]) -> float:
-    """Cost of a join pipeline ≈ total tuples flowing through it."""
-    return float(sum(intermediate_sizes))
-
-
-def selectivity_of_equality(distinct: int) -> float:
-    """Selectivity of ``col = const`` under a uniform assumption."""
-    return 1.0 / max(1, distinct)
-
-
-def estimate_distinct_after_join(
-    distinct: int, input_rows: float, output_rows: float
-) -> int:
-    """Cap a column's distinct count by the (estimated) output size.
-
-    After a join shrinks or grows a relation the number of distinct values
-    of any column is at most min(original distinct, output rows).
-    """
-    if math.isnan(output_rows):
-        return distinct
-    return int(max(1, min(distinct, output_rows)))

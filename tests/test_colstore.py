@@ -8,10 +8,11 @@ the one join core), the mining kernel's code matrices, and a second
 save of the reopened store — over adversarial inputs (NULL text,
 ``-1`` sentinel ints, float NaN, zero-row tables, all-NULL columns).
 The lazy-dictionary contract is asserted directly: ``open`` reads zero
-dictionary files, and only tables whose object values are actually
-gathered ever load one.  A truncated or mis-pointed data file fails
-closed: ``open`` raises a ``SchemaError`` naming ``<table>.bin`` and the
-column instead of opening a shorter column.
+dictionary files, only tables whose object values are actually
+gathered ever load one, and λqcost's distinct counts load none.  A
+truncated or mis-pointed data file fails closed: ``open`` raises a
+``SchemaError`` naming ``<table>.bin`` and the column instead of opening
+a shorter column.
 
 Also holds the vectorized-encoding and vectorized-aggregate parity
 properties (this PR's load-path and executor satellites):
@@ -111,6 +112,36 @@ class TestLazyDictionaries:
         # An object-value gather loads exactly its own table's dictionaries.
         reopened.table("t").column("t.s")
         assert reopened.column_store.loaded_tables() == ["t"]
+
+    @pytest.mark.parametrize("dataset", ["nba", "mimic"])
+    def test_statistics_read_no_dictionary(
+        self, dataset, gate_databases, tmp_path
+    ):
+        """λqcost's distinct counts come from codes, never from values."""
+        db, _ = gate_databases[dataset]
+        reopened = _reopened(db, tmp_path)
+        for table in db.table_names:
+            for column in db.table(table).column_names:
+                assert reopened.statistics(table).distinct(column) == (
+                    db.statistics(table).distinct(column)
+                ), f"{table}.{column}"
+        assert reopened.column_store.dicts_loaded == 0
+
+    def test_cold_question_reads_only_mined_dictionaries(
+        self, gate_databases, tmp_path
+    ):
+        from repro.api import CajadeSession
+        from repro.core import CajadeConfig
+        from repro.datasets import query_by_name
+        from repro.datasets.nba import nba_schema_graph
+
+        reopened = _reopened(gate_databases["nba"][0], tmp_path)
+        workload = query_by_name("Qnba5")
+        CajadeSession(
+            reopened, nba_schema_graph(reopened), CajadeConfig(max_join_edges=2)
+        ).explain(workload.sql, workload.question)
+        # 8 before the cost model stopped reading values.
+        assert reopened.column_store.dicts_loaded <= 6
 
     def test_lazy_column_slot_is_identity_stable(self, tmp_path):
         db = _database([_table("t", [(1, 1.0, "a"), (2, 2.0, "b")])])
@@ -368,13 +399,16 @@ class TestVectorizedAggregate:
 
         query = parse_sql(sql)
         work = executor.working_table(query, db)
-        vectorized = executor.aggregate(query, work)
+        groups = executor.group_indices(
+            work, executor.group_columns_in_working(query, work)
+        )
+        vectorized = executor.aggregate(query, work, groups)
         # Declining every item sends it down the live per-item fallback:
         # _evaluate_select_item mapped over the groups.
         with mock.patch.object(
             executor, "_vectorized_select_column", return_value=None
         ):
-            looped = executor.aggregate(query, work)
+            looped = executor.aggregate(query, work, groups)
         return vectorized, looped
 
     def _db(self, rows) -> Database:

@@ -1,5 +1,7 @@
 """Unit tests for join-graph enumeration (Algorithm 2)."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -13,6 +15,7 @@ from repro.core import (
     is_valid,
 )
 from repro.core.join_graph import JoinGraph
+from repro.datasets import query_by_name
 from repro.db import ProvenanceTable, parse_sql
 from tests.conftest import GSW_WINS_SQL
 
@@ -141,3 +144,38 @@ class TestEnumeration:
         for graph in graphs[1:]:
             ok, _ = is_valid(graph, pt, db, config)
             assert ok
+
+
+# λqcost's decisions on the gate's schemas (scale 0.25, λ#edges 2), as
+# measured before the estimate became a reader of ``build_plan``: the
+# counters and a digest of the ordered valid-graph signatures.
+PINNED_DECISIONS = [
+    ("Qnba5", 5e6, (308, 12, 231, 0, 65), "eacdc39ab91cad45"),
+    ("Qnba5", 3e3, (308, 12, 231, 14, 51), "537a6a6c9f9ff214"),
+    ("Qmimic5", 5e6, (45, 4, 16, 0, 25), "531aa96b19cb476c"),
+    ("Qmimic5", 3e3, (45, 4, 16, 24, 1), "2e38e77b22c314a4"),
+]
+
+
+@pytest.mark.parametrize("name,qcost,counts,digest", PINNED_DECISIONS)
+def test_qcost_decisions_on_gate_schemas(
+    name, qcost, counts, digest, gate_databases
+):
+    workload = query_by_name(name)
+    db, schema_graph = gate_databases[workload.dataset]
+    query = parse_sql(workload.sql)
+    pt = ProvenanceTable.compute(query, db)
+    stats = EnumerationStats()
+    config = CajadeConfig(max_join_edges=2, qcost_threshold=qcost)
+    graphs = list(
+        enumerate_join_graphs(schema_graph, query, pt, db, config, stats)
+    )
+    assert (
+        stats.generated,
+        stats.duplicates,
+        stats.invalid_pk,
+        stats.invalid_cost,
+        stats.valid,
+    ) == counts
+    signatures = "\n".join(repr(g.signature()) for g in graphs)
+    assert hashlib.sha256(signatures.encode()).hexdigest()[:16] == digest

@@ -97,11 +97,6 @@ class TestStatisticsCache:
         stats2 = db.statistics("team")
         assert stats1 is stats2
 
-    def test_invalidate(self, db):
-        stats1 = db.statistics("team")
-        db.invalidate_statistics()
-        assert db.statistics("team") is not stats1
-
     def test_replace_invalidates(self, db):
         stats1 = db.statistics("team")
         db.add_relation(db.table("team"), replace=True)

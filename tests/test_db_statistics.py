@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.db import ColumnType, Relation, TableSchema
-from repro.db.statistics import (
-    ColumnStatistics,
-    TableStatistics,
-    estimate_join_cardinality,
-    estimate_pipeline_cost,
-    selectivity_of_equality,
-)
+from repro.db import ColumnType, Relation, SchemaError, TableSchema
+from repro.db.statistics import TableStatistics, estimate_join_cardinality
 
 
 def make_relation() -> Relation:
@@ -26,44 +20,23 @@ def make_relation() -> Relation:
     return Relation.from_rows(schema, rows)
 
 
-class TestColumnStatistics:
-    def test_numeric(self):
-        stats = ColumnStatistics.collect(make_relation(), "a")
-        assert stats.num_distinct == 3
-        assert stats.min_value == 1.0
-        assert stats.max_value == 3.0
-        assert stats.null_fraction == 0.0
-
-    def test_numeric_with_nulls(self):
-        stats = ColumnStatistics.collect(make_relation(), "c")
-        assert stats.num_distinct == 2
-        assert stats.null_fraction == pytest.approx(0.25)
-
-    def test_text(self):
-        stats = ColumnStatistics.collect(make_relation(), "b")
-        assert stats.num_distinct == 2
-        assert stats.null_fraction == pytest.approx(0.25)
-        assert stats.min_value is None
-
-    def test_empty(self):
-        empty = Relation.empty(
-            TableSchema.build("e", {"a": ColumnType.INT})
-        )
-        stats = ColumnStatistics.collect(empty, "a")
-        assert stats.num_distinct == 0
-
-
 class TestTableStatistics:
     def test_collect_all_columns(self):
-        stats = TableStatistics.collect(make_relation())
+        stats = TableStatistics(make_relation())
         assert stats.num_rows == 4
-        assert set(stats.columns) == {"a", "b", "c"}
+        # NULL / NaN cells are not values: a TEXT column counts its
+        # non-NULL codes, a numeric one its non-NaN uniques.
+        assert [stats.distinct(c) for c in ("a", "b", "c")] == [3, 2, 2]
 
     def test_distinct_accessor(self):
-        stats = TableStatistics.collect(make_relation())
+        stats = TableStatistics(make_relation())
         assert stats.distinct("a") == 3
-        # Unknown columns fall back to table size (conservative).
-        assert stats.distinct("zz") == 4
+        with pytest.raises(SchemaError, match="zz"):
+            stats.distinct("zz")
+
+    def test_empty_counts_one(self):
+        empty = Relation.empty(TableSchema.build("e", {"a": ColumnType.INT}))
+        assert TableStatistics(empty).distinct("a") == 1
 
 
 class TestCardinalityEstimation:
@@ -79,10 +52,3 @@ class TestCardinalityEstimation:
 
     def test_never_negative(self):
         assert estimate_join_cardinality(0, 10, [(1, 1)]) == 0.0
-
-    def test_pipeline_cost_sums(self):
-        assert estimate_pipeline_cost([10.0, 20.0]) == 30.0
-
-    def test_selectivity(self):
-        assert selectivity_of_equality(4) == 0.25
-        assert selectivity_of_equality(0) == 1.0
