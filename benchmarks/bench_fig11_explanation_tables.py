@@ -81,7 +81,9 @@ def test_tab10_et_patterns(benchmark, nba, report):
     evaluator = QualityEvaluator(
         apt, resolved.row_ids1, resolved.row_ids2, sample_rate=1.0
     )
-    columns = discretize_numeric_columns(evaluator.columns())
+    columns = discretize_numeric_columns(
+        apt.minable_columns(evaluator.rows)
+    )
     outcome = (evaluator.side_labels() == 1).astype(np.float64)
 
     patterns = benchmark.pedantic(

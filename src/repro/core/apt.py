@@ -114,10 +114,6 @@ class AugmentedProvenanceTable:
         """
         return self.frame.gather_column(name, subset)
 
-    def column_dtype(self, name: str) -> np.dtype:
-        """The storage dtype of a column, without gathering any values."""
-        return self.frame.column_dtype(name)
-
     def column_encoding(
         self, name: str, subset: np.ndarray | None = None
     ) -> tuple[ColumnEncoding, np.ndarray | None] | None:
@@ -130,9 +126,16 @@ class AugmentedProvenanceTable:
         """
         return self.frame.column_encoding(name, subset)
 
-    def minable_columns(self) -> dict[str, np.ndarray]:
-        """Attribute name → column array for every minable attribute."""
-        return {a.name: self.column_values(a.name) for a in self.attributes}
+    def minable_columns(
+        self, subset: np.ndarray | None = None
+    ) -> dict[str, np.ndarray]:
+        """Attribute name → raw values of every minable attribute
+        (optionally only ``subset`` rows).  Mining never calls this: it
+        reads columns through its kernel."""
+        return {
+            a.name: self.column_values(a.name, subset)
+            for a in self.attributes
+        }
 
     def attribute(self, name: str) -> APTAttribute:
         for attr in self.attributes:

@@ -19,9 +19,7 @@ computes each distinct input once.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +27,7 @@ from ..ml.hist_forest import HistRandomForestClassifier
 from ..ml.varclus import AttributeCluster, cluster_attributes, encode_columns
 from .apt import AugmentedProvenanceTable
 from .config import CajadeConfig
+from .kernel import MiningKernel
 from .quality import QualityEvaluator
 from .timing import (
     ASSOCIATION_MEMO_HITS,
@@ -40,37 +39,6 @@ from .timing import (
     HIST_SPLITS_EVALUATED,
     StepTimer,
 )
-
-
-class _NamedView(Mapping):
-    """A name-restricted view over the evaluator's lazy column mapping.
-
-    Forwards item access and the non-gathering ``dtype_of`` probe of
-    :class:`repro.core.quality.LazyColumns`, so varclus/encode_columns
-    only gather the columns they actually read: the numeric ones
-    (categorical columns arrive as kernel ml codes).
-    """
-
-    def __init__(self, columns, names: list[str]):
-        self._columns = columns
-        self._names = names
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self._names:
-            raise KeyError(name)
-        return self._columns[name]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._names
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def dtype_of(self, name: str) -> np.dtype:
-        return self._columns.dtype_of(name)
 
 
 @dataclass
@@ -155,8 +123,7 @@ def filter_attributes(
     """
     timer = timer or StepTimer()
     memo = memo or SelectionMemo()
-    columns = evaluator.columns()
-    names = sorted(columns)
+    names = sorted(a.name for a in apt.attributes)
     if not config.use_feature_selection or not names:
         return _passthrough(apt, names)
 
@@ -165,10 +132,9 @@ def filter_attributes(
     if informative.sum() < 4 or len(set(labels[informative].tolist())) < 2:
         return _passthrough(apt, names)
 
-    # The evaluator's columnar kernel supplies dictionary-encoded code
-    # arrays; the per-column passes below run as bincount/unique over
-    # int32 codes (a bijection of the non-NULL values) and never gather
-    # a categorical column's values.
+    # The evaluator's kernel is the only column source: categorical
+    # attributes as int32 codes (a bijection of the non-NULL values),
+    # numeric ones as float64.
     kernel = evaluator.kernel
 
     # -- drop categorical attributes that cannot reach λrecall ----------
@@ -194,7 +160,7 @@ def filter_attributes(
             n
             for n in names
             if not _is_group_determined(
-                *_values_and_presence(kernel, columns, n), labels
+                *_values_and_presence(kernel, n), labels
             )
         ]
         if not names:
@@ -210,13 +176,13 @@ def filter_attributes(
     }
 
     # -- cluster correlated attributes, keep representatives -----------
-    # Name-restricted views keep the lazy column mapping lazy: varclus
-    # probes dtypes through them and only gathers the numeric columns.
+    numeric = kernel.numeric_columns
     pairs = _CountedPairs(memo.association)
     clusters = cluster_attributes(
-        _NamedView(columns, names),
+        names,
+        numeric,
+        ml_codes,
         threshold=config.correlation_threshold,
-        codes=ml_codes,
         pair_memo=pairs,
         digests={n: _digest(codes) for n, codes in ml_codes.items()},
     )
@@ -225,9 +191,7 @@ def filter_attributes(
     representatives = sorted(c.representative for c in clusters)
 
     # -- random-forest relevance over cluster representatives ----------
-    matrix = encode_columns(
-        _NamedView(columns, representatives), codes=ml_codes
-    )
+    matrix = encode_columns(representatives, numeric, ml_codes)
     importances = _forest_importances(
         matrix[informative],
         (labels[informative] == 1).astype(np.float64),
@@ -314,16 +278,15 @@ def _forest_importances(
 
 
 def _values_and_presence(
-    kernel, columns: Mapping, name: str
+    kernel: MiningKernel, name: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """An attribute as ``(values, present)``: a categorical one as its
     match codes (which biject to the non-NULL values; ``-1`` is NULL), a
-    numeric one as the column itself (NaN is NULL)."""
+    numeric one as its float64 values and validity mask."""
     codes = kernel.match_codes(name)
     if codes is not None:
         return codes, codes >= 0
-    values = columns[name]
-    return values, ~np.isnan(values)
+    return kernel.numeric_columns[name], kernel.valid(name)
 
 
 def _is_group_determined(

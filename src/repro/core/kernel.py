@@ -3,14 +3,13 @@
 MineAPT's profile weight sits in scoring.  The kernel holds one APT as
 arrays and scores patterns on them:
 
-- **Dictionary encoding** — each categorical (object-dtype) column is
-  an ``int32`` code array (gathered from its table's encoding, or
-  encoded here once); every equality test is one vectorized integer
-  comparison.  A TEXT cell is ``str`` or ``None`` (anything else is a
-  ``SchemaError`` from the encoder); NULL cells get the sentinel code
-  ``-1``, which never equals a looked-up value code — "NULLs never
-  match" (Def. 5).  The *ml* view of the same codes (NULL keeps a code,
-  first-occurrence numbering) feeds feature selection.
+- **Dictionary encoding** — each categorical (TEXT) column is an
+  ``int32`` code array gathered from its base table's encoding through
+  the APT's index vectors; every equality test is one vectorized
+  integer comparison.  NULL cells get the sentinel code ``-1``, which
+  never equals a looked-up value code — "NULLs never match" (Def. 5).
+  The *ml* view of the same codes (NULL keeps a code, first-occurrence
+  numbering) feeds feature selection; numeric columns are float64.
 - **Dense coverage slots** — ``__pt_row_id`` values are mapped once to
   dense slot indices with side-1 slots in ``[0, m1)`` and side-2 slots
   from ``m1`` up, and the kernel's masks keep their columns *sorted by
@@ -35,11 +34,12 @@ is the oracle in ``tests/oracles/coverage.py``.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..db.relation import encode_object_column
+from .apt import AugmentedProvenanceTable
 from .pattern import OP_EQ, OP_LE, Pattern, PatternPredicate
 
 # A batch of conjunctions is scored in chunks so the live temporaries
@@ -74,67 +74,55 @@ def _first_occurrence_renumber(codes: np.ndarray) -> np.ndarray:
 class MiningKernel:
     """Vectorized pattern evaluation over one (possibly sampled) APT.
 
+    The kernel is mining's only reader of an APT's columns (§3.1–§3.4).
+    Each minable attribute, in ``apt.attributes`` order, is gathered
+    once through the frame's index vectors composed with ``rows``: a
+    TEXT column as its base table's int32 dictionary codes (the value →
+    code dictionary is shared with the table), any other column as
+    float64 values with a validity mask.
+
     Parameters:
-        columns: row-aligned minable columns of the evaluator's universe.
+        apt: the APT whose minable attributes are gathered.
+        rows: the evaluator's APT row subset (``None`` = every row).
         row_slot: per-row dense slot index of the row's provenance id
             (side-1 slots first, then side-2 — see module docstring).
         m1: number of side-1 slots (every slot from ``m1`` up is side 2).
-        encodings: optional per-attribute ``(ColumnEncoding, rows)``
-            pairs supplying *table-level* dictionary codes gathered
-            through the APT's index vectors (``rows`` maps kernel rows
-            into the encoding's code arrays; ``None`` = identity).
-            Attributes covered here skip the per-row encoding pass
-            entirely — their code arrays are int32 gathers of codes
-            built once at load time, and the value → code dictionary is
-            shared with the base table.  Masks, coverage and LCA
-            candidates are byte-identical to per-APT re-encoding (codes
-            are a bijection of the same value grouping with the same
-            ``-1`` NULL sentinel); the ml encoding is recovered exactly
-            by a vectorized first-occurrence renumbering.
     """
 
     def __init__(
         self,
-        columns: Mapping[str, np.ndarray],
+        apt: AugmentedProvenanceTable,
+        rows: np.ndarray | None,
         row_slot: np.ndarray,
         m1: int,
-        encodings: Mapping[str, tuple[Any, np.ndarray | None]] | None = None,
     ):
         self._index_slots(row_slot, m1)
 
         # Encoded storage: match codes (-1 = NULL, never matches), the
-        # value -> code dictionary, ml codes (first-occurrence — base-
-        # table-numbered for gathered attributes, see ``_gathered``) and
-        # float64 numeric views with validity masks.
+        # value -> code dictionary, base-table ml codes (renumbered when
+        # feature selection asks) and float64 numeric views with
+        # validity masks.
         self._codes: dict[str, np.ndarray] = {}
         self._dicts: dict[str, dict[Any, int]] = {}
         self._ml_codes: dict[str, np.ndarray] = {}
         self._numeric: dict[str, np.ndarray] = {}
         self._numeric_valid: dict[str, np.ndarray | None] = {}
         self._code_values_cache: dict[str, list] = {}
-        # Attributes whose codes were gathered from a table-level
-        # encoding: their _ml_codes carry base numbering and are
-        # renumbered (lazily, vectorized) when varclus asks.
-        self._gathered: set[str] = set()
         self._ml_renumbered: dict[str, np.ndarray] = {}
         self._derived = False
 
-        encodings = encodings or {}
-        for name in columns.keys():
-            source = encodings.get(name)
+        for attribute in apt.attributes:
+            name = attribute.name
+            source = apt.column_encoding(name, rows)
             if source is not None:
                 self._gather_categorical(name, *source)
                 continue
-            arr = columns[name]
-            if arr.dtype != object:
-                values = arr.astype(np.float64, copy=False)
-                self._numeric[name] = values
-                invalid = np.isnan(values)
-                self._numeric_valid[name] = (
-                    ~invalid if invalid.any() else None
-                )
-                continue
-            self._encode_categorical(name, arr)
+            values = apt.column_values(name, rows).astype(
+                np.float64, copy=False
+            )
+            self._numeric[name] = values
+            invalid = np.isnan(values)
+            self._numeric_valid[name] = ~invalid if invalid.any() else None
 
     def _index_slots(self, row_slot: np.ndarray, m1: int) -> None:
         """Sort the rows by coverage slot, once: ``slot_order`` permutes
@@ -171,7 +159,6 @@ class MiningKernel:
         self._codes[name] = match_codes
         self._ml_codes[name] = base_codes
         self._dicts[name] = encoding.code_of
-        self._gathered.add(name)
 
     # ------------------------------------------------------------------
     # Encoding
@@ -188,9 +175,9 @@ class MiningKernel:
 
         ``selector`` is a boolean mask over ``source``'s rows.  Encoding
         dictionaries are shared and code arrays sliced, so a λF1-samp
-        evaluator skips the per-row encoding pass entirely (its rows are
-        a subset of the exact evaluator's — same APT, smaller sampled
-        provenance universe).
+        evaluator skips the gather entirely (its rows are a subset of
+        the exact evaluator's — same APT, smaller sampled provenance
+        universe).
         """
         self = cls.__new__(cls)
         self._index_slots(row_slot, m1)
@@ -205,16 +192,9 @@ class MiningKernel:
             for k, v in source._numeric_valid.items()
         }
         self._code_values_cache = {}
-        self._gathered = set(source._gathered)
         self._ml_renumbered = {}
         self._derived = True
         return self
-
-    def _encode_categorical(self, name: str, arr: np.ndarray) -> None:
-        encoding = encode_object_column(arr, name)
-        self._dicts[name] = encoding.code_of
-        self._codes[name] = encoding.match_codes
-        self._ml_codes[name] = encoding.codes
 
     def match_codes(self, attr: str) -> np.ndarray | None:
         """``int32`` codes of a categorical column; ``-1`` marks NULLs.
@@ -226,11 +206,11 @@ class MiningKernel:
         included (it keeps a code, so it still correlates) — the codes
         :mod:`repro.ml.varclus` and the forest's feature matrix read.
 
-        Attributes gathered from a table-level encoding carry base-table
-        numbering internally; they are renumbered here (vectorized,
-        memoized) to the first-occurrence ordering over this kernel's
-        rows — code *numbering* matters for the random-forest feature
-        matrix, unlike for matching or counting.
+        The gathered codes carry base-table numbering; they are
+        renumbered here (vectorized, memoized) to the first-occurrence
+        ordering over this kernel's rows — code *numbering* matters for
+        the random-forest feature matrix, unlike for matching or
+        counting.
 
         Returns ``None`` for a numeric attribute, and on :meth:`derived`
         kernels: their sliced codes are not first-occurrence-numbered
@@ -239,13 +219,27 @@ class MiningKernel:
         if self._derived:
             return None
         codes = self._ml_codes.get(attr)
-        if codes is None or attr not in self._gathered:
-            return codes
+        if codes is None:
+            return None
         renumbered = self._ml_renumbered.get(attr)
         if renumbered is None:
             renumbered = _first_occurrence_renumber(codes)
             self._ml_renumbered[attr] = renumbered
         return renumbered
+
+    @property
+    def numeric_columns(self) -> Mapping[str, np.ndarray]:
+        """Read-only name → float64 values of every numeric attribute
+        (NaN is NULL) — what §3.1's correlation and forest and §3.4's
+        fragment boundaries read."""
+        return MappingProxyType(self._numeric)
+
+    def valid(self, attr: str) -> np.ndarray:
+        """Where a numeric attribute is not NULL, as a boolean mask."""
+        valid = self._numeric_valid[attr]
+        if valid is None:
+            return np.ones(self._num_rows, dtype=bool)
+        return valid
 
     def code_values(self, attr: str) -> list | None:
         """The inverse dictionary of a categorical column: a list whose

@@ -311,7 +311,7 @@ def mine_apt(
         )
 
     refiner = RefinementGenerator(
-        full_evaluator.columns(), filtered.numeric, config
+        full_evaluator.kernel.numeric_columns, filtered.numeric, config
     )
     pool, examined = frontier_search(
         evaluator, candidates, refiner, config, timer

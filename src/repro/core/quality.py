@@ -18,71 +18,25 @@ this yields unbiased recall/precision estimates while scanning only the
 matching fraction of the APT.
 
 Scoring runs on a :class:`repro.core.kernel.MiningKernel` built once per
-evaluator: categorical columns are dictionary-encoded into int32 codes,
-provenance ids map to dense slots (side 1 first, then side 2) and
-patterns are scored a batch at a time — conjunctions of predicate masks,
-one OR per slot, two contiguous counts.  The per-row definition it must
+evaluator and the only reader of the APT's columns in mining:
+categorical columns arrive as gathered int32 codes, provenance ids map
+to dense slots (side 1 first, then side 2) and patterns are scored a
+batch at a time — conjunctions of predicate masks, one OR per slot, two
+contiguous counts.  The per-row definition it must
 equal (``Pattern.match_mask`` + ``np.unique`` + a pid → side dict) is
 the oracle in ``tests/oracles/coverage.py``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .apt import AugmentedProvenanceTable
 from .kernel import MiningKernel
 from .pattern import Pattern
-
-
-class LazyColumns(Mapping):
-    """Lazily-gathered minable columns of one evaluator universe.
-
-    Behaves like the historical ``{attr: array}`` dict (same keys, same
-    row-aligned arrays) but defers each column's gather to first access
-    and memoizes it.  On late-materialized APTs a gather composes the
-    evaluator's row subset with the frame's index vectors before
-    touching any base array, so columns the mining pipeline never reads
-    — and object columns the kernel serves from dictionary codes — are
-    never materialized at all.
-    """
-
-    def __init__(
-        self, apt: AugmentedProvenanceTable, subset: np.ndarray | None
-    ):
-        self._apt = apt
-        self._subset = subset
-        self._names = [a.name for a in apt.attributes]
-        self._known = frozenset(self._names)
-        self._cache: dict[str, np.ndarray] = {}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        arr = self._cache.get(name)
-        if arr is None:
-            if name not in self._known:
-                raise KeyError(name)
-            arr = self._apt.column_values(name, self._subset)
-            self._cache[name] = arr
-        return arr
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._known
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def dtype_of(self, name: str) -> np.dtype:
-        """A column's storage dtype, without gathering its values."""
-        if name not in self._known:
-            raise KeyError(name)
-        return self._apt.column_dtype(name)
 
 
 @dataclass(frozen=True)
@@ -165,8 +119,6 @@ class QualityEvaluator:
             raise ValueError("sample_rate must be in (0, 1]")
         rng = rng or np.random.default_rng(0)
         self.apt = apt
-        self._full_n1 = len(row_ids1)
-        self._full_n2 = len(row_ids2)
 
         ids1 = np.asarray(row_ids1, dtype=np.int64)
         ids2 = np.asarray(row_ids2, dtype=np.int64)
@@ -189,18 +141,16 @@ class QualityEvaluator:
         else:
             keep = np.zeros(len(pt_ids), dtype=bool)
         self._keep = keep
+        # ``rows``: the APT rows this evaluator scores (None = all); the
+        # kernel composes them with the frame's index vectors.
         if keep.all():
-            subset = None
+            self.rows = None
             self._pt_ids = pt_ids
             self.sampled_rows = len(pt_ids)
         else:
-            subset = np.nonzero(keep)[0]
-            self._pt_ids = pt_ids[subset]
-            self.sampled_rows = len(subset)
-        self._subset = subset
-        # Minable columns gather lazily (and, on late-materialized
-        # APTs, straight from base tables through composed indices).
-        self._columns = LazyColumns(apt, subset)
+            self.rows = np.nonzero(keep)[0]
+            self._pt_ids = pt_ids[self.rows]
+            self.sampled_rows = len(self.rows)
 
         # Dense coverage slots: side-1 slots occupy [0, m1), side-2
         # slots [m1, m1+m2).  Ids present on both sides count as side 2
@@ -264,29 +214,9 @@ class QualityEvaluator:
                     )
                     return self._kernel
             self._kernel = MiningKernel(
-                self._columns,
-                self._row_slot,
-                self._m1,
-                encodings=self._gathered_encodings(),
+                self.apt, self.rows, self._row_slot, self._m1
             )
         return self._kernel
-
-    def _gathered_encodings(self) -> dict[str, tuple[Any, np.ndarray | None]]:
-        """Table-level codes for the APT's categorical attributes.
-
-        Maps each object-dtype minable attribute to its base-table
-        :class:`~repro.db.relation.ColumnEncoding` plus the composed
-        (frame ∘ evaluator-subset) row indices, so the kernel gathers
-        int32 codes built once at load time instead of re-encoding the
-        column's objects per APT.
-        """
-        return {
-            attribute.name: self.apt.column_encoding(
-                attribute.name, self._subset
-            )
-            for attribute in self.apt.attributes
-            if self._columns.dtype_of(attribute.name) == object
-        }
 
     # ------------------------------------------------------------------
     def coverage_batch(
@@ -315,31 +245,11 @@ class QualityEvaluator:
             return QualityStats(tp=cov2, fp=cov1, fn=self._n2 - cov2)
         raise ValueError("primary must be 1 or 2")
 
-    def support(self, pattern: Pattern) -> PatternSupport:
-        """Supports scaled to the full provenance sizes.
-
-        With sampling the covered counts are extrapolated through the
-        estimated recall; without sampling they are exact.
-        """
-        cov1, cov2 = self.coverage_counts(pattern)
-        scale1 = self._full_n1 / self._n1 if self._n1 else 0.0
-        scale2 = self._full_n2 / self._n2 if self._n2 else 0.0
-        return PatternSupport(
-            covered1=min(self._full_n1, int(round(cov1 * scale1))),
-            total1=self._full_n1,
-            covered2=min(self._full_n2, int(round(cov2 * scale2))),
-            total2=self._full_n2,
-        )
-
     # ------------------------------------------------------------------
     @property
     def universe_sizes(self) -> tuple[int, int]:
         """(sampled |PT(t1)|, sampled |PT(t2)|)."""
         return self._n1, self._n2
-
-    @property
-    def full_sizes(self) -> tuple[int, int]:
-        return self._full_n1, self._full_n2
 
     def side_labels(self) -> np.ndarray:
         """Per-APT-row side (1 or 2) for the feature-selection labels.
@@ -348,12 +258,3 @@ class QualityEvaluator:
         the returned array as read-only.
         """
         return self._side_labels
-
-    def columns(self) -> LazyColumns:
-        """The (sampled) minable columns, row-aligned with side_labels.
-
-        A lazily-gathering mapping (see :class:`LazyColumns`); reading a
-        column materializes and memoizes it, so callers can keep
-        treating the result as the historical ``{attr: array}`` dict.
-        """
-        return self._columns

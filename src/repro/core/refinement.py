@@ -10,6 +10,8 @@ with all of their refinements.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from .config import CajadeConfig
@@ -56,7 +58,7 @@ class RefinementGenerator:
 
     def __init__(
         self,
-        columns: dict[str, np.ndarray],
+        columns: Mapping[str, np.ndarray],
         numeric_attrs: list[str],
         config: CajadeConfig,
     ):

@@ -17,7 +17,7 @@ from .errors import (
     SchemaError,
     TypeMismatchError,
 )
-from .executor import execute, hash_join, join_row_indices, working_table
+from .executor import execute, join_row_indices, working_table
 from .expressions import (
     And,
     Arithmetic,
@@ -55,7 +55,6 @@ __all__ = [
     "execute",
     "ExecutionError",
     "ForeignKey",
-    "hash_join",
     "infer_column_type",
     "IntegrityError",
     "is_null",

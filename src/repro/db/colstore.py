@@ -394,22 +394,51 @@ def save_columnar(db: Database, directory: str | Path) -> None:
 # ----------------------------------------------------------------------
 # Open
 # ----------------------------------------------------------------------
+def _manifest_dtype(meta: dict[str, Any], where: str) -> np.dtype:
+    """The dtype a column's manifest entry may declare: native int32
+    codes for an encoded column; a native integer or floating dtype for a
+    numeric one (floating when its type is ``float``).  Anything else is
+    a :class:`SchemaError` — the bytes are never reinterpreted."""
+    declared = meta.get("dtype")
+    try:
+        dtype = np.dtype(declared) if isinstance(declared, str) else None
+    except (TypeError, ValueError):
+        dtype = None
+    if meta.get("kind") == KIND_ENCODED:
+        allowed = dtype == np.dtype(np.int32)
+    else:
+        kinds = "f" if meta.get("type") == ColumnType.FLOAT.value else "iuf"
+        allowed = dtype is not None and dtype.isnative and dtype.kind in kinds
+    if not allowed:
+        raise SchemaError(
+            f"{where}: dtype {declared!r} is not allowed for a "
+            f"{meta.get('kind')} {meta.get('type')} column"
+        )
+    return dtype
+
+
 def _column_view(
     buf: np.ndarray | None, meta: dict[str, Any], data_file: str
 ) -> np.ndarray:
     """A zero-copy read-only dtype view into a table's mapped data file.
 
-    Fails closed: the manifest's ``offset + nbytes`` must lie inside the
-    file and the view must hold exactly the manifest's ``rows`` values,
-    or this raises :class:`SchemaError` naming the file and the column —
-    a truncated or mis-pointed file never opens as a shorter column.
+    Fails closed: the manifest's dtype must fit the column's kind and
+    type, its ``offset``, ``nbytes`` and ``rows`` must be integers,
+    ``offset + nbytes`` must lie inside the file and the view must hold
+    exactly ``rows`` values, or this raises :class:`SchemaError` naming
+    the file and the column — a tampered, truncated or mis-pointed file
+    never opens as another column.
     """
-    dtype = np.dtype(meta["dtype"])
-    start, nbytes, rows = (
-        int(meta["offset"]), int(meta["nbytes"]), int(meta["rows"])
-    )
-    size = 0 if buf is None else len(buf)
     where = f"{data_file} column {meta['name']!r}"
+    dtype = _manifest_dtype(meta, where)
+    fields = [meta.get(key) for key in ("offset", "nbytes", "rows")]
+    if not all(type(value) is int for value in fields):
+        raise SchemaError(
+            f"{where}: offset, nbytes and rows must be integers, not "
+            f"{fields}"
+        )
+    start, nbytes, rows = fields
+    size = 0 if buf is None else len(buf)
     if start < 0 or nbytes < 0 or start + nbytes > size:
         raise SchemaError(
             f"{where}: bytes [{start}, {start + nbytes}) lie outside the "

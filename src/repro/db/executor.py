@@ -47,16 +47,15 @@ def join_row_indices(
     left_n: int,
     right_n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-index pairs of an equi-join, in ``hash_join``'s output order.
+    """Row-index pairs of an equi-join.
 
     ``left_arrays``/``right_arrays`` are the gathered key columns of the
     two sides; the result ``(left_idx, right_idx)`` lists matching row
-    pairs.  This is the single join core shared by the relation-level
-    :func:`hash_join` and the index-vector
-    :meth:`repro.db.frame.IndexFrame.join`, so both produce identical
-    row orders: the hash table is built on the smaller side, keys encode
-    to dense integer codes, and a stable sort keeps equal-key build rows
-    in insertion order.  NULL keys never match (SQL semantics).
+    pairs.  This is the join core behind
+    :meth:`repro.db.frame.IndexFrame.join`: the hash table is built on
+    the smaller side, keys encode to dense integer codes, and a stable
+    sort keeps equal-key build rows in insertion order.  NULL keys never
+    match (SQL semantics).
     """
     swap = right_n < left_n
     if swap:
@@ -90,36 +89,6 @@ def join_row_indices(
         order[starts + offsets] if total else np.empty(0, dtype=np.int64)
     )
     return (probe_idx, build_idx) if swap else (build_idx, probe_idx)
-
-
-def hash_join(
-    left: Relation,
-    right: Relation,
-    conditions: list[tuple[str, str]],
-) -> Relation:
-    """Equi-join two relations on ``[(left_col, right_col), ...]``.
-
-    Builds a hash table on the smaller input.  NULL keys never match
-    (SQL semantics).  The output schema is the concatenation of both
-    inputs' columns; callers must ensure the names are disjoint.
-
-    Keys are encoded column-wise into dense integer codes so build and
-    probe are pure vectorized numpy (sort + searchsorted) instead of a
-    per-row Python tuple loop; the row-pair computation is shared with
-    the index-vector join path (:func:`join_row_indices`).
-    """
-    if not conditions:
-        raise ExecutionError("hash_join requires at least one condition")
-    overlap = set(left.column_names) & set(right.column_names)
-    if overlap:
-        raise ExecutionError(f"join would produce duplicate columns: {overlap}")
-
-    left_arrays = [left.column(lc) for lc, _ in conditions]
-    right_arrays = [right.column(rc) for _, rc in conditions]
-    left_idx, right_idx = join_row_indices(
-        left_arrays, right_arrays, left.num_rows, right.num_rows
-    )
-    return _zip_columns(left.take(left_idx), right.take(right_idx))
 
 
 def _encode_join_keys(
@@ -222,25 +191,6 @@ def _is_null_key(value: Any) -> bool:
     if isinstance(value, (float, np.floating)):
         return math.isnan(value)
     return False
-
-
-def _zip_columns(left: Relation, right: Relation) -> Relation:
-    """Concatenate the columns of two row-aligned relations."""
-    columns = {name: left.column(name) for name in left.column_names}
-    columns.update({name: right.column(name) for name in right.column_names})
-    schema = TableSchema(
-        name=f"{left.schema.name}_x_{right.schema.name}",
-        columns=list(left.schema.columns) + list(right.schema.columns),
-    )
-    return Relation(schema, columns)
-
-
-def cross_product(left: Relation, right: Relation) -> Relation:
-    """Cartesian product (used only when no join condition connects)."""
-    n, m = left.num_rows, right.num_rows
-    left_idx = np.repeat(np.arange(n), m)
-    right_idx = np.tile(np.arange(m), n)
-    return _zip_columns(left.take(left_idx), right.take(right_idx))
 
 
 # ----------------------------------------------------------------------

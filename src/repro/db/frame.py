@@ -8,11 +8,10 @@ them, and actual column values are gathered only at the edges — when a
 predicate needs a key column, when an APT hands columns to the mining
 kernel, or when :meth:`to_relation` materializes the full relation.
 
-Row order and schema order are identical to joining the relations
-themselves, by construction: frame joins run the exact same
-:func:`repro.db.executor.join_row_indices` core that
-:func:`repro.db.executor.hash_join` uses, and gathers concatenate source
-columns in join order (the order ``_zip_columns`` produces).  The
+Row order and schema order are those of joining the relations
+themselves: frame joins run the :func:`repro.db.executor.join_row_indices`
+core, and gathers concatenate source columns in join order (the eager
+relation-level join in ``tests/oracles/eager.py`` checks both).  The
 shared-prefix materialization trie caches these frames instead of full
 relations; a frame's :attr:`estimated_bytes` is just its index vectors —
 roughly the joined table's width times smaller than the joined relation.
@@ -36,8 +35,7 @@ class IndexFrame:
     """A late-materialized view over one or more source relations.
 
     ``sources[i]`` supplies the columns named by its schema (callers
-    prefix/qualify names before building frames, exactly as
-    ``hash_join`` callers prefix before joining); ``rows[i]`` maps each
+    prefix/qualify names before building frames); ``rows[i]`` maps each
     frame row to a row of ``sources[i]``, with ``None`` meaning the
     identity mapping (the frame *is* the source, row for row).
     """
@@ -108,16 +106,12 @@ class IndexFrame:
     def column_type(self, name: str) -> ColumnType:
         return self.sources[self._source_index(name)].column_type(name)
 
-    def column_dtype(self, name: str) -> np.dtype:
-        """A column's storage dtype, without gathering any values."""
-        return self.sources[self._source_index(name)].column_dtype(name)
-
     @property
     def schema(self) -> TableSchema:
         """A schema view over the concatenated source columns.
 
-        Mirrors the table name a ``hash_join`` chain's ``_zip_columns``
-        would produce, so predicate resolution
+        Mirrors the table name a chain of relation-level joins would
+        produce, so predicate resolution
         (:func:`repro.db.expressions.resolve_column`) and error messages
         behave identically on frames and materialized relations.
         """
@@ -242,11 +236,10 @@ class IndexFrame:
     ) -> "IndexFrame":
         """Equi-join with another frame/relation on index vectors.
 
-        Gathers only the key columns, runs the shared
-        :func:`~repro.db.executor.join_row_indices` core (identical
-        build/probe/swap behaviour to the relation-level ``hash_join``,
-        so the output row order matches byte for byte), and composes the
-        row index vectors of both sides.
+        Gathers only the key columns, runs the
+        :func:`~repro.db.executor.join_row_indices` core (build on the
+        smaller side, stable probe order), and composes the row index
+        vectors of both sides.
         """
         from .executor import join_row_indices
 
@@ -299,12 +292,11 @@ class IndexFrame:
     def to_relation(self) -> Relation:
         """Gather every column into a :class:`Relation`.
 
-        Byte-identical (schema order, rows, dtypes, table name) to the
-        relation ``hash_join`` over the sources produces for the same
-        steps: a single-source frame reduces to ``source.take(rows)``
-        (preserving the source schema, primary key included), a
-        multi-source frame to the ``_zip_columns`` concatenation in
-        join order.
+        Byte-identical (schema order, rows, dtypes, table name) to
+        joining the source relations themselves: a single-source frame
+        reduces to ``source.take(rows)`` (preserving the source schema,
+        primary key included), a multi-source frame to the sources'
+        columns concatenated in join order.
         """
         if len(self.sources) == 1:
             source, idx = self.sources[0], self.rows[0]

@@ -269,7 +269,7 @@ def et_comparison_experiment(
     evaluator = QualityEvaluator(
         apt, resolved.row_ids1, resolved.row_ids2, sample_rate=1.0
     )
-    columns = evaluator.columns()
+    columns = apt.minable_columns(evaluator.rows)
     outcome = (evaluator.side_labels() == 1).astype(np.float64)
     categorical = discretize_numeric_columns(columns)
 

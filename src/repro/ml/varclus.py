@@ -11,51 +11,39 @@ Association is measured within a kind only — |Pearson correlation|
 between numeric columns, Cramér's V between categorical ones — and
 attributes of different kinds never merge: folding a numeric attribute
 into a categorical representative would silently remove it from the
-numeric refinement phase.  Categorical (object-dtype) columns arrive as
-first-occurrence label codes (``codes``, e.g.
-:meth:`repro.core.kernel.MiningKernel.ml_codes`); their values are never
-read.
+numeric refinement phase.  An attribute's kind is where it arrives:
+categorical ones as first-occurrence label codes (``codes``, e.g.
+:meth:`repro.core.kernel.MiningKernel.ml_codes`), numeric ones as
+float64 values (``numeric``, e.g.
+:attr:`repro.core.kernel.MiningKernel.numeric_columns`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, MutableMapping
+from typing import Hashable, Mapping, MutableMapping, Sequence
 
 import numpy as np
 
 
-def _dtype_of(columns: Mapping[str, np.ndarray], name: str) -> np.dtype:
-    """A column's dtype without forcing a gather when avoidable.
-
-    Lazily-gathering mappings (e.g.
-    :class:`repro.core.quality.LazyColumns` over a late-materialized
-    APT) expose ``dtype_of``; plain dicts fall back to the array.
-    """
-    probe = getattr(columns, "dtype_of", None)
-    if probe is not None:
-        return probe(name)
-    return columns[name].dtype
-
-
 def encode_columns(
-    columns: Mapping[str, np.ndarray],
-    codes: Mapping[str, np.ndarray] | None = None,
+    names: Sequence[str],
+    numeric: Mapping[str, np.ndarray],
+    codes: Mapping[str, np.ndarray],
 ) -> np.ndarray:
-    """Encode a name→array mapping as a float matrix (one column each).
+    """Encode ``names`` as a float matrix (one column each).
 
-    A categorical column becomes its label codes from ``codes`` (NULL
-    holds a code of its own there, so it still correlates) and is never
-    gathered from ``columns``; a numeric column has its NaNs filled with
-    the column mean.
+    A name in ``codes`` is categorical and becomes its label codes (NULL
+    holds a code of its own there, so it still correlates); any other
+    is numeric, read from ``numeric`` with its NaNs filled with the
+    column mean.
     """
-    codes = codes or {}
     encoded = []
-    for name in columns.keys():
-        if _dtype_of(columns, name) == object:
+    for name in names:
+        if name in codes:
             encoded.append(codes[name].astype(np.float64))
         else:
-            out = columns[name].astype(np.float64)
+            out = np.asarray(numeric[name], dtype=np.float64)
             nan_mask = np.isnan(out)
             if nan_mask.any():
                 fill = np.nanmean(out) if (~nan_mask).any() else 0.0
@@ -134,16 +122,18 @@ def _cramers_v(
 
 
 def association_matrix(
-    columns: Mapping[str, np.ndarray],
-    codes: Mapping[str, np.ndarray] | None = None,
+    names: Sequence[str],
+    numeric: Mapping[str, np.ndarray],
+    codes: Mapping[str, np.ndarray],
     pair_memo: MutableMapping[tuple, float] | None = None,
     digests: Mapping[str, Hashable] | None = None,
 ) -> np.ndarray:
-    """Pairwise association within a kind: |Pearson| for numeric pairs,
-    Cramér's V for categorical pairs, 0 across kinds (see the module
-    docstring).
+    """Pairwise association of ``names`` within a kind: |Pearson| for
+    numeric pairs, Cramér's V for categorical pairs, 0 across kinds
+    (see the module docstring).
 
-    ``codes`` maps every categorical column to its label codes.
+    A name in ``codes`` is categorical (its label codes); any other is
+    numeric (its values in ``numeric``).
 
     ``pair_memo`` shares Cramér's V across calls whose columns repeat:
     a pair is looked up under the *ordered* pair of its columns'
@@ -152,18 +142,17 @@ def association_matrix(
     to keys equal only for columns with equal codes.  |Pearson| is never
     looked up: one joint ``np.corrcoef`` over this call's numeric block.
     """
-    codes = codes or {}
-    names = list(columns)
+    names = list(names)
     if pair_memo is None:
         # Nothing to share with: names identify columns within one call.
         pair_memo, digests = {}, dict(zip(names, names))
     n = len(names)
-    is_object = [_dtype_of(columns, m) == object for m in names]
-    numeric = [i for i in range(n) if not is_object[i]]
+    is_object = [m in codes for m in names]
+    numeric_ids = [i for i in range(n) if not is_object[i]]
     pearson = np.zeros((n, n))
-    if numeric:
-        sub = encode_columns({names[i]: columns[names[i]] for i in numeric})
-        pearson[np.ix_(numeric, numeric)] = correlation_matrix(sub)
+    if numeric_ids:
+        sub = encode_columns([names[i] for i in numeric_ids], numeric, {})
+        pearson[np.ix_(numeric_ids, numeric_ids)] = correlation_matrix(sub)
     out = np.eye(n)
     # Each column's level count is resolved once, when a pair first
     # misses the memo.
@@ -201,9 +190,10 @@ class AttributeCluster:
 
 
 def cluster_attributes(
-    columns: Mapping[str, np.ndarray],
+    names: Sequence[str],
+    numeric: Mapping[str, np.ndarray],
+    codes: Mapping[str, np.ndarray],
     threshold: float = 0.9,
-    codes: Mapping[str, np.ndarray] | None = None,
     pair_memo: MutableMapping[tuple, float] | None = None,
     digests: Mapping[str, Hashable] | None = None,
 ) -> list[AttributeCluster]:
@@ -215,14 +205,14 @@ def cluster_attributes(
     cluster is the member with the greatest mean association to the
     rest (ties broken by name for determinism).
 
-    ``codes``, ``pair_memo`` and ``digests`` pass straight through to
-    :func:`association_matrix`.
+    ``names``, ``numeric``, ``codes``, ``pair_memo`` and ``digests``
+    pass straight through to :func:`association_matrix`.
     """
-    names = list(columns)
+    names = list(names)
     if not names:
         return []
     corr = association_matrix(
-        columns, codes=codes, pair_memo=pair_memo, digests=digests
+        names, numeric, codes, pair_memo=pair_memo, digests=digests
     )
     n = len(names)
 

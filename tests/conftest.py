@@ -7,8 +7,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.apt import APTAttribute, AugmentedProvenanceTable
+from repro.core.kernel import MiningKernel
 from repro.core.schema_graph import SchemaGraph
-from repro.db import ColumnType, Database, TableSchema
+from repro.db import ColumnType, Database, Relation, TableSchema
 
 
 @pytest.fixture(scope="session")
@@ -137,3 +139,31 @@ def kernel_verify(monkeypatch) -> list[int]:
     from tests.oracles import coverage
 
     return coverage.cross_check(monkeypatch)
+
+
+def apt_of(columns: dict[str, np.ndarray]) -> AugmentedProvenanceTable:
+    """An identity-frame APT whose minable attributes are ``columns``: an
+    object array is TEXT (``str | None`` cells), an integer one INT and
+    any other FLOAT."""
+    def ctype(arr: np.ndarray) -> ColumnType:
+        if arr.dtype == object:
+            return ColumnType.TEXT
+        return ColumnType.INT if arr.dtype.kind in "iu" else ColumnType.FLOAT
+
+    types = {name: ctype(arr) for name, arr in columns.items()}
+    relation = Relation(TableSchema.build("apt", types), dict(columns))
+    return AugmentedProvenanceTable(
+        join_graph=None,
+        relation=relation,
+        attributes=[
+            APTAttribute(name, t.is_numeric, from_provenance=True)
+            for name, t in types.items()
+        ],
+    )
+
+
+def kernel_of(
+    columns: dict[str, np.ndarray], row_slot: np.ndarray, m1: int
+) -> MiningKernel:
+    """The kernel over every row of :func:`apt_of` ``(columns)``."""
+    return MiningKernel(apt_of(columns), None, row_slot, m1)

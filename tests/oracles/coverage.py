@@ -19,6 +19,12 @@ from repro.core.pattern import Pattern
 from repro.core.quality import QualityEvaluator
 
 
+def raw_columns(evaluator: QualityEvaluator) -> dict[str, np.ndarray]:
+    """The evaluator's rows of every minable attribute, as raw APT values
+    (object cells for TEXT) — never the kernel's codes."""
+    return evaluator.apt.minable_columns(evaluator.rows)
+
+
 def side_of(evaluator: QualityEvaluator) -> dict[int, int]:
     """Provenance row id -> question side (1 or 2) over the evaluator's rows."""
     return dict(
@@ -30,12 +36,16 @@ def coverage_counts(
     evaluator: QualityEvaluator,
     pattern: Pattern,
     side: dict[int, int] | None = None,
+    columns: dict[str, np.ndarray] | None = None,
 ) -> tuple[int, int]:
     """Distinct covered provenance rows of (t1, t2) in the evaluator's sample.
 
-    ``side`` lets a caller scoring many patterns build :func:`side_of` once.
+    ``side`` and ``columns`` let a caller scoring many patterns build
+    :func:`side_of` and :func:`raw_columns` once.
     """
-    mask = pattern.match_mask(evaluator.columns())
+    if columns is None:
+        columns = raw_columns(evaluator)
+    mask = pattern.match_mask(columns)
     if not mask.any():
         return 0, 0
     if side is None:
@@ -58,11 +68,15 @@ def swap_in(monkeypatch) -> list[int]:
     Returns a one-element list counting the patterns the oracle scored.
     """
     sides = functools.cache(side_of)  # one dict per live evaluator
+    values = functools.cache(raw_columns)
     scored = [0]
 
     def batch(self, patterns):
         scored[0] += len(patterns)
-        counts = [coverage_counts(self, p, sides(self)) for p in patterns]
+        counts = [
+            coverage_counts(self, p, sides(self), values(self))
+            for p in patterns
+        ]
         return (
             np.array([c[0] for c in counts], dtype=np.int64),
             np.array([c[1] for c in counts], dtype=np.int64),
@@ -85,12 +99,15 @@ def cross_check(monkeypatch) -> list[int]:
     import repro.core.mining as mining
 
     sides = functools.cache(side_of)  # one dict per live evaluator
+    values = functools.cache(raw_columns)
     production = QualityEvaluator.coverage_batch
     search = mining.frontier_search
     checked = [0]
 
     def check(evaluator, pattern, counts):
-        expected = coverage_counts(evaluator, pattern, sides(evaluator))
+        expected = coverage_counts(
+            evaluator, pattern, sides(evaluator), values(evaluator)
+        )
         assert counts == expected, (
             f"kernel coverage {counts} != oracle {expected} "
             f"for pattern {pattern.describe()}"

@@ -4,9 +4,13 @@ Production runs every join — the working table and the APT plans — on
 ``IndexFrame`` index vectors and gathers columns at the edge.  These
 oracles compute the same tables the way the definitions read:
 
+- :func:`hash_join` / :func:`cross_product` join two relations and zip
+  every column (the relation-level joins the executor ran before index
+  vectors; :func:`hash_join` shares production's row-pair core,
+  ``join_row_indices``);
 - :func:`materialize_eager` executes a join graph's canonical plan with
-  :func:`repro.db.executor.hash_join` on full relations, zipping every
-  column at every step (the pipeline ``materialize_apt`` ran before late
+  :func:`hash_join` on full relations, zipping every column at every
+  step (the pipeline ``materialize_apt`` ran before late
   materialization became the only path);
 - :func:`provenance_by_definition` is PT(Q, D) = σ_θ(R_1 × … × R_p), the
   filtered cross product of paper §2.1, with no join planning at all;
@@ -24,12 +28,57 @@ import numpy as np
 from repro.core.apt import AugmentedProvenanceTable, _wrap_apt, build_plan
 from repro.core.join_graph import JoinGraph
 from repro.db.database import Database
-from repro.db.executor import cross_product, hash_join
+from repro.db.errors import ExecutionError
+from repro.db.executor import join_row_indices
 from repro.db.frame import IndexFrame
 from repro.db.provenance import PT_ROW_ID, ProvenanceTable
 from repro.db.query import Query
 from repro.db.relation import Relation
+from repro.db.schema import TableSchema
 from repro.engine import CacheStats, EngineStats
+
+
+def _zip_columns(left: Relation, right: Relation) -> Relation:
+    """Concatenate the columns of two row-aligned relations."""
+    columns = {name: left.column(name) for name in left.column_names}
+    columns.update({name: right.column(name) for name in right.column_names})
+    schema = TableSchema(
+        name=f"{left.schema.name}_x_{right.schema.name}",
+        columns=list(left.schema.columns) + list(right.schema.columns),
+    )
+    return Relation(schema, columns)
+
+
+def hash_join(
+    left: Relation,
+    right: Relation,
+    conditions: list[tuple[str, str]],
+) -> Relation:
+    """Equi-join two relations on ``[(left_col, right_col), ...]``.
+
+    NULL keys never match (SQL semantics).  The output is both inputs'
+    columns zipped; the names must be disjoint.
+    """
+    if not conditions:
+        raise ExecutionError("hash_join requires at least one condition")
+    overlap = set(left.column_names) & set(right.column_names)
+    if overlap:
+        raise ExecutionError(f"join would produce duplicate columns: {overlap}")
+    left_idx, right_idx = join_row_indices(
+        [left.column(lc) for lc, _ in conditions],
+        [right.column(rc) for _, rc in conditions],
+        left.num_rows,
+        right.num_rows,
+    )
+    return _zip_columns(left.take(left_idx), right.take(right_idx))
+
+
+def cross_product(left: Relation, right: Relation) -> Relation:
+    """Cartesian product, left-major."""
+    n, m = left.num_rows, right.num_rows
+    left_idx = np.repeat(np.arange(n), m)
+    right_idx = np.tile(np.arange(m), n)
+    return _zip_columns(left.take(left_idx), right.take(right_idx))
 
 
 def restrict_base(

@@ -10,9 +10,10 @@ save of the reopened store — over adversarial inputs (NULL text,
 The lazy-dictionary contract is asserted directly: ``open`` reads zero
 dictionary files, only tables whose object values are actually
 gathered ever load one, and λqcost's distinct counts load none.  A
-truncated or mis-pointed data file fails closed: ``open`` raises a
+truncated or mis-pointed data file, or a manifest entry whose dtype or
+byte range the column cannot hold, fails closed: ``open`` raises a
 ``SchemaError`` naming ``<table>.bin`` and the column instead of opening
-a shorter column.
+a shorter or reinterpreted column.
 
 Also holds the vectorized-encoding and vectorized-aggregate parity
 properties (this PR's load-path and executor satellites):
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +229,7 @@ class TestRoundTripParity:
 
     @given(rows=ROWS)
     def test_kernel_code_matrices(self, rows, tmp_path_factory):
+        from repro.core.apt import APTAttribute, AugmentedProvenanceTable
         from repro.core.kernel import MiningKernel
 
         tmp = tmp_path_factory.mktemp("colstore")
@@ -234,11 +237,13 @@ class TestRoundTripParity:
         reopened = _reopened(db, tmp)
 
         def build(relation):
+            apt = AugmentedProvenanceTable(
+                None,
+                relation=relation,
+                attributes=[APTAttribute("t.s", False, False)],
+            )
             return MiningKernel(
-                columns={"t.s": None},
-                row_slot=np.zeros(relation.num_rows, dtype=np.int64),
-                m1=1,
-                encodings={"t.s": (relation.encoding("t.s"), None)},
+                apt, None, np.zeros(relation.num_rows, dtype=np.int64), m1=1
             )
 
         left = build(db.table("t"))
@@ -348,6 +353,44 @@ class TestDamagedDataFile:
         assert open_columnar(directory).table("t").num_rows == 10
         _truncate(directory / "t.bin", 8)
         with pytest.raises(SchemaError, match=r"t\.bin column 't\.v'"):
+            open_columnar(directory)
+
+    # (column, manifest field, tampered value; None deletes the field).
+    # t.k is int64, t.x float64 and t.s int32 codes.
+    @pytest.mark.parametrize(
+        "column,field,value",
+        [
+            ("t.k", "dtype", "|O"),
+            ("t.k", "dtype", ">i8"),
+            ("t.k", "dtype", "<M8[s]"),
+            ("t.k", "dtype", "not-a-dtype"),
+            ("t.k", "dtype", None),
+            ("t.x", "dtype", "<i8"),
+            ("t.s", "dtype", "<u4"),
+            ("t.s", "dtype", "<f4"),
+            ("t.k", "offset", None),
+            ("t.x", "nbytes", 80.0),
+            ("t.s", "rows", "10"),
+        ],
+    )
+    def test_tampered_manifest_entry(self, tmp_path, column, field, value):
+        """A manifest dtype or byte range the column cannot hold is
+        refused at open, never reinterpreted or left to numpy."""
+        directory = _saved(tmp_path, _table("t", TEN_ROWS))
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        (meta,) = (
+            c for c in manifest["tables"]["t"]["columns"]
+            if c["name"] == column
+        )
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            SchemaError, match=rf"t\.bin column '{re.escape(column)}'"
+        ):
             open_columnar(directory)
 
 

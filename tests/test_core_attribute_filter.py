@@ -97,11 +97,11 @@ class TestGroupDeterminedGuard:
 
     def test_is_group_determined_helper(self):
         import numpy as np
-        from repro.core import MiningKernel
         from repro.core.attribute_filter import (
             _is_group_determined,
             _values_and_presence,
         )
+        from tests.conftest import kernel_of
 
         labels = np.array([1, 1, 1, 2, 2], dtype=np.int64)
         columns = {
@@ -115,12 +115,12 @@ class TestGroupDeterminedGuard:
             "numeric": np.array([7, np.nan, 7, 9, 9], dtype=np.float64),
             "numeric_varying": np.array([7, 8, 7, 9, 9], dtype=np.int64),
         }
-        kernel = MiningKernel(columns, np.arange(5), m1=3)
+        kernel = kernel_of(columns, np.arange(5), m1=3)
         assert kernel.match_codes("numeric") is None
 
         def determined(name):
             return _is_group_determined(
-                *_values_and_presence(kernel, columns, name), labels
+                *_values_and_presence(kernel, name), labels
             )
 
         assert determined("alias")

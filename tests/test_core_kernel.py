@@ -10,6 +10,8 @@ coverage, search or LCA oracle stands in for the production layer.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,11 +32,16 @@ from repro.core.pattern import OP_EQ, OP_GE, OP_LE
 from repro.core.timing import MINING_LEVELS, PATTERNS_EXAMINED, StepTimer
 from repro.db import ColumnType, ProvenanceTable, TableSchema, parse_sql
 from repro.db.relation import Relation
-from tests.conftest import GSW_WINS_SQL
+from tests.conftest import GSW_WINS_SQL, kernel_of
 from tests.oracles import coverage as coverage_oracle
 from tests.oracles import lca as lca_oracle
 from tests.oracles import mining as mining_oracle
 from tests.test_core_apt import star_join_graph
+
+settings.register_profile(
+    "ci", settings(max_examples=200, deadline=None, derandomize=True)
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 CATEGORIES = ("red", "blue", "green", None)
 
@@ -163,7 +170,7 @@ class TestKernelMatchesReference:
         ids1, ids2 = split_ids(rows, sides_seed)
         evaluator = QualityEvaluator(apt, ids1, ids2)
         kernel = evaluator.kernel
-        columns = evaluator.columns()
+        columns = coverage_oracle.raw_columns(evaluator)
         patterns = [safe_pattern(raw) for raw in raw_patterns]
         masks = kernel.conjunctions(*kernel.encode(patterns))
         for pattern, mask in zip(patterns, masks):
@@ -291,7 +298,7 @@ class TestKernelDirect:
         columns = {
             "cat": np.array(["x", None, "y", None, "x"], dtype=object)
         }
-        kernel = MiningKernel(columns, np.arange(5), m1=3)
+        kernel = kernel_of(columns, np.arange(5), m1=3)
         np.testing.assert_array_equal(
             kernel.predicate_mask("cat", OP_EQ, "x"),
             np.array([True, False, False, False, True]),
@@ -306,12 +313,12 @@ class TestKernelDirect:
 
     def test_categorical_rejects_inequality(self):
         columns = {"cat": np.array(["x", "y"], dtype=object)}
-        kernel = MiningKernel(columns, np.arange(2), m1=1)
+        kernel = kernel_of(columns, np.arange(2), m1=1)
         with pytest.raises(ValueError, match="not allowed on categorical"):
             kernel.predicate_mask("cat", OP_LE, "x")
 
     def test_missing_attribute_raises(self):
-        kernel = MiningKernel({}, np.empty(0, dtype=np.int64), m1=0)
+        kernel = kernel_of({}, np.empty(0, dtype=np.int64), m1=0)
         with pytest.raises(KeyError):
             kernel.predicate_mask("nope", OP_EQ, 1)
 
@@ -321,12 +328,10 @@ class TestKernelDirect:
         from repro.ml.varclus import encode_columns
 
         arr = np.array(["b", None, "a", "b", "c", None], dtype=object)
-        kernel = MiningKernel(
-            {"cat": arr}, np.arange(6), m1=3
-        )
+        kernel = kernel_of({"cat": arr}, np.arange(6), m1=3)
         assert kernel.ml_codes("cat").tolist() == [0, 1, 2, 0, 3, 1]
         matrix = encode_columns(
-            {"cat": arr}, codes={"cat": kernel.ml_codes("cat")}
+            ["cat"], kernel.numeric_columns, {"cat": kernel.ml_codes("cat")}
         )
         assert matrix[:, 0].tolist() == [0.0, 1.0, 2.0, 0.0, 3.0, 1.0]
         # match codes: None -> -1, everything else keeps its code.
@@ -336,7 +341,7 @@ class TestKernelDirect:
         """Sliced codes are not first-occurrence-numbered, so derived
         kernels must not offer them as varclus-compatible encodings."""
         arr = np.array(["b", "a", "b", "c"], dtype=object)
-        source = MiningKernel({"cat": arr}, np.arange(4), m1=2)
+        source = kernel_of({"cat": arr}, np.arange(4), m1=2)
         derived = MiningKernel.derived(
             source, np.array([False, True, True, True]),
             np.arange(3), m1=1,
@@ -353,9 +358,7 @@ class TestKernelDirect:
     def test_code_matrix_views(self):
         arr = np.array(["b", None, "a", None, "b"], dtype=object)
         num = np.arange(5, dtype=np.float64)
-        kernel = MiningKernel(
-            {"cat": arr, "num": num}, np.arange(5), m1=3
-        )
+        kernel = kernel_of({"cat": arr, "num": num}, np.arange(5), m1=3)
         match = kernel.code_matrix(["cat"])
         assert match.dtype == np.int32
         # NULL cells are -1; the rest keep first-occurrence codes.
@@ -485,6 +488,86 @@ class TestMineAptKernelEquivalence:
         counters = timer.counters()
         assert counters[PATTERNS_EXAMINED] == result.candidates_examined
         assert 1 <= counters[MINING_LEVELS] <= result.candidates_examined
+
+
+# ----------------------------------------------------------------------
+# The kernel is a faithful view of every APT a gate question mines
+# ----------------------------------------------------------------------
+def assert_faithful_view(kernel: MiningKernel, evaluator) -> None:
+    """Every minable attribute once, as codes iff TEXT; numeric values and
+    decoded codes equal to what the APT gathers for the evaluator's rows."""
+    apt = evaluator.apt
+    names = [a.name for a in apt.attributes]
+    assert set(kernel.numeric_columns) <= set(names)
+    for name in names:
+        codes = kernel.match_codes(name)
+        text = apt.frame.column_type(name) is ColumnType.TEXT
+        assert (codes is not None) == text != (name in kernel.numeric_columns)
+        values = apt.column_values(name, evaluator.rows)
+        if not text:
+            assert np.array_equal(
+                kernel.numeric_columns[name],
+                values.astype(np.float64),
+                equal_nan=True,
+            ), name
+            continue
+        present = codes >= 0
+        decoded = np.array(kernel.code_values(name), dtype=object)
+        assert present.tolist() == [v is not None for v in values], name
+        assert decoded[codes[present]].tolist() == values[present].tolist()
+
+
+class TestKernelIsAFaithfulView:
+    @pytest.mark.parametrize("store", ["memory", "reopened"])
+    @pytest.mark.parametrize("query", ["Qnba5", "Qmimic5"])
+    def test_every_gate_apt(
+        self, query, store, gate_databases, tmp_path, monkeypatch
+    ):
+        """λ#edges 2, scale 0.25: the exact kernel and the λF1-samp one
+        of every mined APT, in memory and over a reopened store — and the
+        cold question itself gathers no TEXT attribute's values."""
+        import repro.api.session as session_module
+        from repro.api import CajadeSession
+        from repro.datasets import query_by_name
+        from repro.db import Database
+
+        workload = query_by_name(query)
+        db, schema_graph = gate_databases[workload.dataset]
+        if store == "reopened":
+            db.save(tmp_path / "store")
+            db = Database.open(tmp_path / "store")
+
+        text_gathers: list[str] = []
+        checking = [False]
+        production_gather = AugmentedProvenanceTable.column_values
+
+        def recording(self, name, subset=None):
+            if not checking[0] and not self.attribute(name).is_numeric:
+                text_gathers.append(name)
+            return production_gather(self, name, subset)
+
+        mined = []
+        production_mine = session_module.mine_apt
+
+        def mine_and_check(*args, **kwargs):
+            result = production_mine(*args, **kwargs)
+            checking[0] = True
+            for evaluator in (result.full_evaluator, result.evaluator):
+                assert_faithful_view(evaluator.kernel, evaluator)
+            checking[0] = False
+            mined.append(result.evaluator is not result.full_evaluator)
+            return result
+
+        monkeypatch.setattr(
+            AugmentedProvenanceTable, "column_values", recording
+        )
+        monkeypatch.setattr(session_module, "mine_apt", mine_and_check)
+        response = CajadeSession(
+            db, schema_graph, CajadeConfig(max_join_edges=2)
+        ).explain(workload.sql, workload.question)
+        assert response.explanations
+        assert len(mined) >= 20 and all(mined)  # every graph sampled
+        assert text_gathers == []
 
 
 class TestConfigAndCli:

@@ -6,6 +6,8 @@ candidate list (hypothesis property, incl. NULL cells, the sampled-pair
 cap path and singleton rows) from the same rng trajectory.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,13 @@ from repro.core.timing import (
     StepTimer,
 )
 from repro.db.errors import SchemaError
+from tests.conftest import kernel_of
 from tests.oracles.lca import lca_candidates as lca_oracle
+
+settings.register_profile(
+    "ci", settings(max_examples=200, deadline=None, derandomize=True)
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture()
@@ -50,7 +58,7 @@ def kernel_for(columns: dict) -> MiningKernel:
     """A kernel over row-aligned columns; slot layout is irrelevant to
     candidate generation."""
     n = len(next(iter(columns.values()))) if columns else 0
-    return MiningKernel(columns, np.arange(n), m1=n)
+    return kernel_of(columns, np.arange(n), m1=n)
 
 
 def candidates(columns: dict, attrs, cfg, rng):
@@ -174,7 +182,7 @@ class TestCodeLcaEquivalence:
     def test_nan_cells_match_object_semantics(self):
         """A NaN cell is not a TEXT value: it never becomes a candidate
         constant (it used to be a legal singleton, ``a=nan``) — the
-        kernel's encoder rejects the column.  The NULL cell is None,
+        table's encoder rejects the column when the kernel gathers it.  The NULL cell is None,
         which is no constant and never agrees, in both paths."""
         cols = {"a": np.array([float("nan"), None, "v", "v"], dtype=object)}
         with pytest.raises(SchemaError, match="a"):

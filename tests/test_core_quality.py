@@ -97,19 +97,6 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             evaluator.evaluate(Pattern(), primary=3)
 
-    def test_support_exact(self, setup):
-        apt, resolved = setup
-        evaluator = QualityEvaluator(
-            apt, resolved.row_ids1, resolved.row_ids2
-        )
-        pattern = Pattern.from_dict({"player_game.pts": (OP_GE, 30)})
-        support = evaluator.support(pattern)
-        assert support.total1 == 6
-        assert support.total2 == 3
-        assert support.covered1 == 6
-        assert support.covered2 == 0
-        assert "6 of 6" in support.describe()
-
     def test_dropped_pt_rows_count_as_fn(self, mini_db):
         # A join graph that keeps only Curry rows: pts for other players
         # vanish but the provenance rows still count in denominators.
@@ -138,19 +125,6 @@ class TestEvaluator:
         n1, n2 = evaluator.universe_sizes
         assert n1 == 3  # half of 6
         assert n2 == 2  # round(3*0.5) = 2
-        assert evaluator.full_sizes == (6, 3)
-
-    def test_sampling_extrapolates_support(self, setup, rng):
-        apt, resolved = setup
-        evaluator = QualityEvaluator(
-            apt,
-            resolved.row_ids1,
-            resolved.row_ids2,
-            sample_rate=0.5,
-            rng=rng,
-        )
-        support = evaluator.support(Pattern())
-        assert support.covered1 == support.total1 == 6
 
     def test_bad_sample_rate(self, setup):
         apt, resolved = setup

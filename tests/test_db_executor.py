@@ -11,7 +11,8 @@ from repro.db import (
     TableSchema,
     parse_sql,
 )
-from repro.db.executor import cross_product, execute, hash_join, working_table
+from repro.db.executor import execute, working_table
+from tests.oracles.eager import cross_product, hash_join
 
 
 def rel(name, cols, rows, pk=()):

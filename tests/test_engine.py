@@ -11,12 +11,11 @@ from repro import CajadeConfig, CajadeSession, ComparisonQuestion
 from repro.core.apt import JoinStep, build_plan
 from repro.core.enumeration import enumerate_join_graphs
 from repro.db import ColumnType, Relation, TableSchema
-from repro.db.executor import hash_join
 from repro.db.parser import parse_sql
 from repro.db.provenance import ProvenanceTable
 from repro.engine import MaterializationEngine, PrefixCache
 from tests.conftest import GSW_WINS_SQL
-from tests.oracles.eager import eager_apt, materialize_eager
+from tests.oracles.eager import eager_apt, hash_join, materialize_eager
 
 QUESTION = ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"})
 

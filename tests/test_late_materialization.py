@@ -28,7 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.apt import build_plan, materialize_apt
+from repro.core.apt import (
+    AugmentedProvenanceTable,
+    build_plan,
+    materialize_apt,
+)
 from repro.core.config import CajadeConfig
 from repro.core.enumeration import enumerate_join_graphs
 from repro.core.pattern import OP_EQ, Pattern, PatternPredicate
@@ -36,7 +40,6 @@ from repro.core.quality import QualityEvaluator
 from repro.core.schema_graph import SchemaGraph
 from repro.db import ColumnType, Database, Relation, TableSchema
 from repro.db.errors import IntegrityError
-from repro.db.executor import hash_join
 from repro.db.frame import IndexFrame
 from repro.db.parser import parse_sql
 from repro.db.provenance import ProvenanceTable
@@ -52,6 +55,7 @@ PLAYER_POINTS_SQL = (
 from tests.conftest import GSW_WINS_SQL
 from tests.oracles import coverage as coverage_oracle
 from tests.oracles import eager
+from tests.oracles.eager import hash_join
 from tests.test_engine import assert_relations_identical
 
 
@@ -348,19 +352,28 @@ class TestKernelCodeGathering:
         )
         return late_apt, late_eval, eager_eval
 
-    def test_gathered_kernel_built_from_encodings(self, mini_db):
+    def test_kernel_gathers_no_text_values(self, mini_db, monkeypatch):
+        """The kernel reads a TEXT attribute as gathered codes only; the
+        APT gathers values for the numeric attributes alone."""
         late_apt, late_eval, _ = self._evaluators(mini_db)
-        kernel = late_eval.kernel
-        assert kernel is not None
         categorical = [
             a.name for a in late_apt.attributes if not a.is_numeric
         ]
         assert categorical
-        assert kernel._gathered >= set(categorical)
-        # Object columns never materialized for the kernel build.
-        assert all(
-            name not in late_eval.columns()._cache for name in categorical
+        gathered = []
+        production = AugmentedProvenanceTable.column_values
+
+        def recording(self, name, subset=None):
+            gathered.append(name)
+            return production(self, name, subset)
+
+        monkeypatch.setattr(
+            AugmentedProvenanceTable, "column_values", recording
         )
+        kernel = late_eval.kernel
+        assert all(kernel.match_codes(n) is not None for n in categorical)
+        assert sorted(gathered) == sorted(kernel.numeric_columns)
+        assert not set(gathered) & set(categorical)
 
     @pytest.mark.parametrize("sample_rate", [1.0, 0.6])
     def test_masks_coverage_and_ml_codes_identical(
@@ -385,7 +398,7 @@ class TestKernelCodeGathering:
             # Numbering may differ (table-level vs per-APT), but the
             # NULL sentinel and the induced partition must agree.
             assert np.array_equal(late_match == -1, eager_match == -1)
-            values = late_eval.columns()[name]
+            values = late_apt.column_values(name, late_eval.rows)
             for value in {v for v in values.tolist() if v is not None}:
                 assert np.array_equal(
                     lk.predicate_mask(name, OP_EQ, value),
@@ -399,7 +412,7 @@ class TestKernelCodeGathering:
         name = categorical[0]
         values = [
             v
-            for v in late_eval.columns()[name].tolist()
+            for v in late_apt.column_values(name, late_eval.rows).tolist()
             if v is not None
         ]
         pattern = Pattern([PatternPredicate(name, OP_EQ, values[0])])
@@ -424,7 +437,7 @@ class TestKernelCodeGathering:
         )
         value = next(
             v
-            for v in evaluator.columns()[name].tolist()
+            for v in apt.column_values(name, evaluator.rows).tolist()
             if v is not None
         )
         pattern = Pattern([PatternPredicate(name, OP_EQ, value)])

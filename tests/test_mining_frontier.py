@@ -249,7 +249,9 @@ def search_both_ways(apt, ids1, ids2, config: CajadeConfig):
     candidates = lca_candidates_codes(
         full.kernel, list(CATEGORICAL), config, np.random.default_rng(1)
     )
-    refiner = RefinementGenerator(full.columns(), list(NUMERIC), config)
+    refiner = RefinementGenerator(
+        full.kernel.numeric_columns, list(NUMERIC), config
+    )
     arguments = (evaluator, candidates, refiner, config)
     return (
         mining.frontier_search(*arguments, StepTimer()),
@@ -322,7 +324,7 @@ class TestFrontierMatchesOracle:
         evaluator = QualityEvaluator(apt, ids1, ids2)
         config = CajadeConfig(max_numeric_predicates=2, recall_threshold=0.0)
         refiner = RefinementGenerator(
-            evaluator.columns(), list(NUMERIC), config
+            evaluator.kernel.numeric_columns, list(NUMERIC), config
         )
         seed = Pattern(
             [

@@ -1,8 +1,12 @@
 """Unit tests for correlation-based attribute clustering."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from repro.core.kernel import MiningKernel
 from repro.db.relation import encode_object_column
 from repro.ml import (
     cluster_attributes,
@@ -10,6 +14,12 @@ from repro.ml import (
     encode_columns,
     pick_cluster_representatives,
 )
+from tests.conftest import apt_of
+
+settings.register_profile(
+    "ci", settings(max_examples=200, deadline=None, derandomize=True)
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def text_codes(columns: dict) -> dict:
@@ -22,29 +32,41 @@ def text_codes(columns: dict) -> dict:
     }
 
 
+def split(columns: dict, codes: dict | None = None) -> tuple:
+    """``(names, numeric, codes)`` of a column dict: the object columns'
+    label codes (``text_codes`` unless given) and the rest as floats."""
+    numeric = {
+        name: values.astype(np.float64)
+        for name, values in columns.items()
+        if values.dtype != object
+    }
+    return list(columns), numeric, text_codes(columns) if codes is None else codes
+
+
 class TestEncodeColumns:
     def test_numeric_passthrough(self):
         cols = {"a": np.array([1.0, 2.0, 3.0])}
-        m = encode_columns(cols)
+        m = encode_columns(*split(cols))
         assert m.shape == (3, 1)
         assert np.allclose(m[:, 0], [1, 2, 3])
 
     def test_text_label_encoding(self):
         """A TEXT column is its label codes; its values are not read."""
         cols = {"a": np.array(["x", "y", "x"], dtype=object), "n": np.ones(3)}
-        m = encode_columns(cols, codes=text_codes(cols))
+        m = encode_columns(*split(cols))
         assert m[:, 0].tolist() == [0.0, 1.0, 0.0]
         assert m[:, 1].tolist() == [1.0, 1.0, 1.0]
+        # A name with no codes is numeric, and "a" has no values.
         with pytest.raises(KeyError):
-            encode_columns(cols)
+            encode_columns(*split(cols, codes={}))
 
     def test_nan_filled_with_mean(self):
         cols = {"a": np.array([1.0, np.nan, 3.0])}
-        m = encode_columns(cols)
+        m = encode_columns(*split(cols))
         assert m[1, 0] == pytest.approx(2.0)
 
     def test_empty(self):
-        assert encode_columns({}).size == 0
+        assert encode_columns([], {}, {}).size == 0
 
 
 class TestCorrelationMatrix:
@@ -73,7 +95,7 @@ class TestClustering:
             "birth_offset": -x + 0.001 * rng.normal(size=500),
             "other": rng.normal(size=500),
         }
-        clusters = cluster_attributes(cols, threshold=0.9)
+        clusters = cluster_attributes(*split(cols), threshold=0.9)
         grouped = {frozenset(c.members) for c in clusters}
         assert frozenset({"age", "birth_offset"}) in grouped
         assert frozenset({"other"}) in grouped
@@ -81,7 +103,7 @@ class TestClustering:
     def test_one_representative_each(self, rng):
         x = rng.normal(size=300)
         cols = {"a": x, "b": 2 * x, "c": rng.normal(size=300)}
-        clusters = cluster_attributes(cols)
+        clusters = cluster_attributes(*split(cols))
         reps = pick_cluster_representatives(clusters)
         assert len(reps) == 2
         for cluster in clusters:
@@ -91,8 +113,8 @@ class TestClustering:
         x = rng.normal(size=500)
         y = x + rng.normal(size=500)  # corr ≈ 0.7
         cols = {"a": x, "b": y}
-        loose = cluster_attributes(cols, threshold=0.5)
-        tight = cluster_attributes(cols, threshold=0.95)
+        loose = cluster_attributes(*split(cols), threshold=0.5)
+        tight = cluster_attributes(*split(cols), threshold=0.95)
         assert len(loose) == 1
         assert len(tight) == 2
 
@@ -103,16 +125,16 @@ class TestClustering:
             "b": x + 0.05 * rng.normal(size=800),
             "c": x + 0.10 * rng.normal(size=800),
         }
-        clusters = cluster_attributes(cols, threshold=0.9)
+        clusters = cluster_attributes(*split(cols), threshold=0.9)
         assert len(clusters) == 1
         assert set(clusters[0].members) == {"a", "b", "c"}
 
     def test_empty_input(self):
-        assert cluster_attributes({}) == []
+        assert cluster_attributes([], {}, {}) == []
 
     def test_deterministic_order(self, rng):
         cols = {"z": rng.normal(size=50), "a": rng.normal(size=50)}
-        clusters = cluster_attributes(cols)
+        clusters = cluster_attributes(*split(cols))
         assert [c.representative for c in clusters] == ["a", "z"]
 
     def test_categorical_identity_redundancy(self, rng):
@@ -123,9 +145,7 @@ class TestClustering:
             "player_code": np.array([f"#{i}" for i in ids], dtype=object),
             "player_name": np.array([f"name{i}" for i in ids], dtype=object),
         }
-        clusters = cluster_attributes(
-            cols, threshold=0.9, codes=text_codes(cols)
-        )
+        clusters = cluster_attributes(*split(cols), threshold=0.9)
         assert len(clusters) == 1
 
 
@@ -155,18 +175,9 @@ class TestKernelCodeReuse:
         """``(gathered columns, their gathered codes)``: ``cols`` is a
         base table, read through a row sample with repeats as a join's
         index vector would."""
-        from repro.core.kernel import MiningKernel
-
         rows = rng.integers(0, 300, size=200)
         kernel = MiningKernel(
-            {name: None for name in cols if cols[name].dtype == object},
-            np.arange(len(rows)),
-            m1=len(rows),
-            encodings={
-                name: (encode_object_column(values), rows)
-                for name, values in cols.items()
-                if values.dtype == object
-            },
+            apt_of(cols), rows, np.arange(len(rows)), m1=len(rows)
         )
         sampled = {name: values[rows] for name, values in cols.items()}
         codes = {name: kernel.ml_codes(name) for name in text_codes(sampled)}
@@ -185,10 +196,8 @@ class TestKernelCodeReuse:
 
     def test_clusters_identical(self, rng):
         cols, gathered = self.gathered(self.make_columns(rng), rng)
-        without = cluster_attributes(
-            cols, threshold=0.9, codes=text_codes(cols)
-        )
-        with_codes = cluster_attributes(cols, threshold=0.9, codes=gathered)
+        without = cluster_attributes(*split(cols), threshold=0.9)
+        with_codes = cluster_attributes(*split(cols, gathered), threshold=0.9)
         assert without == with_codes
         grouped = {frozenset(c.members) for c in with_codes}
         assert frozenset({"a", "b"}) in grouped
@@ -200,8 +209,8 @@ class TestKernelCodeReuse:
             self.make_columns(rng, with_nulls=False), rng
         )
         np.testing.assert_array_equal(
-            association_matrix(cols, codes=text_codes(cols)),
-            association_matrix(cols, codes=gathered),
+            association_matrix(*split(cols)),
+            association_matrix(*split(cols, gathered)),
         )
 
 
@@ -229,7 +238,7 @@ class TestSameTypeOnly:
         cols = self.make_columns(rng)
         codes = text_codes(cols)
         names = list(cols)
-        matrix = association_matrix(cols, codes=codes)
+        matrix = association_matrix(*split(cols))
         is_text = np.array([cols[n].dtype == object for n in names])
         same_type = is_text[:, None] == is_text[None, :]
         assert not matrix[~same_type].any()
@@ -254,9 +263,7 @@ class TestSameTypeOnly:
         """``id`` determines ``name`` as surely as ``alias`` does, but
         only same-kind attributes cluster."""
         cols = self.make_columns(rng)
-        clusters = cluster_attributes(
-            cols, threshold=0.9, codes=text_codes(cols)
-        )
+        clusters = cluster_attributes(*split(cols), threshold=0.9)
         assert {frozenset(c.members) for c in clusters} == {
             frozenset({"id", "id_scaled"}),
             frozenset({"noise"}),
@@ -279,7 +286,7 @@ class TestSameTypeOnly:
             return original(column_codes)
 
         monkeypatch.setattr(varclus, "_with_levels", recording)
-        cluster_attributes(cols, threshold=0.9, codes=codes)
+        cluster_attributes(*split(cols, codes), threshold=0.9)
         assert len(leveled) == 3
         assert all(
             any(seen is codes[name] for name in codes) for seen in leveled

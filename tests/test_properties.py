@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from repro.core import Pattern, PatternPredicate, QualityStats, dissimilarity
 from repro.core.pattern import OP_EQ, OP_GE, OP_LE
 from repro.db import ColumnType, Database, Relation, TableSchema
-from repro.db.executor import hash_join
 from repro.ml import kendall_tau_distance, ndcg
+from tests.oracles.eager import hash_join
 
 # ----------------------------------------------------------------------
 # Strategies

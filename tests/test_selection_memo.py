@@ -359,16 +359,18 @@ class TestPairKey:
         b_codes = encode_object_column(b).codes
         memo: dict[tuple, float] = {}
         value = association_matrix(
-            {"x": a, "y": b},
-            codes={"x": a_codes, "y": b_codes},
+            ["x", "y"],
+            {},
+            {"x": a_codes, "y": b_codes},
             pair_memo=memo,
             digests={"x": "A", "y": "B"},
         )[0, 1]
         assert memo == {("A", "B"): value}
         # Swapped: the transposed table is another computation.
         association_matrix(
-            {"x": b, "y": a},
-            codes={"x": b_codes, "y": a_codes},
+            ["x", "y"],
+            {},
+            {"x": b_codes, "y": a_codes},
             pair_memo=memo,
             digests={"x": "B", "y": "A"},
         )
@@ -376,8 +378,9 @@ class TestPairKey:
         # Renamed, same order: read back, not recomputed.
         memo[("A", "B")] = 0.125
         hit = association_matrix(
-            {"p": a, "q": b},
-            codes={"p": a_codes, "q": b_codes},
+            ["p", "q"],
+            {},
+            {"p": a_codes, "q": b_codes},
             pair_memo=memo,
             digests={"p": "A", "q": "B"},
         )
@@ -389,10 +392,13 @@ class TestPairKey:
         columns = {"u": rng.normal(size=30), "v": rng.normal(size=30)}
         memo: dict[tuple, float] = {}
         shared = association_matrix(
-            columns, pair_memo=memo, digests={"u": "U", "v": "V"}
+            list(columns), columns, {}, pair_memo=memo,
+            digests={"u": "U", "v": "V"},
         )
         assert memo == {}
-        np.testing.assert_array_equal(shared, association_matrix(columns))
+        np.testing.assert_array_equal(
+            shared, association_matrix(list(columns), columns, {})
+        )
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MiningKernel
 from repro.db import ColumnType, Database, Relation, TableSchema
 from repro.db.errors import SchemaError
 from repro.db.frame import IndexFrame
@@ -91,12 +90,6 @@ class TestNonTextCellIsRejected:
         relation = Relation(schema, {"s": object_column(["a", cell])})
         with pytest.raises(SchemaError, match=r"t\.s"):
             relation._check_primary_key()
-
-    def test_mining_kernel(self, cell):
-        with pytest.raises(SchemaError, match="cat"):
-            MiningKernel(
-                {"cat": object_column(["x", cell])}, np.arange(2), m1=1
-            )
 
 
 def test_ingest_coerces_before_the_check():
