@@ -40,6 +40,7 @@ from .api import CajadeSession
 from .core.config import CajadeConfig
 from .core.question import ComparisonQuestion, OutlierQuestion
 from .core.schema_graph import SchemaGraph
+from .db.errors import DatabaseError
 
 
 def _parse_tuple_spec(spec: list[str]) -> dict[str, Any]:
@@ -379,7 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DatabaseError as exc:  # bad input data or SQL: one line, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,25 +10,24 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .database import Database
 from .errors import SchemaError
-from .relation import (
-    ColumnEncoding,
-    Relation,
-    _column_array,
-    encoding_from_distinct,
-)
+from .relation import ColumnEncoding, Relation, encoding_from_distinct
 from .schema import Column, TableSchema
-from .types import ColumnType, coerce_value, infer_column_type, parse_literal
+from .types import (
+    ColumnType,
+    coerce_value,
+    infer_column_type,
+    is_null_literal,
+    parse_literal,
+)
 
-# int64 range guard for the float→int truncation fast path: values at or
-# beyond 2**63 must take the per-value fallback so they raise the same
-# OverflowError the historical int() coercion raised.
-_INT64_EDGE = float(2**63)
+_STRINGS = StringDType()
 
 
 def write_relation_csv(relation: Relation, path: str | Path) -> None:
@@ -41,198 +40,168 @@ def write_relation_csv(relation: Relation, path: str | Path) -> None:
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _stripped_and_nulls(
+def _convert(
+    convert: Callable[[Any], Any],
+    value: Any,
+    cell: str,
+    ctype: ColumnType,
     cells: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whitespace-stripped cells plus the NULL mask (empty / ``NULL``)."""
-    arr = np.asarray(cells, dtype=str)
-    if arr.size == 0:
-        return arr, np.zeros(0, dtype=bool)
-    stripped = np.char.strip(arr)
-    null_mask = (stripped == "") | (np.char.upper(stripped) == "NULL")
-    return stripped, null_mask
+    where: str,
+) -> Any:
+    """``convert(value)``; a failure is a :class:`SchemaError` naming the
+    column, the first data row holding ``cell`` and the cell itself."""
+    try:
+        return convert(value)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(
+            f"{where}, data row {cells.index(cell) + 1}: cannot read "
+            f"{cell!r} as {ctype.value} ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _exact_floats(
+    floats: np.ndarray, cells: Sequence[str], where: str
+) -> np.ndarray:
+    """Make a whole-column ``float()`` cast equal the per-cell definition.
+
+    ``float(cell)`` and ``coerce_value(parse_literal(cell), FLOAT)``
+    agree on every cell except the ones the cast reads as NaN (a NULL
+    per cell), ±inf (an integer literal past float range raises per
+    cell) or −0.0 (``-0`` is the integer 0 per cell); those few are
+    re-read one at a time, in row order.
+    """
+    odd = ~np.isfinite(floats) | ((floats == 0) & np.signbit(floats))
+    for i in np.flatnonzero(odd):
+        value = _convert(
+            lambda v: coerce_value(v, ColumnType.FLOAT),
+            parse_literal(cells[i]), cells[i], ColumnType.FLOAT, cells, where,
+        )
+        floats[i] = np.nan if value is None else value
+    return floats
+
+
+def _nulls_as_nan(values: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """Numeric storage as ``from_rows`` builds it: a NULL cell is NaN, so
+    a column with one is float64."""
+    if not null.any():
+        return values
+    values = values.astype(np.float64)
+    values[null] = np.nan
+    return values
 
 
 def _distinct_coerced(
-    stripped: np.ndarray, ctype: ColumnType
-) -> tuple[np.ndarray, ColumnEncoding | None]:
-    """Per-cell reference semantics, paid once per *distinct* cell.
+    cells: Sequence[str], ctype: ColumnType | None, where: str
+) -> tuple[np.ndarray, ColumnEncoding | None, ColumnType]:
+    """The per-cell definition, paid once per *distinct* cell.
 
-    ``parse_literal`` + ``coerce_value`` run on each unique string and
-    the results gather back over the whole column — exact for mixed and
-    text columns, and the path that reproduces the historical
-    ValueError/OverflowError for cells the fast paths rejected.
-    Distincts coerce in first-occurrence order so a file with several
-    differently-malformed cells raises for the same cell the per-row
-    pipeline raised for.
-
-    The same ``np.unique`` triple also yields the column's dictionary
-    encoding for free (:func:`encoding_from_distinct` dedups coerced
-    values at O(distinct) cost), so loading a CSV never pays the
-    per-row first-occurrence encoding loop.  Numeric types get no
-    encoding.
+    ``parse_literal`` + ``coerce_value`` run on each distinct raw cell
+    and the results gather back over the column.  Distincts are numbered
+    in first-occurrence order, so the first one that fails is the first
+    row that fails, and a TEXT column's coerced distincts are its
+    dictionary encoding (:func:`encoding_from_distinct`).  Numeric
+    storage is built per distinct as ``Relation.from_rows`` builds it
+    per row: an INT column with a NULL is float64.  ``ctype=None``
+    infers the type from the parsed distincts (``infer_column_type``).
     """
-    uniq, first_idx, inverse = np.unique(
-        stripped, return_index=True, return_inverse=True
+    index = {cell: j for j, cell in enumerate(dict.fromkeys(cells))}
+    inverse = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+    # Parse fresh copies: a stored TEXT value that is csv.reader's own
+    # string keeps the freed rows' memory arenas resident.
+    parsed = [
+        parse_literal(cell)
+        for cell in np.array(list(index), dtype=_STRINGS).tolist()
+    ]
+    if ctype is None:
+        ctype = infer_column_type(parsed)
+    table = np.empty(len(parsed), dtype=object)
+    for j, (cell, value) in enumerate(zip(index, parsed)):
+        table[j] = _convert(
+            lambda v: coerce_value(v, ctype), value, cell, ctype, cells, where
+        )
+    if ctype is ColumnType.TEXT:
+        return table[inverse], encoding_from_distinct(table, inverse), ctype
+    nullable = ctype is ColumnType.FLOAT or any(v is None for v in table)
+    store = np.float64 if nullable else np.int64
+    values = np.array(
+        [
+            np.nan if v is None else _convert(store, v, cell, ctype, cells, where)
+            for cell, v in zip(index, table)
+        ],
+        dtype=store,
     )
-    inverse = inverse.reshape(-1)
-    table = np.empty(len(uniq), dtype=object)
-    for j in np.argsort(first_idx, kind="stable"):
-        table[j] = coerce_value(parse_literal(str(uniq[j])), ctype)
-    gathered = table[inverse] if len(stripped) else table[:0]
-    if ctype is not ColumnType.TEXT:
-        return gathered, None
-    return gathered, encoding_from_distinct(table, first_idx, inverse)
+    return values[inverse], None, ctype
 
 
 def _coerce_column(
-    cells: Sequence[str], ctype: ColumnType
+    cells: Sequence[str], ctype: ColumnType, where: str
 ) -> tuple[np.ndarray, ColumnEncoding | None]:
     """Build one column's storage array under an explicit schema type.
 
-    Numeric columns first try one whole-column ``astype`` (numpy calls
-    the same ``int()``/``float()`` per element the scalar path used, so
-    the semantics — underscored literals, unicode digits, whitespace —
-    are identical, minus the per-cell try/except chain).  Columns the
-    fast path cannot prove safe (text cells, NaN/huge values under INT,
-    out-of-range ints) fall back to :func:`_distinct_coerced`.
+    A numeric column first takes one whole-column ``StringDType`` cast:
+    numpy calls ``int()`` / ``float()`` per element in C, and both
+    already strip whitespace and reject ``''``, ``NULL`` and text, so a
+    cast that succeeds proves the column holds no NULL and equals the
+    per-cell definition (floats after :func:`_exact_floats`).  If it
+    fails, the NULL cells are masked and the rest cast once more.  A
+    column that still fails — ``5.0`` under INT, a NaN or a bad cell —
+    and every TEXT column take :func:`_distinct_coerced`.
 
-    Returns ``(storage, encoding)``; the encoding is the column's
-    dictionary encoding when the storage is an object array (built from
-    the distinct table, byte-identical to the lazy per-row build) and
-    ``None`` for numeric storage.
+    Returns ``(storage, encoding)``; the encoding is the TEXT column's
+    dictionary encoding and ``None`` for numeric storage.
     """
-    stripped, null_mask = _stripped_and_nulls(cells)
-    has_null = bool(null_mask.any())
-    values = stripped[~null_mask] if has_null else stripped
-
-    if ctype is ColumnType.INT and values.size:
-        ints: np.ndarray | None = None
+    if ctype is not ColumnType.TEXT:
+        strings = np.array(cells, dtype=_STRINGS)
+        null = np.zeros(len(cells), dtype=bool)
         try:
-            ints = values.astype(np.int64)
-        except OverflowError:
-            pass  # bigint cells: fallback preserves the historical raise
-        except ValueError:
-            # e.g. "5.0": the scalar path coerces via int(float(...)).
-            try:
-                floats = values.astype(np.float64)
-            except (ValueError, OverflowError):
-                floats = None
-            if (
-                floats is not None
-                and not np.isnan(floats).any()
-                and not (np.abs(floats) >= _INT64_EDGE).any()
-            ):
-                ints = np.trunc(floats).astype(np.int64)
-        if ints is not None:
-            if not has_null:
-                return ints, None
-            out = np.full(len(stripped), np.nan, dtype=np.float64)
-            out[~null_mask] = ints.astype(np.float64)
-            return out, None
-    elif ctype is ColumnType.FLOAT and values.size:
-        try:
-            floats = values.astype(np.float64)
+            values = strings.astype(ctype.numpy_dtype())
         except (ValueError, OverflowError):
-            floats = None
-        if floats is not None:
-            out = np.full(len(stripped), np.nan, dtype=np.float64)
-            out[~null_mask] = floats
-            return out, None
-    elif values.size == 0:  # all-NULL column: storage by type alone
-        storage = _column_array([None] * len(stripped), ctype)
-        return storage, _all_null_encoding(storage)
-
-    coerced, encoding = _distinct_coerced(stripped, ctype)
-    return _column_array(list(coerced), ctype), encoding
-
-
-def _all_null_encoding(storage: np.ndarray) -> ColumnEncoding | None:
-    """The trivial encoding of an all-``None`` object column."""
-    if storage.dtype != object:
-        return None
-    if not len(storage):
-        return ColumnEncoding(
-            codes=np.empty(0, dtype=np.int32), code_of={}, none_code=None
-        )
-    return ColumnEncoding(
-        codes=np.zeros(len(storage), dtype=np.int32),
-        code_of={None: 0},
-        none_code=0,
-    )
+            null = np.fromiter(map(is_null_literal, cells), bool, len(cells))
+            strings[null] = "0"
+            try:
+                values = strings.astype(ctype.numpy_dtype())
+            except (ValueError, OverflowError):
+                values = None
+        if values is not None:
+            if ctype is ColumnType.FLOAT:
+                values = _exact_floats(values, cells, where)
+            return _nulls_as_nan(values, null), None
+    storage, encoding, _ = _distinct_coerced(cells, ctype, where)
+    return storage, encoding
 
 
 def _infer_column(
-    cells: Sequence[str],
+    cells: Sequence[str], where: str
 ) -> tuple[np.ndarray, ColumnEncoding | None, ColumnType]:
     """Parse one schemaless column: (storage, encoding, inferred type).
 
-    Mirrors ``parse_literal`` + ``infer_column_type`` + ``from_rows``:
-    all-int columns infer INT, any float-parseable cell promotes to
-    FLOAT, any text cell (or an all-NULL / all-NaN column) infers TEXT.
+    The definition is ``parse_literal`` per cell, ``infer_column_type``
+    over the parsed values, then ``from_rows``.  With the NULL cells
+    masked, two casts settle the common columns in C: if ``int()`` reads
+    every other cell the column is INT; if it rejects one that
+    ``float()`` reads, and ``float()`` reads every cell as a non-NaN
+    number, that cell parses to a float, so the column is FLOAT.
+    Everything else (all-NULL and NaN cells, text, ints past int64) is
+    inferred per distinct.
     """
-    stripped, null_mask = _stripped_and_nulls(cells)
-    if stripped.size:
-        # Cells parsing to NaN are NULLs to the scalar pipeline:
-        # infer_column_type skips them (no type evidence) and
-        # coerce_value nulls them, so ["1", "nan"] infers INT with one
-        # NULL — the numeric fast paths must see them as missing.
-        upper = np.char.upper(stripped)
-        null_mask = (
-            null_mask | (upper == "NAN") | (upper == "+NAN")
-            | (upper == "-NAN")
-        )
-    has_null = bool(null_mask.any())
-    values = stripped[~null_mask] if has_null else stripped
-
-    overflow = False
-    if values.size:
-        ints = None
+    null = np.fromiter(map(is_null_literal, cells), bool, len(cells))
+    if not null.all():
+        strings = np.array(cells, dtype=_STRINGS)
+        strings[null] = "0"
         try:
-            ints = values.astype(np.int64)
+            ints = strings.astype(np.int64)
+            return _nulls_as_nan(ints, null), None, ColumnType.INT
         except OverflowError:
-            # Bigint cells: the scalar path infers INT and then raises
-            # OverflowError building int64 storage — the fallback below
-            # reproduces that, so the float path must not swallow it.
-            overflow = True
-        except ValueError:
             pass
-        if ints is not None:
-            if not has_null:
-                return ints, None, ColumnType.INT
-            out = np.full(len(stripped), np.nan, dtype=np.float64)
-            out[~null_mask] = ints.astype(np.float64)
-            return out, None, ColumnType.INT
-        floats = None
-        if not overflow:
+        except ValueError:
             try:
-                floats = values.astype(np.float64)
-            except (ValueError, OverflowError):
-                pass
-        # An all-NaN column carries no type evidence (NaN coerces to
-        # NULL), so it must infer TEXT like the scalar path does.
-        if floats is not None and not np.isnan(floats).all():
-            out = np.full(len(stripped), np.nan, dtype=np.float64)
-            out[~null_mask] = floats
-            return out, None, ColumnType.FLOAT
-
-    uniq, first_idx, inverse = np.unique(
-        stripped, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    parsed = [parse_literal(str(u)) for u in uniq]
-    ctype = infer_column_type(parsed)
-    table = np.empty(len(uniq), dtype=object)
-    for j in np.argsort(first_idx, kind="stable"):
-        table[j] = coerce_value(parsed[j], ctype)
-    gathered = table[inverse] if len(stripped) else table[:0]
-    storage = _column_array(list(gathered), ctype)
-    encoding = (
-        encoding_from_distinct(table, first_idx, inverse)
-        if storage.dtype == object
-        else None
-    )
-    return storage, encoding, ctype
+                floats = strings.astype(np.float64)
+            except ValueError:
+                floats = None
+            if floats is not None and not np.isnan(floats).any():
+                floats = _exact_floats(floats, cells, where)
+                return _nulls_as_nan(floats, null), None, ColumnType.FLOAT
+    return _distinct_coerced(cells, None, where)
 
 
 def read_relation_csv(
@@ -243,11 +212,14 @@ def read_relation_csv(
     """Read a CSV file into a relation, column at a time.
 
     Without an explicit ``schema`` the column types are inferred from the
-    parsed values (ints, floats, text; empty cells are NULL).  Cell
-    semantics are exactly the historical per-cell ``parse_literal`` /
-    ``coerce_value`` pipeline; the columns are just coerced with one
-    numpy ``astype`` per column (with a parse-each-distinct-value
-    fallback for mixed/text columns) instead of a Python loop per cell.
+    parsed values (ints, floats, text; empty cells are NULL).  Every
+    column equals the per-cell definition — ``parse_literal`` on each
+    cell, then ``Relation.from_rows`` (``infer_column_type`` first,
+    without a schema) — byte for byte; ``tests/oracles/csv_cells.py``
+    states it.  A ragged row is a :class:`SchemaError` naming the file
+    and the data row; a cell its column's type cannot take is one naming
+    ``<table>.<column>``, the data row and the cell, raised from the
+    per-cell error.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -263,39 +235,38 @@ def read_relation_csv(
             f"{schema.column_names}"
         )
     width = len(header)
-    for row in rows:
+    for number, row in enumerate(rows, start=1):
         if len(row) != width:
             raise SchemaError(
-                f"row of width {len(row)} for schema of width {width}"
+                f"{path}, data row {number}: row of width {len(row)} for "
+                f"schema of width {width}"
             )
     columns_cells: list[Sequence[str]] = (
         list(zip(*rows)) if rows else [()] * width
     )
 
+    table = schema.name if schema is not None else name or path.stem
     storage: dict[str, np.ndarray] = {}
     encodings: dict[str, ColumnEncoding] = {}
-    if schema is not None:
-        for col, cells in zip(schema.columns, columns_cells):
-            array, encoding = _coerce_column(cells, col.ctype)
-            storage[col.name] = array
-            if encoding is not None:
-                encodings[col.name] = encoding
-        relation = Relation(schema, storage)
-        relation._encodings.update(encodings)
-        if schema.primary_key:
-            relation._check_primary_key()
-        return relation
-
     columns = []
-    for cname, cells in zip(header, columns_cells):
-        array, encoding, ctype = _infer_column(cells)
+    for index, (cname, cells) in enumerate(zip(header, columns_cells)):
+        where = f"{table}.{cname}"
+        if schema is None:
+            array, encoding, ctype = _infer_column(cells, where)
+            columns.append(Column(cname, ctype))
+        else:
+            array, encoding = _coerce_column(
+                cells, schema.columns[index].ctype, where
+            )
         storage[cname] = array
         if encoding is not None:
             encodings[cname] = encoding
-        columns.append(Column(cname, ctype))
-    inferred = TableSchema(name=name or path.stem, columns=columns)
-    relation = Relation(inferred, storage)
+    if schema is None:
+        schema = TableSchema(name=table, columns=columns)
+    relation = Relation(schema, storage)
     relation._encodings.update(encodings)
+    if schema.primary_key:
+        relation._check_primary_key()
     return relation
 
 

@@ -126,38 +126,27 @@ def encode_object_column(
 
 
 def encoding_from_distinct(
-    table: np.ndarray,
-    first_idx: np.ndarray,
-    inverse: np.ndarray,
-    where: str = "<column>",
+    table: np.ndarray, inverse: np.ndarray, where: str = "<column>"
 ) -> ColumnEncoding:
-    """Build a :class:`ColumnEncoding` from a precomputed distinct table.
+    """Build a :class:`ColumnEncoding` from a column's distinct raw cells.
 
-    ``table[j]`` holds the (coerced) value of the ``j``-th *raw* distinct
-    cell, ``first_idx[j]`` the row where that raw cell first occurs, and
-    ``inverse`` maps every row to its raw distinct — exactly the triple
-    the CSV reader's whole-column ``np.unique`` already produces.  Codes
-    reproduce :func:`encode_object_column`'s first-occurrence numbering:
-    raw distincts are visited in ascending first-row order and coerced
-    values deduplicated under dict semantics, so the ``k``-th *new*
-    coerced value seen while scanning rows top-to-bottom gets code ``k``
-    — provably the numbering the per-row loop assigns, at O(distinct)
-    Python cost instead of O(rows).  Raises :class:`SchemaError` like
-    :func:`encode_object_column`.
+    ``table[j]`` holds the coerced value of the ``j``-th distinct *raw*
+    cell, numbered in first-occurrence order, and ``inverse`` maps every
+    row to its raw distinct — what the CSV reader's one pass over a
+    column produces.  Several raw cells may coerce to one value (``' a'``
+    and ``'a'``, ``''`` and ``'NULL'``), so values are deduplicated
+    under dict semantics in table order: the ``k``-th new value gets
+    code ``k``, the numbering :func:`encode_object_column`'s per-row
+    loop assigns, at O(distinct) Python cost instead of O(rows).  Raises
+    :class:`SchemaError` like :func:`encode_object_column`.
     """
     check_text_values(table, where)  # what passes is hashable
     raw_to_code = np.empty(len(table), dtype=np.int32)
     code_of: dict[Any, int] = {}
-    for j in np.argsort(first_idx, kind="stable"):
-        value = table[j]
-        code = code_of.get(value)
-        if code is None:
-            code = len(code_of)
-            code_of[value] = code
-        raw_to_code[j] = code
-    codes = raw_to_code[inverse.reshape(-1)] if len(inverse) else raw_to_code[:0]
+    for j, value in enumerate(table):
+        raw_to_code[j] = code_of.setdefault(value, len(code_of))
     return ColumnEncoding(
-        codes=codes, code_of=code_of, none_code=code_of.get(None)
+        codes=raw_to_code[inverse], code_of=code_of, none_code=code_of.get(None)
     )
 
 
@@ -281,22 +270,23 @@ class Relation:
         return cls(schema, columns)
 
     def _check_primary_key(self) -> None:
-        """Reject duplicate primary keys, vectorized over encoded codes.
+        """Reject duplicate primary keys with one sort of the key codes.
 
         Row equality is :meth:`_row_codes`': TEXT cells compare by
         value (two NULLs are equal), float NaN keys never compare equal
-        (each NaN row gets a distinct code).
+        (each NaN row gets a distinct code).  A stable ``lexsort`` puts
+        equal keys side by side in row order, so each row equal to its
+        sorted predecessor repeats an earlier key, and the smallest such
+        row is the first duplicate a top-to-bottom scan meets.
         """
         key_cols = list(self.schema.primary_key)
         codes = self._row_codes(key_cols)
-        _, first_idx, inverse = np.unique(
-            codes, axis=0, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-        duplicate = np.nonzero(first_idx[inverse] != np.arange(self._nrows))[0]
-        if len(duplicate):
-            i = int(duplicate[0])
-            key = tuple(self.column(c)[i] for c in key_cols)
+        order = np.lexsort(codes.T)
+        ranked = codes[order]
+        repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
+        if len(repeats):
+            i = int(repeats.min())
+            key = tuple(self.column(c)[i:i + 1].tolist()[0] for c in key_cols)
             raise IntegrityError(
                 f"duplicate primary key {key} in table {self.schema.name!r}"
             )

@@ -99,14 +99,20 @@ def coerce_value(value: Any, ctype: ColumnType) -> Any:
     return str(value)
 
 
+def is_null_literal(text: str) -> bool:
+    """Whether a CSV/SQL literal is NULL: blank, or ``NULL`` in any case."""
+    stripped = text.strip()
+    return stripped == "" or stripped.upper() == "NULL"
+
+
 def parse_literal(text: str) -> Any:
     """Parse a CSV/SQL literal into ``int``, ``float`` or ``str``.
 
     Empty strings and the token ``NULL`` map to ``None``.
     """
-    stripped = text.strip()
-    if stripped == "" or stripped.upper() == "NULL":
+    if is_null_literal(text):
         return None
+    stripped = text.strip()
     try:
         return int(stripped)
     except ValueError:

@@ -9,7 +9,9 @@ One module per layer that has a single execution path in ``src/``:
 - ``selection``   — §3.1 with a fresh memo per join graph (vs the memo the
   graphs of a question share);
 - ``eager``       — column-copying joins and σ(R_1 × … × R_p) (vs the
-  index-vector pipeline).
+  index-vector pipeline);
+- ``csv_cells``   — CSV ingest with every cell parsed on its own (vs the
+  column casts and per-distinct parsing of ``db/csvio.py``).
 
 They are deliberately naive and read like the definitions.  Nothing under
 ``src/`` may import from here.  Where a module has ``swap_in(monkeypatch)``,

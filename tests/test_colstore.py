@@ -407,23 +407,20 @@ class TestEncodingFromDistinct:
         arr = np.empty(len(cells), dtype=object)
         arr[:] = cells
         reference = encode_object_column(arr)
-        raw = np.array([("" if c is None else f"v{c}") for c in cells])
-        table, first_idx, inverse = np.unique(
-            raw.reshape(-1, 1) if len(raw) else raw.reshape(0, 1),
-            return_index=True,
-            return_inverse=True,
-            axis=0,
+        # Raw distincts in first-occurrence order, as the CSV reader
+        # numbers them; two raw spellings ("" and "NULL") coerce to None.
+        raw = [
+            f"v{c}" if c is not None else ("NULL" if i % 2 else "")
+            for i, c in enumerate(cells)
+        ]
+        index: dict[str, int] = {}
+        inverse = np.array(
+            [index.setdefault(r, len(index)) for r in raw], dtype=np.intp
         )
-        coerced = {
-            i: cells[int(first_idx[i])] for i in range(len(table))
-        }
-        vectorized = encoding_from_distinct(
-            np.array([coerced[i] for i in range(len(table))], dtype=object)
-            if len(table)
-            else np.empty(0, dtype=object),
-            first_idx,
-            inverse,
-        )
+        table = np.empty(len(index), dtype=object)
+        for j, r in enumerate(index):
+            table[j] = None if r in ("", "NULL") else r[1:]
+        vectorized = encoding_from_distinct(table, inverse)
         assert np.array_equal(vectorized.codes, reference.codes)
         assert dict(vectorized.code_of) == dict(reference.code_of)
         assert vectorized.none_code == reference.none_code
