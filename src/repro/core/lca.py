@@ -8,14 +8,16 @@ lattice.  Constants that co-occur frequently therefore surface as
 candidates.  Numeric attributes stay ``*`` at this stage.
 
 Generation runs on the mining kernel's int32 dictionary codes end to end
-(:func:`lca_candidates_codes`): the sample is a ``(m, n_attrs)`` code
-matrix, pairwise agreement is one broadcast integer comparison over the
-sampled pair index arrays (the NULL sentinel ``-1`` never agrees),
-surviving LCAs are deduplicated as int row keys with ``np.unique``, and
-one :class:`Pattern` is constructed per surviving key (a few hundred per
-question, where a Pattern per agreeing pair would be millions) —
-distinct codes decode to distinct values, so distinct keys are distinct
-patterns.
+(:func:`lca_candidates_codes`), and its cost follows the sample's *distinct*
+rows, not its sampled pairs: the sample is a ``(m, n_attrs)`` code matrix
+whose d distinct rows are found once; every sampled pair becomes the int64
+id of its pair of distinct rows, and those ids deduplicate in one 1-D
+``np.unique``.  Each distinct pair's LCA is then packed into one int64 key
+(a column adds 0 for a wildcard, or 1 + the rank of the agreed code), one
+more 1-D ``np.unique`` keeps one pair per key, and one :class:`Pattern` is
+constructed per kept pair (a few hundred per question, where a Pattern per
+agreeing pair would be millions) — distinct codes decode to distinct
+values, so distinct keys are distinct patterns.
 
 The definition it must equal — a Python loop over row pairs comparing
 raw cell objects — is the oracle in ``tests/oracles/lca.py``.  It imports
@@ -37,36 +39,15 @@ import numpy as np
 from .config import CajadeConfig
 from .pattern import OP_EQ, Pattern, PatternPredicate
 from .timing import (
+    LCA_DISTINCT_ROW_PAIRS,
     LCA_PAIRS_EXAMINED,
     LCA_PATTERNS_BUILT,
-    LCA_PEAK_CHUNK_BYTES,
     StepTimer,
 )
 
-# Pairwise agreement matrices are materialized in bounded chunks so the
-# λpat-samp cross product's peak allocation stays flat even on the
-# no-feature-selection arm where n_attrs can be large.  The budget is
-# expressed in bytes of live chunk temporaries rather than cells, so a
-# wide attribute set shrinks the row count instead of inflating the
-# footprint: each chunk cell costs 13 bytes — gathered left codes (4) +
-# gathered right codes (4) + boolean agreement (1) + masked keys (4).
-_PAIR_CHUNK_BYTES = 48 * 2**20
-_BYTES_PER_PAIR_CELL = 13
-
-
-def _pair_chunk_rows(n_attrs: int, budget_bytes: int = _PAIR_CHUNK_BYTES) -> int:
-    """Rows per agreement chunk under the byte budget (always ≥ 1)."""
-    return max(1, budget_bytes // (_BYTES_PER_PAIR_CELL * max(1, n_attrs)))
-
-
-def _record_peak_chunk_bytes(timer: StepTimer | None, peak_bytes: int) -> None:
-    """Fold this call's peak chunk footprint into the running-max gauge."""
-    if timer is None or peak_bytes <= 0:
-        return
-    timer.set_gauge(
-        LCA_PEAK_CHUNK_BYTES,
-        max(timer.counter(LCA_PEAK_CHUNK_BYTES), peak_bytes),
-    )
+# Packed LCA keys stay below this bound; a column whose radix would pass
+# it re-ranks the keys built so far first.
+_KEY_BOUND = 2**62
 
 
 def _sample_row_indices(
@@ -124,17 +105,21 @@ def lca_candidates_codes(
     pattern carries no information), computed on int32 dictionary codes:
 
     - the row sample becomes one ``(m, n_attrs)`` matrix of match codes
-      (NULLs ``-1``); its distinct rows are the singleton candidates
-      (the LCA of a row with itself);
-    - pairwise agreement is ``(left == right) & (left != -1)`` broadcast
-      over the pair index arrays; an agreeing attribute keeps its code,
-      a disagreeing one becomes the wildcard ``-1`` — NULL codes never
-      agree, so ``-1`` is unambiguous as the wildcard marker;
-    - survivors (pair keys + singleton rows) deduplicate as int row keys
-      in one ``np.unique(axis=0)``;
-    - one :class:`Pattern` is constructed per survivor, decoding codes
-      back to the original value objects through the kernel's inverse
-      dictionaries.
+      (NULLs ``-1``) with d distinct rows — a pair's LCA depends only on
+      the distinct rows it joins;
+    - each sampled pair maps to the int64 id ``min·d + max`` of its two
+      distinct rows, each distinct row joins itself as ``(a, a)`` (the
+      LCA of a row with itself: the singleton candidates), and one 1-D
+      ``np.unique`` keeps each distinct pair once;
+    - a distinct pair's LCA keeps the attributes its rows agree on (NULL
+      codes never agree), packed column by column into one int64 key: 0
+      for a wildcard, else 1 + the agreed code's rank among the column's
+      distinct sample codes (keys are re-ranked before the radix would
+      pass 2⁶²);
+    - one more 1-D ``np.unique`` keeps one pair per key, and one
+      :class:`Pattern` is constructed per non-empty kept LCA, decoding
+      codes back to the original value objects through the kernel's
+      inverse dictionaries.
 
     Numeric attributes (they have no codes) are skipped.
     """
@@ -150,27 +135,34 @@ def lca_candidates_codes(
     indices = _sample_row_indices(n_rows, config, rng)
     m = len(indices)
     match = kernel.code_matrix(attrs, indices=indices)
-
-    key_chunks = [np.unique(match, axis=0)]
+    rows, row_of = np.unique(match, axis=0, return_inverse=True)
+    d = len(rows)
+    row_of = row_of.reshape(-1)  # numpy 2.0.0 kept a trailing axis
 
     pair_i, pair_j = _pair_indices(m, config, rng)
-    n_attrs = len(attrs)
-    chunk = _pair_chunk_rows(n_attrs)
-    peak_bytes = 0
-    for start in range(0, len(pair_i), chunk):
-        rows = min(chunk, len(pair_i) - start)
-        peak_bytes = max(peak_bytes, rows * n_attrs * _BYTES_PER_PAIR_CELL)
-        left = match[pair_i[start : start + chunk]]
-        right = match[pair_j[start : start + chunk]]
-        agree = left == right
-        agree &= left != -1
-        keys = np.where(agree, left, np.int32(-1))
-        key_chunks.append(np.unique(keys, axis=0))
-    _record_peak_chunk_bytes(timer, peak_bytes)
+    first, second = row_of[pair_i], row_of[pair_j]
+    pair_ids = np.unique(np.concatenate([
+        np.minimum(first, second) * d + np.maximum(first, second),
+        np.arange(d, dtype=np.int64) * (d + 1),
+    ]))
+    lo, hi = np.divmod(pair_ids, d)
 
-    all_keys = np.unique(np.concatenate(key_chunks, axis=0), axis=0)
-    nonempty = (all_keys != -1).any(axis=1)
-    all_keys = all_keys[nonempty]
+    keys = np.zeros(len(pair_ids), dtype=np.int64)
+    bound = 1
+    for column in rows.T:
+        ranks = np.unique(column, return_inverse=True)[1]
+        radix = int(ranks.max()) + 2
+        if bound * radix > _KEY_BOUND:
+            keys = np.unique(keys, return_inverse=True)[1]
+            bound = int(keys.max()) + 1
+        agree = (column[lo] == column[hi]) & (column[lo] != -1)
+        keys = keys * radix + np.where(agree, ranks[lo] + 1, 0)
+        bound *= radix
+    kept = np.unique(keys, return_index=True)[1]
+
+    left, right = rows[lo[kept]], rows[hi[kept]]
+    lcas = np.where((left == right) & (left != -1), left, np.int32(-1))
+    lcas = lcas[(lcas != -1).any(axis=1)]
 
     values = [kernel.code_values(a) for a in attrs]
     patterns = [
@@ -179,12 +171,13 @@ def lca_candidates_codes(
             for attr, inverse, code in zip(attrs, values, row)
             if code != -1
         )
-        for row in all_keys.tolist()
+        for row in lcas.tolist()
     ]
 
     if timer is not None:
         timer.count(LCA_PAIRS_EXAMINED, len(pair_i))
-        timer.count(LCA_PATTERNS_BUILT, len(all_keys))
+        timer.count(LCA_DISTINCT_ROW_PAIRS, len(pair_ids))
+        timer.count(LCA_PATTERNS_BUILT, len(lcas))
     return _candidate_order(patterns)
 
 

@@ -81,16 +81,14 @@ ASSOCIATION_PAIRS_COMPUTED = "Association pairs computed"
 ASSOCIATION_MEMO_HITS = "Association memo hits"
 
 # Canonical counter labels (§3.2 LCA candidate generation).  "Pairs
-# examined" counts sampled row pairs entering the agreement computation;
+# examined" counts sampled row pairs; "distinct row pairs" counts the
+# pairs of distinct sample rows they (and the singletons) reduce to —
+# the number LCA keys are computed for, which the cost follows;
 # "patterns built" counts Pattern object constructions — the
 # deduplicated survivors only, never one per agreeing pair.
 LCA_PAIRS_EXAMINED = "LCA pairs examined"
+LCA_DISTINCT_ROW_PAIRS = "LCA distinct row pairs"
 LCA_PATTERNS_BUILT = "LCA patterns built"
-# Peak bytes any single pair-agreement chunk materialized (gauge, a
-# running max over every chunk loop recorded on the timer — all the
-# join graphs of a question) — the observable for the byte-budgeted
-# chunk sizing in :mod:`repro.core.lca`.
-LCA_PEAK_CHUNK_BYTES = "LCA peak chunk bytes"
 
 # Canonical counter labels (serving layer).  Requests are counted once
 # at admission; "coalesced" counts requests that joined an identical
@@ -133,8 +131,8 @@ ALL_COUNTERS = (
     ASSOCIATION_PAIRS_COMPUTED,
     ASSOCIATION_MEMO_HITS,
     LCA_PAIRS_EXAMINED,
+    LCA_DISTINCT_ROW_PAIRS,
     LCA_PATTERNS_BUILT,
-    LCA_PEAK_CHUNK_BYTES,
     SERVICE_REQUESTS,
     SERVICE_COALESCED,
     SERVICE_CACHE_HITS,

@@ -2,10 +2,13 @@
 
 Covers the code-based generation on kernel dictionary codes and its
 equivalence with the object-loop oracle (``tests/oracles/lca.py``): same
-candidate list (hypothesis property, incl. NULL cells, the sampled-pair
-cap path and singleton rows) from the same rng trajectory.
+candidate list (hypothesis properties, incl. NULL cells, the sampled-pair
+cap path, singleton rows, duplicated rows and keys wide enough to
+re-rank) from the same rng trajectory, and the same answers to whole
+questions at the gate's scale, whose op counts are pinned.
 """
 
+import math
 import os
 
 import numpy as np
@@ -22,13 +25,14 @@ from repro.core import (
 )
 from repro.core.pattern import OP_EQ
 from repro.core.timing import (
+    LCA_DISTINCT_ROW_PAIRS,
     LCA_PAIRS_EXAMINED,
     LCA_PATTERNS_BUILT,
-    LCA_PEAK_CHUNK_BYTES,
     StepTimer,
 )
 from repro.db.errors import SchemaError
 from tests.conftest import kernel_of
+from tests.oracles import lca as lca_oracle_module
 from tests.oracles.lca import lca_candidates as lca_oracle
 
 settings.register_profile(
@@ -123,6 +127,15 @@ def both_paths(columns, attrs, cfg, seed=9):
     )
     coded = candidates(columns, attrs, cfg, np.random.default_rng(seed))
     return reference, coded
+
+
+def assert_same_as_oracle(columns, attrs, cfg, seed):
+    """Same candidate list and the same generator state afterwards."""
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    reference = lca_oracle(columns, attrs, cfg, r1)
+    coded = candidates(columns, attrs, cfg, r2)
+    assert reference == coded
+    assert r1.bit_generator.state == r2.bit_generator.state
 
 
 # A TEXT cell is str or None; "" and "None" are ordinary strings that
@@ -223,6 +236,8 @@ class TestCodeLcaEquivalence:
             timer=timer,
         )
         assert timer.counter(LCA_PAIRS_EXAMINED) == 10 * 9 // 2
+        # 45 pairs of 10 rows are the 4·5/2 pairs of 4 distinct rows.
+        assert timer.counter(LCA_DISTINCT_ROW_PAIRS) == 4 * 5 // 2
         # Patterns are constructed only for deduplicated survivors
         assert timer.counter(LCA_PATTERNS_BUILT) == len(coded)
         ref_timer = StepTimer()
@@ -235,6 +250,115 @@ class TestCodeLcaEquivalence:
         )
         assert ref_timer.counter(LCA_PAIRS_EXAMINED) == 10 * 9 // 2
         assert ref_timer.counter(LCA_PATTERNS_BUILT) >= len(coded)
+
+
+@st.composite
+def packed_key_cases(draw):
+    """(columns, pair cap, rng seed) aimed at the packed key.
+
+    Narrow tables: 1–3 values per column, so rows repeat heavily, plus
+    all-NULL rows.  Wide tables: 8–16 columns of mostly distinct values,
+    enough rows that the product of the radices passes 2⁶² and the key
+    must re-rank.  The pair cap falls on either side of m(m−1)/2, so the
+    sampled path draws repeated and reversed pairs.
+    """
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n_attrs = draw(st.integers(1, 10))
+        n_rows = draw(st.integers(1, 60))
+        codes = gen.integers(0, draw(st.integers(1, 3)), (n_rows, n_attrs))
+        codes[gen.random(codes.shape) < 0.1] = -1
+        nulls = np.full((draw(st.integers(0, 3)), n_attrs), -1)
+        codes = np.concatenate([codes, nulls])
+    else:
+        n_attrs = draw(st.integers(8, 16))
+        low = 2 * math.ceil(2 ** (62 / n_attrs))
+        n_rows = draw(st.integers(low, low + 60))
+        codes = np.stack(
+            [gen.permutation(n_rows) for _ in range(n_attrs)], axis=1
+        )
+        repeat = gen.random(codes.shape) < 0.2
+        codes[repeat] = codes[gen.integers(0, n_rows, repeat.sum()), 0]
+        codes[gen.random(codes.shape) < 0.02] = -1
+    m = len(codes)
+    cols = {
+        f"a{k}": np.array(
+            [None if c < 0 else f"v{c}" for c in codes[:, k]], dtype=object
+        )
+        for k in range(n_attrs)
+    }
+    pair_cap = draw(st.integers(1, min(m * (m - 1) // 2 + 2, 3_000)))
+    return cols, pair_cap, draw(st.integers(0, 2**16))
+
+
+class TestPackedKeyEquivalence:
+    @given(case=packed_key_cases())
+    @settings(deadline=None)
+    def test_property_against_oracle(self, case):
+        cols, pair_cap, seed = case
+        cfg = config(lca_sample_rate=0.9, lca_pair_cap=pair_cap)
+        assert_same_as_oracle(cols, sorted(cols), cfg, seed)
+
+    def test_wide_keys_re_rank(self):
+        """Nine columns of 255 values: nine radices of 2⁸.  Unranked, the
+        key would wrap at 2⁶⁴ and drop column 0's digit, merging the
+        singletons of rows 0 and 255, which differ only there."""
+        codes = np.tile(np.arange(256)[:, None] % 255, (1, 9))
+        codes[255, 0] = 1
+        cols = {
+            f"a{k}": np.array([f"v{c}" for c in codes[:, k]], dtype=object)
+            for k in range(9)
+        }
+        assert {len(set(column)) for column in cols.values()} == {255}
+        cfg = config(lca_sample_rate=1.0, lca_pair_cap=1_000)
+        assert_same_as_oracle(cols, sorted(cols), cfg, 5)
+        sizes = [p.size for p in candidates(
+            cols, sorted(cols), cfg, np.random.default_rng(5)
+        )]
+        assert sizes.count(9) == 256
+
+
+# ----------------------------------------------------------------------
+# Whole questions at the gate's scale
+# ----------------------------------------------------------------------
+def ask_gate(databases, name: str, edges: int, seed: int | None = None):
+    from repro.api import CajadeSession
+    from repro.datasets import query_by_name
+
+    workload = query_by_name(name)
+    db, schema_graph = databases[workload.dataset]
+    overrides = {} if seed is None else {"seed": seed}
+    config = CajadeConfig(max_join_edges=edges, **overrides)
+    session = CajadeSession(db, schema_graph, config)
+    return session.explain(workload.sql, workload.question)
+
+
+# (question, λ#edges, mining seed) → [pairs examined, distinct row
+# pairs, patterns built], exact: the cost follows the middle number.
+# Qnba4's graph 2 samples 532 of 5,320 rows, all with one code: 141,246
+# of its examined pairs are one distinct row pair.
+ORACLE_QUESTIONS = [
+    ("Qnba4", 1, None, [150_054, 14, 10]),
+    ("Qnba4", 1, 1000, [150_054, 12, 9]),
+    ("Qnba3", 1, None, [70, 35, 16]),
+    ("Qmimic5", 2, None, [3_149, 1_403, 269]),
+]
+LCA_COUNTERS = (LCA_PAIRS_EXAMINED, LCA_DISTINCT_ROW_PAIRS, LCA_PATTERNS_BUILT)
+
+
+@pytest.mark.parametrize("name, edges, seed, counts", ORACLE_QUESTIONS)
+def test_whole_question_equals_object_loop_oracle(
+    name, edges, seed, counts, gate_databases, monkeypatch
+):
+    from repro.serving.frontend import canonical_payload
+
+    coded = ask_gate(gate_databases, name, edges, seed)
+    assert [coded.timer.counter(c) for c in LCA_COUNTERS] == counts
+    with monkeypatch.context() as patch:
+        lca_oracle_module.swap_in(patch)
+        objected = ask_gate(gate_databases, name, edges, seed)
+    assert canonical_payload(objected) == canonical_payload(coded)
+    assert objected.timer.counter(LCA_PAIRS_EXAMINED) == counts[0]
 
 
 class TestPickTopCandidates:
@@ -261,37 +385,3 @@ class TestPickTopCandidates:
         patterns = [Pattern.from_dict({"a": (OP_EQ, "v")})]
         picked = pick_top_candidates(patterns, np.array([0.01]), 5, 0.5)
         assert picked.tolist() == []
-
-
-def test_peak_chunk_bytes_is_the_max_over_a_questions_graphs(
-    gate_databases, monkeypatch
-):
-    """Qmimic5 λ#edges 2 (25 graphs): the answer's gauge is the largest
-    chunk any of its graphs built, not the last graph's."""
-    import repro.api.session as session_module
-    from repro.api import CajadeSession
-    from repro.datasets import query_by_name
-
-    workload = query_by_name("Qmimic5")
-    db, schema_graph = gate_databases[workload.dataset]
-
-    def ask():
-        session = CajadeSession(
-            db, schema_graph, CajadeConfig(max_join_edges=2)
-        )
-        return session.explain(workload.sql, workload.question)
-
-    question = ask().timer.counter(LCA_PEAK_CHUNK_BYTES)
-
-    alone = []
-    real = session_module.mine_apt
-
-    def mined_alone(*args, timer, **kwargs):
-        alone.append(StepTimer())
-        return real(*args, timer=alone[-1], **kwargs)
-
-    monkeypatch.setattr(session_module, "mine_apt", mined_alone)
-    ask()
-    peaks = [timer.counter(LCA_PEAK_CHUNK_BYTES) for timer in alone]
-    assert len(peaks) == 25 and peaks[-1] < max(peaks)
-    assert question == max(peaks) == 6864
