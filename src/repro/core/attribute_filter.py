@@ -195,9 +195,6 @@ def filter_attributes(
     importances = _forest_importances(
         matrix[informative],
         (labels[informative] == 1).astype(np.float64),
-        tuple(
-            i for i, name in enumerate(representatives) if name in ml_codes
-        ),
         config,
         timer,
         memo,
@@ -237,7 +234,6 @@ def filter_attributes(
 def _forest_importances(
     X: np.ndarray,
     y: np.ndarray,
-    categorical_features: tuple[int, ...],
     config: CajadeConfig,
     timer: StepTimer,
     memo: SelectionMemo,
@@ -246,9 +242,10 @@ def _forest_importances(
 
     Histogram learner on the dictionary codes: every object column of
     the matrix holds first-occurrence label codes (the kernel's
-    ml_codes) — codes are bins.  Every feature is examined at
-    every split: relevance ranking wants the full importance signal,
-    and per-node feature subsampling only adds rng noise to it.
+    ml_codes), which the learner finds integral — codes are bins.
+    Every feature is examined at every split: relevance ranking wants
+    the full importance signal, and per-node feature subsampling only
+    adds rng noise to it.
 
     The memo key digests everything the fit reads; an argument added
     to ``forest_args`` is keyed by construction.
@@ -259,13 +256,13 @@ def _forest_importances(
         "max_samples": config.rf_max_samples,
         "random_state": config.seed,
     }
-    key = _digest(forest_args, categorical_features, X, y)
+    key = _digest(forest_args, X, y)
     importances = memo.relevance.get(key)
     if importances is not None:
         timer.count(FOREST_MEMO_HITS)
         return importances
     forest = HistRandomForestClassifier(**forest_args)
-    forest.fit(X, y, categorical_features=set(categorical_features))
+    forest.fit(X, y)
     timer.count(FOREST_FITS_RUN)
     timer.count(HIST_NODES_GROWN, forest.nodes_grown)
     timer.count(HIST_HISTOGRAMS_BUILT, forest.histograms_built)

@@ -141,8 +141,13 @@ class CajadeConfig:
                     f"{spec.name} must be {spec.type}, got "
                     f"{type(value).__name__} {value!r}"
                 )
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        # Sizes below 1 would only fail deep inside mining.
+        for name in (
+            "top_k", "num_fragments", "rf_num_trees", "rf_max_samples",
+            "lca_sample_cap",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.max_join_edges < 0:
             raise ValueError("max_join_edges must be >= 0")
         if not 0.0 < self.lca_sample_rate <= 1.0:
@@ -151,8 +156,6 @@ class CajadeConfig:
             raise ValueError("f1_sample_rate must be in (0, 1]")
         if not 0.0 <= self.recall_threshold <= 1.0:
             raise ValueError("recall_threshold must be in [0, 1]")
-        if self.num_fragments < 1:
-            raise ValueError("num_fragments must be >= 1")
         if self.num_selected_attrs <= 0:
             raise ValueError("num_selected_attrs must be positive")
         if self.apt_cache_mb < 0:

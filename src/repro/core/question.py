@@ -85,10 +85,6 @@ class ResolvedQuestion:
     row_ids1: np.ndarray
     row_ids2: np.ndarray
 
-    @property
-    def is_two_point(self) -> bool:
-        return isinstance(self.question, ComparisonQuestion)
-
     def label_for_key(self, primary_is_t1: bool) -> str:
         if isinstance(self.question, ComparisonQuestion):
             source = (

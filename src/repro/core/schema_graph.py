@@ -128,9 +128,6 @@ class SchemaGraph:
                     graph.add_edge(name, name, [[(lead, lead)]])
         return graph
 
-    def add_table(self, table: str) -> None:
-        self._tables.add(table)
-
     def add_edge(
         self,
         table_a: str,

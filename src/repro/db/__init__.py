@@ -15,7 +15,6 @@ from .errors import (
     IntegrityError,
     ParseError,
     SchemaError,
-    TypeMismatchError,
 )
 from .executor import execute, join_row_indices, working_table
 from .expressions import (
@@ -23,7 +22,6 @@ from .expressions import (
     Arithmetic,
     ColumnRef,
     Comparison,
-    EquiJoinCondition,
     Literal,
     Not,
     Or,
@@ -51,7 +49,6 @@ __all__ = [
     "conjunction",
     "Database",
     "DatabaseError",
-    "EquiJoinCondition",
     "execute",
     "ExecutionError",
     "ForeignKey",
@@ -76,7 +73,6 @@ __all__ = [
     "TableRef",
     "TableSchema",
     "TableStatistics",
-    "TypeMismatchError",
     "working_table",
     "estimate_join_cardinality",
 ]

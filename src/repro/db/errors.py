@@ -34,7 +34,3 @@ class ParseError(DatabaseError):
 
 class ExecutionError(DatabaseError):
     """Raised when a logically valid query fails during evaluation."""
-
-
-class TypeMismatchError(ExecutionError):
-    """Raised when an expression combines incompatible value types."""

@@ -280,18 +280,3 @@ def conjunction(parts: list[Predicate]) -> Predicate:
     if len(flat) == 1:
         return flat[0]
     return And(tuple(flat))
-
-
-@dataclass(frozen=True)
-class EquiJoinCondition:
-    """An equality join condition ``left_table.left_col = right_table.right_col``.
-
-    Join conditions in CaJaDE's schema/join graphs are conjunctions of these
-    (paper: "only equi-joins are allowed").
-    """
-
-    left_column: str
-    right_column: str
-
-    def __str__(self) -> str:
-        return f"{self.left_column} = {self.right_column}"

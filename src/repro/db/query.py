@@ -163,12 +163,6 @@ class Query:
             if contains_aggregate(item.expression)
         ]
 
-    def alias_for_table(self, table: str) -> str:
-        for ref in self.tables:
-            if ref.table == table:
-                return ref.alias
-        raise ParseError(f"table {table!r} not in query FROM list")
-
     def __str__(self) -> str:
         return self.text or (
             "SELECT "
@@ -176,30 +170,3 @@ class Query:
             + " FROM "
             + ", ".join(f"{t.table} {t.alias}" for t in self.tables)
         )
-
-
-def simple_aggregate_query(
-    table: str,
-    aggregate: str,
-    argument: str | None,
-    group_by: list[str],
-    where: Predicate | None = None,
-    alias: str | None = None,
-) -> Query:
-    """Build a one-table aggregate query programmatically.
-
-    A convenience for tests and examples that avoids going through SQL text.
-    """
-    agg_expr = AggregateCall(
-        func=aggregate,
-        argument=ColumnRef(argument) if argument else None,
-    )
-    select = [SelectItem(agg_expr, alias or aggregate)]
-    group_refs = [ColumnRef(g) for g in group_by]
-    select += [SelectItem(ref, ref.name.split(".")[-1]) for ref in group_refs]
-    return Query(
-        select=select,
-        tables=[TableRef.of(table)],
-        where=where,
-        group_by=group_refs,
-    )

@@ -74,12 +74,6 @@ class CacheStats:
             "median_entry_bytes": self.median_entry_bytes,
         }
 
-    @property
-    def hit_rate(self) -> float:
-        """Probe hit fraction in [0, 1] (0.0 before any probe)."""
-        probes = self.hits + self.misses
-        return self.hits / probes if probes else 0.0
-
 
 class PrefixCache:
     """LRU cache mapping plan-prefix keys to join intermediates.

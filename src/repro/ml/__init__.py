@@ -4,7 +4,6 @@ from .hist_forest import (
     BinnedMatrix,
     FlatTree,
     HistRandomForestClassifier,
-    apply_bins,
     bin_matrix,
     gini_impurity,
 )
@@ -28,7 +27,6 @@ from .varclus import (
 
 __all__ = [
     "AttributeCluster",
-    "apply_bins",
     "association_matrix",
     "bin_matrix",
     "BinnedMatrix",

@@ -14,15 +14,17 @@ reproduces
                            max_features=X.shape[1], random_state=r).fit(X, y)
 
 **bit for bit** — identical bootstrap samples, tree structures, split
-thresholds, predictions and feature importances — while doing
-asymptotically less work per split.  The reference learner re-sorts each
-node's rows (``np.nanquantile``) and scans a rows x candidates boolean
-matrix per feature per node; this learner:
+thresholds and feature importances (the twin contract) — while doing
+asymptotically less work per split.  §3.1 reads only the importances
+and the work counters, so this learner fits and ranks and has no
+predict.  The reference learner re-sorts each node's rows
+(``np.nanquantile``) and scans a rows x candidates boolean matrix per
+feature per node; this learner:
 
 - dictionary-encodes every column once per forest into dense value
-  ranks over the union of bootstrap rows ("bins") — kernel ml-code
-  columns are already dense integer codes and pass straight through on
-  a sort-free ``np.bincount`` presence scan;
+  ranks over the union of bootstrap rows ("bins") — integral columns
+  (the kernel's ml codes among them) are detected and pass straight
+  through on a sort-free ``np.bincount`` presence scan;
 - grows ALL trees breadth-first in lockstep (frontier-at-a-time, the
   frontier spanning every tree): per depth, composite
   ``slot * stride + bin`` keys feed one ``np.bincount`` pass per
@@ -38,20 +40,20 @@ matrix per feature per node; this learner:
   expression, preserving float op order and the
   first-strict-improvement tie-breaks of the per-node reference loop;
 - stores fitted trees as flat arrays-of-nodes
-  (feature/threshold/left/right/prediction) with a fully vectorized
-  level-by-level ``predict_proba``.
+  (feature/threshold/left/right/contribution).
 
-Bitwise equality holds because every float produced along the way —
-node means (0/1 labels make ``np.mean`` an exact integer count divided
-by the node size, the same IEEE division this learner performs on
-histogram counts), quantile candidates, Gini gains, importance
-contributions (replayed in the reference's depth-first preorder) — is
-computed by the same numpy expressions over the same values.  Feature
-subsampling is the one reference feature deliberately absent: it draws
-rng per node in depth-first order, which no breadth-first learner can
-replay, and for *relevance ranking* (the only thing §3.1 consumes) it
-only adds noise; examining every feature costs this learner almost
-nothing because each depth's histogram pass covers all features anyway.
+Labels must be 0 or 1 (``fit`` raises otherwise).  Bitwise equality
+holds because every float produced along the way — node means (0/1
+labels make ``np.mean`` an exact integer count divided by the node size,
+the same IEEE division this learner performs on histogram counts),
+quantile candidates, Gini gains, importance contributions (replayed in
+the reference's depth-first preorder) — is computed by the same numpy
+expressions over the same values.  Feature subsampling is the one
+reference feature deliberately absent: it draws rng per node in
+depth-first order, which no breadth-first learner can replay, and for
+*relevance ranking* (the only thing §3.1 consumes) it only adds noise;
+examining every feature costs this learner almost nothing because each
+depth's histogram pass covers all features anyway.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ import numpy as np
 
 # Reference learner's strict-improvement floor for accepting a split.
 _MIN_GAIN = 1e-12
+
+# Nodes smaller than this are leaves (the reference's default).
+_MIN_SAMPLES_SPLIT = 10
+
+# Quantile candidate thresholds per feature per node (the reference's
+# default).
+_N_THRESHOLDS = 24
 
 # Integral columns whose value range fits under this cap are binned with
 # a sort-free presence bincount instead of an np.unique sort.
@@ -103,59 +112,25 @@ class BinnedMatrix:
         return self.bins.shape[1]
 
 
-def bin_matrix(
-    X: np.ndarray, categorical_features: set[int] | None = None
-) -> BinnedMatrix:
+def bin_matrix(X: np.ndarray) -> BinnedMatrix:
     """Dictionary-encode each column of ``X`` into dense value ranks.
 
-    ``categorical_features`` marks columns already holding dictionary
-    codes (e.g. the mining kernel's ``ml_codes``): they are trusted to
-    be integral and take the sort-free bincount path directly, so the
-    codes pass straight through as bins (re-ranked only to drop unused
-    code slots).  Other columns take the same path when their finite
-    values are integral with a modest range, and fall back to one
-    ``np.unique`` sort per column otherwise.  The encoding is exact —
-    one bin per distinct finite value — so no split information is
-    lost to quantization.
+    The encoding is exact — one bin per distinct finite value — so no
+    split information is lost to quantization.
     """
     X = np.asarray(X, dtype=np.float64)
     n_rows, n_features = X.shape
-    categorical_features = categorical_features or set()
     bins = np.empty((n_rows, n_features), dtype=np.int32)
     uniques: list[np.ndarray] = []
     for j in range(n_features):
         col = X[:, j]
         finite = np.isfinite(col)
-        fin_vals = col[finite]
-        if len(fin_vals) == 0:
-            uniq = np.empty(0, dtype=np.float64)
-            fin_bins = np.empty(0, dtype=np.int64)
-        else:
-            lo = float(fin_vals.min())
-            hi = float(fin_vals.max())
-            integral = j in categorical_features or bool(
-                np.all(np.floor(fin_vals) == fin_vals)
-            )
-            if integral and hi - lo + 1.0 <= _INT_RANGE_CAP:
-                ints = fin_vals.astype(np.int64) - int(lo)
-                present = (
-                    np.bincount(ints, minlength=int(hi) - int(lo) + 1)
-                    > 0
-                )
-                rank_of = np.cumsum(present) - 1
-                uniq = (np.flatnonzero(present) + int(lo)).astype(
-                    np.float64
-                )
-                fin_bins = rank_of[ints]
-            else:
-                uniq, fin_bins = np.unique(
-                    fin_vals, return_inverse=True
-                )
+        uniq, fin_bins = _dense_ranks(col[finite])
         col_bins = np.full(n_rows, len(uniq), dtype=np.int32)
         col_bins[col == -np.inf] = -1
         col_bins[finite] = fin_bins
         bins[:, j] = col_bins
-        uniques.append(np.asarray(uniq, dtype=np.float64))
+        uniques.append(uniq)
     return BinnedMatrix(
         bins=bins,
         uniques=uniques,
@@ -163,29 +138,27 @@ def bin_matrix(
     )
 
 
-def apply_bins(X: np.ndarray, binned: BinnedMatrix) -> np.ndarray:
-    """Quantize new rows into an existing :class:`BinnedMatrix` space.
+def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``values`` and the rank of each value among them.
 
-    Each finite value maps to the rank of the largest unique at or
-    below it (``-1`` when smaller than every unique, sharing the
-    ``-inf`` slot); ``NaN``/``+inf`` map to the overflow bin.  This is
-    a nearest-lower-rank quantization for histogram accumulation —
-    tree traversal (:meth:`FlatTree.predict_proba`) routes on raw
-    values, not on these bins.
+    Integral values with a modest range (the kernel's ml codes among
+    them) take a sort-free bincount presence scan, so codes pass
+    straight through (re-ranked only to drop unused code slots); any
+    other column takes one ``np.unique`` sort.
     """
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty((len(X), binned.n_features), dtype=np.int32)
-    for j in range(binned.n_features):
-        col = X[:, j]
-        finite = np.isfinite(col)
-        uniq = binned.uniques[j]
-        col_bins = np.full(len(X), len(uniq), dtype=np.int32)
-        col_bins[col == -np.inf] = -1
-        col_bins[finite] = (
-            np.searchsorted(uniq, col[finite], side="right") - 1
-        )
-        out[:, j] = col_bins
-    return out
+    if len(values):
+        lo = float(values.min())
+        hi = float(values.max())
+        # Both checks keep every value inside int64, so the cast is
+        # exact on integral values and differs on any other.
+        if hi - lo + 1.0 <= _INT_RANGE_CAP and abs(lo) < 2.0**62:
+            ints = values.astype(np.int64)
+            if np.array_equal(ints, values):
+                ints -= int(lo)
+                present = np.bincount(ints) > 0
+                uniq = np.flatnonzero(present) + int(lo)
+                return uniq.astype(np.float64), (np.cumsum(present) - 1)[ints]
+    return np.unique(values, return_inverse=True)
 
 
 @dataclass
@@ -202,7 +175,6 @@ class FlatTree:
     threshold: np.ndarray  # float64
     left: np.ndarray  # int32
     right: np.ndarray  # int32
-    prediction: np.ndarray  # float64
     contribution: np.ndarray  # float64, 0.0 for leaves
     feature_importances_: np.ndarray | None = field(default=None)
 
@@ -226,47 +198,12 @@ class FlatTree:
             return raw / total
         return np.zeros(n_features)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Positive-class probability per row, level-by-level gather."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(len(X))
-        frontier: list[tuple[int, np.ndarray]] = [(0, np.arange(len(X)))]
-        while frontier:
-            next_frontier: list[tuple[int, np.ndarray]] = []
-            for node, rows in frontier:
-                if self.feature[node] < 0:
-                    out[rows] = self.prediction[node]
-                    continue
-                mask = (
-                    X[rows, self.feature[node]] <= self.threshold[node]
-                )
-                next_frontier.append((int(self.left[node]), rows[mask]))
-                next_frontier.append(
-                    (int(self.right[node]), rows[~mask])
-                )
-            frontier = next_frontier
-        return out
-
-    @property
-    def depth(self) -> int:
-        """Realized depth of the fitted tree."""
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        best = 0
-        for node in range(self.n_nodes):
-            if self.feature[node] >= 0:
-                child_depth = int(depths[node]) + 1
-                depths[self.left[node]] = child_depth
-                depths[self.right[node]] = child_depth
-                best = max(best, child_depth)
-        return best
-
 
 class _TreeBuilder:
     """Append-only node arrays for one growing tree."""
 
     __slots__ = (
-        "feature", "threshold", "left", "right", "prediction",
-        "contribution",
+        "feature", "threshold", "left", "right", "contribution",
     )
 
     def __init__(self) -> None:
@@ -274,7 +211,6 @@ class _TreeBuilder:
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
-        self.prediction: list[float] = []
         self.contribution: list[float] = []
 
     def new_node(self) -> int:
@@ -282,7 +218,6 @@ class _TreeBuilder:
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.prediction.append(0.0)
         self.contribution.append(0.0)
         return len(self.feature) - 1
 
@@ -292,7 +227,6 @@ class _TreeBuilder:
             threshold=np.array(self.threshold),
             left=np.array(self.left, dtype=np.int32),
             right=np.array(self.right, dtype=np.int32),
-            prediction=np.array(self.prediction),
             contribution=np.array(self.contribution),
         )
 
@@ -398,15 +332,11 @@ class HistRandomForestClassifier:
         n_estimators: int = 12,
         max_depth: int = 6,
         max_samples: int | None = 3000,
-        min_samples_split: int = 10,
-        n_thresholds: int = 24,
         random_state: int = 0,
     ):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.max_samples = max_samples
-        self.min_samples_split = min_samples_split
-        self.n_thresholds = n_thresholds
         self.random_state = random_state
         self.trees_: list[FlatTree] = []
         self.feature_importances_: np.ndarray | None = None
@@ -416,17 +346,9 @@ class HistRandomForestClassifier:
 
     # ------------------------------------------------------------------
     def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        categorical_features: set[int] | None = None,
+        self, X: np.ndarray, y: np.ndarray
     ) -> "HistRandomForestClassifier":
-        """Fit on float features ``X`` and 0/1 labels ``y``.
-
-        ``categorical_features`` (column indices) marks dictionary-code
-        columns for the sort-free binning path; it never changes the
-        fitted forest, only how fast the binning front-end runs.
-        """
+        """Fit on float features ``X`` and 0/1 labels ``y``."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2:
@@ -435,6 +357,8 @@ class HistRandomForestClassifier:
             raise ValueError("X and y must have the same number of rows")
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
+        if not np.all((y == 0.0) | (y == 1.0)):
+            raise ValueError("labels must be 0 or 1")
         rng = np.random.default_rng(self.random_state)
         n_rows, n_features = X.shape
         sample_size = n_rows
@@ -455,7 +379,7 @@ class HistRandomForestClassifier:
         present[all_indices.ravel()] = True
         union_rows = np.flatnonzero(present)
         pos_of_row = np.cumsum(present) - 1
-        binned = bin_matrix(X[union_rows], categorical_features)
+        binned = bin_matrix(X[union_rows])
 
         self.nodes_grown = 0
         self.histograms_built = 0
@@ -463,7 +387,7 @@ class HistRandomForestClassifier:
         builders = self._grow_forest(
             binned,
             pos_of_row[all_indices.ravel()],
-            y[all_indices.ravel()],
+            y[all_indices.ravel()] == 1.0,
             sample_size,
         )
         self.trees_ = []
@@ -485,33 +409,28 @@ class HistRandomForestClassifier:
         self,
         binned: BinnedMatrix,
         sample_pos: np.ndarray,
-        y: np.ndarray,
+        pos01: np.ndarray,
         per_tree: int,
     ) -> list[_TreeBuilder]:
         """Grow every tree breadth-first, all frontiers in lockstep.
 
         ``sample_pos`` maps each bootstrap draw of each tree (tree
         blocks of ``per_tree`` draws, in draw order, with duplicates)
-        to its row in ``binned``; ``y`` is in the same order.  The
-        ``order`` array is permuted per level so each node's rows stay
-        contiguous *and in bootstrap order* — the partition matches the
-        reference learner's ``X[mask]``/``X[~mask]`` recursion exactly.
+        to its row in ``binned``; ``pos01`` (the draw's label is 1) is
+        in the same order.  The ``order`` array is permuted per level so
+        each node's rows stay contiguous *and in bootstrap order* — the
+        partition matches the reference learner's
+        ``X[mask]``/``X[~mask]`` recursion exactly.
         """
         n_total = len(sample_pos)
         n_features = binned.n_features
         n_trees = n_total // per_tree
         sample_bins = binned.bins[sample_pos]  # (n_total, F) int32
-        pos01 = y > 0.5
-        # 0/1 labels make the reference's np.mean an exact integer
-        # count over the node divided by the node size — the same IEEE
-        # division this learner performs on histogram counts.  Any
-        # other labels fall back to gathered np.mean per node.
-        binary01 = bool(np.all((y == 0.0) | (y == 1.0)))
-        quantiles = np.linspace(0.0, 1.0, self.n_thresholds + 2)[1:-1]
+        quantiles = np.linspace(0.0, 1.0, _N_THRESHOLDS + 2)[1:-1]
 
         worst_slots = min(
             n_trees << max(self.max_depth - 1, 0),
-            max(n_total // max(self.min_samples_split, 1), 1),
+            max(n_total // _MIN_SAMPLES_SPLIT, 1),
             n_total,
         )
         plans = _plan_chunks(binned, worst_slots)
@@ -532,24 +451,22 @@ class HistRandomForestClassifier:
         self.nodes_grown += n_trees
 
         while frontier:
-            # -- leaf gating, node predictions -------------------------
+            # -- leaf gating -------------------------------------------
+            # A node's positive fraction is the reference's np.mean over
+            # 0/1 labels: the same IEEE division of the same counts.
             splittable: list[_Frontier] = []
             parents: list[float] = []
             for seg in frontier:
                 n_node = seg.end - seg.start
-                if binary01:
-                    pred = seg.n_pos / n_node
-                else:
-                    pred = float(y[order[seg.start : seg.end]].mean())
-                builders[seg.tree].prediction[seg.node] = pred
+                fraction = seg.n_pos / n_node
                 if (
                     seg.depth >= self.max_depth
-                    or n_node < self.min_samples_split
-                    or pred in (0.0, 1.0)
+                    or n_node < _MIN_SAMPLES_SPLIT
+                    or fraction in (0.0, 1.0)
                 ):
                     continue
                 splittable.append(seg)
-                parents.append(gini_impurity(pred))
+                parents.append(gini_impurity(fraction))
             if not splittable:
                 break
             n_slots = len(splittable)
@@ -804,24 +721,3 @@ class HistRandomForestClassifier:
         best_pos_left[:, feats] = np.take_along_axis(
             pos_left, best_q, axis=2
         )[:, :, 0]
-
-    # ------------------------------------------------------------------
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean positive-class probability across trees."""
-        if not self.trees_:
-            raise RuntimeError("forest is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        probs = np.zeros(len(X))
-        for tree in self.trees_:
-            probs += tree.predict_proba(X)
-        return probs / len(self.trees_)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
-
-    def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Fraction of correct 0/1 predictions."""
-        predictions = self.predict(X)
-        return float(
-            (predictions == np.asarray(y, dtype=np.int64)).mean()
-        )

@@ -124,11 +124,6 @@ class ShardSupervisor:
         with self._lock:
             return sum(h.restarts for h in self._shards)
 
-    @property
-    def quarantined_shards(self) -> list[int]:
-        with self._lock:
-            return [h.shard for h in self._shards if h.state == QUARANTINED]
-
     def snapshot(self) -> dict:
         """A JSON-ready health view for ``GET /stats``."""
         with self._lock:

@@ -7,8 +7,11 @@ learner, kept verbatim: binary classification, Gini impurity,
 quantile-candidate splits per node (``np.nanquantile`` over the node's
 rows), impurity-decrease feature importances, bootstrap bagging.  With
 ``max_features`` set to every feature the production learner must
-reproduce this one **bit for bit** — bootstrap samples, tree structure,
-thresholds, predictions, importances (``tests/test_ml_hist_forest.py``).
+reproduce this one **bit for bit** — the twin contract is trees and
+importances: bootstrap samples, each tree's preorder of (feature,
+threshold) and node count, per-tree and forest importances
+(``tests/test_ml_hist_forest.py``).  Predictions are this oracle's own:
+§3.1 only ranks, so the production learner has no predict.
 
 scikit-learn is deliberately not used: the environment is offline and the
 substrate must be self-contained.
@@ -322,7 +325,7 @@ class _AllFeaturesForest(RandomForestClassifier):
             random_state=random_state,
         )
 
-    def fit(self, X, y, categorical_features=None):
+    def fit(self, X, y):
         self.max_features = np.asarray(X).shape[1]
         return super().fit(X, y)
 

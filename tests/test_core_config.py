@@ -38,6 +38,9 @@ class TestValidation:
             {"f1_sample_rate": 1.5},
             {"apt_cache_mb": -1.0},
             {"apt_cache_mb": -0.001},
+            {"rf_num_trees": 0},
+            {"rf_max_samples": 0},
+            {"lca_sample_cap": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -285,12 +285,10 @@ class TestForestKey:
         return X, y
 
     @staticmethod
-    def fits(memo, X, y, categorical, config) -> int:
+    def fits(memo, X, y, config) -> int:
         """How many fits one call ran (0 on a hit, 1 on a miss)."""
         timer = StepTimer()
-        importances = _forest_importances(
-            X, y, categorical, config, timer, memo
-        )
+        importances = _forest_importances(X, y, config, timer, memo)
         assert not importances.flags.writeable
         assert timer.counter(FOREST_FITS_RUN) + timer.counter(
             FOREST_MEMO_HITS
@@ -300,38 +298,36 @@ class TestForestKey:
     def test_equal_inputs_hit_whatever_object_holds_them(self):
         X, y = self.inputs()
         memo = SelectionMemo()
-        assert self.fits(memo, X, y, (0,), self.CONFIG) == 1
-        assert self.fits(memo, X.copy(), y.copy(), (0,), self.CONFIG) == 0
+        assert self.fits(memo, X, y, self.CONFIG) == 1
+        assert self.fits(memo, X.copy(), y.copy(), self.CONFIG) == 0
         assert len(memo.relevance) == 1
 
     @pytest.mark.parametrize(
         "change",
         [
             "one cell of X", "one label", "rf_num_trees", "rf_max_depth",
-            "rf_max_samples", "seed", "categorical flag of one column",
+            "rf_max_samples", "seed",
         ],
     )
     def test_any_changed_input_misses(self, change):
         X, y = self.inputs()
         memo = SelectionMemo()
-        assert self.fits(memo, X, y, (0,), self.CONFIG) == 1
-        categorical, config = (0,), self.CONFIG
+        assert self.fits(memo, X, y, self.CONFIG) == 1
+        config = self.CONFIG
         if change == "one cell of X":
             X = X.copy()
             X[7, 1] += 1.0
         elif change == "one label":
             y = y.copy()
             y[4] = 1.0 - y[4]
-        elif change == "categorical flag of one column":
-            categorical = (0, 2)
         else:
             config = config.with_overrides(
                 **{change: getattr(config, change) + 1}
             )
-        assert self.fits(memo, X, y, categorical, config) == 1
+        assert self.fits(memo, X, y, config) == 1
         assert len(memo.relevance) == 2
         # ... and the first input is still there to be hit.
-        assert self.fits(memo, *self.inputs(), (0,), self.CONFIG) == 0
+        assert self.fits(memo, *self.inputs(), self.CONFIG) == 0
 
     def test_same_bytes_under_another_shape_miss(self):
         # 20 floats read as a 5x3 matrix + 5 labels or as 4x4 + 4.
@@ -341,7 +337,7 @@ class TestForestKey:
             X = stream[: rows * cols].reshape(rows, cols)
             y = stream[rows * cols :]
             assert len(y) == rows
-            assert self.fits(memo, X, y, (), self.CONFIG) == 1
+            assert self.fits(memo, X, y, self.CONFIG) == 1
         assert len(memo.relevance) == 2
         cells = np.arange(12.0)
         assert _digest(cells.reshape(2, 6)) != _digest(cells.reshape(3, 4))

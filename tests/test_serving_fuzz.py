@@ -140,8 +140,12 @@ def check_fails_closed(live_server, payload: dict) -> tuple[int, dict]:
         {"overrides": {"num_fragments": "3"}},
         {"overrides": {"use_diversity": "no"}},
         {"overrides": {"seed": "abc"}},
+        {"overrides": {"rf_num_trees": 0}},
     ],
-    ids=["knob-str", "sql-int", "override-str", "flag-str", "seed-str"],
+    ids=[
+        "knob-str", "sql-int", "override-str", "flag-str", "seed-str",
+        "no-trees",
+    ],
 )
 def test_wrongly_typed_value_is_a_structured_400(live_server, change):
     status, body = check_fails_closed(live_server, {**VALID, **change})
