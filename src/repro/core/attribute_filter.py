@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ml.hist_forest import HistRandomForestClassifier
+from ..ml.hist_forest import HistRandomForestClassifier, splittable_columns
 from ..ml.varclus import AttributeCluster, cluster_attributes, encode_columns
 from .apt import AugmentedProvenanceTable
 from .config import CajadeConfig
@@ -45,14 +45,17 @@ from .timing import (
 class SelectionMemo:
     """§3.1 values of one question, addressed by the content of their inputs.
 
-    ``relevance``: digest of everything the forest fit reads → its
-    (read-only) importances; ``association``: ordered pair of code-array
-    digests → their Cramér's V.  Values are pure functions of what the
-    key digests, so a hit is the bytes a miss computes.  Its lifetime
-    is its bound: one per question.
+    ``relevance``: digest of everything the forest fit reads — the
+    columns that can win a split, not the caller's full matrix — → the
+    fitted forest; ``association``: ordered pair of code-array digests
+    → their Cramér's V.  Values are pure functions of what the key
+    digests, so a hit is the bytes a miss computes.  Its lifetime is
+    its bound: one per question.
     """
 
-    relevance: dict[bytes, np.ndarray] = field(default_factory=dict)
+    relevance: dict[bytes, HistRandomForestClassifier] = field(
+        default_factory=dict
+    )
     association: dict[tuple, float] = field(default_factory=dict)
 
 
@@ -247,8 +250,13 @@ def _forest_importances(
     the full importance signal, and per-node feature subsampling only
     adds rng noise to it.
 
-    The memo key digests everything the fit reads; an argument added
-    to ``forest_args`` is keyed by construction.
+    Only the columns that can win a split are fitted
+    (``splittable_columns``: a later duplicate or a single-valued column
+    never does), and the memo key digests that reduced matrix with
+    everything else the fit reads — an argument added to
+    ``forest_args`` is keyed by construction.  Inputs that differ only
+    in columns no split uses share one fit; each replays the
+    importances at its own width.
     """
     forest_args = {
         "n_estimators": config.rf_num_trees,
@@ -256,21 +264,21 @@ def _forest_importances(
         "max_samples": config.rf_max_samples,
         "random_state": config.seed,
     }
-    key = _digest(forest_args, X, y)
-    importances = memo.relevance.get(key)
-    if importances is not None:
+    columns = splittable_columns(X)
+    fitted = X[:, columns]
+    key = _digest(forest_args, fitted, y)
+    forest = memo.relevance.get(key)
+    if forest is not None:
         timer.count(FOREST_MEMO_HITS)
-        return importances
-    forest = HistRandomForestClassifier(**forest_args)
-    forest.fit(X, y)
-    timer.count(FOREST_FITS_RUN)
-    timer.count(HIST_NODES_GROWN, forest.nodes_grown)
-    timer.count(HIST_HISTOGRAMS_BUILT, forest.histograms_built)
-    timer.count(HIST_SPLITS_EVALUATED, forest.splits_evaluated)
-    importances = forest.feature_importances_
-    assert importances is not None
+    else:
+        forest = HistRandomForestClassifier(**forest_args).fit(fitted, y)
+        timer.count(FOREST_FITS_RUN)
+        timer.count(HIST_NODES_GROWN, forest.nodes_grown)
+        timer.count(HIST_HISTOGRAMS_BUILT, forest.histograms_built)
+        timer.count(HIST_SPLITS_EVALUATED, forest.splits_evaluated)
+        memo.relevance[key] = forest
+    importances = forest.importances_at(columns, X.shape[1])
     importances.setflags(write=False)
-    memo.relevance[key] = importances
     return importances
 
 

@@ -17,6 +17,7 @@ k_cat categorical patterns for refinement (Algorithm 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -156,10 +157,12 @@ class CajadeConfig:
             raise ValueError("f1_sample_rate must be in (0, 1]")
         if not 0.0 <= self.recall_threshold <= 1.0:
             raise ValueError("recall_threshold must be in [0, 1]")
-        if self.num_selected_attrs <= 0:
-            raise ValueError("num_selected_attrs must be positive")
+        if not 0.0 < self.num_selected_attrs < math.inf:
+            raise ValueError("num_selected_attrs must be positive and finite")
         if self.apt_cache_mb < 0:
             raise ValueError("apt_cache_mb must be >= 0 (0 disables)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def with_overrides(self, **kwargs) -> "CajadeConfig":
         """A copy with some fields replaced (keeps configs immutable-ish)."""

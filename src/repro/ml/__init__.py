@@ -5,7 +5,6 @@ from .hist_forest import (
     FlatTree,
     HistRandomForestClassifier,
     bin_matrix,
-    gini_impurity,
 )
 from .metrics import (
     dcg,
@@ -36,7 +35,6 @@ __all__ = [
     "dcg",
     "encode_columns",
     "FlatTree",
-    "gini_impurity",
     "HistRandomForestClassifier",
     "kendall_tau_distance",
     "kendall_tau_distance_scores",

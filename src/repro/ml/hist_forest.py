@@ -1,4 +1,4 @@
-"""Histogram-based frontier-at-a-time random forest on dictionary codes.
+"""Histogram-based level-at-a-time random forest on dictionary codes.
 
 The §3.1 relevance ranker.  It is an accelerated twin of the per-node
 recursive CART forest kept as a test oracle in
@@ -21,39 +21,54 @@ predict.  The reference learner re-sorts each node's rows
 (``np.nanquantile``) and scans a rows x candidates boolean matrix per
 feature per node; this learner:
 
+- collapses each tree's bootstrap draws into weighted distinct
+  (tree, row) entries — a node's split depends on the multiset of its
+  rows, never on their order;
 - dictionary-encodes every column once per forest into dense value
   ranks over the union of bootstrap rows ("bins") — integral columns
   (the kernel's ml codes among them) are detected and pass straight
   through on a sort-free ``np.bincount`` presence scan;
-- grows ALL trees breadth-first in lockstep (frontier-at-a-time, the
-  frontier spanning every tree): per depth, composite
-  ``slot * stride + bin`` keys feed one ``np.bincount`` pass per
-  feature chunk that builds every (tree, node, feature, bin) class
-  histogram at once;
+- grows ALL trees breadth-first in lockstep, one whole level at a time
+  with no per-node Python: per level, one weighted ``np.bincount`` per
+  feature chunk over ``(slot, feature, bin, label)`` keys builds every
+  class histogram of every frontier node of every tree;
+- scores the Gini gain of a cut after every finite bin of every node
+  once, on the (slots x finite bins) grid, with the reference
+  expression;
 - recovers the reference learner's candidate thresholds — the
-  node-local ``np.nanquantile`` cut points — exactly from cumulative
-  histograms: an order statistic is a ``searchsorted`` into the
-  cumulative counts, and the interpolation replicates numpy's
-  virtual-index and ``_lerp`` arithmetic bit for bit;
-- scores the Gini gain of every candidate split of every frontier node
-  of every tree from the cumulative histograms with the reference
-  expression, preserving float op order and the
-  first-strict-improvement tie-breaks of the per-node reference loop;
-- stores fitted trees as flat arrays-of-nodes
-  (feature/threshold/left/right/contribution).
+  node-local ``np.nanquantile`` cut points — exactly: an order
+  statistic is a rank lookup into the node's sorted bins (its bin ids
+  repeated by count), and the interpolation replicates numpy's
+  virtual-index and ``_lerp`` arithmetic bit for bit, from a per-fit
+  table indexed by node size;
+- picks each node's split with one ``argmax`` over its (feature,
+  quantile) gains in feature-major order: the first maximum is the
+  reference's first strict improvement;
+- stores fitted trees as flat arrays-of-nodes in depth-first preorder
+  (feature/threshold/left/right), and adds each split's importance
+  mass in that order, the reference's.
+
+:func:`splittable_columns` names the columns that can ever win a split;
+a fit on only those grows the same trees, so §3.1 fits (and memoizes)
+the reduced matrix and replays the importances at its own width with
+:meth:`HistRandomForestClassifier.importances_at`.
 
 Labels must be 0 or 1 (``fit`` raises otherwise).  Bitwise equality
 holds because every float produced along the way — node means (0/1
 labels make ``np.mean`` an exact integer count divided by the node size,
 the same IEEE division this learner performs on histogram counts),
-quantile candidates, Gini gains, importance contributions (replayed in
-the reference's depth-first preorder) — is computed by the same numpy
-expressions over the same values.  Feature subsampling is the one
+quantile candidates, Gini gains, importance contributions — is computed
+by the same numpy expressions over the same values; histogram counts
+are integers, exact in float64.  One threshold is equal by value but
+not by bits: in a column holding both ``-0.0`` and ``0.0`` the
+reference's zero cut takes the sign of whichever zero its partition
+leaves at the order statistic; the split and the importances are the
+same.  Feature subsampling is the one
 reference feature deliberately absent: it draws rng per node in
 depth-first order, which no breadth-first learner can replay, and for
 *relevance ranking* (the only thing §3.1 consumes) it only adds noise;
 examining every feature costs this learner almost nothing because each
-depth's histogram pass covers all features anyway.
+level's histogram pass covers all features anyway.
 """
 
 from __future__ import annotations
@@ -76,21 +91,10 @@ _N_THRESHOLDS = 24
 # a sort-free presence bincount instead of an np.unique sort.
 _INT_RANGE_CAP = 1 << 20
 
-# Budget of composite (slot, feature, bin) keys per bincount call;
+# Budget of (slot, feature, bin) histogram columns per bincount call;
 # features are chunked so histogram buffers stay a few tens of MB at
-# worst even at the deepest, widest frontier.
+# worst even at the widest possible frontier.
 _CHUNK_KEYS = 1 << 22
-
-# Per-(slot, feature) offset floor for the batched searchsorted over
-# cumulative histograms; the multiplier used is the max of this and the
-# bootstrap sample size, so offsets always exceed any per-node count.
-_SEG = 1 << 21
-
-
-def gini_impurity(positive_fraction: float) -> float:
-    """Gini impurity of a binary distribution."""
-    p = positive_fraction
-    return 2.0 * p * (1.0 - p)
 
 
 @dataclass
@@ -156,161 +160,138 @@ def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if np.array_equal(ints, values):
                 ints -= int(lo)
                 present = np.bincount(ints) > 0
-                uniq = np.flatnonzero(present) + int(lo)
-                return uniq.astype(np.float64), (np.cumsum(present) - 1)[ints]
+                ranks = (np.cumsum(present) - 1)[ints]
+                # The values themselves, so a -0.0 keeps its sign.
+                uniq = np.empty(int(present.sum()))
+                uniq[ranks] = values
+                return uniq, ranks
     return np.unique(values, return_inverse=True)
+
+
+def splittable_columns(X: np.ndarray) -> np.ndarray:
+    """Ascending indices of the columns of ``X`` that can win a split.
+
+    A column can split a node only if it holds two distinct finite
+    values, or one beside ``NaN``/``+inf`` (the cut at that value sends
+    the two apart).  A later column equal byte for byte to an earlier
+    one ties it at every candidate of every node, and the first strict
+    improvement never picks it.  So ``X[:, splittable_columns(X)]``
+    grows the trees of ``X`` with its columns renumbered: same draws,
+    same splits, same node counts.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n_rows, n_features = X.shape
+    if n_rows == 0 or n_features == 0:
+        return np.arange(n_features)
+    finite = np.isfinite(X)
+    low = np.where(finite, X, np.inf).min(axis=0)
+    high = np.where(finite, X, -np.inf).max(axis=0)
+    above_all = (~finite & (X != -np.inf)).any(axis=0)
+    can_split = finite.any(axis=0) & ((low != high) | above_all)
+    columns = np.ascontiguousarray(X.T)
+    as_bytes = columns.view(
+        np.dtype((np.void, columns.itemsize * n_rows))
+    ).ravel()
+    first = np.zeros(n_features, dtype=bool)
+    first[np.unique(as_bytes, return_index=True)[1]] = True
+    return np.flatnonzero(first & can_split)
 
 
 @dataclass
 class FlatTree:
-    """A fitted tree as flat arrays-of-nodes (index 0 is the root).
+    """A fitted tree as flat arrays-of-nodes in depth-first preorder
+    (index 0 is the root).
 
-    ``feature[i] == -1`` marks a leaf.  ``contribution[i]`` is the
-    importance mass ``gain * n_node / n_sample`` of split node ``i``,
-    replayed in depth-first preorder by :meth:`importances` so the
-    float accumulation order matches the recursive reference learner.
+    ``feature[i] == -1`` marks a leaf.
     """
 
     feature: np.ndarray  # int32, -1 for leaves
     threshold: np.ndarray  # float64
     left: np.ndarray  # int32
     right: np.ndarray  # int32
-    contribution: np.ndarray  # float64, 0.0 for leaves
     feature_importances_: np.ndarray | None = field(default=None)
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def importances(self, n_features: int) -> np.ndarray:
-        """Per-feature importance, normalized to sum to 1 (or zeros)."""
-        raw = np.zeros(n_features)
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if self.feature[node] < 0:
-                continue
-            raw[self.feature[node]] += self.contribution[node]
-            stack.append(int(self.right[node]))
-            stack.append(int(self.left[node]))
-        total = raw.sum()
-        if total > 0:
-            return raw / total
-        return np.zeros(n_features)
 
+class _Chunk:
+    """One span of consecutive features of the histogram buffer.
 
-class _TreeBuilder:
-    """Append-only node arrays for one growing tree."""
-
-    __slots__ = (
-        "feature", "threshold", "left", "right", "contribution",
-    )
-
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.contribution: list[float] = []
-
-    def new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.contribution.append(0.0)
-        return len(self.feature) - 1
-
-    def build(self) -> FlatTree:
-        return FlatTree(
-            feature=np.array(self.feature, dtype=np.int32),
-            threshold=np.array(self.threshold),
-            left=np.array(self.left, dtype=np.int32),
-            right=np.array(self.right, dtype=np.int32),
-            contribution=np.array(self.contribution),
-        )
-
-
-class _Frontier:
-    """One frontier node: a contiguous segment of the order array."""
-
-    __slots__ = ("start", "end", "tree", "node", "depth", "n_pos")
-
-    def __init__(
-        self,
-        start: int,
-        end: int,
-        tree: int,
-        node: int,
-        depth: int,
-        n_pos: int,
-    ):
-        self.start = start
-        self.end = end
-        self.tree = tree
-        self.node = node
-        self.depth = depth
-        self.n_pos = n_pos
-
-
-class _ChunkPlan:
-    """Per-forest layout of one feature chunk's histogram buffer.
-
-    A chunk's buffer row (one per frontier slot) is ``stride`` wide:
-    feature ``feats[i]`` owns columns ``offs[i] .. offs[i]+nb[i]+1`` —
-    its ``-inf`` bin, ``nb[i]`` finite bins, and its ``NaN`` bin.
-    ``fin_cols``/``base_cols`` address every finite bin and its
-    feature's ``-inf`` column so within-feature cumulative counts are
-    two gathers and a subtract; ``uniq`` concatenates the features'
-    sorted unique values in the same finite-bin order.
+    Feature ``j`` owns ``n_bins[j] + 2`` consecutive buffer columns —
+    its ``-inf`` bin, its finite bins in value order, its ``NaN`` bin —
+    in one layout over all features.  A chunk is features ``lo:hi``,
+    ``stride`` columns from global column ``origin`` on; below,
+    columns are chunk-local: feature ``lo + i``'s ``-inf`` column is
+    ``offs[i]`` and its last finite column ``ends[i]``.  The chunk's
+    finite bins, feature by feature, are its "finite columns":
+    ``fin_cols`` addresses each, ``base_cols`` its feature's ``-inf``
+    column, ``fin_start`` each feature's first, and ``uniq`` holds
+    their values.
     """
 
     __slots__ = (
-        "feats", "offs", "stride", "nb", "fin_cols", "base_cols",
-        "fin_start", "uniq", "n_fin_total",
+        "lo", "hi", "origin", "offs", "ends", "stride",
+        "fin_cols", "base_cols", "fin_start", "uniq",
     )
 
-    def __init__(self, feats: list[int], binned: BinnedMatrix):
-        self.feats = np.array(feats, dtype=np.int64)
-        nb = binned.n_bins[self.feats]
+    def __init__(self, lo: int, hi: int, origin: int, binned: BinnedMatrix):
+        self.lo, self.hi, self.origin = lo, hi, origin
+        nb = binned.n_bins[lo:hi]
         widths = nb + 2
         self.offs = np.concatenate([[0], np.cumsum(widths)[:-1]])
+        self.ends = self.offs + nb
         self.stride = int(widths.sum())
-        self.nb = nb
-        self.fin_cols = np.concatenate(
-            [
-                off + 1 + np.arange(n)
-                for off, n in zip(self.offs, nb)
-            ]
-        ).astype(np.int64) if nb.sum() else np.empty(0, dtype=np.int64)
         self.base_cols = np.repeat(self.offs, nb)
         self.fin_start = np.concatenate([[0], np.cumsum(nb)[:-1]])
-        self.uniq = (
-            np.concatenate([binned.uniques[j] for j in feats])
-            if nb.sum()
-            else np.empty(0, dtype=np.float64)
+        self.fin_cols = (
+            self.base_cols + 1 + np.arange(int(nb.sum()))
+            - np.repeat(self.fin_start, nb)
         )
-        self.n_fin_total = int(nb.sum())
+        self.uniq = np.concatenate(
+            [np.empty(0)] + binned.uniques[lo:hi]
+        )
 
 
-def _plan_chunks(
-    binned: BinnedMatrix, worst_slots: int
-) -> list[_ChunkPlan]:
-    """Greedy feature chunks sized for the worst-case frontier width."""
+def _plan_chunks(binned: BinnedMatrix, worst_slots: int) -> list[_Chunk]:
+    """Greedy feature chunks sized for the widest possible frontier."""
     budget = max(_CHUNK_KEYS // max(worst_slots, 1), 2)
-    plans: list[_ChunkPlan] = []
-    current: list[int] = []
-    stride = 0
+    plans: list[_Chunk] = []
+    lo = origin = stride = 0
     for j in range(binned.n_features):
         width = int(binned.n_bins[j]) + 2
-        if current and stride + width > budget:
-            plans.append(_ChunkPlan(current, binned))
-            current, stride = [], 0
-        current.append(j)
+        if j > lo and stride + width > budget:
+            plans.append(_Chunk(lo, j, origin, binned))
+            lo, origin, stride = j, origin + stride, 0
         stride += width
-    if current:
-        plans.append(_ChunkPlan(current, binned))
+    if binned.n_features > lo:
+        plans.append(_Chunk(lo, binned.n_features, origin, binned))
     return plans
+
+
+class _Level:
+    """The frontier nodes of one depth, across every tree.
+
+    ``n`` / ``n_pos`` count each node's draws and positive draws;
+    ``split`` lists, in order, the nodes that split — the k-th one's
+    children are nodes ``2k`` and ``2k+1`` of the next level.
+    """
+
+    __slots__ = (
+        "tree", "n", "n_pos", "feature", "threshold", "contribution",
+        "split",
+    )
+
+    def __init__(self, tree: np.ndarray, n: np.ndarray, n_pos: np.ndarray):
+        self.tree = tree
+        self.n = n
+        self.n_pos = n_pos
+        size = len(tree)
+        self.feature = np.full(size, -1, dtype=np.int64)
+        self.threshold = np.zeros(size)
+        self.contribution = np.zeros(size)
+        self.split = np.empty(0, dtype=np.int64)
 
 
 class HistRandomForestClassifier:
@@ -343,6 +324,10 @@ class HistRandomForestClassifier:
         self.nodes_grown = 0
         self.histograms_built = 0
         self.splits_evaluated = 0
+        # Every split node of the forest, by tree then preorder.
+        self._split_tree = np.empty(0, dtype=np.int64)
+        self._split_feature = np.empty(0, dtype=np.int64)
+        self._split_contribution = np.empty(0)
 
     # ------------------------------------------------------------------
     def fit(
@@ -361,363 +346,464 @@ class HistRandomForestClassifier:
             raise ValueError("labels must be 0 or 1")
         rng = np.random.default_rng(self.random_state)
         n_rows, n_features = X.shape
+        n_trees = self.n_estimators
         sample_size = n_rows
         if self.max_samples is not None:
             sample_size = min(n_rows, self.max_samples)
         # The reference forest's only rng consumption in all-features
         # mode is one integers() draw per tree, in tree order.
-        all_indices = np.stack(
+        draws = np.stack(
             [
                 rng.integers(0, n_rows, size=sample_size)
-                for _ in range(self.n_estimators)
+                for _ in range(n_trees)
             ]
         )
 
         # Bin once per forest, over the union of bootstrap rows only —
-        # rows no tree ever samples are never encoded.
+        # rows no tree ever samples are never encoded — and collapse
+        # each tree's draws into weighted distinct (tree, row) entries.
         present = np.zeros(n_rows, dtype=bool)
-        present[all_indices.ravel()] = True
+        present[draws.ravel()] = True
         union_rows = np.flatnonzero(present)
+        n_union = len(union_rows)
         pos_of_row = np.cumsum(present) - 1
+        keys = (
+            np.arange(n_trees)[:, None] * n_union + pos_of_row[draws]
+        ).ravel()
+        counts = np.bincount(keys, minlength=n_trees * n_union)
+        entries = np.flatnonzero(counts)
+        tree, pos = np.divmod(entries, n_union)
         binned = bin_matrix(X[union_rows])
 
         self.nodes_grown = 0
         self.histograms_built = 0
         self.splits_evaluated = 0
-        builders = self._grow_forest(
+        levels = self._grow_forest(
             binned,
-            pos_of_row[all_indices.ravel()],
-            y[all_indices.ravel()] == 1.0,
+            pos,
+            counts[entries],
+            y[union_rows][pos] == 1.0,
+            tree,
             sample_size,
         )
-        self.trees_ = []
-        importances = np.zeros(n_features)
-        for builder in builders:
-            tree = builder.build()
-            tree.feature_importances_ = tree.importances(n_features)
-            self.trees_.append(tree)
-            importances += tree.feature_importances_
-        total = importances.sum()
-        if total > 0:
-            self.feature_importances_ = importances / total
-        else:
-            self.feature_importances_ = np.zeros(n_features)
+        self._store(levels, n_trees, n_features)
         return self
+
+    # ------------------------------------------------------------------
+    def importances_at(
+        self, columns: np.ndarray, width: int
+    ) -> np.ndarray:
+        """Forest importances over ``width`` columns, fitted column ``j``
+        landing at ``columns[j]`` and zeros elsewhere.
+
+        Bitwise what a fit on the ``width``-column matrix gives when the
+        other columns never win a split (:func:`splittable_columns`):
+        the normalizing sums run at that width, and ``np.sum``'s
+        pairwise order depends on it.
+        """
+        return self._importances(np.asarray(columns), width)[1]
+
+    def _importances(
+        self, columns: np.ndarray, width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-tree and forest importances, reference arithmetic: each
+        tree adds its split contributions in preorder, then normalizes;
+        the forest sums the trees in order, then normalizes."""
+        per_tree = np.zeros((self.n_estimators, width))
+        # add.at is unbuffered: repeated cells accumulate in index
+        # order, which is the reference's preorder.
+        np.add.at(
+            per_tree,
+            (self._split_tree, columns[self._split_feature]),
+            self._split_contribution,
+        )
+        forest = np.zeros(width)
+        for raw in per_tree:
+            total = raw.sum()
+            if total > 0:
+                raw[:] = raw / total
+            forest += raw
+        total = forest.sum()
+        if total > 0:
+            return per_tree, forest / total
+        return per_tree, np.zeros(width)
 
     # ------------------------------------------------------------------
     def _grow_forest(
         self,
         binned: BinnedMatrix,
-        sample_pos: np.ndarray,
-        pos01: np.ndarray,
+        rows: np.ndarray,
+        weight: np.ndarray,
+        positive: np.ndarray,
+        tree: np.ndarray,
         per_tree: int,
-    ) -> list[_TreeBuilder]:
+    ) -> list[_Level]:
         """Grow every tree breadth-first, all frontiers in lockstep.
 
-        ``sample_pos`` maps each bootstrap draw of each tree (tree
-        blocks of ``per_tree`` draws, in draw order, with duplicates)
-        to its row in ``binned``; ``pos01`` (the draw's label is 1) is
-        in the same order.  The ``order`` array is permuted per level so
-        each node's rows stay contiguous *and in bootstrap order* — the
-        partition matches the reference learner's
-        ``X[mask]``/``X[~mask]`` recursion exactly.
+        Entry ``i`` is row ``rows[i]`` of ``binned`` drawn ``weight[i]``
+        times into tree ``tree[i]``'s bootstrap sample (``per_tree``
+        draws), with label ``positive[i]``.  A level is a handful of
+        array passes whatever its width: entries carry the index of
+        their node in the level, and routing only relabels each with its
+        child's.
         """
-        n_total = len(sample_pos)
-        n_features = binned.n_features
-        n_trees = n_total // per_tree
-        sample_bins = binned.bins[sample_pos]  # (n_total, F) int32
+        n_trees = self.n_estimators
         quantiles = np.linspace(0.0, 1.0, _N_THRESHOLDS + 2)[1:-1]
-
-        worst_slots = min(
-            n_trees << max(self.max_depth - 1, 0),
-            max(n_total // _MIN_SAMPLES_SPLIT, 1),
-            n_total,
+        # numpy's linear-method virtual index over a node's n finite
+        # values, by n: the order statistics' ranks and the lerp weight.
+        virtual = (np.arange(per_tree + 1) - 1)[:, None] * quantiles
+        below = np.floor(virtual)
+        gamma_of = virtual - below
+        rank_of = below.astype(np.int64)
+        chunks = _plan_chunks(
+            binned,
+            min(len(weight), n_trees * per_tree // _MIN_SAMPLES_SPLIT),
         )
-        plans = _plan_chunks(binned, worst_slots)
+        # Each entry's bin as its column in the one buffer layout.
+        widths = binned.n_bins + 2
+        first_col = np.concatenate([[0], np.cumsum(widths)[:-1]])
+        cols = np.take(
+            (first_col + binned.bins + 1).astype(
+                np.int32 if widths.sum() < 2**31 else np.int64
+            ),
+            rows,
+            axis=0,
+        )
+        weight = weight.astype(np.float64)
 
-        builders = [_TreeBuilder() for _ in range(n_trees)]
-        order = np.arange(n_total)
-        frontier = [
-            _Frontier(
-                t * per_tree,
-                (t + 1) * per_tree,
-                t,
-                builders[t].new_node(),
-                0,
-                int(pos01[t * per_tree : (t + 1) * per_tree].sum()),
-            )
-            for t in range(n_trees)
-        ]
+        node = tree
+        level = _Level(
+            np.arange(n_trees),
+            np.full(n_trees, per_tree, dtype=np.int64),
+            np.bincount(tree, weights=weight * positive, minlength=n_trees)
+            .astype(np.int64),
+        )
+        levels = [level]
         self.nodes_grown += n_trees
-
-        while frontier:
+        split_hists: list[np.ndarray] = []
+        for depth in range(self.max_depth):
             # -- leaf gating -------------------------------------------
             # A node's positive fraction is the reference's np.mean over
             # 0/1 labels: the same IEEE division of the same counts.
-            splittable: list[_Frontier] = []
-            parents: list[float] = []
-            for seg in frontier:
-                n_node = seg.end - seg.start
-                fraction = seg.n_pos / n_node
-                if (
-                    seg.depth >= self.max_depth
-                    or n_node < _MIN_SAMPLES_SPLIT
-                    or fraction in (0.0, 1.0)
-                ):
-                    continue
-                splittable.append(seg)
-                parents.append(gini_impurity(fraction))
-            if not splittable:
+            fraction = level.n_pos / level.n
+            is_open = (
+                (level.n >= _MIN_SAMPLES_SPLIT)
+                & (fraction != 0.0)
+                & (fraction != 1.0)
+            )
+            open_nodes = np.flatnonzero(is_open)
+            if not len(open_nodes):
                 break
-            n_slots = len(splittable)
-            lengths = np.array(
-                [seg.end - seg.start for seg in splittable],
-                dtype=np.int64,
-            )
-            active = np.concatenate(
-                [order[seg.start : seg.end] for seg in splittable]
-            )
-            slot_of = np.repeat(
-                np.arange(n_slots, dtype=np.int64), lengths
-            )
-            active_bins = sample_bins[active]
-            positive = pos01[active]
-            node_pos = np.array(
-                [seg.n_pos for seg in splittable], dtype=np.int64
-            )
-            parent_impurity = np.array(parents)
+            n_slots = len(open_nodes)
 
-            best_gain = np.full((n_slots, n_features), -np.inf)
-            best_threshold = np.zeros((n_slots, n_features))
-            best_pos = np.zeros((n_slots, n_features), dtype=np.int64)
-            best_pos_left = np.zeros(
-                (n_slots, n_features), dtype=np.int64
-            )
-            self.histograms_built += n_slots * n_features
-
-            # -- one composite-key bincount pass per feature chunk -----
-            for plan in plans:
-                keys = (
-                    slot_of[:, None] * plan.stride
-                    + plan.offs[None, :]
-                    + (active_bins[:, plan.feats] + 1)
+            # -- histograms of the open nodes --------------------------
+            if depth == 0:
+                hists = [
+                    np.take(
+                        _count(chunk, cols, weight, positive, node, n_trees),
+                        open_nodes,
+                        axis=0,
+                    )
+                    for chunk in chunks
+                ]
+            else:
+                # Count only the smaller child of each split whose
+                # children are not both leaves; its sibling is the
+                # parent minus it, exact on integer counts.
+                wanted = is_open.reshape(-1, 2).any(axis=1)
+                pairs = np.flatnonzero(wanted)
+                pair_slot = np.cumsum(wanted) - 1
+                right_smaller = level.n[1::2] < level.n[0::2]
+                pair = node >> 1
+                counted = np.flatnonzero(
+                    wanted[pair] & ((node & 1) == right_smaller[pair])
                 )
-                total_hist = np.bincount(
-                    keys.ravel(), minlength=n_slots * plan.stride
-                ).reshape(n_slots, plan.stride)
-                pos_hist = np.bincount(
-                    keys[positive].ravel(),
-                    minlength=n_slots * plan.stride,
-                ).reshape(n_slots, plan.stride)
+                counted_cols = np.take(cols, counted, axis=0)
+                open_rows = 2 * pair_slot[open_nodes >> 1] + (open_nodes & 1)
+                swap = right_smaller[pairs][:, None, None]
+                hists = []
+                for chunk, split_hist in zip(chunks, split_hists):
+                    small = _count(
+                        chunk,
+                        counted_cols,
+                        weight[counted],
+                        positive[counted],
+                        pair_slot[pair[counted]],
+                        len(pairs),
+                    )
+                    large = np.take(split_hist, pairs, axis=0) - small
+                    children = np.stack(
+                        [
+                            np.where(swap, large, small),
+                            np.where(swap, small, large),
+                        ],
+                        axis=1,
+                    ).reshape(-1, 2, chunk.stride)
+                    hists.append(np.take(children, open_rows, axis=0))
+            self.histograms_built += n_slots * binned.n_features
+
+            f = fraction[open_nodes]
+            parent = 2.0 * f * (1.0 - f)
+            n = level.n[open_nodes].astype(np.float64)
+            n_pos = level.n_pos[open_nodes].astype(np.float64)
+            best = _Best(n_slots)
+            for chunk, hist in zip(chunks, hists):
                 self._score_chunk(
-                    plan,
-                    total_hist,
-                    pos_hist,
-                    lengths,
-                    node_pos,
-                    parent_impurity,
-                    quantiles,
-                    max(_SEG, per_tree + 1),
-                    best_gain,
-                    best_threshold,
-                    best_pos,
-                    best_pos_left,
+                    chunk, hist, n, n_pos, parent, rank_of, gamma_of, best
                 )
 
-            # -- first-strict-improvement winner per node --------------
-            # Replays the reference feature loop: features ascending,
-            # update only on strict improvement over the running best.
-            running = np.full(n_slots, _MIN_GAIN)
-            winner = np.full(n_slots, -1, dtype=np.int64)
-            for f in range(n_features):
-                better = best_gain[:, f] > running
-                running[better] = best_gain[better, f]
-                winner[better] = f
+            # -- split winners, route entries --------------------------
+            won = np.flatnonzero(best.gain > _MIN_GAIN)
+            if not len(won):
+                break
+            nodes = open_nodes[won]
+            level.split = nodes
+            level.feature[nodes] = best.feature[won]
+            level.threshold[nodes] = best.threshold[won]
+            level.contribution[nodes] = best.gain[won] * n[won] / per_tree
+            self.nodes_grown += 2 * len(won)
+            split_hists = [np.take(hist, won, axis=0) for hist in hists]
 
-            # -- split winners, route rows stably ----------------------
-            next_frontier: list[_Frontier] = []
-            for s, seg in enumerate(splittable):
-                f = int(winner[s])
-                if f < 0:
-                    continue
-                builder = builders[seg.tree]
-                n_node = seg.end - seg.start
-                builder.feature[seg.node] = f
-                builder.threshold[seg.node] = float(
-                    best_threshold[s, f]
-                )
-                builder.contribution[seg.node] = (
-                    float(running[s]) * n_node / per_tree
-                )
-                # Copy before the in-place writes below: the left-half
-                # assignment would otherwise mutate this view before
-                # the right half is gathered from it.
-                seg_order = order[seg.start : seg.end].copy()
-                go_left = sample_bins[seg_order, f] < best_pos[s, f]
-                n_left = int(go_left.sum())
-                order[seg.start : seg.start + n_left] = seg_order[
-                    go_left
+            # An entry goes right when its column lies past the cut's.
+            child_of_node = np.full(len(level.n), -1, dtype=np.int64)
+            child_of_node[nodes] = 2 * np.arange(len(won))
+            cut_col = np.zeros(len(level.n), dtype=np.int64)
+            cut_col[nodes] = first_col[best.feature[won]] + 1 + best.cut[won]
+            child = child_of_node[node]
+            kept = np.flatnonzero(child >= 0)
+            node = node[kept]
+            cols = np.take(cols, kept, axis=0)
+            weight, positive = weight[kept], positive[kept]
+            go_right = (
+                cols.ravel()[
+                    np.arange(len(kept)) * cols.shape[1]
+                    + level.feature[node]
                 ]
-                order[seg.start + n_left : seg.end] = seg_order[
-                    ~go_left
-                ]
-                left_id = builder.new_node()
-                right_id = builder.new_node()
-                builder.left[seg.node] = left_id
-                builder.right[seg.node] = right_id
-                self.nodes_grown += 2
-                pos_left = int(best_pos_left[s, f])
-                next_frontier.append(
-                    _Frontier(
-                        seg.start,
-                        seg.start + n_left,
-                        seg.tree,
-                        left_id,
-                        seg.depth + 1,
-                        pos_left,
-                    )
-                )
-                next_frontier.append(
-                    _Frontier(
-                        seg.start + n_left,
-                        seg.end,
-                        seg.tree,
-                        right_id,
-                        seg.depth + 1,
-                        seg.n_pos - pos_left,
-                    )
-                )
-            frontier = next_frontier
-
-        return builders
+                > cut_col[node]
+            )
+            node = child[kept] + go_right
+            n_left = best.n_left[won].astype(np.int64)
+            pos_left = best.pos_left[won].astype(np.int64)
+            level = _Level(
+                np.repeat(level.tree[nodes], 2),
+                np.stack([n_left, level.n[nodes] - n_left], 1).ravel(),
+                np.stack([pos_left, level.n_pos[nodes] - pos_left], 1)
+                .ravel(),
+            )
+            levels.append(level)
+        return levels
 
     # ------------------------------------------------------------------
     def _score_chunk(
         self,
-        plan: _ChunkPlan,
-        total_hist: np.ndarray,
-        pos_hist: np.ndarray,
-        lengths: np.ndarray,
-        node_pos: np.ndarray,
-        parent_impurity: np.ndarray,
-        quantiles: np.ndarray,
-        seg_mult: int,
-        best_gain: np.ndarray,
-        best_threshold: np.ndarray,
-        best_pos: np.ndarray,
-        best_pos_left: np.ndarray,
+        chunk: _Chunk,
+        hist: np.ndarray,
+        n: np.ndarray,
+        n_pos: np.ndarray,
+        parent: np.ndarray,
+        rank_of: np.ndarray,
+        gamma_of: np.ndarray,
+        best: "_Best",
     ) -> None:
-        """Score every candidate split of every chunk feature, all slots.
+        """Score every candidate split of every chunk feature, all slots,
+        and keep each slot's first strict improvement in ``best``.
 
-        Only the reference ``_best_split`` float expressions are used,
-        in the same order, over the same counts.  The candidate
-        thresholds are the reference's per-node ``np.nanquantile`` cut
-        points, rebuilt from order statistics: one batched
-        ``searchsorted`` over all (slot, feature) cumulative-count
-        segments (offset into disjoint integer ranges) finds the
-        neighbouring order-statistic bins, and numpy's virtual-index /
-        ``_lerp`` arithmetic interpolates between their values.
+        ``hist[slot, label, column]`` holds the slot's negative and
+        positive counts in each of the chunk's columns.  Only the
+        reference ``_best_split`` float expressions are used, in the
+        same order, over the same counts.
         """
-        if plan.n_fin_total == 0:
+        n_slots = len(n)
+        n_chunk = chunk.hi - chunk.lo
+        # One running sum through every slot, label and column: the
+        # counts in a span of one row are a difference of two entries.
+        cum = np.cumsum(hist).reshape(hist.shape)
+        total = cum[:, 0] + cum[:, 1]
+        # Finite values per (slot, feature): the reference's candidates
+        # exist only where there are two.
+        n_fin = np.take(total, chunk.ends, axis=1) - np.take(
+            total, chunk.offs, axis=1
+        )
+        slots, feats = np.nonzero(n_fin >= 2)
+        if not len(slots):
             return
-        n_slots = len(lengths)
-        n_chunk = len(plan.feats)
-        nf = plan.n_fin_total
-        neg_total = total_hist[:, plan.offs]  # (n_slots, Fc)
-        neg_pos = pos_hist[:, plan.offs]
-        cs_t = np.cumsum(total_hist, axis=1)
-        cs_p = np.cumsum(pos_hist, axis=1)
-        # Within-feature cumulative counts over finite bins only.
-        fin_t = cs_t[:, plan.fin_cols] - cs_t[:, plan.base_cols]
-        fin_p = cs_p[:, plan.fin_cols] - cs_p[:, plan.base_cols]
-        last_cols = np.clip(plan.fin_start + plan.nb - 1, 0, nf - 1)
-        n_fin = np.where(plan.nb > 0, fin_t[:, last_cols], 0)
-        valid_seg = n_fin >= 2  # (n_slots, Fc)
-        if not valid_seg.any():
-            return
+        self.splits_evaluated += len(slots) * _N_THRESHOLDS
 
-        # Candidate thresholds: virtual index (n-1)*q, neighbouring
-        # order statistics, then numpy's _lerp with its gamma >= 0.5
-        # rewrite.  Order statistics come from one searchsorted over
-        # every (slot, feature) segment at once: segment values and
-        # probes are offset into disjoint integer ranges.
-        vi = (n_fin - 1)[:, :, None] * quantiles[None, None, :]
-        prev = np.floor(vi)
-        gamma = vi - prev
-        prev_i = prev.astype(np.int64)
-        seg_of_col = (
-            np.arange(n_slots, dtype=np.int64)[:, None] * n_chunk
-            + np.repeat(np.arange(n_chunk, dtype=np.int64), plan.nb)[
-                None, :
-            ]
+        # Gini gain of the cut after each finite bin: the left side is
+        # the feature's -inf bin through that bin.
+        left = np.take(cum, chunk.fin_cols, axis=2) - np.take(
+            cum - hist, chunk.base_cols, axis=2
         )
-        flat = (fin_t + seg_of_col * seg_mult).ravel()
-        seg3 = (
-            np.arange(n_slots, dtype=np.int64)[:, None, None] * n_chunk
-            + np.arange(n_chunk, dtype=np.int64)[None, :, None]
-        ) * seg_mult
-        probes = np.concatenate(
-            [(prev_i + seg3).ravel(), (prev_i + 1 + seg3).ravel()]
-        )
-        idx = np.searchsorted(flat, probes, side="right")
-        row_base = (
-            np.arange(n_slots, dtype=np.int64)[:, None, None] * nf
-        )
-        half = prev_i.size
-        col_a = np.clip(
-            idx[:half].reshape(prev_i.shape) - row_base, 0, nf - 1
-        )
-        col_b = np.clip(
-            idx[half:].reshape(prev_i.shape) - row_base, 0, nf - 1
-        )
-        a = plan.uniq[col_a]
-        b = plan.uniq[col_b]
-        diff = b - a
-        cand = a + diff * gamma
-        flip = gamma >= 0.5
-        cand[flip] = b[flip] - diff[flip] * (1 - gamma[flip])
-
-        # The reference partitions on `col <= cand`.  Every bin
-        # strictly between the two order-statistic bins is empty in
-        # this node, so the left-side counts are the cumulative counts
-        # at bin a — or at bin b when the interpolation lands exactly
-        # on b's value.
-        col = np.where(cand == b, col_b, col_a)
-        gather = (row_base + col).ravel()
-        n_left_i = fin_t.ravel()[gather].reshape(col.shape) + neg_total[
-            :, :, None
-        ]
-        pos_left = fin_p.ravel()[gather].reshape(col.shape) + neg_pos[
-            :, :, None
-        ]
-        n_left = n_left_i.astype(np.float64)
-        n = lengths.astype(np.float64)[:, None, None]
-        total_pos = node_pos.astype(np.float64)[:, None, None]
-        n_right = n - n_left
-        valid = (
-            (n_left > 0) & (n_right > 0) & valid_seg[:, :, None]
-        )
+        pos_left = left[:, 1]
+        n_left = left[:, 0] + pos_left
+        n_right = n[:, None] - n_left
         with np.errstate(invalid="ignore", divide="ignore"):
             p_left = pos_left / n_left
-            p_right = (total_pos - pos_left) / n_right
+            p_right = (n_pos[:, None] - pos_left) / n_right
             child = (
                 n_left * 2.0 * p_left * (1.0 - p_left)
                 + n_right * 2.0 * p_right * (1.0 - p_right)
-            ) / n
-        gain = parent_impurity[:, None, None] - child
-        gain[~valid] = -np.inf
-        self.splits_evaluated += int(valid_seg.sum()) * len(quantiles)
+            ) / n[:, None]
+        gain = parent[:, None] - child
+        gain[(n_left == 0) | (n_right == 0)] = -np.inf
 
-        best_q = np.argmax(gain, axis=2)[:, :, None]
-        feats = plan.feats
-        best_gain[:, feats] = np.take_along_axis(
-            gain, best_q, axis=2
-        )[:, :, 0]
-        best_threshold[:, feats] = np.take_along_axis(
-            cand, best_q, axis=2
-        )[:, :, 0]
-        best_col = np.take_along_axis(col, best_q, axis=2)[:, :, 0]
-        best_pos[:, feats] = best_col - plan.fin_start[None, :] + 1
-        best_pos_left[:, feats] = np.take_along_axis(
-            pos_left, best_q, axis=2
-        )[:, :, 0]
+        # Candidate thresholds: the order statistics at each quantile's
+        # virtual index, by rank lookup into the node's sorted finite
+        # bins (each (slot, finite bin) cell repeated by its count),
+        # then numpy's _lerp with its gamma >= 0.5 rewrite.
+        nf = len(chunk.fin_cols)
+        counts = (
+            np.take(hist[:, 0] + hist[:, 1], chunk.fin_cols, axis=1)
+            .astype(np.int64)
+            .ravel()
+        )
+        cells = np.repeat(np.arange(n_slots * nf), counts)
+        start = np.cumsum(counts) - counts
+        size = n_fin[slots, feats].astype(np.int64)
+        at = start[slots * nf + chunk.fin_start[feats]][:, None] + rank_of[
+            size
+        ]
+        cell_a = cells[at]
+        cell_b = cells[at + 1]
+        values = np.tile(chunk.uniq, n_slots)
+        a = values[cell_a]
+        b = values[cell_b]
+        gamma = gamma_of[size]
+        diff = b - a
+        cand = np.where(
+            gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma
+        )
+        # The reference partitions on `col <= cand`.  No value of the
+        # node lies strictly between the two order statistics, so the
+        # cut is after bin a — or after b when the interpolation lands
+        # exactly on b's value.
+        cut = np.where(cand == b, cell_b, cell_a)
+
+        # One argmax per slot over its (feature, quantile) gains in
+        # feature-major order: the first maximum is the reference's
+        # first strict improvement.
+        scores = np.full((n_slots, n_chunk * _N_THRESHOLDS), -np.inf)
+        scores.reshape(n_slots, n_chunk, _N_THRESHOLDS)[
+            slots, feats
+        ] = gain.ravel()[cut]
+        pick = np.argmax(scores, axis=1)
+        top = scores[np.arange(n_slots), pick]
+        better = np.flatnonzero(top > best.gain)
+        if not len(better):
+            return
+        feature, q = np.divmod(pick[better], _N_THRESHOLDS)
+        row = np.full((n_slots, n_chunk), -1, dtype=np.int64)
+        row[slots, feats] = np.arange(len(slots))
+        row = row[better, feature]
+        cell = cut[row, q]
+        best.gain[better] = top[better]
+        best.feature[better] = chunk.lo + feature
+        best.threshold[better] = cand[row, q]
+        best.cut[better] = cell - better * nf - chunk.fin_start[feature]
+        best.n_left[better] = n_left.ravel()[cell]
+        best.pos_left[better] = pos_left.ravel()[cell]
+
+    # ------------------------------------------------------------------
+    def _store(
+        self, levels: list[_Level], n_trees: int, n_features: int
+    ) -> None:
+        """Number every node by tree, then depth-first preorder, and
+        build ``trees_`` and the importances from the levels."""
+        sizes = [len(level.n) for level in levels]
+        offset = np.concatenate([[0], np.cumsum(sizes)])
+        total = int(offset[-1])
+        left = np.full(total, -1, dtype=np.int64)
+        for depth, level in enumerate(levels[:-1]):
+            left[offset[depth] + level.split] = offset[depth + 1] + 2 * (
+                np.arange(len(level.split))
+            )
+        # Subtree sizes bottom-up, then preorder positions top-down:
+        # a left child follows its parent, a right child its sibling's
+        # subtree.
+        subtree = np.ones(total, dtype=np.int64)
+        for depth in range(len(levels) - 1, -1, -1):
+            nodes = offset[depth] + levels[depth].split
+            children = left[nodes]
+            subtree[nodes] += subtree[children] + subtree[children + 1]
+        preorder = np.zeros(total, dtype=np.int64)
+        for depth, level in enumerate(levels):
+            nodes = offset[depth] + level.split
+            children = left[nodes]
+            preorder[children] = preorder[nodes] + 1
+            preorder[children + 1] = preorder[nodes] + 1 + subtree[children]
+
+        tree = np.concatenate([level.tree for level in levels])
+        order = np.lexsort((preorder, tree))
+        feature = np.concatenate([level.feature for level in levels])[order]
+        threshold = np.concatenate([level.threshold for level in levels])[
+            order
+        ]
+        contribution = np.concatenate(
+            [level.contribution for level in levels]
+        )[order]
+        internal = left[order] >= 0
+        left_local = np.where(internal, preorder[left[order]], -1)
+        right_local = np.where(internal, preorder[left[order] + 1], -1)
+        tree = tree[order]
+
+        split = feature >= 0
+        self._split_tree = tree[split]
+        self._split_feature = feature[split]
+        self._split_contribution = contribution[split]
+        per_tree, self.feature_importances_ = self._importances(
+            np.arange(n_features), n_features
+        )
+        bounds = np.concatenate(
+            [[0], np.cumsum(np.bincount(tree, minlength=n_trees))]
+        )
+        self.trees_ = []
+        for t in range(n_trees):
+            nodes = slice(bounds[t], bounds[t + 1])
+            self.trees_.append(
+                FlatTree(
+                    feature=feature[nodes].astype(np.int32),
+                    threshold=threshold[nodes],
+                    left=left_local[nodes].astype(np.int32),
+                    right=right_local[nodes].astype(np.int32),
+                    feature_importances_=per_tree[t],
+                )
+            )
+
+
+def _count(
+    chunk: _Chunk,
+    cols: np.ndarray,
+    weight: np.ndarray,
+    positive: np.ndarray,
+    slot: np.ndarray,
+    n_slots: int,
+) -> np.ndarray:
+    """``(n_slots, 2, stride)`` negative and positive counts of each slot
+    in each of the chunk's columns: one weighted bincount, the label
+    folded into the key."""
+    stride = chunk.stride
+    keys = (slot * (2 * stride) + positive * stride - chunk.origin)[
+        :, None
+    ] + cols[:, chunk.lo : chunk.hi]
+    return np.bincount(
+        keys.ravel(),
+        weights=np.repeat(weight, chunk.hi - chunk.lo),
+        minlength=2 * n_slots * stride,
+    ).reshape(n_slots, 2, stride)
+
+
+class _Best:
+    """Each slot's best split so far: its gain, feature, threshold, the
+    cut's bin within the feature, and the left side's counts."""
+
+    __slots__ = (
+        "gain", "feature", "threshold", "cut", "n_left", "pos_left",
+    )
+
+    def __init__(self, n_slots: int):
+        self.gain = np.full(n_slots, -np.inf)
+        self.feature = np.zeros(n_slots, dtype=np.int64)
+        self.threshold = np.zeros(n_slots)
+        self.cut = np.zeros(n_slots, dtype=np.int64)
+        self.n_left = np.zeros(n_slots)
+        self.pos_left = np.zeros(n_slots)

@@ -25,7 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.hist_forest import gini_impurity
+
+def gini_impurity(positive_fraction: float) -> float:
+    """Gini impurity of a binary distribution."""
+    p = positive_fraction
+    return 2.0 * p * (1.0 - p)
 
 
 @dataclass
@@ -329,10 +333,19 @@ class _AllFeaturesForest(RandomForestClassifier):
         self.max_features = np.asarray(X).shape[1]
         return super().fit(X, y)
 
+    def importances_at(self, columns, width):
+        assert np.array_equal(columns, np.arange(width))
+        return self.feature_importances_.copy()
+
 
 def swap_in(monkeypatch) -> None:
-    """Make ``filter_attributes`` rank relevance with this oracle."""
+    """Make ``filter_attributes`` rank relevance with this oracle, fitted
+    on every column of its matrix (no column reduction)."""
     monkeypatch.setattr(
         "repro.core.attribute_filter.HistRandomForestClassifier",
         _AllFeaturesForest,
+    )
+    monkeypatch.setattr(
+        "repro.core.attribute_filter.splittable_columns",
+        lambda X: np.arange(np.shape(X)[1]),
     )

@@ -41,6 +41,9 @@ class TestValidation:
             {"rf_num_trees": 0},
             {"rf_max_samples": 0},
             {"lca_sample_cap": 0},
+            {"seed": -1},
+            {"num_selected_attrs": float("inf")},
+            {"num_selected_attrs": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

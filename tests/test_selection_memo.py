@@ -48,7 +48,7 @@ from repro.datasets.workloads import query_by_name
 from repro.db import ColumnType, TableSchema
 from repro.db.relation import Relation
 from repro.db.relation import encode_object_column
-from repro.ml import association_matrix
+from repro.ml import HistRandomForestClassifier, association_matrix
 from repro.serving import canonical_payload
 from tests.oracles import selection as oracle
 
@@ -95,12 +95,16 @@ def record_selections(monkeypatch) -> list:
 
 
 # (question, λ#edges, join graphs, [fits run, fit hits, pairs computed,
-# pair hits]) — the counts ISSUE 20 sized; Qnba4 mines a 5320-row APT.
+# pair hits]); Qnba4 mines a 5320-row APT.  A fit is keyed on the
+# columns that can win a split, so on every NBA question a graph whose
+# matrix adds only a single-valued or duplicate column reuses an
+# earlier graph's fit.
 GATE_QUESTIONS = [
     ("Qmimic5", 2, 25, [6, 19, 225, 1026]),
-    ("Qnba5", 1, 7, [5, 2, 4, 13]),
-    ("Qnba5", 2, 64, [30, 34, 42, 201]),
-    ("Qnba4", 1, 7, [6, 1, 5, 10]),
+    ("Qnba5", 1, 7, [4, 3, 4, 13]),
+    ("Qnba5", 2, 64, [25, 39, 42, 201]),
+    ("Qnba4", 1, 7, [5, 2, 5, 10]),
+    ("Qnba3", 1, 7, [4, 3, 4, 13]),
 ]
 
 
@@ -328,6 +332,32 @@ class TestForestKey:
         assert len(memo.relevance) == 2
         # ... and the first input is still there to be hit.
         assert self.fits(memo, *self.inputs(), self.CONFIG) == 0
+
+    @pytest.mark.parametrize(
+        "extra", ["an appended later duplicate column",
+                  "an appended single-valued column"],
+    )
+    def test_columns_no_split_can_use_hit(self, extra):
+        X, y = self.inputs()
+        memo = SelectionMemo()
+        assert self.fits(memo, X, y, self.CONFIG) == 1
+        if extra == "an appended later duplicate column":
+            column = X[:, 1]
+        else:
+            column = np.full(len(X), 2.5)
+        wider = np.column_stack([X, column])
+        assert self.fits(memo, wider, y, self.CONFIG) == 0
+        assert len(memo.relevance) == 1
+        # The hit, replayed at the wider width, is a fresh full fit.
+        config = self.CONFIG
+        fresh = HistRandomForestClassifier(
+            n_estimators=config.rf_num_trees,
+            max_depth=config.rf_max_depth,
+            max_samples=config.rf_max_samples,
+            random_state=config.seed,
+        ).fit(wider, y)
+        hit = _forest_importances(wider, y, config, StepTimer(), memo)
+        assert hit.tobytes() == fresh.feature_importances_.tobytes()
 
     def test_same_bytes_under_another_shape_miss(self):
         # 20 floats read as a 5x3 matrix + 5 labels or as 4x4 + 4.

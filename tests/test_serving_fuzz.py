@@ -141,10 +141,11 @@ def check_fails_closed(live_server, payload: dict) -> tuple[int, dict]:
         {"overrides": {"use_diversity": "no"}},
         {"overrides": {"seed": "abc"}},
         {"overrides": {"rf_num_trees": 0}},
+        {"overrides": {"seed": -1}},
     ],
     ids=[
         "knob-str", "sql-int", "override-str", "flag-str", "seed-str",
-        "no-trees",
+        "no-trees", "negative-seed",
     ],
 )
 def test_wrongly_typed_value_is_a_structured_400(live_server, change):
