@@ -31,10 +31,13 @@ feature per node; this learner:
 - grows ALL trees breadth-first in lockstep, one whole level at a time
   with no per-node Python: per level, one weighted ``np.bincount`` per
   feature chunk over ``(slot, feature, bin, label)`` keys builds every
-  class histogram of every frontier node of every tree;
-- scores the Gini gain of a cut after every finite bin of every node
-  once, on the (slots x finite bins) grid, with the reference
-  expression;
+  class histogram of every frontier node of every tree — below the
+  roots for the smaller child of each split only, its sibling being
+  the parent's histogram minus it;
+- scores the Gini gain of each quantile candidate's cut with the
+  reference expression, its left-side counts two differences of one
+  running sum over the level's histograms — so scoring costs slots x
+  features x quantiles, whatever the columns' distinct values;
 - recovers the reference learner's candidate thresholds — the
   node-local ``np.nanquantile`` cut points — exactly: an order
   statistic is a rank lookup into the node's sorted bins (its bin ids
@@ -461,10 +464,11 @@ class HistRandomForestClassifier:
         )
         # Each entry's bin as its column in the one buffer layout.
         widths = binned.n_bins + 2
+        n_columns = int(widths.sum())
         first_col = np.concatenate([[0], np.cumsum(widths)[:-1]])
         cols = np.take(
             (first_col + binned.bins + 1).astype(
-                np.int32 if widths.sum() < 2**31 else np.int64
+                np.int32 if n_columns < 2**31 else np.int64
             ),
             rows,
             axis=0,
@@ -480,8 +484,8 @@ class HistRandomForestClassifier:
         )
         levels = [level]
         self.nodes_grown += n_trees
-        split_hists: list[np.ndarray] = []
-        for depth in range(self.max_depth):
+        split_hists: list[np.ndarray] | None = None
+        for _depth in range(self.max_depth):
             # -- leaf gating -------------------------------------------
             # A node's positive fraction is the reference's np.mean over
             # 0/1 labels: the same IEEE division of the same counts.
@@ -496,20 +500,19 @@ class HistRandomForestClassifier:
                 break
             n_slots = len(open_nodes)
 
-            # -- histograms of the open nodes --------------------------
-            if depth == 0:
-                hists = [
-                    np.take(
-                        _count(chunk, cols, weight, positive, node, n_trees),
-                        open_nodes,
-                        axis=0,
-                    )
-                    for chunk in chunks
-                ]
+            # -- histograms of the open nodes, scored chunk by chunk ----
+            # Below the roots, count only the smaller child of each
+            # split whose children are not both leaves: its sibling is
+            # the parent minus it, exact on integer counts.  That needs
+            # the parents' histograms, kept while a level's grid fits
+            # the budget; past it a level counts its open nodes whole.
+            if split_hists is None:
+                slot_of_node = np.full(len(level.n), -1, dtype=np.int64)
+                slot_of_node[open_nodes] = np.arange(n_slots)
+                counted = np.flatnonzero(slot_of_node[node] >= 0)
+                counted_slot = slot_of_node[node[counted]]
+                n_counted = n_slots
             else:
-                # Count only the smaller child of each split whose
-                # children are not both leaves; its sibling is the
-                # parent minus it, exact on integer counts.
                 wanted = is_open.reshape(-1, 2).any(axis=1)
                 pairs = np.flatnonzero(wanted)
                 pair_slot = np.cumsum(wanted) - 1
@@ -518,28 +521,16 @@ class HistRandomForestClassifier:
                 counted = np.flatnonzero(
                     wanted[pair] & ((node & 1) == right_smaller[pair])
                 )
-                counted_cols = np.take(cols, counted, axis=0)
-                open_rows = 2 * pair_slot[open_nodes >> 1] + (open_nodes & 1)
-                swap = right_smaller[pairs][:, None, None]
-                hists = []
-                for chunk, split_hist in zip(chunks, split_hists):
-                    small = _count(
-                        chunk,
-                        counted_cols,
-                        weight[counted],
-                        positive[counted],
-                        pair_slot[pair[counted]],
-                        len(pairs),
-                    )
-                    large = np.take(split_hist, pairs, axis=0) - small
-                    children = np.stack(
-                        [
-                            np.where(swap, large, small),
-                            np.where(swap, small, large),
-                        ],
-                        axis=1,
-                    ).reshape(-1, 2, chunk.stride)
-                    hists.append(np.take(children, open_rows, axis=0))
+                counted_slot = pair_slot[pair[counted]]
+                n_counted = len(pairs)
+                open_pair = pair_slot[open_nodes >> 1]
+                is_small = (open_nodes & 1) == right_smaller[open_nodes >> 1]
+                is_small = is_small[:, None, None]
+                open_parent = pairs[open_pair]
+            counted_cols = np.take(cols, counted, axis=0)
+            counted_weight = weight[counted]
+            counted_positive = positive[counted]
+            keep = n_slots * n_columns <= _CHUNK_KEYS
             self.histograms_built += n_slots * binned.n_features
 
             f = fraction[open_nodes]
@@ -547,10 +538,28 @@ class HistRandomForestClassifier:
             n = level.n[open_nodes].astype(np.float64)
             n_pos = level.n_pos[open_nodes].astype(np.float64)
             best = _Best(n_slots)
-            for chunk, hist in zip(chunks, hists):
+            hists = []
+            for c, chunk in enumerate(chunks):
+                hist = _count(
+                    chunk,
+                    counted_cols,
+                    counted_weight,
+                    counted_positive,
+                    counted_slot,
+                    n_counted,
+                )
+                if split_hists is not None:
+                    small = np.take(hist, open_pair, axis=0)
+                    hist = np.where(
+                        is_small,
+                        small,
+                        np.take(split_hists[c], open_parent, axis=0) - small,
+                    )
                 self._score_chunk(
                     chunk, hist, n, n_pos, parent, rank_of, gamma_of, best
                 )
+                if keep:
+                    hists.append(hist)
 
             # -- split winners, route entries --------------------------
             won = np.flatnonzero(best.gain > _MIN_GAIN)
@@ -562,7 +571,11 @@ class HistRandomForestClassifier:
             level.threshold[nodes] = best.threshold[won]
             level.contribution[nodes] = best.gain[won] * n[won] / per_tree
             self.nodes_grown += 2 * len(won)
-            split_hists = [np.take(hist, won, axis=0) for hist in hists]
+            split_hists = (
+                [np.take(hist, won, axis=0) for hist in hists]
+                if keep
+                else None
+            )
 
             # An entry goes right when its column lies past the cut's.
             child_of_node = np.full(len(level.n), -1, dtype=np.int64)
@@ -615,59 +628,39 @@ class HistRandomForestClassifier:
         """
         n_slots = len(n)
         n_chunk = chunk.hi - chunk.lo
+        nf = len(chunk.fin_cols)
         # One running sum through every slot, label and column: the
         # counts in a span of one row are a difference of two entries.
-        cum = np.cumsum(hist).reshape(hist.shape)
-        total = cum[:, 0] + cum[:, 1]
+        cum = np.cumsum(hist)
+        cum3 = cum.reshape(hist.shape)
         # Finite values per (slot, feature): the reference's candidates
         # exist only where there are two.
-        n_fin = np.take(total, chunk.ends, axis=1) - np.take(
-            total, chunk.offs, axis=1
+        fin = np.take(cum3, chunk.ends, axis=2) - np.take(
+            cum3, chunk.offs, axis=2
         )
+        n_fin = fin[:, 0] + fin[:, 1]
         slots, feats = np.nonzero(n_fin >= 2)
         if not len(slots):
             return
         self.splits_evaluated += len(slots) * _N_THRESHOLDS
 
-        # Gini gain of the cut after each finite bin: the left side is
-        # the feature's -inf bin through that bin.
-        left = np.take(cum, chunk.fin_cols, axis=2) - np.take(
-            cum - hist, chunk.base_cols, axis=2
-        )
-        pos_left = left[:, 1]
-        n_left = left[:, 0] + pos_left
-        n_right = n[:, None] - n_left
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p_left = pos_left / n_left
-            p_right = (n_pos[:, None] - pos_left) / n_right
-            child = (
-                n_left * 2.0 * p_left * (1.0 - p_left)
-                + n_right * 2.0 * p_right * (1.0 - p_right)
-            ) / n[:, None]
-        gain = parent[:, None] - child
-        gain[(n_left == 0) | (n_right == 0)] = -np.inf
-
         # Candidate thresholds: the order statistics at each quantile's
         # virtual index, by rank lookup into the node's sorted finite
         # bins (each (slot, finite bin) cell repeated by its count),
         # then numpy's _lerp with its gamma >= 0.5 rewrite.
-        nf = len(chunk.fin_cols)
-        counts = (
-            np.take(hist[:, 0] + hist[:, 1], chunk.fin_cols, axis=1)
-            .astype(np.int64)
-            .ravel()
-        )
+        counts = np.take(hist, chunk.fin_cols, axis=2)
+        counts = (counts[:, 0] + counts[:, 1]).astype(np.int64).ravel()
         cells = np.repeat(np.arange(n_slots * nf), counts)
         start = np.cumsum(counts) - counts
         size = n_fin[slots, feats].astype(np.int64)
+        row_base = (slots * nf)[:, None]
         at = start[slots * nf + chunk.fin_start[feats]][:, None] + rank_of[
             size
         ]
-        cell_a = cells[at]
-        cell_b = cells[at + 1]
-        values = np.tile(chunk.uniq, n_slots)
-        a = values[cell_a]
-        b = values[cell_b]
+        fin_a = cells[at] - row_base
+        fin_b = cells[at + 1] - row_base
+        a = chunk.uniq[fin_a]
+        b = chunk.uniq[fin_b]
         gamma = gamma_of[size]
         diff = b - a
         cand = np.where(
@@ -677,15 +670,36 @@ class HistRandomForestClassifier:
         # node lies strictly between the two order statistics, so the
         # cut is after bin a — or after b when the interpolation lands
         # exactly on b's value.
-        cut = np.where(cand == b, cell_b, cell_a)
+        cut = np.where(cand == b, fin_b, fin_a)
+
+        # The left side of a cut is the feature's -inf bin through the
+        # cut's bin.
+        at = (slots * (2 * chunk.stride))[:, None]
+        hist = hist.ravel()
+        end = at + chunk.fin_cols[cut]
+        base = at + chunk.base_cols[cut]
+        neg_left = cum[end] - cum[base] + hist[base]
+        end += chunk.stride
+        base += chunk.stride
+        pos_left = cum[end] - cum[base] + hist[base]
+        n_left = neg_left + pos_left
+        node_n = n[slots][:, None]
+        n_right = node_n - n_left
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p_left = pos_left / n_left
+            p_right = (n_pos[slots][:, None] - pos_left) / n_right
+            child = (
+                n_left * 2.0 * p_left * (1.0 - p_left)
+                + n_right * 2.0 * p_right * (1.0 - p_right)
+            ) / node_n
+        gain = parent[slots][:, None] - child
+        gain[(n_left == 0) | (n_right == 0)] = -np.inf
 
         # One argmax per slot over its (feature, quantile) gains in
         # feature-major order: the first maximum is the reference's
         # first strict improvement.
         scores = np.full((n_slots, n_chunk * _N_THRESHOLDS), -np.inf)
-        scores.reshape(n_slots, n_chunk, _N_THRESHOLDS)[
-            slots, feats
-        ] = gain.ravel()[cut]
+        scores.reshape(n_slots, n_chunk, _N_THRESHOLDS)[slots, feats] = gain
         pick = np.argmax(scores, axis=1)
         top = scores[np.arange(n_slots), pick]
         better = np.flatnonzero(top > best.gain)
@@ -695,13 +709,12 @@ class HistRandomForestClassifier:
         row = np.full((n_slots, n_chunk), -1, dtype=np.int64)
         row[slots, feats] = np.arange(len(slots))
         row = row[better, feature]
-        cell = cut[row, q]
         best.gain[better] = top[better]
         best.feature[better] = chunk.lo + feature
         best.threshold[better] = cand[row, q]
-        best.cut[better] = cell - better * nf - chunk.fin_start[feature]
-        best.n_left[better] = n_left.ravel()[cell]
-        best.pos_left[better] = pos_left.ravel()[cell]
+        best.cut[better] = cut[row, q] - chunk.fin_start[feature]
+        best.n_left[better] = n_left[row, q]
+        best.pos_left[better] = pos_left[row, q]
 
     # ------------------------------------------------------------------
     def _store(

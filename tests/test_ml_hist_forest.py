@@ -179,6 +179,19 @@ class TestExactTwin:
         hist, ref = fit_pair(X, y, seed=seed, **params)
         assert_twin(hist, ref)
 
+    @pytest.mark.parametrize("budget", [64, 4096])
+    def test_small_histogram_budget(self, budget, monkeypatch):
+        # Many feature chunks, and levels too wide to keep their
+        # parents' histograms (counted whole instead of subtracted).
+        monkeypatch.setattr("repro.ml.hist_forest._CHUNK_KEYS", budget)
+        for seed in range(6):
+            X, y = make_matrix(seed, 150, 5)
+            hist, ref = fit_pair(
+                X, y, seed=seed, n_estimators=6, max_depth=6,
+                max_samples=None,
+            )
+            assert_twin(hist, ref)
+
     def test_single_class_labels(self, rng):
         X = rng.normal(size=(80, 3))
         y = np.ones(80)
