@@ -31,9 +31,7 @@ feature per node; this learner:
 - grows ALL trees breadth-first in lockstep, one whole level at a time
   with no per-node Python: per level, one weighted ``np.bincount`` per
   feature chunk over ``(slot, feature, bin, label)`` keys builds every
-  class histogram of every frontier node of every tree — below the
-  roots for the smaller child of each split only, its sibling being
-  the parent's histogram minus it;
+  class histogram of every frontier node of every tree;
 - scores the Gini gain of each quantile candidate's cut with the
   reference expression, its left-side counts two differences of one
   running sum over the level's histograms — so scoring costs slots x
@@ -42,8 +40,7 @@ feature per node; this learner:
   node-local ``np.nanquantile`` cut points — exactly: an order
   statistic is a rank lookup into the node's sorted bins (its bin ids
   repeated by count), and the interpolation replicates numpy's
-  virtual-index and ``_lerp`` arithmetic bit for bit, from a per-fit
-  table indexed by node size;
+  virtual-index and ``_lerp`` arithmetic bit for bit;
 - picks each node's split with one ``argmax`` over its (feature,
   quantile) gains in feature-major order: the first maximum is the
   reference's first strict improvement;
@@ -89,6 +86,7 @@ _MIN_SAMPLES_SPLIT = 10
 # Quantile candidate thresholds per feature per node (the reference's
 # default).
 _N_THRESHOLDS = 24
+_QUANTILES = np.linspace(0.0, 1.0, _N_THRESHOLDS + 2)[1:-1]
 
 # Integral columns whose value range fits under this cap are binned with
 # a sort-free presence bincount instead of an np.unique sort.
@@ -451,13 +449,6 @@ class HistRandomForestClassifier:
         child's.
         """
         n_trees = self.n_estimators
-        quantiles = np.linspace(0.0, 1.0, _N_THRESHOLDS + 2)[1:-1]
-        # numpy's linear-method virtual index over a node's n finite
-        # values, by n: the order statistics' ranks and the lerp weight.
-        virtual = (np.arange(per_tree + 1) - 1)[:, None] * quantiles
-        below = np.floor(virtual)
-        gamma_of = virtual - below
-        rank_of = below.astype(np.int64)
         chunks = _plan_chunks(
             binned,
             min(len(weight), n_trees * per_tree // _MIN_SAMPLES_SPLIT),
@@ -484,7 +475,6 @@ class HistRandomForestClassifier:
         )
         levels = [level]
         self.nodes_grown += n_trees
-        split_hists: list[np.ndarray] | None = None
         for _depth in range(self.max_depth):
             # -- leaf gating -------------------------------------------
             # A node's positive fraction is the reference's np.mean over
@@ -499,67 +489,25 @@ class HistRandomForestClassifier:
             if not len(open_nodes):
                 break
             n_slots = len(open_nodes)
+            # Only an open node's entries can route anywhere.
+            slot_of_node = np.full(len(level.n), -1, dtype=np.int64)
+            slot_of_node[open_nodes] = np.arange(n_slots)
+            inside = np.flatnonzero(slot_of_node[node] >= 0)
+            node = node[inside]
+            cols = np.take(cols, inside, axis=0)
+            weight, positive = weight[inside], positive[inside]
+            slot = slot_of_node[node]
 
             # -- histograms of the open nodes, scored chunk by chunk ----
-            # Below the roots, count only the smaller child of each
-            # split whose children are not both leaves: its sibling is
-            # the parent minus it, exact on integer counts.  That needs
-            # the parents' histograms, kept while a level's grid fits
-            # the budget; past it a level counts its open nodes whole.
-            if split_hists is None:
-                slot_of_node = np.full(len(level.n), -1, dtype=np.int64)
-                slot_of_node[open_nodes] = np.arange(n_slots)
-                counted = np.flatnonzero(slot_of_node[node] >= 0)
-                counted_slot = slot_of_node[node[counted]]
-                n_counted = n_slots
-            else:
-                wanted = is_open.reshape(-1, 2).any(axis=1)
-                pairs = np.flatnonzero(wanted)
-                pair_slot = np.cumsum(wanted) - 1
-                right_smaller = level.n[1::2] < level.n[0::2]
-                pair = node >> 1
-                counted = np.flatnonzero(
-                    wanted[pair] & ((node & 1) == right_smaller[pair])
-                )
-                counted_slot = pair_slot[pair[counted]]
-                n_counted = len(pairs)
-                open_pair = pair_slot[open_nodes >> 1]
-                is_small = (open_nodes & 1) == right_smaller[open_nodes >> 1]
-                is_small = is_small[:, None, None]
-                open_parent = pairs[open_pair]
-            counted_cols = np.take(cols, counted, axis=0)
-            counted_weight = weight[counted]
-            counted_positive = positive[counted]
-            keep = n_slots * n_columns <= _CHUNK_KEYS
             self.histograms_built += n_slots * binned.n_features
-
             f = fraction[open_nodes]
             parent = 2.0 * f * (1.0 - f)
             n = level.n[open_nodes].astype(np.float64)
             n_pos = level.n_pos[open_nodes].astype(np.float64)
             best = _Best(n_slots)
-            hists = []
-            for c, chunk in enumerate(chunks):
-                hist = _count(
-                    chunk,
-                    counted_cols,
-                    counted_weight,
-                    counted_positive,
-                    counted_slot,
-                    n_counted,
-                )
-                if split_hists is not None:
-                    small = np.take(hist, open_pair, axis=0)
-                    hist = np.where(
-                        is_small,
-                        small,
-                        np.take(split_hists[c], open_parent, axis=0) - small,
-                    )
-                self._score_chunk(
-                    chunk, hist, n, n_pos, parent, rank_of, gamma_of, best
-                )
-                if keep:
-                    hists.append(hist)
+            for chunk in chunks:
+                hist = _count(chunk, cols, weight, positive, slot, n_slots)
+                self._score_chunk(chunk, hist, n, n_pos, parent, best)
 
             # -- split winners, route entries --------------------------
             won = np.flatnonzero(best.gain > _MIN_GAIN)
@@ -571,11 +519,6 @@ class HistRandomForestClassifier:
             level.threshold[nodes] = best.threshold[won]
             level.contribution[nodes] = best.gain[won] * n[won] / per_tree
             self.nodes_grown += 2 * len(won)
-            split_hists = (
-                [np.take(hist, won, axis=0) for hist in hists]
-                if keep
-                else None
-            )
 
             # An entry goes right when its column lies past the cut's.
             child_of_node = np.full(len(level.n), -1, dtype=np.int64)
@@ -614,8 +557,6 @@ class HistRandomForestClassifier:
         n: np.ndarray,
         n_pos: np.ndarray,
         parent: np.ndarray,
-        rank_of: np.ndarray,
-        gamma_of: np.ndarray,
         best: "_Best",
     ) -> None:
         """Score every candidate split of every chunk feature, all slots,
@@ -644,24 +585,26 @@ class HistRandomForestClassifier:
             return
         self.splits_evaluated += len(slots) * _N_THRESHOLDS
 
-        # Candidate thresholds: the order statistics at each quantile's
-        # virtual index, by rank lookup into the node's sorted finite
-        # bins (each (slot, finite bin) cell repeated by its count),
-        # then numpy's _lerp with its gamma >= 0.5 rewrite.
+        # Candidate thresholds: numpy's linear-method virtual index over
+        # the node's finite values, its order statistics by rank lookup
+        # into the node's sorted finite bins (each (slot, finite bin)
+        # cell repeated by its count), then numpy's _lerp with its
+        # gamma >= 0.5 rewrite.
         counts = np.take(hist, chunk.fin_cols, axis=2)
         counts = (counts[:, 0] + counts[:, 1]).astype(np.int64).ravel()
         cells = np.repeat(np.arange(n_slots * nf), counts)
         start = np.cumsum(counts) - counts
         size = n_fin[slots, feats].astype(np.int64)
+        virtual = (size - 1)[:, None] * _QUANTILES
+        below = np.floor(virtual)
+        gamma = virtual - below
         row_base = (slots * nf)[:, None]
-        at = start[slots * nf + chunk.fin_start[feats]][:, None] + rank_of[
-            size
-        ]
+        rank = below.astype(np.int64)
+        at = start[slots * nf + chunk.fin_start[feats]][:, None] + rank
         fin_a = cells[at] - row_base
         fin_b = cells[at + 1] - row_base
         a = chunk.uniq[fin_a]
         b = chunk.uniq[fin_b]
-        gamma = gamma_of[size]
         diff = b - a
         cand = np.where(
             gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma

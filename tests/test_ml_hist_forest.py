@@ -181,8 +181,7 @@ class TestExactTwin:
 
     @pytest.mark.parametrize("budget", [64, 4096])
     def test_small_histogram_budget(self, budget, monkeypatch):
-        # Many feature chunks, and levels too wide to keep their
-        # parents' histograms (counted whole instead of subtracted).
+        # Many feature chunks per level, down to one feature each.
         monkeypatch.setattr("repro.ml.hist_forest._CHUNK_KEYS", budget)
         for seed in range(6):
             X, y = make_matrix(seed, 150, 5)
