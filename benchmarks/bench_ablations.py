@@ -16,11 +16,11 @@ from repro.api import CajadeSession
 from repro.core import (
     CajadeConfig,
     ComparisonQuestion,
-    materialize_apt,
     mine_apt,
 )
 from repro.datasets import user_study_query
 from repro.db import ProvenanceTable, parse_sql
+from repro.engine import MaterializationEngine
 
 from conftest import format_table
 
@@ -46,7 +46,8 @@ def _single_apt(db):
     )
     biggest = max(graphs, key=lambda g: g.num_edges)
     restrict = np.concatenate([resolved.row_ids1, resolved.row_ids2])
-    apt = materialize_apt(biggest, pt, db, restrict_row_ids=restrict)
+    engine = MaterializationEngine(pt, db, cache_mb=0)
+    [(_, apt)] = engine.materialize_iter([biggest], restrict)
     return apt, resolved
 
 

@@ -10,8 +10,8 @@ the paper's grid repeat the exact same materialization work — which is
 the point of the comparison:
 
 - *cache-off*: every cell rebuilds every APT from the provenance table
-  with ``materialize_apt`` — the pre-engine behaviour of the explainer
-  when exploring the Fig. 8 grid;
+  through an engine with no trie (``cache_mb=0``) — no join is shared
+  between graphs or cells;
 - *cache-on*: one :class:`repro.engine.MaterializationEngine` is shared
   across the grid, so graphs extending an already-materialized prefix
   reuse its intermediate join, and re-visited graphs (smaller sweep
@@ -42,7 +42,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro.api import CajadeSession
-from repro.core.apt import materialize_apt
 from repro.core.config import CajadeConfig
 from repro.core.enumeration import enumerate_join_graphs
 from repro.db.parser import parse_sql
@@ -65,6 +64,14 @@ def relations_identical(a: Relation, b: Relation) -> bool:
         elif not np.array_equal(left, right):
             return False
     return True
+
+
+def materialize_all(engine: MaterializationEngine, graphs, restrict) -> list:
+    """``engine``'s APTs of ``graphs``, in input order."""
+    apts: list = [None] * len(graphs)
+    for index, apt in engine.materialize_iter(graphs, restrict):
+        apts[index] = apt
+    return apts
 
 
 def run(args: argparse.Namespace) -> int:
@@ -100,8 +107,8 @@ def run(args: argparse.Namespace) -> int:
     print(f"{len(graphs)} join graphs up to size {args.edges} ({sizes})")
 
     # Warm-up (first-touch allocation and code paths), untimed.
-    for graph in graphs[: min(len(graphs), 40)]:
-        materialize_apt(graph, pt, db, restrict_row_ids=restrict)
+    no_sharing = MaterializationEngine(pt, db, cache_mb=0)
+    materialize_all(no_sharing, graphs[: min(len(graphs), 40)], restrict)
 
     # -- the Fig. 8 (λ#edges x λF1) grid ------------------------------
     # Cache-off and cache-on materialization run back-to-back inside
@@ -114,26 +121,21 @@ def run(args: argparse.Namespace) -> int:
         k: [g for g in graphs if g.num_edges <= k] for k in sweep
     }
 
-    engine = MaterializationEngine(
-        pt, db, restrict_row_ids=restrict, cache_mb=args.cache_mb
-    )
+    engine = MaterializationEngine(pt, db, cache_mb=args.cache_mb)
     off_seconds = {k: 0.0 for k in sweep}
     on_seconds = {k: 0.0 for k in sweep}
     off_apts = on_apts = None
     for _rate in f1_rates:
         for k in sweep:
             start = time.perf_counter()
-            apts = [
-                materialize_apt(g, pt, db, restrict_row_ids=restrict)
-                for g in subsets[k]
-            ]
+            apts = materialize_all(no_sharing, subsets[k], restrict)
             off_seconds[k] += time.perf_counter() - start
             if k == args.edges:
                 off_apts = apts
             del apts
 
             start = time.perf_counter()
-            apts = engine.materialize_many(subsets[k])
+            apts = materialize_all(engine, subsets[k], restrict)
             on_seconds[k] += time.perf_counter() - start
             if k == args.edges:
                 on_apts = apts

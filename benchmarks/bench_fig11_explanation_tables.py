@@ -13,10 +13,10 @@ import pytest
 
 from repro.core import CajadeConfig, JoinConditionSpec, JoinGraph
 from repro.baselines import ExplanationTables, discretize_numeric_columns
-from repro.core.apt import materialize_apt
 from repro.core.quality import QualityEvaluator
 from repro.datasets import user_study_query
 from repro.db import ProvenanceTable, parse_sql
+from repro.engine import MaterializationEngine
 from repro.experiments import et_comparison_experiment
 
 from conftest import format_table
@@ -75,9 +75,8 @@ def test_tab10_et_patterns(benchmark, nba, report):
     pt = ProvenanceTable.compute(query, db)
     resolved = user_study_query().question.resolve(pt)
     restrict = np.concatenate([resolved.row_ids1, resolved.row_ids2])
-    apt = materialize_apt(
-        pgs_join_graph(), pt, db, restrict_row_ids=restrict
-    )
+    engine = MaterializationEngine(pt, db, cache_mb=0)
+    [(_, apt)] = engine.materialize_iter([pgs_join_graph()], restrict)
     evaluator = QualityEvaluator(
         apt, resolved.row_ids1, resolved.row_ids2, sample_rate=1.0
     )

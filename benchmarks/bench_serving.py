@@ -17,8 +17,8 @@ The benchmark replays one seeded zipf-skewed stream through both:
    ``ExplanationService`` over a ``ProcessPoolBackend`` (pool startup
    excluded from the measured window).  Concurrency is governed by the
    **server's** admission control (``--depth`` becomes the service's
-   ``max_in_flight``); shed clients honor ``Retry-After`` and resubmit,
-   as a real client would.
+   per-shard ``max_queue_depth``); shed clients honor ``Retry-After``
+   and resubmit, as a real client would.
 
 It reports sustained qps and p50/p99 latency for both, asserts the
 service is >= ``--min-speedup`` (default 2x) faster, and — the part
@@ -201,7 +201,6 @@ def run_service(db, schema_graph, config, stream, workers, cache_mb, depth):
         async with ExplanationService(
             backend,
             response_cache_mb=cache_mb,
-            max_in_flight=depth,
             max_queue_depth=depth,
         ) as service:
             resubmissions = 0
@@ -328,7 +327,7 @@ def run(args: argparse.Namespace) -> int:
     print(
         f"service ({args.workers} workers, "
         f"{args.response_cache_mb:g}MB response cache, "
-        f"max_in_flight={args.depth}):",
+        f"max_queue_depth={args.depth}):",
         flush=True,
     )
     (
@@ -375,7 +374,7 @@ def run(args: argparse.Namespace) -> int:
         "distinct_requests": len(universe),
         "workers": args.workers,
         "response_cache_mb": args.response_cache_mb,
-        "max_in_flight": args.depth,
+        "max_queue_depth": args.depth,
         "serial": serial,
         "service": service,
         "speedup": round(speedup, 3),
@@ -580,8 +579,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker pool shards (default 2)")
     parser.add_argument("--response-cache-mb", type=float, default=64.0)
     parser.add_argument("--depth", type=int, default=8,
-                        help="server-side max in-flight before shedding "
-                        "(default 8)")
+                        help="server-side per-shard queue bound before "
+                        "shedding (default 8)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--min-speedup", type=float, default=2.0,
                         help="required service/serial throughput ratio")

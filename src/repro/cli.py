@@ -255,7 +255,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 request_timeout=args.request_timeout or None,
                 max_retries=args.max_retries,
                 max_queue_depth=args.max_queue_depth or None,
-                max_in_flight=args.max_in_flight or None,
                 degraded_mode=args.degraded_mode,
             ) as service:
                 server = await serve_http(
@@ -366,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-queue-depth", type=int, default=64,
                      help="per-shard queue bound before shedding with "
                           "429 (default 64; 0 = unbounded)")
-    srv.add_argument("--max-in-flight", type=int, default=256,
-                     help="total backlog bound before shedding with "
-                          "429 (default 256; 0 = unbounded)")
     srv.add_argument("--degraded-mode", choices=["inline", "error"],
                      default="inline",
                      help="quarantined-shard policy: serve inline in "

@@ -1,6 +1,6 @@
 """CaJaDE core: join-graph based rich explanations for query answers."""
 
-from .apt import APTAttribute, AugmentedProvenanceTable, materialize_apt
+from .apt import APTAttribute, AugmentedProvenanceTable
 from .attribute_filter import FilteredAttributes, filter_attributes
 from .config import CajadeConfig
 from .diversity import dissimilarity, match_score, select_diverse_top_k, wscore
@@ -57,7 +57,6 @@ __all__ = [
     "lca_candidates_codes",
     "match_score",
     "MiningKernel",
-    "materialize_apt",
     "mine_apt",
     "MinedPattern",
     "MiningResult",

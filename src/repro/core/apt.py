@@ -7,9 +7,9 @@ joining on index vectors (:class:`~repro.db.frame.IndexFrame`); edges
 closing cycles among visited nodes become post-filters.
 
 Materialization is split into a *canonical plan* (:func:`build_plan`) and
-its execution so :mod:`repro.engine` can cache and share intermediate
-join results across join graphs.  The canonical step order deliberately
-matches the BFS enumeration order of :mod:`repro.core.enumeration`
+its execution, which :mod:`repro.engine` owns so it can cache and share
+intermediate join results across join graphs.  The canonical step order
+deliberately matches the BFS enumeration order of :mod:`repro.core.enumeration`
 (lowest node id first — node ids are assigned in extension order): a join
 graph of size k that extends a size-(k−1) graph Ω' by a fresh node
 produces a plan whose first k−1 join steps are exactly Ω''s plan, which
@@ -37,8 +37,6 @@ from ..db.relation import ColumnEncoding, Relation
 from ..db.types import ColumnType
 from .join_graph import JoinGraph
 
-PT_COLUMN_PREFIX = "prov."
-
 
 @dataclass
 class APTAttribute:
@@ -47,12 +45,6 @@ class APTAttribute:
     name: str
     is_numeric: bool
     from_provenance: bool
-
-    @property
-    def display_name(self) -> str:
-        if self.from_provenance:
-            return f"{PT_COLUMN_PREFIX}{self.name}"
-        return self.name
 
 
 class AugmentedProvenanceTable:
@@ -340,32 +332,6 @@ def restrict_base_frame(
         return frame
     wanted = np.isin(pt.relation.column(PT_ROW_ID), restrict_row_ids)
     return frame.filter_mask(wanted)
-
-
-def materialize_apt(
-    join_graph: JoinGraph,
-    pt: ProvenanceTable,
-    db: Database,
-    restrict_row_ids: np.ndarray | None = None,
-) -> AugmentedProvenanceTable:
-    """Materialize APT(Q, D, Ω) directly (no cross-graph caching).
-
-    ``restrict_row_ids`` limits the provenance side to the rows that
-    matter for a question (the union of t1's and t2's provenance) — the
-    result is then APT(Q, D, Ω, t1) ⊎ APT(Q, D, Ω, t2), which is all the
-    mining pipeline consumes.  :class:`repro.engine.MaterializationEngine`
-    produces identical results while sharing intermediate joins across
-    graphs; both execute the same :func:`build_plan` output on index
-    vectors and return a gather-on-demand APT.
-    """
-    current = restrict_base_frame(pt, restrict_row_ids)
-    plan = build_plan(join_graph, pt)
-    for step in plan.joins:
-        context = db.table(step.table).prefix_columns(f"{step.alias}.")
-        current = current.join(context, list(step.conditions))
-    for step in plan.filters:
-        current = apply_filter_step(current, step)
-    return _wrap_apt(join_graph, pt, current, db)
 
 
 def _key_columns_of(db: Database, table: str) -> set[str]:

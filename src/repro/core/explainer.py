@@ -128,11 +128,11 @@ class ExplanationResult:
             lines.append(f"{rank:2d}. {explanation.describe()}")
         return "\n".join(lines)
 
-    def to_json(self, k: int | None = None, indent: int = 2) -> str:
-        """Serialize the top-k explanations as JSON (for tooling/UIs)."""
-        import json
-
-        payload = {
+    def to_dict(self, k: int | None = None) -> dict:
+        """The top-k explanations and enumeration counts as a
+        JSON-serializable record: everything but the engine counters,
+        which differ between a cold and a warm run of one question."""
+        return {
             "question": self.question.question.describe(),
             "explanations": [e.to_dict() for e in self.top(k)],
             "join_graphs_mined": self.join_graphs_mined,
@@ -144,6 +144,13 @@ class ExplanationResult:
                 "duplicates": self.enumeration.duplicates,
             },
         }
+
+    def to_json(self, k: int | None = None, indent: int = 2) -> str:
+        """:meth:`to_dict` plus the ``apt_cache`` engine counters, as
+        JSON (for tooling/UIs)."""
+        import json
+
+        payload = self.to_dict(k)
         if self.engine is not None:
             payload["apt_cache"] = {
                 "steps_reused": self.engine.steps_reused,

@@ -153,10 +153,6 @@ class Pattern:
             list(self.predicates) + [PatternPredicate(attribute, op, value)]
         )
 
-    def is_refinement_of(self, other: "Pattern") -> bool:
-        """Whether every predicate of ``other`` appears in ``self``."""
-        return set(other._key).issubset(set(self._key))
-
     # ------------------------------------------------------------------
     def match_mask(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """Boolean match mask over row-aligned column arrays."""

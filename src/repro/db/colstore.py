@@ -292,10 +292,6 @@ class ColumnStoreInfo:
     def dicts_loaded(self) -> int:
         return sum(1 for store in self.stores.values() if store.loaded)
 
-    def loaded_tables(self) -> list[str]:
-        return sorted(
-            name for name, store in self.stores.items() if store.loaded
-        )
 
 
 # ----------------------------------------------------------------------

@@ -54,17 +54,6 @@ class Database:
         self._tables[relation.schema.name] = relation
         self._stats_cache.pop(relation.schema.name, None)
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise CatalogError(f"no table named {name!r}")
-        del self._tables[name]
-        self._stats_cache.pop(name, None)
-        self._foreign_keys = [
-            fk
-            for fk in self._foreign_keys
-            if fk.table != name and fk.ref_table != name
-        ]
-
     def table(self, name: str) -> Relation:
         if name not in self._tables:
             raise CatalogError(

@@ -401,80 +401,16 @@ def group_indices(
     return result
 
 
-def _aggregate_value(
-    call: AggregateCall, relation: Relation, indices: np.ndarray
-) -> Any:
-    if call.func == "count" and call.argument is None:
-        return int(len(indices))
-    assert call.argument is not None
-    values = call.argument.values(relation)[indices]
-    if values.dtype == object:
-        non_null = [v for v in values if v is not None]
-        if call.func == "count":
-            return len(non_null)
-        if not non_null:
-            return None
-        if call.func == "min":
-            return min(non_null)
-        if call.func == "max":
-            return max(non_null)
-        raise ExecutionError(
-            f"{call.func.upper()} is not defined on categorical values"
-        )
-    numeric = values.astype(np.float64)
-    valid = numeric[~np.isnan(numeric)]
-    if call.func == "count":
-        return int(len(valid))
-    if len(valid) == 0:
-        return None
-    if call.func == "sum":
-        return float(valid.sum())
-    if call.func == "avg":
-        return float(valid.mean())
-    if call.func == "min":
-        return float(valid.min())
-    return float(valid.max())
-
-
-def _evaluate_select_item(
-    expression: Expression,
-    relation: Relation,
-    indices: np.ndarray,
-) -> Any:
-    """Evaluate a SELECT expression for a single group."""
-    if isinstance(expression, AggregateCall):
-        return _aggregate_value(expression, relation, indices)
-    if isinstance(expression, Literal):
-        return expression.value
-    if isinstance(expression, ColumnRef):
-        values = expression.values(relation)
-        return values[indices[0]]
-    if isinstance(expression, Arithmetic):
-        left = _evaluate_select_item(expression.left, relation, indices)
-        right = _evaluate_select_item(expression.right, relation, indices)
-        if left is None or right is None:
-            return None
-        ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-               "*": lambda a, b: a * b, "/": lambda a, b: a / b}
-        try:
-            return ops[expression.op](left, right)
-        except ZeroDivisionError:
-            return None
-    raise ExecutionError(f"cannot evaluate SELECT expression {expression}")
-
-
 def _vectorized_select_column(
     expression: Expression,
     relation: Relation,
     group_list: list[np.ndarray],
-) -> list[Any] | None:
+) -> list[Any]:
     """Evaluate a SELECT expression for every group at once.
 
-    Element-for-element identical to mapping
-    :func:`_evaluate_select_item` over the groups (same scalar types,
-    same NaN/None semantics); returns ``None`` when a sub-expression
-    needs the per-group loop (object-dtype aggregates, unknown
-    expression kinds), and the caller falls back.
+    An aggregate reduces each group's rows, a column reference takes the
+    group's first row, a literal repeats, and arithmetic combines the
+    per-group scalars (NULL operands and division by zero give NULL).
     """
     if isinstance(expression, AggregateCall):
         return _vectorized_aggregate(expression, relation, group_list)
@@ -492,13 +428,9 @@ def _vectorized_select_column(
         return list(values[firsts])
     if isinstance(expression, Arithmetic):
         left = _vectorized_select_column(expression.left, relation, group_list)
-        if left is None:
-            return None
         right = _vectorized_select_column(
             expression.right, relation, group_list
         )
-        if right is None:
-            return None
         ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
                "*": lambda a, b: a * b, "/": lambda a, b: a / b}
         op = ops[expression.op]
@@ -512,33 +444,30 @@ def _vectorized_select_column(
             except ZeroDivisionError:
                 combined.append(None)
         return combined
-    return None
+    raise ExecutionError(f"cannot evaluate SELECT expression {expression}")
 
 
 def _vectorized_aggregate(
     call: AggregateCall,
     relation: Relation,
     group_list: list[np.ndarray],
-) -> list[Any] | None:
+) -> list[Any]:
     """One aggregate for all groups: column pass + bincount reductions.
 
-    The argument expression evaluates once over the whole working table
-    (the per-group loop re-evaluates it per group), rows concatenate in
-    group-major order, and groups with equal valid counts reduce as the
-    rows of one ``(k, L)`` matrix.  Bit-identical to the per-group
-    loop: each matrix row holds exactly the loop's ``valid``
-    sequence, and numpy's row-wise ``sum``/``mean``/``min``/``max``
-    reduce a contiguous row exactly like the 1-D call (same pairwise
-    blocking).  Returns ``None`` for object-dtype arguments — the
-    per-group loop keeps Python min/max semantics and the
-    not-defined-on-categorical raise.
+    The argument expression evaluates once over the whole working table,
+    rows concatenate in group-major order, and groups with equal valid
+    counts reduce as the rows of one ``(k, L)`` matrix: each matrix row
+    holds exactly one group's non-NaN values in row order, and numpy's
+    row-wise ``sum``/``mean``/``min``/``max`` reduce a contiguous row
+    exactly like the 1-D call (same pairwise blocking).  A group with no
+    valid value aggregates to NULL.  A TEXT (object) argument counts its
+    non-NULL cells, and MIN/MAX reduce the ranks of its sorted distinct
+    non-NULL values; SUM/AVG of a TEXT value is an error.
     """
     if call.func == "count" and call.argument is None:
         return [int(len(indices)) for indices in group_list]
     assert call.argument is not None
     values = call.argument.values(relation)
-    if values.dtype == object:
-        return None
     n_groups = len(group_list)
     if n_groups == 0:
         return []
@@ -548,9 +477,11 @@ def _vectorized_aggregate(
         dtype=np.int64,
         count=n_groups,
     )
+    gid = np.repeat(np.arange(n_groups), lengths)
+    if values.dtype == object:
+        return _text_aggregate(call.func, values[order], gid, n_groups)
     numeric = values.astype(np.float64, copy=False)[order]
     nan_mask = np.isnan(numeric)
-    gid = np.repeat(np.arange(n_groups), lengths)
     counts = np.bincount(gid[~nan_mask], minlength=n_groups)
     if call.func == "count":
         return [int(c) for c in counts]
@@ -577,6 +508,30 @@ def _vectorized_aggregate(
     return out
 
 
+def _text_aggregate(
+    func: str, values: np.ndarray, gid: np.ndarray, n_groups: int
+) -> list[Any]:
+    """COUNT/MIN/MAX of group-major ``str | None`` cells (group ``gid``)."""
+    present = np.not_equal(values, None)
+    counts = np.bincount(gid[present], minlength=n_groups)
+    if func == "count":
+        return counts.tolist()
+    if func not in ("min", "max"):
+        if present.any():
+            raise ExecutionError(
+                f"{func.upper()} is not defined on categorical values"
+            )
+        return [None] * n_groups
+    distinct, rank = np.unique(values[present], return_inverse=True)
+    reduce_at = np.minimum.at if func == "min" else np.maximum.at
+    best = np.full(n_groups, len(distinct) if func == "min" else -1)
+    reduce_at(best, gid[present], rank)
+    return [
+        distinct[r] if c else None
+        for r, c in zip(best.tolist(), counts.tolist())
+    ]
+
+
 def group_columns_in_working(query: Query, work: Relation) -> list[str]:
     """Resolve the query's GROUP BY references to working-table columns."""
     from .expressions import resolve_column
@@ -591,21 +546,15 @@ def aggregate(
     ``groups`` (:func:`group_indices` over the query's GROUP BY columns).
 
     Each SELECT item is evaluated for all groups at once
-    (:func:`_vectorized_select_column`); items that path declines
-    (object-dtype aggregates) run the per-group loop
-    (:func:`_evaluate_select_item`), which is also the definition
-    tests/test_colstore.py holds the vectorized path to.
+    (:func:`_vectorized_select_column`); ``tests/oracles/eager.py``'s
+    ``aggregate_by_definition`` is the per-group definition the tests
+    hold it to.
     """
     group_list = list(groups.values())
-    out_columns: list[list[Any]] = []
-    for item in query.select:
-        col = _vectorized_select_column(item.expression, work, group_list)
-        if col is None:
-            col = [
-                _evaluate_select_item(item.expression, work, indices)
-                for indices in group_list
-            ]
-        out_columns.append(col)
+    out_columns = [
+        _vectorized_select_column(item.expression, work, group_list)
+        for item in query.select
+    ]
     rows: list[list[Any]] = [
         [col[g] for col in out_columns] for g in range(len(group_list))
     ]

@@ -142,27 +142,6 @@ class Query:
     def aliases(self) -> list[str]:
         return [t.alias for t in self.tables]
 
-    @property
-    def group_by_output_names(self) -> list[str]:
-        """Output column names corresponding to group-by expressions."""
-        names = []
-        group_bare = [ref.name.split(".")[-1] for ref in self.group_by]
-        for item in self.select:
-            if contains_aggregate(item.expression):
-                continue
-            refs = item.expression.referenced_columns()
-            if refs and next(iter(refs)).split(".")[-1] in group_bare:
-                names.append(item.alias)
-        return names
-
-    @property
-    def aggregate_output_names(self) -> list[str]:
-        return [
-            item.alias
-            for item in self.select
-            if contains_aggregate(item.expression)
-        ]
-
     def __str__(self) -> str:
         return self.text or (
             "SELECT "

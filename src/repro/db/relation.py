@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import IntegrityError, SchemaError
 from .schema import Column, TableSchema
-from .types import ColumnType, coerce_value, infer_column_type
+from .types import ColumnType, coerce_value
 
 
 def check_text_values(values: Iterable[Any], where: str) -> None:
@@ -243,22 +243,6 @@ class Relation:
         if schema.primary_key:
             relation._check_primary_key()
         return relation
-
-    @classmethod
-    def from_dicts(
-        cls, name: str, records: list[dict[str, Any]],
-        primary_key: tuple[str, ...] = (),
-    ) -> "Relation":
-        """Build a relation from dict records, inferring column types."""
-        if not records:
-            raise SchemaError("cannot infer a schema from zero records")
-        names = list(records[0].keys())
-        columns = []
-        for cname in names:
-            values = [rec.get(cname) for rec in records]
-            columns.append(Column(cname, infer_column_type(values)))
-        schema = TableSchema(name=name, columns=columns, primary_key=primary_key)
-        return cls.from_rows(schema, ([rec.get(c) for c in names] for rec in records))
 
     @classmethod
     def empty(cls, schema: TableSchema) -> "Relation":

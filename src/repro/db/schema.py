@@ -107,12 +107,6 @@ class TableSchema:
     def column_type(self, name: str) -> ColumnType:
         return self.column(name).ctype
 
-    def column_index(self, name: str) -> int:
-        for index, col in enumerate(self.columns):
-            if col.name == name:
-                return index
-        raise SchemaError(f"no column {name!r} in table {self.name!r}")
-
     def rename(self, new_name: str) -> "TableSchema":
         """A copy of this schema under a different table name."""
         return TableSchema(

@@ -1,8 +1,7 @@
 """Shared-prefix APT materialization engine.
 
-:class:`MaterializationEngine` replaces a per-graph
-``materialize_apt`` loop.  It is bound to one provenance table and
-question restriction; for each join graph it builds the canonical
+:class:`MaterializationEngine` is the one way an APT is built.  It is
+bound to one provenance table; for each join graph it builds the canonical
 :class:`~repro.core.apt.MaterializationPlan`, finds the longest plan
 prefix already materialized in its trie, and executes only the missing
 suffix steps.  Because BFS-enumerated join graphs overwhelmingly extend
@@ -24,12 +23,14 @@ hash core).  The trie caches each step's frame int32-compacted
 (:meth:`~repro.db.frame.IndexFrame.compact`), so entries are roughly
 the joined width times smaller than the joined relation and more
 prefixes fit per byte.
-``materialize*`` returns gather-on-demand APTs whose mining kernel reads
-load-time dictionary codes straight off the base tables.
+:meth:`~MaterializationEngine.materialize_iter` yields gather-on-demand
+APTs whose mining kernel reads load-time dictionary codes straight off
+the base tables.  ``cache_mb=0`` is "no sharing": every graph runs its
+whole plan from the base.
 
 An engine can outlive a single question: the question restriction is a
-per-call argument (``restrict_row_ids`` on the ``materialize*`` methods)
-and every trie key is namespaced by a fingerprint of the restriction's
+per-call argument (``restrict_row_ids`` of ``materialize_iter``) and
+every trie key is namespaced by a fingerprint of the restriction's
 row-id *set*, so APTs of different questions coexist in one trie without
 ever aliasing, and re-asking a question hits the prefixes its first run
 left behind.  :class:`repro.api.CajadeSession` relies on this to keep
@@ -41,7 +42,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,10 +62,6 @@ from ..db.relation import Relation
 from .trie import CacheStats, PrefixCache
 
 _MB = 1024 * 1024
-
-# Sentinel distinguishing "argument omitted" (use the engine default)
-# from an explicit ``None`` (no restriction).
-_USE_DEFAULT: Any = object()
 
 # Restricted PT-side bases kept per engine (LRU).  Bases are small
 # (one row-index vector each) but an unbounded memo would leak across the
@@ -180,28 +177,20 @@ class MaterializationEngine:
     Args:
         pt: the provenance table all APTs extend.
         db: the database supplying context relations.
-        restrict_row_ids: default question restriction applied to the PT
-            side when a ``materialize*`` call does not pass its own.
-            Restrictions namespace every cache key (see
-            :func:`restriction_fingerprint`), so one engine can serve
-            many questions without rebuilding its trie.
         cache_mb: memory budget in megabytes for the prefix trie.  0
-            disables caching, making ``materialize`` equivalent to
-            ``materialize_apt``.
+            disables caching: every graph runs its whole plan.
     """
 
     def __init__(
         self,
         pt: ProvenanceTable,
         db: Database,
-        restrict_row_ids: np.ndarray | None = None,
         cache_mb: float = 256.0,
     ):
         if cache_mb < 0:
             raise ValueError("cache_mb must be >= 0")
         self._pt = pt
         self._db = db
-        self._default_restriction = restrict_row_ids
         # Restriction fingerprint -> restricted PT-side base frame.
         # Memoized so re-asked questions reuse the same base object;
         # LRU-bounded so a long-lived engine answering many distinct
@@ -218,15 +207,15 @@ class MaterializationEngine:
 
     # ------------------------------------------------------------------
     def _restriction(
-        self, restrict_row_ids: np.ndarray | None | Any
+        self, restrict_row_ids: np.ndarray | None
     ) -> tuple[tuple | None, IndexFrame]:
-        """Resolve a per-call restriction to (fingerprint, base).
+        """Resolve a restriction to (fingerprint, base).
 
         The base is an index frame over the full PT relation, the
-        restriction being its row vector.
+        restriction being its row vector.  Restrictions namespace every
+        trie key (see :func:`restriction_fingerprint`), so one engine
+        serves many questions without rebuilding its trie.
         """
-        if restrict_row_ids is _USE_DEFAULT:
-            restrict_row_ids = self._default_restriction
         key = restriction_fingerprint(restrict_row_ids)
         base = self._bases.get(key)
         if base is None:
@@ -247,51 +236,17 @@ class MaterializationEngine:
             self._contexts[key] = relation
         return relation
 
-    def materialize(
-        self,
-        join_graph: JoinGraph,
-        restrict_row_ids: np.ndarray | None | Any = _USE_DEFAULT,
-    ) -> AugmentedProvenanceTable:
-        """Materialize APT(Q, D, Ω), reusing the longest cached prefix.
-
-        Produces relations identical (schema, rows, row order,
-        ``__pt_row_id``) to :func:`repro.core.apt.materialize_apt` — both
-        execute the same canonical plan; only the starting point differs.
-        ``restrict_row_ids`` overrides the engine's default restriction
-        for this call (pass ``None`` for an unrestricted APT).
-        """
-        return self._materialize_plan(
-            join_graph,
-            build_plan(join_graph, self._pt),
-            *self._restriction(restrict_row_ids),
-        )
-
-    def materialize_many(
-        self,
-        join_graphs: Sequence[JoinGraph],
-        restrict_row_ids: np.ndarray | None | Any = _USE_DEFAULT,
-    ) -> list[AugmentedProvenanceTable]:
-        """Materialize a batch of join graphs, returned in input order.
-
-        Convenience wrapper over :meth:`materialize_iter`; holds every
-        APT of the batch alive at once, so prefer the iterator when the
-        batch is large and APTs can be consumed one at a time.
-        """
-        results: list[AugmentedProvenanceTable | None] = [None] * len(
-            join_graphs
-        )
-        for index, apt in self.materialize_iter(
-            join_graphs, restrict_row_ids
-        ):
-            results[index] = apt
-        return results  # type: ignore[return-value]
-
     def materialize_iter(
         self,
         join_graphs: Sequence[JoinGraph],
-        restrict_row_ids: np.ndarray | None | Any = _USE_DEFAULT,
+        restrict_row_ids: np.ndarray | None,
     ) -> Iterator[tuple[int, AugmentedProvenanceTable]]:
         """Yield ``(input_index, APT)`` in trie (prefix DFS) order.
+
+        Each APT is APT(Q, D, Ω) with the provenance side limited to
+        ``restrict_row_ids`` (set semantics; ``None`` is every PT row):
+        the union of t1's and t2's provenance, which is all the mining
+        pipeline consumes.
 
         BFS enumeration emits all size-k graphs before any size-(k+1)
         graph, so by the time a graph's extensions arrive its cached

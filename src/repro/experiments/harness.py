@@ -19,7 +19,6 @@ from ..baselines.explanation_tables import (
     ExplanationTables,
     discretize_numeric_columns,
 )
-from ..core.apt import materialize_apt
 from ..core.config import CajadeConfig
 from ..core.explainer import ExplanationResult
 from ..core.join_graph import JoinGraph
@@ -29,10 +28,24 @@ from ..core.timing import StepTimer
 from ..db.database import Database
 from ..db.parser import parse_sql
 from ..db.provenance import ProvenanceTable
+from ..engine import MaterializationEngine
 from ..ml.metrics import ndcg, recall_at_k, top_k_match
 from ..core.schema_graph import SchemaGraph
 from .. import datasets
 from ..datasets.workloads import WorkloadQuery
+
+
+def _question_apt(
+    db: Database, workload: WorkloadQuery, join_graph: JoinGraph
+) -> tuple:
+    """The workload question resolved, and its APT over ``join_graph``
+    restricted to the question's provenance rows."""
+    pt = ProvenanceTable.compute(parse_sql(workload.sql), db)
+    resolved = workload.question.resolve(pt)
+    restrict = np.concatenate([resolved.row_ids1, resolved.row_ids2])
+    engine = MaterializationEngine(pt, db, cache_mb=0)
+    [(_, apt)] = engine.materialize_iter([join_graph], restrict)
+    return resolved, apt
 
 
 def explain_with_breakdown(
@@ -171,11 +184,7 @@ def lca_sampling_experiment(
     from ..core.attribute_filter import SelectionMemo
     from ..core.mining import mine_apt
 
-    query = parse_sql(workload.sql)
-    pt = ProvenanceTable.compute(query, db)
-    resolved = workload.question.resolve(pt)
-    restrict = np.concatenate([resolved.row_ids1, resolved.row_ids2])
-    apt = materialize_apt(join_graph, pt, db, restrict_row_ids=restrict)
+    resolved, apt = _question_apt(db, workload, join_graph)
     # One question, one §3.1 memo, as in a session: the untimed truth
     # run fits the forest and every timed rate reads it back alike.
     memo = SelectionMemo()
@@ -260,11 +269,7 @@ def et_comparison_experiment(
     """
     from ..core.mining import mine_apt
 
-    query = parse_sql(workload.sql)
-    pt = ProvenanceTable.compute(query, db)
-    resolved = workload.question.resolve(pt)
-    restrict = np.concatenate([resolved.row_ids1, resolved.row_ids2])
-    apt = materialize_apt(join_graph, pt, db, restrict_row_ids=restrict)
+    resolved, apt = _question_apt(db, workload, join_graph)
 
     evaluator = QualityEvaluator(
         apt, resolved.row_ids1, resolved.row_ids2, sample_rate=1.0

@@ -14,8 +14,8 @@ The request lifecycle (one ``submit()`` call):
    awaits that computation's future instead of enqueueing a duplicate;
    N concurrent identical requests execute once and fan out.
 3. **Admission control** — a genuinely fresh request is admitted only
-   if its shard queue is below ``max_queue_depth`` and the total
-   backlog below ``max_in_flight``; otherwise it fast-fails with a
+   if its shard queue is below ``max_queue_depth`` (so the total
+   backlog is at most shards × depth); otherwise it fast-fails with a
    structured 429 carrying a ``Retry-After`` estimate (cache hits and
    coalesced joins are never shed — they add no backend work).
 4. **Scheduling** — the admitted request becomes a
@@ -72,14 +72,15 @@ from .scheduler import QueueFullError, Scheduler, Ticket
 def canonical_payload(result: ExplanationResult) -> str:
     """The byte-identity form of one explanation result.
 
-    Strips ``apt_cache`` (per-request engine counters — legitimately
-    different between a cold run and a warm one) and re-serializes with
-    sorted keys and compact separators, so equality of these strings is
-    equality of the *explanations*, not of the execution path.
+    :meth:`ExplanationResult.to_dict` leaves out ``apt_cache``
+    (per-request engine counters — legitimately different between a
+    cold run and a warm one); it is serialized with sorted keys and
+    compact separators, so equality of these strings is equality of the
+    *explanations*, not of the execution path.
     """
-    payload = json.loads(result.to_json())
-    payload.pop("apt_cache", None)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        result.to_dict(), sort_keys=True, separators=(",", ":"), default=str
+    )
 
 
 def request_cache_key(
@@ -242,7 +243,6 @@ class ExplanationService:
         retry_backoff: float = 0.05,
         retry_seed: int = 0,
         max_queue_depth: int | None = 64,
-        max_in_flight: int | None = 256,
         degraded_mode: str = "inline",
     ):
         if response_cache_mb < 0:
@@ -267,7 +267,6 @@ class ExplanationService:
         self._max_retries = max_retries
         self._retry_backoff = retry_backoff
         self._retry_rng = random.Random(retry_seed)
-        self._max_in_flight = max_in_flight
         self._degraded_mode = degraded_mode
         self.stats = ServiceStats(
             cache=self._cache,
@@ -343,17 +342,6 @@ class ExplanationService:
 
         # Admission control: shed before creating any backend work.
         shard = self._scheduler.shard_of(request.fingerprint)
-        if (
-            self._max_in_flight is not None
-            and self._scheduler.depth >= self._max_in_flight
-        ):
-            self.stats.shed()
-            raise ServiceOverloadedError(
-                f"service saturated ({self._scheduler.depth} requests "
-                f"in flight >= max_in_flight={self._max_in_flight})",
-                retry_after=self._retry_after_hint(),
-            )
-
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         ticket = Ticket(request=request, key=key, deadline=deadline)

@@ -119,11 +119,6 @@ class ShardSupervisor:
         with self._lock:
             return self._shards[shard].consecutive_failures
 
-    @property
-    def restarts_total(self) -> int:
-        with self._lock:
-            return sum(h.restarts for h in self._shards)
-
     def snapshot(self) -> dict:
         """A JSON-ready health view for ``GET /stats``."""
         with self._lock:

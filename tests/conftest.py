@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.apt import APTAttribute, AugmentedProvenanceTable
+from repro.core.join_graph import JoinGraph
 from repro.core.kernel import MiningKernel
 from repro.core.schema_graph import SchemaGraph
 from repro.db import ColumnType, Database, Relation, TableSchema
+from repro.db.provenance import ProvenanceTable
+from repro.engine import MaterializationEngine
 
 
 @pytest.fixture(scope="session")
@@ -139,6 +142,29 @@ def kernel_verify(monkeypatch) -> list[int]:
     from tests.oracles import coverage
 
     return coverage.cross_check(monkeypatch)
+
+
+def engine_apts(
+    engine: MaterializationEngine,
+    join_graphs: list[JoinGraph],
+    restrict_row_ids: np.ndarray | None = None,
+) -> list[AugmentedProvenanceTable]:
+    """``engine``'s APTs of ``join_graphs``, in input order."""
+    apts: list = [None] * len(join_graphs)
+    for index, apt in engine.materialize_iter(join_graphs, restrict_row_ids):
+        apts[index] = apt
+    return apts
+
+
+def engine_apt(
+    join_graph: JoinGraph,
+    pt: ProvenanceTable,
+    db: Database,
+    restrict_row_ids: np.ndarray | None = None,
+) -> AugmentedProvenanceTable:
+    """APT(Q, D, Ω) from a fresh engine with no trie."""
+    engine = MaterializationEngine(pt, db, cache_mb=0)
+    return engine_apts(engine, [join_graph], restrict_row_ids)[0]
 
 
 def apt_of(columns: dict[str, np.ndarray]) -> AugmentedProvenanceTable:

@@ -9,7 +9,8 @@ One module per layer that has a single execution path in ``src/``:
 - ``selection``   — §3.1 with a fresh memo per join graph (vs the memo the
   graphs of a question share);
 - ``eager``       — column-copying joins and σ(R_1 × … × R_p) (vs the
-  index-vector pipeline);
+  index-vector pipeline), and the per-group aggregate (vs the executor's
+  all-groups-at-once pass);
 - ``csv_cells``   — CSV ingest with every cell parsed on its own (vs the
   column casts and per-distinct parsing of ``db/csvio.py``).
 

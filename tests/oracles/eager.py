@@ -10,10 +10,13 @@ oracles compute the same tables the way the definitions read:
   ``join_row_indices``);
 - :func:`materialize_eager` executes a join graph's canonical plan with
   :func:`hash_join` on full relations, zipping every column at every
-  step (the pipeline ``materialize_apt`` ran before late
-  materialization became the only path);
+  step (the APT pipeline before late materialization became the only
+  path);
 - :func:`provenance_by_definition` is PT(Q, D) = σ_θ(R_1 × … × R_p), the
   filtered cross product of paper §2.1, with no join planning at all;
+- :func:`aggregate_by_definition` evaluates every SELECT item one group
+  at a time with Python ``min``/``max`` and numpy's 1-D reductions (the
+  executor evaluates each item for all groups at once);
 - :class:`EagerEngine` stands in for the session's
   ``MaterializationEngine`` so whole questions can be answered over
   relation-backed APTs (no trie, no frames, per-APT re-encoding).
@@ -21,7 +24,7 @@ oracles compute the same tables the way the definitions read:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -32,9 +35,11 @@ from repro.db.errors import ExecutionError
 from repro.db.executor import join_row_indices
 from repro.db.frame import IndexFrame
 from repro.db.provenance import PT_ROW_ID, ProvenanceTable
-from repro.db.query import Query
+from repro.db.expressions import Arithmetic, ColumnRef, Expression, Literal
+from repro.db.query import AggregateCall, Query
 from repro.db.relation import Relation
-from repro.db.schema import TableSchema
+from repro.db.schema import Column, TableSchema
+from repro.db.types import infer_column_type
 from repro.engine import CacheStats, EngineStats
 
 
@@ -147,6 +152,89 @@ def provenance_by_definition(query: Query, db: Database) -> Relation:
     if query.where is None:
         return product
     return product.filter_mask(query.where.mask(product))
+
+
+def _aggregate_one_group(
+    call: AggregateCall, relation: Relation, indices: np.ndarray
+) -> Any:
+    if call.func == "count" and call.argument is None:
+        return int(len(indices))
+    assert call.argument is not None
+    values = call.argument.values(relation)[indices]
+    if values.dtype == object:
+        non_null = [v for v in values if v is not None]
+        if call.func == "count":
+            return len(non_null)
+        if not non_null:
+            return None
+        if call.func == "min":
+            return min(non_null)
+        if call.func == "max":
+            return max(non_null)
+        raise ExecutionError(
+            f"{call.func.upper()} is not defined on categorical values"
+        )
+    numeric = values.astype(np.float64)
+    valid = numeric[~np.isnan(numeric)]
+    if call.func == "count":
+        return int(len(valid))
+    if len(valid) == 0:
+        return None
+    if call.func == "sum":
+        return float(valid.sum())
+    if call.func == "avg":
+        return float(valid.mean())
+    if call.func == "min":
+        return float(valid.min())
+    return float(valid.max())
+
+
+def _item_one_group(
+    expression: Expression, relation: Relation, indices: np.ndarray
+) -> Any:
+    """One SELECT expression for a single group."""
+    if isinstance(expression, AggregateCall):
+        return _aggregate_one_group(expression, relation, indices)
+    if isinstance(expression, Literal):
+        return expression.value
+    if isinstance(expression, ColumnRef):
+        return expression.values(relation)[indices[0]]
+    if isinstance(expression, Arithmetic):
+        left = _item_one_group(expression.left, relation, indices)
+        right = _item_one_group(expression.right, relation, indices)
+        if left is None or right is None:
+            return None
+        ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+               "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+        try:
+            return ops[expression.op](left, right)
+        except ZeroDivisionError:
+            return None
+    raise ExecutionError(f"cannot evaluate SELECT expression {expression}")
+
+
+def aggregate_by_definition(
+    query: Query, work: Relation, groups: dict[tuple, np.ndarray]
+) -> Relation:
+    """``executor.aggregate`` with every SELECT item evaluated one group
+    at a time: one result row per group, typed by its values, ordered by
+    the columns that hold no NULL when the query groups."""
+    rows = [
+        [_item_one_group(item.expression, work, indices)
+         for item in query.select]
+        for indices in groups.values()
+    ]
+    columns = [
+        Column(item.alias, infer_column_type([row[pos] for row in rows]))
+        for pos, item in enumerate(query.select)
+    ]
+    result = Relation.from_rows(TableSchema("result", columns), rows)
+    if not query.group_by:
+        return result
+    return result.sort_by([
+        c.name for c in columns
+        if not any(v is None for v in result.column(c.name))
+    ])
 
 
 class EagerEngine:

@@ -15,11 +15,11 @@ byte range the column cannot hold, fails closed: ``open`` raises a
 ``SchemaError`` naming ``<table>.bin`` and the column instead of opening
 a shorter or reinterpreted column.
 
-Also holds the vectorized-encoding and vectorized-aggregate parity
-properties (this PR's load-path and executor satellites):
+Also holds the vectorized-encoding and aggregate parity properties:
 ``encoding_from_distinct`` must reproduce ``encode_object_column``
-exactly, and ``aggregate``'s vectorized items must match its per-group
-loop byte for byte.
+exactly, and ``aggregate`` (every SELECT item for all groups at once)
+must match ``tests/oracles/eager.py``'s per-group
+``aggregate_by_definition`` byte for byte, or raise the same error.
 
 CI runs this file under the deterministic raised-example profile
 (``HYPOTHESIS_PROFILE=ci``), like the join differential harness.
@@ -41,8 +41,9 @@ from repro.db import ColumnType, Relation, TableSchema
 from repro.db.colstore import LazyObjectColumn, open_columnar, save_columnar
 from repro.db.database import Database
 from repro.db.frame import IndexFrame
-from repro.db.errors import SchemaError
+from repro.db.errors import ExecutionError, SchemaError
 from repro.db.relation import encode_object_column, encoding_from_distinct
+from tests.oracles.eager import aggregate_by_definition
 from tests.test_engine import assert_relations_identical
 
 settings.register_profile(
@@ -113,7 +114,11 @@ class TestLazyDictionaries:
         assert reopened.column_store.dicts_loaded == 0
         # An object-value gather loads exactly its own table's dictionaries.
         reopened.table("t").column("t.s")
-        assert reopened.column_store.loaded_tables() == ["t"]
+        assert [
+            name
+            for name, store in reopened.column_store.stores.items()
+            if store.loaded
+        ] == ["t"]
 
     @pytest.mark.parametrize("dataset", ["nba", "mimic"])
     def test_statistics_read_no_dictionary(
@@ -427,13 +432,22 @@ class TestEncodingFromDistinct:
 
 
 # ----------------------------------------------------------------------
-# Vectorized aggregate (satellite: bincount group reductions)
+# The aggregate against its per-group definition
 # ----------------------------------------------------------------------
-class TestVectorizedAggregate:
-    def _run(self, sql: str, db: Database):
-        """(aggregate, aggregate with every item on the per-group loop)."""
-        from unittest import mock
+AGGREGATE_ITEMS = st.sampled_from([
+    "COUNT(*)", "COUNT(k)", "COUNT(x)", "COUNT(s)",
+    "SUM(k)", "SUM(x)", "SUM(s)", "AVG(k)", "AVG(x)", "AVG(s)",
+    "MIN(k)", "MIN(x)", "MIN(s)", "MAX(k)", "MAX(x)", "MAX(s)",
+    "SUM(x) / COUNT(x)", "MAX(k) - MIN(x)", "2 * COUNT(*) + 1",
+    "1.0 * SUM(k) / COUNT(s)", "7", "'lit'",
+])
 
+
+class TestVectorizedAggregate:
+    def _run(self, sql: str, db: Database) -> Relation | None:
+        """``aggregate`` ≡ the per-group definition (the same relation, or
+        the same ``ExecutionError``); returns the definition's relation,
+        or None when it raised."""
         from repro.db import executor
         from repro.db.parser import parse_sql
 
@@ -442,14 +456,16 @@ class TestVectorizedAggregate:
         groups = executor.group_indices(
             work, executor.group_columns_in_working(query, work)
         )
-        vectorized = executor.aggregate(query, work, groups)
-        # Declining every item sends it down the live per-item fallback:
-        # _evaluate_select_item mapped over the groups.
-        with mock.patch.object(
-            executor, "_vectorized_select_column", return_value=None
-        ):
-            looped = executor.aggregate(query, work, groups)
-        return vectorized, looped
+        try:
+            expected = aggregate_by_definition(query, work, groups)
+        except ExecutionError as exc:
+            with pytest.raises(ExecutionError, match=re.escape(str(exc))):
+                executor.aggregate(query, work, groups)
+            return None
+        assert_relations_identical(
+            executor.aggregate(query, work, groups), expected
+        )
+        return expected
 
     def _db(self, rows) -> Database:
         return _database([_table("t", rows)])
@@ -465,13 +481,12 @@ class TestVectorizedAggregate:
 
     def test_golden_all_aggregates(self):
         db = self._db(self.GOLDEN_ROWS)
-        vec, ref = self._run(
+        ref = self._run(
             "SELECT s, COUNT(*) AS n, COUNT(x) AS nx, SUM(x) AS sx, "
             "AVG(x) AS ax, MIN(x) AS mn, MAX(x) AS mx "
             "FROM t GROUP BY s",
             db,
         )
-        assert_relations_identical(vec, ref)
         by_s = {
             row[0]: row[1:]
             for row in zip(*(ref.column(c) for c in ref.column_names))
@@ -485,26 +500,35 @@ class TestVectorizedAggregate:
 
     def test_golden_arithmetic_and_literal(self):
         db = self._db(self.GOLDEN_ROWS)
-        vec, ref = self._run(
+        assert self._run(
             "SELECT s, SUM(x) / COUNT(x) AS manual_avg, 7 AS lucky "
             "FROM t GROUP BY s",
             db,
-        )
-        assert_relations_identical(vec, ref)
+        ) is not None
 
     def test_ungrouped_aggregate(self):
         db = self._db(self.GOLDEN_ROWS)
-        vec, ref = self._run("SELECT COUNT(*) AS n, AVG(x) AS ax FROM t", db)
-        assert_relations_identical(vec, ref)
+        assert self._run(
+            "SELECT COUNT(*) AS n, AVG(x) AS ax FROM t", db
+        ) is not None
 
-    def test_object_min_max_falls_back(self):
+    def test_text_count_min_max(self):
         db = self._db(self.GOLDEN_ROWS)
-        vec, ref = self._run(
+        ref = self._run(
             "SELECT k, MIN(s) AS mn, MAX(s) AS mx, COUNT(s) AS n "
             "FROM t GROUP BY k",
             db,
         )
-        assert_relations_identical(vec, ref)
+        assert ref.column("mn").tolist()[:3] == ["a", "b", "c"]
+        assert ref.column("n").tolist()[:3] == [2, 2, 1]
+
+    def test_text_sum_is_an_error(self):
+        db = self._db(self.GOLDEN_ROWS)
+        assert self._run("SELECT k, SUM(s) AS n FROM t GROUP BY k", db) is None
+        # An all-NULL argument has nothing to add: NULL, as by definition.
+        db = self._db([(1, 1.0, None), (2, 2.0, None)])
+        ref = self._run("SELECT k, AVG(s) AS n FROM t GROUP BY k", db)
+        assert ref.column("n").tolist() == [None, None]
 
     @given(
         rows=st.lists(
@@ -527,9 +551,38 @@ class TestVectorizedAggregate:
     )
     def test_property_parity(self, rows):
         db = self._db(rows)
-        vec, ref = self._run(
+        assert self._run(
             "SELECT k, COUNT(*) AS n, SUM(x) AS sx, AVG(x) AS ax, "
             "MIN(x) AS mn, MAX(x) AS mx FROM t GROUP BY k",
             db,
-        )
-        assert_relations_identical(vec, ref)
+        ) is not None
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.integers(min_value=-2, max_value=3)),
+                st.one_of(
+                    st.none(),
+                    st.just(math.nan),
+                    st.sampled_from([-1.5, 0.0, 2.0, 1e6]),
+                ),
+                st.one_of(
+                    st.none(), st.sampled_from(["a", "b", "", "a\x00", "é"])
+                ),
+            ),
+            max_size=30,
+        ),
+        items=st.lists(AGGREGATE_ITEMS, min_size=1, max_size=4),
+        group_by=st.sampled_from([(), ("k",), ("s",), ("k", "s")]),
+    )
+    def test_property_matches_definition(self, rows, items, group_by):
+        """Every aggregate over INT, FLOAT and TEXT arguments (NULL and
+        NaN cells, all-NULL groups, empty tables), arithmetic and
+        literals, grouped and ungrouped."""
+        select = list(group_by) + [
+            f"{item} AS a{i}" for i, item in enumerate(items)
+        ]
+        sql = f"SELECT {', '.join(select)} FROM t"
+        if group_by:
+            sql += f" GROUP BY {', '.join(group_by)}"
+        self._run(sql, self._db(rows))

@@ -8,10 +8,9 @@ from repro.core import (
     ComparisonQuestion,
     QualityEvaluator,
     filter_attributes,
-    materialize_apt,
 )
 from repro.db import ProvenanceTable, parse_sql
-from tests.conftest import GSW_WINS_SQL
+from tests.conftest import GSW_WINS_SQL, engine_apt
 from tests.test_core_apt import star_join_graph
 
 
@@ -22,7 +21,7 @@ def setup(mini_db):
         {"season": "2015-16"}, {"season": "2012-13"}
     )
     resolved = question.resolve(pt)
-    apt = materialize_apt(star_join_graph(), pt, mini_db)
+    apt = engine_apt(star_join_graph(), pt, mini_db)
     evaluator = QualityEvaluator(apt, resolved.row_ids1, resolved.row_ids2)
     return apt, evaluator
 
@@ -134,7 +133,7 @@ class TestGroupDeterminedGuard:
         from repro.db import ColumnType, Database, ProvenanceTable, TableSchema, parse_sql
         from repro.core import (
             CajadeConfig, ComparisonQuestion, QualityEvaluator,
-            filter_attributes, materialize_apt,
+            filter_attributes,
         )
         from repro.core.join_graph import JoinGraph
 
@@ -165,7 +164,7 @@ class TestGroupDeterminedGuard:
         resolved = ComparisonQuestion(
             {"season": "s1"}, {"season": "s2"}
         ).resolve(pt)
-        apt = materialize_apt(JoinGraph.initial({"game": "game"}), pt, db)
+        apt = engine_apt(JoinGraph.initial({"game": "game"}), pt, db)
         evaluator = QualityEvaluator(
             apt, resolved.row_ids1, resolved.row_ids2
         )

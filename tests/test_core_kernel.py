@@ -24,7 +24,6 @@ from repro.core import (
     Pattern,
     PatternPredicate,
     QualityEvaluator,
-    materialize_apt,
     mine_apt,
 )
 from repro.core.apt import APTAttribute, AugmentedProvenanceTable
@@ -32,7 +31,7 @@ from repro.core.pattern import OP_EQ, OP_GE, OP_LE
 from repro.core.timing import MINING_LEVELS, PATTERNS_EXAMINED, StepTimer
 from repro.db import ColumnType, ProvenanceTable, TableSchema, parse_sql
 from repro.db.relation import Relation
-from tests.conftest import GSW_WINS_SQL, kernel_of
+from tests.conftest import GSW_WINS_SQL, engine_apt, kernel_of
 from tests.oracles import coverage as coverage_oracle
 from tests.oracles import lca as lca_oracle
 from tests.oracles import mining as mining_oracle
@@ -387,7 +386,7 @@ def mined_setup(mini_db):
         {"season": "2015-16"}, {"season": "2012-13"}
     )
     resolved = question.resolve(pt)
-    apt = materialize_apt(star_join_graph(), pt, mini_db)
+    apt = engine_apt(star_join_graph(), pt, mini_db)
     return apt, resolved
 
 

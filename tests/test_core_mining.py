@@ -6,12 +6,11 @@ import pytest
 from repro.core import (
     CajadeConfig,
     ComparisonQuestion,
-    materialize_apt,
     mine_apt,
 )
 from repro.core.timing import F_SCORE_CALC, StepTimer
 from repro.db import ProvenanceTable, parse_sql
-from tests.conftest import GSW_WINS_SQL
+from tests.conftest import GSW_WINS_SQL, engine_apt
 from tests.test_core_apt import star_join_graph
 
 
@@ -22,7 +21,7 @@ def setup(mini_db):
         {"season": "2015-16"}, {"season": "2012-13"}
     )
     resolved = question.resolve(pt)
-    apt = materialize_apt(star_join_graph(), pt, mini_db)
+    apt = engine_apt(star_join_graph(), pt, mini_db)
     return apt, resolved
 
 

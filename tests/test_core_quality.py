@@ -10,11 +10,10 @@ from repro.core import (
     Pattern,
     QualityEvaluator,
     QualityStats,
-    materialize_apt,
 )
 from repro.core.pattern import OP_EQ, OP_GE
 from repro.db import ProvenanceTable, parse_sql
-from tests.conftest import GSW_WINS_SQL
+from tests.conftest import GSW_WINS_SQL, engine_apt
 from tests.test_core_apt import star_join_graph
 
 
@@ -25,7 +24,7 @@ def setup(mini_db):
         {"season": "2015-16"}, {"season": "2012-13"}
     )
     resolved = question.resolve(pt)
-    apt = materialize_apt(star_join_graph(), pt, mini_db)
+    apt = engine_apt(star_join_graph(), pt, mini_db)
     return apt, resolved
 
 
@@ -105,7 +104,7 @@ class TestEvaluator:
             {"season": "2015-16"}, {"season": "2012-13"}
         )
         resolved = question.resolve(pt)
-        apt = materialize_apt(star_join_graph(), pt, mini_db)
+        apt = engine_apt(star_join_graph(), pt, mini_db)
         # Restrict via a pattern that matches nothing:
         evaluator = QualityEvaluator(apt, resolved.row_ids1, resolved.row_ids2)
         impossible = Pattern.from_dict({"player_game.pts": (OP_GE, 10_000)})

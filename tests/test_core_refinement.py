@@ -59,7 +59,7 @@ class TestRefinementGenerator:
         assert refs
         for r in refs:
             assert r.size == 2
-            assert r.is_refinement_of(base)
+            assert set(base.predicates) <= set(r.predicates)
 
     def test_vacuous_extremes_skipped(self):
         gen, _ = self.make(num_fragments=3)

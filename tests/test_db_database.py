@@ -60,16 +60,6 @@ class TestCatalog:
         db.add_relation(replacement, replace=True)
         assert db.table("team").num_rows == 1
 
-    def test_drop_table(self, db):
-        db.add_foreign_key("game", ("winner_id",), "team", ("team_id",))
-        db.drop_table("game")
-        assert not db.has_table("game")
-        assert db.foreign_keys == []
-
-    def test_drop_missing(self, db):
-        with pytest.raises(CatalogError):
-            db.drop_table("nope")
-
     def test_total_rows(self, db):
         assert db.total_rows() == 5
 

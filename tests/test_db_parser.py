@@ -28,8 +28,8 @@ class TestBasicParsing:
             "GROUP BY s.season_name"
         )
         assert len(q.tables) == 4
-        assert q.aggregate_output_names == ["avg_pts"]
-        assert q.group_by_output_names == ["season_name"]
+        assert [i.alias for i in q.select] == ["avg_pts", "season_name"]
+        assert [r.name for r in q.group_by] == ["s.season_name"]
 
     def test_arithmetic_over_aggregates(self):
         q = parse_sql(

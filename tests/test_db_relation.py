@@ -41,17 +41,6 @@ class TestConstruction:
         assert rel.column("a").dtype == np.float64
         assert np.isnan(rel.column("a")[1])
 
-    def test_from_dicts_infers_types(self):
-        rel = Relation.from_dicts(
-            "t", [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        )
-        assert rel.column_type("a") == ColumnType.INT
-        assert rel.column_type("b") == ColumnType.TEXT
-
-    def test_from_dicts_empty_raises(self):
-        with pytest.raises(SchemaError):
-            Relation.from_dicts("t", [])
-
     def test_empty_relation(self):
         schema = TableSchema.build("t", {"a": ColumnType.INT})
         rel = Relation.empty(schema)

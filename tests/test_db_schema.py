@@ -57,7 +57,6 @@ class TestTableSchema:
         schema = self.build()
         assert schema.column("home").ctype == ColumnType.TEXT
         assert schema.column_type("year") == ColumnType.INT
-        assert schema.column_index("home") == 1
         assert schema.has_column("year")
         assert not schema.has_column("nope")
 

@@ -14,7 +14,7 @@ from repro.db import ColumnType, Relation, TableSchema
 from repro.db.parser import parse_sql
 from repro.db.provenance import ProvenanceTable
 from repro.engine import MaterializationEngine, PrefixCache
-from tests.conftest import GSW_WINS_SQL
+from tests.conftest import GSW_WINS_SQL, engine_apts
 from tests.oracles.eager import eager_apt, hash_join, materialize_eager
 
 QUESTION = ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"})
@@ -253,12 +253,9 @@ class TestPlanPrefixInvariant:
 class TestMaterializationEngine:
     def test_identical_to_direct(self, mini_db):
         pt, restrict, graphs = _pipeline(mini_db)
-        engine = MaterializationEngine(
-            pt, mini_db, restrict_row_ids=restrict, cache_mb=64.0
-        )
-        for g in graphs:
+        engine = MaterializationEngine(pt, mini_db, cache_mb=64.0)
+        for g, cached in zip(graphs, engine_apts(engine, graphs, restrict)):
             direct = eager_apt(g, pt, mini_db, restrict_row_ids=restrict)
-            cached = engine.materialize(g)
             assert_relations_identical(direct.relation, cached.relation)
             assert [a.name for a in direct.attributes] == [
                 a.name for a in cached.attributes
@@ -267,58 +264,49 @@ class TestMaterializationEngine:
     def test_identical_under_tiny_cache(self, mini_db):
         """Evictions must never change results."""
         pt, restrict, graphs = _pipeline(mini_db)
-        engine = MaterializationEngine(
-            pt, mini_db, restrict_row_ids=restrict, cache_mb=0.002
-        )
+        engine = MaterializationEngine(pt, mini_db, cache_mb=0.002)
         for g in graphs:
             direct = materialize_eager(
                 g, pt, mini_db, restrict_row_ids=restrict
             )
-            assert_relations_identical(
-                direct, engine.materialize(g).relation
-            )
+            [apt] = engine_apts(engine, [g], restrict)
+            assert_relations_identical(direct, apt.relation)
 
     def test_zero_cache_equivalent(self, mini_db):
         pt, restrict, graphs = _pipeline(mini_db)
-        engine = MaterializationEngine(
-            pt, mini_db, restrict_row_ids=restrict, cache_mb=0.0
-        )
+        engine = MaterializationEngine(pt, mini_db, cache_mb=0.0)
         for g in graphs[:5]:
             direct = materialize_eager(
                 g, pt, mini_db, restrict_row_ids=restrict
             )
-            assert_relations_identical(
-                direct, engine.materialize(g).relation
-            )
+            [apt] = engine_apts(engine, [g], restrict)
+            assert_relations_identical(direct, apt.relation)
         # apt_cache_mb=0 must mean genuinely no caching: a repeat
         # materialization recomputes every step.
         sized = [g for g in graphs if g.num_edges > 0][0]
-        engine.materialize(sized)
-        engine.materialize(sized)
+        engine_apts(engine, [sized, sized], restrict)
         stats = engine.stats
         assert stats.steps_reused == 0
         assert stats.full_hits == 0
         assert stats.cache is not None and stats.cache.insertions == 0
 
     def test_materialize_many_preserves_order(self, mini_db):
+        """A batch yields every input index once, with its own graph, so
+        callers can reassemble input order from trie order."""
         pt, restrict, graphs = _pipeline(mini_db)
-        engine = MaterializationEngine(
-            pt, mini_db, restrict_row_ids=restrict, cache_mb=64.0
-        )
-        batch = engine.materialize_many(graphs)
-        assert len(batch) == len(graphs)
-        for g, apt in zip(graphs, batch):
-            assert apt.join_graph is g
+        engine = MaterializationEngine(pt, mini_db, cache_mb=64.0)
+        yielded = list(engine.materialize_iter(graphs, restrict))
+        assert sorted(i for i, _ in yielded) == list(range(len(graphs)))
+        for index, apt in yielded:
+            assert apt.join_graph is graphs[index]
 
     def test_repeat_materialization_hits_cache(self, mini_db):
         pt, restrict, graphs = _pipeline(mini_db)
-        engine = MaterializationEngine(
-            pt, mini_db, restrict_row_ids=restrict, cache_mb=64.0
-        )
+        engine = MaterializationEngine(pt, mini_db, cache_mb=64.0)
         sized = [g for g in graphs if g.num_edges > 0]
-        engine.materialize(sized[0])
+        engine_apts(engine, sized[:1], restrict)
         before = engine.stats.full_hits
-        engine.materialize(sized[0])
+        engine_apts(engine, sized[:1], restrict)
         assert engine.stats.full_hits == before + 1
 
     def test_prefix_sharing_fires(self, mini_db):
@@ -332,23 +320,19 @@ class TestMaterializationEngine:
         # fresh-node extension shares the chain's whole plan as prefix.
         parent = [g for g in graphs if g.num_edges > 0][0]
         batch = [parent] + extend_join_graph(parent, sg, query)
-        engine = MaterializationEngine(
-            pt, mini_db, restrict_row_ids=restrict, cache_mb=64.0
-        )
-        engine.materialize_many(batch)
+        engine = MaterializationEngine(pt, mini_db, cache_mb=64.0)
+        apts = engine_apts(engine, batch, restrict)
         stats = engine.stats
         assert stats.steps_reused > 0
         assert stats.steps_computed > 0
         assert stats.cache is not None and stats.cache.insertions > 0
 
         # Direct materialization agrees on every extension too.
-        for g in batch:
+        for g, apt in zip(batch, apts):
             direct = materialize_eager(
                 g, pt, mini_db, restrict_row_ids=restrict
             )
-            assert_relations_identical(
-                direct, engine.materialize(g).relation
-            )
+            assert_relations_identical(direct, apt.relation)
 
     def test_negative_cache_rejected(self, mini_db):
         pt, restrict, _ = _pipeline(mini_db)
@@ -357,10 +341,8 @@ class TestMaterializationEngine:
 
     def test_stats_describe_renders(self, mini_db):
         pt, restrict, graphs = _pipeline(mini_db)
-        engine = MaterializationEngine(
-            pt, mini_db, restrict_row_ids=restrict
-        )
-        engine.materialize_many(graphs[:3])
+        engine = MaterializationEngine(pt, mini_db)
+        engine_apts(engine, graphs[:3], restrict)
         text = engine.stats.describe()
         assert "apt cache" in text
         assert "steps reused" in text

@@ -1,8 +1,8 @@
 """The join core against the definition of an equi-join.
 
-Every APT plan join step — in ``MaterializationEngine`` and in
-``materialize_apt`` alike — is :meth:`IndexFrame.join`, the
-``join_row_indices`` hash core on index vectors.  Over generated
+Every APT plan join step of ``MaterializationEngine`` is
+:meth:`IndexFrame.join`, the ``join_row_indices`` hash core on index
+vectors.  Over generated
 adversarial relation pairs — NULL keys (``None`` → NaN-promoted ints),
 ``-1`` sentinel keys, float NaN, mixed int/float keys beyond 2**53,
 empty sides, self-joins, duplicate-heavy domains, single-row and

@@ -6,8 +6,8 @@ Covered:
 
 - index-vector joins ≡ eager joins (hypothesis: NULL join keys, empty
   results, self-joins, multi-column keys);
-- the working table ≡ σ(R_1 × … × R_p), engine and direct APTs ≡ the
-  eager plan execution;
+- the working table ≡ σ(R_1 × … × R_p), cached and uncached engine APTs
+  ≡ the eager plan execution;
 - gather-built kernel codes ≡ per-APT re-encoded codes (masks,
   coverage, ml codes);
 - full-pipeline byte-identity between sessions on frame-backed APTs and
@@ -28,11 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.apt import (
-    AugmentedProvenanceTable,
-    build_plan,
-    materialize_apt,
-)
+from repro.core.apt import AugmentedProvenanceTable, build_plan
 from repro.core.config import CajadeConfig
 from repro.core.enumeration import enumerate_join_graphs
 from repro.core.pattern import OP_EQ, Pattern, PatternPredicate
@@ -52,7 +48,7 @@ PLAYER_POINTS_SQL = (
     "AND pg.gameno = g.gameno AND g.winner = 'GSW' "
     "GROUP BY p.player_name, g.season"
 )
-from tests.conftest import GSW_WINS_SQL
+from tests.conftest import GSW_WINS_SQL, engine_apt, engine_apts
 from tests.oracles import coverage as coverage_oracle
 from tests.oracles import eager
 from tests.oracles.eager import hash_join
@@ -261,8 +257,7 @@ class TestEngineLateMaterialization:
     def test_late_engine_matches_eager_engine(self, mini_db):
         pt, graphs = _pipeline(mini_db)
         late = MaterializationEngine(pt, mini_db)
-        for graph in graphs:
-            a = late.materialize(graph)
+        for graph, a in zip(graphs, engine_apts(late, graphs)):
             b = eager.eager_apt(graph, pt, mini_db)
             # The eager APT is one gathered relation under the identity
             # frame; the engine's is index vectors over base tables.
@@ -275,18 +270,21 @@ class TestEngineLateMaterialization:
             assert a.excluded_attributes == b.excluded_attributes
 
     def test_late_engine_matches_direct_materialize_apt(self, mini_db):
+        """Direct materialization is the engine with no trie; sharing
+        prefixes through the trie changes no APT."""
         pt, graphs = _pipeline(mini_db)
-        engine = MaterializationEngine(pt, mini_db)
-        for graph in graphs:
-            direct = materialize_apt(graph, pt, mini_db)
-            cached = engine.materialize(graph)
-            assert_relations_identical(direct.relation, cached.relation)
+        cached = engine_apts(MaterializationEngine(pt, mini_db), graphs)
+        for graph, apt in zip(graphs, cached):
+            direct = engine_apt(graph, pt, mini_db)
+            assert_relations_identical(direct.relation, apt.relation)
 
     def test_direct_materialize_apt_late_flag(self, mini_db):
-        """``materialize_apt`` is frame-backed and ≡ the eager plan."""
+        """Direct materialization (the engine with no trie, every graph
+        its whole plan from the base) is frame-backed and ≡ the eager
+        plan."""
         pt, graphs = _pipeline(mini_db)
         for graph in graphs:
-            late = materialize_apt(graph, pt, mini_db)
+            late = engine_apt(graph, pt, mini_db)
             assert late.frame is not None
             assert_relations_identical(
                 eager.materialize_eager(graph, pt, mini_db), late.relation
@@ -297,8 +295,7 @@ class TestEngineLateMaterialization:
         joined = [g for g in graphs if build_plan(g, pt).joins]
         assert joined, "fixture should enumerate joined graphs"
         late = MaterializationEngine(pt, mini_db)
-        for graph in joined:
-            late.materialize(graph)
+        engine_apts(late, joined)
         eager_bytes = sorted(
             eager.materialize_eager(g, pt, mini_db).estimated_bytes
             for g in joined
@@ -321,8 +318,8 @@ class TestEngineLateMaterialization:
         ids = pt.relation.column("__pt_row_id")
         half = ids[: len(ids) // 2]
         for graph in graphs[:4]:
-            unrestricted = engine.materialize(graph, restrict_row_ids=None)
-            restricted = engine.materialize(graph, restrict_row_ids=half)
+            [unrestricted] = engine_apts(engine, [graph])
+            [restricted] = engine_apts(engine, [graph], half)
             direct = eager.materialize_eager(
                 graph, pt, mini_db, restrict_row_ids=half
             )
@@ -338,7 +335,7 @@ class TestKernelCodeGathering:
         pt, graphs = _pipeline(mini_db)
         joined = [g for g in graphs if build_plan(g, pt).joins]
         graph = joined[0]
-        late_apt = materialize_apt(graph, pt, mini_db)
+        late_apt = engine_apt(graph, pt, mini_db)
         eager_apt = eager.eager_apt(graph, pt, mini_db)
         ids = pt.relation.column("__pt_row_id")
         ids1, ids2 = ids[: len(ids) // 2], ids[len(ids) // 2 :]
@@ -427,7 +424,7 @@ class TestKernelCodeGathering:
     def test_verify_kernel_passes_on_late_apts(self, mini_db, kernel_verify):
         pt, graphs = _pipeline(mini_db)
         joined = [g for g in graphs if build_plan(g, pt).joins]
-        apt = materialize_apt(joined[0], pt, mini_db)
+        apt = engine_apt(joined[0], pt, mini_db)
         ids = pt.relation.column("__pt_row_id")
         evaluator = QualityEvaluator(
             apt, ids[: len(ids) // 2], ids[len(ids) // 2 :]

@@ -24,7 +24,8 @@ from repro.core import Pattern, PatternPredicate, QualityStats, dissimilarity
 from repro.core.pattern import OP_EQ, OP_GE, OP_LE
 from repro.db import ColumnType, Database, Relation, TableSchema
 from repro.ml import kendall_tau_distance, ndcg
-from tests.oracles.eager import hash_join
+from tests.conftest import engine_apts
+from tests.oracles.eager import eager_apt, hash_join
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -210,12 +211,11 @@ class TestJoinProperties:
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=1)
 def _engine_fixture():
-    """A tiny database, its join-graph pool, and direct-path APTs.
+    """A tiny database, its join-graph pool, and the eager oracle's APTs.
 
     The pool holds every enumerated join graph plus all one-edge
     extensions of the valid ones, so it contains deep shared prefixes.
     """
-    from repro.core.apt import materialize_apt
     from repro.core.config import CajadeConfig
     from repro.core.enumeration import (
         enumerate_join_graphs,
@@ -288,7 +288,7 @@ def _engine_fixture():
     for graph in list(pool):
         if graph.num_edges > 0:
             pool.extend(extend_join_graph(graph, sg, query))
-    directs = [materialize_apt(g, pt, db) for g in pool]
+    directs = [eager_apt(g, pt, db) for g in pool]
     return db, pt, pool, directs
 
 
@@ -304,8 +304,8 @@ class TestEngineProperties:
     @settings(max_examples=40, deadline=None)
     def test_engine_matches_direct_materialization(self, picks, cache_kb):
         """For arbitrary join-graph sets and cache budgets, the engine
-        produces relations identical (schema, rows, ``__pt_row_id``) to
-        direct ``materialize_apt``."""
+        asked one graph at a time produces relations identical (schema,
+        rows, ``__pt_row_id``) to the eager oracle."""
         from repro.engine import MaterializationEngine
 
         db, pt, pool, directs = _engine_fixture()
@@ -313,7 +313,7 @@ class TestEngineProperties:
         for pick in picks:
             index = pick % len(pool)
             direct = directs[index]
-            cached = engine.materialize(pool[index])
+            [cached] = engine_apts(engine, [pool[index]])
             assert (
                 cached.relation.column_names
                 == direct.relation.column_names
@@ -339,12 +339,12 @@ class TestEngineProperties:
     )
     @settings(max_examples=20, deadline=None)
     def test_materialize_many_order_independent_of_schedule(self, picks):
-        """Batch (trie-order) and one-by-one materialization agree."""
+        """A batch (visited in trie order) agrees with the eager oracle."""
         from repro.engine import MaterializationEngine
 
         db, pt, pool, directs = _engine_fixture()
         graphs = [pool[p % len(pool)] for p in picks]
-        batch = MaterializationEngine(pt, db).materialize_many(graphs)
+        batch = engine_apts(MaterializationEngine(pt, db), graphs)
         for pick, apt in zip(picks, batch):
             direct = directs[pick % len(pool)]
             assert apt.relation.column_names == direct.relation.column_names

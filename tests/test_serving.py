@@ -189,7 +189,7 @@ class TestShardSupervisor:
             sup.record_success(0)
         sup.check(0)
         assert sup.consecutive_failures(0) == 0
-        assert sup.restarts_total == 5
+        assert sup.snapshot()["restarts"] == 5
 
     def test_shards_are_independent(self):
         sup = ShardSupervisor(2, max_restarts=0)
@@ -427,7 +427,7 @@ class TestChaosInline:
         async def main():
             backend = InlineBackend(mini_db, mini_schema_graph, CONFIG)
             async with ExplanationService(
-                backend, max_in_flight=1
+                backend, max_queue_depth=1
             ) as service:
                 results = await asyncio.gather(
                     service.submit(request()),
@@ -447,7 +447,7 @@ class TestChaosInline:
         async def main():
             backend = InlineBackend(mini_db, mini_schema_graph, CONFIG)
             async with ExplanationService(
-                backend, max_in_flight=1
+                backend, max_queue_depth=1
             ) as service:
                 await service.submit(request())
                 # Saturate the backlog with a distinct request, then
@@ -1261,7 +1261,6 @@ class TestServeSurface:
             "--request-timeout",
             "--max-retries",
             "--max-queue-depth",
-            "--max-in-flight",
             "--degraded-mode",
         }
 
@@ -1280,6 +1279,5 @@ class TestServeSurface:
             "retry_backoff",
             "retry_seed",
             "max_queue_depth",
-            "max_in_flight",
             "degraded_mode",
         ]
