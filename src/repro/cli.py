@@ -117,8 +117,9 @@ def _load_with_cache(database: str, cache_dir: str | None):
     """Load a CSV database, going through the column-store cache.
 
     With ``--db-cache-dir``: a populated cache directory is memory-mapped
-    directly (``Database.open`` — no CSV parsing, no dictionary
-    unpickling); an empty/missing one is populated from the CSVs first,
+    directly (``Database.open`` — no CSV parsing, and a dictionary file
+    is read only when a question first needs its values); an
+    empty/missing one is populated from the CSVs first,
     so the *next* start is the fast path.  Without the flag this is
     plain ``load_database``.
     """

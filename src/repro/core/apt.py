@@ -33,7 +33,7 @@ from ..db.database import Database
 from ..db.errors import ExecutionError
 from ..db.frame import IndexFrame
 from ..db.provenance import PT_ROW_ID, ProvenanceTable
-from ..db.relation import ColumnEncoding, Relation
+from ..db.relation import Relation, TextColumn
 from ..db.types import ColumnType
 from .join_graph import JoinGraph
 
@@ -108,7 +108,7 @@ class AugmentedProvenanceTable:
 
     def column_encoding(
         self, name: str, subset: np.ndarray | None = None
-    ) -> tuple[ColumnEncoding, np.ndarray | None] | None:
+    ) -> tuple[TextColumn, np.ndarray | None] | None:
         """Base-table dictionary codes behind an object column.
 
         ``(encoding, rows)`` lets the mining kernel build its code

@@ -39,6 +39,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from ..db.relation import TextDictionary
 from .apt import AugmentedProvenanceTable
 from .pattern import OP_EQ, OP_LE, Pattern, PatternPredicate
 
@@ -99,15 +100,14 @@ class MiningKernel:
         self._index_slots(row_slot, m1)
 
         # Encoded storage: match codes (-1 = NULL, never matches), the
-        # value -> code dictionary, base-table ml codes (renumbered when
-        # feature selection asks) and float64 numeric views with
-        # validity masks.
+        # base column's dictionary (loaded only when read), base-table
+        # ml codes (renumbered when feature selection asks) and float64
+        # numeric views with validity masks.
         self._codes: dict[str, np.ndarray] = {}
-        self._dicts: dict[str, dict[Any, int]] = {}
+        self._dicts: dict[str, TextDictionary] = {}
         self._ml_codes: dict[str, np.ndarray] = {}
         self._numeric: dict[str, np.ndarray] = {}
         self._numeric_valid: dict[str, np.ndarray | None] = {}
-        self._code_values_cache: dict[str, list] = {}
         self._ml_renumbered: dict[str, np.ndarray] = {}
         self._derived = False
 
@@ -145,7 +145,7 @@ class MiningKernel:
     ) -> None:
         """Adopt a table-level encoding gathered through index vectors.
 
-        Subset gathers route through ``ColumnEncoding.gather_match`` and
+        Subset gathers route through ``TextColumn.gather_match`` and
         copy only the gathered slice, so a disk-backed (memmap) code
         array never forces a whole-table match-code temporary just to
         serve one APT's rows.
@@ -158,7 +158,7 @@ class MiningKernel:
             match_codes = encoding.gather_match(rows)
         self._codes[name] = match_codes
         self._ml_codes[name] = base_codes
-        self._dicts[name] = encoding.code_of
+        self._dicts[name] = encoding.dictionary
 
     # ------------------------------------------------------------------
     # Encoding
@@ -191,7 +191,6 @@ class MiningKernel:
             k: (None if v is None else v[selector])
             for k, v in source._numeric_valid.items()
         }
-        self._code_values_cache = {}
         self._ml_renumbered = {}
         self._derived = True
         return self
@@ -250,17 +249,8 @@ class MiningKernel:
         compare equal to patterns built from the raw column.  ``None``
         when the attribute is numeric.
         """
-        code_of = self._dicts.get(attr)
-        if code_of is None:
-            return None
-        cached = self._code_values_cache.get(attr)
-        if cached is not None:
-            return cached
-        inverse: list = [None] * len(code_of)
-        for value, code in code_of.items():
-            inverse[code] = value
-        self._code_values_cache[attr] = inverse
-        return inverse
+        dictionary = self._dicts.get(attr)
+        return None if dictionary is None else dictionary.decode.tolist()
 
     def code_matrix(
         self, attrs: list[str], indices: np.ndarray | None = None
@@ -298,7 +288,9 @@ class MiningKernel:
                 )
             # NULL compares equal to nothing; neither does a constant the
             # column never holds (a non-str constant among them).
-            code = None if value is None else self._dicts[attr].get(value)
+            code = (
+                None if value is None else self._dicts[attr].code_of.get(value)
+            )
             if code is None:
                 return np.zeros(self._num_rows, dtype=bool)
             return codes == np.int32(code)

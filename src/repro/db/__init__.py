@@ -32,7 +32,7 @@ from .parser import parse_sql
 from .provenance import PT_ROW_ID, ProvenanceTable
 from .query import AggregateCall, Query, SelectItem, TableRef
 from .frame import IndexFrame
-from .relation import ColumnEncoding, Relation
+from .relation import Relation, TextColumn
 from .schema import Column, ForeignKey, TableSchema
 from .statistics import TableStatistics, estimate_join_cardinality
 from .types import ColumnType, infer_column_type, is_null
@@ -65,7 +65,7 @@ __all__ = [
     "PT_ROW_ID",
     "Query",
     "Relation",
-    "ColumnEncoding",
+    "TextColumn",
     "IndexFrame",
     "join_row_indices",
     "SchemaError",

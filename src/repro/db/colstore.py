@@ -25,14 +25,13 @@ value listed twice, or a code past the end of its dictionary is a
 
 :func:`open_columnar` costs O(manifest + dicts touched): every data file
 is mapped read-only with ``np.memmap`` (no pages are read), numeric
-columns and code arrays become zero-copy dtype views into the map, and
-object columns become lazy proxies (see :mod:`repro.db.relation`'s
-lazy-column protocol) whose decode tables load only on the first
-gather that actually needs values.  ``ColumnEncoding`` entries are
-pre-installed with memmap-backed codes and a lazily-filled ``code_of``
-dict, so the mining kernel's code matrices run against disk-backed
-codes without ever materializing value arrays; gathers (a TEXT join
-key included) copy at the edge exactly like the in-memory path.
+columns become zero-copy dtype views into the map, and each TEXT column
+is the one :class:`~repro.db.relation.TextColumn` type, its codes a view
+into the map and its :class:`~repro.db.relation.TextDictionary` loaded
+through the table's :class:`_DictStore` on first touch.  The mining
+kernel's code matrices and λqcost's distinct counts read codes and
+never load a dictionary; gathers (a TEXT join key included) copy at
+the edge exactly like the in-memory path.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from __future__ import annotations
 import json
 import threading
 import zipfile
-from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -49,7 +48,7 @@ import numpy as np
 
 from .database import Database
 from .errors import SchemaError
-from .relation import ColumnEncoding, Relation
+from .relation import Relation, TextColumn, TextDictionary
 from .schema import Column, TableSchema
 from .types import ColumnType
 
@@ -60,6 +59,7 @@ _ALIGN = 8
 
 KIND_NUMERIC = "numeric"
 KIND_ENCODED = "encoded"
+_TYPES = {ctype.value for ctype in ColumnType}
 
 _Dictionary = tuple[np.ndarray, dict[Any, int]]  # (decode table, code_of)
 
@@ -67,7 +67,7 @@ _Dictionary = tuple[np.ndarray, dict[Any, int]]  # (decode table, code_of)
 # ----------------------------------------------------------------------
 # Value dictionaries: UTF-8 bytes + offsets, checked on first load
 # ----------------------------------------------------------------------
-def _dictionary_arrays(decode: list[Any]) -> tuple[np.ndarray, np.ndarray]:
+def _dictionary_arrays(decode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(utf8, offsets)`` for one decode table; ``None`` is empty."""
     encoded = [b"" if value is None else value.encode() for value in decode]
     offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
@@ -128,7 +128,7 @@ def _decode_dictionary(
 
 
 # ----------------------------------------------------------------------
-# Lazy open-path pieces
+# The per-table dictionary file, loaded on first touch
 # ----------------------------------------------------------------------
 class _DictStore:
     """One table's value dictionaries, read and checked at most once.
@@ -181,99 +181,9 @@ class _DictStore:
             )
         return dicts
 
-    def decode_array(self, column: str) -> np.ndarray:
-        """The code → value decode table as an object array."""
-        return self._load()[column][0]
-
-    def code_of(self, column: str) -> dict[Any, int]:
-        return self._load()[column][1]
-
-
-class _LazyCodeDict(Mapping):
-    """``ColumnEncoding.code_of`` of a stored column: a read-only
-    ``value -> code`` mapping whose dictionary loads on first read.
-
-    Consumers only read (``get``, ``items``, ``len``, containment); the
-    fill is idempotent, so concurrent first reads from the front-end's
-    executor threads are safe.
-    """
-
-    __slots__ = ("_store", "_column", "_dict")
-
-    def __init__(self, store: _DictStore, column: str):
-        self._store = store
-        self._column = column
-        self._dict: dict[Any, int] | None = None
-
-    def _codes(self) -> dict[Any, int]:
-        if self._dict is None:
-            self._dict = self._store.code_of(self._column)
-        return self._dict
-
-    def __getitem__(self, key):
-        return self._codes()[key]
-
-    def __iter__(self):
-        return iter(self._codes())
-
-    def __len__(self):
-        return len(self._codes())
-
-    def get(self, key, default=None):
-        return self._codes().get(key, default)
-
-    def items(self):
-        return self._codes().items()
-
-    def __repr__(self):
-        if self._dict is None:
-            return "_LazyCodeDict(<unloaded>)"
-        return repr(self._dict)
-
-
-class LazyObjectColumn:
-    """Disk-backed encoded object column (lazy-column protocol).
-
-    ``materialize()`` applies the decode table to the full memmap code
-    array once and caches the result (identity-stable: every caller
-    sees the same ndarray); ``gather(rows)`` decodes only the gathered
-    slice, so subset gathers over huge columns stay bounded by the
-    subset size.
-    """
-
-    __slots__ = ("_codes", "_store", "_name", "_cached")
-
-    dtype = np.dtype(object)
-
-    def __init__(self, codes: np.ndarray, store: _DictStore, name: str):
-        self._codes = codes
-        self._store = store
-        self._name = name
-        self._cached: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    @property
-    def nbytes(self) -> int:
-        # Pointer-array cost, matching the in-memory accounting: boxed
-        # values live in the (shared) decode table.
-        return len(self._codes) * 8
-
-    def materialize(self) -> np.ndarray:
-        if self._cached is None:
-            decode = self._store.decode_array(self._name)
-            if len(self._codes):
-                self._cached = decode[np.asarray(self._codes)]
-            else:
-                self._cached = np.empty(0, dtype=object)
-        return self._cached
-
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        if self._cached is not None:
-            return self._cached[rows]
-        codes = np.asarray(self._codes)[rows]
-        return self._store.decode_array(self._name)[codes]
+    def dictionary(self, column: str) -> _Dictionary:
+        """One column's ``(decode table, code_of)``."""
+        return self._load()[column]
 
 
 @dataclass
@@ -313,8 +223,8 @@ def save_columnar(db: Database, directory: str | Path) -> None:
 
     Numeric arrays and code arrays go to ``<table>.bin`` verbatim;
     each TEXT column's decode table goes to the per-table dictionary
-    file.  Saving an already disk-backed database round-trips (lazy columns
-    load what they must).
+    file.  Saving an already disk-backed database round-trips (its
+    dictionaries load as the decode tables are written).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -355,15 +265,10 @@ def save_columnar(db: Database, directory: str | Path) -> None:
                         nbytes=int(arr.nbytes),
                     )
                 else:
-                    encoding = relation.encoding(col.name)
-                    codes = np.ascontiguousarray(
-                        encoding.codes, dtype=np.int32
-                    )
+                    text = relation.encoding(col.name)
+                    codes = np.ascontiguousarray(text.codes, dtype=np.int32)
                     offset, start = _write_aligned(handle, codes, offset)
-                    decode: list[Any] = [None] * encoding.num_codes
-                    for value, code in encoding.code_of.items():
-                        decode[code] = value
-                    utf8, offsets = _dictionary_arrays(decode)
+                    utf8, offsets = _dictionary_arrays(text.dictionary.decode)
                     dicts[f"{col.name}.utf8"] = utf8
                     dicts[f"{col.name}.offsets"] = offsets
                     meta.update(
@@ -371,7 +276,7 @@ def save_columnar(db: Database, directory: str | Path) -> None:
                         dtype=codes.dtype.str,
                         offset=start,
                         nbytes=int(codes.nbytes),
-                        none_code=encoding.none_code,
+                        none_code=text.none_code,
                     )
                 columns_meta.append(meta)
         table_meta: dict[str, Any] = {
@@ -450,67 +355,114 @@ def _column_view(
     return buf[start:start + nbytes].view(dtype)
 
 
+def _read_manifest(directory: Path) -> dict[str, Any]:
+    """The manifest: a JSON object of the current format with a
+    ``tables`` object, or a :class:`SchemaError` naming the file."""
+    path = directory / MANIFEST_NAME
+    if not path.exists():
+        raise SchemaError(f"no column store at {directory} (missing manifest)")
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise SchemaError(f"{MANIFEST_NAME}: not JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{MANIFEST_NAME}: not a JSON object")
+    if manifest.get("format") != FORMAT_VERSION:
+        raise SchemaError(
+            f"{MANIFEST_NAME}: unsupported column-store format "
+            f"{manifest.get('format')!r}"
+        )
+    if not isinstance(manifest.get("tables"), dict):
+        raise SchemaError(f"{MANIFEST_NAME}: no 'tables' object")
+    return manifest
+
+
+def _check_table_entry(table: str, meta: Any) -> None:
+    """Refuse a table entry that is malformed or would read a file
+    outside the store: the name must be one path component and
+    ``dicts_file`` (when present) ``<table>.dicts.npz``."""
+    where = f"{MANIFEST_NAME}: table {table!r}"
+    if table in ("", ".", "..") or any(c in table for c in "/\\\0"):
+        raise SchemaError(f"{where}: not a single path component")
+    if not isinstance(meta, dict) or not isinstance(meta.get("columns"), list):
+        raise SchemaError(f"{where}: no 'columns' list")
+    dicts_file = meta.get("dicts_file", f"{table}.dicts.npz")
+    if dicts_file != f"{table}.dicts.npz":
+        raise SchemaError(
+            f"{where}: dicts_file {dicts_file!r} is not {table}.dicts.npz"
+        )
+    for column in meta["columns"]:
+        if not isinstance(column, dict) or not isinstance(
+            column.get("name"), str
+        ):
+            raise SchemaError(f"{where}: a column entry has no name")
+        column_where = f"{where} column {column['name']!r}"
+        if column.get("type") not in _TYPES:
+            raise SchemaError(
+                f"{column_where}: unknown type {column.get('type')!r}"
+            )
+        if column.get("kind") not in (KIND_NUMERIC, KIND_ENCODED):
+            raise SchemaError(
+                f"{column_where}: unknown kind {column.get('kind')!r}"
+            )
+        none_code = column.get("none_code")
+        if none_code is not None and type(none_code) is not int:
+            raise SchemaError(
+                f"{column_where}: none_code {none_code!r} is not an integer"
+            )
+
+
 def open_columnar(directory: str | Path) -> Database:
     """Open a database saved by :func:`save_columnar`.
 
     Cost is O(manifest + dicts touched): data files are memory-mapped,
     not read, and value dictionaries load on first gather.  Primary
-    keys were validated at ingest and are not re-checked here.
+    keys were validated at ingest and are not re-checked here.  A
+    malformed manifest is a :class:`SchemaError` naming
+    ``manifest.json`` and the table or column.
     """
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise SchemaError(f"no column store at {directory} (missing manifest)")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != FORMAT_VERSION:
-        raise SchemaError(
-            f"unsupported column-store format {manifest.get('format')!r}"
-        )
+    manifest = _read_manifest(directory)
     db = Database(name=manifest.get("name", directory.name))
     info = ColumnStoreInfo(directory=directory)
     for table_name, table_meta in manifest["tables"].items():
+        _check_table_entry(table_name, table_meta)
         data_path = directory / f"{table_name}.bin"
         buf: np.ndarray | None = None
         if data_path.exists() and data_path.stat().st_size:
             buf = np.memmap(data_path, dtype=np.uint8, mode="r")
-        store = _DictStore(
-            directory / table_meta.get("dicts_file", ""), table_name
-        )
-        if table_meta.get("dicts_file"):
-            info.stores[table_name] = store
-        columns: dict[str, Any] = {}
-        encodings: dict[str, ColumnEncoding | None] = {}
+        store = _DictStore(directory / f"{table_name}.dicts.npz", table_name)
+        columns: dict[str, np.ndarray | TextColumn] = {}
         schema_columns: list[Column] = []
         for meta in table_meta["columns"]:
             cname = meta["name"]
             schema_columns.append(Column(cname, ColumnType(meta["type"])))
-            kind = meta["kind"]
-            if kind == KIND_NUMERIC:
-                columns[cname] = _column_view(buf, meta, data_path.name)
-            elif kind == KIND_ENCODED:
-                codes = _column_view(buf, meta, data_path.name)
-                none_code = meta.get("none_code")
-                store.columns[cname] = (codes, none_code)
-                columns[cname] = LazyObjectColumn(codes, store, cname)
-                encodings[cname] = ColumnEncoding(
-                    codes=codes,
-                    code_of=_LazyCodeDict(store, cname),
-                    none_code=none_code,
-                )
+            view = _column_view(buf, meta, data_path.name)
+            if meta["kind"] == KIND_NUMERIC:
+                columns[cname] = view
             else:
-                raise SchemaError(f"unknown column kind {kind!r}")
+                none_code = meta.get("none_code")
+                store.columns[cname] = (view, none_code)
+                columns[cname] = TextColumn(
+                    view,
+                    TextDictionary(none_code, partial(store.dictionary, cname)),
+                )
+        if store.columns:
+            info.stores[table_name] = store
         schema = TableSchema(
             name=table_name,
             columns=schema_columns,
             primary_key=tuple(table_meta.get("primary_key", [])),
         )
-        relation = Relation(schema, columns)
-        relation._encodings.update(encodings)
-        db.add_relation(relation)
+        db.add_relation(Relation(schema, columns))
     for fk in manifest.get("foreign_keys", []):
-        db.add_foreign_key(
-            fk["table"], fk["columns"], fk["ref_table"], fk["ref_columns"]
-        )
+        try:
+            db.add_foreign_key(
+                fk["table"], fk["columns"], fk["ref_table"], fk["ref_columns"]
+            )
+        except (KeyError, TypeError):
+            raise SchemaError(
+                f"{MANIFEST_NAME}: malformed foreign key {fk!r}"
+            ) from None
     db.column_store = info
     return db
-

@@ -17,7 +17,7 @@ from numpy.dtypes import StringDType
 
 from .database import Database
 from .errors import SchemaError
-from .relation import ColumnEncoding, Relation, encoding_from_distinct
+from .relation import Relation, TextColumn, encoding_from_distinct
 from .schema import Column, TableSchema
 from .types import (
     ColumnType,
@@ -92,14 +92,14 @@ def _nulls_as_nan(values: np.ndarray, null: np.ndarray) -> np.ndarray:
 
 def _distinct_coerced(
     cells: Sequence[str], ctype: ColumnType | None, where: str
-) -> tuple[np.ndarray, ColumnEncoding | None, ColumnType]:
+) -> tuple[np.ndarray | TextColumn, ColumnType]:
     """The per-cell definition, paid once per *distinct* cell.
 
     ``parse_literal`` + ``coerce_value`` run on each distinct raw cell
     and the results gather back over the column.  Distincts are numbered
     in first-occurrence order, so the first one that fails is the first
     row that fails, and a TEXT column's coerced distincts are its
-    dictionary encoding (:func:`encoding_from_distinct`).  Numeric
+    dictionary (:func:`encoding_from_distinct`).  Numeric
     storage is built per distinct as ``Relation.from_rows`` builds it
     per row: an INT column with a NULL is float64.  ``ctype=None``
     infers the type from the parsed distincts (``infer_column_type``).
@@ -120,7 +120,7 @@ def _distinct_coerced(
             lambda v: coerce_value(v, ctype), value, cell, ctype, cells, where
         )
     if ctype is ColumnType.TEXT:
-        return table[inverse], encoding_from_distinct(table, inverse), ctype
+        return encoding_from_distinct(table, inverse), ctype
     nullable = ctype is ColumnType.FLOAT or any(v is None for v in table)
     store = np.float64 if nullable else np.int64
     values = np.array(
@@ -130,12 +130,12 @@ def _distinct_coerced(
         ],
         dtype=store,
     )
-    return values[inverse], None, ctype
+    return values[inverse], ctype
 
 
 def _coerce_column(
     cells: Sequence[str], ctype: ColumnType, where: str
-) -> tuple[np.ndarray, ColumnEncoding | None]:
+) -> np.ndarray | TextColumn:
     """Build one column's storage array under an explicit schema type.
 
     A numeric column first takes one whole-column ``StringDType`` cast:
@@ -146,9 +146,6 @@ def _coerce_column(
     fails, the NULL cells are masked and the rest cast once more.  A
     column that still fails — ``5.0`` under INT, a NaN or a bad cell —
     and every TEXT column take :func:`_distinct_coerced`.
-
-    Returns ``(storage, encoding)``; the encoding is the TEXT column's
-    dictionary encoding and ``None`` for numeric storage.
     """
     if ctype is not ColumnType.TEXT:
         strings = np.array(cells, dtype=_STRINGS)
@@ -165,15 +162,14 @@ def _coerce_column(
         if values is not None:
             if ctype is ColumnType.FLOAT:
                 values = _exact_floats(values, cells, where)
-            return _nulls_as_nan(values, null), None
-    storage, encoding, _ = _distinct_coerced(cells, ctype, where)
-    return storage, encoding
+            return _nulls_as_nan(values, null)
+    return _distinct_coerced(cells, ctype, where)[0]
 
 
 def _infer_column(
     cells: Sequence[str], where: str
-) -> tuple[np.ndarray, ColumnEncoding | None, ColumnType]:
-    """Parse one schemaless column: (storage, encoding, inferred type).
+) -> tuple[np.ndarray | TextColumn, ColumnType]:
+    """Parse one schemaless column: (storage, inferred type).
 
     The definition is ``parse_literal`` per cell, ``infer_column_type``
     over the parsed values, then ``from_rows``.  With the NULL cells
@@ -190,7 +186,7 @@ def _infer_column(
         strings[null] = "0"
         try:
             ints = strings.astype(np.int64)
-            return _nulls_as_nan(ints, null), None, ColumnType.INT
+            return _nulls_as_nan(ints, null), ColumnType.INT
         except OverflowError:
             pass
         except ValueError:
@@ -200,7 +196,7 @@ def _infer_column(
                 floats = None
             if floats is not None and not np.isnan(floats).any():
                 floats = _exact_floats(floats, cells, where)
-                return _nulls_as_nan(floats, null), None, ColumnType.FLOAT
+                return _nulls_as_nan(floats, null), ColumnType.FLOAT
     return _distinct_coerced(cells, None, where)
 
 
@@ -246,25 +242,20 @@ def read_relation_csv(
     )
 
     table = schema.name if schema is not None else name or path.stem
-    storage: dict[str, np.ndarray] = {}
-    encodings: dict[str, ColumnEncoding] = {}
+    storage: dict[str, np.ndarray | TextColumn] = {}
     columns = []
     for index, (cname, cells) in enumerate(zip(header, columns_cells)):
         where = f"{table}.{cname}"
         if schema is None:
-            array, encoding, ctype = _infer_column(cells, where)
+            storage[cname], ctype = _infer_column(cells, where)
             columns.append(Column(cname, ctype))
         else:
-            array, encoding = _coerce_column(
+            storage[cname] = _coerce_column(
                 cells, schema.columns[index].ctype, where
             )
-        storage[cname] = array
-        if encoding is not None:
-            encodings[cname] = encoding
     if schema is None:
         schema = TableSchema(name=table, columns=columns)
     relation = Relation(schema, storage)
-    relation._encodings.update(encodings)
     if schema.primary_key:
         relation._check_primary_key()
     return relation

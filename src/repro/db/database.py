@@ -35,22 +35,17 @@ class Database:
         if schema.name in self._tables:
             raise SchemaError(f"table {schema.name!r} already exists")
         relation = Relation.from_rows(schema, rows)
-        relation.encode_categoricals()
         self._tables[schema.name] = relation
         return relation
 
     def add_relation(self, relation: Relation, replace: bool = False) -> None:
         """Register an already-built relation under its schema name.
 
-        TEXT columns are dictionary-encoded on registration (load time),
-        so derived aliases and the late-materialized mining kernel gather
-        the table-level codes instead of re-encoding per APT — and a
-        TEXT cell that is not ``str | None`` is a :class:`SchemaError`
-        here, before anything reads the table.
+        Its TEXT columns were encoded when it was built (a TEXT cell
+        that is not ``str | None`` never gets this far).
         """
         if relation.schema.name in self._tables and not replace:
             raise SchemaError(f"table {relation.schema.name!r} already exists")
-        relation.encode_categoricals()
         self._tables[relation.schema.name] = relation
         self._stats_cache.pop(relation.schema.name, None)
 

@@ -379,7 +379,6 @@ def group_indices(
         return {(): np.arange(relation.num_rows)}
     if relation.num_rows == 0:
         return {}
-    arrays = [relation.column(c) for c in group_columns]
     codes = relation._row_codes(group_columns)
     _, first_idx, inverse = np.unique(
         codes, axis=0, return_index=True, return_inverse=True
@@ -393,12 +392,10 @@ def group_indices(
     row_order = np.argsort(rank[inverse], kind="stable")
     boundaries = np.nonzero(np.diff(rank[inverse][row_order]))[0] + 1
     buckets = np.split(row_order, boundaries)
-    result: dict[tuple[Any, ...], np.ndarray] = {}
-    for bucket_rank, bucket in enumerate(buckets):
-        i = int(first_idx[order[bucket_rank]])
-        key = tuple(arr[i] for arr in arrays)
-        result[key] = bucket
-    return result
+    # Each key is its first row, gathered (TEXT decodes only those rows).
+    firsts = first_idx[order]
+    keys = zip(*(relation.gather_column(c, firsts) for c in group_columns))
+    return dict(zip(keys, buckets))
 
 
 def _vectorized_select_column(

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExecutionError, SchemaError
-from .relation import ColumnEncoding, Relation
+from .relation import Relation, TextColumn
 from .schema import TableSchema
 from .types import ColumnType
 
@@ -195,13 +195,12 @@ class IndexFrame:
 
     def column_encoding(
         self, name: str, subset: np.ndarray | None = None
-    ) -> tuple[ColumnEncoding, np.ndarray | None] | None:
-        """The source-level dictionary encoding behind a frame column.
+    ) -> tuple[TextColumn, np.ndarray | None] | None:
+        """The source-level :class:`TextColumn` behind a frame column.
 
-        Returns ``(encoding, row_indices)`` where ``row_indices`` maps
-        the requested (sub)rows into the encoding's code arrays —
-        ``None`` meaning identity.  Returns ``None`` for a numeric
-        column (it has no encoding).
+        Returns ``(column, row_indices)`` where ``row_indices`` maps the
+        requested (sub)rows into the column's codes — ``None`` meaning
+        identity.  Returns ``None`` for a numeric column.
         """
         index = self._source_index(name)
         encoding = self.sources[index].encoding(name)
@@ -293,20 +292,16 @@ class IndexFrame:
         """Gather every column into a :class:`Relation`.
 
         Byte-identical (schema order, rows, dtypes, table name) to
-        joining the source relations themselves: a single-source frame
-        reduces to ``source.take(rows)`` (preserving the source schema,
-        primary key included), a multi-source frame to the sources'
-        columns concatenated in join order.
+        joining the source relations themselves: each source reduces to
+        ``source.take(rows)`` (TEXT columns gather codes and keep their
+        dictionaries); a single-source frame is that relation (source
+        schema, primary key included), a multi-source frame the
+        sources' columns side by side in join order.
         """
-        if len(self.sources) == 1:
-            source, idx = self.sources[0], self.rows[0]
-            return source if idx is None else source.take(idx)
-        columns: dict[str, np.ndarray] = {}
-        for source, idx in zip(self.sources, self.rows):
-            for cname in source.column_names:
-                columns[cname] = (
-                    source.column(cname)
-                    if idx is None
-                    else source.gather_column(cname, idx)
-                )
-        return Relation(self.schema, columns)
+        parts = [
+            source if idx is None else source.take(idx)
+            for source, idx in zip(self.sources, self.rows)
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        return Relation.hstack(self.schema, parts)

@@ -1,27 +1,25 @@
 """Columnar in-memory relations.
 
 A :class:`Relation` couples a :class:`~repro.db.schema.TableSchema` with one
-numpy array per column.  Numeric columns use ``int64``/``float64`` arrays so
+column per name.  Numeric columns are ``int64``/``float64`` arrays so
 predicate evaluation and pattern matching (the hot path of CaJaDE's F-score
-computation) are vectorized; TEXT columns use object arrays.
+computation) are vectorized.  A TEXT column is a :class:`TextColumn`, and only
+that: int32 first-occurrence codes over a :class:`TextDictionary` (decode
+table, value → code dict, NULL code), whether the table was built from rows,
+read from CSV or opened from the column store (which loads the dictionary on
+first touch).  An object array handed to a constructor is encoded there, so
+the ``str | None`` TEXT invariant holds for every relation.
 
 Relations are treated as immutable once built: every operation returns a new
 Relation that shares column arrays when possible (selection via fancy
-indexing copies, projection does not).
-
-Every object (TEXT) column additionally carries a table-level dictionary
-encoding (:class:`ColumnEncoding`): int32 first-occurrence codes plus the
-value → code dictionary, built once per relation and shared by every
-derived relation that shares the column array (rename / projection /
-prefixing).  The late-materialized storage engine gathers these codes
-through join index vectors instead of re-encoding values per APT, and the
-vectorized ``distinct`` / primary-key paths dedup on them.
+indexing copies, projection does not).  Derived relations gather TEXT *codes*
+and keep the base column's dictionary object, so the mining kernel, grouping
+and primary-key checks read codes that were encoded once, at load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,22 +45,103 @@ def check_text_values(values: Iterable[Any], where: str) -> None:
             )
 
 
-@dataclass
-class ColumnEncoding:
-    """Table-level dictionary encoding of one object column.
+class TextDictionary:
+    """The values of one base TEXT column, shared by every column
+    gathered from it: the decode table (code → value), ``code_of``
+    (value → code) and :attr:`none_code`, the code of the NULL cell.
 
-    ``codes`` assigns each row the first-occurrence code of its value
-    (``str`` or ``None`` — nothing else gets past
+    An in-memory dictionary (:meth:`of`) is built when a column is
+    encoded; a stored table's comes from ``load``, which reads and
+    checks its dictionary file on first touch
+    (:mod:`repro.db.colstore`).  ``none_code`` is known without loading.
+    """
+
+    __slots__ = ("none_code", "_load", "_tables")
+
+    def __init__(
+        self,
+        none_code: int | None,
+        load: Callable[[], tuple[np.ndarray, dict[Any, int]]] | None,
+    ):
+        self.none_code = none_code
+        self._load = load
+        self._tables: tuple[np.ndarray, dict[Any, int]] | None = None
+
+    @classmethod
+    def of(cls, code_of: dict[Any, int]) -> "TextDictionary":
+        """The dictionary whose values are ``code_of``'s keys, coded
+        0, 1, … in insertion order (what the encoders build)."""
+        decode = np.empty(len(code_of), dtype=object)
+        decode[:] = list(code_of)
+        dictionary = cls(code_of.get(None), None)
+        dictionary._tables = (decode, code_of)
+        return dictionary
+
+    def _loaded(self) -> tuple[np.ndarray, dict[Any, int]]:
+        # One tuple, so a racing first touch never sees half of it.
+        if self._tables is None:
+            self._tables = self._load()
+        return self._tables
+
+    @property
+    def decode(self) -> np.ndarray:
+        """Code → value, as an object array."""
+        return self._loaded()[0]
+
+    @property
+    def code_of(self) -> dict[Any, int]:
+        return self._loaded()[1]
+
+
+class TextColumn:
+    """A TEXT column: int32 codes over a shared :class:`TextDictionary`.
+
+    ``codes`` (possibly a read-only memmap view) give each row the code
+    of its value (``str`` or ``None`` — nothing else gets past
     :func:`check_text_values`).  A NULL cell keeps its code here
     (:attr:`none_code`); :attr:`match_codes` replaces it with the
     kernel's ``-1`` sentinel, which never compares equal to a looked-up
-    value code.
+    value code.  Values decode on demand: :meth:`values` once, cached
+    and identity-stable; :meth:`gather` only the rows asked for.
+    :meth:`take` gathers codes and keeps the dictionary.
     """
 
-    codes: np.ndarray
-    code_of: dict[Any, int]
-    none_code: int | None
-    _match: np.ndarray | None = field(default=None, repr=False)
+    __slots__ = ("codes", "dictionary", "_values", "_match")
+
+    dtype = np.dtype(object)
+
+    def __init__(self, codes: np.ndarray, dictionary: TextDictionary):
+        self.codes = codes
+        self.dictionary = dictionary
+        self._values: np.ndarray | None = None
+        self._match: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @property
+    def code_of(self) -> dict[Any, int]:
+        return self.dictionary.code_of
+
+    @property
+    def none_code(self) -> int | None:
+        return self.dictionary.none_code
+
+    def values(self) -> np.ndarray:
+        """Every row's value, decoded once."""
+        if self._values is None:
+            self._values = self.dictionary.decode[self.codes]
+        return self._values
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """``values()[rows]``, decoding only the gathered rows."""
+        if self._values is not None:
+            return self._values[rows]
+        return self.dictionary.decode[self.codes[rows]]
+
+    def take(self, rows: np.ndarray) -> "TextColumn":
+        """The column of the gathered rows, over the same dictionary."""
+        return TextColumn(self.codes[rows], self.dictionary)
 
     @property
     def match_codes(self) -> np.ndarray:
@@ -75,10 +154,6 @@ class ColumnEncoding:
                 match[match == self.none_code] = -1
                 self._match = match
         return self._match
-
-    @property
-    def num_codes(self) -> int:
-        return len(self.code_of)
 
     def gather_match(self, rows: np.ndarray | None) -> np.ndarray:
         """Match codes for a row subset without materializing the table.
@@ -93,7 +168,7 @@ class ColumnEncoding:
             return self.match_codes
         if self._match is not None:
             return self._match[rows]
-        gathered = np.asarray(self.codes[rows])  # fancy indexing: a copy
+        gathered = self.codes[rows]  # fancy indexing: a copy
         if self.none_code is not None:
             gathered[gathered == self.none_code] = -1
         return gathered
@@ -101,7 +176,7 @@ class ColumnEncoding:
 
 def encode_object_column(
     arr: np.ndarray, where: str = "<column>"
-) -> ColumnEncoding:
+) -> TextColumn:
     """Dictionary-encode one object column (first-occurrence codes).
 
     Raises :class:`SchemaError`, naming ``where``, on a cell that is not
@@ -120,15 +195,13 @@ def encode_object_column(
         check_text_values([value], where)
         raise
     check_text_values(code_of, where)
-    return ColumnEncoding(
-        codes=codes, code_of=code_of, none_code=code_of.get(None)
-    )
+    return TextColumn(codes, TextDictionary.of(code_of))
 
 
 def encoding_from_distinct(
     table: np.ndarray, inverse: np.ndarray, where: str = "<column>"
-) -> ColumnEncoding:
-    """Build a :class:`ColumnEncoding` from a column's distinct raw cells.
+) -> TextColumn:
+    """Build a :class:`TextColumn` from a column's distinct raw cells.
 
     ``table[j]`` holds the coerced value of the ``j``-th distinct *raw*
     cell, numbered in first-occurrence order, and ``inverse`` maps every
@@ -145,9 +218,7 @@ def encoding_from_distinct(
     code_of: dict[Any, int] = {}
     for j, value in enumerate(table):
         raw_to_code[j] = code_of.setdefault(value, len(code_of))
-    return ColumnEncoding(
-        codes=raw_to_code[inverse], code_of=code_of, none_code=code_of.get(None)
-    )
+    return TextColumn(raw_to_code[inverse], TextDictionary.of(code_of))
 
 
 def _column_array(values: Sequence[Any], ctype: ColumnType) -> np.ndarray:
@@ -168,40 +239,18 @@ def _column_array(values: Sequence[Any], ctype: ColumnType) -> np.ndarray:
     return np.array(list(values), dtype=object)
 
 
-# ----------------------------------------------------------------------
-# Lazy (disk-backed) column support
-# ----------------------------------------------------------------------
-# A Relation column slot may hold, instead of an ndarray, any object
-# implementing the lazy-column protocol: ``dtype``, ``__len__``,
-# ``nbytes``, ``materialize() -> np.ndarray`` (cached, identity-stable)
-# and ``gather(rows) -> np.ndarray`` (bounded by ``len(rows)``).  The
-# out-of-core column store (repro.db.colstore) installs such proxies for
-# object columns so opening a saved database never reads a value
-# dictionary it does not touch.  The proxy object itself stays in
-# ``_columns`` forever — inherited encodings are shared by every
-# relation holding the same slot, which must not change.
-
-
-def _column_values(arr: Any) -> np.ndarray:
-    """The full value array of a column slot (materializing proxies)."""
-    if isinstance(arr, np.ndarray):
-        return arr
-    return arr.materialize()
-
-
-def _gather_values(arr: Any, rows: np.ndarray) -> np.ndarray:
-    """``arr[rows]`` for ndarrays; a bounded proxy gather otherwise."""
-    if isinstance(arr, np.ndarray):
-        return arr[rows]
-    return arr.gather(rows)
-
-
 class Relation:
-    """An immutable columnar table: a schema plus one array per column."""
+    """An immutable columnar table: a schema plus one column per name —
+    a numeric ndarray or a :class:`TextColumn`."""
 
-    __slots__ = ("schema", "_columns", "_nrows", "_encodings")
+    __slots__ = ("schema", "_columns", "_nrows")
 
-    def __init__(self, schema: TableSchema, columns: dict[str, np.ndarray]):
+    def __init__(
+        self, schema: TableSchema, columns: dict[str, np.ndarray | TextColumn]
+    ):
+        """An object ndarray among ``columns`` is encoded here, so a TEXT
+        cell that is not ``str | None`` is a :class:`SchemaError` naming
+        table and column before anything reads the relation."""
         if set(columns) != set(schema.column_names):
             raise SchemaError(
                 f"columns {sorted(columns)} do not match schema "
@@ -211,12 +260,15 @@ class Relation:
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns with lengths {sorted(lengths)}")
         self.schema = schema
-        self._columns = columns
+        self._columns = {
+            name: (
+                encode_object_column(arr, f"{schema.name}.{name}")
+                if isinstance(arr, np.ndarray) and arr.dtype == object
+                else arr
+            )
+            for name, arr in columns.items()
+        }
         self._nrows = lengths.pop() if lengths else 0
-        # Column name -> ColumnEncoding (None for a numeric column).
-        # Lazily filled; derived relations sharing a column array
-        # inherit its entry (see rename/rename_columns).
-        self._encodings: dict[str, ColumnEncoding | None] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -245,12 +297,14 @@ class Relation:
         return relation
 
     @classmethod
-    def empty(cls, schema: TableSchema) -> "Relation":
-        """A zero-row relation with the given schema."""
-        columns = {
-            col.name: np.empty(0, dtype=col.ctype.numpy_dtype())
-            for col in schema.columns
-        }
+    def hstack(
+        cls, schema: TableSchema, parts: Sequence["Relation"]
+    ) -> "Relation":
+        """``parts``' columns side by side under ``schema`` (sharing
+        their arrays and dictionaries)."""
+        columns: dict[str, np.ndarray | TextColumn] = {}
+        for part in parts:
+            columns.update(part._columns)
         return cls(schema, columns)
 
     def _check_primary_key(self) -> None:
@@ -279,16 +333,15 @@ class Relation:
         """An ``(nrows, len(names))`` int64 code matrix whose row equality
         matches per-row tuple equality.
 
-        Object columns use their table-level :class:`ColumnEncoding`;
-        float columns give every NaN cell a distinct code (fresh NaN
-        scalars never compare equal in a tuple either); integer columns
-        factorize exactly.
+        TEXT columns use their dictionary codes; float columns give
+        every NaN cell a distinct code (fresh NaN scalars never compare
+        equal in a tuple either); integer columns factorize exactly.
         """
         columns: list[np.ndarray] = []
         for name in names:
             arr = self._columns[name]
-            if arr.dtype == object:
-                columns.append(self.encoding(name).codes.astype(np.int64))
+            if isinstance(arr, TextColumn):
+                columns.append(arr.codes.astype(np.int64))
             elif arr.dtype.kind == "f":
                 codes = np.empty(self._nrows, dtype=np.int64)
                 nan_mask = np.isnan(arr)
@@ -320,108 +373,48 @@ class Relation:
         return self._nrows
 
     @property
-    def estimated_bytes(self) -> int:
-        """Approximate *incremental* resident size, in bytes.
-
-        Sums the column arrays' buffer sizes.  Object columns count only
-        their pointer arrays: derived relations (joins, selections) copy
-        pointers, not the boxed values, which stay shared with the source
-        relations — so the pointer array is the true marginal cost.  Used
-        by the engine's bounded-memory APT prefix cache.
-        """
-        return sum(arr.nbytes for arr in self._columns.values())
-
-    @property
     def column_names(self) -> list[str]:
         return self.schema.column_names
 
     def __len__(self) -> int:
         return self._nrows
 
-    def column(self, name: str) -> np.ndarray:
-        """The storage array for one column (do not mutate).
-
-        Disk-backed object columns materialize here (decode table
-        applied to the code array, cached on the proxy); prefer
-        :meth:`column_dtype` / :meth:`gather_column` when the full value
-        array is not actually needed.
-        """
+    def _slot(self, name: str) -> np.ndarray | TextColumn:
         if name not in self._columns:
             raise SchemaError(f"no column {name!r} in {self.schema.name!r}")
-        return _column_values(self._columns[name])
+        return self._columns[name]
+
+    def column(self, name: str) -> np.ndarray:
+        """One column's values (do not mutate).
+
+        A TEXT column decodes here once and caches the result; prefer
+        :meth:`column_dtype` / :meth:`gather_column` / :meth:`encoding`
+        when the full value array is not actually needed.
+        """
+        arr = self._slot(name)
+        return arr.values() if isinstance(arr, TextColumn) else arr
 
     def column_dtype(self, name: str) -> np.dtype:
-        """One column's storage dtype, without materializing any values."""
-        if name not in self._columns:
-            raise SchemaError(f"no column {name!r} in {self.schema.name!r}")
-        return self._columns[name].dtype
+        """One column's storage dtype, without decoding any values."""
+        return self._slot(name).dtype
 
     def gather_column(self, name: str, rows: np.ndarray | None) -> np.ndarray:
-        """``column(name)[rows]`` without materializing lazy columns.
-
-        The gather's peak footprint is bounded by ``len(rows)`` even for
-        disk-backed columns (codes gather from the memmap, then only the
-        gathered slice decodes).  ``rows=None`` returns the full column.
-        """
-        if name not in self._columns:
-            raise SchemaError(f"no column {name!r} in {self.schema.name!r}")
-        arr = self._columns[name]
+        """``column(name)[rows]``, decoding only the gathered TEXT rows
+        (bounded by ``len(rows)`` even over a disk-backed column).
+        ``rows=None`` returns the full column."""
+        arr = self._slot(name)
         if rows is None:
-            return _column_values(arr)
-        return _gather_values(arr, rows)
+            return self.column(name)
+        return arr.gather(rows) if isinstance(arr, TextColumn) else arr[rows]
 
     def column_type(self, name: str) -> ColumnType:
         return self.schema.column_type(name)
 
-    # ------------------------------------------------------------------
-    # Dictionary encoding (late-materialization support)
-    # ------------------------------------------------------------------
-    def encoding(self, name: str) -> ColumnEncoding | None:
-        """The dictionary encoding of an object column, built on demand.
-
-        A :class:`ColumnEncoding` for every object column — a cell that
-        is not ``str | None`` raises :class:`SchemaError` naming table
-        and column — and ``None`` for a numeric one.  The result is
-        cached on this relation and inherited by derived relations that
-        share the column array (rename, projection, prefixing), so a
-        base table is encoded at most once per process regardless of
-        how many aliases, APTs or questions consume it.
-        """
-        if name in self._encodings:
-            return self._encodings[name]
-        if self.column_dtype(name) != object:
-            self._encodings[name] = None
-            return None
-        encoding = encode_object_column(
-            self.column(name), f"{self.schema.name}.{name}"
-        )
-        self._encodings[name] = encoding
-        return encoding
-
-    def encode_categoricals(self) -> None:
-        """Eagerly build the dictionary encoding of every object column.
-
-        :class:`repro.db.database.Database` calls this at load time so
-        the late-materialized engine's code gathers never pay the
-        encoding pass on a hot path.
-        """
-        for col in self.schema.columns:
-            if self._columns[col.name].dtype == object:
-                self.encoding(col.name)
-
-    def _inherit_encodings(
-        self, source: "Relation", mapping: dict[str, str] | None = None
-    ) -> "Relation":
-        """Adopt ``source``'s cached encodings for shared column arrays."""
-        for name, enc in source._encodings.items():
-            new_name = name if mapping is None else mapping.get(name, name)
-            if new_name in self._columns:
-                self._encodings[new_name] = enc
-        return self
-
-    def row(self, index: int) -> tuple[Any, ...]:
-        """One row as a tuple in schema column order."""
-        return tuple(self.column(c)[index] for c in self.schema.column_names)
+    def encoding(self, name: str) -> TextColumn | None:
+        """A TEXT column's :class:`TextColumn` (codes and dictionary),
+        or ``None`` for a numeric column."""
+        arr = self._slot(name)
+        return arr if isinstance(arr, TextColumn) else None
 
     def iter_rows(self) -> Iterator[tuple[Any, ...]]:
         names = self.schema.column_names
@@ -440,12 +433,13 @@ class Relation:
         )
 
     # ------------------------------------------------------------------
-    # Relational operations
+    # Relational operations (TEXT columns gather codes, never values)
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "Relation":
         """Rows selected by an index array (preserves duplicates/order)."""
         columns = {
-            name: _gather_values(arr, indices)
+            name: arr.take(indices) if isinstance(arr, TextColumn)
+            else arr[indices]
             for name, arr in self._columns.items()
         }
         return Relation(self.schema, columns)
@@ -459,12 +453,10 @@ class Relation:
     def project(self, names: list[str]) -> "Relation":
         """Keep only ``names``, in the given order (shares arrays)."""
         schema = self.schema.project(names)
-        projected = Relation(schema, {n: self._columns[n] for n in names})
-        return projected._inherit_encodings(self)
+        return Relation(schema, {n: self._columns[n] for n in names})
 
     def rename(self, new_name: str) -> "Relation":
-        renamed = Relation(self.schema.rename(new_name), dict(self._columns))
-        return renamed._inherit_encodings(self)
+        return Relation(self.schema.rename(new_name), self._columns)
 
     def rename_columns(self, mapping: dict[str, str]) -> "Relation":
         """Rename columns via ``mapping`` (missing names keep theirs)."""
@@ -477,7 +469,7 @@ class Relation:
         columns = {
             mapping.get(name, name): arr for name, arr in self._columns.items()
         }
-        return Relation(schema, columns)._inherit_encodings(self, mapping)
+        return Relation(schema, columns)
 
     def prefix_columns(self, prefix: str) -> "Relation":
         """Prefix every column name, used for APT disambiguation."""
@@ -498,56 +490,7 @@ class Relation:
         )
         columns = dict(self._columns)
         columns[name] = values
-        return Relation(schema, columns)._inherit_encodings(self)
-
-    def concat(self, other: "Relation") -> "Relation":
-        """Union-all of two relations with identical column names/types."""
-        if self.schema.column_names != other.schema.column_names:
-            raise SchemaError("concat requires identical column lists")
-        columns = {}
-        for col in self.schema.columns:
-            left = self.column(col.name)
-            right = other.column(col.name)
-            if left.dtype != right.dtype:
-                left = left.astype(np.float64)
-                right = right.astype(np.float64)
-            columns[col.name] = np.concatenate([left, right])
-        schema = TableSchema(
-            name=self.schema.name,
-            columns=list(self.schema.columns),
-            primary_key=(),
-        )
         return Relation(schema, columns)
-
-    def sample(self, fraction: float, rng: np.random.Generator,
-               max_rows: int | None = None) -> "Relation":
-        """A uniform row sample of ``fraction`` of the rows.
-
-        ``max_rows`` caps the absolute sample size (the paper caps LCA
-        samples at 1000 rows).  Sampling is without replacement.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"sample fraction must be in (0, 1], got {fraction}")
-        size = max(1, int(round(self._nrows * fraction))) if self._nrows else 0
-        if max_rows is not None:
-            size = min(size, max_rows)
-        if size >= self._nrows:
-            return self
-        indices = rng.choice(self._nrows, size=size, replace=False)
-        return self.take(np.sort(indices))
-
-    def distinct(self) -> "Relation":
-        """Duplicate-free copy preserving first occurrence order.
-
-        Deduplicates on the table-level dictionary codes (one
-        ``np.unique`` over an int64 code matrix); row equality is
-        :meth:`_row_codes`'.
-        """
-        codes = self._row_codes(self.schema.column_names)
-        if codes.shape[1] == 0:
-            return self
-        _, first_idx = np.unique(codes, axis=0, return_index=True)
-        return self.take(np.sort(first_idx))
 
     def sort_by(self, names: list[str]) -> "Relation":
         """Rows sorted ascending by the listed columns (stable)."""

@@ -25,7 +25,7 @@ import csv
 from pathlib import Path
 
 from repro.db.errors import IntegrityError, SchemaError
-from repro.db.relation import ColumnEncoding, Relation, encode_object_column
+from repro.db.relation import Relation, TextColumn, encode_object_column
 from repro.db.schema import Column, TableSchema
 from repro.db.types import infer_column_type, parse_literal
 
@@ -84,6 +84,6 @@ def _check_key(relation: Relation, key_cols: tuple[str, ...]) -> None:
         seen.add(key)
 
 
-def text_encoding(relation: Relation, name: str) -> ColumnEncoding:
+def text_encoding(relation: Relation, name: str) -> TextColumn:
     """A TEXT column's encoding by the per-row first-occurrence loop."""
     return encode_object_column(relation.column(name))

@@ -155,6 +155,32 @@ class TestEngineFlags:
         assert "apt_cache_mb" in str(excinfo.value)
 
 
+def test_malformed_store_manifest_is_one_error_line(tmp_path, capsys):
+    """``explain --db-cache-dir`` over a store whose manifest is not
+    JSON prints one ``error:`` line and exits 2 — no traceback."""
+    from repro.db import ColumnType, Database, TableSchema
+
+    db = Database("d")
+    db.create_table(
+        TableSchema.build("t", {"k": ColumnType.INT, "s": ColumnType.TEXT}),
+        [(1, "a"), (2, "b")],
+    )
+    store = tmp_path / "store"
+    db.save(store)
+    (store / "manifest.json").write_text("{truncated")
+    code = main(
+        [
+            "explain", str(tmp_path / "csv"), "--db-cache-dir", str(store),
+            "--sql", "SELECT COUNT(*) AS n, s FROM t GROUP BY s",
+            "--t1", "s=a",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: manifest.json: not JSON")
+
+
 def test_import_repro_cli_loads_only_what_a_question_needs():
     """Start-up pin: the CLI imports no thread-pool machinery (there is
     none in the library) and none of the packages only `serve`,

@@ -3,17 +3,23 @@
 Differential suite for :mod:`repro.db.colstore`: a database saved with
 ``Database.save`` and reopened with ``Database.open`` must be
 indistinguishable from the in-memory original through every consumer —
-column materialization, subset gathers, frame joins (``IndexFrame.join``,
-the one join core), the mining kernel's code matrices, and a second
-save of the reopened store — over adversarial inputs (NULL text,
-``-1`` sentinel ints, float NaN, zero-row tables, all-NULL columns).
+column materialization, subset gathers, derived relations (``take``,
+``filter_mask``, ``project``, ``prefix_columns``), frame joins
+(``IndexFrame.join``, the one join core), the mining kernel's code
+matrices, and a second save of the reopened store — over adversarial
+inputs (NULL text, ``-1`` sentinel ints, float NaN, zero-row tables,
+all-NULL columns).  Every TEXT column of a base table, the provenance
+table and each APT relation is one type, ``TextColumn``, loaded or
+reopened, and the provenance table's share their base dictionaries.
 The lazy-dictionary contract is asserted directly: ``open`` reads zero
 dictionary files, only tables whose object values are actually
 gathered ever load one, and λqcost's distinct counts load none.  A
 truncated or mis-pointed data file, or a manifest entry whose dtype or
 byte range the column cannot hold, fails closed: ``open`` raises a
 ``SchemaError`` naming ``<table>.bin`` and the column instead of opening
-a shorter or reinterpreted column.
+a shorter or reinterpreted column; a malformed manifest, or one whose
+file names point outside the store, is a ``SchemaError`` naming
+``manifest.json`` and the table or column.
 
 Also holds the vectorized-encoding and aggregate parity properties:
 ``encoding_from_distinct`` must reproduce ``encode_object_column``
@@ -37,8 +43,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import ColumnType, Relation, TableSchema
-from repro.db.colstore import LazyObjectColumn, open_columnar, save_columnar
+from repro.db import ColumnType, Relation, TableSchema, TextColumn
+from repro.db.colstore import open_columnar, save_columnar
 from repro.db.database import Database
 from repro.db.frame import IndexFrame
 from repro.db.errors import ExecutionError, SchemaError
@@ -86,6 +92,14 @@ def _reopened(db: Database, tmp_path) -> Database:
     directory = tmp_path / "store"
     save_columnar(db, directory)
     return open_columnar(directory)
+
+
+def _assert_same_values(left: np.ndarray, right: np.ndarray) -> None:
+    assert left.dtype == right.dtype
+    if left.dtype.kind == "f":
+        assert np.array_equal(left, right, equal_nan=True)
+    else:
+        assert list(left) == list(right)
 
 
 # ----------------------------------------------------------------------
@@ -153,11 +167,11 @@ class TestLazyDictionaries:
     def test_lazy_column_slot_is_identity_stable(self, tmp_path):
         db = _database([_table("t", [(1, 1.0, "a"), (2, 2.0, "b")])])
         relation = _reopened(db, tmp_path).table("t")
-        slot = relation._columns["t.s"]
-        assert isinstance(slot, LazyObjectColumn)
+        slot = relation.encoding("t.s")
+        assert isinstance(slot, TextColumn)
         first = relation.column("t.s")
         assert relation.column("t.s") is first
-        assert relation._columns["t.s"] is slot
+        assert relation.encoding("t.s") is slot
 
 
 # ----------------------------------------------------------------------
@@ -191,13 +205,10 @@ class TestRoundTripParity:
             dtype=np.int64,
         )
         for name in original.column_names:
-            left = original.gather_column(name, subset)
-            right = relation.gather_column(name, subset)
-            assert left.dtype == right.dtype
-            if left.dtype.kind == "f":
-                assert np.array_equal(left, right, equal_nan=True)
-            else:
-                assert list(left) == list(right)
+            _assert_same_values(
+                original.gather_column(name, subset),
+                relation.gather_column(name, subset),
+            )
 
     @given(rows=ROWS)
     def test_self_joins(self, rows, tmp_path_factory):
@@ -278,6 +289,51 @@ class TestRoundTripParity:
                     assert dict(right.code_of) == dict(left.code_of)
                     assert right.none_code == left.none_code
 
+    @given(rows=ROWS, data=st.data())
+    def test_derived_relations(self, rows, data, tmp_path_factory):
+        """take / filter_mask / project / prefix_columns of a reopened
+        table ≡ of the in-memory one: values, subset gathers, codes and
+        NULL code — and each derived TEXT column keeps its base
+        column's dictionary object."""
+        tmp = tmp_path_factory.mktemp("colstore")
+        db = _database([_table("t", rows)])
+        bases = (db.table("t"), _reopened(db, tmp).table("t"))
+        n = bases[0].num_rows
+        indices = np.asarray(
+            data.draw(st.lists(st.integers(min_value=0, max_value=n - 1)))
+            if n
+            else [],
+            dtype=np.int64,
+        )
+        mask = np.asarray(
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            dtype=bool,
+        )
+        derivations = {
+            "take": lambda r: r.take(indices),
+            "filter_mask": lambda r: r.filter_mask(mask),
+            "project": lambda r: r.project(["t.s", "t.k"]),
+            "prefix_columns": lambda r: r.prefix_columns("p."),
+        }
+        for label, derive in derivations.items():
+            left, right = (derive(base) for base in bases)
+            assert_relations_identical(left, right)
+            backwards = np.arange(left.num_rows)[::-1]
+            for name in left.column_names:
+                _assert_same_values(
+                    left.gather_column(name, backwards),
+                    right.gather_column(name, backwards),
+                )
+                texts = (left.encoding(name), right.encoding(name))
+                if left.column_type(name) is not ColumnType.TEXT:
+                    assert texts == (None, None), (label, name)
+                    continue
+                assert texts[0].codes.tolist() == texts[1].codes.tolist()
+                assert texts[0].none_code == texts[1].none_code
+                base_name = name.removeprefix("p.")
+                for text, base in zip(texts, bases):
+                    assert text.dictionary is base.encoding(base_name).dictionary
+
     def test_zero_row_table(self, tmp_path):
         db = _database([_table("t", [])])
         relation = _reopened(db, tmp_path).table("t")
@@ -301,6 +357,62 @@ class TestRoundTripParity:
         fks = reopened.foreign_keys
         assert len(fks) == 1
         assert (fks[0].table, fks[0].ref_table) == ("l", "r")
+
+
+# ----------------------------------------------------------------------
+# One TEXT representation, however a table was made
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("store", ["csv", "reopened"])
+@pytest.mark.parametrize("name", ["Qnba5", "Qmimic5"])
+def test_every_text_slot_is_a_text_column(
+    name, store, gate_databases, tmp_path
+):
+    """Every TEXT column of every base table, the provenance table and
+    each λ#edges-1 APT relation is a TextColumn (numeric ones have
+    none), and each provenance TEXT column shares its base column's
+    dictionary object: nothing downstream of the load re-encodes."""
+    from repro.core import CajadeConfig
+    from repro.core.enumeration import enumerate_join_graphs
+    from repro.datasets import query_by_name
+    from repro.db.csvio import load_database, save_database
+    from repro.db.parser import parse_sql
+    from repro.db.provenance import ProvenanceTable
+    from repro.engine import MaterializationEngine
+    from tests.conftest import engine_apts
+
+    workload = query_by_name(name)
+    generated, schema_graph = gate_databases[workload.dataset]
+    save_database(generated, tmp_path / "csv")
+    db = load_database(tmp_path / "csv")
+    if store == "reopened":
+        db = _reopened(db, tmp_path)
+    query = parse_sql(workload.sql)
+    pt = ProvenanceTable.compute(query, db)
+    graphs = list(
+        enumerate_join_graphs(
+            schema_graph, query, pt, db, CajadeConfig(max_join_edges=1)
+        )
+    )
+    apts = engine_apts(MaterializationEngine(pt, db), graphs)
+    assert len(apts) > 1
+    relations = [db.table(table) for table in db.table_names]
+    relations += [pt.relation] + [apt.relation for apt in apts]
+    for relation in relations:
+        for column in relation.column_names:
+            text = relation.column_type(column) is ColumnType.TEXT
+            assert type(relation.encoding(column)) is (
+                TextColumn if text else type(None)
+            ), (relation.name, column)
+    tables = {ref.alias: ref.table for ref in query.tables}
+    shared = 0
+    for column in pt.data_columns:
+        text = pt.relation.encoding(column)
+        if text is not None:
+            alias, _, attr = column.partition(".")
+            base = db.table(tables[alias]).encoding(attr)
+            assert text.dictionary is base.dictionary, column
+            shared += 1
+    assert shared >= 3
 
 
 # ----------------------------------------------------------------------
@@ -397,6 +509,74 @@ class TestDamagedDataFile:
             SchemaError, match=rf"t\.bin column '{re.escape(column)}'"
         ):
             open_columnar(directory)
+
+
+def _edit_tables(edit):
+    """A manifest edit applied to the parsed manifest's ``tables``."""
+    def apply(manifest):
+        edit(manifest["tables"])
+        return json.dumps(manifest)
+    return apply
+
+
+def _column_entry(tables, name):
+    (meta,) = (c for c in tables["t"]["columns"] if c["name"] == name)
+    return meta
+
+
+# (edit of the manifest text, what the error must name besides the file).
+MALFORMED_MANIFESTS = {
+    "not_json": (lambda m: "{not json", None),
+    "truncated": (lambda m: json.dumps(m)[:40], None),
+    "json_list": (lambda m: "[]", None),
+    "no_tables": (lambda m: json.dumps({**m, "tables": None}), "tables"),
+    "no_columns": (_edit_tables(lambda t: t["t"].pop("columns")), "'t'"),
+    "column_without_name": (
+        _edit_tables(lambda t: _column_entry(t, "t.k").pop("name")), "'t'"
+    ),
+    "blob_type": (
+        _edit_tables(lambda t: _column_entry(t, "t.k").update(type="blob")),
+        "'t.k'",
+    ),
+    "none_code_not_int": (
+        _edit_tables(lambda t: _column_entry(t, "t.s").update(none_code="x")),
+        "'t.s'",
+    ),
+    "dicts_file_absolute": (
+        _edit_tables(lambda t: t["t"].update(dicts_file="/t.dicts.npz")),
+        "'t'",
+    ),
+    "dicts_file_outside": (
+        _edit_tables(
+            lambda t: t["t"].update(dicts_file="../store/t.dicts.npz")
+        ),
+        "'t'",
+    ),
+    "table_name_outside": (
+        _edit_tables(lambda t: t.update({"../store/t": t.pop("t")})),
+        "'../store/t'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "edit,named",
+    MALFORMED_MANIFESTS.values(),
+    ids=MALFORMED_MANIFESTS.keys(),
+)
+def test_malformed_manifest(tmp_path, edit, named):
+    """A manifest that is not JSON, not shaped like one this module
+    writes, or that points a file name outside the store is refused at
+    open with a SchemaError naming manifest.json and the table or
+    column — never a JSONDecodeError, KeyError or a silent open."""
+    rows = [(1, 1.0, "a"), (2, 2.0, None)]
+    directory = _saved(tmp_path, _table("t", rows))
+    manifest_path = directory / "manifest.json"
+    manifest_path.write_text(edit(json.loads(manifest_path.read_text())))
+    with pytest.raises(SchemaError, match=r"manifest\.json") as info:
+        open_columnar(directory)
+    if named is not None:
+        assert named in str(info.value)
 
 
 # ----------------------------------------------------------------------

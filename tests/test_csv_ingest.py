@@ -99,7 +99,7 @@ def assert_same_relation(got: Relation, want: Relation) -> None:
         if b.dtype == object:
             assert [(type(v), v) for v in a] == [(type(v), v) for v in b]
             # The reader hands every TEXT column its encoding ready-made.
-            enc, ref = got._encodings[name], text_encoding(want, name)
+            enc, ref = got.encoding(name), text_encoding(want, name)
             assert enc.codes.dtype == ref.codes.dtype
             assert np.array_equal(enc.codes, ref.codes), name
             assert list(enc.code_of.items()) == list(ref.code_of.items())

@@ -41,11 +41,6 @@ class TestConstruction:
         assert rel.column("a").dtype == np.float64
         assert np.isnan(rel.column("a")[1])
 
-    def test_empty_relation(self):
-        schema = TableSchema.build("t", {"a": ColumnType.INT})
-        rel = Relation.empty(schema)
-        assert rel.num_rows == 0
-
     def test_ragged_columns_rejected(self):
         schema = TableSchema.build(
             "t", {"a": ColumnType.INT, "b": ColumnType.INT}
@@ -61,10 +56,6 @@ class TestConstruction:
 
 
 class TestAccess:
-    def test_row_roundtrip(self):
-        rel = make_relation()
-        assert rel.row(0) == (1, "a", 1.5)
-
     def test_iter_rows_count(self):
         assert len(list(make_relation().iter_rows())) == 4
 
@@ -121,21 +112,6 @@ class TestOperations:
                 "extra", ColumnType.INT, np.arange(2, dtype=np.int64)
             )
 
-    def test_concat(self):
-        rel = make_relation()
-        both = rel.concat(rel)
-        assert both.num_rows == 8
-
-    def test_concat_requires_same_columns(self):
-        rel = make_relation()
-        with pytest.raises(SchemaError):
-            rel.concat(rel.project(["id"]))
-
-    def test_distinct(self):
-        schema = TableSchema.build("t", {"a": ColumnType.INT})
-        rel = Relation.from_rows(schema, [(1,), (2,), (1,), (3,), (2,)])
-        assert [r[0] for r in rel.distinct().iter_rows()] == [1, 2, 3]
-
     def test_sort_by(self):
         schema = TableSchema.build(
             "t", {"a": ColumnType.INT, "b": ColumnType.TEXT}
@@ -143,22 +119,3 @@ class TestOperations:
         rel = Relation.from_rows(schema, [(2, "x"), (1, "y"), (2, "a")])
         ordered = rel.sort_by(["a", "b"])
         assert list(ordered.iter_rows()) == [(1, "y"), (2, "a"), (2, "x")]
-
-    def test_sample_fraction(self, rng):
-        rel = make_relation()
-        sampled = rel.sample(0.5, rng)
-        assert sampled.num_rows == 2
-
-    def test_sample_cap(self, rng):
-        rel = make_relation()
-        sampled = rel.sample(1.0, rng, max_rows=2)
-        # fraction 1.0 returns self unless capped below size
-        assert sampled.num_rows == 2
-
-    def test_sample_full_returns_self(self, rng):
-        rel = make_relation()
-        assert rel.sample(1.0, rng) is rel
-
-    def test_sample_bad_fraction(self, rng):
-        with pytest.raises(ValueError):
-            make_relation().sample(0.0, rng)

@@ -35,7 +35,9 @@ class TestTableStatistics:
             stats.distinct("zz")
 
     def test_empty_counts_one(self):
-        empty = Relation.empty(TableSchema.build("e", {"a": ColumnType.INT}))
+        empty = Relation.from_rows(
+            TableSchema.build("e", {"a": ColumnType.INT}), []
+        )
         assert TableStatistics(empty).distinct("a") == 1
 
 

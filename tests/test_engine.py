@@ -20,13 +20,12 @@ from tests.oracles.eager import eager_apt, hash_join, materialize_eager
 QUESTION = ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"})
 
 
-def _relation(name: str, n: int, cols: int = 2) -> Relation:
-    schema = TableSchema.build(
-        name, {f"{name}.c{i}": ColumnType.INT for i in range(cols)}
-    )
-    return Relation.from_rows(
-        schema, [tuple(range(cols)) for _ in range(n)]
-    )
+class _Entry:
+    """A cache value charged ``estimated_bytes`` (the trie's entries are
+    ``IndexFrame``s; the cache reads nothing else of them)."""
+
+    def __init__(self, estimated_bytes: int):
+        self.estimated_bytes = estimated_bytes
 
 
 def _pipeline(mini_db, config=None):
@@ -62,7 +61,7 @@ def assert_relations_identical(a: Relation, b: Relation) -> None:
 class TestPrefixCache:
     def test_roundtrip_and_stats(self):
         cache = PrefixCache(capacity_bytes=1 << 20)
-        rel = _relation("t", 10)
+        rel = _Entry(160)
         cache.put(("a",), rel)
         assert cache.get(("a",)) is rel
         assert cache.get(("b",)) is None
@@ -71,7 +70,7 @@ class TestPrefixCache:
         assert cache.stats.insertions == 1
 
     def test_lru_eviction_order(self):
-        rel = _relation("t", 100)  # 100 rows x 2 int cols = 1600 bytes
+        rel = _Entry(1600)
         cache = PrefixCache(capacity_bytes=3 * rel.estimated_bytes)
         cache.put(("a",), rel)
         cache.put(("b",), rel)
@@ -83,7 +82,7 @@ class TestPrefixCache:
         assert cache.stats.evictions == 1
 
     def test_byte_accounting(self):
-        rel = _relation("t", 50)
+        rel = _Entry(800)
         cache = PrefixCache(capacity_bytes=10 * rel.estimated_bytes)
         cache.put(("a",), rel)
         cache.put(("b",), rel)
@@ -97,7 +96,7 @@ class TestPrefixCache:
         assert cache.median_entry_bytes() == 0
 
     def test_oversized_rejected(self):
-        rel = _relation("t", 1000)
+        rel = _Entry(16000)
         cache = PrefixCache(capacity_bytes=rel.estimated_bytes - 1)
         cache.put(("a",), rel)
         assert len(cache) == 0
@@ -105,14 +104,14 @@ class TestPrefixCache:
 
     def test_zero_capacity_disables(self):
         cache = PrefixCache(capacity_bytes=0)
-        cache.put(("a",), _relation("t", 1))
+        cache.put(("a",), _Entry(16))
         assert len(cache) == 0
         assert cache.get(("a",)) is None
 
     def test_zero_capacity_rejects_empty_relations(self):
-        """Zero-byte relations must not slip past a zero budget."""
+        """Zero-byte entries must not slip past a zero budget."""
         cache = PrefixCache(capacity_bytes=0)
-        empty = _relation("t", 0)
+        empty = _Entry(0)
         assert empty.estimated_bytes == 0
         cache.put(("a",), empty)
         assert len(cache) == 0

@@ -15,7 +15,7 @@ Covered:
   evaluation);
 - the trie caches index-vector frames smaller than the relations they
   stand for;
-- vectorized ``Relation.distinct`` / primary-key duplicate detection /
+- vectorized grouping (``group_indices``) / primary-key duplicate detection /
   ``row_ids_excluding`` match their per-row reference semantics.
 """
 
@@ -34,8 +34,9 @@ from repro.core.enumeration import enumerate_join_graphs
 from repro.core.pattern import OP_EQ, Pattern, PatternPredicate
 from repro.core.quality import QualityEvaluator
 from repro.core.schema_graph import SchemaGraph
-from repro.db import ColumnType, Database, Relation, TableSchema
+from repro.db import ColumnType, Database, Relation, TableSchema, TextColumn
 from repro.db.errors import IntegrityError
+from repro.db.executor import group_indices
 from repro.db.frame import IndexFrame
 from repro.db.parser import parse_sql
 from repro.db.provenance import ProvenanceTable
@@ -194,7 +195,10 @@ class TestIndexVectorJoin:
         )
         expected = sum(r.nbytes for r in joined.rows if r is not None)
         assert joined.estimated_bytes == expected
-        assert joined.estimated_bytes < joined.to_relation().estimated_bytes
+        gathered = joined.to_relation()
+        assert joined.estimated_bytes < sum(
+            gathered.column(name).nbytes for name in gathered.column_names
+        )
 
 
 # ----------------------------------------------------------------------
@@ -297,8 +301,8 @@ class TestEngineLateMaterialization:
         late = MaterializationEngine(pt, mini_db)
         engine_apts(late, joined)
         eager_bytes = sorted(
-            eager.materialize_eager(g, pt, mini_db).estimated_bytes
-            for g in joined
+            sum(rel.column(name).nbytes for name in rel.column_names)
+            for rel in (eager.materialize_eager(g, pt, mini_db) for g in joined)
         )
         late_stats = late.stats.cache
         assert late_stats.entries > 0
@@ -507,7 +511,7 @@ class TestFullPipelineByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# Vectorized distinct / primary key / row_ids_excluding semantics
+# Vectorized grouping / primary key / row_ids_excluding semantics
 # ----------------------------------------------------------------------
 CELLS = st.one_of(
     st.none(),
@@ -530,32 +534,30 @@ def _mixed_relation(rows: list[tuple]) -> Relation:
     )
 
 
-def _reference_distinct_keep(relation: Relation) -> list[int]:
-    seen: set[tuple] = set()
-    keep: list[int] = []
+def _reference_groups(relation: Relation) -> list[tuple[str, list[int]]]:
+    """Whole-row groups by a per-row tuple loop: ``(repr(key), rows)``
+    in first-occurrence order (a NaN key is its own group)."""
+    groups: dict[tuple, list[int]] = {}
     for i, row in enumerate(relation.iter_rows()):
-        if row not in seen:
-            seen.add(row)
-            keep.append(i)
-    return keep
+        groups.setdefault(row, []).append(i)
+    return [(repr(key), rows) for key, rows in groups.items()]
 
 
 class TestVectorizedDedup:
     @given(rows=st.lists(st.tuples(CELLS, NUMS), max_size=30))
     @settings(max_examples=100, deadline=None)
-    def test_distinct_matches_reference(self, rows):
+    def test_group_indices_matches_reference(self, rows):
         relation = _mixed_relation(rows)
-        result = relation.distinct()
-        expected = relation.take(
-            np.array(_reference_distinct_keep(relation), dtype=np.int64)
-        )
-        assert_relations_identical(result, expected)
+        groups = group_indices(relation, relation.column_names)
+        assert [
+            (repr(key), bucket.tolist()) for key, bucket in groups.items()
+        ] == _reference_groups(relation)
 
-    def test_distinct_keeps_nan_rows_apart(self):
+    def test_group_indices_keeps_nan_rows_apart(self):
         """NULL-promoted NaN cells never compare equal (the historical
-        tuple-set semantics), so NaN rows all survive distinct()."""
+        tuple semantics), so each NaN row is a group of its own."""
         relation = _mixed_relation([("x", None), ("x", None), ("x", 1)])
-        assert relation.distinct().num_rows == 3
+        assert len(group_indices(relation, ["cat", "num"])) == 3
 
     @given(
         keys=st.lists(
@@ -608,9 +610,8 @@ class TestLoadTimeEncoding:
             [("a", 1), ("b", 2), ("a", 3), (None, 4)],
         )
         relation = db.table("t")
-        assert "name" in relation._encodings
         encoding = relation.encoding("name")
-        assert encoding is not None
+        assert isinstance(encoding, TextColumn)
         assert np.array_equal(encoding.codes, [0, 1, 0, 2])
         assert encoding.none_code == 2
         assert np.array_equal(encoding.match_codes, [0, 1, 0, -1])

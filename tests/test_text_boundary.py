@@ -1,8 +1,8 @@
 """A TEXT cell is ``str`` or ``None`` — checked once, where a table enters.
 
-Encoding a relation's object column (on demand, or eagerly when the
-catalog registers the table) fails closed on an ``int``, a float NaN or
-a ``list``, with a :class:`SchemaError` naming table and column.
+Building a relation encodes every object column, and fails closed on an
+``int``, a float NaN or a ``list``, with a :class:`SchemaError` naming
+table and column: no relation holding such a cell exists.
 Nothing past the boundary keeps a path for such cells
 (``docs/ARCHITECTURE.md``, "Values and NULLs").  A saved column store's
 dictionary is UTF-8 bytes plus offsets, so it can only decode to text;
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.db import ColumnType, Database, Relation, TableSchema
 from repro.db.errors import SchemaError
-from repro.db.frame import IndexFrame
 from repro.db.relation import encode_object_column
 
 settings.register_profile(
@@ -61,21 +60,16 @@ def relation_with(cells: list) -> Relation:
 @pytest.mark.parametrize("cell", BAD_CELLS.values(), ids=BAD_CELLS.keys())
 class TestNonTextCellIsRejected:
     def test_relation_encoding(self, cell):
-        relation = relation_with(["a", None, cell])
+        """The constructor encodes, so the relation is never built."""
         with pytest.raises(SchemaError, match=r"t\.s"):
-            relation.encoding("s")
-        # Every consumer of the codes stops at the same place — the
-        # frame-level view included, which is what APT consumers read.
-        # (A join reads key values, not codes: it is no boundary, and a
-        # relation that fails here never reaches the catalog a plan
-        # joins over; see test_add_relation.)
-        for consume in (
-            relation.encode_categoricals,
-            relation.distinct,
-            lambda: IndexFrame.from_relation(relation).column_encoding("s"),
-        ):
-            with pytest.raises(SchemaError, match=r"t\.s"):
-                consume()
+            relation_with(["a", None, cell])
+
+    def test_with_column(self, cell):
+        relation = relation_with(["a", "b", None])
+        with pytest.raises(SchemaError, match=r"t\.u"):
+            relation.with_column(
+                "u", ColumnType.TEXT, object_column([cell, "a", None])
+            )
 
     def test_add_relation(self, cell):
         db = Database("d")
@@ -87,9 +81,8 @@ class TestNonTextCellIsRejected:
         schema = TableSchema.build(
             "t", {"s": ColumnType.TEXT}, primary_key=("s",)
         )
-        relation = Relation(schema, {"s": object_column(["a", cell])})
         with pytest.raises(SchemaError, match=r"t\.s"):
-            relation._check_primary_key()
+            Relation(schema, {"s": object_column(["a", cell])})
 
 
 def test_ingest_coerces_before_the_check():
@@ -185,9 +178,8 @@ class TestTextColumnsAlwaysEncode:
     @given(cells=st.lists(TEXT, max_size=30))
     def test_codes_round_trip_and_null_is_minus_one(self, cells):
         encoding = encode_object_column(object_column(cells))
-        decode = [None] * encoding.num_codes
-        for value, code in encoding.code_of.items():
-            decode[code] = value
+        decode = encoding.dictionary.decode.tolist()
+        assert list(encoding.code_of) == decode
         assert [decode[code] for code in encoding.codes] == cells
         assert encoding.none_code == (
             decode.index(None) if None in cells else None
