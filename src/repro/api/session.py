@@ -40,13 +40,18 @@ import numpy as np
 
 from ..core.attribute_filter import SelectionMemo
 from ..core.config import CajadeConfig
-from ..core.diversity import select_diverse_top_k
+from ..core.diversity import (
+    EncodedPool,
+    RerankInterner,
+    encode,
+    select_diverse_top_k,
+)
 from ..core.enumeration import EnumerationStats, enumerate_join_graphs
 from ..core.explainer import Explanation
 from ..core.join_graph import JoinGraph
-from ..core.mining import MinedPattern, MiningResult, mine_apt
+from ..core.mining import MiningResult, mine_apt
 from ..core.pattern import Pattern
-from ..core.quality import PatternSupport, QualityStats
+from ..core.quality import PatternSupport
 from ..core.question import (
     ComparisonQuestion,
     OutlierQuestion,
@@ -145,14 +150,30 @@ class _QueryState:
             tuple, tuple[list[JoinGraph], EnumerationStats]
         ] = {}
         # Per-graph mining memo: (enumeration key, ordered row-id-set
-        # fingerprints of the question sides, mining config) -> graph
-        # index -> exact finalists, or None when the graph's APT is
-        # empty.  Mining is fully deterministic given those inputs (each
-        # graph mines with graph_rng(seed, index)), so reuse is
-        # byte-identical by construction.  LRU over keys.
-        self.mining_memo: "OrderedDict[tuple, dict[int, list | None]]" = (
-            OrderedDict()
-        )
+        # fingerprints of the question sides, mining config) -> a slot
+        # mapping graph index -> the graph's exact finalists, already
+        # encoded for the §3.5 rerank with the slot's interner, or None
+        # when the graph's APT is empty.  Mining is fully deterministic
+        # given those inputs (each graph mines with graph_rng(seed,
+        # index)), so reuse is byte-identical by construction, and a
+        # re-ask concatenates the stored codes instead of encoding the
+        # finalists again.  LRU over keys.
+        self.mining_memo: "OrderedDict[tuple, _MiningSlot]" = OrderedDict()
+
+
+class _MiningSlot(dict):
+    """One (question split, mining config) slot of the mining memo.
+
+    Graph index -> that graph's finalists as an :class:`EncodedPool`, or
+    None for an empty APT.  Every pool of the slot is encoded with the
+    slot's one interner, so any subset of them concatenates as it is.
+    """
+
+    __slots__ = ("interner",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.interner = RerankInterner()
 
 
 class CajadeSession:
@@ -168,8 +189,9 @@ class CajadeSession:
             provenance table + warm engine) the session keeps, LRU.
         max_cached_minings: how many (question, mining-config) slots of
             per-graph mining finalists each query keeps, LRU; repeats of
-            a question skip mining entirely and stay byte-identical
-            (mining is deterministic per graph).
+            a question skip materialization and mining, rerank the
+            finalists' stored codes, and stay byte-identical (mining is
+            deterministic per graph).
     """
 
     def __init__(
@@ -346,7 +368,7 @@ class CajadeSession:
         )
         memo = state.mining_memo.get(mining_key)
         if memo is None:
-            memo = {}
+            memo = _MiningSlot()
             if self._max_cached_minings > 0:
                 state.mining_memo[mining_key] = memo
                 while len(state.mining_memo) > self._max_cached_minings:
@@ -357,7 +379,7 @@ class CajadeSession:
         # Graphs the memo already answers — with finalists, or with None
         # for an APT that came out empty — are neither materialized nor
         # mined: a fully memoized ask goes straight to the rerank.  (With
-        # memoization off, ``memo`` is this request's own empty dict.)
+        # memoization off, ``memo`` is this request's own empty slot.)
         pending = [i for i in range(len(join_graphs)) if i not in memo]
         mined_reused = sum(f is not None for f in memo.values())
 
@@ -392,18 +414,16 @@ class CajadeSession:
                 timer=timer,
                 memo=selection,
             )
-            memo[index] = _exact_stats(resolved, mining)
+            memo[index] = encode(
+                _exact_stats(resolved, join_graphs[index], mining),
+                memo.interner,
+            )
             mined_now += 1
         mined_graphs = mined_reused + mined_now
-        collected: list[tuple[Pattern, float, tuple]] = [
-            (
-                mined.pattern,
-                stats.f_score,
-                (join_graphs[index], mined, stats, support),
-            )
-            for index in sorted(memo)
-            for mined, stats, support in memo[index] or ()
-        ]
+        pool = EncodedPool.concat(
+            [memo[index] for index in sorted(memo) if memo[index] is not None],
+            memo.interner,
+        )
 
         self._stats.mined_graphs_reused += mined_reused
         self._stats.mined_graphs_computed += mined_now
@@ -423,11 +443,10 @@ class CajadeSession:
             )
 
         if config.use_diversity:
-            chosen = select_diverse_top_k(collected, config.top_k)
+            chosen = select_diverse_top_k(pool, config.top_k)
         else:
-            chosen = sorted(
-                collected, key=lambda c: (-c[1], c[0].describe())
-            )[: config.top_k]
+            ranked = pool.ranked()[: config.top_k]
+            chosen = [pool[i] for i in ranked.tolist()]
 
         explanations = []
         for _pattern, _score, payload in chosen:
@@ -559,13 +578,16 @@ class QuestionBuilder:
 
 
 def _exact_stats(
-    resolved: ResolvedQuestion, mining: MiningResult
-) -> list[tuple[MinedPattern, QualityStats, PatternSupport]]:
+    resolved: ResolvedQuestion, join_graph: JoinGraph, mining: MiningResult
+) -> list[tuple[Pattern, float, tuple]]:
     """Re-evaluate a join graph's finalists exactly (no sampling).
 
     Mining may run on a λF1-samp sample; the reported supports
     (c1, a1), (c2, a2) and scores of returned explanations are exact —
     read off the exact evaluator mining built for candidate generation.
+    Each finalist comes out as the rerank's (pattern, exact F-score,
+    payload) triple, the payload being ``(join_graph, mined, stats,
+    support)``.
     """
     evaluator = mining.full_evaluator
     covered1, covered2 = evaluator.coverage_batch(
@@ -582,5 +604,7 @@ def _exact_stats(
             covered2=cov2,
             total2=len(resolved.row_ids2),
         )
-        results.append((entry, stats, support))
+        results.append(
+            (entry.pattern, stats.f_score, (join_graph, entry, stats, support))
+        )
     return results

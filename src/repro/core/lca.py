@@ -139,15 +139,23 @@ def lca_candidates_codes(
     d = len(rows)
     row_of = row_of.reshape(-1)  # numpy 2.0.0 kept a trailing axis
 
-    pair_i, pair_j = _pair_indices(m, config, rng)
-    first, second = row_of[pair_i], row_of[pair_j]
-    pair_ids = np.unique(np.concatenate([
-        np.minimum(first, second) * d + np.maximum(first, second),
-        np.arange(d, dtype=np.int64) * (d + 1),
-    ]))
-    lo, hi = np.divmod(pair_ids, d)
+    examined = m * (m - 1) // 2
+    if examined <= config.lca_pair_cap:
+        # Every row pair is examined (``_pair_indices`` would return all
+        # of them and draw nothing), so every pair of distinct rows
+        # occurs: the distinct pairs are the upper triangle over d.
+        lo, hi = np.triu_indices(d)
+    else:
+        pair_i, pair_j = _pair_indices(m, config, rng)
+        examined = len(pair_i)
+        first, second = row_of[pair_i], row_of[pair_j]
+        pair_ids = np.unique(np.concatenate([
+            np.minimum(first, second) * d + np.maximum(first, second),
+            np.arange(d, dtype=np.int64) * (d + 1),
+        ]))
+        lo, hi = np.divmod(pair_ids, d)
 
-    keys = np.zeros(len(pair_ids), dtype=np.int64)
+    keys = np.zeros(len(lo), dtype=np.int64)
     bound = 1
     for column in rows.T:
         ranks = np.unique(column, return_inverse=True)[1]
@@ -175,8 +183,8 @@ def lca_candidates_codes(
     ]
 
     if timer is not None:
-        timer.count(LCA_PAIRS_EXAMINED, len(pair_i))
-        timer.count(LCA_DISTINCT_ROW_PAIRS, len(pair_ids))
+        timer.count(LCA_PAIRS_EXAMINED, examined)
+        timer.count(LCA_DISTINCT_ROW_PAIRS, len(lo))
         timer.count(LCA_PATTERNS_BUILT, len(lcas))
     return _candidate_order(patterns)
 

@@ -21,7 +21,8 @@ and cold prefixes are evicted least-recently-used once the budget is
 exceeded.  A capacity of zero disables caching entirely (every insert is
 rejected).  :attr:`CacheStats.entries` and
 :attr:`CacheStats.median_entry_bytes` are gauges describing the live
-entry population (refreshed by :meth:`PrefixCache.refresh_gauges`).
+entry population (refreshed by :meth:`PrefixCache.refresh_gauges`, which
+recomputes them only after the population changed).
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ class PrefixCache:
         # Key -> (entry, bytes charged for it).
         self._entries: "OrderedDict[tuple, tuple[Any, int]]" = OrderedDict()
         self.stats = CacheStats()
+        # Set by an insertion, an eviction or clear(): the gauges in
+        # ``stats`` no longer describe the live entries.
+        self._gauges_stale = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -119,6 +123,7 @@ class PrefixCache:
         if old is not None:
             self.stats.current_bytes -= old[1]
         self._entries[key] = (value, charge)
+        self._gauges_stale = True
         self.stats.current_bytes += charge
         self.stats.insertions += 1
         while self.stats.current_bytes > self.capacity_bytes and self._entries:
@@ -138,13 +143,19 @@ class PrefixCache:
         )
 
     def refresh_gauges(self) -> CacheStats:
-        """Update (and return) the live-population gauges in ``stats``."""
-        self.stats.entries = len(self._entries)
-        self.stats.median_entry_bytes = self.median_entry_bytes()
+        """Update (and return) the live-population gauges in ``stats``.
+
+        They are recomputed only when an insertion, an eviction or
+        :meth:`clear` changed the population since the last refresh, so
+        reading the stats of an unchanged cache costs no median.
+        """
+        if self._gauges_stale:
+            self.stats.entries = len(self._entries)
+            self.stats.median_entry_bytes = self.median_entry_bytes()
+            self._gauges_stale = False
         return self.stats
 
     def clear(self) -> None:
         self._entries.clear()
         self.stats.current_bytes = 0
-        self.stats.entries = 0
-        self.stats.median_entry_bytes = 0
+        self._gauges_stale = True

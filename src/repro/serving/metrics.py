@@ -149,11 +149,7 @@ class ServiceStats:
         if self.cache is not None:
             # entries/median are point-in-time gauges; refresh them the
             # way the engine does before reading its cache stats.
-            self.cache.stats.entries = len(self.cache)
-            self.cache.stats.median_entry_bytes = (
-                self.cache.median_entry_bytes()
-            )
-            cache_view = self.cache.stats.as_dict()
+            cache_view = self.cache.refresh_gauges().as_dict()
             cache_view["capacity_bytes"] = self.cache.capacity_bytes
             out["response_cache"] = cache_view
         if self.health_provider is not None:

@@ -12,6 +12,7 @@ from repro import (
     OutlierQuestion,
     query_fingerprint,
 )
+from repro.core.pattern import Pattern
 from repro.core.timing import APT_CACHE_HITS, APT_CACHE_MISSES, StepTimer
 from tests.conftest import GSW_WINS_SQL
 
@@ -116,6 +117,38 @@ class TestCrossQuestionReuse:
         assert second.mined_graphs_reused == first.join_graphs_mined - 1
         assert ranked_payload(second) == ranked_payload(first)
         assert dropped in memo
+
+    @pytest.mark.parametrize("use_diversity", [True, False])
+    def test_memoized_ask_reranks_stored_codes(
+        self, session, mini_db, mini_schema_graph, monkeypatch, use_diversity
+    ):
+        """The finalists were encoded when they entered the memo: a
+        fully memoized ask reads no pattern's ``first_values`` or
+        ``describe()``, and still answers like a fresh session."""
+        knobs = {"overrides": {"use_diversity": use_diversity}}
+        session.explain(GSW_WINS_SQL, QUESTION, **knobs)
+        reads = {"first_values": 0, "describe": 0}
+        first_values, describe = Pattern.first_values, Pattern.describe
+
+        def counted_first_values(pattern):
+            reads["first_values"] += 1
+            return first_values.fget(pattern)
+
+        def counted_describe(pattern):
+            reads["describe"] += 1
+            return describe(pattern)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                Pattern, "first_values", property(counted_first_values)
+            )
+            patch.setattr(Pattern, "describe", counted_describe)
+            second = session.explain(GSW_WINS_SQL, QUESTION, **knobs)
+        assert second.mined_graphs_reused == second.join_graphs_mined > 0
+        assert reads == {"first_values": 0, "describe": 0}
+        assert ranked_payload(second) == cold_payload(
+            mini_db, mini_schema_graph, QUESTION, **knobs
+        )
 
     def test_empty_apts_are_memoized_too(self, nba_small):
         from repro.datasets.workloads import query_by_name

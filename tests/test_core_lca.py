@@ -33,6 +33,7 @@ from repro.core.timing import (
 from repro.db.errors import SchemaError
 from tests.conftest import kernel_of
 from tests.oracles import lca as lca_oracle_module
+from repro.core.lca import _pair_indices, _sample_row_indices
 from tests.oracles.lca import lca_candidates as lca_oracle
 
 settings.register_profile(
@@ -250,6 +251,49 @@ class TestCodeLcaEquivalence:
         )
         assert ref_timer.counter(LCA_PAIRS_EXAMINED) == 10 * 9 // 2
         assert ref_timer.counter(LCA_PATTERNS_BUILT) >= len(coded)
+
+
+def pair_counters_by_definition(columns, attrs, cfg, seed):
+    """(pairs examined, distinct row pairs) counted off the examined
+    pair list itself: a distinct row pair is an unordered pair of
+    distinct sample rows, a row with itself included."""
+    rng = np.random.default_rng(seed)
+    n_rows = len(next(iter(columns.values())))
+    indices = _sample_row_indices(n_rows, cfg, rng)
+    rows = [tuple(columns[a][i] for a in attrs) for i in indices.tolist()]
+    pair_i, pair_j = _pair_indices(len(rows), cfg, rng)
+    pairs = {frozenset((rows[i], rows[j])) for i, j in zip(pair_i, pair_j)}
+    pairs |= {frozenset((row,)) for row in rows}
+    return len(pair_i), len(pairs)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("over_cap", [0, 1])
+def test_pair_cap_boundary(seed, over_cap):
+    """m(m−1)/2 equal to the cap examines every pair without drawing
+    any (the distinct pairs are the upper triangle of distinct rows);
+    one pair over it samples.  Both match the oracle and count the
+    pairs as the pair list does."""
+    player = ["Curry", "Green", None, "Curry", "Thompson", "Green"] * 2
+    home = ["GSW", "GSW", "LAL", None, "GSW", "LAL"] * 2
+    cols = {
+        "player": np.array(player, dtype=object),
+        "home": np.array(home, dtype=object),
+    }
+    m = len(player)
+    cfg = config(lca_sample_rate=1.0, lca_pair_cap=m * (m - 1) // 2 - over_cap)
+    attrs = ["home", "player"]
+    assert_same_as_oracle(cols, attrs, cfg, seed)
+    timer = StepTimer()
+    lca_candidates_codes(
+        kernel_for(cols), attrs, cfg, np.random.default_rng(seed), timer=timer
+    )
+    examined, distinct = pair_counters_by_definition(cols, attrs, cfg, seed)
+    assert timer.counter(LCA_PAIRS_EXAMINED) == examined
+    assert timer.counter(LCA_DISTINCT_ROW_PAIRS) == distinct
+    if not over_cap:
+        assert examined == m * (m - 1) // 2
+        assert distinct == 6 * 7 // 2  # six distinct rows
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """The §3.5 rerank kernel against its oracle (``tests/oracles``).
 
-``select_diverse_top_k`` runs as an array kernel over per-call codes;
-the greedy loop it replaced lives in ``oracles.diversity`` and reads
-only ``Pattern.predicates``.  These tests require the two to agree on
-picks, order and payload *identity* over adversarial pools, pin the
+``select_diverse_top_k`` runs as an array kernel over codes that
+``encode`` assigns from an interner; the greedy loop it replaced lives
+in ``oracles.diversity`` and reads only ``Pattern.predicates``.  These
+tests require the two to agree on picks, order and payload *identity*
+over adversarial pools — encoded in one call, or block by block with
+one shared interner as the session's mining memo stores them — pin the
 float summation order across hash seeds, and check two real workloads
 end to end.
 """
@@ -23,11 +25,23 @@ from hypothesis import strategies as st
 
 from repro.api import CajadeSession
 from repro.core import CajadeConfig, Pattern, PatternPredicate
-from repro.core.diversity import dissimilarity, select_diverse_top_k, wscore
+from repro.core.diversity import (
+    EncodedPool,
+    RerankInterner,
+    dissimilarity,
+    encode,
+    select_diverse_top_k,
+    wscore,
+)
 from repro.core.pattern import OP_EQ, OP_GE, OP_LE
 from repro.datasets.workloads import query_by_name
 from repro.serving import canonical_payload
 from tests.oracles import diversity as oracle
+
+settings.register_profile(
+    "ci", settings(max_examples=200, deadline=None, derandomize=True)
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 NAN = float("nan")
 # Constants that are equal across types (1 == 1.0 == True, 0 == False),
@@ -63,6 +77,36 @@ def pools(draw) -> list[tuple[Pattern, float, object]]:
     return [(p, f, object()) for p, f in base + repeats]
 
 
+# Equal across types (1 == 1.0 == True == np.int64(1)), never equal
+# (NaN, twice) or equal only in print ("1"): every split pool carries
+# them, so blocks encoded apart must still agree on equality.
+MIXED = [1, 1.0, True, np.int64(1), NAN, float("nan"), "1"]
+
+
+@st.composite
+def split_pools(draw) -> tuple[list[list], list[int]]:
+    """A pool cut into 1–6 consecutive blocks, and the order in which
+    the blocks are encoded (the memo encodes graphs in trie order and
+    concatenates them in graph-index order)."""
+    mixed = [
+        (
+            Pattern.from_dict({draw(st.sampled_from("ab")): (OP_EQ, value)}),
+            draw(f_scores),
+            object(),
+        )
+        for value in MIXED
+    ]
+    pool = draw(st.permutations(draw(pools()) + mixed))
+    n_blocks = draw(st.integers(min_value=1, max_value=6))
+    cuts = sorted(draw(st.lists(
+        st.integers(0, len(pool)), min_size=n_blocks - 1,
+        max_size=n_blocks - 1,
+    )))
+    bounds = [0, *cuts, len(pool)]
+    blocks = [pool[a:b] for a, b in zip(bounds, bounds[1:])]
+    return blocks, draw(st.permutations(range(n_blocks)))
+
+
 def same_picks(got, want) -> bool:
     return len(got) == len(want) and all(
         g[0] is w[0] and g[1] == w[1] and g[2] is w[2]
@@ -77,6 +121,29 @@ class TestKernelMatchesOracle:
         assert same_picks(
             select_diverse_top_k(pool, k), oracle.select_diverse_top_k(pool, k)
         )
+
+    @given(split=split_pools(), k=st.integers(min_value=1, max_value=20))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_encoded_apart_select_like_the_oracle(self, split, k):
+        blocks, encode_order = split
+        interner = RerankInterner()
+        encoded = [None] * len(blocks)
+        for b in encode_order:
+            encoded[b] = encode(blocks[b], interner)
+        pool = EncodedPool.concat(encoded, interner)
+        whole = [c for block in blocks for c in block]
+        want = oracle.select_diverse_top_k(whole, k)
+        assert same_picks(select_diverse_top_k(pool, k), want)
+        # Without diversity the answer is the head of the ranked order.
+        ranked = sorted(whole, key=lambda c: (-c[1], oracle.describe(c[0])))
+        assert same_picks([pool[i] for i in pool.ranked().tolist()], ranked)
+
+    def test_concat_refuses_another_interners_codes(self):
+        pool = [(Pattern.from_dict({"a": (OP_EQ, 1)}), 0.5, "x")]
+        with pytest.raises(ValueError, match="interner"):
+            EncodedPool.concat(
+                [encode(pool, RerankInterner())], RerankInterner()
+            )
 
     @given(phi=patterns(), other=patterns())
     @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 
 import numpy as np
 import pytest
@@ -94,6 +95,48 @@ class TestPrefixCache:
         cache.clear()
         assert cache.stats.current_bytes == 0
         assert cache.median_entry_bytes() == 0
+
+    def test_gauges_recomputed_only_when_the_population_changed(
+        self, monkeypatch
+    ):
+        medians = []
+        median_entry_bytes = PrefixCache.median_entry_bytes
+
+        def counted(cache):
+            medians.append(cache)
+            return median_entry_bytes(cache)
+
+        monkeypatch.setattr(PrefixCache, "median_entry_bytes", counted)
+        cache = PrefixCache(capacity_bytes=300)
+
+        def refreshed(recomputed: int) -> None:
+            before = len(medians)
+            stats = cache.refresh_gauges()
+            assert len(medians) - before == recomputed
+            charges = [charge for _, charge in cache._entries.values()]
+            assert stats.entries == len(charges)
+            assert stats.median_entry_bytes == (
+                int(statistics.median(charges)) if charges else 0
+            )
+
+        refreshed(0)
+        cache.put(("a",), _Entry(100))
+        refreshed(1)
+        cache.get(("a",))
+        cache.get(("z",))
+        refreshed(0)
+        cache.put(("b",), _Entry(51))
+        cache.put(("c",), _Entry(120))
+        refreshed(1)
+        refreshed(0)
+        cache.put(("d",), _Entry(90))  # evicts a
+        assert cache.stats.evictions == 1 and ("a",) not in cache
+        refreshed(1)
+        cache.put(("e",), _Entry(301))  # rejected: nothing changes
+        refreshed(0)
+        cache.clear()
+        refreshed(1)
+        assert cache.stats.entries == cache.stats.median_entry_bytes == 0
 
     def test_oversized_rejected(self):
         rel = _Entry(16000)
