@@ -33,6 +33,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any
 
@@ -212,31 +213,43 @@ def cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_serve_flags(args: argparse.Namespace) -> None:
+    """Refuse a bad ``serve`` flag before anything is loaded or saved."""
+    floors = (
+        ("--shards", args.shards, 1),
+        ("--max-restarts", args.max_restarts, 0),
+        ("--max-retries", args.max_retries, 0),
+        ("--max-queue-depth", args.max_queue_depth, 0),
+        ("--request-timeout", args.request_timeout, 0),
+        ("--response-cache-mb", args.response_cache_mb, 0),
+    )
+    for flag, value, floor in floors:
+        if not (math.isfinite(value) and value >= floor):
+            raise SystemExit(
+                f"repro: invalid {flag} {value}: must be a finite "
+                f"number >= {floor}"
+            )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .serving import (
-        ExplanationService,
-        InlineBackend,
-        ProcessPoolBackend,
-        serve_http,
-    )
+    from .serving import ExplanationService, ProcessPoolBackend, serve_http
 
+    _check_serve_flags(args)
     config = _config_from(args)
     db = _load_with_cache(args.database, args.db_cache_dir)
-    schema_graph = SchemaGraph.from_database(db)
-    if args.shards == 0:
-        backend: Any = InlineBackend(
-            db, schema_graph, config, max_restarts=args.max_restarts
-        )
-    else:
-        backend = ProcessPoolBackend(
-            db,
-            schema_graph,
-            config,
-            num_shards=args.shards,
-            max_restarts=args.max_restarts,
-        )
+    label = str(db)
+    backend = ProcessPoolBackend(
+        db,
+        SchemaGraph.from_database(db),
+        config,
+        num_shards=args.shards,
+        max_restarts=args.max_restarts,
+    )
+    # The workers open the store the backend saved; the parent answers
+    # no question, so it keeps no database.
+    del db
 
     async def run() -> None:
         import signal
@@ -256,23 +269,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 request_timeout=args.request_timeout or None,
                 max_retries=args.max_retries,
                 max_queue_depth=args.max_queue_depth or None,
-                degraded_mode=args.degraded_mode,
             ) as service:
                 server = await serve_http(
                     service, host=args.host, port=args.port
                 )
                 host, port = server.sockets[0].getsockname()[:2]
                 print(
-                    f"serving {db} on http://{host}:{port} "
+                    f"serving {label} on http://{host}:{port} "
                     "(POST /explain, GET /stats)"
                 )
-                if isinstance(backend, ProcessPoolBackend):
-                    print(
-                        f"{backend.num_shards} workers mapping a "
-                        f"{backend.shared_bytes / 1e6:.2f}MB column store"
-                    )
-                else:
-                    print("inline backend (no worker processes)")
+                # Flushed: a script reading a redirected stdout waits
+                # for these lines to learn the port.
+                print(
+                    f"{backend.num_shards} workers mapping a "
+                    f"{backend.shared_bytes / 1e6:.2f}MB column store",
+                    flush=True,
+                )
                 async with server:
                     await stop.wait()
                     print("shutting down")
@@ -349,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="listen port (default 8321; 0 = any free port)")
     srv.add_argument("--shards", type=int, default=2,
                      help="worker pool processes, one per fingerprint "
-                          "shard (default 2; 0 = inline, no processes)")
+                          "shard (default 2)")
     srv.add_argument("--response-cache-mb", type=float, default=64.0,
                      help="cross-request response cache budget in MB "
                           "(default 64; 0 disables replay)")
@@ -366,10 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-queue-depth", type=int, default=64,
                      help="per-shard queue bound before shedding with "
                           "429 (default 64; 0 = unbounded)")
-    srv.add_argument("--degraded-mode", choices=["inline", "error"],
-                     default="inline",
-                     help="quarantined-shard policy: serve inline in "
-                          "the parent (default) or fail fast with 503")
     _add_config_flags(srv)
     srv.set_defaults(func=cmd_serve)
     return parser

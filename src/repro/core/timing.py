@@ -103,15 +103,14 @@ SERVICE_BATCHES = "Service batches"
 SERVICE_QUEUE_DEPTH = "Service queue depth"
 
 # Canonical counter labels (serving robustness).  "Retries" counts
-# tickets re-enqueued after a retryable batch failure, "shed" counts
+# tickets re-enqueued after a retryable failure, "shed" counts
 # requests refused by admission control, "deadline exceeded" counts
-# requests that ran out of budget (queued, mid-batch, or awaiting),
-# "degraded" counts requests served by a quarantined shard's inline
-# fallback, and "failures" counts requests resolved with an error.
+# requests that ran out of budget (queued, executing, or awaiting),
+# and "failures" counts requests resolved with an error (a quarantined
+# shard's 503 among them).
 SERVICE_RETRIES = "Service retries"
 SERVICE_SHED = "Service shed"
 SERVICE_DEADLINE_EXCEEDED = "Service deadline exceeded"
-SERVICE_DEGRADED = "Service degraded"
 SERVICE_FAILURES = "Service failures"
 
 ALL_COUNTERS = (
@@ -142,7 +141,6 @@ ALL_COUNTERS = (
     SERVICE_RETRIES,
     SERVICE_SHED,
     SERVICE_DEADLINE_EXCEEDED,
-    SERVICE_DEGRADED,
     SERVICE_FAILURES,
 )
 

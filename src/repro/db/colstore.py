@@ -133,9 +133,10 @@ def _decode_dictionary(
 class _DictStore:
     """One table's value dictionaries, read and checked at most once.
 
-    Thread-safe: the serving front-end answers shards from executor
-    threads, which under ``InlineBackend`` share one database and may
-    race the first gather of different columns of the same table.
+    Thread-safe: a library user may share one database across threads
+    (the serving tests' in-process backend answers shards from executor
+    threads), and two of them may race the first gather of different
+    columns of the same table.
     ``loaded`` is the observable the O(dict) open test keys on —
     opening a database must not flip it; only a value gather may.
     ``columns`` holds each encoded column's ``(codes, none_code)``,

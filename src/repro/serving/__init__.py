@@ -11,8 +11,8 @@ over the session API:
 - :mod:`~repro.serving.scheduler` — deterministic fingerprint → shard
   routing, bounded per-shard FIFO queues;
 - :mod:`~repro.serving.pool` — the supervised sharded worker pool
-  (auto-restart, checksummed replies, quarantine, degraded fallback)
-  and an inline single-process backend with the same contract;
+  (auto-restart, checksummed replies, quarantine), the only place a
+  question is answered;
 - :mod:`~repro.serving.supervisor` — per-shard health state machine
   (healthy → restarting → quarantined);
 - :mod:`~repro.serving.faults` — deterministic fault injection
@@ -47,7 +47,7 @@ from .frontend import (
     timeout_from_json,
 )
 from .metrics import ServiceStats
-from .pool import InlineBackend, ProcessPoolBackend
+from .pool import ProcessPoolBackend
 from .scheduler import (
     QueueFullError,
     Scheduler,
@@ -76,7 +76,6 @@ __all__ = [
     "ExplanationService",
     "FaultPlan",
     "FaultRule",
-    "InlineBackend",
     "ProcessPoolBackend",
     "QueueFullError",
     "Scheduler",

@@ -18,8 +18,8 @@ Fault kinds:
 
 ``KILL``
     SIGKILL the shard's worker immediately before dispatching the
-    request (the inline backend drops the shard's session instead) —
-    exercises death detection, requeue, respawn, and retry.
+    request (the tests' in-process backend drops the shard's session
+    instead) — exercises death detection, requeue, respawn, and retry.
 ``DELAY``
     Sleep ``delay_seconds`` before dispatch — exercises deadline
     budgets and queue back-pressure.

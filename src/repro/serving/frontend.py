@@ -32,9 +32,8 @@ The request lifecycle (one ``submit()`` call):
    A retryable failure (worker death, corrupt reply) re-enqueues the
    ticket with exponential backoff + seeded jitter, up to
    ``max_retries`` and within the ticket's deadline budget.  A
-   quarantined shard degrades to the backend's inline fallback (still
-   byte-identical, just slower) or fast-fails 503, per
-   ``degraded_mode``.
+   quarantined shard fast-fails with a structured 503 ``quarantined``,
+   like any other non-retryable error.
 
 Responses carry the canonical payload (:func:`canonical_payload`): the
 result's JSON with the volatile ``apt_cache`` engine counters removed,
@@ -189,7 +188,7 @@ class ServiceResponse:
 
     payload: str  # canonical JSON string
     fingerprint: str
-    source: str  # "cache" | "coalesced" | "executed" | "degraded"
+    source: str  # "cache" | "coalesced" | "executed"
     latency_seconds: float
 
     def to_dict(self) -> dict:
@@ -243,7 +242,6 @@ class ExplanationService:
         retry_backoff: float = 0.05,
         retry_seed: int = 0,
         max_queue_depth: int | None = 64,
-        degraded_mode: str = "inline",
     ):
         if response_cache_mb < 0:
             raise ValueError("response_cache_mb must be >= 0")
@@ -251,8 +249,6 @@ class ExplanationService:
             raise ValueError("request_timeout must be positive (or None)")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if degraded_mode not in ("inline", "error"):
-            raise ValueError("degraded_mode must be 'inline' or 'error'")
         self._backend = backend
         self._scheduler = Scheduler(
             num_shards=backend.num_shards,
@@ -267,7 +263,6 @@ class ExplanationService:
         self._max_retries = max_retries
         self._retry_backoff = retry_backoff
         self._retry_rng = random.Random(retry_seed)
-        self._degraded_mode = degraded_mode
         self.stats = ServiceStats(
             cache=self._cache,
             workers=backend.num_shards,
@@ -335,9 +330,7 @@ class ExplanationService:
         future = self._inflight.get(key)
         if future is not None:
             self.stats.coalesced()
-            payload, _source = await self._await_payload(
-                future, deadline, budget
-            )
+            payload = await self._await_payload(future, deadline, budget)
             return self._resolved(request, payload, "coalesced", start)
 
         # Admission control: shed before creating any backend work.
@@ -356,15 +349,15 @@ class ExplanationService:
         self._inflight[key] = future
         self.stats.observe_depth(self._scheduler.depth)
         self._kick(shard)
-        payload, source = await self._await_payload(future, deadline, budget)
-        return self._resolved(request, payload, source, start)
+        payload = await self._await_payload(future, deadline, budget)
+        return self._resolved(request, payload, "executed", start)
 
     async def _await_payload(
         self,
         future: asyncio.Future,
         deadline: float | None,
         budget: float | None,
-    ) -> tuple[str, str]:
+    ) -> str:
         """Wait for a ticket's future within this waiter's own budget.
 
         The future is shielded: a waiter timing out never cancels the
@@ -444,8 +437,6 @@ class ExplanationService:
                     ticket.request,
                     ticket.deadline,
                 )
-            except ShardQuarantinedError as exc:
-                await self._degrade(shard, ticket, exc)
             except ServiceError as exc:
                 if isinstance(exc, DeadlineExceededError):
                     self.stats.deadline_exceeded()
@@ -465,18 +456,16 @@ class ExplanationService:
                 self.stats.last_dispatch_seconds = (
                     time.perf_counter() - t0
                 )
-                self._settle(ticket, outcome, "executed")
+                self._settle(ticket, outcome)
 
-    def _settle(
-        self, ticket: Ticket, outcome: Outcome, source: str
-    ) -> None:
+    def _settle(self, ticket: Ticket, outcome: Outcome) -> None:
         """Resolve one ticket from a backend outcome."""
         if outcome[0] == "ok":
             payload = outcome[1]
             self._cache.put(ticket.key, _CachedPayload(payload))
             future = self._inflight.pop(ticket.key, None)
             if future is not None and not future.done():
-                future.set_result((payload, source))
+                future.set_result(payload)
             return
         _tag, kind, message = outcome
         if kind == "timeout":
@@ -533,30 +522,6 @@ class ExplanationService:
             )
             return
         self._kick(shard)
-
-    async def _degrade(
-        self, shard: int, ticket: Ticket, exc: ServiceError
-    ) -> None:
-        """A quarantined shard: inline fallback or structured 503."""
-        fallback = getattr(self._backend, "execute_degraded", None)
-        if self._degraded_mode != "inline" or fallback is None:
-            self._resolve_error(ticket, exc)
-            return
-        self.stats.degraded()
-        try:
-            outcome = await asyncio.get_running_loop().run_in_executor(
-                None, fallback, shard, ticket.request, ticket.deadline
-            )
-        except Exception as fallback_exc:
-            self._resolve_error(
-                ticket,
-                ServiceError(
-                    f"degraded execution for shard {shard} failed: "
-                    f"{type(fallback_exc).__name__}: {fallback_exc}"
-                ),
-            )
-            return
-        self._settle(ticket, outcome, "degraded")
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,6 @@ class ServiceStats:
     def deadline_exceeded(self) -> None:
         self.timer.count(timing.SERVICE_DEADLINE_EXCEEDED)
 
-    def degraded(self) -> None:
-        self.timer.count(timing.SERVICE_DEGRADED)
-
     def failed(self) -> None:
         self.timer.count(timing.SERVICE_FAILURES)
 
@@ -100,7 +97,7 @@ class ServiceStats:
     def observe_latency(self, seconds: float, stage: str) -> None:
         """Record one finished request's end-to-end latency, attributed
         to the stage that resolved it (``cache`` / ``coalesced`` /
-        ``executed`` / ``degraded``)."""
+        ``executed``)."""
         self.latencies.append(seconds)
         self.completed += 1
         self.timer.add(f"Service {stage}", seconds)
@@ -130,7 +127,6 @@ class ServiceStats:
             "deadline_exceeded": counters.get(
                 timing.SERVICE_DEADLINE_EXCEEDED, 0
             ),
-            "degraded": counters.get(timing.SERVICE_DEGRADED, 0),
             "failures": failures,
             # Of the requests that finished (either way), the fraction
             # that resolved successfully — shed requests were never

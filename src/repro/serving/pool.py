@@ -1,15 +1,15 @@
-"""Execution backends: a supervised sharded process pool and an inline
-fallback.
+"""The execution backend: a supervised sharded process pool.
 
 :class:`ProcessPoolBackend` runs one persistent worker process per
 shard.  The parent saves the database once into a private temporary
-column store; each worker opens it (memory-mapped, so the page cache
-shares the bytes), builds its own :class:`~repro.api.CajadeSession`,
-and then answers one request at a time for exactly the fingerprints
+column store and keeps no reference to it; each worker opens the store
+(memory-mapped, so the page cache shares the bytes), builds its own
+:class:`~repro.api.CajadeSession`, and then answers one request at a
+time for exactly the fingerprints
 :func:`~repro.serving.scheduler.shard_for` routes to it — so each
 worker's parsed queries, provenance tables, warm tries, and mining
 memos cover precisely its own shard of the query space, and no state is
-duplicated across workers.
+duplicated across workers.  The parent process never mines.
 
 Workers use the ``spawn`` start method: a spawned child inherits
 nothing (the only bulk data it reads is the store) and avoids
@@ -28,10 +28,8 @@ store (exponential backoff + seeded jitter between consecutive
 respawns) and re-runs the ready handshake; a replacement that cannot
 open the store dies before it.  A shard that crash-loops past its
 ``max_restarts`` consecutive-failure budget is quarantined —
-subsequent executes raise :class:`ShardQuarantinedError`, and the
-front-end either degrades to :meth:`execute_degraded` (a lazily-built
-in-parent session over the parent's own database — slower but
-byte-identical) or fast-fails with a structured 503.
+subsequent executes raise :class:`ShardQuarantinedError`, which the
+front-end answers with a structured 503.
 
 **Integrity.**  Workers return one outcome per request —
 ``("ok", payload, digest)`` or ``("error", kind, message)`` — with a
@@ -46,11 +44,9 @@ The parent removes the store on :meth:`stop`, on a failed ``start()``
 (after tearing down the spawned workers) and when the constructor fails
 after creating it.  A parent killed by SIGKILL leaves it behind.
 
-:class:`InlineBackend` implements the same contract with in-process
-sessions (one per shard) and no processes at all — the test/CI
-substrate, and ``serve --shards 0``.  Fault injection
-(:mod:`repro.serving.faults`) maps worker death onto "drop the shard's
-session", so the whole failure matrix is testable without spawning.
+The per-request state machine lives in :class:`_SupervisedBackend`, so
+a test can substitute an in-process double that supplies only
+``_reply`` and runs the whole failure matrix without spawning.
 """
 
 from __future__ import annotations
@@ -63,7 +59,6 @@ import random
 import shutil
 import signal
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Any, NoReturn
@@ -187,20 +182,19 @@ def _worker_main(
 class _SupervisedBackend:
     """The per-request backend contract, written once.
 
-    ``execute`` is one state machine for both backends: quarantine
-    check, fault admission, the backend's own ``_reply``, digest
-    verification, then success or failure accounting with the shard's
-    supervisor.  A subclass supplies only ``_reply(shard, request,
-    deadline, kill)`` — deliver one request to the shard's session and
-    return its checksummed wire outcome, raising
-    :class:`WorkerDiedError` when the session was lost (``kill`` asks
-    it to lose the session first: the injected death).
+    ``execute`` is one state machine: quarantine check, fault
+    admission, the backend's own ``_reply``, digest verification, then
+    success or failure accounting with the shard's supervisor.  A
+    subclass supplies only ``_reply(shard, request, deadline, kill)`` —
+    deliver one request to the shard's session and return its
+    checksummed wire outcome, raising :class:`WorkerDiedError` when the
+    session was lost (``kill`` asks it to lose the session first: the
+    injected death).
     """
 
     def __init__(
         self,
-        db: Database,
-        schema_graph: SchemaGraph | None,
+        schema_graph: SchemaGraph,
         config: CajadeConfig | None,
         num_shards: int,
         max_restarts: int,
@@ -210,20 +204,10 @@ class _SupervisedBackend:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
         self.base_config = config or CajadeConfig()
-        self._db = db
-        self._schema_graph = (
-            schema_graph or SchemaGraph.from_database(db)
-        )
+        self._schema_graph = schema_graph
         self._fault_plan = fault_plan
         self._supervisor = ShardSupervisor(
             num_shards, max_restarts=max_restarts
-        )
-        self._degraded_sessions: dict[int, CajadeSession] = {}
-        self._lock = threading.Lock()
-
-    def _new_session(self) -> CajadeSession:
-        return CajadeSession(
-            self._db, self._schema_graph, self.base_config
         )
 
     def health(self) -> dict:
@@ -261,29 +245,6 @@ class _SupervisedBackend:
             self._supervisor.check(shard)  # raises ShardQuarantinedError
         raise exc
 
-    def execute_degraded(
-        self,
-        shard: int,
-        request: ExplanationRequest,
-        deadline: float | None,
-    ) -> Outcome:
-        """Degraded-mode execution for a quarantined shard: a lazily
-        built in-parent session over the original database.  Slower
-        (no warm worker state) but byte-identical — the session memo
-        contract does not care which process runs the mining."""
-        with self._lock:
-            session = self._degraded_sessions.get(shard)
-            if session is None:
-                session = self._new_session()
-                self._degraded_sessions[shard] = session
-        return _verified(shard, _run(session, request, deadline), False)
-
-    def stop(self) -> None:
-        with self._lock:
-            for session in self._degraded_sessions.values():
-                session.close()
-            self._degraded_sessions.clear()
-
 
 class _Worker:
     """Parent-side record of one shard-worker incarnation."""
@@ -298,7 +259,11 @@ class _Worker:
 
 
 class ProcessPoolBackend(_SupervisedBackend):
-    """One persistent spawned process per fingerprint shard, supervised."""
+    """One persistent spawned process per fingerprint shard, supervised.
+
+    ``db`` is saved to the store and not kept: once constructed, the
+    parent holds only the schema graph.
+    """
 
     def __init__(
         self,
@@ -312,7 +277,11 @@ class ProcessPoolBackend(_SupervisedBackend):
         seed: int = 0,
     ):
         super().__init__(
-            db, schema_graph, config, num_shards, max_restarts, fault_plan
+            schema_graph or SchemaGraph.from_database(db),
+            config,
+            num_shards,
+            max_restarts,
+            fault_plan,
         )
         self._ctx = mp.get_context(_START_METHOD)
         self._restart_backoff = restart_backoff
@@ -418,7 +387,6 @@ class ProcessPoolBackend(_SupervisedBackend):
         self._stopped = True
         self._teardown_workers()
         self._remove_store()
-        super().stop()
 
     def __enter__(self) -> "ProcessPoolBackend":
         self.start()
@@ -547,75 +515,3 @@ class ProcessPoolBackend(_SupervisedBackend):
             # A stale reply to a request the caller gave up on; drop
             # it and keep waiting for ours.
 
-
-class InlineBackend(_SupervisedBackend):
-    """The same contract, executed by in-process sessions.
-
-    One :class:`CajadeSession` per shard mirrors the pool's state
-    layout (each shard's tries and memos warm independently) without
-    any processes — deterministic and fast for tests, and a correct
-    single-process fallback for ``serve --shards 0``.
-
-    Fault injection maps the process-pool failure matrix onto inline
-    analogues: ``KILL`` drops the shard's session (its warm state — the
-    exact loss a worker death causes) and raises a retryable
-    :class:`WorkerDiedError`; ``CORRUPT`` mangles a reply before the
-    same checksum verification the pool performs; ``DELAY`` sleeps.
-    The supervisor accounting is identical, so restart/quarantine/
-    degraded paths are testable without spawning a single process.
-    """
-
-    def __init__(
-        self,
-        db: Database,
-        schema_graph: SchemaGraph | None = None,
-        config: CajadeConfig | None = None,
-        num_shards: int = 1,
-        max_restarts: int = 3,
-        fault_plan: FaultPlan | None = None,
-    ):
-        super().__init__(
-            db, schema_graph, config, num_shards, max_restarts, fault_plan
-        )
-        self._sessions: list[CajadeSession | None] = [
-            self._new_session() for _ in range(num_shards)
-        ]
-        self.requests_executed = 0
-
-    def start(self) -> None:  # symmetric with the pool
-        pass
-
-    def stop(self) -> None:
-        for session in self._sessions:
-            if session is not None:
-                session.close()
-        super().stop()
-
-    def session(self, shard: int) -> CajadeSession | None:
-        """The shard's session (test hook); None while lost to a kill."""
-        return self._sessions[shard]
-
-    def _reply(
-        self,
-        shard: int,
-        request: ExplanationRequest,
-        deadline: float | None,
-        kill: bool,
-    ) -> tuple:
-        with self._lock:
-            self.requests_executed += 1
-        session = self._sessions[shard]
-        if session is None:
-            # The inline analogue of a respawn: the session lost to a
-            # kill is rebuilt cold by the next request for its shard.
-            session = self._sessions[shard] = self._new_session()
-            self._supervisor.record_restart(shard)
-        if kill:
-            # The inline analogue of worker death: the shard's warm
-            # session is lost.
-            session.close()
-            self._sessions[shard] = None
-            raise WorkerDiedError(
-                f"shard {shard} session killed by fault injection"
-            )
-        return _run(session, request, deadline)

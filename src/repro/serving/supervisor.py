@@ -21,9 +21,8 @@ successful request resets the streak, so a worker that is killed every
 few hundred requests restarts forever, while a crash-looping shard
 (e.g. one whose startup deterministically fails) is quarantined after
 ``max_restarts + 1`` straight failures.  Quarantine is terminal for the
-backend's lifetime: requests for that shard either degrade to an
-inline in-parent execution or fast-fail with a structured 503,
-per the front-end's ``degraded_mode``.
+backend's lifetime: requests for that shard fast-fail with a structured
+503 ``quarantined``.
 
 All methods are thread-safe: failures are recorded from executor
 threads while ``snapshot()`` is read from the event loop for

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -199,3 +200,49 @@ def test_import_repro_cli_loads_only_what_a_question_needs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def mini_csv_dir(tmp_path_factory, mini_db):
+    from repro.db.csvio import save_database
+
+    out = tmp_path_factory.mktemp("mini_csv")
+    save_database(mini_db, out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--shards", "0"),
+        ("--shards", "-1"),
+        ("--max-restarts", "-1"),
+        ("--max-retries", "-1"),
+        ("--max-queue-depth", "-1"),
+        ("--request-timeout", "-1"),
+        ("--request-timeout", "nan"),
+        ("--response-cache-mb", "-1"),
+        ("--response-cache-mb", "inf"),
+    ],
+)
+def test_invalid_serve_flag_is_one_line_and_saves_nothing(
+    flag, value, mini_csv_dir, tmp_path, monkeypatch
+):
+    """A bad ``serve`` flag is refused before the database is loaded or
+    the pool's store is saved: one ``repro: invalid …`` line, a non-zero
+    exit, and no ``cajade-store-*`` directory left in the temp dir."""
+    import repro.serving
+
+    def no_server(*_args, **_kwargs):
+        raise AssertionError(f"serve started with {flag} {value}")
+
+    # A value the check lets through fails here instead of serving.
+    monkeypatch.setattr(repro.serving, "serve_http", no_server)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", str(mini_csv_dir), "--port", "0", flag, value])
+    message = excinfo.value.code
+    assert isinstance(message, str)  # exit status 1, message on stderr
+    assert message.startswith(f"repro: invalid {flag} ")
+    assert len(message.splitlines()) == 1
+    assert list(tmp_path.glob("cajade-store-*")) == []

@@ -1,9 +1,11 @@
 """Tests for the concurrent explanation service (repro.serving)."""
 
 import asyncio
+import gc
 import json
 import os
 import signal
+import weakref
 
 import pytest
 
@@ -20,7 +22,6 @@ from repro.serving import (
     ExplanationService,
     FaultPlan,
     FaultRule,
-    InlineBackend,
     ProcessPoolBackend,
     QueueFullError,
     Scheduler,
@@ -38,6 +39,7 @@ from repro.serving import (
 )
 from repro.serving.metrics import LATENCY_WINDOW
 from tests.conftest import GSW_WINS_SQL
+from tests.inline_backend import InlineBackend
 
 QUESTION = ComparisonQuestion({"season": "2015-16"}, {"season": "2012-13"})
 QUESTION2 = ComparisonQuestion({"season": "2012-13"}, {"season": "2015-16"})
@@ -250,33 +252,6 @@ class TestChaosInline:
         assert stats["retries"] == 1
         assert stats["health"]["failures"] == 1
 
-    def test_crash_loop_quarantines_then_degrades_inline(
-        self, mini_db, mini_schema_graph
-    ):
-        expected = serial_payload(mini_db, mini_schema_graph)
-        plan = FaultPlan((FaultRule(kind=KILL, every=1),))
-
-        async def main():
-            backend = InlineBackend(
-                mini_db,
-                mini_schema_graph,
-                CONFIG,
-                max_restarts=1,
-                fault_plan=plan,
-            )
-            async with ExplanationService(
-                backend, max_retries=5, retry_backoff=0.01
-            ) as service:
-                response = await service.submit(request())
-                return response, service.stats.snapshot()
-
-        response, stats = asyncio.run(main())
-        assert response.source == "degraded"
-        assert response.payload == expected
-        assert stats["health"]["quarantined"] == [0]
-        assert stats["degraded"] == 1
-        assert stats["availability"] == 1.0
-
     def test_crash_loop_error_mode_returns_structured_503(
         self, mini_db, mini_schema_graph
     ):
@@ -291,10 +266,7 @@ class TestChaosInline:
                 fault_plan=plan,
             )
             async with ExplanationService(
-                backend,
-                max_retries=5,
-                retry_backoff=0.01,
-                degraded_mode="error",
+                backend, max_retries=5, retry_backoff=0.01
             ) as service:
                 with pytest.raises(ShardQuarantinedError) as info:
                     await service.submit(request())
@@ -742,19 +714,18 @@ class TestProcessPool:
         with pytest.raises(ServiceError):
             backend.start()
 
-    def test_unopenable_store_quarantines_then_degrades(
+    def test_unopenable_store_quarantines_with_503(
         self, mini_db, mini_schema_graph
     ):
         """A respawn whose ``Database.open`` fails dies before its
         handshake; the supervisor counts that as a worker death,
-        quarantines the shard, and the degraded answer is the serial
-        bytes."""
+        quarantines the shard, and the request fails with the
+        structured 503 ``quarantined``."""
         expected = serial_payload(mini_db, mini_schema_graph)
 
         async def main(backend):
             async with ExplanationService(
-                backend, max_retries=5, retry_backoff=0.01,
-                degraded_mode="inline",
+                backend, max_retries=5, retry_backoff=0.01
             ) as service:
                 first = await service.submit(request())
                 victim = backend._workers[0].process
@@ -768,23 +739,124 @@ class TestProcessPool:
                 data_file.write_bytes(data_file.read_bytes()[:-8])
                 with pytest.raises(SchemaError, match=data_file.name):
                     Database.open(backend.store_directory)
-                degraded = await service.submit(request())
-                return first, degraded, service.stats.snapshot()
+                with pytest.raises(ShardQuarantinedError) as info:
+                    await service.submit(request())
+                return first, info.value, service.stats.snapshot()
 
         backend = ProcessPoolBackend(
             mini_db, mini_schema_graph, CONFIG, num_shards=1,
             max_restarts=1,
         )
-        first, degraded, stats = asyncio.run(main(backend))
+        first, exc, stats = asyncio.run(main(backend))
         assert first.source == "executed"
         assert first.payload == expected
-        assert degraded.source == "degraded"
-        assert degraded.payload == expected
+        assert (exc.status, exc.kind) == (503, "quarantined")
         assert stats["health"]["quarantined"] == [0]
         assert stats["health"]["restarts"] == 0
         assert "died during startup" in (
             stats["health"]["shards"][0]["last_error"]
         )
+        assert stats["failures"] == 1
+        assert not backend.store_directory.exists()
+
+    def test_quarantined_shard_fails_fast_beside_a_healthy_one(
+        self, mini_db, mini_schema_graph
+    ):
+        """Two shards; a seeded plan kills every execution on one of
+        them until it is quarantined.  Over HTTP, that shard's requests
+        get the 503 ``quarantined`` and the other shard's are answered
+        with the serial bytes — none dropped."""
+        healthy_shard = shard_for(request().fingerprint, 2)
+        sick_sql = next(
+            sql
+            for sql in (
+                GSW_WINS_SQL.replace("AS win ", f"AS {alias} ")
+                for alias in ("wins", "games", "w", "n", "total")
+            )
+            if shard_for(ExplanationRequest(sql, QUESTION).fingerprint, 2)
+            != healthy_shard
+        )
+        healthy = [request(), ExplanationRequest(GSW_WINS_SQL, QUESTION2)]
+        sick = [
+            ExplanationRequest(sick_sql, QUESTION),
+            ExplanationRequest(sick_sql, QUESTION2),
+        ]
+        plan = FaultPlan(
+            (FaultRule(kind=KILL, shard=1 - healthy_shard, every=1),),
+            seed=5,
+        )
+
+        def body(req):
+            return json.dumps(
+                {
+                    "sql": req.sql,
+                    "question": {
+                        "primary": req.question.primary,
+                        "secondary": req.question.secondary,
+                    },
+                }
+            ).encode()
+
+        async def main(backend):
+            async with ExplanationService(
+                backend, max_retries=3, retry_backoff=0.01
+            ) as service:
+                server = await serve_http(service, port=0)
+                port = server.sockets[0].getsockname()[1]
+                try:
+                    replies = [
+                        await http_request(port, "POST", "/explain", body(r))
+                        for r in (sick[0], healthy[0], sick[1], healthy[1])
+                    ]
+                finally:
+                    server.close()
+                    await server.wait_closed()
+                return replies, service.stats.snapshot()
+
+        backend = ProcessPoolBackend(
+            mini_db, mini_schema_graph, CONFIG, num_shards=2,
+            max_restarts=1, fault_plan=plan,
+        )
+        replies, stats = asyncio.run(main(backend))
+        sick_replies, healthy_replies = replies[0::2], replies[1::2]
+        for status, headers, raw in sick_replies:
+            assert status.startswith("HTTP/1.1 503")
+            assert json.loads(raw)["kind"] == "quarantined"
+        for req, (status, headers, raw) in zip(healthy, healthy_replies):
+            assert status.startswith("HTTP/1.1 200")
+            assert headers["x-cajade-source"] == "executed"
+            assert raw.decode() == serial_payload(
+                mini_db, mini_schema_graph, req
+            )
+        assert stats["health"]["quarantined"] == [1 - healthy_shard]
+        # Every request finished one way or the other: nothing dropped.
+        assert stats["completed"] == 2 and stats["failures"] == 2
+        assert stats["requests"] == 4
+        assert not backend.store_directory.exists()
+
+    def test_parent_keeps_no_database(
+        self, mini_db, mini_schema_graph, tmp_path
+    ):
+        """Once the pool saved its store, dropping the caller's last
+        reference frees the database: the parent answers no question,
+        so it holds none, and the workers still answer."""
+        mini_db.save(tmp_path / "store")
+        db = Database.open(tmp_path / "store")
+        alive = weakref.ref(db)
+        backend = ProcessPoolBackend(
+            db, mini_schema_graph, CONFIG, num_shards=1
+        )
+        del db
+        gc.collect()
+        freed = alive() is None
+
+        async def main():
+            async with ExplanationService(backend) as service:
+                return await service.submit(request())
+
+        response = asyncio.run(main())  # stops the pool either way
+        assert freed
+        assert response.payload == serial_payload(mini_db, mini_schema_graph)
         assert not backend.store_directory.exists()
 
 
@@ -1101,7 +1173,7 @@ class TestHttp:
     def test_error_statuses_and_bodies_are_structured(
         self, mini_db, mini_schema_graph
     ):
-        """504 on deadline, 503 on quarantine (error mode), all with
+        """504 on deadline, 503 on quarantine, all with
         machine-readable bodies and the fingerprint header when the
         request parsed far enough to have one."""
 
@@ -1131,10 +1203,7 @@ class TestHttp:
                 fault_plan=plan,
             )
             async with ExplanationService(
-                backend,
-                max_retries=3,
-                retry_backoff=0.01,
-                degraded_mode="error",
+                backend, max_retries=3, retry_backoff=0.01
             ) as service:
                 server = await serve_http(service, port=0)
                 port = server.sockets[0].getsockname()[1]
@@ -1261,7 +1330,6 @@ class TestServeSurface:
             "--request-timeout",
             "--max-retries",
             "--max-queue-depth",
-            "--degraded-mode",
         }
 
     def test_exact_service_parameters(self):
@@ -1279,5 +1347,4 @@ class TestServeSurface:
             "retry_backoff",
             "retry_seed",
             "max_queue_depth",
-            "degraded_mode",
         ]

@@ -28,8 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CajadeConfig
-from repro.serving import ExplanationService, InlineBackend, serve_http
+from repro.serving import ExplanationService, serve_http
 from tests.conftest import GSW_WINS_SQL
+from tests.inline_backend import InlineBackend
 
 settings.register_profile(
     "ci", settings(max_examples=200, deadline=None, derandomize=True)
