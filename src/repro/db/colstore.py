@@ -49,7 +49,7 @@ import numpy as np
 from .database import Database
 from .errors import SchemaError
 from .relation import Relation, TextColumn, TextDictionary
-from .schema import Column, TableSchema
+from .schema import Column, TableSchema, is_path_component
 from .types import ColumnType
 
 FORMAT_VERSION = 3  # 3: dictionaries as UTF-8 + offsets (2: executable)
@@ -383,7 +383,7 @@ def _check_table_entry(table: str, meta: Any) -> None:
     outside the store: the name must be one path component and
     ``dicts_file`` (when present) ``<table>.dicts.npz``."""
     where = f"{MANIFEST_NAME}: table {table!r}"
-    if table in ("", ".", "..") or any(c in table for c in "/\\\0"):
+    if not is_path_component(table):
         raise SchemaError(f"{where}: not a single path component")
     if not isinstance(meta, dict) or not isinstance(meta.get("columns"), list):
         raise SchemaError(f"{where}: no 'columns' list")

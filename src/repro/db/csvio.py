@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -18,7 +19,7 @@ from numpy.dtypes import StringDType
 from .database import Database
 from .errors import SchemaError
 from .relation import Relation, TextColumn, encoding_from_distinct
-from .schema import Column, TableSchema
+from .schema import Column, TableSchema, is_path_component
 from .types import (
     ColumnType,
     coerce_value,
@@ -28,6 +29,8 @@ from .types import (
 )
 
 _STRINGS = StringDType()
+
+CATALOG_NAME = "schema.json"
 
 
 def write_relation_csv(relation: Relation, path: str | Path) -> None:
@@ -200,24 +203,115 @@ def _infer_column(
     return _distinct_coerced(cells, None, where)
 
 
-def read_relation_csv(
-    path: str | Path,
-    name: str | None = None,
-    schema: TableSchema | None = None,
-) -> Relation:
-    """Read a CSV file into a relation, column at a time.
+def _irregular(text: str, start: int) -> bool:
+    """Whether csv.reader could split the data lines (``text``'s UTF-8
+    bytes from ``start`` on, in which ``,``, ``\\n`` and ``\\r`` never
+    occur inside a character) other than one row per ``\\n`` and one
+    cell per ``,``, or a row holds an empty cell: a blank line, an empty
+    cell or a ``\\r`` outside ``\\r\\n``.  One vectorised scan, three
+    byte masks."""
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)[start:]
+    if raw[0] in (10, 13, 44) or raw[-1] in (13, 44):
+        return True
+    cr = raw == 13
+    sep = raw == 44
+    np.logical_or(sep, raw == 10, out=sep)
+    # ",," ",\n" ",\r" "\n," "\n\n" "\n\r": an empty cell or line.
+    pair = sep[1:] | cr[1:]
+    np.logical_and(pair, sep[:-1], out=pair)
+    if pair.any():
+        return True
+    np.equal(raw[1:], 10, out=pair)
+    np.greater(cr[:-1], pair, out=pair)
+    return bool(pair.any())
 
-    Without an explicit ``schema`` the column types are inferred from the
-    parsed values (ints, floats, text; empty cells are NULL).  Every
-    column equals the per-cell definition — ``parse_literal`` on each
-    cell, then ``Relation.from_rows`` (``infer_column_type`` first,
-    without a schema) — byte for byte; ``tests/oracles/csv_cells.py``
-    states it.  A ragged row is a :class:`SchemaError` naming the file
-    and the data row; a cell its column's type cannot take is one naming
-    ``<table>.<column>``, the data row and the cell, raised from the
-    per-cell error.
+
+def _typed_storage(
+    text: str, schema: TableSchema
+) -> dict[str, np.ndarray | TextColumn] | None:
+    """Every column of ``text`` from one ``np.loadtxt`` pass, or ``None``
+    where that pass might differ from the per-cell definition.
+
+    The dtype has one field per schema column: INT ``int64``, FLOAT
+    ``float64``, TEXT ``object`` (the raw cell, parsed once per distinct
+    by :func:`_distinct_coerced`).  Every numeric cell ``np.loadtxt``
+    accepts reads equal to ``int()`` / ``float()``, and it rejects blank
+    and ``NULL`` cells, ``1_000``, non-ASCII digits and ints past int64.
+    So the pass is exact except where csv.reader would split the text
+    differently or a float is one of the few the per-cell rule reads
+    otherwise; those files return ``None`` for the csv.reader path:
+
+    - a quote; a header other than the schema's column names; no data
+      line; a line longer than csv's field size limit;
+    - a blank line (csv.reader yields a ragged width-0 row, while
+      ``np.loadtxt`` skips it), a ``\\r`` outside ``\\r\\n``, or an
+      empty cell, which is how :func:`write_relation_csv` writes a NULL
+      (:func:`_irregular`: found before parsing, so a NULL-bearing file
+      pays no failed parse);
+    - ``np.loadtxt`` raising or warning, or parsing a different number
+      of rows than there are lines;
+    - a FLOAT NaN, ±inf or −0.0 (per cell: NULL, an error or +0.0).
     """
-    path = Path(path)
+    if '"' in text:
+        return None
+    end = text.find("\n")
+    if end < 0:
+        return None
+    header = text[:end]
+    if header.removesuffix("\r").split(",") != schema.column_names:
+        return None
+    if end + 1 == len(text) or _irregular(text, len(header.encode()) + 1):
+        return None
+    lines = text.split("\n")
+    del lines[0]
+    if not lines[-1]:
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    types = [column.ctype for column in schema.columns]
+    dtype = np.dtype(
+        [(f"c{i}", ctype.numpy_dtype()) for i, ctype in enumerate(types)]
+    )
+    try:
+        # Older numpy reads an INT cell such as 1e20 through a float (and
+        # truncates it) after a DeprecationWarning; as an error, such a
+        # file takes the csv.reader path.  A line's closing \r ends it
+        # here as it does for csv.reader.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = np.loadtxt(
+                lines, dtype=dtype, delimiter=",", comments=None, ndmin=1
+            )
+    except (ValueError, OverflowError, Warning):
+        return None
+    if len(parsed) != len(lines):
+        return None
+    fields = [parsed[f"c{i}"] for i in range(len(types))]
+    for ctype, values in zip(types, fields):
+        if ctype is ColumnType.FLOAT and (
+            ~np.isfinite(values) | ((values == 0) & np.signbit(values))
+        ).any():
+            return None
+    storage: dict[str, np.ndarray | TextColumn] = {}
+    for column, values in zip(schema.columns, fields):
+        if column.ctype is ColumnType.TEXT:
+            where = f"{schema.name}.{column.name}"
+            storage[column.name] = _distinct_coerced(
+                values.tolist(), ColumnType.TEXT, where
+            )[0]
+        else:
+            storage[column.name] = values.copy()
+    return storage
+
+
+def _cell_storage(
+    path: Path, table: str, schema: TableSchema | None
+) -> tuple[dict[str, np.ndarray | TextColumn], TableSchema]:
+    """The csv.reader path: rows, transposed, then a column at a time —
+    the only reader of quoted or NULL-bearing files, and of every file
+    read without a schema.  Returns the storage and the (inferred)
+    schema."""
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -241,7 +335,6 @@ def read_relation_csv(
         list(zip(*rows)) if rows else [()] * width
     )
 
-    table = schema.name if schema is not None else name or path.stem
     storage: dict[str, np.ndarray | TextColumn] = {}
     columns = []
     for index, (cname, cells) in enumerate(zip(header, columns_cells)):
@@ -255,6 +348,37 @@ def read_relation_csv(
             )
     if schema is None:
         schema = TableSchema(name=table, columns=columns)
+    return storage, schema
+
+
+def read_relation_csv(
+    path: str | Path,
+    name: str | None = None,
+    schema: TableSchema | None = None,
+) -> Relation:
+    """Read a CSV file into a relation, column at a time.
+
+    Without an explicit ``schema`` the column types are inferred from the
+    parsed values (ints, floats, text; empty cells are NULL).  Every
+    column equals the per-cell definition — ``parse_literal`` on each
+    cell, then ``Relation.from_rows`` (``infer_column_type`` first,
+    without a schema) — byte for byte; ``tests/oracles/csv_cells.py``
+    states it.  Against a schema, :func:`_typed_storage` parses the
+    file in one typed pass where that is provably exact; every other
+    file takes the csv.reader path (:func:`_cell_storage`).  A
+    ragged row is a :class:`SchemaError` naming the file and the data
+    row; a cell its column's type cannot take is one naming
+    ``<table>.<column>``, the data row and the cell, raised from the
+    per-cell error.
+    """
+    path = Path(path)
+    table = schema.name if schema is not None else name or path.stem
+    storage = None
+    if schema is not None:
+        with path.open(newline="") as handle:
+            storage = _typed_storage(handle.read(), schema)
+    if storage is None:
+        storage, schema = _cell_storage(path, table, schema)
     relation = Relation(schema, storage)
     if schema.primary_key:
         relation._check_primary_key()
@@ -285,29 +409,89 @@ def save_database(db: Database, directory: str | Path) -> None:
                 "ref_columns": list(fk.ref_columns),
             }
         )
-    (directory / "schema.json").write_text(json.dumps(meta, indent=2))
+    (directory / CATALOG_NAME).write_text(json.dumps(meta, indent=2))
+
+
+def _catalog_schema(directory: Path, table: str, info: Any) -> TableSchema:
+    """One table's schema from its ``schema.json`` entry; a malformed
+    entry, or one whose CSV is missing or outside ``directory``, is a
+    :class:`SchemaError` naming the file and the table or column."""
+    where = f"{CATALOG_NAME}: table {table!r}"
+    if not is_path_component(table):
+        raise SchemaError(f"{where}: not a single path component")
+    if not isinstance(info, dict) or not isinstance(info.get("columns"), list):
+        raise SchemaError(f"{where}: no 'columns' list")
+    columns = []
+    for column in info["columns"]:
+        if not isinstance(column, dict) or not isinstance(
+            column.get("name"), str
+        ):
+            raise SchemaError(f"{where}: a column entry has no name")
+        try:
+            ctype = ColumnType(column.get("type"))
+        except ValueError:
+            raise SchemaError(
+                f"{where} column {column['name']!r}: unknown type "
+                f"{column.get('type')!r}"
+            ) from None
+        columns.append((column["name"], ctype))
+    key = info.get("primary_key", [])
+    if not isinstance(key, list) or not all(isinstance(k, str) for k in key):
+        raise SchemaError(f"{where}: 'primary_key' is not a list of names")
+    try:
+        schema = TableSchema(
+            name=table,
+            columns=[Column(name, ctype) for name, ctype in columns],
+            primary_key=tuple(key),
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    if not (directory / f"{table}.csv").is_file():
+        raise SchemaError(f"{where}: no {table}.csv in {directory}")
+    return schema
 
 
 def load_database(directory: str | Path) -> Database:
-    """Load a database saved by :func:`save_database`."""
+    """Load a database saved by :func:`save_database`.
+
+    Fails closed: ``schema.json`` must be a JSON object with a
+    ``tables`` object whose names are single path components, each with
+    a ``columns`` list of names and known types and a ``<table>.csv``
+    beside it; otherwise a :class:`SchemaError` names the file and the
+    table or column, before any CSV is read.
+    """
     directory = Path(directory)
-    meta = json.loads((directory / "schema.json").read_text())
+    path = directory / CATALOG_NAME
+    if not path.is_file():
+        raise SchemaError(
+            f"no CSV database at {directory} (missing {CATALOG_NAME})"
+        )
+    try:
+        meta = json.loads(path.read_bytes())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise SchemaError(f"{CATALOG_NAME}: not JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{CATALOG_NAME}: not a JSON object")
+    if not isinstance(meta.get("tables"), dict):
+        raise SchemaError(f"{CATALOG_NAME}: no 'tables' object")
+    if not isinstance(meta.get("foreign_keys", []), list):
+        raise SchemaError(f"{CATALOG_NAME}: 'foreign_keys' is not a list")
+    schemas = [
+        _catalog_schema(directory, table, info)
+        for table, info in meta["tables"].items()
+    ]
     db = Database(name=meta.get("name", directory.name))
-    for table_name, info in meta["tables"].items():
-        schema = TableSchema(
-            name=table_name,
-            columns=[
-                Column(c["name"], ColumnType(c["type"]))
-                for c in info["columns"]
-            ],
-            primary_key=tuple(info.get("primary_key", [])),
+    for schema in schemas:
+        db.add_relation(
+            read_relation_csv(directory / f"{schema.name}.csv", schema=schema)
         )
-        relation = read_relation_csv(
-            directory / f"{table_name}.csv", schema=schema
-        )
-        db.add_relation(relation)
     for fk in meta.get("foreign_keys", []):
-        db.add_foreign_key(
-            fk["table"], fk["columns"], fk["ref_table"], fk["ref_columns"]
-        )
+        try:
+            db.add_foreign_key(
+                fk["table"], fk["columns"], fk["ref_table"], fk["ref_columns"]
+            )
+        except (KeyError, TypeError):
+            raise SchemaError(
+                f"{CATALOG_NAME}: malformed foreign key {fk!r}"
+            ) from None
     return db

@@ -15,6 +15,12 @@ from .errors import SchemaError
 from .types import ColumnType
 
 
+def is_path_component(name: str) -> bool:
+    """Whether a table name is one path component, so the files named
+    after it (``<name>.csv``, ``<name>.bin``) stay in their directory."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 @dataclass(frozen=True)
 class Column:
     """A single typed column of a relation."""

@@ -88,8 +88,9 @@ _MIN_SAMPLES_SPLIT = 10
 _N_THRESHOLDS = 24
 _QUANTILES = np.linspace(0.0, 1.0, _N_THRESHOLDS + 2)[1:-1]
 
-# Integral columns whose value range fits under this cap are binned with
-# a sort-free presence bincount instead of an np.unique sort.
+# Integral columns whose value range fits under this cap keep the signs of
+# their zeros in the uniques; a modest range among them is binned with a
+# sort-free presence bincount instead of an np.unique sort.
 _INT_RANGE_CAP = 1 << 20
 
 # Budget of (slot, feature, bin) histogram columns per bincount call;
@@ -146,10 +147,11 @@ def bin_matrix(X: np.ndarray) -> BinnedMatrix:
 def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``values`` and the rank of each value among them.
 
-    Integral values with a modest range (the kernel's ml codes among
-    them) take a sort-free bincount presence scan, so codes pass
-    straight through (re-ranked only to drop unused code slots); any
-    other column takes one ``np.unique`` sort.
+    Integral values whose range is at most a few times their count (the
+    kernel's ml codes among them) take a sort-free bincount presence
+    scan, so codes pass straight through (re-ranked only to drop unused
+    code slots); a presence array is sized by the range, so a wider one
+    takes a sort.  Any other column takes one ``np.unique`` sort.
     """
     if len(values):
         lo = float(values.min())
@@ -159,11 +161,16 @@ def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if hi - lo + 1.0 <= _INT_RANGE_CAP and abs(lo) < 2.0**62:
             ints = values.astype(np.int64)
             if np.array_equal(ints, values):
-                ints -= int(lo)
-                present = np.bincount(ints) > 0
-                ranks = (np.cumsum(present) - 1)[ints]
+                if hi - lo < 4.0 * len(values) + 64:
+                    ints -= int(lo)
+                    present = np.bincount(ints) > 0
+                    ranks = (np.cumsum(present) - 1)[ints]
+                    size = int(present.sum())
+                else:
+                    distinct, ranks = np.unique(ints, return_inverse=True)
+                    size = len(distinct)
                 # The values themselves, so a -0.0 keeps its sign.
-                uniq = np.empty(int(present.sum()))
+                uniq = np.empty(size)
                 uniq[ranks] = values
                 return uniq, ranks
     return np.unique(values, return_inverse=True)

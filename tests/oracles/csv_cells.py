@@ -1,8 +1,10 @@
 """Oracle for CSV ingest: every cell parsed on its own.
 
-Production (:func:`repro.db.csvio.read_relation_csv`) casts whole numeric
-columns in C and parses everything else once per *distinct* cell.  This
-oracle reads a file the way the definition does:
+Production (:func:`repro.db.csvio.read_relation_csv`) parses a file read
+against a schema in one typed ``np.loadtxt`` pass where that is exact,
+casts whole numeric columns in C on its csv.reader path, and parses TEXT
+once per *distinct* cell.  This oracle reads a file the way the
+definition does:
 
 - ``csv.reader`` rows, then ``parse_literal`` on every cell;
 - with a schema, ``Relation.from_rows(schema, parsed)`` — ``coerce_value``

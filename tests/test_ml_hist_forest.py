@@ -17,6 +17,7 @@ of the full matrix, bitwise.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,28 @@ class TestExactTwin:
         y = (X[:, 1] > 0).astype(float)
         hist, ref = fit_pair(X, y, max_samples=None)
         assert_twin(hist, ref)
+
+
+    def test_wide_range_integral_column_allocates_by_count(self, rng):
+        # 44 integral values over a range of 895,870, as in one of the
+        # distinct fits of Qnba5 at two edges: binning must cost memory
+        # by the values, not by the range (a presence scan took 15 MB).
+        X = np.column_stack([
+            rng.integers(0, 895_870, 44), rng.integers(-1, 5, 44)
+        ]).astype(float)
+        X[:3, 0] = [0.0, 895_869.0, -0.0]
+        y = (rng.random(44) < 0.5).astype(float)
+        hist, ref = fit_pair(X, y, seed=3)
+        assert_twin(hist, ref)
+        tracemalloc.start()
+        try:
+            HistRandomForestClassifier(random_state=3, **FOREST_PARAMS).fit(
+                X, y
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestColumnReduction:
